@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Algebra, check_left_symmetric, commutator_lie, substitute_algebra
-from .cocycle import Cocycle, Representation, check_cocycle, check_representation, is_bijective, phi
+from .cocycle import Cocycle, Representation, phi
 from .docs import (constraint_allows, parse_constraint, parse_matrix,
                    parse_term_list)
-from .errors import ConstraintViolated, DocSemanticError, DocSyntaxError, UnknownId
+from .errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
+                     NotBijective, NotCocycle, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import canonical_l, canonical_lie, classify3
 from .linalg import Mat, vec_zero
@@ -80,25 +81,23 @@ class CatalogEntry:
                 return False
         return True
 
-    def sample_bindings(self):
-        "Default parameter sample plan, filtered by the constraints."
-        names = list(self.params)
-        if not names:
-            return [{}]
-        pools = []
-        for name in names:
-            c = self.params[name]
-            if c[0] == "eq":
-                pools.append([c[1]])
-                continue
-            pool = list(self.samples_override.get(
-                name, _SAMPLE_POOLS.get(name, [QI(2), QI(-1)])))
-            if c[0] == "any" and all(v != QI(0) for v in pool):
-                pool = [QI(0)] + pool
-            pool = [v for v in pool if constraint_allows(c, v)]
-            pools.append(pool)
+    def sample_bindings(self, when=None):
+        """Default parameter sample plan, filtered by the constraints; the
+        parameters named in `when` (an iso declaration's pins) take its
+        values instead."""
+        when = when or {}
         out = [{}]
-        for name, pool in zip(names, pools):
+        for name, c in self.params.items():
+            if name in when:
+                pool = [when[name]]
+            elif c[0] == "eq":
+                pool = [c[1]]
+            else:
+                pool = list(self.samples_override.get(
+                    name, _SAMPLE_POOLS.get(name, [QI(2), QI(-1)])))
+                if c[0] == "any" and all(v != QI(0) for v in pool):
+                    pool = [QI(0)] + pool
+                pool = [v for v in pool if constraint_allows(c, v)]
             out = [dict(b, **{name: v}) for b in out for v in pool]
         return out
 
@@ -202,7 +201,6 @@ def _qi_value(text):
 
 def _parse_iso(line, pnames):
     toks = line.split()
-    assert toks[0] == "iso"
     decl = IsoDecl(target=toks[1])
     k = 2
     mode = None
@@ -422,23 +420,20 @@ def _instantiate_mat(m, bindings):
 
 
 def _check_reconstruction(e, bindings, alg, messages):
-    lie = family_lie(e, bindings)
-    mats = [_instantiate_mat(m, bindings) for m in e.f_mats]
-    cm = _instantiate_mat(e.cmat, bindings)
-    rep = Representation(lie, mats)
-    ok, cert = check_representation(rep)
-    if not ok:
-        messages.append("stored f data is not a representation: %r" % (cert,))
+    rep = Representation(family_lie(e, bindings),
+                         [_instantiate_mat(m, bindings) for m in e.f_mats])
+    try:
+        built = phi(Cocycle(rep, _instantiate_mat(e.cmat, bindings)))
+    except NotCocycle as exc:
+        if exc.cert[0] == "representation":
+            messages.append("stored f data is not a representation: %r"
+                            % (exc.cert[1],))
+        else:
+            messages.append("stored (f, C) is not a cocycle: %r" % (exc.cert,))
         return False
-    c = Cocycle(rep, cm)
-    ok, cert = check_cocycle(c)
-    if not ok:
-        messages.append("stored (f, C) is not a cocycle: %r" % (cert,))
-        return False
-    if not is_bijective(c):
+    except NotBijective:
         messages.append("stored C is singular")
         return False
-    built = phi(c)
     if e.primed is not None:
         primed = substitute_algebra(e.primed, bindings)
         if built != primed:
@@ -520,19 +515,21 @@ class SweepReport:
 
 
 def verify_all(families=None, plan=None, directory=None):
-    """Run verify_entry over all entries and samples.
+    """Run verify_entry over entries and samples.
 
-    plan: optional {entry_id: [bindings, ...]} overriding the default
-    sample plan for listed entries.
+    plan: optional {entry_id: [bindings, ...]}; when given, exactly the
+    listed entries run at the listed bindings, in the plan's order.
+    Otherwise every entry of the given families (default all) runs at its
+    default sample plan, in catalog order.
     """
-    cat = load_catalog(directory)
+    if plan is None:
+        plan = {e.id: e.sample_bindings()
+                for e in load_catalog(directory).values()
+                if not families or e.family in families}
     out = SweepReport()
-    for e in cat.values():
-        if families and e.family not in families:
-            continue
-        samples = (plan or {}).get(e.id, e.sample_bindings())
+    for entry_id, samples in plan.items():
         for b in samples:
-            r = verify_entry(e.id, b, directory=directory)
+            r = verify_entry(entry_id, b, directory=directory)
             out.total += 1
             out.reports.append(r)
             if not r.ok:
@@ -540,25 +537,16 @@ def verify_all(families=None, plan=None, directory=None):
     return out
 
 
-def verify_property_tables(families=None, directory=None, sweep=None):
-    """Compare the computed property sets with the stored expectations,
-    itemizing every discrepancy per family and flag.  An existing sweep
-    (from verify_all) is reused instead of recomputing the predicates."""
+def verify_property_tables(sweep, directory=None):
+    """Compare the property flags computed by a verify_all sweep with the
+    stored expectations, itemizing every discrepancy per family and flag.
+    Covers exactly the pairs of the sweep."""
     cat = load_catalog(directory)
-    if sweep is None:
-        sweep = verify_all(families=families, directory=directory)
     discrepancies = []
-    total = 0
     sets = {}
     for r in sweep.reports:
         e = cat[r.entry_id]
-        if families and e.family not in families:
-            continue
         got = r.computed
-        if got is None:
-            got = computed_flags(instantiate(e.id, r.bindings,
-                                             directory=directory))
-        total += 1
         for name in FLAG_NAMES:
             expected = _flag_expected(e.flags[name], r.bindings)
             if got[name]:
@@ -568,18 +556,22 @@ def verify_property_tables(families=None, directory=None, sweep=None):
                 discrepancies.append(
                     "%s%s %s: computed %s, table says %s"
                     % (e.id, _fmt_bind(r.bindings), name, got[name], expected))
-    return {"checked": total, "sets": sets, "discrepancies": discrepancies}
+    return {"checked": len(sweep.reports), "sets": sets,
+            "discrepancies": discrepancies}
 
 
-def verify_remark_isos(directory=None):
-    """Check every stored coincidence declaration: explicit witnesses are
-    verified directly, the rest go through bounded isomorphism search.
-    Returns (confirmed, unconfirmed, failed) message lists."""
+def verify_remark_isos(entry_ids=None, directory=None):
+    """Check the stored coincidence declarations of the given entries
+    (default all): explicit witnesses are verified directly, the rest go
+    through bounded isomorphism search.  Returns (confirmed, unconfirmed,
+    failed) message lists."""
     cat = load_catalog(directory)
     confirmed, unconfirmed, failed = [], [], []
     for e in cat.values():
+        if entry_ids is not None and e.id not in entry_ids:
+            continue
         for decl in e.isos:
-            for b in _iso_sample_bindings(e, decl):
+            for b in e.sample_bindings(decl.when):
                 alg = instantiate(e.id, b, check=False, directory=directory)
                 ok, msg = _verify_iso_decl(e, decl, b, alg, use_search=True,
                                            directory=directory)
@@ -590,28 +582,6 @@ def verify_remark_isos(directory=None):
                 else:
                     failed.append(msg)
     return confirmed, unconfirmed, failed
-
-
-def _iso_sample_bindings(e, decl):
-    "Samples honoring the declaration's when-clause (pinning those params)."
-    names = list(e.params)
-    if not names:
-        return [{}]
-    out = [{}]
-    for name in names:
-        c = e.params[name]
-        if name in decl.when:
-            vals = [decl.when[name]]
-        elif c[0] == "eq":
-            vals = [c[1]]
-        else:
-            pool = list(e.samples_override.get(
-                name, _SAMPLE_POOLS.get(name, [QI(2), QI(-1)])))
-            if c[0] == "any" and all(v != QI(0) for v in pool):
-                pool = [QI(0)] + pool
-            vals = [v for v in pool if constraint_allows(c, v)]
-        out = [dict(b, **{name: v}) for b in out for v in vals]
-    return out
 
 
 def entry_counts(directory=None):

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Output is
+Exit codes: 0 success, 1 verification failure, 2 input error (including
+any library error a command does not handle itself).  Output is
 deterministic: fixed ordering, no timestamps.
 """
 
@@ -16,6 +17,7 @@ from .docs import Document, emit_document, parse_document
 from .errors import DocSemanticError, DocSyntaxError, LsaError
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import classify3
+from .scalars import parse_scalar
 
 
 def _read_doc(path, kinds):
@@ -84,31 +86,21 @@ def cmd_cocycle_build(args):
 
 
 def cmd_catalog_verify(args):
-    families = [args.family] if args.family else None
+    if args.param and not args.entry:
+        print("--param requires --entry")
+        return 2
+    plan = None
     try:
-        if args.entry:
-            entry = catalog.lookup(args.entry)
-            if args.param:
-                bindings = {}
-                for item in args.param:
-                    name, _, val = item.partition("=")
-                    from .scalars import parse_scalar
-                    bindings[name] = parse_scalar(val, vars=())
-                samples = [bindings]
-            else:
-                samples = entry.sample_bindings()
-            report = catalog.SweepReport()
-            for b in samples:
-                r = catalog.verify_entry(args.entry, b)
-                report.total += 1
-                report.reports.append(r)
-                if not r.ok:
-                    report.failures.append(r)
-        elif args.param:
-            print("--param requires --entry")
-            return 2
-        else:
-            report = catalog.verify_all(families=families)
+        if args.param:
+            bindings = {}
+            for item in args.param:
+                name, _, val = item.partition("=")
+                bindings[name] = parse_scalar(val, vars=())
+            plan = {args.entry: [bindings]}
+        elif args.entry:
+            plan = {args.entry: catalog.lookup(args.entry).sample_bindings()}
+        report = catalog.verify_all(
+            families=[args.family] if args.family else None, plan=plan)
     except LsaError as e:
         print("catalog error: %s" % e)
         return 2
@@ -125,11 +117,11 @@ def cmd_catalog_verify(args):
           % (report.total, len(report.failures)))
     extra_bad = False
     if args.all:
-        confirmed, unconfirmed, failed = catalog.verify_remark_isos()
+        confirmed, unconfirmed, failed = catalog.verify_remark_isos(
+            {r.entry_id for r in report.reports})
         print("remark coincidences: %d confirmed, %d unconfirmed, %d failed"
               % (len(confirmed), len(unconfirmed), len(failed)))
-        tables = catalog.verify_property_tables(
-            sweep=report if not (args.entry or args.family) else None)
+        tables = catalog.verify_property_tables(report)
         print("property table discrepancies: %d" % len(tables["discrepancies"]))
         for d in tables["discrepancies"]:
             print("  " + d)
@@ -202,7 +194,8 @@ def main(argv=None):
     c.add_argument("--param", action="append",
                    help="name=value (repeatable, with --entry)")
     c.add_argument("--all", action="store_true",
-                   help="also run remark isomorphisms and property tables")
+                   help="also run the remark isomorphisms and property "
+                        "tables of the entries verified")
     c.set_defaults(func=cmd_catalog_verify)
 
     c = sub.add_parser("iso", help="verify or search an isomorphism")
@@ -222,7 +215,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    except (DocSyntaxError, DocSemanticError) as e:
+    except LsaError as e:
         print("input error: %s" % e)
         return 2
 

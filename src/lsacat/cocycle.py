@@ -15,7 +15,7 @@ from .algebra import Algebra, check_left_symmetric, commutator_lie
 from .errors import (DimensionMismatch, NotAutomorphism, NotBijective,
                      NotCocycle, NotLeftSymmetric, SingularWitness)
 from .lie import check_lie_automorphism
-from .linalg import Mat, vec_add, vec_eq, vec_scale, vec_zero
+from .linalg import Mat, vec_eq
 from .scalars import is_zero
 
 
@@ -52,10 +52,7 @@ def check_representation(rep):
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = Mat.zero(n)
-            for k, ck in enumerate(g.b[i][j]):
-                if not is_zero(ck):
-                    lhs = lhs + ck * mats[k]
+            lhs = rep.act(g.b[i][j])
             rhs = mats[j] * mats[i] - mats[i] * mats[j]
             if lhs != rhs:
                 return False, (i, j, lhs - rhs)
@@ -86,10 +83,7 @@ def check_cocycle(c):
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = vec_zero(n)
-            for k, ck in enumerate(g.b[i][j]):
-                if not is_zero(ck):
-                    lhs = vec_add(lhs, vec_scale(cm.row(k), ck))
+            lhs = cm.apply_row(g.b[i][j])
             rhs = [a - b for a, b in zip(mats[i].apply_row(cm.row(j)),
                                          mats[j].apply_row(cm.row(i)))]
             if not vec_eq(lhs, rhs):
@@ -104,12 +98,14 @@ def is_bijective(c):
 def phi(c):
     """Left-symmetric product x*y = q^{-1}(f(x) q(y)) as an Algebra.
 
-    Requires a valid bijective cocycle; the result is left-symmetric and
-    its commutator Lie algebra equals c.rep.g table-for-table.
+    This is the one validator of stored (f, C) data: it raises NotCocycle
+    (whose cert is the check_cocycle certificate) or NotBijective.  On a
+    valid bijective cocycle the result is left-symmetric and its
+    commutator Lie algebra equals c.rep.g table-for-table.
     """
     ok, cert = check_cocycle(c)
     if not ok:
-        raise NotCocycle("cocycle conditions fail: %r" % (cert,))
+        raise NotCocycle("cocycle conditions fail: %r" % (cert,), cert)
     if not is_bijective(c):
         raise NotBijective("det C = 0")
     cm = c.C
@@ -164,31 +160,17 @@ def verify_cocycle_equiv(c1, c2, g, t):
         raise SingularWitness("cocycle equivalence witness g is singular")
     if c1.rep.g != c2.rep.g:
         return False
-    lie = c1.rep.g
-    if not check_lie_automorphism(lie, t):
+    if not check_lie_automorphism(c1.rep.g, t):
         raise NotAutomorphism("T does not preserve the bracket")
-    n = lie.dim
-    for i in range(n):
-        f1_t = Mat.zero(n)
-        for k, ck in enumerate(t.row(i)):
-            if not is_zero(ck):
-                f1_t = f1_t + ck * c1.rep.mats[k]
-        if ginv * f1_t * g != c2.rep.mats[i]:
-            return False
+    f1_t = precompose_rep(c1.rep, t)
+    if any(ginv * m * g != m2 for m, m2 in zip(f1_t.mats, c2.rep.mats)):
+        return False
     return t * c1.C * g == c2.C
 
 
 def precompose_rep(rep, t):
     "The representation x -> f(T x) for an automorphism T (row matrix)."
-    n = rep.g.dim
-    mats = []
-    for i in range(n):
-        acc = Mat.zero(n)
-        for k, ck in enumerate(t.row(i)):
-            if not is_zero(ck):
-                acc = acc + ck * rep.mats[k]
-        mats.append(acc)
-    return Representation(rep.g, mats)
+    return Representation(rep.g, [rep.act(t.row(i)) for i in range(t.nrows)])
 
 
 def find_rep_intertwiner(rep1, rep2):
@@ -229,13 +211,6 @@ def equivalent_cocycle(c1, g, t):
     lie = c1.rep.g
     if not check_lie_automorphism(lie, t):
         raise NotAutomorphism("T does not preserve the bracket")
-    n = lie.dim
-    mats = []
-    for i in range(n):
-        f1_t = Mat.zero(n)
-        for k, ck in enumerate(t.row(i)):
-            if not is_zero(ck):
-                f1_t = f1_t + ck * c1.rep.mats[k]
-        mats.append(ginv * f1_t * g)
-    rep = Representation(lie, mats)
+    f1_t = precompose_rep(c1.rep, t)
+    rep = Representation(lie, [ginv * m * g for m in f1_t.mats])
     return Cocycle(rep, t * c1.C * g)

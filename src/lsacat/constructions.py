@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from .algebra import Algebra, check_left_symmetric, multiply
 from .cocycle import check_representation
-from .errors import (CybeFails, NotCommutativeAssociative, NotDerivation,
-                     NotOOperator, SingularWitness)
-from .linalg import Mat, coords_in_span, span_basis, vec_eq, vec_is_zero, vec_sub, vec_zero
+from .errors import (CybeFails, LsaError, NotCommutativeAssociative,
+                     NotDerivation, NotLeftSymmetric, NotOOperator,
+                     SingularWitness)
+from .linalg import (Mat, basis_vec, coords_in_span, span_basis, vec_eq,
+                     vec_is_zero, vec_sub)
 from .props import is_associative, is_commutative, is_novikov
 
 
@@ -25,8 +27,8 @@ def check_derivation(base, d):
         for j in range(n):
             lhs = d.apply_row(base.product(i, j))
             rhs = [x + y for x, y in zip(
-                multiply(base, d.row(i), _unit(n, j)),
-                multiply(base, _unit(n, i), d.row(j)))]
+                multiply(base, d.row(i), basis_vec(n, j)),
+                multiply(base, basis_vec(n, i), d.row(j)))]
             if not vec_eq(lhs, rhs):
                 return False
     return True
@@ -40,12 +42,15 @@ def novikov_from_derivation(base, d):
     if not check_derivation(base, d):
         raise NotDerivation("D violates the Leibniz rule")
     n = base.dim
-    table = [[multiply(base, _unit(n, i), d.row(j)) for j in range(n)]
+    table = [[multiply(base, basis_vec(n, i), d.row(j)) for j in range(n)]
              for i in range(n)]
     out = Algebra(table)
     ok, cert = check_left_symmetric(out)
-    assert ok, "derivation construction broke left-symmetry: %r" % (cert,)
-    assert is_novikov(out), "derivation construction is not Novikov"
+    if not ok:
+        raise NotLeftSymmetric(
+            "derivation construction broke left-symmetry: %r" % (cert,))
+    if not is_novikov(out):
+        raise LsaError("derivation construction is not Novikov")
     return out
 
 
@@ -81,8 +86,8 @@ def check_cybe(g, r):
         for j in range(i + 1, n):
             rx, ry = r.row(i), r.row(j)
             lhs = g.bracket(rx, ry)
-            inner = [a + b for a, b in zip(g.bracket(rx, _unit(n, j)),
-                                           g.bracket(_unit(n, i), ry))]
+            inner = [a + b for a, b in zip(g.bracket(rx, basis_vec(n, j)),
+                                           g.bracket(basis_vec(n, i), ry))]
             rhs = r.apply_row(inner)
             if not vec_eq(lhs, rhs):
                 return False, (i, j, vec_sub(lhs, rhs))
@@ -95,11 +100,13 @@ def lsa_from_rmatrix(g, r):
     if not ok:
         raise CybeFails("CYBE fails at basis pair %r" % (cert[:2],))
     n = g.dim
-    table = [[g.bracket(r.row(i), _unit(n, j)) for j in range(n)]
+    table = [[g.bracket(r.row(i), basis_vec(n, j)) for j in range(n)]
              for i in range(n)]
     out = Algebra(table)
     ok, cert = check_left_symmetric(out)
-    assert ok, "r-matrix construction broke left-symmetry: %r" % (cert,)
+    if not ok:
+        raise NotLeftSymmetric(
+            "r-matrix construction broke left-symmetry: %r" % (cert,))
     return out
 
 
@@ -116,8 +123,8 @@ def check_o_operator(g, rho, t):
             lhs = g.bracket(tu, tv)
             act_u = rho.act(tu)      # row matrix of rho(T(u))
             act_v = rho.act(tv)
-            inner = vec_sub(act_u.apply_row(_unit(n, s)),
-                            act_v.apply_row(_unit(n, r)))
+            inner = vec_sub(act_u.apply_row(basis_vec(n, s)),
+                            act_v.apply_row(basis_vec(n, r)))
             rhs = t.apply_row(inner)
             if not vec_eq(lhs, rhs):
                 return False, (r, s, vec_sub(lhs, rhs))
@@ -136,11 +143,12 @@ def induced_products(g, rho, t):
     if not ok:
         raise NotOOperator("O-operator identity fails: %r" % (cert,))
     n = g.dim
-    v_table = [[rho.act(t.row(r)).apply_row(_unit(n, s)) for s in range(n)]
+    v_table = [[rho.act(t.row(r)).apply_row(basis_vec(n, s)) for s in range(n)]
                for r in range(n)]
     on_v = Algebra(v_table)
     ok, cert = check_left_symmetric(on_v)
-    assert ok, "V-product is not left-symmetric: %r" % (cert,)
+    if not ok:
+        raise NotLeftSymmetric("V-product is not left-symmetric: %r" % (cert,))
 
     image = span_basis([t.row(r) for r in range(n)
                         if not vec_is_zero(t.row(r))], n)
@@ -168,9 +176,10 @@ def induced_products(g, rho, t):
             if not vec_is_zero(t.apply_row(multiply(on_v, pre[j], z))):
                 raise NotOOperator("image product depends on preimage choice")
     if k == n:
-        img_alg = Algebra(image_table)
-        ok, _ = check_left_symmetric(img_alg)
-        assert ok
+        ok, cert = check_left_symmetric(Algebra(image_table))
+        if not ok:
+            raise NotLeftSymmetric(
+                "image product is not left-symmetric: %r" % (cert,))
     return on_v, image, image_table
 
 
@@ -192,16 +201,10 @@ def o_operator_from_cocycle(c):
     return c.C.inverse()
 
 
-def _unit(n, k):
-    v = vec_zero(n)
-    from .scalars import ONE
-    v[k] = ONE
-    return v
-
-
 def _solve_row(m, target):
     "One x with x * M = target."
     from .linalg import solve_col
     sol = solve_col(m.transpose(), target)
-    assert sol is not None
+    if sol is None:
+        raise LsaError("target is not in the row span")
     return sol

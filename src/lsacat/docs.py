@@ -246,10 +246,11 @@ def _parse_products(lines, dim, params, prefix=""):
         lhs_i, lhs_j = toks[0], toks[1]
         rhs = line.split("=", 1)[1].strip()
         try:
+            if lhs_i[0] != "e" or lhs_j[0] != "e":
+                raise ValueError("not a basis name")
             i = int(lhs_i[1:]) - 1
             j = int(lhs_j[1:]) - 1
-            assert lhs_i[0] == "e" and lhs_j[0] == "e"
-        except (ValueError, AssertionError, IndexError):
+        except ValueError:
             raise DocSyntaxError("expected 'e<i> e<j> = ...'", lineno, 1)
         if not (0 <= i < dim and 0 <= j < dim):
             raise DocSemanticError("basis index out of range on line %d" % lineno)

@@ -42,7 +42,11 @@ class NotBijective(LsaError):
 
 
 class NotCocycle(LsaError):
-    pass
+    """The representation or cocycle identities fail; cert says where."""
+
+    def __init__(self, message, cert=None):
+        super().__init__(message)
+        self.cert = cert
 
 
 class NotLeftSymmetric(LsaError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import multiply, rebase
-from .errors import SingularWitness
+from .errors import LsaError, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_eq
 from .props import fingerprint
@@ -254,7 +254,7 @@ def _assignments(eqs, unknowns, tier, budget):
 def _search_in_component(a, b, comp, max_tier):
     names, template, det = aut_template(comp)
     eqs = _hom_equations(a, b, template)
-    tier = [_TIER0, _TIER1, _TIER2][min(max_tier, 3) - 1]
+    tier = [_TIER0, _TIER1, _TIER2][max_tier - 1]
     tier = [v for v in tier if not v.is_zero()] + [QI(0)]
     budget = [20000]
     tried = 0
@@ -277,7 +277,10 @@ def _search_in_component(a, b, comp, max_tier):
 def search_lsa_iso(a, b, max_tier=3):
     """Bounded isomorphism search; returns an IsoVerdict whose Isomorphic
     witnesses are exactly verified and whose NotIsomorphic verdicts carry
-    a separating fingerprint field."""
+    a separating fingerprint field.  max_tier (1..3) caps the coefficient
+    pool the witness search draws from."""
+    if max_tier not in (1, 2, 3):
+        raise LsaError("max_tier must be 1, 2 or 3, got %r" % (max_tier,))
     if a.dim != b.dim:
         return IsoVerdict("not_isomorphic", reason="different dimensions")
     if a == b:
@@ -317,6 +320,7 @@ def search_lsa_iso(a, b, max_tier=3):
                 t = back.inverse()
         if t is not None:
             full = wa.inverse() * t * wb
-            assert verify_lsa_iso(a, b, full)
+            if not verify_lsa_iso(a, b, full):
+                raise LsaError("search witness fails after the basis change")
             return IsoVerdict("isomorphic", witness=full)
     return IsoVerdict("unknown", reason="bounded search exhausted")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotDimension3
+from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
                      vec_add, vec_eq, vec_is_zero, vec_scale, vec_zero)
 from .scalars import (ONE, QI, ZERO, MultiPoly, as_scalar, gaussian_sqrt,
@@ -80,17 +80,17 @@ class LieAlgebra:
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     s = vec_add(
-                        self.bracket(self.b[i][j], _unit(n, k)),
+                        self.bracket(self.b[i][j], basis_vec(n, k)),
                         vec_add(
-                            self.bracket(self.b[j][k], _unit(n, i)),
-                            self.bracket(self.b[k][i], _unit(n, j))))
+                            self.bracket(self.b[j][k], basis_vec(n, i)),
+                            self.bracket(self.b[k][i], basis_vec(n, j))))
                     if not vec_is_zero(s):
                         return False, (i, j, k, s)
         return True, None
 
     def ad(self, x):
         "Column-convention matrix of ad_x = [x, .]."
-        cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
+        cols = [self.bracket(x, basis_vec(self.dim, j)) for j in range(self.dim)]
         return Mat(list(zip(*cols)))
 
     def rebase(self, w):
@@ -121,13 +121,9 @@ class LieAlgebra:
         raise TypeError("LieAlgebra is unhashable")
 
 
-def _unit(n, k):
-    return basis_vec(n, k)
-
-
 def killing_form(g):
     "Killing form K(x,y) = tr(ad x ad y) on basis pairs; (matrix, rank)."
-    ads = [g.ad(_unit(g.dim, i)) for i in range(g.dim)]
+    ads = [g.ad(basis_vec(g.dim, i)) for i in range(g.dim)]
     k = Mat([[(ads[i] * ads[j]).trace() for j in range(g.dim)]
              for i in range(g.dim)])
     return k, k.rank()
@@ -373,7 +369,7 @@ def classify3(g):
 
     if d == 1:
         z = derived[0]
-        central = all(vec_is_zero(g.bracket(_unit(n, i), z)) for i in range(n))
+        central = all(vec_is_zero(g.bracket(basis_vec(n, i), z)) for i in range(n))
         if central:
             return _classify_heisenberg(g, z)
         return _classify_n(g, z)
@@ -393,11 +389,10 @@ def _classify_heisenberg(g, z):
         for j in range(i + 1, n):
             if not vec_is_zero(g.b[i][j]):
                 c = _coeff_along(g.b[i][j], z)
-                e1 = _unit(n, i)
-                e2 = vec_scale(_unit(n, j), 1 / c)
-                w = Mat([e1, e2, z])
-                assert g.rebase(w) == canonical_lie("heisenberg")
-                return LieClass("Heisenberg", witness=w)
+                e1 = basis_vec(n, i)
+                e2 = vec_scale(basis_vec(n, j), 1 / c)
+                return _witnessed(g, Mat([e1, e2, z]), "Heisenberg",
+                                  "heisenberg")
     return LieClass("Unrecognized", detail="no nonzero bracket found")
 
 
@@ -405,10 +400,10 @@ def _classify_n(g, z):
     n = 3
     e3 = None
     for i in range(n):
-        v = g.bracket(_unit(n, i), z)
+        v = g.bracket(basis_vec(n, i), z)
         if not vec_is_zero(v):
             c = _coeff_along(v, z)
-            e3 = vec_scale(_unit(n, i), 1 / c)
+            e3 = vec_scale(basis_vec(n, i), 1 / c)
             break
     # center: x with [x, e_j] = 0 for all j
     rows = []
@@ -433,8 +428,8 @@ def _classify_d2(g, derived):
         return LieClass("Unrecognized", detail="derived plane not abelian")
     w0 = None
     for i in range(n):
-        if not in_span(_unit(n, i), derived):
-            w0 = _unit(n, i)
+        if not in_span(basis_vec(n, i), derived):
+            w0 = basis_vec(n, i)
             break
     # action of ad(w0) on the derived plane, row convention
     r1 = coords_in_span(derived, g.bracket(w0, b1))
@@ -450,9 +445,7 @@ def _classify_d2(g, derived):
         nil = a2 * (1 / alpha) - Mat.identity(2)
         e3 = vec_scale(w0, 1 / alpha)
         if nil.is_zero():
-            w = Mat([b1, b2, e3])
-            assert g.rebase(w) == canonical_lie("Dl", 1)
-            return LieClass("Dl", param=ONE, witness=w)
+            return _witnessed(g, Mat([b1, b2, e3]), "Dl", "Dl", ONE)
         # Jordan block: E family
         for v in ([ONE, ZERO], [ZERO, ONE]):
             img = nil.apply_row(v)
@@ -461,9 +454,7 @@ def _classify_d2(g, derived):
                 break
         e1 = _mix(derived, e1c)
         e2 = _mix(derived, e2c)
-        w = Mat([e1, e2, e3])
-        assert g.rebase(w) == canonical_lie("E")
-        return LieClass("E", witness=w)
+        return _witnessed(g, Mat([e1, e2, e3]), "E", "E")
     root = gaussian_sqrt(disc)
     if root is None:
         return LieClass(
@@ -480,15 +471,21 @@ def _classify_d2(g, derived):
     e1 = _mix(derived, v1)
     e2 = _mix(derived, v2)
     e3 = vec_scale(w0, 1 / alpha)
-    w = Mat([e1, e2, e3])
-    assert g.rebase(w) == canonical_lie("Dl", l)
-    return LieClass("Dl", param=l, witness=w)
+    return _witnessed(g, Mat([e1, e2, e3]), "Dl", "Dl", l)
+
+
+def _witnessed(g, w, tag, family, l=None):
+    "LieClass(tag, l, w) once w is confirmed to rebase g onto the canonical table."
+    if g.rebase(w) != canonical_lie(family, l):
+        raise LsaError("classify3 built a wrong %s witness" % tag)
+    return LieClass(tag, param=l, witness=w)
 
 
 def _left_eigvec(m, ev):
     sub = m - ev * Mat.identity(m.nrows)
     null = sub.transpose().nullspace()
-    assert null, "eigenvalue is not actually an eigenvalue"
+    if not null:
+        raise LsaError("eigenvalue is not actually an eigenvalue")
     return null[0]
 
 

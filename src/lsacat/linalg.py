@@ -8,7 +8,7 @@ vector x maps to x * M.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SingularWitness
+from .errors import DimensionMismatch, LsaError, SingularWitness
 from .scalars import ZERO, ONE, as_scalar, is_zero, qi
 
 
@@ -321,8 +321,9 @@ def solve_col(a, v):
 
 
 def coords_in_span(basis, v):
-    "Coordinates of v in the span of the basis rows; asserts membership."
+    "Coordinates of v in the span of the basis rows; raises if v is outside it."
     m = Mat(list(zip(*[list(b) for b in basis])))
     sol = solve_col(m, v)
-    assert sol is not None, "vector is not in the span"
+    if sol is None:
+        raise LsaError("vector is not in the span")
     return sol

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (Algebra, basis_associator, basis_vector,
-                      check_left_symmetric, commutator_lie, left_matrix,
-                      multiply, right_matrix)
-from .errors import ExtensionDegreeTooHigh, ZeroAlgebra
+from .algebra import (Algebra, basis_associator, check_left_symmetric,
+                      commutator_lie, left_matrix, multiply, right_matrix)
+from .errors import ExtensionDegreeTooHigh, LsaError, ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, coords_in_span, in_span, span_basis, vec_add,
-                     vec_is_zero)
+from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
+                     vec_add, vec_is_zero)
 from .scalars import (ONE, QI, ExtField, MultiPoly, factor_unipoly,
                       is_zero)
 
@@ -42,20 +41,9 @@ def is_commutative(a):
 def is_novikov(a):
     "All right multiplications commute pairwise."
     n = a.dim
-    rm = [right_matrix(a, basis_vector(a, i)) for i in range(n)]
+    rm = [right_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
     return all((rm[i] * rm[j]) == (rm[j] * rm[i])
                for i in range(n) for j in range(i + 1, n))
-
-
-def novikov_certificate(a):
-    "A non-commuting pair of right multiplications, or None."
-    n = a.dim
-    rm = [right_matrix(a, basis_vector(a, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (rm[i] * rm[j]) != (rm[j] * rm[i]):
-                return i, j
-    return None
 
 
 def is_bisymmetric(a):
@@ -258,7 +246,8 @@ def common_invariant_lines(ops):
             if _line_invariant(ops, v):
                 lines.append(_normalize_line(v))
         elif len(eig) >= 2:
-            assert deg == 1, "repeated eigenvalues of a cubic lie in Q(i)"
+            if deg != 1:
+                raise LsaError("repeated eigenvalues of a cubic lie in Q(i)")
             ls, fams = _lines_in_plane(ops, eig[0], eig[1])
             lines.extend(ls)
             families.extend(fams)
@@ -315,8 +304,8 @@ def _combine(b1, s, b2, t):
 
 def multiplication_operators(a):
     n = a.dim
-    return ([left_matrix(a, basis_vector(a, i)) for i in range(n)]
-            + [right_matrix(a, basis_vector(a, i)) for i in range(n)])
+    return ([left_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
+            + [right_matrix(a, basis_vec(a.dim, i)) for i in range(n)])
 
 
 def find_ideals(a):
@@ -333,7 +322,9 @@ def find_ideals(a):
     report.line_families = fams
     tops = [m.transpose() for m in ops]
     covs, cofams, all_flag = common_invariant_lines(tops)
-    assert not all_flag
+    if all_flag:
+        raise LsaError("transposed operators leave every line invariant, "
+                       "the operators do not")
     for phi_vec in covs:
         basis = Mat([phi_vec]).nullspace()
         report.planes.append((phi_vec, basis))
@@ -389,7 +380,7 @@ def is_semisimple(a, report=None):
     if report is None:
         report = find_ideals(a)
     if not report.has_proper_ideal():
-        return True, [[basis_vector(a, k) for k in range(n)]]
+        return True, [[basis_vec(a.dim, k) for k in range(n)]]
     lines = report.qi_lines()
     for (b1, b2) in report.line_families:
         lines = lines + [b1, b2, vec_add(b1, b2)]
@@ -423,7 +414,7 @@ def ideal_closed(a, basis):
     "Exact closure check: A*I and I*A stay inside span(basis)."
     for b in basis:
         for k in range(a.dim):
-            e = basis_vector(a, k)
+            e = basis_vec(a.dim, k)
             if not in_span(multiply(a, b, e), basis):
                 return False
             if not in_span(multiply(a, e, b), basis):
@@ -439,7 +430,7 @@ def closure_span(a, vectors):
         changed = False
         for b in list(basis):
             for k in range(a.dim):
-                e = basis_vector(a, k)
+                e = basis_vec(a.dim, k)
                 for prod in (multiply(a, b, e), multiply(a, e, b)):
                     if not vec_is_zero(prod) and not in_span(prod, basis):
                         basis = span_basis(basis + [prod], a.dim)
@@ -489,7 +480,7 @@ def simplicity_oracle_agrees(a, rng, tries=40):
         # two representative planes containing the common line
         reps = 0
         for k in range(a.dim):
-            cand = span_basis([common, basis_vector(a, k)], a.dim)
+            cand = span_basis([common, basis_vec(a.dim, k)], a.dim)
             if len(cand) == 2:
                 if not ideal_closed(a, cand):
                     return False
@@ -545,8 +536,8 @@ def _annihilator_dims(a):
 def fingerprint(a):
     "Isomorphism-invariant summary used to separate non-isomorphic tables."
     n = a.dim
-    lm = [left_matrix(a, basis_vector(a, i)) for i in range(n)]
-    rm = [right_matrix(a, basis_vector(a, i)) for i in range(n)]
+    lm = [left_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
+    rm = [right_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
     prod_span = len(span_basis(
         [list(a.c[i][j]) for i in range(n) for j in range(n)
          if not vec_is_zero(a.c[i][j])], n))

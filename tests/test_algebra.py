@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import (Algebra, basis_associator, basis_vector,
-                            check_left_regular, check_left_symmetric,
-                            commutator_lie, left_matrix, multiply, rebase,
-                            right_matrix)
+from lsacat.algebra import (Algebra, basis_associator, check_left_regular,
+                            check_left_symmetric, commutator_lie, left_matrix,
+                            multiply, rebase, right_matrix)
 from lsacat.errors import DimensionMismatch
 from lsacat.lie import classify3
-from lsacat.linalg import Mat, vec_add, vec_eq, vec_is_zero
+from lsacat.linalg import Mat, basis_vec, vec_add, vec_eq, vec_is_zero
 from lsacat.scalars import QI
 
 
@@ -22,7 +21,7 @@ H1 = Algebra.from_products(3, {
 
 def test_multiply_h1_basis():
     # e1 e2 = e2 + e3 in (H-1)
-    assert vec_eq(multiply(H1, basis_vector(H1, 0), basis_vector(H1, 1)),
+    assert vec_eq(multiply(H1, basis_vec(H1.dim, 0), basis_vec(H1.dim, 1)),
                   [QI(0), QI(1), QI(1)])
 
 
@@ -33,7 +32,7 @@ def test_multiply_zero_table():
 
 def test_multiply_n1_lambda2():
     n1 = catalog.instantiate("N-1", {"lambda": 2})
-    assert vec_eq(multiply(n1, basis_vector(n1, 2), basis_vector(n1, 2)),
+    assert vec_eq(multiply(n1, basis_vec(n1.dim, 2), basis_vec(n1.dim, 2)),
                   [QI(0), QI(0), QI(2)])
 
 
@@ -95,7 +94,7 @@ def test_commutator_n1():
 
 
 def test_left_matrix_h1():
-    m = left_matrix(H1, basis_vector(H1, 0))
+    m = left_matrix(H1, basis_vec(H1.dim, 0))
     # columns: e1 -> e1, e2 -> e2 + e3, e3 -> e3
     assert vec_eq(m.col(0), [QI(1), QI(0), QI(0)])
     assert vec_eq(m.col(1), [QI(0), QI(1), QI(1)])
@@ -103,7 +102,7 @@ def test_left_matrix_h1():
 
 
 def test_right_matrix_h1_is_identity_at_e1():
-    assert right_matrix(H1, basis_vector(H1, 0)) == Mat.identity(3)
+    assert right_matrix(H1, basis_vec(H1.dim, 0)) == Mat.identity(3)
 
 
 def test_left_right_matrices_zero_algebra():

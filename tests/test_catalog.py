@@ -1,9 +1,12 @@
+import os
+import shutil
+
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import basis_vector, multiply
+from lsacat.algebra import multiply
 from lsacat.errors import ConstraintViolated, UnknownId
-from lsacat.linalg import vec_eq
+from lsacat.linalg import basis_vec, vec_eq
 from lsacat.scalars import QI
 
 
@@ -19,9 +22,9 @@ def test_lookup_unknown_id():
 
 def test_instantiate_h7():
     alg = catalog.instantiate("H-7", {"lambda": 2})
-    assert vec_eq(multiply(alg, basis_vector(alg, 0), basis_vector(alg, 0)),
+    assert vec_eq(multiply(alg, basis_vec(alg.dim, 0), basis_vec(alg.dim, 0)),
                   [QI(0), QI(0), QI(1)])
-    assert vec_eq(multiply(alg, basis_vector(alg, 1), basis_vector(alg, 1)),
+    assert vec_eq(multiply(alg, basis_vec(alg.dim, 1), basis_vec(alg.dim, 1)),
                   [QI(0), QI(0), QI(2)])
 
 
@@ -80,21 +83,44 @@ def test_sample_plan_includes_zero_for_free_parameters():
     assert {str(b["lambda"]) for b in e.sample_bindings()} >= {"0", "2"}
 
 
-def test_corrupted_entry_detected(tmp_path, monkeypatch):
-    "Harness self test: a deliberately corrupted table must be caught."
-    import os
-    import shutil
-
+def corrupted_catalog(tmp_path, old, new):
+    "A copy of the catalog with the first `old` line of h.cat (H-1's) replaced."
     src = catalog.data_dir()
     for name in catalog.FAMILY_FILES.values():
         shutil.copy(os.path.join(src, name), tmp_path / name)
     text = (tmp_path / "h.cat").read_text()
+    assert old in text
+    (tmp_path / "h.cat").write_text(text.replace(old, new, 1))
+    return str(tmp_path)
+
+
+def test_corrupted_entry_detected(tmp_path, monkeypatch):
+    "Harness self test: a deliberately corrupted table must be caught."
     # break (H-1): e1 e2 = e2 + e3 -> e2 + 2 e3
-    text = text.replace("table e1 e2 = e2 + e3", "table e1 e2 = e2 + 2 e3", 1)
-    (tmp_path / "h.cat").write_text(text)
-    report = catalog.verify_all(families=["H"], directory=str(tmp_path))
+    directory = corrupted_catalog(tmp_path, "table e1 e2 = e2 + e3",
+                                  "table e1 e2 = e2 + 2 e3")
+    report = catalog.verify_all(families=["H"], directory=directory)
     assert any(r.entry_id == "H-1" for r in report.failures)
     assert len(report.failures) >= 1
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("f(e1) = [[1,0,0],[1,1,0],[0,0,1]]", "f(e1) = [[2,0,0],[1,1,0],[0,0,1]]",
+     "stored f data is not a representation: "),
+    ("C = [[0,0,1],[0,1,0],[1,0,0]]", "C = [[0,0,1],[0,1,0],[1,1,0]]",
+     "stored (f, C) is not a cocycle: "),
+    ("C = [[0,0,1],[0,1,0],[1,0,0]]", "C = [[0,0,0],[0,0,0],[0,0,0]]",
+     "stored C is singular"),
+])
+def test_corrupted_cocycle_data_detected(tmp_path, old, new, message):
+    "Corrupted (f, C) data fails the reconstruction with its own message."
+    directory = corrupted_catalog(tmp_path, old, new)
+    report = catalog.verify_all(families=["H"], directory=directory)
+    assert [r.entry_id for r in report.failures] == ["H-1"]
+    bad = report.failures[0]
+    assert not bad.cocycle_reconstruction_ok
+    assert len(bad.messages) == 1
+    assert bad.messages[0].startswith(message)
 
 
 def test_catalog_sweep_clean(catalog_sweep):

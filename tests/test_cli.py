@@ -1,11 +1,16 @@
+import ast
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
+from lsacat import catalog, cli
 from lsacat.cli import main
+from lsacat.errors import LsaError
 
-SAMPLES = os.path.join(os.path.dirname(__file__), "..", "src", "lsacat",
-                       "data", "samples")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+SAMPLES = os.path.join(SRC, "lsacat", "data", "samples")
 
 
 def run(argv):
@@ -45,6 +50,40 @@ def test_check_rejects_malformed(tmp_path):
     p.write_text("kind algebra dim 3 domain gaussian\ne1 e1 = 1/0 e2\n")
     code, out = run(["check", str(p)])
     assert code == 2
+
+
+def test_check_rejects_bad_basis_name_under_optimize(tmp_path):
+    "The exit-code contract holds under python -O, which strips asserts."
+    p = tmp_path / "bad.alg"
+    p.write_text("kind algebra dim 3 domain gaussian\nx1 y1 = e1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "lsacat.cli", "check", str(p)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "expected 'e<i> e<j> = ...'" in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    "Checks must raise, because python -O removes assert statements."
+    pkg = os.path.join(SRC, "lsacat")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_uncaught_library_error_exits_2(monkeypatch):
+    def broken(a, b):
+        raise LsaError("internal failure")
+    monkeypatch.setattr(cli, "search_lsa_iso", broken)
+    code, out = run(["iso", "--search", sample("h1.alg"), sample("h1.alg")])
+    assert code == 2
+    assert "internal failure" in out
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -109,3 +148,29 @@ def test_deterministic_output():
     code1, out1 = run(["fingerprint", sample("h1.alg")])
     code2, out2 = run(["fingerprint", sample("h1.alg")])
     assert (code1, out1) == (code2, out2)
+
+
+def test_catalog_verify_all_follows_family(monkeypatch):
+    "--all runs the coincidence and property passes on the swept entries only."
+    tables = []
+    original = catalog.verify_property_tables
+
+    def spy(sweep, directory=None):
+        tables.append(original(sweep, directory))
+        return tables[-1]
+    monkeypatch.setattr(catalog, "verify_property_tables", spy)
+    code, out = run(["catalog-verify", "--family", "H", "--all"])
+    assert code == 0
+    # no H entry declares a coincidence; the full catalog has 97
+    assert "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed" in out
+    [t] = tables
+    assert t["checked"] == 16
+    assert {fam for fam, _ in t["sets"]} == {"H"}
+    assert {eid for eid, _ in t["sets"][("H", "transitive")]} == {
+        "H-5", "H-6", "H-7", "H-8", "H-9", "H-10"}
+
+
+def test_catalog_verify_all_follows_entry():
+    code, out = run(["catalog-verify", "--entry", "N-3", "--all"])
+    assert code == 0
+    assert "remark coincidences: 1 confirmed, 0 unconfirmed, 0 failed" in out

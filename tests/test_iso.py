@@ -5,7 +5,7 @@ import pytest
 
 from lsacat import catalog
 from lsacat.algebra import rebase
-from lsacat.errors import SingularWitness
+from lsacat.errors import LsaError, SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
 from lsacat.lie import random_automorphism
 from lsacat.linalg import Mat
@@ -49,6 +49,13 @@ def test_search_self_identity():
     a = catalog.instantiate("N-30")
     v = search_lsa_iso(a, a)
     assert v.is_isomorphic and v.witness == Mat.identity(3)
+
+
+@pytest.mark.parametrize("max_tier", [0, -1, 4])
+def test_search_rejects_max_tier_out_of_range(max_tier):
+    a = catalog.instantiate("N-30")
+    with pytest.raises(LsaError):
+        search_lsa_iso(a, a, max_tier=max_tier)
 
 
 def test_search_n2_vs_n3():
