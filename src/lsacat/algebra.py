@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .linalg import (Mat, basis_vec, vec_add, vec_eq, vec_is_zero, vec_sub,
                      vec_zero)
-from .scalars import as_scalar, format_scalar, is_zero, substitute
+from .scalars import as_scalar, format_sum, is_zero, substitute
 
 
 class Algebra:
@@ -80,26 +80,8 @@ class Algebra:
     def table_str(self):
         "Characteristic-matrix rendering, one row per left factor."
         def cell(v):
-            parts = []
-            for k, x in enumerate(v):
-                if is_zero(x):
-                    continue
-                s = format_scalar(x)
-                name = self.basis_names[k]
-                if s == "1":
-                    parts.append(name)
-                elif s == "-1":
-                    parts.append("-%s" % name)
-                else:
-                    if ("+" in s[1:]) or ("-" in s[1:]) or "/" in s:
-                        s = "(%s)" % s
-                    parts.append("%s*%s" % (s, name))
-            if not parts:
-                return "0"
-            out = parts[0]
-            for p in parts[1:]:
-                out += p if p.startswith("-") else "+" + p
-            return out
+            return format_sum([(x, name) for x, name in zip(v, self.basis_names)
+                               if not is_zero(x)])
 
         rows = [[cell(self.c[i][j]) for j in range(self.dim)]
                 for i in range(self.dim)]

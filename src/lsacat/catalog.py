@@ -1,7 +1,9 @@
 """The machine-readable classification catalog and its batch verification.
 
-Entries live in data files (one per family) in an entry-block format built
-on the shared scalar/product/matrix grammar.  The data is source of truth:
+Entries live in data files (one per family) as entry blocks.  A block
+reads its metadata lines (entry, family, case, flags, samples, iso) itself;
+its params, `table`/`primed` product, f(e<i>), C and primed_witness lines
+go through the document reader, `docs.Body`.  The data is source of truth:
 nothing is regenerated at runtime.  The directory is overridable through
 the LSACAT_DATA environment variable.
 
@@ -19,15 +21,14 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra, check_left_symmetric, commutator_lie, substitute_algebra
+from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
 from .cocycle import Cocycle, Representation, phi
-from .docs import (constraint_allows, parse_constraint, parse_matrix,
-                   parse_term_list)
+from .docs import Body, _const_value, constraint_allows, parse_matrix
 from .errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
                      NotBijective, NotCocycle, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import canonical_l, canonical_lie, classify3
-from .linalg import Mat, vec_zero
+from .linalg import Mat
 from .props import (find_ideals, is_associative, is_bisymmetric,
                     is_novikov, is_semisimple, is_simple, is_transitive)
 from .scalars import QI, format_scalar, parse_scalar, qi, substitute
@@ -115,39 +116,36 @@ def data_dir():
         "LSACAT_DATA", os.path.join(os.path.dirname(__file__), "data"))
 
 
-def _parse_entry_block(block, path):
-    lines = [l for l in block]
-    head = lines[0][1].split()
+# keys of the lines an entry block reads itself, and of its docs.Body lines
+_META = ("family", "case", "flags", "samples", "iso")
+_BODY_KEYS = ("table", "primed", "primed_witness", "f", "C")
+
+
+def _parse_entry_block(block):
+    lineno, first = block[0]
+    head = first.split()
     if head[0] != "entry" or len(head) != 2:
         raise DocSyntaxError("entry block must start with 'entry <id>'",
-                             lines[0][0], 1)
+                             lineno, 1)
     e = CatalogEntry(id=head[1], family="")
-    table_lines, primed_lines = [], []
-    pnames = set()
-    for lineno, line in lines[1:]:
+    meta, grammar = [], []
+    for item in block[1:]:
+        (meta if item[1].split(None, 1)[0] in _META else grammar).append(item)
+    body = Body(grammar, 3, _BODY_KEYS, "catalog entry")
+    e.params = body.params
+    e.table = body.products("table")
+    if body.lines["primed"]:
+        e.primed = body.products("primed")
+    e.primed_witness = body.matrix("primed_witness", required=False)
+    e.f_mats = body.f_mats()
+    e.cmat = body.matrix("C")
+    for lineno, line in meta:
         toks = line.split()
         key = toks[0]
         if key == "family":
             e.family = toks[1]
-        elif key == "params":
-            pname = toks[1]
-            e.params[pname] = parse_constraint(toks[2:])
-            pnames.add(pname)
-        elif key == "table":
-            table_lines.append((lineno, line.split(None, 1)[1]))
-        elif key == "primed":
-            primed_lines.append((lineno, line.split(None, 1)[1]))
-        elif key == "primed_witness":
-            e.primed_witness = parse_matrix(line.split("=", 1)[1], 3, pnames)
         elif key == "case":
             e.case = toks[1]
-        elif key.startswith("f(e"):
-            if e.f_mats is None:
-                e.f_mats = [None, None, None]
-            idx = int(key[3:-1]) - 1
-            e.f_mats[idx] = parse_matrix(line.split("=", 1)[1], 3, pnames)
-        elif key == "C":
-            e.cmat = parse_matrix(line.split("=", 1)[1], 3, pnames)
         elif key == "flags":
             for item in toks[1:]:
                 fname, _, cond = item.partition("=")
@@ -156,25 +154,11 @@ def _parse_entry_block(block, path):
             pname = toks[1].rstrip(":")
             rest = line.split(":", 1)[1]
             e.samples_override[pname] = [
-                _qi_value(v.strip()) for v in rest.split(",") if v.strip()]
-        elif key == "iso":
-            e.isos.append(_parse_iso(line, pnames))
+                _const_value(v.strip()) for v in rest.split(",") if v.strip()]
         else:
-            raise DocSyntaxError("unknown entry field %r in %s" % (key, path),
-                                 lineno, 1)
+            e.isos.append(_parse_iso(line, body.pnames))
     if e.family not in FAMILY_FILES:
         raise DocSemanticError("entry %s has bad family %r" % (e.id, e.family))
-    def build(linelist):
-        table = [[vec_zero(3) for _ in range(3)] for _ in range(3)]
-        for lineno, text in linelist:
-            lhs, _, rhs = text.partition("=")
-            ij = lhs.split()
-            i, j = int(ij[0][1:]) - 1, int(ij[1][1:]) - 1
-            table[i][j] = parse_term_list(rhs.strip(), 3, pnames)
-        return Algebra(table)
-    e.table = build(table_lines)
-    if primed_lines:
-        e.primed = build(primed_lines)
     for fname in FLAG_NAMES:
         e.flags.setdefault(fname, False)
     return e
@@ -188,15 +172,8 @@ def _parse_cond(text):
     conj = []
     for item in text.split("&"):
         name, _, val = item.partition("=")
-        conj.append((name, _qi_value(val)))
+        conj.append((name, _const_value(val)))
     return tuple(conj)
-
-
-def _qi_value(text):
-    v = parse_scalar(text, vars=())
-    if not isinstance(v, QI):
-        raise DocSemanticError("expected a constant, got %r" % text)
-    return v
 
 
 def _parse_iso(line, pnames):
@@ -216,7 +193,7 @@ def _parse_iso(line, pnames):
             break
         name, _, val = t.partition("=")
         if mode == "when":
-            decl.when[name] = _qi_value(val)
+            decl.when[name] = _const_value(val)
         elif mode == "bind":
             decl.bind[name] = val
         else:
@@ -234,7 +211,10 @@ def _load_file(path):
             if not line.strip():
                 continue
             if line.strip() == "end":
-                entries.append(_parse_entry_block(block, path))
+                try:
+                    entries.append(_parse_entry_block(block))
+                except (DocSyntaxError, DocSemanticError) as exc:
+                    raise type(exc)("%s: %s" % (path, exc)) from None
                 block = []
                 continue
             block.append((lineno, line.strip()))
@@ -274,6 +254,10 @@ def instantiate(entry_id, bindings=None, check=True, directory=None):
     "Exact Algebra over Q(i) for an entry at given parameter values."
     e = lookup(entry_id, directory)
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
+    unknown = sorted(p for p in bindings if p not in e.params)
+    if unknown:
+        raise ConstraintViolated("%s has no parameter(s) %s"
+                                 % (entry_id, ", ".join(unknown)))
     missing = [p for p in e.params if p not in bindings]
     if missing:
         raise ConstraintViolated("missing binding(s) %s for %s"
@@ -383,12 +367,8 @@ def verify_entry(entry_id, bindings=None, directory=None):
         rep.messages.append("lie class %s, expected %s"
                             % (cls.key(), expected_lie_key(e, bindings)))
 
-    if e.f_mats is not None and e.cmat is not None:
-        rep.cocycle_reconstruction_ok = _check_reconstruction(
-            e, bindings, alg, rep.messages)
-    elif e.f_mats is not None or e.cmat is not None:
-        rep.cocycle_reconstruction_ok = False
-        rep.messages.append("incomplete (f, C) data")
+    rep.cocycle_reconstruction_ok = _check_reconstruction(
+        e, bindings, alg, rep.messages)
 
     expected = {name: _flag_expected(cond, bindings)
                 for name, cond in e.flags.items()}

@@ -155,10 +155,7 @@ def induced_products(g, rho, t):
     if not image:
         return on_v, [], []
     # preimages of the image basis under T
-    pre = []
-    for b in image:
-        x = _solve_row(t, b)
-        pre.append(x)
+    pre = [coords_in_span(t.rows, b) for b in image]
     k = len(image)
     image_table = []
     for i in range(k):
@@ -199,12 +196,3 @@ def transported_product(g, rho, t):
 def o_operator_from_cocycle(c):
     "T = q^{-1} as a row matrix, an O-operator for the same representation."
     return c.C.inverse()
-
-
-def _solve_row(m, target):
-    "One x with x * M = target."
-    from .linalg import solve_col
-    sol = solve_col(m.transpose(), target)
-    if sol is None:
-        raise LsaError("target is not in the row span")
-    return sol

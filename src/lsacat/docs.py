@@ -12,6 +12,11 @@ Bodies:   e<i> e<j> = <term> [+ <term> ...]     (algebra / lie products)
 A term is an optional scalar expression followed by a basis name e<k>;
 plain 0 denotes the zero product.  Emission is canonical: products in row
 order, scalars in the shared literal syntax, so parse(emit(d)) == d.
+
+`Body` is the one reader of these lines: catalog entry blocks use it too,
+with `table`/`primed` product prefixes and a `primed_witness` matrix.  It
+rejects a basis index outside 1..dim, a repeated product, parameter,
+f(e<i>) or matrix line, and any line the document kind does not use.
 """
 
 from __future__ import annotations
@@ -23,10 +28,21 @@ from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      UnboundVariable)
 from .lie import LieAlgebra
 from .linalg import Mat, vec_zero
-from .scalars import QI, format_scalar, is_zero, parse_scalar, qi
+from .scalars import (QI, format_scalar, format_sum, is_zero,
+                      parse_scalar, qi)
 
-KINDS = ("algebra", "lie", "representation", "cocycle", "rmatrix",
-         "ooperator", "iso_witness")
+# kind -> (product prefixes, has f(e<i>) lines, matrix names), in the
+# order emit_document writes them
+_LAYOUT = {
+    "algebra": (("",), False, ()),
+    "lie": (("",), False, ()),
+    "representation": (("bracket",), True, ()),
+    "cocycle": (("bracket",), True, ("C",)),
+    "rmatrix": (("bracket",), False, ("R",)),
+    "ooperator": (("bracket",), True, ("T",)),
+    "iso_witness": (("source", "target"), False, ("T",)),
+}
+KINDS = tuple(_LAYOUT)
 DOMAINS = ("rational", "gaussian", "ratfunc")
 
 
@@ -40,7 +56,7 @@ class Document:
 
 
 # ---------------------------------------------------------------------------
-# low-level parsing helpers (shared with the catalog data loader)
+# low-level parsing helpers
 
 
 def split_top_level_terms(text):
@@ -69,6 +85,8 @@ def parse_term_list(text, dim, params):
     v = vec_zero(dim)
     if text == "0":
         return v
+    if not text:
+        raise DocSyntaxError("empty right-hand side; the zero product is 0")
     for chunk in split_top_level_terms(text):
         chunk = chunk.strip()
         sign = 1
@@ -134,33 +152,12 @@ def parse_matrix(text, dim, params):
         if len(row) != dim:
             raise DocSemanticError("matrix row has %d entries, need %d"
                                    % (len(row), dim))
-        out.append([parse_scalar(x.strip(), params) if x.strip() else qi(0)
-                    for x in row])
+        if not all(x.strip() for x in row):
+            raise DocSyntaxError("empty matrix entry in %r" % text)
+        out.append([parse_scalar(x, params) for x in row])
     if len(out) != dim:
         raise DocSemanticError("matrix has %d rows, need %d" % (len(out), dim))
     return Mat(out)
-
-
-def format_term_list(v, basis_names):
-    parts = []
-    for k, x in enumerate(v):
-        if is_zero(x):
-            continue
-        s = format_scalar(x)
-        if s == "1":
-            parts.append(basis_names[k])
-        elif s == "-1":
-            parts.append("-%s" % basis_names[k])
-        else:
-            if ("+" in s[1:]) or ("-" in s[1:]) or "/" in s:
-                s = "(%s)" % s
-            parts.append("%s %s" % (s, basis_names[k]))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " %s" % p if p.startswith("-") else " + %s" % p
-    return out
 
 
 def format_matrix(m):
@@ -194,10 +191,11 @@ def format_constraint(c):
 
 
 def _const_value(text):
-    v = parse_scalar(text, vars=())
-    if not isinstance(v, QI):
-        raise DocSemanticError("constraint value %r is not constant" % text)
-    return v
+    "A scalar without parameters."
+    try:
+        return parse_scalar(text, vars=())
+    except (UnboundVariable, DivisionByZero):
+        raise DocSemanticError("expected a constant, got %r" % text)
 
 
 def constraint_allows(c, value):
@@ -232,36 +230,148 @@ def _header(line, lineno):
     return kind, dim, dom
 
 
+def _line_key(line):
+    """Which reader takes a line: "" for a plain product 'e<i> e<j> = ...',
+    "f" for 'f(e<i>) = ...', otherwise the first token (a product prefix,
+    a matrix name or 'params')."""
+    head, eq, _ = line.partition("=")
+    toks = head.split()
+    if not toks or (eq and len(toks) == 2):
+        return ""
+    return "f" if toks[0].startswith("f(") else toks[0]
+
+
+def _basis_index(name, dim, lineno, form):
+    "0-based k for the basis name e<k>, 1 <= k <= dim."
+    if not (name[:1] == "e" and name[1:].isdecimal()):
+        raise DocSyntaxError("expected %s" % form, lineno, 1)
+    k = int(name[1:])
+    if not 1 <= k <= dim:
+        raise DocSemanticError("line %d: basis index %d outside 1..%d"
+                               % (lineno, k, dim))
+    return k - 1
+
+
 def _parse_products(lines, dim, params, prefix=""):
-    """Collect '<prefix>e<i> e<j> = terms' into a dim^3 table; returns the
+    """Collect '<prefix> e<i> e<j> = terms' into a dim^3 table; returns the
     table and the set of (i, j) cells that were given."""
     table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
     given = set()
     for lineno, line in lines:
-        toks = line.split(None, 2 if not prefix else 3)
-        if prefix:
-            toks = toks[1:]
-        if len(toks) < 3 or "=" not in line:
+        head, eq, rhs = line.partition("=")
+        toks = head.split()[1 if prefix else 0:]
+        if len(toks) != 2 or not eq:
             raise DocSyntaxError("malformed product line", lineno, 1)
-        lhs_i, lhs_j = toks[0], toks[1]
-        rhs = line.split("=", 1)[1].strip()
-        try:
-            if lhs_i[0] != "e" or lhs_j[0] != "e":
-                raise ValueError("not a basis name")
-            i = int(lhs_i[1:]) - 1
-            j = int(lhs_j[1:]) - 1
-        except ValueError:
-            raise DocSyntaxError("expected 'e<i> e<j> = ...'", lineno, 1)
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise DocSemanticError("basis index out of range on line %d" % lineno)
+        i, j = (_basis_index(t, dim, lineno, "'e<i> e<j> = ...'")
+                for t in toks)
         if (i, j) in given:
-            raise DocSemanticError("duplicate product e%d e%d" % (i + 1, j + 1))
+            raise DocSemanticError("line %d: duplicate product e%d e%d"
+                                   % (lineno, i + 1, j + 1))
         given.add((i, j))
-        try:
-            table[i][j] = parse_term_list(rhs, dim, params)
-        except (UnboundVariable, DivisionByZero) as e:
-            raise DocSemanticError("line %d: %s" % (lineno, e))
+        table[i][j] = _at_line(lineno, parse_term_list, rhs, dim, params)
     return table, given
+
+
+def _at_line(lineno, parse, *args):
+    "parse(*args), with the line number added to any error it raises."
+    try:
+        return parse(*args)
+    except DocSyntaxError as e:
+        raise DocSyntaxError(str(e), lineno, 1)
+    except (UnboundVariable, DivisionByZero, DocSemanticError) as e:
+        raise DocSemanticError("line %d: %s" % (lineno, e))
+
+
+def _lie_completion(table, given):
+    """The bracket table with [e_j, e_i] = -[e_i, e_j] filled in for every
+    given (i, j); a given pair that breaks antisymmetry (a nonzero [e_i,
+    e_i] included) is a DocSemanticError."""
+    dim = len(table)
+    full = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
+    for (i, j) in given:
+        full[i][j] = table[i][j]
+        if (j, i) not in given:
+            full[j][i] = [-x for x in table[i][j]]
+        elif any(not is_zero(a + b) for a, b in zip(table[i][j], table[j][i])):
+            raise DocSemanticError(
+                "inconsistent brackets for (e%d,e%d)" % (i + 1, j + 1))
+    return LieAlgebra(full)
+
+
+def _read_params(lines):
+    params = {}
+    for lineno, line in lines:
+        toks = line.split()
+        if len(toks) < 3:
+            raise DocSyntaxError("params needs a name and a constraint",
+                                 lineno, 1)
+        name = toks[1]
+        if name == "i" or not name.isidentifier():
+            raise DocSemanticError("bad parameter name %r" % name)
+        if name in params:
+            raise DocSemanticError("line %d: repeated parameter %s"
+                                   % (lineno, name))
+        params[name] = parse_constraint(toks[2:])
+    return params
+
+
+class Body:
+    """The content lines of a document or catalog entry, sorted by
+    `_line_key` into `lines`, with the parameters already read.  A line
+    whose key is not among `keys` (or 'params') is a DocSyntaxError."""
+
+    def __init__(self, lines, dim, keys, what):
+        self.dim = dim
+        self.what = what
+        self.lines = {k: [] for k in ("params",) + tuple(keys)}
+        for lineno, line in lines:
+            group = self.lines.get(_line_key(line))
+            if group is None:
+                raise DocSyntaxError("not a line of a %s" % what, lineno, 1)
+            group.append((lineno, line))
+        self.params = _read_params(self.lines["params"])
+        self.pnames = set(self.params)
+
+    def products(self, prefix, lie=False):
+        """The Algebra of the '<prefix> e<i> e<j> = ...' lines, or with
+        lie=True the LieAlgebra their brackets complete to."""
+        table, given = _parse_products(self.lines[prefix], self.dim,
+                                       self.pnames, prefix)
+        return _lie_completion(table, given) if lie else Algebra(table)
+
+    def _matrix(self, lineno, line):
+        head, eq, rhs = line.partition("=")
+        if not eq:
+            raise DocSyntaxError("expected '%s = [[...]]'" % head.strip(),
+                                 lineno, 1)
+        return _at_line(lineno, parse_matrix, rhs, self.dim, self.pnames)
+
+    def matrix(self, name, required=True):
+        "The matrix of the one '<name> = [[...]]' line (None if not required)."
+        lines = self.lines[name]
+        if len(lines) > 1:
+            raise DocSemanticError("line %d: repeated %s matrix"
+                                   % (lines[1][0], name))
+        if not lines and required:
+            raise DocSemanticError("%s needs a %s matrix" % (self.what, name))
+        return self._matrix(*lines[0]) if lines else None
+
+    def f_mats(self):
+        "The f(e<i>) matrices, one line for each i in 1..dim."
+        mats = [None] * self.dim
+        for lineno, line in self.lines["f"]:
+            head = line.partition("=")[0].strip()
+            if not head.endswith(")"):
+                raise DocSyntaxError("expected 'f(e<i>) = ...'", lineno, 1)
+            k = _basis_index(head[2:-1], self.dim, lineno, "'f(e<i>) = ...'")
+            if mats[k] is not None:
+                raise DocSemanticError("line %d: repeated f(e%d)"
+                                       % (lineno, k + 1))
+            mats[k] = self._matrix(lineno, line)
+        missing = [k + 1 for k, m in enumerate(mats) if m is None]
+        if missing:
+            raise DocSemanticError("missing f(e%d) line" % missing[0])
+        return mats
 
 
 def parse_document(text):
@@ -269,217 +379,104 @@ def parse_document(text):
     semantic problems raise DocSemanticError."""
     lines = []
     header = None
-    params = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if header is None:
             header = _header(line, lineno)
-            continue
-        if line.startswith("params "):
-            toks = line.split()
-            if len(toks) < 3:
-                raise DocSyntaxError("params needs a name and a constraint",
-                                     lineno, 1)
-            name = toks[1]
-            if name == "i" or not name.isidentifier():
-                raise DocSemanticError("bad parameter name %r" % name)
-            params[name] = parse_constraint(toks[2:])
-            continue
-        lines.append((lineno, line))
+        else:
+            lines.append((lineno, line))
     if header is None:
         raise DocSyntaxError("empty document", 1, 1)
     kind, dim, domain = header
-    pnames = set(params)
-    doc = Document(kind, dim, domain, params)
-
-    def matrix_line(line, lineno, label):
-        _, _, rhs = line.partition("=")
-        if not rhs:
-            raise DocSyntaxError("expected '%s = [[...]]'" % label, lineno, 1)
-        try:
-            return parse_matrix(rhs.strip(), dim, pnames)
-        except (UnboundVariable, DivisionByZero) as e:
-            raise DocSemanticError("line %d: %s" % (lineno, e))
-
-    if kind == "algebra":
-        table, _ = _parse_products(lines, dim, pnames)
-        doc.payload = Algebra(table)
+    prefixes, has_f, names = _LAYOUT[kind]
+    body = Body(lines, dim, prefixes + ("f",) * has_f + names,
+                "%s document" % kind)
+    tables = [body.products(p, lie=kind == "lie" or p == "bracket")
+              for p in prefixes]
+    mats = body.f_mats() if has_f else ()
+    named = [body.matrix(name) for name in names]
+    doc = Document(kind, dim, domain, body.params,
+                   _payload(kind, tables, mats, named))
+    if kind in ("algebra", "lie"):
         _check_domain(doc)
-        return doc
-    if kind == "lie":
-        table, given = _parse_products(lines, dim, pnames)
-        for (i, j) in given:
-            if (j, i) in given and i != j:
-                lhs = table[i][j]
-                rhs = [-x for x in table[j][i]]
-                if any(not is_zero(a - b) for a, b in zip(lhs, rhs)):
-                    raise DocSemanticError(
-                        "inconsistent brackets for (e%d,e%d)" % (i + 1, j + 1))
-        full = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j) in given:
-            full[i][j] = table[i][j]
-            if (j, i) not in given:
-                full[j][i] = [-x for x in table[i][j]]
-        doc.payload = LieAlgebra(full)
-        _check_domain(doc)
-        return doc
+    return doc
 
-    bracket_lines = [(n, l) for n, l in lines if l.startswith("bracket ")]
-    f_lines = [(n, l) for n, l in lines if l.startswith("f(")]
-    other = [(n, l) for n, l in lines
-             if not l.startswith("bracket ") and not l.startswith("f(")]
 
-    def lie_part():
-        table, given = _parse_products(bracket_lines, dim, pnames, prefix="bracket")
-        full = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j) in given:
-            full[i][j] = table[i][j]
-            if (j, i) not in given:
-                full[j][i] = [-x for x in table[i][j]]
-        return LieAlgebra(full)
-
-    def f_mats():
-        mats = [None] * dim
-        for lineno, line in f_lines:
-            head = line.split("=", 1)[0].strip()
-            if not (head.startswith("f(e") and head.endswith(")")):
-                raise DocSyntaxError("expected 'f(e<i>) = ...'", lineno, 1)
-            idx = int(head[3:-1]) - 1
-            mats[idx] = matrix_line(line, lineno, head)
-        if any(m is None for m in mats):
-            raise DocSemanticError("missing f(e<i>) line")
-        return mats
-
-    if kind == "representation":
-        from .cocycle import Representation
-        doc.payload = Representation(lie_part(), f_mats())
-        return doc
-    if kind == "cocycle":
-        from .cocycle import Cocycle, Representation
-        cmat = None
-        for lineno, line in other:
-            if line.startswith("C"):
-                cmat = matrix_line(line, lineno, "C")
-        if cmat is None:
-            raise DocSemanticError("cocycle document needs a C matrix")
-        doc.payload = Cocycle(Representation(lie_part(), f_mats()), cmat)
-        return doc
-    if kind == "rmatrix":
-        rmat = None
-        for lineno, line in other:
-            if line.startswith("R"):
-                rmat = matrix_line(line, lineno, "R")
-        if rmat is None:
-            raise DocSemanticError("rmatrix document needs an R matrix")
-        doc.payload = (lie_part(), rmat)
-        return doc
-    if kind == "ooperator":
-        from .cocycle import Representation
-        tmat = None
-        for lineno, line in other:
-            if line.startswith("T"):
-                tmat = matrix_line(line, lineno, "T")
-        if tmat is None:
-            raise DocSemanticError("ooperator document needs a T matrix")
-        doc.payload = (Representation(lie_part(), f_mats()), tmat)
-        return doc
+def _payload(kind, tables, mats, named):
+    if kind in ("algebra", "lie"):
+        return tables[0]
     if kind == "iso_witness":
-        src = [(n, l[len("source "):]) for n, l in lines if l.startswith("source ")]
-        tgt = [(n, l[len("target "):]) for n, l in lines if l.startswith("target ")]
-        tmat = None
-        for lineno, line in lines:
-            if line.startswith("T"):
-                tmat = matrix_line(line, lineno, "T")
-        if tmat is None:
-            raise DocSemanticError("iso_witness document needs a T matrix")
-        stab, _ = _parse_products(src, dim, pnames)
-        ttab, _ = _parse_products(tgt, dim, pnames)
-        doc.payload = (Algebra(stab), Algebra(ttab), tmat)
-        return doc
-    raise DocSemanticError("unhandled kind %r" % kind)
+        return (tables[0], tables[1], named[0])
+    if kind == "rmatrix":
+        return (tables[0], named[0])
+    from .cocycle import Cocycle, Representation
+    rep = Representation(tables[0], mats)
+    if kind == "representation":
+        return rep
+    if kind == "cocycle":
+        return Cocycle(rep, named[0])
+    return (rep, named[0])
+
+
+def _parts(kind, payload):
+    "Inverse of _payload: (product tables, f matrices, named matrices)."
+    if kind in ("algebra", "lie"):
+        return (payload,), (), ()
+    if kind == "iso_witness":
+        return payload[:2], (), payload[2:]
+    if kind == "rmatrix":
+        return payload[:1], (), payload[1:]
+    if kind == "representation":
+        return (payload.g,), payload.mats, ()
+    if kind == "cocycle":
+        return (payload.rep.g,), payload.rep.mats, (payload.C,)
+    rep, t = payload
+    return (rep.g,), rep.mats, (t,)
 
 
 def _check_domain(doc):
-    def scan(x):
-        if doc.domain == "rational":
-            if isinstance(x, QI) and x.im != 0:
-                raise DocSemanticError("imaginary scalar in a rational document")
-            if not isinstance(x, QI):
-                raise DocSemanticError("parameters need domain ratfunc")
-        if doc.domain == "gaussian" and not isinstance(x, QI):
+    "Only ratfunc tables hold parameters, and rational ones are real."
+    if doc.domain == "ratfunc":
+        return
+    table = doc.payload.b if doc.kind == "lie" else doc.payload.c
+    for x in (x for row in table for cell in row for x in cell):
+        if not isinstance(x, QI):
             raise DocSemanticError("parameters need domain ratfunc")
+        if doc.domain == "rational" and x.im != 0:
+            raise DocSemanticError("imaginary scalar in a rational document")
 
-    payload = doc.payload
-    if isinstance(payload, Algebra):
-        for i in range(payload.dim):
-            for j in range(payload.dim):
-                for x in payload.c[i][j]:
-                    scan(x)
-    if isinstance(payload, LieAlgebra):
-        for i in range(payload.dim):
-            for j in range(payload.dim):
-                for x in payload.b[i][j]:
-                    scan(x)
+
+def _product_lines(alg, prefix):
+    "'<prefix> e<i> e<j> = ...' for the nonzero products (i < j for a Lie table)."
+    lead = prefix + " " if prefix else ""
+    names = ["e%d" % (k + 1) for k in range(alg.dim)]
+    lie = isinstance(alg, LieAlgebra)
+    out = []
+    for i in range(alg.dim):
+        for j in range(i + 1 if lie else 0, alg.dim):
+            vec = alg.b[i][j] if lie else alg.c[i][j]
+            terms = [(x, name) for x, name in zip(vec, names) if not is_zero(x)]
+            if terms:
+                out.append("%se%d e%d = %s"
+                           % (lead, i + 1, j + 1, format_sum(terms, spaced=True)))
+    return out
 
 
 def emit_document(doc):
     "Canonical text form; parse(emit(doc)) reproduces the document."
+    if doc.kind not in _LAYOUT:
+        raise DocSemanticError("unhandled kind %r" % doc.kind)
     out = ["kind %s dim %d domain %s" % (doc.kind, doc.dim, doc.domain)]
     for name, c in doc.params.items():
         out.append("params %s %s" % (name, format_constraint(c)))
-    names = ["e%d" % (k + 1) for k in range(doc.dim)]
-    payload = doc.payload
-
-    def products(alg, prefix=""):
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                if isinstance(alg, LieAlgebra):
-                    if i >= j or all(is_zero(x) for x in alg.b[i][j]):
-                        continue
-                    vec = alg.b[i][j]
-                else:
-                    vec = alg.c[i][j]
-                    if all(is_zero(x) for x in vec):
-                        continue
-                out.append("%se%d e%d = %s"
-                           % (prefix, i + 1, j + 1, format_term_list(vec, names)))
-
-    if doc.kind == "algebra":
-        products(payload)
-    elif doc.kind == "lie":
-        products(payload)
-    elif doc.kind == "representation":
-        products(payload.g, prefix="bracket ")
-        for k, m in enumerate(payload.mats):
-            out.append("f(e%d) = %s" % (k + 1, format_matrix(m)))
-    elif doc.kind == "cocycle":
-        products(payload.rep.g, prefix="bracket ")
-        for k, m in enumerate(payload.rep.mats):
-            out.append("f(e%d) = %s" % (k + 1, format_matrix(m)))
-        out.append("C = %s" % format_matrix(payload.C))
-    elif doc.kind == "rmatrix":
-        g, r = payload
-        products(g, prefix="bracket ")
-        out.append("R = %s" % format_matrix(r))
-    elif doc.kind == "ooperator":
-        rep, t = payload
-        products(rep.g, prefix="bracket ")
-        for k, m in enumerate(rep.mats):
-            out.append("f(e%d) = %s" % (k + 1, format_matrix(m)))
-        out.append("T = %s" % format_matrix(t))
-    elif doc.kind == "iso_witness":
-        src, tgt, t = payload
-        base = len(out)
-        products(src)
-        for k in range(base, len(out)):
-            out[k] = "source " + out[k]
-        base = len(out)
-        products(tgt)
-        for k in range(base, len(out)):
-            out[k] = "target " + out[k]
-        out.append("T = %s" % format_matrix(t))
-    else:
-        raise DocSemanticError("unhandled kind %r" % doc.kind)
+    prefixes, _, names = _LAYOUT[doc.kind]
+    tables, mats, named = _parts(doc.kind, doc.payload)
+    for prefix, alg in zip(prefixes, tables):
+        out += _product_lines(alg, prefix)
+    for k, m in enumerate(mats):
+        out.append("f(e%d) = %s" % (k + 1, format_matrix(m)))
+    for name, m in zip(names, named):
+        out.append("%s = %s" % (name, format_matrix(m)))
     return "\n".join(out) + "\n"

@@ -33,10 +33,6 @@ class NotDimension3(LsaError):
     pass
 
 
-class EigenvalueOutsideDomain(LsaError):
-    pass
-
-
 class NotBijective(LsaError):
     pass
 

@@ -452,8 +452,8 @@ def _classify_d2(g, derived):
             if not vec_is_zero(img):
                 e2c, e1c = v, img
                 break
-        e1 = _mix(derived, e1c)
-        e2 = _mix(derived, e2c)
+        e1 = Mat(derived).apply_row(e1c)
+        e2 = Mat(derived).apply_row(e2c)
         return _witnessed(g, Mat([e1, e2, e3]), "E", "E")
     root = gaussian_sqrt(disc)
     if root is None:
@@ -468,8 +468,8 @@ def _classify_d2(g, derived):
     # now l = beta/alpha is canonical; eigenvectors (row convention)
     v1 = _left_eigvec(a2, alpha)
     v2 = _left_eigvec(a2, beta)
-    e1 = _mix(derived, v1)
-    e2 = _mix(derived, v2)
+    e1 = Mat(derived).apply_row(v1)
+    e2 = Mat(derived).apply_row(v2)
     e3 = vec_scale(w0, 1 / alpha)
     return _witnessed(g, Mat([e1, e2, e3]), "Dl", "Dl", l)
 
@@ -487,13 +487,6 @@ def _left_eigvec(m, ev):
     if not null:
         raise LsaError("eigenvalue is not actually an eigenvalue")
     return null[0]
-
-
-def _mix(basis, coords):
-    out = vec_zero(len(basis[0]))
-    for c, b in zip(coords, basis):
-        out = vec_add(out, vec_scale(b, c))
-    return out
 
 
 def _coeff_along(v, z):

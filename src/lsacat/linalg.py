@@ -263,10 +263,6 @@ def vec_scale(x, c):
     return [c * a for a in x]
 
 
-def vec_neg(x):
-    return [-a for a in x]
-
-
 def vec_is_zero(x):
     return all(is_zero(a) for a in x)
 

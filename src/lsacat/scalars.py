@@ -880,10 +880,6 @@ def _up_eval(co, x):
     return out
 
 
-def _up_deriv(co):
-    return _up_trim([co[i] * i for i in range(1, len(co))])
-
-
 # ---------------------------------------------------------------------------
 # root finding and factorization over Q(i), degree <= 4
 
@@ -1151,7 +1147,7 @@ def _format_fraction(f):
     return str(f)
 
 
-def format_qi(z, product_context=False):
+def format_qi(z):
     "Canonical text for a QI; parseable by parse_scalar."
     re, im = z.re, z.im
     if im == 0:
@@ -1169,8 +1165,6 @@ def format_qi(z, product_context=False):
             s = "%s%s%s" % (_format_fraction(re), "" if ims.startswith("-") else "+", ims)
         else:
             s = "%s+%s" % (_format_fraction(re), ims)
-    if product_context and (("+" in s[1:]) or ("-" in s[1:]) or "/" in s):
-        return "(%s)" % s
     return s
 
 
@@ -1185,25 +1179,34 @@ def _format_monomial(vars, exps):
 
 
 def format_multipoly(p):
-    if p.is_zero():
-        return "0"
     items = sorted(p.terms.items(), key=lambda t: t[0], reverse=True)
-    chunks = []
-    for exps, c in items:
-        mono = _format_monomial(p.vars, exps)
-        if not mono:
-            piece = format_qi(c)
-        elif c == ONE:
-            piece = mono
-        elif c == QI(-1):
-            piece = "-%s" % mono
+    return format_sum([(c, _format_monomial(p.vars, exps)) for exps, c in items])
+
+
+def format_sum(terms, spaced=False):
+    """Text of a sum of (coefficient, name) terms, name "" for a constant.
+    A coefficient 1 or -1 leaves the bare name (or its negation); any other
+    coefficient with a sign inside or a '/' is parenthesized.  Terms read
+    'c*name' joined by '+', or with spaced=True 'c name' joined by ' + '
+    (a negative term by ' ')."""
+    mul, plus, minus = (" ", " + ", " ") if spaced else ("*", "+", "")
+    out = ""
+    for c, name in terms:
+        s = format_scalar(c)
+        if not name:
+            piece = s
+        elif s == "1":
+            piece = name
+        elif s == "-1":
+            piece = "-" + name
         else:
-            piece = "%s*%s" % (format_qi(c, product_context=True), mono)
-        if chunks and not piece.startswith("-"):
-            chunks.append("+%s" % piece)
-        else:
-            chunks.append(piece)
-    return "".join(chunks)
+            if "+" in s[1:] or "-" in s[1:] or "/" in s:
+                s = "(%s)" % s
+            piece = s + mul + name
+        if out:
+            out += minus if piece.startswith("-") else plus
+        out += piece
+    return out or "0"
 
 
 def format_scalar(s):

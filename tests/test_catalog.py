@@ -3,9 +3,10 @@ import shutil
 
 import pytest
 
-from lsacat import catalog
+from lsacat import catalog, cli
 from lsacat.algebra import multiply
-from lsacat.errors import ConstraintViolated, UnknownId
+from lsacat.errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
+                           UnknownId)
 from lsacat.linalg import basis_vec, vec_eq
 from lsacat.scalars import QI
 
@@ -166,3 +167,19 @@ def test_source_cocycles_all_valid(full_catalog):
         c = Cocycle(rep, catalog._instantiate_mat(e.cmat, b))
         assert check_cocycle(c)[0], e.id
         assert is_bijective(c), e.id
+
+
+@pytest.mark.parametrize("old, new", [
+    ("table e1 e2 = e2 + e3", "table x1 e2 = e2 + e3"),
+    ("table e1 e1 = e1", "table e0 e1 = e1"),
+    ("f(e1) = [[1,0,0],[1,1,0],[0,0,1]]", "f(e0) = [[1,0,0],[1,1,0],[0,0,1]]"),
+])
+def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, new):
+    "A malformed data line fails the load, naming its file, and the CLI exits 2."
+    directory = corrupted_catalog(tmp_path, old, new)
+    with pytest.raises((DocSyntaxError, DocSemanticError)) as err:
+        catalog.load_catalog(directory)
+    assert "h.cat" in str(err.value)
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    assert cli.main(["catalog-verify", "--entry", "H-1"]) == 2
+    assert capsys.readouterr().out.startswith("catalog error: ")

@@ -3,7 +3,10 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
+
+import pytest
 
 from lsacat import catalog, cli
 from lsacat.cli import main
@@ -174,3 +177,65 @@ def test_catalog_verify_all_follows_entry():
     code, out = run(["catalog-verify", "--entry", "N-3", "--all"])
     assert code == 0
     assert "remark coincidences: 1 confirmed, 0 unconfirmed, 0 failed" in out
+
+
+def test_package_has_no_dead_private_functions():
+    "Every module-level _name function in src/lsacat is used somewhere in it."
+    pkg = os.path.join(SRC, "lsacat")
+    trees = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), name)
+
+    def references(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+    total = Counter(r for tree in trees.values() for r in references(tree))
+    dead = ["%s:%s" % (name, fn.name) for name, tree in trees.items()
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and not fn.name.startswith("__")
+            and total[fn.name] == Counter(references(fn))[fn.name]]
+    assert dead == []
+
+
+# (sample, old text, new text): each edit makes the sample malformed
+MALFORMED = {
+    "f_index_zero": ("h1_cocycle.coc", "f(e3)", "f(e0)"),
+    "f_index_above_dim": ("h1_cocycle.coc", "f(e1)", "f(e4)"),
+    "f_index_not_integer": ("h1_cocycle.coc", "f(e1)", "f(ex)"),
+    "f_repeated": ("h1_cocycle.coc", "C = ",
+                   "f(e3) = [[0,0,0],[0,0,0],[0,0,0]]\nC = "),
+    "matrix_name": ("h1_cocycle.coc", "C = ", "Cx = "),
+    "bracket_missing": ("h1_cocycle.coc", "bracket e1 e2", "e1 e2"),
+    "source_missing": ("h2prime_to_h2.wit", "source e3 e2", "e3 e2"),
+    "product_three_factors": ("h1.alg", "e1 e1 = e1", "e1 e1 e1 = e1"),
+}
+COMMANDS = {".coc": ["cocycle-build"], ".wit": ["iso", "--verify"],
+            ".alg": ["check"]}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2(tmp_path, case):
+    name, old, new = MALFORMED[case]
+    with open(sample(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    p = tmp_path / name
+    p.write_text(text.replace(old, new, 1))
+    code, out = run(COMMANDS[os.path.splitext(name)[1]] + [str(p)])
+    assert code == 2
+    assert out.startswith("bad document ")
+
+
+def test_catalog_verify_rejects_undeclared_param():
+    code, out = run(["catalog-verify", "--entry", "N-1", "--param", "lambda=2",
+                     "--param", "bogus=3"])
+    assert code == 2
+    assert "bogus" in out

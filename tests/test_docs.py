@@ -161,3 +161,70 @@ def test_ooperator_document():
             "T = [[0,0,0],[0,0,0],[0,0,0]]\n")
     rep, t = parse_document(text).payload
     assert t.is_zero()
+
+
+# (sample, old text, new text): each edit makes the sample malformed
+MALFORMED = {
+    "f_index_zero": ("h1_cocycle.coc", "f(e3)", "f(e0)"),
+    "f_index_above_dim": ("h1_cocycle.coc", "f(e1)", "f(e4)"),
+    "f_index_not_integer": ("h1_cocycle.coc", "f(e1)", "f(ex)"),
+    "f_repeated": ("h1_cocycle.coc", "C = ",
+                   "f(e3) = [[0,0,0],[0,0,0],[0,0,0]]\nC = "),
+    "matrix_name": ("h1_cocycle.coc", "C = ", "Cx = "),
+    "bracket_missing": ("h1_cocycle.coc", "bracket e1 e2", "e1 e2"),
+    "bracket_diagonal": ("h1_cocycle.coc", "bracket e1 e2", "bracket e1 e1"),
+    "bracket_not_antisymmetric": ("h1_cocycle.coc", "bracket e1 e2 = e3",
+                                  "bracket e1 e2 = e3\nbracket e2 e1 = e3"),
+    "source_missing": ("h2prime_to_h2.wit", "source e3 e2", "e3 e2"),
+    "target_missing": ("h2prime_to_h2.wit", "target e3 e1", "e3 e1"),
+    "product_three_factors": ("h1.alg", "e1 e1 = e1", "e1 e1 e1 = e1"),
+    "product_empty": ("h1.alg", "e1 e1 = e1", "e1 e1 ="),
+    "matrix_empty_entry": ("h1_cocycle.coc", "C = [[0,0,1]", "C = [[0,,1]"),
+}
+
+
+def malformed(case):
+    name, old, new = MALFORMED[case]
+    text = read(name)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_rejected(case):
+    with pytest.raises((DocSyntaxError, DocSemanticError)):
+        parse_document(malformed(case))
+
+
+def test_unused_line_is_syntax_error_at_its_line():
+    text = ("kind cocycle dim 3 domain gaussian\n"
+            "bracket e1 e2 = e3\n"
+            "e1 e2 = e3\n")
+    with pytest.raises(DocSyntaxError) as err:
+        parse_document(text)
+    assert err.value.line == 3
+
+
+def test_repeated_matrix_and_parameter_rejected():
+    text = read("h2prime_to_h2.wit") + "T = [[1,0,0],[0,1,0],[0,0,1]]\n"
+    with pytest.raises(DocSemanticError):
+        parse_document(text)
+    with pytest.raises(DocSemanticError):
+        parse_document("kind algebra dim 3 domain ratfunc\n"
+                       "params q any\nparams q ne 0\n")
+
+
+def test_emit_is_canonical_for_every_kind():
+    "Emitted text parses back to the same text, for each document kind."
+    mats = "".join("f(e%d) = [[0,0,0],[0,0,0],[0,0,%d]]\n" % (k, k)
+                   for k in (1, 2, 3))
+    bodies = {
+        "lie": "e1 e2 = e3\n",
+        "representation": "bracket e1 e2 = e3\n" + mats,
+        "rmatrix": "bracket e3 e1 = -1/2 e2\nR = [[1,0,0],[0,0,0],[0,0,i]]\n",
+        "ooperator": "bracket e1 e2 = e3\n" + mats + "T = [[0,1,0],[0,0,0],[0,0,0]]\n",
+    }
+    for kind, body in bodies.items():
+        emitted = emit_document(parse_document(
+            "kind %s dim 3 domain gaussian\n%s" % (kind, body)))
+        assert emit_document(parse_document(emitted)) == emitted
