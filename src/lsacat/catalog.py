@@ -142,21 +142,25 @@ def _parse_entry_block(block):
     for lineno, line in meta:
         toks = line.split()
         key = toks[0]
-        if key == "family":
-            e.family = toks[1]
-        elif key == "case":
-            e.case = toks[1]
+        if key in ("family", "case"):
+            if len(toks) != 2:
+                raise DocSyntaxError("'%s' needs exactly one value" % key,
+                                     lineno, 1)
+            setattr(e, key, toks[1])
         elif key == "flags":
             for item in toks[1:]:
                 fname, _, cond = item.partition("=")
                 e.flags[fname] = _parse_cond(cond)
         elif key == "samples":
-            pname = toks[1].rstrip(":")
-            rest = line.split(":", 1)[1]
-            e.samples_override[pname] = [
+            head, colon, rest = line.partition(":")
+            if not colon or len(head.split()) != 2:
+                raise DocSyntaxError(
+                    "samples line must read 'samples <param>: <values>'",
+                    lineno, 1)
+            e.samples_override[head.split()[1]] = [
                 _const_value(v.strip()) for v in rest.split(",") if v.strip()]
         else:
-            e.isos.append(_parse_iso(line, body.pnames))
+            e.isos.append(_parse_iso(line, lineno, body.pnames))
     if e.family not in FAMILY_FILES:
         raise DocSemanticError("entry %s has bad family %r" % (e.id, e.family))
     for fname in FLAG_NAMES:
@@ -176,8 +180,10 @@ def _parse_cond(text):
     return tuple(conj)
 
 
-def _parse_iso(line, pnames):
+def _parse_iso(line, lineno, pnames):
     toks = line.split()
+    if len(toks) < 2:
+        raise DocSyntaxError("iso line needs a target entry", lineno, 1)
     decl = IsoDecl(target=toks[1])
     k = 2
     mode = None
@@ -188,6 +194,8 @@ def _parse_iso(line, pnames):
             k += 1
             continue
         if t == "T":
+            if k + 1 == len(toks):
+                raise DocSyntaxError("iso witness T has no matrix", lineno, 1)
             rest = line.split(" T ", 1)[1].strip()
             decl.witness = parse_matrix(rest, 3, pnames)
             break
@@ -197,7 +205,8 @@ def _parse_iso(line, pnames):
         elif mode == "bind":
             decl.bind[name] = val
         else:
-            raise DocSyntaxError("iso clause before when/bind: %r" % t)
+            raise DocSyntaxError("iso clause before when/bind: %r" % t,
+                                 lineno, 1)
         k += 1
     return decl
 

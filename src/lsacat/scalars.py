@@ -922,42 +922,6 @@ def gaussian_sqrt(z):
     return None
 
 
-def _int_divisors(n):
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
-
-
-def gaussian_integer_divisors(a, b):
-    "All Gaussian integers dividing a+bi (including unit associates)."
-    if a == 0 and b == 0:
-        return []
-    norm = a * a + b * b
-    out = []
-    for m in _int_divisors(norm):
-        x = 0
-        while x * x <= m:
-            y2 = m - x * x
-            y = math.isqrt(y2)
-            if y * y == y2:
-                for u, v in {(x, y), (x, -y), (-x, y), (-x, -y)}:
-                    if u == 0 and v == 0:
-                        continue
-                    # (a+bi)/(u+vi) must be a Gaussian integer
-                    n2 = u * u + v * v
-                    pr, pi = a * u + b * v, b * u - a * v
-                    if pr % n2 == 0 and pi % n2 == 0:
-                        out.append((u, v))
-            x += 1
-    return out
-
-
 def _clear_to_gaussian_integers(co):
     "Scale QI coefficients to Gaussian integers; returns int pairs."
     lcm = 1
@@ -967,9 +931,70 @@ def _clear_to_gaussian_integers(co):
     return [(int(c.re * lcm), int(c.im * lcm)) for c in co]
 
 
+def _gi_mul(x, y):
+    "Product of two Gaussian integers given as int pairs."
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gi_eval_mod(co, x, m):
+    "Value mod m at x of a polynomial with Gaussian integer pair coefficients."
+    a, b = x
+    re, im = 0, 0
+    for cr, ci in reversed(co):
+        re, im = (re * a - im * b + cr) % m, (re * b + im * a + ci) % m
+    return re, im
+
+
+def _inert_primes():
+    "The primes p = 3 (mod 4), increasing; each stays prime in Z[i]."
+    p = 3
+    while True:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 4
+
+
+def _simple_roots_mod(g, dg, p):
+    "The roots of g in (Z/p)[i], or None if one of them is a multiple root."
+    out = []
+    for x in ((a, b) for a in range(p) for b in range(p)):
+        if _gi_eval_mod(g, x, p) == (0, 0):
+            if _gi_eval_mod(dg, x, p) == (0, 0):
+                return None
+            out.append(x)
+    return out
+
+
+def _newton_lift(g, dg, x, p, bound):
+    """Lift a simple root x of g mod the inert prime p to the Gaussian
+    integer it approximates mod p^(2^k) > 2*bound, parts read symmetrically."""
+    a, b = x
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        fr, fi = _gi_eval_mod(g, (a, b), m)
+        dr, di = _gi_eval_mod(dg, (a, b), m)
+        # p is inert, so dr+di*i is a unit mod p^k iff its norm is
+        inv = pow(dr * dr + di * di, -1, m)
+        a = (a - (fr * dr + fi * di) * inv) % m
+        b = (b - (fi * dr - fr * di) * inv) % m
+    half = m // 2
+    return (a - m if a > half else a), (b - m if b > half else b)
+
+
 def qi_roots(co):
-    """All roots in Q(i) of a univariate QI polynomial (any degree, via the
-    rational root theorem in Z[i]); no multiplicities."""
+    """All roots in Q(i) of a univariate QI polynomial of any degree, sorted
+    by (re, im), without multiplicities.
+
+    Loos's p-adic method over Z[i]: after t^k is split off and f is divided
+    by gcd(f, f'), its coefficients are cleared to Gaussian integers c_k and
+    s = c_n*t makes it monic with coefficients c_k*c_n^(n-1-k).  Its roots
+    in Q(i) are Gaussian integers (Z[i] is integrally closed) of modulus at
+    most the Cauchy bound B.  At the first prime p = 3 (mod 4) where all its
+    roots mod p are simple, each root in (Z/p)[i] is Newton-lifted until
+    p^(2^k) > 2B, read back as t = s/c_n, and kept only if the input
+    polynomial vanishes there exactly.  No integer is factored, so the time
+    is polynomial in the bit length of the coefficients."""
     co = _up_trim(co)
     if len(co) <= 1:
         return []
@@ -983,23 +1008,28 @@ def qi_roots(co):
         co = co[k:]
     if len(co) <= 1:
         return roots
-    ints = _clear_to_gaussian_integers(co)
-    c0, cn = ints[0], ints[-1]
-    nums = gaussian_integer_divisors(*c0)
-    dens = gaussian_integer_divisors(*cn)
-    seen = set()
-    for u in nums:
-        zu = QI(u[0], u[1])
-        for v in dens:
-            zv = QI(v[0], v[1])
-            cand = zu / zv
-            key = (cand.re, cand.im)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _up_eval(co, cand).is_zero():
-                roots.append(cand)
-    return roots
+    sqfree = co
+    gcd = _up_ext_euclid(co, tuple(c * j for j, c in enumerate(co))[1:])[0]
+    if len(gcd) > 1:
+        sqfree = _up_divmod(co, gcd)[0]
+    ints = _clear_to_gaussian_integers(sqfree)
+    n, lead = len(ints) - 1, ints[-1]
+    g, pw = [(1, 0)] * (n + 1), (1, 0)
+    for j in range(n - 1, -1, -1):
+        g[j] = _gi_mul(ints[j], pw)
+        pw = _gi_mul(pw, lead)
+    dg = [(j * a, j * b) for j, (a, b) in enumerate(g)][1:]
+    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
+    for p in _inert_primes():
+        residues = _simple_roots_mod(g, dg, p)
+        if residues is not None:
+            break
+    zlead = QI(*lead)
+    for x in residues:
+        t = QI(*_newton_lift(g, dg, x, p, bound)) / zlead
+        if _up_eval(co, t).is_zero():
+            roots.append(t)
+    return sorted(roots, key=lambda z: (z.re, z.im))
 
 
 def _quadratic_roots(co):

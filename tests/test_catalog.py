@@ -84,14 +84,15 @@ def test_sample_plan_includes_zero_for_free_parameters():
     assert {str(b["lambda"]) for b in e.sample_bindings()} >= {"0", "2"}
 
 
-def corrupted_catalog(tmp_path, old, new):
-    "A copy of the catalog with the first `old` line of h.cat (H-1's) replaced."
+def corrupted_catalog(tmp_path, old, new, name="h.cat"):
+    """A copy of the catalog with the first `old` line of the data file
+    `name` replaced (in h.cat, the first of any line is H-1's)."""
     src = catalog.data_dir()
-    for name in catalog.FAMILY_FILES.values():
-        shutil.copy(os.path.join(src, name), tmp_path / name)
-    text = (tmp_path / "h.cat").read_text()
+    for fname in catalog.FAMILY_FILES.values():
+        shutil.copy(os.path.join(src, fname), tmp_path / fname)
+    text = (tmp_path / name).read_text()
     assert old in text
-    (tmp_path / "h.cat").write_text(text.replace(old, new, 1))
+    (tmp_path / name).write_text(text.replace(old, new, 1))
     return str(tmp_path)
 
 
@@ -180,6 +181,29 @@ def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, ne
     with pytest.raises((DocSyntaxError, DocSemanticError)) as err:
         catalog.load_catalog(directory)
     assert "h.cat" in str(err.value)
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    assert cli.main(["catalog-verify", "--entry", "H-1"]) == 2
+    assert capsys.readouterr().out.startswith("catalog error: ")
+
+
+@pytest.mark.parametrize("name, old, new, lineno", [
+    ("h.cat", "family H", "family", 4),
+    ("h.cat", "case AI-1", "case", 10),
+    ("h.cat", "case AI-1", "case AI 1", 10),
+    ("dl.cat", "samples lambda: 0, 2, -1", "samples lambda 0, 2, -1", 9),
+    ("dl.cat", "samples lambda: 0, 2, -1", "samples: 0, 2, -1", 9),
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0", "iso", 14),
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0", "iso N-9 when lambda=0 T",
+     14),
+])
+def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
+                                             name, old, new, lineno):
+    "A metadata line without its value is a syntax error at its line; exit 2."
+    directory = corrupted_catalog(tmp_path, old, new, name)
+    with pytest.raises(DocSyntaxError) as err:
+        catalog.load_catalog(directory)
+    assert name in str(err.value)
+    assert "line %d," % lineno in str(err.value)
     monkeypatch.setenv("LSACAT_DATA", directory)
     assert cli.main(["catalog-verify", "--entry", "H-1"]) == 2
     assert capsys.readouterr().out.startswith("catalog error: ")

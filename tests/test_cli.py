@@ -67,6 +67,17 @@ def test_check_rejects_bad_basis_name_under_optimize(tmp_path):
     assert "expected 'e<i> e<j> = ...'" in proc.stdout
 
 
+def test_large_parameter_verifies_in_polynomial_time():
+    "Root finding over Q(i) must not factor mu = 10^8 + 7 (a prime)."
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lsacat.cli", "catalog-verify", "--entry",
+         "N-3", "--param", "mu=100000007"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "entry/sample pairs: 1, failures: 0" in proc.stdout
+
+
 def test_package_has_no_assert_statements():
     "Checks must raise, because python -O removes assert statements."
     pkg = os.path.join(SRC, "lsacat")

@@ -1,13 +1,17 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from lsacat import scalars
 from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
                            DomainMismatch, UnboundVariable)
 from lsacat.scalars import (ExtField, MultiPoly, QI, RatFunc, factor_low_degree,
-                            field_arith, format_scalar, gaussian_sqrt,
-                            parse_scalar, qi, qi_roots, substitute)
+                            factor_unipoly, field_arith, format_scalar,
+                            gaussian_sqrt, parse_scalar, qi, qi_roots,
+                            substitute)
 
 
 def rand_qi(rng):
@@ -188,6 +192,57 @@ def test_factor_quartic_into_quadratics():
     p = (t ** 2 - 2) * (t ** 2 + 2)
     factors = factor_low_degree(p)
     assert sorted(format_scalar(f) for f, _ in factors) == ["t^2+2", "t^2-2"]
+
+
+# Root finding must take time polynomial in the bit length of the
+# coefficients; factoring them would not finish.  Each case asserts the
+# exact result under a generous wall-clock bound.
+WALL_S = 2.0
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    assert time.perf_counter() - t0 < WALL_S
+    return out
+
+
+def test_roots_of_large_prime_constant():
+    assert timed(qi_roots, (qi(-100000007), qi(0), qi(1))) == []
+
+
+def test_roots_with_30_digit_parts_and_a_repeat():
+    a = QI(Fraction(123456789012345678901234567891, 98765432109876543210987654323),
+           Fraction(-314159265358979323846264338327, 271828182845904523536028747135))
+    b = QI(Fraction(-577215664901532860606512090082, 141421356237309504880168872421),
+           Fraction(161803398874989484820458683436, 173205080756887729352744634150))
+    c = QI(Fraction(299792458000000000000000000001, 6),
+           Fraction(-602214076000000000000000000003, 7))
+    co = (c,)
+    for r in (a, b, a):
+        co = scalars._up_mul(co, (-r, qi(1)))
+    roots = timed(qi_roots, co)
+    assert roots == sorted([a, b], key=lambda z: (z.re, z.im))
+
+
+def test_factor_quartic_with_30_digit_coefficients(monkeypatch):
+    "(t^2 + t - P)(t^2 + Q) splits through the resolvent cubic."
+    p, q = 10 ** 29 + 13, 10 ** 29 + 19
+    for n in (1 + 4 * p, q):
+        assert math.isqrt(n) ** 2 != n
+    degrees = []
+
+    def recording(co):
+        degrees.append(len(co) - 1)
+        return qi_roots(co)
+
+    monkeypatch.setattr(scalars, "qi_roots", recording)
+    f1, f2 = (qi(-p), qi(1), qi(1)), (qi(q), qi(0), qi(1))
+    quartic = scalars._up_mul(f1, f2)
+    unit, factors = timed(factor_unipoly, quartic)
+    assert unit == 1
+    assert factors == [(f1, 1), (f2, 1)]
+    assert degrees == [4, 3]
 
 
 def test_factor_degree_too_high():
