@@ -26,8 +26,7 @@ from .props import (Fingerprint, find_ideals, fingerprint, is_associative,
                     is_bisymmetric, is_novikov, is_semisimple, is_simple,
                     is_transitive)
 from .scalars import (ExtField, ExtScalar, MultiPoly, QI, RatFunc,
-                      factor_low_degree, field_arith, parse_scalar,
-                      substitute)
+                      factor_low_degree, parse_scalar, substitute)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "Representation", "associator", "canonical_lie", "check_cocycle",
     "check_cybe", "check_left_regular", "check_left_symmetric",
     "check_lie_automorphism", "check_o_operator", "check_representation",
-    "classify3", "commutator_lie", "factor_low_degree", "field_arith",
+    "classify3", "commutator_lie", "factor_low_degree",
     "find_ideals", "fingerprint", "induced_products", "is_associative",
     "is_bijective", "is_bisymmetric", "is_novikov", "is_semisimple",
     "is_simple", "is_transitive", "killing_form", "left_matrix",

@@ -4,6 +4,10 @@ An Algebra stores the full multiplication table c[i][j] = coordinates of
 e_i e_j, which is exactly the characteristic-matrix reading: entry (i, j)
 of the printed table is the product (left factor e_i) * (right factor e_j).
 Vectors are plain coordinate lists in the algebra's basis.
+
+A LieAlgebra is the same table with an antisymmetric product, the bracket
+c[i][j] = [e_i, e_j]; multiply, rebase and left_matrix (ad) apply to it
+unchanged.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ class Algebra:
             else tuple("e%d" % (k + 1) for k in range(dim)))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Algebra is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @staticmethod
     def zero(dim):
         return Algebra([[vec_zero(dim) for _ in range(dim)] for _ in range(dim)])
 
-    @staticmethod
-    def from_products(dim, products):
+    @classmethod
+    def from_products(cls, dim, products):
         """Build from a sparse {(i, j): [(coeff, k), ...]} map, 0-indexed."""
         table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), terms in products.items():
@@ -56,7 +60,7 @@ class Algebra:
             for coeff, k in terms:
                 v[k] = v[k] + as_scalar(coeff)
             table[i][j] = v
-        return Algebra(table)
+        return cls(table)
 
     def product(self, i, j):
         "Coordinates of e_i e_j."
@@ -75,7 +79,7 @@ class Algebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def __hash__(self):
-        raise TypeError("Algebra is unhashable")
+        raise TypeError("%s is unhashable" % type(self).__name__)
 
     def table_str(self):
         "Characteristic-matrix rendering, one row per left factor."
@@ -89,7 +93,46 @@ class Algebra:
         return "\n".join("  ".join(x.rjust(w) for x in r) for r in rows)
 
     def __repr__(self):
-        return "Algebra(dim=%d)\n%s" % (self.dim, self.table_str())
+        return "%s(dim=%d)\n%s" % (type(self).__name__, self.dim,
+                                   self.table_str())
+
+
+class LieAlgebra(Algebra):
+    """An Algebra whose product is the bracket: c[i][j] = coords of
+    [e_i, e_j], antisymmetric, which is checked once, here."""
+
+    __slots__ = ()
+
+    def __init__(self, table, basis_names=None):
+        super().__init__(table, basis_names)
+        c = self.c
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                if not vec_eq(c[i][j], [-x for x in c[j][i]]):
+                    raise DimensionMismatch(
+                        "bracket table is not antisymmetric at (%d,%d)" % (i, j))
+
+    @classmethod
+    def from_brackets(cls, dim, brackets):
+        """Build from {(i, j): [(coeff, k), ...]} with i < j, 0-indexed."""
+        products = dict(brackets)
+        for (i, j), terms in brackets.items():
+            products[j, i] = [(-as_scalar(coeff), k) for coeff, k in terms]
+        return cls.from_products(dim, products)
+
+    def check_jacobi(self):
+        "Jacobi identity on all basis triples; (ok, certificate)."
+        n, c = self.dim, self.c
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    s = vec_add(
+                        multiply(self, c[i][j], basis_vec(n, k)),
+                        vec_add(multiply(self, c[j][k], basis_vec(n, i)),
+                                multiply(self, c[k][i], basis_vec(n, j))))
+                    if not vec_is_zero(s):
+                        return False, (i, j, k, s)
+        return True, None
 
 
 def multiply(a, x, y):
@@ -143,8 +186,6 @@ def commutator_lie(a):
 
     Jacobi holds whenever a is left-symmetric, so it is not re-checked
     here; LieAlgebra.check_jacobi tests it for any other table."""
-    from .lie import LieAlgebra
-
     n = a.dim
     table = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -200,7 +241,7 @@ def rebase(a, w):
             prod = multiply(a, w.row(i), w.row(j))
             row.append(winv.apply_row(prod))
         table.append(row)
-    return Algebra(table, a.basis_names)
+    return type(a)(table, a.basis_names)
 
 
 def substitute_algebra(a, bindings):

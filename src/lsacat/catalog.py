@@ -223,7 +223,8 @@ def _load_file(path):
                 try:
                     entries.append(_parse_entry_block(block))
                 except (DocSyntaxError, DocSemanticError) as exc:
-                    raise type(exc)("%s: %s" % (path, exc)) from None
+                    exc.args = ("%s: %s" % (path, exc),) + exc.args[1:]
+                    raise
                 block = []
                 continue
             block.append((lineno, line.strip()))

@@ -52,7 +52,7 @@ def check_representation(rep):
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = rep.act(g.b[i][j])
+            lhs = rep.act(g.c[i][j])
             rhs = mats[j] * mats[i] - mats[i] * mats[j]
             if lhs != rhs:
                 return False, (i, j, lhs - rhs)
@@ -83,7 +83,7 @@ def check_cocycle(c):
     n = g.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = cm.apply_row(g.b[i][j])
+            lhs = cm.apply_row(g.c[i][j])
             rhs = [a - b for a, b in zip(mats[i].apply_row(cm.row(j)),
                                          mats[j].apply_row(cm.row(i)))]
             if not vec_eq(lhs, rhs):
@@ -106,10 +106,11 @@ def phi(c):
     ok, cert = check_cocycle(c)
     if not ok:
         raise NotCocycle("cocycle conditions fail: %r" % (cert,), cert)
-    if not is_bijective(c):
-        raise NotBijective("det C = 0")
     cm = c.C
-    cinv = cm.inverse()
+    try:
+        cinv = cm.inverse()
+    except SingularWitness:
+        raise NotBijective("det C = 0") from None
     n = c.rep.g.dim
     table = []
     for i in range(n):

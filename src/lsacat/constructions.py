@@ -85,9 +85,9 @@ def check_cybe(g, r):
     for i in range(n):
         for j in range(i + 1, n):
             rx, ry = r.row(i), r.row(j)
-            lhs = g.bracket(rx, ry)
-            inner = [a + b for a, b in zip(g.bracket(rx, basis_vec(n, j)),
-                                           g.bracket(basis_vec(n, i), ry))]
+            lhs = multiply(g, rx, ry)
+            inner = [a + b for a, b in zip(multiply(g, rx, basis_vec(n, j)),
+                                           multiply(g, basis_vec(n, i), ry))]
             rhs = r.apply_row(inner)
             if not vec_eq(lhs, rhs):
                 return False, (i, j, vec_sub(lhs, rhs))
@@ -100,7 +100,7 @@ def lsa_from_rmatrix(g, r):
     if not ok:
         raise CybeFails("CYBE fails at basis pair %r" % (cert[:2],))
     n = g.dim
-    table = [[g.bracket(r.row(i), basis_vec(n, j)) for j in range(n)]
+    table = [[multiply(g, r.row(i), basis_vec(n, j)) for j in range(n)]
              for i in range(n)]
     out = Algebra(table)
     ok, cert = check_left_symmetric(out)
@@ -120,7 +120,7 @@ def check_o_operator(g, rho, t):
     for r in range(n):
         for s in range(r + 1, n):
             tu, tv = t.row(r), t.row(s)
-            lhs = g.bracket(tu, tv)
+            lhs = multiply(g, tu, tv)
             act_u = rho.act(tu)      # row matrix of rho(T(u))
             act_v = rho.act(tv)
             inner = vec_sub(act_u.apply_row(basis_vec(n, s)),

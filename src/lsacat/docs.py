@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Algebra
+from .algebra import Algebra, LieAlgebra
 from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      UnboundVariable)
-from .lie import LieAlgebra
 from .linalg import Mat, vec_zero
 from .scalars import (QI, format_scalar, format_sum, is_zero,
                       parse_scalar, qi)
@@ -440,8 +439,7 @@ def _check_domain(doc):
     "Only ratfunc tables hold parameters, and rational ones are real."
     if doc.domain == "ratfunc":
         return
-    table = doc.payload.b if doc.kind == "lie" else doc.payload.c
-    for x in (x for row in table for cell in row for x in cell):
+    for x in (x for row in doc.payload.c for cell in row for x in cell):
         if not isinstance(x, QI):
             raise DocSemanticError("parameters need domain ratfunc")
         if doc.domain == "rational" and x.im != 0:
@@ -456,8 +454,8 @@ def _product_lines(alg, prefix):
     out = []
     for i in range(alg.dim):
         for j in range(i + 1 if lie else 0, alg.dim):
-            vec = alg.b[i][j] if lie else alg.c[i][j]
-            terms = [(x, name) for x, name in zip(vec, names) if not is_zero(x)]
+            terms = [(x, name) for x, name in zip(alg.c[i][j], names)
+                     if not is_zero(x)]
             if terms:
                 out.append("%se%d e%d = %s"
                            % (lead, i + 1, j + 1, format_sum(terms, spaced=True)))

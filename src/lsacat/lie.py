@@ -1,5 +1,10 @@
 """Lie algebra checks, the dimension-3 classifier, and automorphism groups.
 
+A Lie algebra is an algebra.LieAlgebra: an Algebra whose table c[i][j]
+holds the antisymmetric bracket [e_i, e_j], so the bracket is
+algebra.multiply, ad_x is algebra.left_matrix and a basis change is
+algebra.rebase.
+
 The five solvable 3-dimensional families appearing in the catalog, with
 their canonical bracket tables (only nonzero brackets shown):
 
@@ -17,113 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, LsaError, NotDimension3
+from .algebra import LieAlgebra, left_matrix, multiply, rebase
+from .errors import (DimensionMismatch, LsaError, NotDimension3,
+                     SingularWitness)
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     vec_add, vec_eq, vec_is_zero, vec_scale, vec_zero)
-from .scalars import (ONE, QI, ZERO, MultiPoly, as_scalar, gaussian_sqrt,
-                      is_zero, qi)
-
-
-class LieAlgebra:
-    """Antisymmetric bracket table b[i][j] = coords of [e_i, e_j]."""
-
-    __slots__ = ("dim", "b")
-
-    def __init__(self, table):
-        dim = len(table)
-        if not 1 <= dim <= 4:
-            raise DimensionMismatch("supported dimensions are 1..4")
-        b = []
-        for i, row in enumerate(table):
-            if len(row) != dim:
-                raise DimensionMismatch("bracket table is not square")
-            b.append(tuple(tuple(as_scalar(x) for x in cell) for cell in row))
-        for i in range(dim):
-            for j in range(dim):
-                if not vec_eq(b[i][j], [-x for x in b[j][i]]):
-                    raise DimensionMismatch(
-                        "bracket table is not antisymmetric at (%d,%d)" % (i, j))
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
-    @staticmethod
-    def from_brackets(dim, brackets):
-        """Build from {(i, j): [(coeff, k), ...]} with i < j, 0-indexed."""
-        table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), terms in brackets.items():
-            v = vec_zero(dim)
-            for coeff, k in terms:
-                v[k] = v[k] + as_scalar(coeff)
-            table[i][j] = v
-            table[j][i] = [-x for x in v]
-        return LieAlgebra(table)
-
-    def bracket(self, x, y):
-        out = vec_zero(self.dim)
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if is_zero(yj):
-                    continue
-                f = xi * yj
-                out = vec_add(out, [f * ck for ck in self.b[i][j]])
-        return out
-
-    def check_jacobi(self):
-        "Jacobi identity on all basis triples; (ok, certificate)."
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = vec_add(
-                        self.bracket(self.b[i][j], basis_vec(n, k)),
-                        vec_add(
-                            self.bracket(self.b[j][k], basis_vec(n, i)),
-                            self.bracket(self.b[k][i], basis_vec(n, j))))
-                    if not vec_is_zero(s):
-                        return False, (i, j, k, s)
-        return True, None
-
-    def ad(self, x):
-        "Column-convention matrix of ad_x = [x, .]."
-        cols = [self.bracket(x, basis_vec(self.dim, j)) for j in range(self.dim)]
-        return Mat(list(zip(*cols)))
-
-    def rebase(self, w):
-        "Bracket table in the new basis given by the rows of w."
-        winv = w.inverse()
-        n = self.dim
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(winv.apply_row(self.bracket(w.row(i), w.row(j))))
-            table.append(row)
-        return LieAlgebra(table)
-
-    def is_zero_bracket(self):
-        return all(vec_is_zero(self.b[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def __eq__(self, other):
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(vec_eq(self.b[i][j], other.b[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
-
-    def __hash__(self):
-        raise TypeError("LieAlgebra is unhashable")
+                     vec_eq, vec_is_zero, vec_scale)
+from .scalars import ONE, QI, ZERO, MultiPoly, gaussian_sqrt, is_zero, qi
 
 
 def killing_form(g):
     "Killing form K(x,y) = tr(ad x ad y) on basis pairs; (matrix, rank)."
-    ads = [g.ad(basis_vec(g.dim, i)) for i in range(g.dim)]
+    ads = [left_matrix(g, basis_vec(g.dim, i)) for i in range(g.dim)]
     k = Mat([[(ads[i] * ads[j]).trace() for j in range(g.dim)]
              for i in range(g.dim)])
     return k, k.rank()
@@ -133,15 +42,14 @@ def check_lie_automorphism(g, t):
     "True iff t is invertible and preserves all basis brackets."
     if not (t.is_square() and t.nrows == g.dim):
         raise DimensionMismatch("automorphism candidate has wrong shape")
-    from .errors import SingularWitness
     try:
         t.inverse()
     except SingularWitness:
         return False
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = t.apply_row(g.b[i][j])
-            rhs = g.bracket(t.row(i), t.row(j))
+            lhs = t.apply_row(g.c[i][j])
+            rhs = multiply(g, t.row(i), t.row(j))
             if not vec_eq(lhs, rhs):
                 return False
     return True
@@ -360,7 +268,7 @@ def classify3(g):
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
     n = 3
-    vecs = [g.b[i][j] for i in range(n) for j in range(i + 1, n)]
+    vecs = [g.c[i][j] for i in range(n) for j in range(i + 1, n)]
     derived = span_basis([v for v in vecs if not vec_is_zero(v)], n)
     d = len(derived)
 
@@ -369,7 +277,8 @@ def classify3(g):
 
     if d == 1:
         z = derived[0]
-        central = all(vec_is_zero(g.bracket(basis_vec(n, i), z)) for i in range(n))
+        central = all(vec_is_zero(multiply(g, basis_vec(n, i), z))
+                      for i in range(n))
         if central:
             return _classify_heisenberg(g, z)
         return _classify_n(g, z)
@@ -387,8 +296,8 @@ def _classify_heisenberg(g, z):
     n = 3
     for i in range(n):
         for j in range(i + 1, n):
-            if not vec_is_zero(g.b[i][j]):
-                c = _coeff_along(g.b[i][j], z)
+            if not vec_is_zero(g.c[i][j]):
+                c = _coeff_along(g.c[i][j], z)
                 e1 = basis_vec(n, i)
                 e2 = vec_scale(basis_vec(n, j), 1 / c)
                 return _witnessed(g, Mat([e1, e2, z]), "Heisenberg",
@@ -400,7 +309,7 @@ def _classify_n(g, z):
     n = 3
     e3 = None
     for i in range(n):
-        v = g.bracket(basis_vec(n, i), z)
+        v = multiply(g, basis_vec(n, i), z)
         if not vec_is_zero(v):
             c = _coeff_along(v, z)
             e3 = vec_scale(basis_vec(n, i), 1 / c)
@@ -408,7 +317,7 @@ def _classify_n(g, z):
     # center: x with [x, e_j] = 0 for all j
     rows = []
     for i in range(n):
-        rows.append([x for j in range(n) for x in g.b[i][j]])
+        rows.append([x for j in range(n) for x in g.c[i][j]])
     center = Mat(rows).transpose().nullspace()
     for c0 in center:
         w = Mat([c0, z, e3])
@@ -416,7 +325,7 @@ def _classify_n(g, z):
             w.inverse()
         except Exception:
             continue
-        if g.rebase(w) == canonical_lie("N"):
+        if rebase(g, w) == canonical_lie("N"):
             return LieClass("N", witness=w)
     return LieClass("Unrecognized", detail="N-type normalization failed")
 
@@ -424,7 +333,7 @@ def _classify_n(g, z):
 def _classify_d2(g, derived):
     n = 3
     b1, b2 = derived
-    if not vec_is_zero(g.bracket(b1, b2)):
+    if not vec_is_zero(multiply(g, b1, b2)):
         return LieClass("Unrecognized", detail="derived plane not abelian")
     w0 = None
     for i in range(n):
@@ -432,8 +341,8 @@ def _classify_d2(g, derived):
             w0 = basis_vec(n, i)
             break
     # action of ad(w0) on the derived plane, row convention
-    r1 = coords_in_span(derived, g.bracket(w0, b1))
-    r2 = coords_in_span(derived, g.bracket(w0, b2))
+    r1 = coords_in_span(derived, multiply(g, w0, b1))
+    r2 = coords_in_span(derived, multiply(g, w0, b2))
     a2 = Mat([r1, r2])
     tr = a2.trace()
     det = a2.det()
@@ -476,7 +385,7 @@ def _classify_d2(g, derived):
 
 def _witnessed(g, w, tag, family, l=None):
     "LieClass(tag, l, w) once w is confirmed to rebase g onto the canonical table."
-    if g.rebase(w) != canonical_lie(family, l):
+    if rebase(g, w) != canonical_lie(family, l):
         raise LsaError("classify3 built a wrong %s witness" % tag)
     return LieClass(tag, param=l, witness=w)
 

@@ -119,12 +119,6 @@ def right_nilpotent_at(a, x):
 
 
 @dataclass
-class Ideal:
-    basis: list
-    dim: int
-
-
-@dataclass
 class IdealReport:
     all_subspaces: bool = False
     lines: list = field(default_factory=list)          # coordinate vectors
@@ -136,13 +130,6 @@ class IdealReport:
         return (self.all_subspaces or bool(self.lines)
                 or bool(self.line_families) or bool(self.planes)
                 or bool(self.plane_families))
-
-    def ideals(self):
-        "The individually enumerated proper nonzero ideals."
-        out = [Ideal([list(v)], 1) for v in self.lines]
-        out.extend(Ideal([list(b) for b in basis], 2)
-                   for _n, basis in self.planes)
-        return out
 
     def qi_lines(self):
         return [v for v in self.lines if all(isinstance(x, QI) for x in v)]

@@ -5,9 +5,11 @@ Four domains arranged in a promotion lattice::
     QI (Gaussian rationals)  -->  MultiPoly  -->  RatFunc
     QI                       -->  ExtScalar (Q(i)[t]/(m), deg m in {2,3})
 
-Promotion is implicit only upward; mixing a polynomial domain with an
-extension (or two different extensions) raises DomainMismatch.  Everything
-is immutable and safe to share.
+Promotion is implicit only upward, through the arithmetic operators: each
+domain lifts the ones below it and leaves any other operand to that
+operand's reflected operator.  Mixing a polynomial domain with an extension
+(or two different extensions) raises DomainMismatch.  Everything is
+immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -171,6 +173,17 @@ def _coerce_qi(x):
     return NotImplemented
 
 
+def _no_lift(a, b):
+    """NotImplemented when `a` cannot lift `b`, so that Python tries b's
+    reflected operator; a polynomial domain mixed with an extension scalar,
+    in either order, is a DomainMismatch instead."""
+    if (isinstance(b, Scalar)
+            and isinstance(a, ExtScalar) != isinstance(b, ExtScalar)):
+        raise DomainMismatch("cannot mix %s with %s"
+                             % (type(a).__name__, type(b).__name__))
+    return NotImplemented
+
+
 def qi(x, im=0):
     "Coerce an int/Fraction/QI to QI."
     if isinstance(x, QI):
@@ -266,7 +279,7 @@ class MultiPoly:
             return other
         c = _coerce_qi(other)
         if c is NotImplemented:
-            return NotImplemented
+            return _no_lift(self, other)
         return MultiPoly.const(c, self.vars)
 
     def __add__(self, other):
@@ -441,7 +454,7 @@ class RatFunc:
             return RatFunc(other, MultiPoly.const(1))
         c = _coerce_qi(other)
         if c is NotImplemented:
-            return NotImplemented
+            return _no_lift(self, other)
         return RatFunc(MultiPoly.const(c), MultiPoly.const(1))
 
     def is_zero(self):
@@ -507,6 +520,8 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
+        if isinstance(other, ExtScalar):    # unequal, as for MultiPoly
+            return NotImplemented
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -601,7 +616,7 @@ class ExtScalar:
             return other
         c = _coerce_qi(other)
         if c is NotImplemented:
-            return NotImplemented
+            return _no_lift(self, other)
         return self.field.from_qi(c)
 
     def __add__(self, other):
@@ -705,51 +720,6 @@ def is_zero(x):
     return x.is_zero()
 
 
-_LEVEL = {QI: 0, MultiPoly: 1, RatFunc: 2, ExtScalar: 9}
-
-
-def promote2(a, b):
-    "Promote a pair of scalars into their join domain."
-    a, b = as_scalar(a), as_scalar(b)
-    la, lb = _LEVEL[type(a)], _LEVEL[type(b)]
-    if la == lb:
-        if isinstance(a, ExtScalar) and a.field != b.field:
-            raise DomainMismatch("different extension fields")
-        return a, b
-    if la > lb:
-        b2, a2 = promote2(b, a)
-        return a2, b2
-    # la < lb
-    if isinstance(b, ExtScalar):
-        if isinstance(a, QI):
-            return b.field.from_qi(a), b
-        raise DomainMismatch("cannot mix %s with extension scalars"
-                             % type(a).__name__)
-    if isinstance(b, MultiPoly):
-        return MultiPoly.const(a, b.vars), b
-    if isinstance(b, RatFunc):
-        if isinstance(a, QI):
-            a = MultiPoly.const(a)
-        return RatFunc(a, MultiPoly.const(1)), b
-    raise DomainMismatch("unknown scalar domain")
-
-
-def field_arith(a, b, op):
-    "Exact field operation with explicit upward promotion."
-    a, b = promote2(a, b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if is_zero(b):
-            raise DivisionByZero("field division by zero")
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
 def substitute(p, bindings):
     "Evaluate a MultiPoly or RatFunc at Gaussian-rational bindings."
     p = as_scalar(p)
@@ -768,7 +738,7 @@ def partial_substitute(p, bindings):
     if isinstance(p, RatFunc):
         num = partial_substitute(p.num, bindings)
         den = partial_substitute(p.den, bindings)
-        return field_arith(num, den, "div")
+        return num / den
     if not isinstance(p, MultiPoly):
         raise DomainMismatch("cannot substitute into %r" % (p,))
     bound = {v: qi(bindings[v]) for v in p.vars if v in bindings}
@@ -1032,17 +1002,6 @@ def qi_roots(co):
     return sorted(roots, key=lambda z: (z.re, z.im))
 
 
-def _quadratic_roots(co):
-    "Roots in Q(i) of a degree-2 QI polynomial via the discriminant."
-    c, b, a = co[0], co[1], co[2]
-    disc = b * b - QI(4) * a * c
-    r = gaussian_sqrt(disc)
-    if r is None:
-        return None
-    two_a = QI(2) * a
-    return [(-b + r) / two_a, (-b - r) / two_a]
-
-
 def _split_quartic(co):
     """Try to split a rootless monic quartic into two monic quadratics over
     Q(i).  Returns (q1, q2) coefficient tuples or None."""
@@ -1074,10 +1033,11 @@ def _split_quartic(co):
         return out[0], out[1]
 
     if q0.is_zero():
-        rr = _quadratic_roots((r0, p0, ONE))
-        if rr is None:
+        rr = qi_roots((r0, p0, ONE))
+        if not rr:
             return None
-        y1, y2 = rr
+        y1 = rr[0]
+        y2 = -p0 - y1
         # s^4 + p0 s^2 + r0 = (s^2 - y1)(s^2 - y2) with y = -b of each factor
         return recombine(-y1, ZERO, -y2)
     # resolvent cubic z^3 + 2 p0 z^2 + (p0^2 - 4 r0) z - q0^2, z = a^2
@@ -1121,9 +1081,7 @@ def factor_unipoly(co):
         if mult:
             factors.append((lin, mult))
     deg = _up_deg(co)
-    if deg == 2:
-        factors.append((co, 1))
-    elif deg == 3:
+    if deg in (2, 3):
         factors.append((co, 1))
     elif deg == 4:
         split = _split_quartic(co)
@@ -1321,7 +1279,7 @@ class _Parser:
         while self.peek().kind in "+-":
             op = self.take().kind
             rhs = self.parse_term()
-            out = field_arith(out, rhs, "add" if op == "+" else "sub")
+            out = out + rhs if op == "+" else out - rhs
         return out
 
     def parse_term(self):
@@ -1329,13 +1287,13 @@ class _Parser:
         while self.peek().kind in "*/":
             op = self.take().kind
             rhs = self.parse_factor()
-            out = field_arith(out, rhs, "mul" if op == "*" else "div")
+            out = out * rhs if op == "*" else out / rhs
         return out
 
     def parse_factor(self):
         if self.peek().kind == "-":
             self.take()
-            return field_arith(QI(0), self.parse_factor(), "sub")
+            return -self.parse_factor()
         return self.parse_power()
 
     def parse_power(self):
@@ -1349,7 +1307,7 @@ class _Parser:
             e = self.take("int").val
             out = base ** e
             if neg:
-                out = field_arith(QI(1), out, "div")
+                out = ONE / out
             return out
         return base
 

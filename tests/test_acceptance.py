@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from lsacat import catalog
-from lsacat.algebra import check_left_symmetric
+from lsacat.algebra import check_left_symmetric, left_matrix
 from lsacat.cocycle import (Cocycle, Representation, phi, psi,
                             equivalent_cocycle, verify_cocycle_equiv,
                             verify_cocycle_iso)
@@ -175,7 +175,7 @@ def test_criterion_8_constructions(first_samples, commutative_bases):
         fam, l = fams[made % len(fams)]
         g = canonical_lie(fam, l)
         z = random_qi_vector(rng, 3)
-        adz = g.ad(z)
+        adz = left_matrix(g, z)
         kernel = adz.transpose().nullspace()
         if not kernel:
             continue

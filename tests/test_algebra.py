@@ -77,20 +77,20 @@ def test_left_symmetric_failure_certificate():
 
 def test_commutator_h1_is_heisenberg():
     g = commutator_lie(H1)
-    assert vec_eq(g.b[0][1], [QI(0), QI(0), QI(1)])
-    assert all(vec_is_zero(g.b[i][j]) for i in range(3) for j in range(3)
+    assert vec_eq(g.c[0][1], [QI(0), QI(0), QI(1)])
+    assert all(vec_is_zero(g.c[i][j]) for i in range(3) for j in range(3)
                if (i, j) not in ((0, 1), (1, 0)))
 
 
 def test_commutator_commutative_table_abelian():
     sym = Algebra.from_products(3, {(0, 1): [(1, 2)], (1, 0): [(1, 2)]})
-    assert commutator_lie(sym).is_zero_bracket()
+    assert commutator_lie(sym).is_zero_product()
 
 
 def test_commutator_n1():
     n1 = catalog.instantiate("N-1", {"lambda": 2})
     g = commutator_lie(n1)
-    assert vec_eq(g.b[2][1], [QI(0), QI(1), QI(0)])
+    assert vec_eq(g.c[2][1], [QI(0), QI(1), QI(0)])
 
 
 def test_left_matrix_h1():

@@ -207,3 +207,13 @@ def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv("LSACAT_DATA", directory)
     assert cli.main(["catalog-verify", "--entry", "H-1"]) == 2
     assert capsys.readouterr().out.startswith("catalog error: ")
+
+
+def test_load_error_keeps_line_and_column(tmp_path):
+    "The file name is prefixed to the message; line and col survive."
+    directory = corrupted_catalog(tmp_path, "family H", "family")
+    with pytest.raises(DocSyntaxError) as err:
+        catalog.load_catalog(directory)
+    assert (err.value.line, err.value.col) == (4, 1)
+    assert str(err.value).startswith(os.path.join(directory, "h.cat")
+                                     + ": line 4, col 1: ")

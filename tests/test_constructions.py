@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import Algebra, check_left_symmetric
+from lsacat.algebra import Algebra, check_left_symmetric, left_matrix
 from lsacat.cocycle import Representation, phi, psi
 from lsacat.constructions import (check_cybe, check_derivation,
                                   check_o_operator, derivation_space,
@@ -122,9 +122,9 @@ def test_transported_product_matches_phi(first_samples):
 def test_induced_products_rank2():
     # adjoint representation of N with the rank-2 CYBE solution diag(1,0,1)
     n = canonical_lie("N")
-    rho = Representation(n, [n.ad([1, 0, 0]).transpose(),
-                             n.ad([0, 1, 0]).transpose(),
-                             n.ad([0, 0, 1]).transpose()])
+    rho = Representation(n, [left_matrix(n, [1, 0, 0]).transpose(),
+                             left_matrix(n, [0, 1, 0]).transpose(),
+                             left_matrix(n, [0, 0, 1]).transpose()])
     t = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert check_cybe(n, t)[0]
     ok, cert = check_o_operator(n, rho, t)

@@ -118,8 +118,8 @@ def test_roundtrip_lie_document():
             "e1 e2 = e3\n")
     doc = parse_document(text)
     g = doc.payload
-    assert g.b[0][1] == (QI(0), QI(0), QI(1))
-    assert g.b[1][0] == (QI(0), QI(0), QI(-1))
+    assert g.c[0][1] == (QI(0), QI(0), QI(1))
+    assert g.c[1][0] == (QI(0), QI(0), QI(-1))
     assert parse_document(emit_document(doc)).payload == g
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import commutator_lie
-from lsacat.errors import NotDimension3
+from lsacat.algebra import (Algebra, commutator_lie, left_matrix, multiply,
+                            rebase)
+from lsacat.errors import DimensionMismatch, NotDimension3
 from lsacat.lie import (LieAlgebra, aut_shape_member, canonical_l,
                         canonical_lie, check_lie_automorphism, classify3,
                         instantiate_aut, killing_form, random_automorphism)
@@ -27,6 +28,29 @@ def test_jacobi_failure_certificate():
                                      (2, 0): [(1, 0)]})
     ok, cert = g.check_jacobi()
     assert not ok and cert is not None
+
+
+def test_lie_table_must_be_antisymmetric():
+    z, e3 = [0, 0, 0], [0, 0, 1]
+    with pytest.raises(DimensionMismatch, match=r"not antisymmetric at \(0,1\)"):
+        LieAlgebra([[z, e3, z], [e3, z, z], [z, z, z]])
+    with pytest.raises(DimensionMismatch, match=r"not antisymmetric at \(2,2\)"):
+        LieAlgebra([[z, z, z], [z, z, z], [z, z, e3]])
+
+
+def test_lie_algebra_is_the_antisymmetric_algebra():
+    "multiply is the bracket, rebase stays a LieAlgebra, left_matrix is ad."
+    g = canonical_lie("E")       # [e3,e1] = e1, [e3,e2] = e1+e2
+    assert issubclass(LieAlgebra, Algebra)
+    assert multiply(g, [0, 0, 1], [0, 1, 0]) == [QI(1), QI(1), QI(0)]
+    assert multiply(g, [0, 1, 0], [0, 0, 1]) == [QI(-1), QI(-1), QI(0)]
+    assert multiply(g, [1, 2, 3], [1, 2, 3]) == [QI(0)] * 3
+    w = Mat([[1, 0, 0], [1, 1, 0], [0, 0, 2]])
+    moved = rebase(g, w)
+    assert type(moved) is LieAlgebra and moved.check_jacobi()[0]
+    assert rebase(moved, w.inverse()) == g
+    assert left_matrix(g, [0, 0, 1]) == Mat([[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+    assert left_matrix(g, [1, 0, 0]) == Mat([[0, 0, -1], [0, 0, 0], [0, 0, 0]])
 
 
 def test_classify_abelian():
@@ -65,14 +89,14 @@ def test_classify_witnesses_reproduce_canonical_tables():
     ]
     w = Mat([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
     for family, l in cases:
-        g = canonical_lie(family, l).rebase(w)
+        g = rebase(canonical_lie(family, l), w)
         cls = classify3(g)
         assert cls.witness is not None
         target = "Dl" if family == "Dl" else \
             {"heisenberg": "Heisenberg", "N": "N", "E": "E"}[family]
         assert cls.tag == target
         canon = canonical_lie(family, cls.param if family == "Dl" else None)
-        assert g.rebase(cls.witness) == canon
+        assert rebase(g, cls.witness) == canon
 
 
 def test_canonical_l_normalization():
@@ -88,7 +112,7 @@ def test_classify_recovers_canonical_parameter():
     g = LieAlgebra.from_brackets(3, {(2, 0): [(1, 0)], (2, 1): [(2, 1)]})
     cls = classify3(g)
     assert cls.tag == "Dl" and cls.param == QI(Fraction(1, 2))
-    assert g.rebase(cls.witness) == canonical_lie("Dl", Fraction(1, 2))
+    assert rebase(g, cls.witness) == canonical_lie("Dl", Fraction(1, 2))
 
 
 def test_classify_conjugation_invariant():
@@ -100,7 +124,7 @@ def test_classify_conjugation_invariant():
         base = classify3(g)
         for _ in range(6):
             t = random_automorphism(family if family != "Dl" else "Dl", rng, l)
-            moved = g.rebase(t)
+            moved = rebase(g, t)
             cls = classify3(moved)
             assert cls.key() == base.key()
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 from lsacat import scalars
 from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
                            DomainMismatch, UnboundVariable)
+from lsacat.linalg import Mat
 from lsacat.scalars import (ExtField, MultiPoly, QI, RatFunc, factor_low_degree,
-                            factor_unipoly, field_arith, format_scalar,
+                            factor_unipoly, format_scalar,
                             gaussian_sqrt, parse_scalar, qi, qi_roots,
                             substitute)
 
@@ -83,13 +85,26 @@ def test_field_axioms_extension():
 
 def test_field_arith_division_by_zero():
     with pytest.raises(DivisionByZero):
-        field_arith(QI(1), QI(0), "div")
+        QI(1) / QI(0)
 
 
 def test_domain_mismatch_poly_extension():
     f = ExtField([-2, 0, 1])
     with pytest.raises(DomainMismatch):
-        field_arith(MultiPoly.var("l"), f.gen(), "add")
+        MultiPoly.var("l") + f.gen()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_operator_mixing_poly_extension_is_domain_mismatch(op):
+    "Arithmetic raises in both orders, == is False, a Mat operand still works."
+    t = ExtField([-2, 0, 1]).gen()
+    for p in (MultiPoly.var("l"), RatFunc(MultiPoly.const(1), MultiPoly.var("m"))):
+        for a, b in ((p, t), (t, p)):
+            with pytest.raises(DomainMismatch):
+                op(a, b)
+            assert a != b
+        assert p * Mat.identity(2) == Mat([[p, 0], [0, p]])
+    assert t * Mat.identity(2) == Mat([[t, 0], [0, t]])
 
 
 def test_extension_inverse_euclid():
@@ -144,7 +159,7 @@ def test_parse_format_roundtrip():
     for t in texts:
         v = parse_scalar(t)
         w = parse_scalar(format_scalar(v))
-        assert field_arith(v, w, "sub").is_zero()
+        assert (v - w).is_zero()
     for _ in range(25):
         p = rand_poly(rng)
         assert parse_scalar(format_scalar(p)) == p
@@ -260,9 +275,9 @@ def test_gaussian_sqrt():
 
 def test_promotion_is_upward_only():
     # rational -> gaussian -> polynomial -> rational function
-    out = field_arith(Fraction(1, 2), MultiPoly.var("l"), "mul")
+    out = Fraction(1, 2) * MultiPoly.var("l")
     assert isinstance(out, MultiPoly)
-    out = field_arith(MultiPoly.var("l"), RatFunc(MultiPoly.const(1), MultiPoly.var("m")), "add")
+    out = MultiPoly.var("l") + RatFunc(MultiPoly.const(1), MultiPoly.var("m"))
     assert isinstance(out, RatFunc)
 
 
