@@ -25,14 +25,14 @@ from .lie import LieAlgebra, LieClass, canonical_lie, check_lie_automorphism, cl
 from .props import (Fingerprint, find_ideals, fingerprint, is_associative,
                     is_bisymmetric, is_novikov, is_semisimple, is_simple,
                     is_transitive)
-from .scalars import (ExtField, ExtScalar, MultiPoly, QI, RatFunc,
-                      factor_low_degree, parse_scalar, substitute)
+from .scalars import (MultiPoly, QI, RatFunc, factor_low_degree,
+                      parse_scalar, substitute)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "Cocycle", "ExtField", "ExtScalar", "Fingerprint",
-    "IsoVerdict", "LieAlgebra", "LieClass", "MultiPoly", "QI", "RatFunc",
+    "Algebra", "Cocycle", "Fingerprint", "IsoVerdict", "LieAlgebra",
+    "LieClass", "MultiPoly", "QI", "RatFunc",
     "Representation", "associator", "canonical_lie", "check_cocycle",
     "check_cybe", "check_left_regular", "check_left_symmetric",
     "check_lie_automorphism", "check_o_operator", "check_representation",

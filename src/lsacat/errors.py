@@ -57,10 +57,6 @@ class NotAutomorphism(LsaError):
     pass
 
 
-class ExtensionDegreeTooHigh(LsaError):
-    pass
-
-
 class ZeroAlgebra(LsaError):
     pass
 

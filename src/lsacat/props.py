@@ -1,14 +1,18 @@
 """Subclass predicates, ideal enumeration, and isomorphism-invariant
 fingerprints.
 
-Ideal search strategy (dimension <= 3, scalars in Q(i)): a 1-dimensional
-two-sided ideal is a common invariant line of all left and right basis
-multiplications, hence an eigenline of any single one of them.  We factor
-the characteristic polynomial of a strategically chosen operator, build a
-quadratic extension of Q(i) when an irreducible factor appears, and test
-each eigenline (or solve inside a repeated eigenspace) for invariance
-under the full operator set.  2-dimensional ideals are found dually via
-the transposed operators acting on covectors.
+Ideal search strategy (dimension <= 3, scalars in Q(i), ideals over C): a
+1-dimensional two-sided ideal is a common invariant line of all left and
+right basis multiplications, hence an eigenline of any single one of them,
+M.  We factor the characteristic polynomial of M over Q(i).  A linear
+factor gives an eigenline, or an eigenplane in which the invariant lines
+solve quadratic conditions.  An irreducible factor f of degree d >= 2
+gives d conjugate eigenlines that are all invariant or all not; by Galois
+descent they span the Q(i)-rational W = ker f(M), and they are invariant
+iff every operator maps W into W and commutes with M on W.  Conjugate
+lines are reported once, as the orbit (basis of W, f), so no extension
+field is built.  2-dimensional ideals are found dually via the transposed
+operators acting on covectors.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ from dataclasses import dataclass, field
 
 from .algebra import (Algebra, basis_associator, check_left_symmetric,
                       commutator_lie, left_matrix, multiply, right_matrix)
-from .errors import ExtensionDegreeTooHigh, LsaError, ZeroAlgebra
+from .errors import DimensionMismatch, LsaError, ZeroAlgebra
 from .lie import classify3
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     vec_add, vec_is_zero)
-from .scalars import (ONE, QI, ExtField, MultiPoly, factor_unipoly,
-                      is_zero)
+                     vec_add, vec_eq, vec_is_zero)
+from .scalars import ONE, QI, MultiPoly, factor_unipoly, is_zero
 
 
 def is_associative(a):
@@ -120,23 +123,22 @@ def right_nilpotent_at(a, x):
 
 @dataclass
 class IdealReport:
+    """Ideals found by find_ideals, every vector in Q(i).  An orbit
+    (basis of W, f) stands for deg f conjugate ideals defined over the roots
+    of the irreducible f: lines spanning W, or planes whose normals span the
+    covector space W."""
     all_subspaces: bool = False
     lines: list = field(default_factory=list)          # coordinate vectors
     line_families: list = field(default_factory=list)  # (b1, b2) plane bases
     planes: list = field(default_factory=list)         # (normal, basis rows)
     plane_families: list = field(default_factory=list) # common line vectors
+    line_orbits: list = field(default_factory=list)    # (basis of W, f)
+    plane_orbits: list = field(default_factory=list)   # (normals of W, f)
 
     def has_proper_ideal(self):
-        return (self.all_subspaces or bool(self.lines)
-                or bool(self.line_families) or bool(self.planes)
-                or bool(self.plane_families))
-
-    def qi_lines(self):
-        return [v for v in self.lines if all(isinstance(x, QI) for x in v)]
-
-    def qi_planes(self):
-        return [(nrm, bas) for nrm, bas in self.planes
-                if all(isinstance(x, QI) for x in nrm)]
+        return self.all_subspaces or any((
+            self.lines, self.line_families, self.planes, self.plane_families,
+            self.line_orbits, self.plane_orbits))
 
 
 def _is_scalar_mat(m):
@@ -181,69 +183,68 @@ def _dedupe_lines(lines):
     return out
 
 
+def _orbit_invariant(ops, m, w):
+    """The eigenlines of m in span(w), for distinct conjugate eigenvalues,
+    are invariant iff every operator maps span(w) into itself and commutes
+    with m there."""
+    for op in ops:
+        for v in w:
+            u = op.apply_col(v)
+            if not (in_span(u, w) and vec_eq(op.apply_col(m.apply_col(v)),
+                                             m.apply_col(u))):
+                return False
+    return True
+
+
 def common_invariant_lines(ops):
     """All lines invariant under every operator (column convention, QI
-    entries), over Q(i) or a quadratic/cubic extension.
+    entries), found with Q(i)-rational linear algebra only.
 
-    Returns (lines, families, all_lines_flag); families are (b1, b2) bases
-    of planes in which *every* line is invariant under every operator.
+    Returns (lines, families, orbits, all_lines_flag); families are (b1, b2)
+    bases of planes in which *every* line is invariant under every operator,
+    and orbits are (basis of W, f) for the deg f conjugate invariant lines
+    spanning W.
     """
-    nonscalar = [m for m in ops if not _is_scalar_mat(m)]
-    if not nonscalar:
-        return [], [], True
     n = ops[0].nrows
-    # strategically ordered candidates; any non-scalar one is sound, but an
-    # operator whose characteristic polynomial splits over Q(i) avoids
-    # building extension fields, so prefer one among the first few
-    candidates = []
-    if len(ops) >= 6:
-        candidates = [ops[2], ops[5], ops[0] + ops[4]]
-    candidates.extend(ops)
-    if len(ops) >= 6:
-        acc = Mat.zero(n)
-        for k, m in enumerate(ops):
-            acc = acc + (2 ** k) * m
-        candidates.append(acc)
-    candidates = [m for m in candidates if not _is_scalar_mat(m)]
-    chosen = candidates[0]
+    # any non-scalar operator is sound; these come first because on the
+    # catalog their characteristic polynomials split over Q(i)
+    candidates = [ops[2], ops[5], ops[0] + ops[4]] if len(ops) >= 6 else []
+    chosen = next((m for m in candidates + ops if not _is_scalar_mat(m)), None)
+    if chosen is None:
+        return [], [], [], True
     _, factors = factor_unipoly(chosen.charpoly())
-    if any(len(f) > 2 for f, _mult in factors):
-        for m in candidates[1:5]:
-            _, fs = factor_unipoly(m.charpoly())
-            if all(len(f) == 2 for f, _mult in fs):
-                chosen, factors = m, fs
-                break
 
     lines = []
     families = []
-    for f, mult in factors:
-        deg = len(f) - 1
-        if deg == 1:
-            alpha = -f[0]
-        else:
-            if deg > 3:
-                raise ExtensionDegreeTooHigh(
-                    "eigenvalues need a degree-%d extension" % deg)
-            ext = ExtField(f)
-            alpha = ext.gen()
-        shifted = chosen - alpha * Mat.identity(n)
-        eig = shifted.nullspace()
+    orbits = []
+    for f, _mult in factors:
+        if len(f) > 2:
+            # W = ker f(M) is the Q(i)-rational sum of the conjugate
+            # eigenlines for the roots of the irreducible f
+            fm = Mat.zero(n)
+            for c in reversed(f):
+                fm = fm * chosen + c * Mat.identity(n)
+            w = fm.nullspace()
+            if _orbit_invariant(ops, chosen, w):
+                orbits.append((w, f))
+            continue
+        alpha = -f[0]
+        eig = (chosen - alpha * Mat.identity(n)).nullspace()
         if len(eig) == 1:
-            v = eig[0]
-            if _line_invariant(ops, v):
-                lines.append(_normalize_line(v))
-        elif len(eig) >= 2:
-            if deg != 1:
-                raise LsaError("repeated eigenvalues of a cubic lie in Q(i)")
-            ls, fams = _lines_in_plane(ops, eig[0], eig[1])
+            if _line_invariant(ops, eig[0]):
+                lines.append(_normalize_line(eig[0]))
+        else:
+            ls, fams, orbs = _lines_in_plane(ops, eig[0], eig[1])
             lines.extend(ls)
             families.extend(fams)
-    return _dedupe_lines(lines), families, False
+            orbits.extend(orbs)
+    return _dedupe_lines(lines), families, orbits, False
 
 
 def _lines_in_plane(ops, b1, b2):
     """Lines v = s b1 + t b2 with every op(v) proportional to v; solves the
-    homogeneous quadratic proportionality conditions in (s : t)."""
+    homogeneous quadratic proportionality conditions in (s : t).  Returns
+    (lines, families, orbits) as common_invariant_lines does."""
     quads = []
     n = len(b1)
     for op in ops:
@@ -258,7 +259,7 @@ def _lines_in_plane(ops, b1, b2):
                 if not (is_zero(aa) and is_zero(bb) and is_zero(cc)):
                     quads.append((aa, bb, cc))
     if not quads:
-        return [], [(b1, b2)]
+        return [], [(b1, b2)], []
     aa, bb, cc = quads[0]
     candidates = []
     if is_zero(aa):
@@ -268,21 +269,19 @@ def _lines_in_plane(ops, b1, b2):
             candidates.append(_combine(b1, -cc, b2, bb))
     else:
         _, fs = factor_unipoly((cc, bb, aa))
+        if len(fs[0][0]) == 3:
+            # the conjugate roots of an irreducible quadratic solve every
+            # condition iff each one is a multiple of it
+            if all(_proportional(q, quads[0]) for q in quads[1:]):
+                return [], [], [([b1, b2], fs[0][0])]
+            return [], [], []
         for f, _m in fs:
-            if len(f) == 2:
-                s = -f[0]
-                candidates.append(_combine(b1, s, b2, ONE))
-            else:
-                ext = ExtField(f)
-                s1 = ext.gen()
-                s2 = ext.from_qi(-f[1]) - s1  # other root of the quadratic
-                for s in (s1, s2):
-                    candidates.append(_combine(b1, s, b2, ext.one()))
+            candidates.append(_combine(b1, -f[0], b2, ONE))
     out = []
     for v in candidates:
         if not vec_is_zero(v) and _line_invariant(ops, v):
             out.append(_normalize_line(v))
-    return _dedupe_lines(out), []
+    return _dedupe_lines(out), [], []
 
 
 def _combine(b1, s, b2, t):
@@ -296,22 +295,28 @@ def multiplication_operators(a):
 
 
 def find_ideals(a):
-    """All proper nonzero two-sided ideals of a dimension-<=3 algebra over
-    Q(i); infinite families are reported via flags with representative
-    data instead of being enumerated."""
+    """All proper nonzero two-sided ideals over C of an algebra of dimension
+    <= 3 over Q(i); infinite families are reported via flags with
+    representative data instead of being enumerated, and ideals not defined
+    over Q(i) as orbits of conjugates."""
+    if a.dim > 3:
+        raise DimensionMismatch("ideals are found in dimension <= 3, not %d"
+                                % a.dim)
     ops = multiplication_operators(a)
     report = IdealReport()
-    lines, fams, all_flag = common_invariant_lines(ops)
+    lines, fams, orbits, all_flag = common_invariant_lines(ops)
     if all_flag:
         report.all_subspaces = True
         return report
     report.lines = lines
     report.line_families = fams
+    report.line_orbits = orbits
     tops = [m.transpose() for m in ops]
-    covs, cofams, all_flag = common_invariant_lines(tops)
+    covs, cofams, coorbits, all_flag = common_invariant_lines(tops)
     if all_flag:
         raise LsaError("transposed operators leave every line invariant, "
                        "the operators do not")
+    report.plane_orbits = coorbits
     for phi_vec in covs:
         basis = Mat([phi_vec]).nullspace()
         report.planes.append((phi_vec, basis))
@@ -354,13 +359,14 @@ def _subalgebra_simple(a, basis):
     sub = _restrict(a, basis)
     if sub.is_zero_product():
         return False
-    lines, fams, all_flag = common_invariant_lines(multiplication_operators(sub))
-    return not (lines or fams or all_flag)
+    # no invariant line, family, orbit or all-lines flag
+    return not any(common_invariant_lines(multiplication_operators(sub)))
 
 
 def is_semisimple(a, report=None):
     """Direct sum of simple ideals; returns (bool, witness) where the
-    witness lists the component ideals' bases."""
+    witness lists the components: the basis of each simple ideal, or an
+    orbit (basis of W, f) of deg f conjugate simple line ideals."""
     if a.is_zero_product():
         raise ZeroAlgebra("the zero-multiplication algebra is excluded")
     n = a.dim
@@ -368,22 +374,19 @@ def is_semisimple(a, report=None):
         report = find_ideals(a)
     if not report.has_proper_ideal():
         return True, [[basis_vec(a.dim, k) for k in range(n)]]
-    lines = report.qi_lines()
+    lines = list(report.lines)
     for (b1, b2) in report.line_families:
         lines = lines + [b1, b2, vec_add(b1, b2)]
-    lines = _dedupe_lines(lines)
-    planes = [bas for _n, bas in report.qi_planes()]
+    good = [v for v in _dedupe_lines(lines) if _line_self_product_nonzero(a, v)]
+    planes = [bas for _n, bas in report.planes]
     # 1 + 2 splittings
-    for v in lines:
-        if not _line_self_product_nonzero(a, v):
-            continue
+    for v in good:
         for bas in planes:
             if len(span_basis([v] + list(bas), n)) != n:
                 continue
             if _subalgebra_simple(a, bas):
                 return True, [[v], bas]
     # 1 + 1 + 1 splittings
-    good = [v for v in lines if _line_self_product_nonzero(a, v)]
     for i in range(len(good)):
         for j in range(i + 1, len(good)):
             for k in range(j + 1, len(good)):
@@ -394,6 +397,18 @@ def is_semisimple(a, report=None):
             for j in range(i + 1, len(good)):
                 if len(span_basis([good[i], good[j]], n)) == n:
                     return True, [[good[i]], [good[j]]]
+    # conjugate lines spanning W meet pairwise in 0, so each is simple iff
+    # the products of W span W; then W, or W plus a simple line, is all
+    for orbit in report.line_orbits:
+        w = orbit[0]
+        products = [multiply(a, x, y) for x in w for y in w]
+        if len(span_basis(products, n)) < len(w):
+            continue
+        if len(w) == n:
+            return True, [orbit]
+        for v in good:  # here dim W = 2 and n = 3
+            if not in_span(v, w):
+                return True, [orbit, [v]]
     return False, None
 
 
@@ -451,13 +466,21 @@ def simplicity_oracle_agrees(a, rng, tries=40):
         return True
     if report.all_subspaces:
         return a.is_zero_product()
-    for v in report.qi_lines():
+    for v in report.lines:
         if not ideal_closed(a, [v]):
             return False
         if len(closure_span(a, [v])) >= a.dim:
             return False
-    for _n, bas in report.qi_planes():
+    for _n, bas in report.planes:
         if not ideal_closed(a, bas):
+            return False
+    # an orbit's conjugate lines span a Q(i) ideal W, and its conjugate
+    # planes meet in the Q(i) ideal cut out by the normals spanning W
+    for w, _f in report.line_orbits:
+        if not ideal_closed(a, w):
+            return False
+    for w, _f in report.plane_orbits:
+        if not ideal_closed(a, Mat(w).nullspace()):
             return False
     for (b1, b2) in report.line_families:
         for v in (b1, b2, vec_add(b1, b2)):

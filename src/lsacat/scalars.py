@@ -1,15 +1,12 @@
 """Exact scalar domains.
 
-Four domains arranged in a promotion lattice::
+Three domains arranged in a promotion chain::
 
     QI (Gaussian rationals)  -->  MultiPoly  -->  RatFunc
-    QI                       -->  ExtScalar (Q(i)[t]/(m), deg m in {2,3})
 
 Promotion is implicit only upward, through the arithmetic operators: each
 domain lifts the ones below it and leaves any other operand to that
-operand's reflected operator.  Mixing a polynomial domain with an extension
-(or two different extensions) raises DomainMismatch.  Everything is
-immutable and safe to share.
+operand's reflected operator.  Everything is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -173,17 +170,6 @@ def _coerce_qi(x):
     return NotImplemented
 
 
-def _no_lift(a, b):
-    """NotImplemented when `a` cannot lift `b`, so that Python tries b's
-    reflected operator; a polynomial domain mixed with an extension scalar,
-    in either order, is a DomainMismatch instead."""
-    if (isinstance(b, Scalar)
-            and isinstance(a, ExtScalar) != isinstance(b, ExtScalar)):
-        raise DomainMismatch("cannot mix %s with %s"
-                             % (type(a).__name__, type(b).__name__))
-    return NotImplemented
-
-
 def qi(x, im=0):
     "Coerce an int/Fraction/QI to QI."
     if isinstance(x, QI):
@@ -279,7 +265,7 @@ class MultiPoly:
             return other
         c = _coerce_qi(other)
         if c is NotImplemented:
-            return _no_lift(self, other)
+            return NotImplemented
         return MultiPoly.const(c, self.vars)
 
     def __add__(self, other):
@@ -454,7 +440,7 @@ class RatFunc:
             return RatFunc(other, MultiPoly.const(1))
         c = _coerce_qi(other)
         if c is NotImplemented:
-            return _no_lift(self, other)
+            return NotImplemented
         return RatFunc(MultiPoly.const(c), MultiPoly.const(1))
 
     def is_zero(self):
@@ -520,8 +506,6 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, ExtScalar):    # unequal, as for MultiPoly
-            return NotImplemented
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -547,162 +531,7 @@ class RatFunc:
         return format_scalar(self)
 
 
-class ExtField:
-    """Q(i)[t]/(m(t)) for a monic irreducible m of degree 2 or 3."""
-
-    def __init__(self, modulus, name="t"):
-        co = tuple(qi(c) for c in modulus)
-        while co and co[-1].is_zero():
-            co = co[:-1]
-        deg = len(co) - 1
-        if deg not in (2, 3):
-            raise DegreeTooHigh("extension degree must be 2 or 3, got %d" % deg)
-        if co[-1] != ONE:
-            co = tuple(c / co[-1] for c in co)
-        if qi_roots(co):
-            raise ValueError("modulus %s is reducible over Q(i)" % (co,))
-        self.modulus = co
-        self.name = name
-        self.deg = deg
-
-    def element(self, coeffs):
-        co = [qi(c) for c in coeffs]
-        if len(co) > self.deg:
-            co = list(_up_divmod(tuple(co), self.modulus)[1])
-        co += [ZERO] * (self.deg - len(co))
-        return ExtScalar(self, tuple(co[:self.deg]))
-
-    def gen(self):
-        return self.element([0, 1])
-
-    def from_qi(self, c):
-        return self.element([qi(c)])
-
-    def zero(self):
-        return self.from_qi(0)
-
-    def one(self):
-        return self.from_qi(1)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
-
-    def __repr__(self):
-        return "ExtField(%s)" % format_unipoly(self.modulus, self.name)
-
-
-class ExtScalar:
-    """Element of an ExtField, stored as a QI coefficient vector."""
-
-    __slots__ = ("field", "co")
-
-    def __init__(self, field, co):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "co", tuple(co))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtScalar is immutable")
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.co)
-
-    def _lift(self, other):
-        if isinstance(other, ExtScalar):
-            if other.field != self.field:
-                raise DomainMismatch("elements of different extension fields")
-            return other
-        c = _coerce_qi(other)
-        if c is NotImplemented:
-            return _no_lift(self, other)
-        return self.field.from_qi(c)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtScalar(self.field,
-                         tuple(a + b for a, b in zip(self.co, other.co)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtScalar(self.field,
-                         tuple(a - b for a, b in zip(self.co, other.co)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return ExtScalar(self.field, tuple(-a for a in self.co))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prod = _up_mul(self.co, other.co)
-        _, rem = _up_divmod(prod, self.field.modulus)
-        return self.field.element(list(rem))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero extension element")
-        g, s, _ = _up_ext_euclid(_up_trim(self.co), self.field.modulus)
-        # modulus irreducible, so g is a nonzero constant
-        c = g[0]
-        return self.field.element([x / c for x in s])
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
-            other = self.field.from_qi(qi(other))
-        if isinstance(other, ExtScalar):
-            return self.field == other.field and self.co == other.co
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.co))
-
-    def __repr__(self):
-        return "ExtScalar(%s)" % str(self)
-
-    def __str__(self):
-        return format_unipoly(self.co, self.field.name)
-
-
-Scalar = (QI, MultiPoly, RatFunc, ExtScalar)
+Scalar = (QI, MultiPoly, RatFunc)
 
 
 def as_scalar(x):
@@ -1207,14 +1036,7 @@ def format_scalar(s):
         if s.den == 1:
             return format_multipoly(s.num)
         return "(%s)/(%s)" % (format_multipoly(s.num), format_multipoly(s.den))
-    if isinstance(s, ExtScalar):
-        return format_unipoly(s.co, s.field.name)
     raise DomainMismatch("cannot format %r" % (s,))
-
-
-def format_unipoly(co, name):
-    p = MultiPoly((name,), {(k,): c for k, c in enumerate(co) if not qi(c).is_zero()})
-    return format_multipoly(p)
 
 
 class _Tok:

@@ -43,6 +43,28 @@ def test_check_zero_algebra_flags():
         assert "%s: yes" % flag in out
 
 
+# algebras that are C + C + C over C, with ideal lines not defined over
+# Q(i): Q(i)[t]/(t^3 - 2) on 1, t, t^2, and Q(i)[t]/(t^2 - 2) + C
+SPLIT_OVER_C = {
+    "cubic": ["e1 e1 = e1", "e1 e2 = e2", "e1 e3 = e3", "e2 e1 = e2",
+              "e3 e1 = e3", "e2 e2 = e3", "e2 e3 = 2 e1", "e3 e2 = 2 e1",
+              "e3 e3 = 2 e2"],
+    "quadratic_plus_c": ["e1 e1 = e1", "e1 e2 = e2", "e2 e1 = e2",
+                         "e2 e2 = 2 e1", "e3 e3 = e3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_OVER_C))
+def test_check_semisimple_over_c(tmp_path, case):
+    p = tmp_path / "split.alg"
+    p.write_text("kind algebra dim 3 domain gaussian\n"
+                 + "\n".join(SPLIT_OVER_C[case]) + "\n")
+    code, out = run(["check", str(p)])
+    assert code == 0
+    assert "simple: no" in out.splitlines()
+    assert "semisimple: yes" in out.splitlines()
+
+
 def test_check_rejects_missing_file():
     code, out = run(["check", "no-such-file.alg"])
     assert code == 2

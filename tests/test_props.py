@@ -5,8 +5,8 @@ import pytest
 
 from lsacat import catalog
 from lsacat.algebra import Algebra, rebase
-from lsacat.errors import ZeroAlgebra
-from lsacat.linalg import basis_vec
+from lsacat.errors import DimensionMismatch, ZeroAlgebra
+from lsacat.linalg import Mat, basis_vec
 from lsacat.lie import random_automorphism
 from lsacat.props import (closure_span, find_ideals, fingerprint,
                           ideal_closed, is_associative, is_bisymmetric,
@@ -86,10 +86,14 @@ def test_find_ideals_h5_families():
 def test_ideals_closed(first_samples):
     for entry, bindings, alg in first_samples:
         rep = find_ideals(alg)
-        for v in rep.qi_lines():
+        for v in rep.lines:
             assert ideal_closed(alg, [v])
-        for _n, basis in rep.qi_planes():
+        for _n, basis in rep.planes:
             assert ideal_closed(alg, basis)
+        for basis, _f in rep.line_orbits:
+            assert ideal_closed(alg, basis)
+        for normals, _f in rep.plane_orbits:
+            assert ideal_closed(alg, Mat(normals).nullspace())
 
 
 def test_simple_and_semisimple_examples():
@@ -103,6 +107,16 @@ def test_simple_and_semisimple_examples():
     h1 = catalog.instantiate("H-1")
     assert not is_simple(h1)
     assert not is_semisimple(h1)[0]
+
+
+def test_ideal_predicates_reject_dimension_above_3():
+    # S + S for the simple S: e1 e1 = e2, e2 e2 = e1; the summands are
+    # 2-dimensional ideals, which the line/hyperplane search cannot see
+    a = Algebra.from_products(4, {(0, 0): [(1, 1)], (1, 1): [(1, 0)],
+                                  (2, 2): [(1, 3)], (3, 3): [(1, 2)]})
+    for predicate in (find_ideals, is_simple, is_semisimple):
+        with pytest.raises(DimensionMismatch):
+            predicate(a)
 
 
 def test_zero_algebra_rejected():
