@@ -457,6 +457,8 @@ def _target_bindings(decl, bindings):
 
 
 def _verify_iso_decl(e, decl, bindings, alg, use_search, directory=None):
+    """(ok, message): ok is True if the declaration holds, None if the
+    search verdict is unknown and False if it fails."""
     tgt_bind = _target_bindings(decl, bindings)
     try:
         target = instantiate(decl.target, tgt_bind, check=False,
@@ -476,7 +478,8 @@ def _verify_iso_decl(e, decl, bindings, alg, use_search, directory=None):
     verdict = search_lsa_iso(alg, target)
     if verdict.is_isomorphic:
         return True, label + ": ok (search)"
-    return False, label + ": %s (%s)" % (verdict.status, verdict.reason)
+    return (None if verdict.status == "unknown" else False,
+            label + ": %s (%s)" % (verdict.status, verdict.reason))
 
 
 def _fmt_bind(bindings):
@@ -567,7 +570,7 @@ def verify_remark_isos(entry_ids=None, directory=None):
                                            directory=directory)
                 if ok:
                     confirmed.append(msg)
-                elif "unknown" in msg:
+                elif ok is None:
                     unconfirmed.append(msg)
                 else:
                     failed.append(msg)

@@ -28,6 +28,15 @@ class Mat:
         object.__setattr__(self, "nrows", len(rs))
         object.__setattr__(self, "ncols", w)
 
+    @staticmethod
+    def _of(rows):
+        "A Mat of rows that are already equal-length sequences of scalars."
+        m = object.__new__(Mat)
+        object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", len(rows[0]))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
@@ -63,16 +72,16 @@ class Mat:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Mat([[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)])
+        return Mat._of([[a + b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Mat([[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)])
+        return Mat._of([[a - b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows])
+        return Mat._of([[-a for a in r] for r in self.rows])
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -83,16 +92,16 @@ class Mat:
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
             cols = list(zip(*other.rows))
-            return Mat([[_dot(r, c) for c in cols] for r in self.rows])
+            return Mat._of([[_dot(r, c) for c in cols] for r in self.rows])
         s = as_scalar(other)
-        return Mat([[a * s for a in r] for r in self.rows])
+        return Mat._of([[a * s for a in r] for r in self.rows])
 
     def __rmul__(self, other):
         s = as_scalar(other)
-        return Mat([[s * a for a in r] for r in self.rows])
+        return Mat._of([[s * a for a in r] for r in self.rows])
 
     def transpose(self):
-        return Mat(list(zip(*self.rows)))
+        return Mat._of(list(zip(*self.rows)))
 
     def is_zero(self):
         return all(is_zero(a) for r in self.rows for a in r)
@@ -143,7 +152,7 @@ class Mat:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Mat(b)
+        return Mat._of(b)
 
     def rref(self):
         "Reduced row echelon form; returns (Mat, pivot column list)."
@@ -171,7 +180,7 @@ class Mat:
             r += 1
             if r == n:
                 break
-        return Mat(a), pivots
+        return Mat._of(a), pivots
 
     def rank(self):
         return len(self.rref()[1])

@@ -302,8 +302,10 @@ def find_ideals(a):
     if a.dim > 3:
         raise DimensionMismatch("ideals are found in dimension <= 3, not %d"
                                 % a.dim)
-    ops = multiplication_operators(a)
     report = IdealReport()
+    if a.dim == 1:  # the one line is the whole algebra
+        return report
+    ops = multiplication_operators(a)
     lines, fams, orbits, all_flag = common_invariant_lines(ops)
     if all_flag:
         report.all_subspaces = True

@@ -7,6 +7,9 @@ Three domains arranged in a promotion chain::
 Promotion is implicit only upward, through the arithmetic operators: each
 domain lifts the ones below it and leaves any other operand to that
 operand's reflected operator.  Everything is immutable and safe to share.
+
+A QI, and so every coefficient above it, is three ints (a, b, d) with
+value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
 """
 
 from __future__ import annotations
@@ -23,93 +26,107 @@ from .errors import (
 )
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x):
+    "(numerator, denominator) of an int or Fraction."
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise DomainMismatch("not a rational value: %r" % (x,))
 
 
 class QI:
-    """Gaussian rational re + im*i with exact Fraction parts."""
+    """Gaussian rational (a + b*i)/d stored as three ints with d > 0 and
+    gcd(a, b, d) = 1, so that equal values have equal triples.  Each
+    arithmetic operation reduces by at most one gcd; ``re``, ``im`` and
+    ``norm2()`` read the value as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:  # over lcm(q, s) the parts share no prime with d
+            (p, q), (r, s) = _ratio(re), _ratio(im)
+            d = q * s // math.gcd(q, s)
+            a, b = p * (d // q), r * (d // s)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
 
+    @property
+    def re(self):
+        "Real part as a Fraction."
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        "Imaginary part as a Fraction."
+        return Fraction(self._b, self._d)
+
     def is_zero(self):
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def conj(self):
-        return _mk(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def norm2(self):
         "re^2 + im^2 as a Fraction."
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a ** 2 + self._b ** 2, self._d ** 2)
 
     def __add__(self, other):
-        other = _coerce_qi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _mk(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            other = _coerce_qi(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_qi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _mk(self.re - other.re, self.im - other.im)
+        if type(other) is not QI:
+            other = _coerce_qi(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         other = _coerce_qi(other)
         if other is NotImplemented:
             return NotImplemented
-        return _mk(other.re - self.re, other.im - self.im)
+        return _add(other, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = _coerce_qi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return _mk(self.re * other.re, _FR0)
-        return _mk(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QI:
+            other = _coerce_qi(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        if not b2:
+            return _reduced(a1 * a2, b1 * a2, self._d * other._d)
+        if not b1:
+            return _reduced(a1 * a2, a1 * b2, self._d * other._d)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_qi(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            if not other.re:
-                raise DivisionByZero("division by zero Gaussian rational")
-            return _mk(self.re / other.re, _FR0)
-        n = other.norm2()
-        if not n:
-            raise DivisionByZero("division by zero Gaussian rational")
-        return _mk(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not QI:
+            other = _coerce_qi(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _div(self, other)
 
     def __rtruediv__(self, other):
         other = _coerce_qi(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        return _div(other, self)
 
     def __neg__(self):
-        return _mk(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -126,16 +143,16 @@ class QI:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, QI):
-            return self.re == other.re and self.im == other.im
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.re, self.im) if self._b else self.re)
 
     def __repr__(self):
         return "QI(%s)" % format_scalar(self)
@@ -144,15 +161,42 @@ class QI:
         return format_scalar(self)
 
 
-_FR0 = Fraction(0)
+_NEW = object.__new__
+_SET_A, _SET_B, _SET_D = QI._a.__set__, QI._b.__set__, QI._d.__set__
 
 
-def _mk(re, im):
-    "Internal fast constructor; parts must already be Fractions."
-    out = object.__new__(QI)
-    object.__setattr__(out, "re", re)
-    object.__setattr__(out, "im", im)
-    return out
+def _reduced(a, b, d):
+    "QI (a + b*i)/d for any d > 0, reduced by one gcd unless d = 1."
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = _NEW(QI)
+    _SET_A(z, a)
+    _SET_B(z, b)
+    _SET_D(z, d)
+    return z
+
+
+def _add(x, a, b, d):
+    "x + (a + b*i)/d, for d > 0."
+    dx = x._d
+    if dx == d:
+        return _reduced(x._a + a, x._b + b, d)
+    return _reduced(x._a * d + a * dx, x._b * d + b * dx, dx * d)
+
+
+def _div(x, y):
+    "x / y: x times (a - b*i)/(a^2 + b^2) of y's parts, one gcd."
+    a2, b2 = y._a, y._b
+    if not b2:
+        if not a2:
+            raise DivisionByZero("division by zero Gaussian rational")
+        s = y._d if a2 > 0 else -y._d
+        return _reduced(x._a * s, x._b * s, x._d * abs(a2))
+    a1, b1 = x._a * y._d, x._b * y._d
+    return _reduced(a1 * a2 + b1 * b2, b1 * a2 - a1 * b2,
+                    x._d * (a2 * a2 + b2 * b2))
 
 
 ZERO = QI(0)
@@ -161,18 +205,16 @@ I_UNIT = QI(0, 1)
 
 
 def _coerce_qi(x):
-    if isinstance(x, QI):
+    if type(x) is QI:
         return x
-    if isinstance(x, int):
-        return _mk(Fraction(x), _FR0)
-    if isinstance(x, Fraction):
-        return _mk(x, _FR0)
+    if isinstance(x, (int, Fraction)):
+        return _reduced(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
 def qi(x, im=0):
     "Coerce an int/Fraction/QI to QI."
-    if isinstance(x, QI):
+    if type(x) is QI:
         return x
     return QI(x, im)
 
@@ -536,7 +578,7 @@ Scalar = (QI, MultiPoly, RatFunc)
 
 def as_scalar(x):
     "Coerce python ints/Fractions to QI; pass scalars through."
-    if isinstance(x, Scalar):
+    if type(x) is QI or isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return QI(x)
@@ -544,6 +586,8 @@ def as_scalar(x):
 
 
 def is_zero(x):
+    if type(x) is QI:
+        return not x._a and not x._b
     if isinstance(x, (int, Fraction)):
         return x == 0
     return x.is_zero()
@@ -683,51 +727,37 @@ def _up_eval(co, x):
 # root finding and factorization over Q(i), degree <= 4
 
 
-def frac_sqrt(q):
-    "Exact square root of a nonnegative Fraction, or None."
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+def _exact_isqrt(n):
+    "The square root of an int n >= 0 if n is a perfect square, else None."
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def gaussian_sqrt(z):
-    "Exact square root of a QI inside Q(i), or None."
+    """Exact square root of a QI inside Q(i), or None.  The square roots of
+    (a + b*i)/d are those of A + B*i = (a + b*i)*d over d, and a square root
+    of a Gaussian integer in Q(i) is a Gaussian integer x + y*i, with
+    x^2 = (A + |A + B*i|)/2 and 2xy = B when B != 0."""
     z = qi(z)
-    if z.im == 0:
-        r = frac_sqrt(z.re)
-        if r is not None:
-            return QI(r)
-        r = frac_sqrt(-z.re)
-        if r is not None:
-            return QI(0, r)
+    a, b, d = z._a * z._d, z._b * z._d, z._d
+    if not b:
+        r = _exact_isqrt(abs(a))
+        if r is None:
+            return None
+        return _reduced(r, 0, d) if a >= 0 else _reduced(0, r, d)
+    n = _exact_isqrt(a * a + b * b)
+    if n is None or (a + n) % 2:
         return None
-    s = frac_sqrt(z.norm2())
-    if s is None:
+    x = _exact_isqrt((a + n) // 2)
+    if x is None or b % (2 * x):
         return None
-    u2 = (z.re + s) / 2
-    u = frac_sqrt(u2)
-    if u is None or u == 0:
-        return None
-    v = z.im / (2 * u)
-    w = QI(u, v)
-    if w * w == z:
-        return w
-    return None
+    return _reduced(x, b // (2 * x), d)
 
 
 def _clear_to_gaussian_integers(co):
-    "Scale QI coefficients to Gaussian integers; returns int pairs."
-    lcm = 1
-    for c in co:
-        for f in (c.re, c.im):
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    return [(int(c.re * lcm), int(c.im * lcm)) for c in co]
+    "Scale QI coefficients by their common denominator; returns int pairs."
+    lcm = math.lcm(*(c._d for c in co))
+    return [(c._a * (lcm // c._d), c._b * (lcm // c._d)) for c in co]
 
 
 def _gi_mul(x, y):
@@ -828,7 +858,8 @@ def qi_roots(co):
         t = QI(*_newton_lift(g, dg, x, p, bound)) / zlead
         if _up_eval(co, t).is_zero():
             roots.append(t)
-    return sorted(roots, key=lambda z: (z.re, z.im))
+    keys = _clear_to_gaussian_integers(roots)
+    return [z for _, z in sorted(zip(keys, roots), key=lambda kz: kz[0])]
 
 
 def _split_quartic(co):

@@ -7,6 +7,7 @@ from lsacat import catalog, cli
 from lsacat.algebra import multiply
 from lsacat.errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
                            UnknownId)
+from lsacat.iso import IsoVerdict
 from lsacat.linalg import basis_vec, vec_eq
 from lsacat.scalars import QI
 
@@ -151,6 +152,20 @@ def test_remark_isos_all_confirmed(remark_isos):
     assert failed == []
     assert unconfirmed == []
     assert len(confirmed) >= 90
+
+
+@pytest.mark.parametrize("verdict, bucket", [
+    (IsoVerdict("not_isomorphic", reason="unknown invariant differs"), 2),
+    (IsoVerdict("unknown", reason="budget exhausted"), 1),
+])
+def test_remark_isos_classified_by_verdict(monkeypatch, verdict, bucket):
+    "The verdict's status, not the words of its reason, picks the list."
+    monkeypatch.setattr(catalog, "search_lsa_iso", lambda a, b: verdict)
+    lists = catalog.verify_remark_isos(entry_ids={"N-3"})
+    assert [len(l) for l in lists] == [1 if k == bucket else 0
+                                       for k in range(3)]
+    assert lists[bucket][0].endswith(
+        ": %s (%s)" % (verdict.status, verdict.reason))
 
 
 def test_source_cocycles_all_valid(full_catalog):

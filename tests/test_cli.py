@@ -212,6 +212,23 @@ def test_catalog_verify_all_follows_entry():
     assert "remark coincidences: 1 confirmed, 0 unconfirmed, 0 failed" in out
 
 
+def test_catalog_verify_all_output():
+    "The whole catalog run, pinned line by line."
+    code, out = run(["catalog-verify", "--all"])
+    assert code == 0
+    assert out.splitlines() == [
+        "D1: 12/12 classes verified",
+        "Dl: 32/32 classes verified",
+        "E: 9/9 classes verified",
+        "H: 10/10 classes verified",
+        "N: 45/45 classes verified",
+        "entry/sample pairs: 258, failures: 0",
+        "remark coincidences: 97 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 0",
+    ]
+    assert out.endswith("\n")
+
+
 def test_package_has_no_dead_private_functions():
     "Every module-level _name function in src/lsacat is used somewhere in it."
     pkg = os.path.join(SRC, "lsacat")

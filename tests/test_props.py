@@ -126,6 +126,18 @@ def test_zero_algebra_rejected():
         is_semisimple(Algebra.zero(3))
 
 
+def test_one_dimensional_algebra_is_simple():
+    # C: e1 e1 = e1; its one line is the whole algebra, not a proper ideal
+    a = Algebra.from_products(1, {(0, 0): [(1, 0)]})
+    assert not find_ideals(a).has_proper_ideal()
+    assert is_simple(a)
+    assert is_semisimple(a) == (True, [[basis_vec(1, 0)]])
+    with pytest.raises(ZeroAlgebra):
+        is_simple(Algebra.zero(1))
+    with pytest.raises(ZeroAlgebra):
+        is_semisimple(Algebra.zero(1))
+
+
 def test_simplicity_oracle(first_samples):
     rng = random.Random(61)
     for entry, bindings, alg in first_samples:

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsacat import scalars
 from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
@@ -244,3 +246,123 @@ def test_scalar_literal_rejects_malformed():
         parse_scalar("l+", vars=("l",))
     with pytest.raises(UnboundVariable):
         parse_scalar("q", vars=("l",))
+
+
+# ---------------------------------------------------------------------------
+# QI against an independent model: a pair of Fractions (re, im) and the
+# textbook formulas for Q(i).
+
+_BIG = 10 ** 30
+_nonzero_int = st.integers(-_BIG, _BIG).filter(bool)
+rational_part = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-_BIG, _BIG),
+    # 30-digit parts, some given with a negative denominator
+    st.builds(Fraction, st.integers(-_BIG, _BIG), _nonzero_int),
+)
+model = st.tuples(rational_part, rational_part)
+nonzero_model = model.filter(lambda m: m[0] or m[1])
+
+
+def as_pair(z):
+    return z.re, z.im
+
+
+def m_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def m_div(x, y):
+    n = Fraction(y[0] * y[0] + y[1] * y[1])
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def m_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = m_mul(out, x)
+    return m_div((1, 0), out) if n < 0 else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(model, model)
+def test_qi_arithmetic_matches_fraction_pairs(x, y):
+    zx, zy = QI(*x), QI(*y)
+    assert as_pair(zx) == x
+    assert as_pair(zx + zy) == (x[0] + y[0], x[1] + y[1])
+    assert as_pair(zx - zy) == (x[0] - y[0], x[1] - y[1])
+    assert as_pair(zx * zy) == m_mul(x, y)
+    assert as_pair(-zx) == (-x[0], -x[1])
+    assert as_pair(zx.conj()) == (x[0], -x[1])
+    assert zx.norm2() == x[0] * x[0] + x[1] * x[1]
+    assert isinstance(zx.re, Fraction) and isinstance(zx.norm2(), Fraction)
+    if y[0] or y[1]:
+        assert as_pair(zx / zy) == m_div(x, y)
+    else:
+        with pytest.raises(DivisionByZero):
+            zx / zy
+    # a real int or Fraction operand on either side
+    r = y[0]
+    assert as_pair(zx + r) == as_pair(r + zx) == (x[0] + r, x[1])
+    assert as_pair(zx - r) == (x[0] - r, x[1])
+    assert as_pair(r - zx) == (r - x[0], -x[1])
+    assert as_pair(zx * r) == as_pair(r * zx) == (x[0] * r, x[1] * r)
+    if r:
+        assert as_pair(zx / r) == (Fraction(x[0]) / r, Fraction(x[1]) / r)
+    if x[0] or x[1]:
+        assert as_pair(r / zx) == m_div((r, 0), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_model, st.integers(-3, 3))
+def test_qi_powers_match_fraction_pairs(x, n):
+    assert as_pair(QI(*x) ** n) == m_pow(x, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model, model)
+def test_qi_equality_hash_and_text(x, y):
+    zx, zy = QI(*x), QI(*y)
+    assert (zx == zy) == (x == y)
+    for r in (y[0], Fraction(y[0]), int(y[0])):
+        assert (zx == r) == (x[1] == 0 and x[0] == r)
+    if x[1]:
+        assert hash(zx) == hash((Fraction(x[0]), Fraction(x[1])))
+    else:
+        assert hash(zx) == hash(Fraction(x[0]))
+        if Fraction(x[0]).denominator == 1:
+            assert hash(zx) == hash(int(x[0]))
+    assert parse_scalar(str(zx)) == zx
+    # equal values reached by different routes have one canonical form
+    for same in (zx + zy - zy, zx * zy / zy if y[0] or y[1] else zx,
+                 QI(Fraction(x[0]) * 6, Fraction(x[1]) * 6) / 6):
+        assert same == zx
+        assert (str(same), repr(same), hash(same)) == (
+            str(zx), repr(zx), hash(zx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model)
+def test_gaussian_sqrt_of_squares_and_non_squares(x):
+    z = QI(*x)
+    w = gaussian_sqrt(z * z)
+    assert w * w == z * z
+    assert w.re > 0 or (w.re == 0 and w.im >= 0)
+    if not z.is_zero():
+        # 2 and i are not squares in Q(i)
+        assert gaussian_sqrt(z * z * 2) is None
+        assert gaussian_sqrt(z * z * QI(0, 1)) is None
+
+
+def test_qi_errors_and_immutability():
+    z = QI(Fraction(1, 2), 3)
+    for bad in (lambda: z / 0, lambda: z / QI(0), lambda: 1 / QI(0),
+                lambda: QI(0) ** -1, lambda: Fraction(1, 3) / QI(0, 0)):
+        with pytest.raises(DivisionByZero,
+                           match="division by zero Gaussian rational"):
+            bad()
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+    assert z == QI(Fraction(1, 2), 3)
