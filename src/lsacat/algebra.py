@@ -3,7 +3,9 @@
 An Algebra stores the full multiplication table c[i][j] = coordinates of
 e_i e_j, which is exactly the characteristic-matrix reading: entry (i, j)
 of the printed table is the product (left factor e_i) * (right factor e_j).
-Vectors are plain coordinate lists in the algebra's basis.
+Vectors are plain coordinate lists in the algebra's basis.  Associators
+and the operators of basis vectors are read off c with no products of
+basis vectors, and products skip zero coordinates and zero constants.
 
 A LieAlgebra is the same table with an antisymmetric product, the bracket
 c[i][j] = [e_i, e_j]; multiply, rebase and left_matrix (ad) apply to it
@@ -144,10 +146,8 @@ def multiply(a, x, y):
         if is_zero(xi):
             continue
         for j, yj in enumerate(y):
-            if is_zero(yj):
-                continue
-            f = xi * yj
-            out = vec_add(out, [f * ck for ck in a.c[i][j]])
+            if not is_zero(yj):
+                _add_scaled(out, xi * yj, a.c[i][j])
     return out
 
 
@@ -158,10 +158,17 @@ def associator(a, x, y, z):
 
 
 def basis_associator(a, i, j, k):
-    xy_z = multiply(a, a.product(i, j), basis_vec(a.dim, k))
-    y_z = a.product(j, k)
-    x_yz = multiply(a, basis_vec(a.dim, i), y_z)
-    return vec_sub(xy_z, x_yz)
+    """(e_i e_j) e_k - e_i (e_j e_k), read off the structure constants as
+    sum_p c_ij^p c_pk - sum_p c_jk^p c_ip."""
+    c = a.c
+    out = vec_zero(a.dim)
+    for p, x in enumerate(c[i][j]):
+        if not is_zero(x):
+            _add_scaled(out, x, c[p][k])
+    for p, x in enumerate(c[j][k]):
+        if not is_zero(x):
+            _add_scaled(out, -x, c[i][p])
+    return out
 
 
 def check_left_symmetric(a):
@@ -197,15 +204,23 @@ def commutator_lie(a):
 def left_matrix(a, x):
     "Column-convention matrix of L_x: column j holds coords of x * e_j."
     _conform(a, x)
-    cols = [multiply(a, x, basis_vec(a.dim, j)) for j in range(a.dim)]
-    return Mat(list(zip(*cols)))
+    return _operator(x, [[row[j] for row in a.c] for j in range(a.dim)])
 
 
 def right_matrix(a, x):
     "Column-convention matrix of R_x: column j holds coords of e_j * x."
     _conform(a, x)
-    cols = [multiply(a, basis_vec(a.dim, j), x) for j in range(a.dim)]
-    return Mat(list(zip(*cols)))
+    return _operator(x, a.c)
+
+
+def multiplication_operators(a):
+    """L_{e_1}, ..., L_{e_n}, then R_{e_1}, ..., R_{e_n}, read off the
+    table: entry (k, j) of L_{e_i} is c_ij^k and of R_{e_i} is c_ji^k."""
+    n, c = a.dim, a.c
+    return ([Mat([[c[i][j][k] for j in range(n)] for k in range(n)])
+             for i in range(n)]
+            + [Mat([[c[j][i][k] for j in range(n)] for k in range(n)])
+               for i in range(n)])
 
 
 def check_left_regular(a):
@@ -214,7 +229,7 @@ def check_left_regular(a):
     Equivalent to check_left_symmetric; kept as an independent route.
     """
     n = a.dim
-    lmats = [left_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
+    lmats = multiplication_operators(a)[:n]
     for i in range(n):
         for j in range(i + 1, n):
             bracket_vec = vec_sub(a.product(i, j), a.product(j, i))
@@ -250,6 +265,23 @@ def substitute_algebra(a, bindings):
     table = [[[substitute(x, bindings) for x in a.c[i][j]]
               for j in range(n)] for i in range(n)]
     return Algebra(table, a.basis_names)
+
+
+def _add_scaled(out, f, v):
+    "out += f v in place, skipping the zero coordinates of v."
+    for k, vk in enumerate(v):
+        if not is_zero(vk):
+            out[k] = out[k] + f * vk
+
+
+def _operator(x, cells):
+    "Column-convention matrix whose column j is sum_i x_i cells[j][i]."
+    cols = [vec_zero(len(x)) for _ in cells]
+    for col, cell in zip(cols, cells):
+        for xi, v in zip(x, cell):
+            if not is_zero(xi):
+                _add_scaled(col, xi, v)
+    return Mat(list(zip(*cols)))
 
 
 def _conform(a, x):

@@ -22,18 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, left_matrix, multiply, rebase
-from .errors import (DimensionMismatch, LsaError, NotDimension3,
-                     SingularWitness)
+from .algebra import LieAlgebra, multiplication_operators, multiply, rebase
+from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     vec_eq, vec_is_zero, vec_scale)
+                     trace_of_product, vec_eq, vec_is_zero, vec_scale)
 from .scalars import ONE, QI, ZERO, MultiPoly, gaussian_sqrt, is_zero, qi
 
 
 def killing_form(g):
     "Killing form K(x,y) = tr(ad x ad y) on basis pairs; (matrix, rank)."
-    ads = [left_matrix(g, basis_vec(g.dim, i)) for i in range(g.dim)]
-    k = Mat([[(ads[i] * ads[j]).trace() for j in range(g.dim)]
+    ads = multiplication_operators(g)[:g.dim]
+    k = Mat([[trace_of_product(ads[i], ads[j]) for j in range(g.dim)]
              for i in range(g.dim)])
     return k, k.rank()
 
@@ -42,9 +41,7 @@ def check_lie_automorphism(g, t):
     "True iff t is invertible and preserves all basis brackets."
     if not (t.is_square() and t.nrows == g.dim):
         raise DimensionMismatch("automorphism candidate has wrong shape")
-    try:
-        t.inverse()
-    except SingularWitness:
+    if is_zero(t.det()):
         return False
     for i in range(g.dim):
         for j in range(i + 1, g.dim):

@@ -233,6 +233,18 @@ class Mat:
             "[%s]" % ",".join(format_scalar(x) for x in r) for r in self.rows)
 
 
+def trace_of_product(x, y):
+    "tr(XY) as the sum of X[p][q] Y[q][p], without forming XY."
+    if x.ncols != y.nrows or x.nrows != y.ncols:
+        raise DimensionMismatch("trace of a non-square product")
+    out = ZERO
+    for xr, yc in zip(x.rows, zip(*y.rows)):
+        for u, v in zip(xr, yc):
+            if not is_zero(u) and not is_zero(v):
+                out = out + u * v
+    return out
+
+
 def _dot(xs, ys):
     out = None
     for x, y in zip(xs, ys):

@@ -12,7 +12,9 @@ descent they span the Q(i)-rational W = ker f(M), and they are invariant
 iff every operator maps W into W and commutes with M on W.  Conjugate
 lines are reported once, as the orbit (basis of W, f), so no extension
 field is built.  2-dimensional ideals are found dually via the transposed
-operators acting on covectors.
+operators acting on covectors.  Predicates and fingerprints read
+associators and basis operators off the structure constants, and trace
+forms tr(XY) from linalg.trace_of_product without forming XY.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (Algebra, basis_associator, check_left_symmetric,
-                      commutator_lie, left_matrix, multiply, right_matrix)
+                      commutator_lie, multiplication_operators, multiply,
+                      right_matrix)
 from .errors import DimensionMismatch, LsaError, ZeroAlgebra
 from .lie import classify3
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     vec_add, vec_eq, vec_is_zero)
+                     trace_of_product, vec_add, vec_eq, vec_is_zero)
 from .scalars import ONE, QI, MultiPoly, factor_unipoly, is_zero
 
 
@@ -44,7 +47,7 @@ def is_commutative(a):
 def is_novikov(a):
     "All right multiplications commute pairwise."
     n = a.dim
-    rm = [right_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
+    rm = multiplication_operators(a)[n:]
     return all((rm[i] * rm[j]) == (rm[j] * rm[i])
                for i in range(n) for j in range(i + 1, n))
 
@@ -288,12 +291,6 @@ def _combine(b1, s, b2, t):
     return [s * x + t * y for x, y in zip(b1, b2)]
 
 
-def multiplication_operators(a):
-    n = a.dim
-    return ([left_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
-            + [right_matrix(a, basis_vec(a.dim, i)) for i in range(n)])
-
-
 def find_ideals(a):
     """All proper nonzero two-sided ideals over C of an algebra of dimension
     <= 3 over Q(i); infinite families are reported via flags with
@@ -512,6 +509,7 @@ class Fingerprint:
     dims: dict
     ranks: dict
     lie_class: tuple
+    lie: object = field(default=None, compare=False, repr=False)  # LieClass
 
     def differing_field(self, other):
         "First component where the two fingerprints disagree, or None."
@@ -548,15 +546,15 @@ def _annihilator_dims(a):
 def fingerprint(a):
     "Isomorphism-invariant summary used to separate non-isomorphic tables."
     n = a.dim
-    lm = [left_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
-    rm = [right_matrix(a, basis_vec(a.dim, i)) for i in range(n)]
+    ops = multiplication_operators(a)
+    lm, rm = ops[:n], ops[n:]
     prod_span = len(span_basis(
         [list(a.c[i][j]) for i in range(n) for j in range(n)
          if not vec_is_zero(a.c[i][j])], n))
     al, ar, ab = _annihilator_dims(a)
-    bil_ll = Mat([[(lm[i] * lm[j]).trace() for j in range(n)] for i in range(n)])
-    bil_rr = Mat([[(rm[i] * rm[j]).trace() for j in range(n)] for i in range(n)])
-    bil_lr = Mat([[(lm[i] * rm[j]).trace() for j in range(n)] for i in range(n)])
+    bil_ll, bil_rr, bil_lr = (
+        Mat([[trace_of_product(x, y) for y in ys] for x in xs])
+        for xs, ys in ((lm, lm), (rm, rm), (lm, rm)))
     ls, _ = check_left_symmetric(a)
     flags = {
         "left_symmetric": ls,
@@ -577,7 +575,8 @@ def fingerprint(a):
         "tr_rr": bil_rr.rank(),
         "tr_lr": bil_lr.rank(),
     }
-    lie_class = ("n/a",)
+    lie_class, lie = ("n/a",), None
     if ls and n == 3:
-        lie_class = classify3(commutator_lie(a)).key()
-    return Fingerprint(flags, dims, ranks, lie_class)
+        lie = classify3(commutator_lie(a))
+        lie_class = lie.key()
+    return Fingerprint(flags, dims, ranks, lie_class, lie)

@@ -1111,6 +1111,36 @@ def _tokenize(text):
     return toks
 
 
+# The parser refuses a power whose value would outgrow these bounds, so
+# that a short literal such as ((3+2*i)^300)^300 cannot take time
+# exponential in its length.  The shipped data use exponents up to 8.
+_MAX_POWER_BITS = 4096      # bits of each part of a Gaussian rational
+_MAX_POWER_DEGREE = 64      # total degree of a polynomial
+_MAX_POWER_TERMS = 1000     # terms of a polynomial
+
+
+def _check_power_size(base, e):
+    "UnboundVariable unless base^e (or base^-e) stays within the bounds."
+    if isinstance(base, RatFunc):
+        polys = (base.num, base.den)
+    else:
+        polys = (base if isinstance(base, MultiPoly) else MultiPoly.const(base),)
+    for p in polys:
+        if (e * p.total_degree() > _MAX_POWER_DEGREE
+                or math.comb(max(len(p.terms), 1) + e - 1, e)
+                > _MAX_POWER_TERMS):
+            raise UnboundVariable("power ^%d of a polynomial exceeds degree "
+                                  "%d or %d terms" % (e, _MAX_POWER_DEGREE,
+                                                      _MAX_POWER_TERMS))
+        for c in p.terms.values():
+            # twice the bits one factor of c adds to the parts of c^e
+            growth = max((c._a ** 2 + c._b ** 2 - 1).bit_length(),
+                         2 * (c._d - 1).bit_length())
+            if e * growth > 2 * _MAX_POWER_BITS:
+                raise UnboundVariable("power ^%d exceeds %d bits"
+                                      % (e, _MAX_POWER_BITS))
+
+
 class _Parser:
     def __init__(self, toks, vars):
         self.toks = toks
@@ -1158,6 +1188,7 @@ class _Parser:
                 self.take()
                 neg = True
             e = self.take("int").val
+            _check_power_size(base, e)
             out = base ** e
             if neg:
                 out = ONE / out

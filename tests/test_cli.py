@@ -158,11 +158,96 @@ def test_iso_search(tmp_path):
     assert "verdict: isomorphic" in out
 
 
+H1_FINGERPRINT = [
+    "flag associative: no", "flag bisymmetric: no", "flag commutative: no",
+    "flag left_symmetric: yes", "flag novikov: yes", "flag transitive: no",
+    "dim ann_left: 0", "dim ann_right: 0", "dim ann_two_sided: 0",
+    "dim product_span: 3", "rank tr_ll: 1", "rank tr_lr: 1", "rank tr_rr: 1",
+    "lie_class: ('Heisenberg', None)"]
+
+
 def test_fingerprint_output():
     code, out = run(["fingerprint", sample("h1.alg")])
     assert code == 0
-    assert "dim product_span: 3" in out
-    assert "lie_class: ('Heisenberg', None)" in out
+    assert out.splitlines() == H1_FINGERPRINT
+    assert out.endswith("\n")
+
+
+# documents whose whole check/fingerprint output is pinned below
+DOCS = {
+    "h1": None,  # the shipped sample
+    "ratfunc": ("kind algebra dim 3 domain ratfunc\nparams l ne -1\n"
+                "e3 e2 = e2\ne3 e3 = l/(l+1) e3 + l^2 e1\n"),
+    "dim2": "kind algebra dim 2 domain gaussian\ne2 e1 = e1\ne2 e2 = e2\n",
+}
+FULL_OUTPUT = {
+    ("check", "h1"): (0, [
+        "left_symmetric: yes", "lie_class: Heisenberg", "associative: no",
+        "transitive: no", "novikov: yes", "bisymmetric: no", "simple: no",
+        "semisimple: no"]),
+    ("fingerprint", "h1"): (0, H1_FINGERPRINT),
+    ("check", "ratfunc"): (2, [
+        "parametric table: instantiate before checking"]),
+    ("fingerprint", "ratfunc"): (0, [
+        "flag associative: no", "flag bisymmetric: no",
+        "flag commutative: no", "flag left_symmetric: yes",
+        "flag novikov: no", "flag transitive: no", "dim ann_left: 2",
+        "dim ann_right: 1", "dim ann_two_sided: 1", "dim product_span: 2",
+        "rank tr_ll: 1", "rank tr_lr: 1", "rank tr_rr: 1",
+        "lie_class: ('N', None)"]),
+    ("check", "dim2"): (0, [
+        "left_symmetric: yes", "associative: yes", "transitive: no",
+        "novikov: no", "bisymmetric: yes"]),
+    ("fingerprint", "dim2"): (0, [
+        "flag associative: yes", "flag bisymmetric: yes",
+        "flag commutative: no", "flag left_symmetric: yes",
+        "flag novikov: no", "flag transitive: no", "dim ann_left: 1",
+        "dim ann_right: 0", "dim ann_two_sided: 0", "dim product_span: 2",
+        "rank tr_ll: 1", "rank tr_lr: 1", "rank tr_rr: 1",
+        "lie_class: ('n/a',)"]),
+}
+
+
+@pytest.mark.parametrize("command,doc", sorted(FULL_OUTPUT))
+def test_full_output(tmp_path, command, doc):
+    "The whole stdout of check and fingerprint, line by line."
+    path = sample("h1.alg")
+    if DOCS[doc] is not None:
+        path = tmp_path / ("%s.alg" % doc)
+        path.write_text(DOCS[doc])
+    code, out = run([command, str(path)])
+    assert (code, out.splitlines()) == FULL_OUTPUT[command, doc]
+    assert out.endswith("\n")
+
+
+def test_iso_search_witness_line(tmp_path):
+    """H-1 against a signed permutation times a shear of itself: no cheap
+    candidate fits, so the witness comes from the automorphism search."""
+    b = tmp_path / "h1_moved.alg"
+    b.write_text("kind algebra dim 3 domain gaussian\n"
+                 "e1 e2 = e1\ne2 e1 = e1 - e3\ne2 e2 = e2 - 2 e3\n"
+                 "e2 e3 = e3\ne3 e2 = e3\n")
+    code, out = run(["iso", "--search", sample("h1.alg"), str(b)])
+    assert code == 0
+    assert out.splitlines() == ["verdict: isomorphic",
+                                "witness: [[0,1,2],[1,0,1],[0,0,-1]]"]
+
+
+def test_oversized_power_in_document_exits_2(tmp_path):
+    p = tmp_path / "big.alg"
+    p.write_text("kind algebra dim 1 domain gaussian\n"
+                 "e1 e1 = (3/7+2*i)^200000 e1\n")
+    code, out = run(["check", str(p)])
+    assert code == 2
+    assert out.startswith("bad document ") and "line 2" in out
+
+
+def test_oversized_nested_power_parameter_exits_2():
+    "A cap on each exponent alone would let ^300 of ^300 through."
+    code, out = run(["catalog-verify", "--entry", "N-3",
+                     "--param", "mu=((3+2*i)^300)^300"])
+    assert code == 2
+    assert out.startswith("catalog error: power ")
 
 
 def test_catalog_verify_family_h():

@@ -1,0 +1,198 @@
+"""The structure-constant kernels against naive triple-index sums.
+
+multiply, basis_associator, left_matrix, right_matrix and trace_of_product
+read the table c[i][j][k] (coordinate k of e_i e_j) directly and skip
+zeros.  The oracles below sum over every index with no skipping, build
+nothing but basis products, and are checked on random tables in
+dimensions 1..4 that need not be left-symmetric, some with MultiPoly
+entries, and on every catalog entry at its first sample."""
+
+import pytest
+
+from lsacat.algebra import (Algebra, basis_associator, check_left_symmetric,
+                            left_matrix, multiply, right_matrix)
+from lsacat.linalg import Mat, trace_of_product
+from lsacat.props import (is_associative, is_bisymmetric, is_commutative,
+                          is_novikov, is_transitive)
+from lsacat.scalars import ZERO, MultiPoly, QI
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def naive_product(c, x, y):
+    n = len(c)
+    return [sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)),
+                ZERO) for k in range(n)]
+
+
+def basis(n, i):
+    return [QI(1) if k == i else QI(0) for k in range(n)]
+
+
+def naive_associator(c, i, j, k):
+    n = len(c)
+    ei, ej, ek = basis(n, i), basis(n, j), basis(n, k)
+    return [p - q for p, q in zip(
+        naive_product(c, naive_product(c, ei, ej), ek),
+        naive_product(c, ei, naive_product(c, ej, ek)))]
+
+
+def naive_operator(c, x, left):
+    "Column j is x e_j (left) or e_j x (right)."
+    n = len(c)
+    cols = [naive_product(c, x, basis(n, j)) if left
+            else naive_product(c, basis(n, j), x) for j in range(n)]
+    return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def same(xs, ys):
+    return len(xs) == len(ys) and all(x == y for x, y in zip(xs, ys))
+
+
+def is_zero_vec(v):
+    return all(x == 0 for x in v)
+
+
+# ---------------------------------------------------------------------------
+# random tables
+
+small_qi = st.builds(QI, st.integers(-3, 3), st.integers(-2, 2))
+sparse_qi = st.one_of(st.just(QI(0)), st.just(QI(0)), small_qi)
+
+
+@st.composite
+def scalars(draw, symbolic):
+    x = draw(sparse_qi)
+    if symbolic and draw(st.booleans()):
+        s, t = MultiPoly.var("s"), MultiPoly.var("t")
+        x = x + draw(small_qi) * s ** draw(st.integers(0, 2)) * t
+    return x
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 4))
+    symbolic = draw(st.booleans())
+    # a third of the tables have c_ij^k = 0 unless k > max(i, j): every
+    # R_x is then strictly triangular, so the table is transitive
+    shaped = draw(st.integers(0, 2)) == 0
+    return [[[draw(scalars(symbolic)) if not shaped or k > max(i, j)
+              else QI(0) for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def table_and_vectors(draw):
+    c = draw(tables())
+    n = len(c)
+    vec = st.lists(draw(st.sampled_from([sparse_qi, scalars(True)])),
+                   min_size=n, max_size=n)
+    return c, draw(vec), draw(vec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(table_and_vectors())
+def test_products_and_operators_match_triple_sums(case):
+    c, x, y = case
+    a = Algebra(c)
+    n = a.dim
+    assert same(multiply(a, x, y), naive_product(c, x, y))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert same(basis_associator(a, i, j, k),
+                            naive_associator(c, i, j, k))
+    lx, rx = left_matrix(a, x), right_matrix(a, x)
+    assert lx == Mat(naive_operator(c, x, True))
+    assert rx == Mat(naive_operator(c, x, False))
+    assert trace_of_product(lx, rx) == (lx * rx).trace()
+    assert trace_of_product(rx, rx) == (rx * rx).trace()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_trace_of_product_of_rectangular_matrices(p, q, data):
+    entries = data.draw(st.lists(scalars(True), min_size=2 * p * q,
+                                 max_size=2 * p * q))
+    x = Mat([entries[r * q:(r + 1) * q] for r in range(p)])
+    y = Mat([entries[p * q + r * p:p * q + (r + 1) * p] for r in range(q)])
+    assert trace_of_product(x, y) == (x * y).trace()
+    assert trace_of_product(y, x) == (y * x).trace()
+
+
+def naive_certificate(c):
+    "First (i, j, k), i < j, in loop order where assoc(i,j,k) != assoc(j,i,k)."
+    n = len(c)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                d = [p - q for p, q in zip(naive_associator(c, i, j, k),
+                                           naive_associator(c, j, i, k))]
+                if not is_zero_vec(d):
+                    return False, (i, j, k, d)
+    return True, None
+
+
+def naive_flags(c):
+    n = len(c)
+    triples = [(i, j, k) for i in range(n) for j in range(n)
+               for k in range(n)]
+    e = [basis(n, i) for i in range(n)]
+
+    def prod(u, v):
+        return naive_product(c, u, v)
+    # R_x is nilpotent for x with symbolic coordinates iff it is for every x
+    xs = [MultiPoly.var("x%d" % (k + 1)) for k in range(n)]
+    r = Mat(naive_operator(c, xs, False))
+    power = r
+    for _ in range(n - 1):
+        power = power * r
+    return {
+        "associative": all(is_zero_vec(naive_associator(c, *t))
+                           for t in triples),
+        "novikov": all(same(prod(prod(e[i], e[j]), e[k]),
+                            prod(prod(e[i], e[k]), e[j]))
+                       for i, j, k in triples),
+        "bisymmetric": all(same(naive_associator(c, i, j, k),
+                                naive_associator(c, i, k, j))
+                           for i, j, k in triples),
+        "commutative": all(same(prod(e[i], e[j]), prod(e[j], e[i]))
+                           for i in range(n) for j in range(n)),
+        "transitive": power.is_zero(),
+    }
+
+
+def flags(a):
+    return {"associative": is_associative(a), "novikov": is_novikov(a),
+            "bisymmetric": is_bisymmetric(a),
+            "commutative": is_commutative(a), "transitive": is_transitive(a)}
+
+
+def check_against_definitions(c):
+    a = Algebra(c)
+    ok, cert = check_left_symmetric(a)
+    want_ok, want_cert = naive_certificate(c)
+    assert ok == want_ok
+    if not ok:
+        assert cert[:3] == want_cert[:3] and same(cert[3], want_cert[3])
+    assert flags(a) == naive_flags(c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tables())
+def test_left_symmetry_and_predicates_match_definitions(c):
+    check_against_definitions(c)
+
+
+def test_catalog_tables_match_definitions(first_samples):
+    """Every catalog table is left-symmetric, none is commutative, and the
+    other predicates vary over them."""
+    seen = set()
+    for _e, _b, alg in first_samples:
+        c = [[list(alg.c[i][j]) for j in range(alg.dim)]
+             for i in range(alg.dim)]
+        check_against_definitions(c)
+        seen |= {name for name, v in flags(alg).items() if v}
+    assert seen == {"associative", "novikov", "bisymmetric", "transitive"}

@@ -248,6 +248,26 @@ def test_scalar_literal_rejects_malformed():
         parse_scalar("q", vars=("l",))
 
 
+@pytest.mark.parametrize("text", [
+    "(3/7+2*i)^1000000", "((3+2*i)^300)^300", "(1+i)^8193", "2^-4097",
+    "(l+1)^65", "(l/(m+1))^65", "(l+m+1)^60"])
+def test_scalar_literal_rejects_oversized_powers(text):
+    "A power whose value would outgrow the parser's bounds fails at once."
+    t0 = time.perf_counter()
+    with pytest.raises(UnboundVariable):
+        parse_scalar(text)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_scalar_literal_keeps_powers_within_bounds():
+    assert parse_scalar("10^30") == QI(10 ** 30)
+    assert parse_scalar("(1+i)^8192") == QI(2 ** 4096)  # (2i)^4096
+    assert parse_scalar("2^-4096") == QI(Fraction(1, 2 ** 4096))
+    assert parse_scalar("i^100001") == QI(0, 1)
+    assert parse_scalar("0^0") == parse_scalar("(l-l)^0") == QI(1)
+    assert parse_scalar("(l+1)^64").total_degree() == 64
+
+
 # ---------------------------------------------------------------------------
 # QI against an independent model: a pair of Fractions (re, im) and the
 # textbook formulas for Q(i).
