@@ -151,6 +151,15 @@ def multiply(a, x, y):
     return out
 
 
+def hom_defects(a, b, f):
+    """F(e_i e_j) - F(e_i) F(e_j) for each basis pair (i, j) in turn, where
+    row i of f is F(e_i); all are zero iff F is a homomorphism a -> b."""
+    for i in range(a.dim):
+        fi = f.row(i)
+        for j in range(a.dim):
+            yield vec_sub(f.apply_row(a.c[i][j]), multiply(b, fi, f.row(j)))
+
+
 def associator(a, x, y, z):
     "(x y) z - x (y z)."
     return vec_sub(multiply(a, multiply(a, x, y), z),

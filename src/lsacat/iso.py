@@ -2,12 +2,12 @@
 
 An isomorphism witness F is a row-convention matrix: row i holds the
 image of e_i, and F(x*y) = F(x)*F(y) is checked on basis pairs.  The
-search canonicalizes both sides onto the canonical sub-adjacent Lie
-table and then draws candidates from the family's parametric
-automorphism group: the "diagonal block" parameters run over a small
-exact grid while the remaining parameters are solved from the linear
-part of the homomorphism equations.  Completeness is not claimed;
-Unknown is a first-class outcome.
+search rebases both sides onto the canonical sub-adjacent Lie table.
+Equal rebased tables give the witness at once; otherwise candidates come
+from the Lie class's parametric automorphism group (lie.aut_template),
+with the parameters solved from the homomorphism equations where they
+pin them and branched over a small exact pool where they do not.
+Completeness is not claimed; Unknown is a first-class outcome.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import commutator_lie, multiply, rebase
+from .algebra import commutator_lie, hom_defects, rebase
 from .errors import LsaError, SingularWitness
 from .lie import aut_components, aut_template, classify3
-from .linalg import Mat, vec_eq
+from .linalg import Mat, vec_is_zero
 from .props import fingerprint
-from .scalars import ONE, QI, ZERO, is_zero, partial_substitute
+from .scalars import ONE, QI, ZERO, is_zero, partial_substitute, qi_roots
 
 
 def verify_lsa_iso(a, b, f):
@@ -29,13 +29,7 @@ def verify_lsa_iso(a, b, f):
         raise SingularWitness("isomorphism witness is singular")
     if a.dim != b.dim or f.nrows != a.dim:
         return False
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = f.apply_row(a.product(i, j))
-            rhs = multiply(b, f.row(i), f.row(j))
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    return all(vec_is_zero(d) for d in hom_defects(a, b, f))
 
 
 @dataclass
@@ -49,16 +43,17 @@ class IsoVerdict:
         return self.status == "isomorphic"
 
 
-_TIER0 = [QI(1), QI(-1)]
-_TIER1 = [QI(1), QI(-1), QI(2), QI(-2), QI(Fraction(1, 2)),
-          QI(Fraction(-1, 2)), QI(0)]
-_TIER2 = _TIER1 + [
+# Values tried, in this order, for an unknown that the equations leave
+# free: small heights first, 0 last.
+_POOL = (
+    QI(1), QI(-1), QI(2), QI(-2), QI(Fraction(1, 2)), QI(Fraction(-1, 2)),
     QI(0, 1), QI(0, -1), QI(3), QI(-3), QI(Fraction(1, 3)),
     QI(Fraction(-1, 3)), QI(Fraction(3, 2)), QI(Fraction(-3, 2)),
     QI(Fraction(2, 3)), QI(Fraction(-2, 3)), QI(4), QI(-4),
     QI(Fraction(1, 4)), QI(Fraction(-1, 4)), QI(Fraction(3, 4)),
-    QI(Fraction(4, 3)), QI(1, 1), QI(1, -1), QI(0, 2), QI(Fraction(0), Fraction(1, 2)),
-]
+    QI(Fraction(4, 3)), QI(1, 1), QI(1, -1), QI(0, 2),
+    QI(0, Fraction(1, 2)), QI(0),
+)
 
 
 def _tag_to_family(cls):
@@ -71,31 +66,9 @@ def _tag_to_family(cls):
     return None
 
 
-def _special_candidates(n):
-    "Cheap witnesses tried before any grid work."
-    mats = [Mat.identity(n)]
-    if n == 3:
-        for d1 in (1, -1):
-            for d2 in (1, -1):
-                for d3 in (1, -1):
-                    mats.append(Mat([[d1, 0, 0], [0, d2, 0], [0, 0, d3]]))
-                    mats.append(Mat([[0, d1, 0], [d2, 0, 0], [0, 0, d3]]))
-    return mats
-
-
 def _hom_equations(a, b, template):
     "Homomorphism defect polynomials for a parametric witness template."
-    n = a.dim
-    eqs = []
-    for i in range(n):
-        for j in range(n):
-            lhs = template.apply_row(a.product(i, j))
-            rhs = multiply(b, template.row(i), template.row(j))
-            for k in range(n):
-                d = lhs[k] - rhs[k]
-                if not (isinstance(d, QI) and d.is_zero()):
-                    eqs.append(d)
-    return eqs
+    return [x for d in hom_defects(a, b, template) for x in d if not is_zero(x)]
 
 
 def _simplify(eqs):
@@ -117,35 +90,16 @@ def _simplify(eqs):
 
 
 def _single_var_solution(e):
-    """(name, value) when the equation is linear in exactly one unknown,
-    or (name, roots) when univariate of degree <= 4; None otherwise."""
-    fv = sorted(e.free_vars())
+    "(name, roots in Q(i)) when the equation has exactly one unknown."
+    fv = e.free_vars()
     if len(fv) != 1:
         return None
-    name = fv[0]
-    deg = e.total_degree()
-    if deg == 1:
-        c1 = ZERO
-        c0 = ZERO
-        for exps, c in e.terms.items():
-            if sum(exps) == 0:
-                c0 = c0 + c
-            else:
-                c1 = c1 + c
-        return name, [-(c0 / c1)]
-    if deg <= 4:
-        co = [ZERO] * (deg + 1)
-        idx = e.vars.index(name)
-        for exps, c in e.terms.items():
-            co[exps[idx]] = co[exps[idx]] + c
-        from .scalars import factor_unipoly
-        try:
-            _, factors = factor_unipoly(tuple(co))
-        except Exception:
-            return None
-        roots = [-f[0] for f, _m in factors if len(f) == 2]
-        return name, roots
-    return None
+    name = fv.pop()
+    idx = e.vars.index(name)
+    co = [ZERO] * (e.total_degree() + 1)
+    for exps, c in e.terms.items():
+        co[exps[idx]] = co[exps[idx]] + c
+    return name, qi_roots(co)
 
 
 def _linear_subsystem_solution(eqs, unknowns):
@@ -174,10 +128,10 @@ def _linear_subsystem_solution(eqs, unknowns):
             for r, p in enumerate(pivots)}
 
 
-def _assignments(eqs, unknowns, tier, budget):
+def _assignments(eqs, unknowns, budget):
     """Generate QI assignments satisfying the polynomial system, by unit
     propagation (single-variable consequences), linear-subsystem solving,
-    and bounded branching over the tier values."""
+    and bounded branching over the _POOL values."""
     if budget[0] <= 0:
         return
     eqs = _simplify(eqs)
@@ -217,7 +171,7 @@ def _assignments(eqs, unknowns, tier, budget):
             if sub is None:
                 continue
             rest = [u for u in unknowns if u != name and u not in assignment]
-            for tail in _assignments(sub, rest, tier, budget):
+            for tail in _assignments(sub, rest, budget):
                 full = dict(assignment)
                 full[name] = r
                 full.update(tail)
@@ -232,9 +186,9 @@ def _assignments(eqs, unknowns, tier, budget):
             base.setdefault(u, ONE)
         yield base
         return
-    # branch on the first live unknown over the tier values
+    # branch on the first live unknown over the pool values
     name = live[0]
-    for val in tier:
+    for val in _POOL:
         budget[0] -= 1
         if budget[0] <= 0:
             return
@@ -242,21 +196,19 @@ def _assignments(eqs, unknowns, tier, budget):
         if sub is None:
             continue
         rest = [u for u in remaining if u != name]
-        for tail in _assignments(sub, rest, tier, budget):
+        for tail in _assignments(sub, rest, budget):
             full = dict(assignment)
             full[name] = val
             full.update(tail)
             yield full
 
 
-def _search_in_component(a, b, comp, max_tier):
-    names, template, det = aut_template(comp)
+def _search_in_component(a, b, comp):
+    names, template = aut_template(comp)
     eqs = _hom_equations(a, b, template)
-    tier = [_TIER0, _TIER1, _TIER2][max_tier - 1]
-    tier = [v for v in tier if not v.is_zero()] + [QI(0)]
     budget = [20000]
     tried = 0
-    for full in _assignments(eqs, list(names), tier, budget):
+    for full in _assignments(eqs, list(names), budget):
         tried += 1
         if tried > 4000:
             return None
@@ -272,13 +224,29 @@ def _search_in_component(a, b, comp, max_tier):
     return None
 
 
-def search_lsa_iso(a, b, max_tier=3):
+def _search(a, b, family, l):
+    """A witness between two tables with the same canonical Lie table, from
+    the components of its automorphism group; None when none is found."""
+    for comp in aut_components(family, l):
+        t = _search_in_component(a, b, comp)
+        if t is not None:
+            return t
+        # small-height witnesses may exist only in the other direction
+        back = _search_in_component(b, a, comp)
+        if back is not None:
+            return back.inverse()
+    return None
+
+
+def search_lsa_iso(a, b):
     """Bounded isomorphism search; returns an IsoVerdict whose Isomorphic
     witnesses are exactly verified and whose NotIsomorphic verdicts carry
-    a separating fingerprint field.  max_tier (1..3) caps the coefficient
-    pool the witness search draws from."""
-    if max_tier not in (1, 2, 3):
-        raise LsaError("max_tier must be 1, 2 or 3, got %r" % (max_tier,))
+    a separating fingerprint field.
+
+    Both tables are rebased onto the canonical table of their sub-adjacent
+    Lie algebra.  When the rebased tables are equal the basis changes give
+    the witness; otherwise it is searched for in the stored automorphism
+    group of the Lie class."""
     if a.dim != b.dim:
         return IsoVerdict("not_isomorphic", reason="different dimensions")
     if a == b:
@@ -287,12 +255,6 @@ def search_lsa_iso(a, b, max_tier=3):
     diff = fa.differing_field(fb)
     if diff is not None:
         return IsoVerdict("not_isomorphic", reason=diff)
-    for t in _special_candidates(a.dim):
-        try:
-            if verify_lsa_iso(a, b, t):
-                return IsoVerdict("isomorphic", witness=t)
-        except SingularWitness:
-            continue
     if a.dim != 3:
         return IsoVerdict("unknown", reason="search implemented for dim 3")
     # fingerprint classified left-symmetric tables already
@@ -305,19 +267,11 @@ def search_lsa_iso(a, b, max_tier=3):
         return IsoVerdict("unknown", reason="no automorphism group stored "
                                             "for class %s" % ca.tag)
     wa, wb = ca.witness, cb.witness
-    a2 = rebase(a, wa)
-    b2 = rebase(b, wb)
-    l = ca.param
-    for comp in aut_components(family, l):
-        t = _search_in_component(a2, b2, comp, max_tier)
-        if t is None:
-            # small-height witnesses may exist only in the other direction
-            back = _search_in_component(b2, a2, comp, max_tier)
-            if back is not None:
-                t = back.inverse()
-        if t is not None:
-            full = wa.inverse() * t * wb
-            if not verify_lsa_iso(a, b, full):
-                raise LsaError("search witness fails after the basis change")
-            return IsoVerdict("isomorphic", witness=full)
-    return IsoVerdict("unknown", reason="bounded search exhausted")
+    a2, b2 = rebase(a, wa), rebase(b, wb)
+    t = Mat.identity(3) if a2 == b2 else _search(a2, b2, family, ca.param)
+    if t is None:
+        return IsoVerdict("unknown", reason="bounded search exhausted")
+    full = wa.inverse() * t * wb
+    if not verify_lsa_iso(a, b, full):
+        raise LsaError("search witness fails after the basis change")
+    return IsoVerdict("isomorphic", witness=full)

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, multiplication_operators, multiply, rebase
+from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
+                      multiply, rebase)
 from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     trace_of_product, vec_eq, vec_is_zero, vec_scale)
-from .scalars import ONE, QI, ZERO, MultiPoly, gaussian_sqrt, is_zero, qi
+                     trace_of_product, vec_is_zero, vec_scale)
+from .scalars import (ONE, QI, ZERO, MultiPoly, gaussian_sqrt, is_zero,
+                      parse_scalar, qi, substitute)
 
 
 def killing_form(g):
@@ -41,15 +43,8 @@ def check_lie_automorphism(g, t):
     "True iff t is invertible and preserves all basis brackets."
     if not (t.is_square() and t.nrows == g.dim):
         raise DimensionMismatch("automorphism candidate has wrong shape")
-    if is_zero(t.det()):
-        return False
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = t.apply_row(g.c[i][j])
-            rhs = multiply(g, t.row(i), t.row(j))
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    return (not is_zero(t.det())
+            and all(vec_is_zero(d) for d in hom_defects(g, g, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,65 +76,31 @@ def canonical_lie(family, l=None):
     raise ValueError("unknown family %r" % (family,))
 
 
-def aut_template(family):
-    """Parameter names, parametric matrix, and determinant expression of
-    the canonical family's automorphism group, in the row convention."""
-    def v(name):
-        return MultiPoly.var(name)
+# Each component of the stored automorphism groups, as the rows of its
+# matrix in the row convention; a cell is a scalar literal in the
+# component's parameters.  Aut(D(1)) is the component D1 and Aut(D(-1))
+# has a second component Dm1_swap, which exchanges e1 and e2 and negates e3.
+_AUT = {
+    "heisenberg": (("a11", "a12", "a13"),
+                   ("a21", "a22", "a23"),
+                   ("0", "0", "a11*a22 - a12*a21")),
+    "N": (("a11", "0", "0"), ("0", "a22", "0"), ("a31", "a32", "1")),
+    "Dl": (("a11", "0", "0"), ("0", "a22", "0"), ("a31", "a32", "1")),
+    "D1": (("a11", "a12", "0"), ("a21", "a22", "0"), ("a31", "a32", "1")),
+    "Dm1_swap": (("0", "a12", "0"), ("a21", "0", "0"), ("a31", "a32", "-1")),
+    "E": (("a11", "0", "0"), ("a21", "a11", "0"), ("a31", "a32", "1")),
+}
 
-    z, one = ZERO, ONE
-    if family == "heisenberg":
-        names = ("a11", "a12", "a13", "a21", "a22", "a23")
-        m = Mat([
-            [v("a11"), v("a12"), v("a13")],
-            [v("a21"), v("a22"), v("a23")],
-            [z, z, v("a11") * v("a22") - v("a12") * v("a21")],
-        ])
-        det = v("a11") * v("a22") - v("a12") * v("a21")
-        return names, m, det
-    if family == "N":
-        names = ("a11", "a22", "a31", "a32")
-        m = Mat([
-            [v("a11"), z, z],
-            [z, v("a22"), z],
-            [v("a31"), v("a32"), one],
-        ])
-        return names, m, v("a11") * v("a22")
-    if family == "D1":
-        names = ("a11", "a12", "a21", "a22", "a31", "a32")
-        m = Mat([
-            [v("a11"), v("a12"), z],
-            [v("a21"), v("a22"), z],
-            [v("a31"), v("a32"), one],
-        ])
-        det = v("a11") * v("a22") - v("a12") * v("a21")
-        return names, m, det
-    if family == "Dl":
-        names = ("a11", "a22", "a31", "a32")
-        m = Mat([
-            [v("a11"), z, z],
-            [z, v("a22"), z],
-            [v("a31"), v("a32"), one],
-        ])
-        return names, m, v("a11") * v("a22")
-    if family == "Dm1_swap":
-        # second component of Aut(D(-1)): e1 and e2 exchanged, e3 negated
-        names = ("a12", "a21", "a31", "a32")
-        m = Mat([
-            [z, v("a12"), z],
-            [v("a21"), z, z],
-            [v("a31"), v("a32"), -one],
-        ])
-        return names, m, v("a12") * v("a21")
-    if family == "E":
-        names = ("a11", "a21", "a31", "a32")
-        m = Mat([
-            [v("a11"), z, z],
-            [v("a21"), v("a11"), z],
-            [v("a31"), v("a32"), one],
-        ])
-        return names, m, v("a11") * v("a11")
-    raise ValueError("no stored automorphism group for %r" % (family,))
+
+def aut_template(comp):
+    """Sorted parameter names and parametric matrix of one automorphism-group
+    component (see aut_components), in the row convention."""
+    if comp not in _AUT:
+        raise ValueError("no stored automorphism group for %r" % (comp,))
+    m = Mat([[parse_scalar(x) for x in row] for row in _AUT[comp]])
+    names = sorted({v for row in m.rows for x in row
+                    if not isinstance(x, QI) for v in x.free_vars()})
+    return tuple(names), m
 
 
 def aut_components(family, l=None):
@@ -151,50 +112,31 @@ def aut_components(family, l=None):
     return (family,)
 
 
-def instantiate_aut(template_family, values):
+def instantiate_aut(comp, values):
     "Fill the parametric automorphism matrix with concrete scalars."
-    names, m, det = aut_template(template_family)
+    names, m = aut_template(comp)
     bind = {n: qi(values[n]) for n in names}
-    from .scalars import substitute
-    rows = [[substitute(x, bind) if not isinstance(x, QI) else x
-             for x in m.row(i)] for i in range(m.nrows)]
-    d = substitute(det, bind)
-    if is_zero(d):
+    t = Mat([[substitute(x, bind) for x in row] for row in m.rows])
+    if is_zero(t.det()):
         raise ValueError("automorphism parameters make the matrix singular")
-    return Mat(rows)
+    return t
 
 
 def aut_shape_member(family, t, l=None):
-    "Does t match the printed parametric group (any component)?"
+    """Is t an invertible instance of a component of the stored group?  Each
+    parameter is read from the first cell that holds it alone."""
     for comp in aut_components(family, l):
-        if _shape_member_one(comp, t):
-            return True
+        names, m = aut_template(comp)
+        cells = [(x, t[i, j]) for i, row in enumerate(m.rows)
+                 for j, x in enumerate(row)]
+        values = {n: next(v for x, v in cells if x == MultiPoly.var(n))
+                  for n in names}
+        try:
+            if instantiate_aut(comp, values) == t:
+                return True
+        except ValueError:
+            continue
     return False
-
-
-def _shape_member_one(comp, t):
-    r = t.rows
-    if comp == "heisenberg":
-        det2 = r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return (is_zero(r[2][0]) and is_zero(r[2][1])
-                and r[2][2] == det2 and not is_zero(det2))
-    if comp == "N" or comp == "Dl":
-        return (is_zero(r[0][1]) and is_zero(r[0][2]) and is_zero(r[1][0])
-                and is_zero(r[1][2]) and r[2][2] == ONE
-                and not is_zero(r[0][0] * r[1][1]))
-    if comp == "D1":
-        det2 = r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return (is_zero(r[0][2]) and is_zero(r[1][2]) and r[2][2] == ONE
-                and not is_zero(det2))
-    if comp == "Dm1_swap":
-        return (is_zero(r[0][0]) and is_zero(r[0][2]) and is_zero(r[1][1])
-                and is_zero(r[1][2]) and r[2][2] == QI(-1)
-                and not is_zero(r[0][1] * r[1][0]))
-    if comp == "E":
-        return (is_zero(r[0][1]) and is_zero(r[0][2]) and is_zero(r[1][2])
-                and r[0][0] == r[1][1] and r[2][2] == ONE
-                and not is_zero(r[0][0]))
-    raise ValueError("unknown component %r" % (comp,))
 
 
 def random_automorphism(family, rng, l=None):
@@ -203,13 +145,14 @@ def random_automorphism(family, rng, l=None):
 
     comps = aut_components(family, l)
     comp = comps[rng.randrange(len(comps))]
-    names, _, _ = aut_template(comp)
+    names, _ = aut_template(comp)
     pool_unit = [QI(1), QI(-1), QI(2), QI(Fraction(1, 2)), QI(-2), QI(3),
                  QI(0, 1), QI(1, 1)]
     pool_any = pool_unit + [QI(0), QI(0), QI(Fraction(-1, 2)), QI(1, -1)]
     while True:
         vals = {}
         for n in names:
+            # the upper-left 2x2 block draws nonzero values
             need_unit = n in ("a11", "a22", "a12", "a21")
             pool = pool_unit if need_unit else pool_any
             vals[n] = pool[rng.randrange(len(pool))]

@@ -237,19 +237,16 @@ def trace_of_product(x, y):
     "tr(XY) as the sum of X[p][q] Y[q][p], without forming XY."
     if x.ncols != y.nrows or x.nrows != y.ncols:
         raise DimensionMismatch("trace of a non-square product")
-    out = ZERO
-    for xr, yc in zip(x.rows, zip(*y.rows)):
-        for u, v in zip(xr, yc):
-            if not is_zero(u) and not is_zero(v):
-                out = out + u * v
-    return out
+    return sum((_dot(xr, yc) for xr, yc in zip(x.rows, zip(*y.rows))), ZERO)
 
 
 def _dot(xs, ys):
+    "Sum of x*y over the pairs whose factors are both nonzero."
     out = None
     for x, y in zip(xs, ys):
-        p = x * y
-        out = p if out is None else out + p
+        if not is_zero(x) and not is_zero(y):
+            p = x * y
+            out = p if out is None else out + p
     return ZERO if out is None else out
 
 

@@ -1111,34 +1111,68 @@ def _tokenize(text):
     return toks
 
 
-# The parser refuses a power whose value would outgrow these bounds, so
-# that a short literal such as ((3+2*i)^300)^300 cannot take time
-# exponential in its length.  The shipped data use exponents up to 8.
-_MAX_POWER_BITS = 4096      # bits of each part of a Gaussian rational
-_MAX_POWER_DEGREE = 64      # total degree of a polynomial
-_MAX_POWER_TERMS = 1000     # terms of a polynomial
+# The parser refuses an operation whose result would outgrow these bounds,
+# so that a short literal such as ((3+2*i)^300)^300, or a product or a sum
+# of fractions of a dozen binomials, cannot take time exponential in its
+# length.  The shipped data use exponents up to 8.
+_MAX_BITS = 4096      # bits of each part of a Gaussian rational
+_MAX_DEGREE = 64      # total degree of a polynomial
+_MAX_TERMS = 1000     # terms of a polynomial
+_OPERATION = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
+_UNIT_SIZE = (0, 1, 0)  # the _size of the constant 1
+
+
+def _growth(c):
+    "Twice the bits one factor of c adds to the parts of a product."
+    return max((c._a ** 2 + c._b ** 2 - 1).bit_length(),
+               2 * (c._d - 1).bit_length())
+
+
+def _size(x):
+    "(total degree, terms, largest growth) of a QI or a polynomial."
+    if type(x) is QI:
+        return 0, 1, _growth(x)
+    return (x.total_degree(), max(len(x.terms), 1),
+            max(map(_growth, x.terms.values()), default=0))
+
+
+def _parts(x):
+    "Sizes of the numerator and of the denominator of a parsed value."
+    if isinstance(x, RatFunc):
+        return _size(x.num), _size(x.den)
+    return _size(x), _UNIT_SIZE
+
+
+def _check_size(what, p, q=_UNIT_SIZE, e=1):
+    """UnboundVariable unless (pq)^e, for polynomials of sizes p and q,
+    stays within the bounds."""
+    if (e * (p[0] + q[0]) > _MAX_DEGREE
+            or math.comb(p[1] + e - 1, e) * math.comb(q[1] + e - 1, e)
+            > _MAX_TERMS):
+        raise UnboundVariable("%s exceeds degree %d or %d terms"
+                              % (what, _MAX_DEGREE, _MAX_TERMS))
+    if e * (p[2] + q[2]) > 2 * _MAX_BITS:
+        raise UnboundVariable("%s exceeds %d bits" % (what, _MAX_BITS))
 
 
 def _check_power_size(base, e):
     "UnboundVariable unless base^e (or base^-e) stays within the bounds."
-    if isinstance(base, RatFunc):
-        polys = (base.num, base.den)
+    for size in _parts(base):
+        _check_size("power ^%d" % e, size, e=e)
+
+
+def _check_operation_size(op, x, y):
+    """UnboundVariable unless the products of numerators and denominators
+    that x op y forms stay within the bounds."""
+    (xn, xd), (yn, yd) = _parts(x), _parts(y)
+    if op == "*":
+        pairs = ((xn, yn), (xd, yd))
+    elif op == "/":
+        pairs = ((xn, yd), (xd, yn))
     else:
-        polys = (base if isinstance(base, MultiPoly) else MultiPoly.const(base),)
-    for p in polys:
-        if (e * p.total_degree() > _MAX_POWER_DEGREE
-                or math.comb(max(len(p.terms), 1) + e - 1, e)
-                > _MAX_POWER_TERMS):
-            raise UnboundVariable("power ^%d of a polynomial exceeds degree "
-                                  "%d or %d terms" % (e, _MAX_POWER_DEGREE,
-                                                      _MAX_POWER_TERMS))
-        for c in p.terms.values():
-            # twice the bits one factor of c adds to the parts of c^e
-            growth = max((c._a ** 2 + c._b ** 2 - 1).bit_length(),
-                         2 * (c._d - 1).bit_length())
-            if e * growth > 2 * _MAX_POWER_BITS:
-                raise UnboundVariable("power ^%d exceeds %d bits"
-                                      % (e, _MAX_POWER_BITS))
+        pairs = ((xn, yd), (yn, xd), (xd, yd))
+    for p, q in pairs:
+        _check_size(_OPERATION[op], p, q)
 
 
 class _Parser:
@@ -1162,6 +1196,7 @@ class _Parser:
         while self.peek().kind in "+-":
             op = self.take().kind
             rhs = self.parse_term()
+            _check_operation_size(op, out, rhs)
             out = out + rhs if op == "+" else out - rhs
         return out
 
@@ -1170,6 +1205,7 @@ class _Parser:
         while self.peek().kind in "*/":
             op = self.take().kind
             rhs = self.parse_factor()
+            _check_operation_size(op, out, rhs)
             out = out * rhs if op == "*" else out / rhs
         return out
 

@@ -242,6 +242,20 @@ def test_oversized_power_in_document_exits_2(tmp_path):
     assert out.startswith("bad document ") and "line 2" in out
 
 
+@pytest.mark.parametrize("op, term", [("*", "(%s+1)"), ("+", "1/(%s+1)")])
+def test_oversized_product_or_sum_in_document_exits_2(tmp_path, op, term):
+    "12 binomials multiplied, or 12 such fractions added, give 4096 terms."
+    names = ["p%d" % k for k in range(1, 13)]
+    p = tmp_path / "big.alg"
+    p.write_text("kind algebra dim 1 domain ratfunc\n"
+                 + "".join("params %s any\n" % n for n in names)
+                 + "e1 e1 = (%s) e1\n" % op.join(term % n for n in names))
+    code, out = run(["check", str(p)])
+    assert code == 2
+    assert out.startswith("bad document ") and "line 14" in out
+    assert "1000 terms" in out
+
+
 def test_oversized_nested_power_parameter_exits_2():
     "A cap on each exponent alone would let ^300 of ^300 through."
     code, out = run(["catalog-verify", "--entry", "N-3",

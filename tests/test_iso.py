@@ -5,7 +5,7 @@ import pytest
 
 from lsacat import catalog
 from lsacat.algebra import rebase
-from lsacat.errors import LsaError, SingularWitness
+from lsacat.errors import SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
 from lsacat.lie import random_automorphism
 from lsacat.linalg import Mat
@@ -51,13 +51,6 @@ def test_search_self_identity():
     assert v.is_isomorphic and v.witness == Mat.identity(3)
 
 
-@pytest.mark.parametrize("max_tier", [0, -1, 4])
-def test_search_rejects_max_tier_out_of_range(max_tier):
-    a = catalog.instantiate("N-30")
-    with pytest.raises(LsaError):
-        search_lsa_iso(a, a, max_tier=max_tier)
-
-
 def test_search_n2_vs_n3():
     # the remark coincidence (N-2) at lambda=0 with (N-3) at the same mu
     a = catalog.instantiate("N-2", {"lambda": 0, "mu": 2}, check=False)
@@ -88,6 +81,21 @@ def test_search_finds_hidden_conjugation():
         assert verify_lsa_iso(a, b, v.witness)
 
 
+@pytest.mark.parametrize("eid, bind, rows", [
+    ("H-8", {}, [[0, 1, 0], [0, 0, -1], [-1, 0, -2]]),
+    ("D1bar-11", {"lambda": 2}, [[1, -1, 0], [0, 0, -1], [-1, 0, 0]]),
+])
+def test_search_equal_canonical_forms(eid, bind, rows):
+    """Both sides rebase onto the same canonical table, but no member of
+    the stored group with the free parameters at 1 is invertible: the
+    witness comes from the two basis changes."""
+    a = catalog.instantiate(eid, bind)
+    b = rebase(a, Mat(rows))
+    v = search_lsa_iso(a, b)
+    assert v.is_isomorphic
+    assert verify_lsa_iso(a, b, v.witness)
+
+
 def test_search_lie_class_mismatch():
     a = catalog.instantiate("H-5")
     b = catalog.instantiate("N-5")
@@ -110,5 +118,5 @@ def test_catalog_classes_within_family_pairwise_distinct_sample():
     algs = {i: catalog.instantiate(i) for i in ids}
     for k, a_id in enumerate(ids):
         for b_id in ids[k + 1:]:
-            v = search_lsa_iso(algs[a_id], algs[b_id], max_tier=1)
+            v = search_lsa_iso(algs[a_id], algs[b_id])
             assert v.status != "isomorphic", (a_id, b_id)

@@ -7,9 +7,11 @@ from lsacat import catalog
 from lsacat.algebra import (Algebra, commutator_lie, left_matrix, multiply,
                             rebase)
 from lsacat.errors import DimensionMismatch, NotDimension3
-from lsacat.lie import (LieAlgebra, aut_shape_member, canonical_l,
-                        canonical_lie, check_lie_automorphism, classify3,
-                        instantiate_aut, killing_form, random_automorphism)
+from lsacat.constructions import derivation_space
+from lsacat.lie import (LieAlgebra, aut_components, aut_shape_member,
+                        aut_template, canonical_l, canonical_lie,
+                        check_lie_automorphism, classify3, instantiate_aut,
+                        killing_form, random_automorphism)
 from lsacat.linalg import Mat
 from lsacat.scalars import QI
 
@@ -186,6 +188,16 @@ def test_aut_shape_cross_check():
                      for _ in range(3)])
             if check_lie_automorphism(g, t):
                 assert aut_shape_member(family_key, t, l)
+
+
+@pytest.mark.parametrize("family, l, dim", [
+    ("heisenberg", None, 6), ("N", None, 4), ("Dl", Fraction(1, 2), 4),
+    ("Dl", -1, 4), ("Dl", 1, 6), ("E", None, 4)])
+def test_aut_templates_have_the_dimension_of_the_derivations(family, l, dim):
+    "Each stored component is as large as Aut, whose Lie algebra is Der."
+    assert len(derivation_space(canonical_lie(family, l))) == dim
+    for comp in aut_components(family, l):
+        assert len(aut_template(comp)[0]) == dim
 
 
 def test_d_minus_one_swap_component():

@@ -259,6 +259,21 @@ def test_scalar_literal_rejects_oversized_powers(text):
     assert time.perf_counter() - t0 < 1
 
 
+def test_scalar_literal_bounds_products_and_sums():
+    "Each operation is bounded, not only ^: 2^k terms after k binomials."
+    def product(k):
+        return "*".join("(p%d+1)" % n for n in range(k))
+
+    def fractions(k):
+        return "+".join("1/(p%d+1)" % n for n in range(k))
+
+    assert len(parse_scalar(product(9)).terms) == 512
+    assert len(parse_scalar(fractions(9)).den.terms) == 512
+    for text in (product(10), fractions(10)):
+        with pytest.raises(UnboundVariable, match="1000 terms"):
+            parse_scalar(text)
+
+
 def test_scalar_literal_keeps_powers_within_bounds():
     assert parse_scalar("10^30") == QI(10 ** 30)
     assert parse_scalar("(1+i)^8192") == QI(2 ** 4096)  # (2i)^4096

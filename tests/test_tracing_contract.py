@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps lsacat's public functions by replacing module
 attributes, so a call that stops going through one (a module-level name
 bound some other way, or a layer that is skipped) silently drops its
-spans.  One traced cycle of the search workload must report no problem
-and count calls for every name in tracing.MUST_FIRE["search"]."""
+spans.  One traced cycle of the search and of the catalog workload must
+each report no problem and count calls for every name in that workload's
+tracing.MUST_FIRE entry."""
 
 import importlib.util
 import json
@@ -24,18 +25,26 @@ def load_tracing():
     return module
 
 
-def test_traced_search_cycle_fires_every_required_layer(tmp_path):
+def check_traced_cycle(tmp_path, workload):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(ROOT, "src")),
                PYTHONHASHSEED="0")
     env.pop("LSACAT_DATA", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(PERFBENCH, "worker.py"),
-         "--workload", "search", "--seed", "1", "--traced"],
+         "--workload", workload, "--seed", "1", "--traced"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["problems"] == []
     layers = result["layers"]
-    silent = [name for name in load_tracing().MUST_FIRE["search"]
+    silent = [name for name in load_tracing().MUST_FIRE[workload]
               if layers.get(name, [0])[0] == 0]
     assert silent == []
+
+
+def test_traced_search_cycle_fires_every_required_layer(tmp_path):
+    check_traced_cycle(tmp_path, "search")
+
+
+def test_traced_catalog_cycle_fires_every_required_layer(tmp_path):
+    check_traced_cycle(tmp_path, "catalog")
