@@ -23,9 +23,9 @@ from .scalars import as_scalar, format_sum, is_zero, substitute
 class Algebra:
     """Finite-dimensional bilinear product given by structure constants."""
 
-    __slots__ = ("dim", "basis_names", "c")
+    __slots__ = ("dim", "c")
 
-    def __init__(self, table, basis_names=None):
+    def __init__(self, table):
         dim = len(table)
         if not 1 <= dim <= 4:
             raise DimensionMismatch("supported dimensions are 1..4")
@@ -41,10 +41,6 @@ class Algebra:
             c.append(tuple(crow))
         object.__setattr__(self, "c", tuple(c))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "basis_names",
-            tuple(basis_names) if basis_names
-            else tuple("e%d" % (k + 1) for k in range(dim)))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -86,7 +82,7 @@ class Algebra:
     def table_str(self):
         "Characteristic-matrix rendering, one row per left factor."
         def cell(v):
-            return format_sum([(x, name) for x, name in zip(v, self.basis_names)
+            return format_sum([(x, "e%d" % (k + 1)) for k, x in enumerate(v)
                                if not is_zero(x)])
 
         rows = [[cell(self.c[i][j]) for j in range(self.dim)]
@@ -105,8 +101,8 @@ class LieAlgebra(Algebra):
 
     __slots__ = ()
 
-    def __init__(self, table, basis_names=None):
-        super().__init__(table, basis_names)
+    def __init__(self, table):
+        super().__init__(table)
         c = self.c
         for i in range(self.dim):
             for j in range(i, self.dim):
@@ -265,7 +261,7 @@ def rebase(a, w):
             prod = multiply(a, w.row(i), w.row(j))
             row.append(winv.apply_row(prod))
         table.append(row)
-    return type(a)(table, a.basis_names)
+    return type(a)(table)
 
 
 def substitute_algebra(a, bindings):
@@ -273,7 +269,7 @@ def substitute_algebra(a, bindings):
     n = a.dim
     table = [[[substitute(x, bindings) for x in a.c[i][j]]
               for j in range(n)] for i in range(n)]
-    return Algebra(table, a.basis_names)
+    return Algebra(table)
 
 
 def _add_scaled(out, f, v):

@@ -25,7 +25,7 @@ from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
 from .cocycle import Cocycle, Representation, phi
 from .docs import Body, _const_value, constraint_allows, parse_matrix
 from .errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
-                     NotBijective, NotCocycle, UnknownId)
+                     LsaError, NotBijective, NotCocycle, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import canonical_l, canonical_lie, classify3
 from .linalg import Mat
@@ -237,9 +237,9 @@ def _load_file(path):
 _CACHE = {}
 
 
-def load_catalog(directory=None):
-    "Entries as an ordered {id: CatalogEntry} map; cached per directory."
-    directory = directory or data_dir()
+def load_catalog():
+    "Entries as an ordered {id: CatalogEntry} map; cached per data_dir()."
+    directory = data_dir()
     if directory in _CACHE:
         return _CACHE[directory]
     out = {}
@@ -253,16 +253,16 @@ def load_catalog(directory=None):
     return out
 
 
-def lookup(entry_id, directory=None):
-    cat = load_catalog(directory)
+def lookup(entry_id):
+    cat = load_catalog()
     if entry_id not in cat:
         raise UnknownId("no catalog entry %r" % entry_id)
     return cat[entry_id]
 
 
-def instantiate(entry_id, bindings=None, check=True, directory=None):
+def instantiate(entry_id, bindings=None, check=True):
     "Exact Algebra over Q(i) for an entry at given parameter values."
-    e = lookup(entry_id, directory)
+    e = lookup(entry_id)
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
     unknown = sorted(p for p in bindings if p not in e.params)
     if unknown:
@@ -359,12 +359,12 @@ def computed_flags(alg):
     }
 
 
-def verify_entry(entry_id, bindings=None, directory=None):
+def verify_entry(entry_id, bindings=None):
     "Run every per-entry check at one parameter sample."
-    e = lookup(entry_id, directory)
+    e = lookup(entry_id)
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
     rep = EntryReport(entry_id, bindings)
-    alg = instantiate(entry_id, bindings, directory=directory)
+    alg = instantiate(entry_id, bindings)
 
     ok, cert = check_left_symmetric(alg)
     rep.left_symmetric = ok
@@ -396,8 +396,7 @@ def verify_entry(entry_id, bindings=None, directory=None):
             continue
         if not _iso_applies(decl, bindings):
             continue
-        ok, msg = _verify_iso_decl(e, decl, bindings, alg,
-                                   use_search=False, directory=directory)
+        ok, msg = _verify_iso_decl(e, decl, bindings, alg, use_search=False)
         if not ok:
             rep.witness_isos_ok = False
             rep.messages.append(msg)
@@ -456,14 +455,13 @@ def _target_bindings(decl, bindings):
     return out
 
 
-def _verify_iso_decl(e, decl, bindings, alg, use_search, directory=None):
+def _verify_iso_decl(e, decl, bindings, alg, use_search):
     """(ok, message): ok is True if the declaration holds, None if the
     search verdict is unknown and False if it fails."""
     tgt_bind = _target_bindings(decl, bindings)
     try:
-        target = instantiate(decl.target, tgt_bind, check=False,
-                             directory=directory)
-    except Exception as exc:
+        target = instantiate(decl.target, tgt_bind, check=False)
+    except LsaError as exc:
         return False, "iso %s -> %s: target instantiation failed: %s" % (
             e.id, decl.target, exc)
     label = "iso %s%s -> %s%s" % (
@@ -507,7 +505,7 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def verify_all(families=None, plan=None, directory=None):
+def verify_all(families=None, plan=None):
     """Run verify_entry over entries and samples.
 
     plan: optional {entry_id: [bindings, ...]}; when given, exactly the
@@ -517,12 +515,12 @@ def verify_all(families=None, plan=None, directory=None):
     """
     if plan is None:
         plan = {e.id: e.sample_bindings()
-                for e in load_catalog(directory).values()
+                for e in load_catalog().values()
                 if not families or e.family in families}
     out = SweepReport()
     for entry_id, samples in plan.items():
         for b in samples:
-            r = verify_entry(entry_id, b, directory=directory)
+            r = verify_entry(entry_id, b)
             out.total += 1
             out.reports.append(r)
             if not r.ok:
@@ -530,11 +528,11 @@ def verify_all(families=None, plan=None, directory=None):
     return out
 
 
-def verify_property_tables(sweep, directory=None):
+def verify_property_tables(sweep):
     """Compare the property flags computed by a verify_all sweep with the
     stored expectations, itemizing every discrepancy per family and flag.
     Covers exactly the pairs of the sweep."""
-    cat = load_catalog(directory)
+    cat = load_catalog()
     discrepancies = []
     sets = {}
     for r in sweep.reports:
@@ -553,21 +551,20 @@ def verify_property_tables(sweep, directory=None):
             "discrepancies": discrepancies}
 
 
-def verify_remark_isos(entry_ids=None, directory=None):
+def verify_remark_isos(entry_ids=None):
     """Check the stored coincidence declarations of the given entries
     (default all): explicit witnesses are verified directly, the rest go
     through bounded isomorphism search.  Returns (confirmed, unconfirmed,
     failed) message lists."""
-    cat = load_catalog(directory)
+    cat = load_catalog()
     confirmed, unconfirmed, failed = [], [], []
     for e in cat.values():
         if entry_ids is not None and e.id not in entry_ids:
             continue
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
-                alg = instantiate(e.id, b, check=False, directory=directory)
-                ok, msg = _verify_iso_decl(e, decl, b, alg, use_search=True,
-                                           directory=directory)
+                alg = instantiate(e.id, b, check=False)
+                ok, msg = _verify_iso_decl(e, decl, b, alg, use_search=True)
                 if ok:
                     confirmed.append(msg)
                 elif ok is None:
@@ -577,8 +574,8 @@ def verify_remark_isos(entry_ids=None, directory=None):
     return confirmed, unconfirmed, failed
 
 
-def entry_counts(directory=None):
-    cat = load_catalog(directory)
+def entry_counts():
+    cat = load_catalog()
     counts = {}
     for e in cat.values():
         counts[e.family] = counts.get(e.family, 0) + 1

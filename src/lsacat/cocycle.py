@@ -138,35 +138,21 @@ def psi(a):
 
 def verify_cocycle_iso(c1, c2, g):
     """Isomorphism of cocycles via the linear map g: V1 -> V2 (row matrix):
-    f_2 = g f_1 g^{-1} and q_2 = g q_1."""
-    try:
-        ginv = g.inverse()
-    except SingularWitness:
-        raise SingularWitness("cocycle isomorphism witness is singular")
-    n = c1.rep.g.dim
-    if c1.rep.g != c2.rep.g:
-        return False
-    for i in range(n):
-        if ginv * c1.rep.mats[i] * g != c2.rep.mats[i]:
-            return False
-    return c1.C * g == c2.C
+    f_2 = g f_1 g^{-1} and q_2 = g q_1, the equivalence with T = identity."""
+    return verify_cocycle_equiv(c1, c2, g, Mat.identity(c1.rep.g.dim))
 
 
 def verify_cocycle_equiv(c1, c2, g, t):
     """Equivalence of cocycles: f_2 = g (f_1 T) g^{-1} and q_2 = g q_1 T
     for an automorphism T of the underlying Lie algebra."""
-    try:
-        ginv = g.inverse()
-    except SingularWitness:
-        raise SingularWitness("cocycle equivalence witness g is singular")
     if c1.rep.g != c2.rep.g:
         return False
-    if not check_lie_automorphism(c1.rep.g, t):
-        raise NotAutomorphism("T does not preserve the bracket")
-    f1_t = precompose_rep(c1.rep, t)
-    if any(ginv * m * g != m2 for m, m2 in zip(f1_t.mats, c2.rep.mats)):
-        return False
-    return t * c1.C * g == c2.C
+    try:
+        c = equivalent_cocycle(c1, g, t)
+    except SingularWitness:
+        raise SingularWitness(
+            "cocycle equivalence witness g is singular") from None
+    return c.rep.mats == c2.rep.mats and c.C == c2.C
 
 
 def precompose_rep(rep, t):

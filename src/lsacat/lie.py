@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
                       multiply, rebase)
 from .errors import DimensionMismatch, LsaError, NotDimension3
-from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     trace_of_product, vec_is_zero, vec_scale)
+from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
+                     span_basis, trace_of_product, vec_is_zero, vec_scale)
 from .scalars import (ONE, QI, ZERO, MultiPoly, gaussian_sqrt, is_zero,
                       parse_scalar, qi, substitute)
 
@@ -255,17 +255,9 @@ def _classify_n(g, z):
             e3 = vec_scale(basis_vec(n, i), 1 / c)
             break
     # center: x with [x, e_j] = 0 for all j
-    rows = []
-    for i in range(n):
-        rows.append([x for j in range(n) for x in g.c[i][j]])
-    center = Mat(rows).transpose().nullspace()
-    for c0 in center:
+    for c0 in common_kernel(multiplication_operators(g)[n:]):
         w = Mat([c0, z, e3])
-        try:
-            w.inverse()
-        except Exception:
-            continue
-        if rebase(g, w) == canonical_lie("N"):
+        if not is_zero(w.det()) and rebase(g, w) == canonical_lie("N"):
             return LieClass("N", witness=w)
     return LieClass("Unrecognized", detail="N-type normalization failed")
 

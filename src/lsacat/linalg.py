@@ -4,12 +4,18 @@ Vectors are plain lists of scalars.  Unless an operation says otherwise,
 matrices follow the row convention used throughout the package: M[i][j] is
 the coefficient of basis vector j in the image of basis vector i, and a row
 vector x maps to x * M.
+
+The determinant, the inverse and the characteristic polynomial come from
+cofactor expansion (_det); rank, nullspaces, spans and solutions come from
+one elimination, rref.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import DimensionMismatch, LsaError, SingularWitness
-from .scalars import ZERO, ONE, as_scalar, is_zero, qi
+from .scalars import ZERO, ONE, as_scalar, is_zero
 
 
 class Mat:
@@ -127,32 +133,20 @@ class Mat:
         return _det(self.rows)
 
     def inverse(self):
-        "Exact inverse by Gauss-Jordan elimination; SingularWitness if none."
+        """Exact inverse as the adjugate over the determinant; SingularWitness
+        if there is none.  Cofactor expansion suits the package's matrices,
+        none of which is larger than 4x4."""
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
+        d = _det(self.rows)
+        if is_zero(d):
+            raise SingularWitness("matrix is singular")
+        inv = ONE / d
         n = self.nrows
-        a = [list(r) for r in self.rows]
-        b = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not is_zero(a[r][col]):
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularWitness("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for r in range(n):
-                if r == col or is_zero(a[r][col]):
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Mat._of(b)
+        if n == 1:
+            return Mat._of([[inv]])
+        return Mat._of([[_cofactor(self.rows, j, i) * inv for j in range(n)]
+                        for i in range(n)])
 
     def rref(self):
         "Reduced row echelon form; returns (Mat, pivot column list)."
@@ -199,24 +193,16 @@ class Mat:
         return basis
 
     def charpoly(self):
-        """Coefficients (low to high) of det(t I - M) via Faddeev-LeVerrier;
-        entries must be QI."""
+        """Coefficients (low to high) of det(t I - M): the coefficient of
+        t^(n-k) is (-1)^k times the sum of the principal k-minors."""
         if not self.is_square():
             raise DimensionMismatch("characteristic polynomial needs square")
         n = self.nrows
-        m = self
-        nmat = Mat.identity(n)
-        cs = []
+        out = [ZERO] * n + [ONE]
         for k in range(1, n + 1):
-            mk = m * nmat
-            ck = -(mk.trace() / qi(k))
-            cs.append(ck)
-            nmat = mk + ck * Mat.identity(n)
-        # det(tI - M) = t^n + c1 t^(n-1) + ... + cn
-        out = [ZERO] * (n + 1)
-        out[n] = ONE
-        for k, c in enumerate(cs, start=1):
-            out[n - k] = as_scalar(c)
+            s = sum((_det([[self.rows[i][j] for j in idx] for i in idx])
+                     for idx in combinations(range(n), k)), ZERO)
+            out[n - k] = -s if k % 2 else s
         return tuple(out)
 
     def trace(self):
@@ -267,6 +253,17 @@ def _det(rows):
             term = -term
         out = term if out is None else out + term
     return ZERO if out is None else out
+
+
+def _cofactor(rows, i, j):
+    "(-1)^(i+j) times the minor of rows without row i and column j."
+    m = _det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+    return -m if (i + j) % 2 else m
+
+
+def common_kernel(mats):
+    "Basis of {x : M x = 0 for every M in mats}, the stacked rows' nullspace."
+    return Mat._of([r for m in mats for r in m.rows]).nullspace()
 
 
 def vec_add(x, y):

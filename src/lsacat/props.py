@@ -15,20 +15,27 @@ field is built.  2-dimensional ideals are found dually via the transposed
 operators acting on covectors.  Predicates and fingerprints read
 associators and basis operators off the structure constants, and trace
 forms tr(XY) from linalg.trace_of_product without forming XY.
+Transitivity is read from polarized traces of the basis right
+multiplications, and the annihilators are common kernels of the basis
+operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations_with_replacement, permutations
+from operator import mul
 
 from .algebra import (Algebra, basis_associator, check_left_symmetric,
                       commutator_lie, multiplication_operators, multiply,
                       right_matrix)
 from .errors import DimensionMismatch, LsaError, ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     trace_of_product, vec_add, vec_eq, vec_is_zero)
-from .scalars import ONE, QI, MultiPoly, factor_unipoly, is_zero
+from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
+                     span_basis, trace_of_product, vec_add, vec_eq,
+                     vec_is_zero)
+from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
 
 
 def is_associative(a):
@@ -61,53 +68,20 @@ def is_bisymmetric(a):
                for i in range(n) for j in range(n) for k in range(j + 1, n))
 
 
-def _coordinate_names(a):
-    taken = set()
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for x in a.c[i][j]:
-                if isinstance(x, MultiPoly):
-                    taken |= set(x.vars)
-                elif hasattr(x, "num"):
-                    taken |= x.free_vars()
-    names = []
-    for k in range(a.dim):
-        name = "x%d" % (k + 1)
-        while name in taken:
-            name += "_"
-        names.append(name)
-    return names
-
-
-def symbolic_right_matrix(a):
-    "R_x for a generic x = sum x_k e_k, entries polynomial in x1..xn."
-    names = _coordinate_names(a)
-    xs = [MultiPoly.var(nm) for nm in names]
-    n = a.dim
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            # column j = coords of e_j * x
-            acc = None
-            for i in range(n):
-                term = xs[i] * a.c[j][i][k]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(row)
-    return Mat(rows)
-
-
 def is_transitive(a):
     """Every right multiplication nilpotent, decided by the vanishing of
-    tr(R_x^k) for k = 1..dim identically in the coordinates of x (valid in
-    characteristic 0, including parametric tables)."""
-    r = symbolic_right_matrix(a)
-    power = r
-    for _ in range(a.dim):
-        if not is_zero(power.trace()):
-            return False
-        power = power * r
+    tr(R_x^k) for k = 1..dim identically in x (valid in characteristic 0,
+    including parametric tables).  The coefficient of x_i1...x_ik in
+    tr(R_x^k) is the polarized trace: tr(R_e_i1 ... R_e_ik) summed over the
+    distinct orderings of the multiset {i1, ..., ik}."""
+    n = a.dim
+    rm = multiplication_operators(a)[n:]
+    for k in range(1, n + 1):
+        for idx in combinations_with_replacement(range(n), k):
+            total = sum((reduce(mul, [rm[i] for i in order]).trace()
+                         for order in set(permutations(idx))), ZERO)
+            if not is_zero(total):
+                return False
     return True
 
 
@@ -530,19 +504,6 @@ class Fingerprint:
         return self.differing_field(other) is None
 
 
-def _annihilator_dims(a):
-    n = a.dim
-    left_rows = [[a.c[i][j][k] for j in range(n) for k in range(n)]
-                 for i in range(n)]
-    right_rows = [[a.c[j][i][k] for j in range(n) for k in range(n)]
-                  for i in range(n)]
-    left = Mat(left_rows).transpose().nullspace()
-    right = Mat(right_rows).transpose().nullspace()
-    both_rows = [lr + rr for lr, rr in zip(left_rows, right_rows)]
-    both = Mat(both_rows).transpose().nullspace()
-    return len(left), len(right), len(both)
-
-
 def fingerprint(a):
     "Isomorphism-invariant summary used to separate non-isomorphic tables."
     n = a.dim
@@ -551,7 +512,7 @@ def fingerprint(a):
     prod_span = len(span_basis(
         [list(a.c[i][j]) for i in range(n) for j in range(n)
          if not vec_is_zero(a.c[i][j])], n))
-    al, ar, ab = _annihilator_dims(a)
+    al, ar, ab = (len(common_kernel(ms)) for ms in (rm, lm, ops))
     bil_ll, bil_rr, bil_lr = (
         Mat([[trace_of_product(x, y) for y in ys] for x in xs])
         for xs, ys in ((lm, lm), (rm, rm), (lm, rm)))

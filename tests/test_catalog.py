@@ -102,7 +102,8 @@ def test_corrupted_entry_detected(tmp_path, monkeypatch):
     # break (H-1): e1 e2 = e2 + e3 -> e2 + 2 e3
     directory = corrupted_catalog(tmp_path, "table e1 e2 = e2 + e3",
                                   "table e1 e2 = e2 + 2 e3")
-    report = catalog.verify_all(families=["H"], directory=directory)
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    report = catalog.verify_all(families=["H"])
     assert any(r.entry_id == "H-1" for r in report.failures)
     assert len(report.failures) >= 1
 
@@ -115,10 +116,12 @@ def test_corrupted_entry_detected(tmp_path, monkeypatch):
     ("C = [[0,0,1],[0,1,0],[1,0,0]]", "C = [[0,0,0],[0,0,0],[0,0,0]]",
      "stored C is singular"),
 ])
-def test_corrupted_cocycle_data_detected(tmp_path, old, new, message):
+def test_corrupted_cocycle_data_detected(tmp_path, monkeypatch, old, new,
+                                         message):
     "Corrupted (f, C) data fails the reconstruction with its own message."
     directory = corrupted_catalog(tmp_path, old, new)
-    report = catalog.verify_all(families=["H"], directory=directory)
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    report = catalog.verify_all(families=["H"])
     assert [r.entry_id for r in report.failures] == ["H-1"]
     bad = report.failures[0]
     assert not bad.cocycle_reconstruction_ok
@@ -193,10 +196,10 @@ def test_source_cocycles_all_valid(full_catalog):
 def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, new):
     "A malformed data line fails the load, naming its file, and the CLI exits 2."
     directory = corrupted_catalog(tmp_path, old, new)
-    with pytest.raises((DocSyntaxError, DocSemanticError)) as err:
-        catalog.load_catalog(directory)
-    assert "h.cat" in str(err.value)
     monkeypatch.setenv("LSACAT_DATA", directory)
+    with pytest.raises((DocSyntaxError, DocSemanticError)) as err:
+        catalog.load_catalog()
+    assert "h.cat" in str(err.value)
     assert cli.main(["catalog-verify", "--entry", "H-1"]) == 2
     assert capsys.readouterr().out.startswith("catalog error: ")
 
@@ -215,20 +218,21 @@ def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
                                              name, old, new, lineno):
     "A metadata line without its value is a syntax error at its line; exit 2."
     directory = corrupted_catalog(tmp_path, old, new, name)
+    monkeypatch.setenv("LSACAT_DATA", directory)
     with pytest.raises(DocSyntaxError) as err:
-        catalog.load_catalog(directory)
+        catalog.load_catalog()
     assert name in str(err.value)
     assert "line %d," % lineno in str(err.value)
-    monkeypatch.setenv("LSACAT_DATA", directory)
     assert cli.main(["catalog-verify", "--entry", "H-1"]) == 2
     assert capsys.readouterr().out.startswith("catalog error: ")
 
 
-def test_load_error_keeps_line_and_column(tmp_path):
+def test_load_error_keeps_line_and_column(tmp_path, monkeypatch):
     "The file name is prefixed to the message; line and col survive."
     directory = corrupted_catalog(tmp_path, "family H", "family")
+    monkeypatch.setenv("LSACAT_DATA", directory)
     with pytest.raises(DocSyntaxError) as err:
-        catalog.load_catalog(directory)
+        catalog.load_catalog()
     assert (err.value.line, err.value.col) == (4, 1)
     assert str(err.value).startswith(os.path.join(directory, "h.cat")
                                      + ": line 4, col 1: ")

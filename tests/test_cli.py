@@ -113,6 +113,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_broad_exception_handlers():
+    "A bare except or one of (Base)Exception would also swallow bugs."
+    def broad(node):
+        if node is None:
+            return True
+        names = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(n, ast.Name)
+                   and n.id in ("Exception", "BaseException") for n in names)
+
+    pkg = os.path.join(SRC, "lsacat")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.ExceptHandler)
+                      and broad(node.type)]
+    assert found == []
+
+
 def test_uncaught_library_error_exits_2(monkeypatch):
     def broken(a, b):
         raise LsaError("internal failure")
@@ -290,8 +311,8 @@ def test_catalog_verify_all_follows_family(monkeypatch):
     tables = []
     original = catalog.verify_property_tables
 
-    def spy(sweep, directory=None):
-        tables.append(original(sweep, directory))
+    def spy(sweep):
+        tables.append(original(sweep))
         return tables[-1]
     monkeypatch.setattr(catalog, "verify_property_tables", spy)
     code, out = run(["catalog-verify", "--family", "H", "--all"])

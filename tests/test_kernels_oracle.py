@@ -1,20 +1,27 @@
-"""The structure-constant kernels against naive triple-index sums.
+"""The structure-constant and small-matrix kernels against definitions.
 
 multiply, basis_associator, left_matrix, right_matrix and trace_of_product
 read the table c[i][j][k] (coordinate k of e_i e_j) directly and skip
 zeros.  The oracles below sum over every index with no skipping, build
 nothing but basis products, and are checked on random tables in
 dimensions 1..4 that need not be left-symmetric, some with MultiPoly
-entries, and on every catalog entry at its first sample."""
+entries, and on every catalog entry at its first sample.
+
+Mat.charpoly, Mat.inverse and linalg.common_kernel are checked on random
+matrices of size 1..4 with QI or MultiPoly entries: against det(u I - M),
+against the identity, and against ranks read off nonzero minors."""
+
+from itertools import combinations
 
 import pytest
 
 from lsacat.algebra import (Algebra, basis_associator, check_left_symmetric,
                             left_matrix, multiply, right_matrix)
-from lsacat.linalg import Mat, trace_of_product
+from lsacat.errors import SingularWitness
+from lsacat.linalg import Mat, common_kernel, trace_of_product
 from lsacat.props import (is_associative, is_bisymmetric, is_commutative,
                           is_novikov, is_transitive)
-from lsacat.scalars import ZERO, MultiPoly, QI
+from lsacat.scalars import ZERO, MultiPoly, QI, is_zero
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -196,3 +203,80 @@ def test_catalog_tables_match_definitions(first_samples):
         check_against_definitions(c)
         seen |= {name for name, v in flags(alg).items() if v}
     assert seen == {"associative", "novikov", "bisymmetric", "transitive"}
+
+
+# ---------------------------------------------------------------------------
+# charpoly, inverse and common kernels on random matrices
+
+@st.composite
+def square_mats(draw, n=None):
+    "QI entries, or entries linear in s, which keeps RatFunc inverses small."
+    n = n or draw(st.integers(1, 4))
+    entry = sparse_qi
+    if draw(st.booleans()):
+        s = MultiPoly.var("s")
+        entry = st.builds(lambda a, b: a + b * s, sparse_qi, sparse_qi)
+    return Mat([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+def coefficients_in(p, name, degree):
+    "Coefficients of name^0..name^degree in the MultiPoly p."
+    i = p.vars.index(name)
+    out = [ZERO] * (degree + 1)
+    for exps, c in p.terms.items():
+        rest = exps[:i] + (0,) + exps[i + 1:]
+        out[exps[i]] = out[exps[i]] + MultiPoly(p.vars, {rest: c})
+    return out
+
+
+def rank_by_minors(rows):
+    "Largest k with a nonzero k x k minor."
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for ri in combinations(range(len(rows)), k):
+            for ci in combinations(range(len(rows[0])), k):
+                if not is_zero(Mat([[rows[r][c] for c in ci]
+                                    for r in ri]).det()):
+                    return k
+    return 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_mats())
+def test_charpoly_is_det_of_u_minus_m(m):
+    n = m.nrows
+    u = MultiPoly.var("u")
+    want = coefficients_in((u * Mat.identity(n) - m).det(), "u", n)
+    got = m.charpoly()
+    assert len(got) == n + 1
+    assert all(x == y for x, y in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_mats(), st.data())
+def test_inverse_is_two_sided_and_singular_raises(m, data):
+    n = m.nrows
+    if not is_zero(m.det()):
+        inv = m.inverse()
+        assert m * inv == Mat.identity(n)
+        assert inv * m == Mat.identity(n)
+    # the last row replaced by a combination of the others
+    coeffs = data.draw(st.lists(sparse_qi, min_size=n - 1, max_size=n - 1))
+    last = [sum((c * m[i, j] for i, c in enumerate(coeffs)), ZERO)
+            for j in range(n)]
+    with pytest.raises(SingularWitness):
+        Mat(list(m.rows[:-1]) + [last]).inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(square_mats(n), min_size=1, max_size=3)))
+def test_common_kernel_is_killed_and_has_full_dimension(mats):
+    n = mats[0].nrows
+    kernel = common_kernel(mats)
+    for v in kernel:
+        for m in mats:
+            assert all(is_zero(x) for x in m.apply_col(v))
+    assert len(kernel) == n - rank_by_minors([r for m in mats
+                                              for r in m.rows])
+    if kernel:
+        assert rank_by_minors(kernel) == len(kernel)

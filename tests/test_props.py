@@ -189,3 +189,18 @@ def test_transitive_agrees_with_nilpotency(first_samples):
         if is_transitive(alg):
             for _ in range(20):
                 assert right_nilpotent_at(alg, random_qi_vector(rng, 3))
+
+
+@pytest.mark.parametrize("dim, products", [
+    # R_e1 swaps e1 and e2: tr R_x = 0 but tr R_x^2 = 2 x1^2
+    (2, {(0, 0): [(1, 1)], (1, 0): [(1, 0)]}),
+    # R_e1 permutes e1 -> e2 -> e3 -> e1: only tr R_x^3 is nonzero
+    (3, {(0, 0): [(1, 1)], (1, 0): [(1, 2)], (2, 0): [(1, 0)]}),
+    # R_e1 and R_e2 are nilpotent, R_e1 + R_e2 is not: tr R_x^2 = 2 x1 x2
+    (2, {(1, 0): [(1, 0)], (0, 1): [(1, 1)]}),
+])
+def test_transitive_reads_every_power_and_mixed_trace(dim, products):
+    "Non-transitive tables whose lower or unmixed trace conditions all hold."
+    a = Algebra.from_products(dim, products)
+    assert not right_nilpotent_at(a, [QI(1)] * dim)
+    assert not is_transitive(a)
