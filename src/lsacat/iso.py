@@ -1,26 +1,29 @@
-"""Left-symmetric algebra isomorphism verification and bounded search.
+"""Left-symmetric algebra isomorphism verification and decision.
 
 An isomorphism witness F is a row-convention matrix: row i holds the
 image of e_i, and F(x*y) = F(x)*F(y) is checked on basis pairs.  The
 search rebases both sides onto the canonical sub-adjacent Lie table.
-Equal rebased tables give the witness at once; otherwise candidates come
-from the Lie class's parametric automorphism group (lie.aut_template),
-with the parameters solved from the homomorphism equations where they
-pin them and branched over a small exact pool where they do not.
-Completeness is not claimed; Unknown is a first-class outcome.
+Equal rebased tables give the witness at once.  Otherwise F lies in one
+component of the Lie class's parametric automorphism group
+(lie.aut_template): the homomorphism equations in its parameters, plus
+det(F)*z - 1, have a reduced lex Groebner basis {1} exactly when that
+component holds no isomorphism over C, and a Q(i) witness is read off any
+other basis by back-substitution.  Unknown remains an outcome: no stored
+group, an S-pair bound hit, or a witness over C but none found over Q(i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import scalars
 from .algebra import commutator_lie, hom_defects, rebase
 from .errors import LsaError, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
-from .scalars import ONE, QI, ZERO, is_zero, partial_substitute, qi_roots
+from .scalars import (ONE, QI, ZERO, MultiPoly, groebner, is_zero, qi_roots,
+                      substitute)
 
 
 def verify_lsa_iso(a, b, f):
@@ -43,19 +46,6 @@ class IsoVerdict:
         return self.status == "isomorphic"
 
 
-# Values tried, in this order, for an unknown that the equations leave
-# free: small heights first, 0 last.
-_POOL = (
-    QI(1), QI(-1), QI(2), QI(-2), QI(Fraction(1, 2)), QI(Fraction(-1, 2)),
-    QI(0, 1), QI(0, -1), QI(3), QI(-3), QI(Fraction(1, 3)),
-    QI(Fraction(-1, 3)), QI(Fraction(3, 2)), QI(Fraction(-3, 2)),
-    QI(Fraction(2, 3)), QI(Fraction(-2, 3)), QI(4), QI(-4),
-    QI(Fraction(1, 4)), QI(Fraction(-1, 4)), QI(Fraction(3, 4)),
-    QI(Fraction(4, 3)), QI(1, 1), QI(1, -1), QI(0, 2),
-    QI(0, Fraction(1, 2)), QI(0),
-)
-
-
 def _tag_to_family(cls):
     if cls.tag == "Heisenberg":
         return "heisenberg"
@@ -71,182 +61,108 @@ def _hom_equations(a, b, template):
     return [x for d in hom_defects(a, b, template) for x in d if not is_zero(x)]
 
 
-def _simplify(eqs):
-    "Drop satisfied equations; None when a nonzero constant appears."
-    out = []
-    for e in eqs:
-        if isinstance(e, QI):
-            if e.is_zero():
-                continue
-            return None
-        if e.is_zero():
-            continue
-        if e.is_const():
-            if e.const_value().is_zero():
-                continue
-            return None
-        out.append(e)
+# Values tried, in this order, for a variable the basis leaves free.
+_FREE_VALUES = (ONE, -ONE, QI(2), QI(-2), ZERO)
+
+
+def _bind_last(p, r):
+    "The term dict p with its last variable set to r."
+    out = {}
+    for e, c in p.items():
+        key = e[:-1]
+        v = out.get(key, ZERO) + c * r ** e[-1]
+        if v.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = v
     return out
 
 
-def _single_var_solution(e):
-    "(name, roots in Q(i)) when the equation has exactly one unknown."
-    fv = e.free_vars()
-    if len(fv) != 1:
-        return None
-    name = fv.pop()
-    idx = e.vars.index(name)
-    co = [ZERO] * (e.total_degree() + 1)
-    for exps, c in e.terms.items():
-        co[exps[idx]] = co[exps[idx]] + c
-    return name, qi_roots(co)
+def _point(polys, n, values=()):
+    """Q(i) values of the n variables, the last one first, at which every
+    term dict in polys vanishes, or None.  Back-substitution through a lex
+    basis: a variable takes the roots of a remaining polynomial in it alone,
+    else each of _FREE_VALUES, and a choice that leaves a nonzero constant
+    is dropped."""
+    if n == 0:
+        return values
+    k = n - 1
+    uni = [p for p in polys if not any(any(e[:k]) for e in p)]
+    if uni:
+        p = min(uni, key=lambda q: max(e[k] for e in q))
+        co = [ZERO] * (max(e[k] for e in p) + 1)
+        for e, c in p.items():
+            co[e[k]] = c
+        cands = [-co[0] / co[1]] if len(co) == 2 else qi_roots(co)
+    else:
+        cands = _FREE_VALUES
+    for r in cands:
+        sub = [q for q in (_bind_last(p, r) for p in polys) if q]
+        if all(any(any(e) for e in q) for q in sub):
+            got = _point(sub, k, values + (r,))
+            if got is not None:
+                return got
+    return None
 
 
-def _linear_subsystem_solution(eqs, unknowns):
-    """Unique solution of the full degree-<=1 subsystem when it pins every
-    variable it touches; None when nothing to do, False on inconsistency."""
-    lin = [e for e in eqs if e.total_degree() == 1]
-    if not lin:
-        return None
-    touched = sorted({v for e in lin for v in e.free_vars()})
-    rows = []
-    for e in lin:
-        row = [ZERO] * (len(touched) + 1)
-        for exps, c in e.terms.items():
-            if sum(exps) == 0:
-                row[-1] = row[-1] + c
-            else:
-                v = e.vars[exps.index(1)]
-                row[touched.index(v)] = row[touched.index(v)] + c
-        rows.append(row)
-    red, pivots = Mat(rows).rref()
-    if len(touched) in pivots:
-        return False
-    if len(pivots) < len(touched):
-        return None
-    return {touched[p]: -red.rows[r][len(touched)]
-            for r, p in enumerate(pivots)}
-
-
-def _assignments(eqs, unknowns, budget):
-    """Generate QI assignments satisfying the polynomial system, by unit
-    propagation (single-variable consequences), linear-subsystem solving,
-    and bounded branching over the _POOL values."""
-    if budget[0] <= 0:
-        return
-    eqs = _simplify(eqs)
-    if eqs is None:
-        return
-    assignment = {}
-    while True:
-        step = None
-        for e in eqs:
-            got = _single_var_solution(e)
-            if got and len(got[1]) <= 1:
-                step = got
-                break
-            if got and step is None:
-                step = got
-        if step is None:
-            sol = _linear_subsystem_solution(eqs, unknowns)
-            if sol is False:
-                return
-            if sol:
-                assignment.update(sol)
-                eqs = _simplify([partial_substitute(e, sol) for e in eqs])
-                if eqs is None:
-                    return
-                continue
-            break
-        name, roots = step
-        if len(roots) == 1:
-            assignment[name] = roots[0]
-            eqs = _simplify([partial_substitute(e, {name: roots[0]}) for e in eqs])
-            if eqs is None:
-                return
-            continue
-        # several exact roots: branch on each
-        for r in roots:
-            sub = _simplify([partial_substitute(e, {name: r}) for e in eqs])
-            if sub is None:
-                continue
-            rest = [u for u in unknowns if u != name and u not in assignment]
-            for tail in _assignments(sub, rest, budget):
-                full = dict(assignment)
-                full[name] = r
-                full.update(tail)
-                yield full
-        return
-    remaining = [u for u in unknowns if u not in assignment]
-    live = sorted({v for e in eqs for v in e.free_vars()})
-    if not live:
-        # system satisfied; unconstrained unknowns get default values
-        base = dict(assignment)
-        for u in remaining:
-            base.setdefault(u, ONE)
-        yield base
-        return
-    # branch on the first live unknown over the pool values
-    name = live[0]
-    for val in _POOL:
-        budget[0] -= 1
-        if budget[0] <= 0:
-            return
-        sub = _simplify([partial_substitute(e, {name: val}) for e in eqs])
-        if sub is None:
-            continue
-        rest = [u for u in remaining if u != name]
-        for tail in _assignments(sub, rest, budget):
-            full = dict(assignment)
-            full[name] = val
-            full.update(tail)
-            yield full
-
-
-def _search_in_component(a, b, comp):
+def _solve_component(a, b, comp):
+    """The verdict for witnesses a -> b in one automorphism-group component:
+    the homomorphism equations plus det*z - 1 have the reduced lex basis
+    {1}, or a Q(i) point read off the basis in the template's variable
+    order or its reverse."""
     names, template = aut_template(comp)
     eqs = _hom_equations(a, b, template)
-    budget = [20000]
-    tried = 0
-    for full in _assignments(eqs, list(names), budget):
-        tried += 1
-        if tried > 4000:
-            return None
-        rows = [[partial_substitute(x, full) for x in template.row(r)]
-                for r in range(template.nrows)]
-        if any(not isinstance(x, QI) for row in rows for x in row):
-            continue
-        t = Mat(rows)
-        if is_zero(t.det()):
-            continue
-        if verify_lsa_iso(a, b, t):
-            return t
-    return None
+    eqs.append(template.det() * MultiPoly.var("z") - 1)
+    for order in (names, names[::-1]):
+        basis = groebner(eqs, ("z",) + order)
+        if basis is None:
+            return IsoVerdict("unknown", reason=(
+                "component %s: Groebner basis needs more than "
+                "GROEBNER_MAX_PAIRS = %d S-pairs"
+                % (comp, scalars.GROEBNER_MAX_PAIRS)))
+        if not any(max(basis[0])):
+            return IsoVerdict("not_isomorphic")
+        values = _point(basis, len(order) + 1)
+        if values is not None:
+            bind = dict(zip(order[::-1], values))
+            return IsoVerdict("isomorphic", witness=Mat(
+                [[substitute(x, bind) for x in row] for row in template.rows]))
+    return IsoVerdict("unknown", reason=(
+        "isomorphic over C (component %s has a Groebner basis other than "
+        "{1}) but no Q(i) point was found" % comp))
 
 
 def _search(a, b, family, l):
-    """A witness between two tables with the same canonical Lie table, from
-    the components of its automorphism group; None when none is found."""
+    "The verdict over the components of the stored automorphism group."
+    reasons = []
     for comp in aut_components(family, l):
-        t = _search_in_component(a, b, comp)
-        if t is not None:
-            return t
-        # small-height witnesses may exist only in the other direction
-        back = _search_in_component(b, a, comp)
-        if back is not None:
-            return back.inverse()
-    return None
+        v = _solve_component(a, b, comp)
+        if v.is_isomorphic:
+            return v
+        if v.status == "unknown":
+            reasons.append(v.reason)
+    if reasons:
+        return IsoVerdict("unknown", reason="; ".join(reasons))
+    return IsoVerdict("not_isomorphic", reason=(
+        "every automorphism component gives the Groebner basis {1}"))
 
 
 def search_lsa_iso(a, b):
-    """Bounded isomorphism search; returns an IsoVerdict whose Isomorphic
-    witnesses are exactly verified and whose NotIsomorphic verdicts carry
-    a separating fingerprint field.
+    """Decide whether two left-symmetric tables are isomorphic; returns an
+    IsoVerdict.  Isomorphic witnesses are exactly verified, and each
+    NotIsomorphic verdict names what separates the tables: a fingerprint
+    field, the Lie class, or a Groebner basis {1} in every component.
 
-    Both tables are rebased onto the canonical table of their sub-adjacent
-    Lie algebra.  When the rebased tables are equal the basis changes give
-    the witness; otherwise it is searched for in the stored automorphism
-    group of the Lie class."""
+    Equal tables, then the fingerprint and the Lie class, come first.  Both
+    tables are then rebased onto the canonical table of their sub-adjacent
+    Lie algebra g; equal rebased tables give the witness from the two basis
+    changes.  Otherwise each component of the stored group Aut(g) is
+    decided by one reduced lex Groebner basis (Nullstellensatz: the tables
+    are isomorphic over C iff some component's basis is not {1}).  That
+    verdict assumes the stored components cover Aut(g), as they do for the
+    Heisenberg, N, D(l) (l = 1 and l = -1 apart) and E classes.  Unknown
+    means no group is stored, the S-pair bound was hit, or the tables are
+    isomorphic over C with no Q(i) point found."""
     if a.dim != b.dim:
         return IsoVerdict("not_isomorphic", reason="different dimensions")
     if a == b:
@@ -268,9 +184,13 @@ def search_lsa_iso(a, b):
                                             "for class %s" % ca.tag)
     wa, wb = ca.witness, cb.witness
     a2, b2 = rebase(a, wa), rebase(b, wb)
-    t = Mat.identity(3) if a2 == b2 else _search(a2, b2, family, ca.param)
-    if t is None:
-        return IsoVerdict("unknown", reason="bounded search exhausted")
+    if a2 == b2:
+        t = Mat.identity(3)
+    else:
+        v = _search(a2, b2, family, ca.param)
+        if not v.is_isomorphic:
+            return v
+        t = v.witness
     full = wa.inverse() * t * wb
     if not verify_lsa_iso(a, b, full):
         raise LsaError("search witness fails after the basis change")

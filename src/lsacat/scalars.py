@@ -14,6 +14,7 @@ value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -451,7 +452,8 @@ class MultiPoly:
 
 
 class RatFunc:
-    """Quotient num/den of MultiPolys, den lex-monic; no gcd reduction."""
+    """Quotient num/den of MultiPolys, den lex-monic; no gcd reduction, but
+    a sum over one shared denominator keeps that denominator."""
 
     __slots__ = ("num", "den")
 
@@ -501,6 +503,8 @@ class RatFunc:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -603,41 +607,107 @@ def substitute(p, bindings):
     raise DomainMismatch("cannot substitute into %r" % (p,))
 
 
-def partial_substitute(p, bindings):
-    "Substitute a subset of the variables, keeping the rest symbolic."
-    p = as_scalar(p)
+# ---------------------------------------------------------------------------
+# Gröbner bases over Q(i) in the lex order.  A polynomial here is a term
+# dict {exponents: QI} whose exponent tuples follow one variable order,
+# the largest variable first, so that tuple comparison is the lex order.
+
+# S-pairs one basis may reduce before groebner() gives up; the catalog's
+# isomorphism systems need a few hundred at most.
+GROEBNER_MAX_PAIRS = 2000
+
+
+def _term_dict(p, order):
+    "A QI or MultiPoly as a term dict over the variable order."
     if isinstance(p, QI):
-        return p
-    if isinstance(p, RatFunc):
-        num = partial_substitute(p.num, bindings)
-        den = partial_substitute(p.den, bindings)
-        return num / den
-    if not isinstance(p, MultiPoly):
-        raise DomainMismatch("cannot substitute into %r" % (p,))
-    bound = {v: qi(bindings[v]) for v in p.vars if v in bindings}
-    if not bound:
-        return p
-    keep = tuple(v for v in p.vars if v not in bound)
+        return {(0,) * len(order): p} if not p.is_zero() else {}
+    pos = [order.index(v) for v in p.vars]
     out = {}
     for exps, c in p.terms.items():
-        coeff = c
-        kept = []
-        for v, e in zip(p.vars, exps):
-            if v in bound:
-                if e:
-                    coeff = coeff * bound[v] ** e
-            else:
-                kept.append(e)
-        key = tuple(kept)
-        s = out.get(key, ZERO) + coeff
-        if s.is_zero():
-            out.pop(key, None)
+        e = [0] * len(order)
+        for i, x in zip(pos, exps):
+            e[i] = x
+        out[tuple(e)] = c
+    return out
+
+
+def _sub_multiple(f, c, shift, g):
+    "f -= c * x^shift * g, in place."
+    for e, x in g.items():
+        key = tuple(a + b for a, b in zip(e, shift))
+        v = f.get(key, ZERO) - c * x
+        if v.is_zero():
+            f.pop(key, None)
         else:
-            out[key] = s
-    result = MultiPoly(keep, out)
-    if result.is_const():
-        return result.const_value()
-    return result
+            f[key] = v
+
+
+def _divides(m, n):
+    return all(a <= b for a, b in zip(m, n))
+
+
+def _normal_form(f, basis):
+    "The remainder of the term dict f on division by (lm, monic g) pairs."
+    out = {}
+    while f:
+        m = max(f)
+        for lm, g in basis:
+            if _divides(lm, m):
+                _sub_multiple(f, f[m], tuple(a - b for a, b in zip(m, lm)), g)
+                break
+        else:
+            out[m] = f.pop(m)
+    return out
+
+
+def groebner(polys, order):
+    """The reduced Gröbner basis over Q(i) of the ideal that the polynomials
+    (QI or MultiPoly) generate, in the lex order order[0] > order[1] > ...
+
+    Each element is a monic term dict {exponents: QI}, exponents aligned
+    with ``order``, and the list is sorted by leading monomial, so the unit
+    ideal is [{(0, ..., 0): 1}].  Buchberger's algorithm takes the S-pair
+    with the smallest lcm first and skips pairs whose leading monomials are
+    coprime.  Returns None once GROEBNER_MAX_PAIRS S-pairs are reduced and
+    more remain."""
+    order = tuple(order)
+    one = (0,) * len(order)
+    basis, pairs = [], []   # (lm, monic g); heap of (lcm, i, j)
+
+    def add(f):
+        "Reduce f and add it to the basis; True when it is a constant."
+        f = _normal_form(f, basis)
+        if not f:
+            return False
+        lm = max(f)
+        c = f[lm]
+        for i, (lg, _) in enumerate(basis):
+            if any(a and b for a, b in zip(lg, lm)):
+                heapq.heappush(pairs, (tuple(map(max, lg, lm)), i, len(basis)))
+        basis.append((lm, {e: x / c for e, x in f.items()}))
+        return lm == one
+
+    unit = [{one: ONE}]
+    if any(add(_term_dict(p, order)) for p in polys):
+        return unit
+    reduced = 0
+    while pairs:
+        if reduced == GROEBNER_MAX_PAIRS:
+            return None
+        reduced += 1
+        lcm, i, j = heapq.heappop(pairs)
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        s = {tuple(a + b - c for a, b, c in zip(e, lcm, li)): x
+             for e, x in gi.items()}
+        _sub_multiple(s, ONE, tuple(a - b for a, b in zip(lcm, lj)), gj)
+        if add(s):
+            return unit
+    # add() reduced each element by the earlier ones, so an element is
+    # redundant exactly when a later leading monomial divides its own
+    minimal = [(lm, g) for k, (lm, g) in enumerate(basis)
+               if not any(_divides(l2, lm) for l2, _ in basis[k + 1:])]
+    return sorted((_normal_form(dict(g), [h for h in minimal if h[0] != lm])
+                   for lm, g in minimal), key=max)
 
 
 # ---------------------------------------------------------------------------

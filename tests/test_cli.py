@@ -179,6 +179,32 @@ def test_iso_search(tmp_path):
     assert "verdict: isomorphic" in out
 
 
+def test_iso_search_separates_h1_from_h2(tmp_path):
+    "Equal fingerprints; the Groebner basis separates them."
+    b = tmp_path / "h2.alg"
+    b.write_text("kind algebra dim 3 domain gaussian\n"
+                 "e1 e1 = e1\ne1 e2 = e2 + e3\ne1 e3 = e3\ne2 e1 = e2\n"
+                 "e2 e2 = e3\ne3 e1 = e3\n")
+    for strict in ([], ["--strict"]):
+        code, out = run(["iso", "--search", sample("h1.alg"), str(b)] + strict)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "verdict: not_isomorphic"
+        assert lines[1].startswith("separated_by: ")
+
+
+def test_iso_search_unknown_exits_1_only_under_strict(tmp_path):
+    "Commutative tables have an abelian Lie algebra: no group is stored."
+    a = tmp_path / "a.alg"
+    b = tmp_path / "b.alg"
+    a.write_text("kind algebra dim 3 domain gaussian\ne1 e1 = e1\n")
+    b.write_text("kind algebra dim 3 domain gaussian\ne2 e2 = e2\n")
+    code, out = run(["iso", "--search", str(a), str(b)])
+    assert (code, out.splitlines()[0]) == (0, "verdict: unknown")
+    code, out = run(["iso", "--search", str(a), str(b), "--strict"])
+    assert (code, out.splitlines()[0]) == (1, "verdict: unknown")
+
+
 H1_FINGERPRINT = [
     "flag associative: no", "flag bisymmetric: no", "flag commutative: no",
     "flag left_symmetric: yes", "flag novikov: yes", "flag transitive: no",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsacat import catalog
+from lsacat import catalog, scalars
 from lsacat.algebra import rebase
 from lsacat.errors import SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
@@ -113,10 +113,46 @@ def test_isomorphic_tables_share_fingerprint():
 
 
 def test_catalog_classes_within_family_pairwise_distinct_sample():
-    "Spot check: distinct parameter-free H classes never test isomorphic."
+    "Distinct parameter-free H classes are proved non-isomorphic."
     ids = ["H-1", "H-2", "H-3", "H-4", "H-5", "H-6", "H-8", "H-9"]
     algs = {i: catalog.instantiate(i) for i in ids}
     for k, a_id in enumerate(ids):
         for b_id in ids[k + 1:]:
             v = search_lsa_iso(algs[a_id], algs[b_id])
-            assert v.status != "isomorphic", (a_id, b_id)
+            assert v.status == "not_isomorphic", (a_id, b_id)
+
+
+def test_fingerprint_equal_entries_are_not_isomorphic(first_samples):
+    """Distinct entries whose first samples no fingerprint field separates,
+    among them H-1/H-2, N-2/N-13, D1bar-3/D1bar-7 and E-3/E-4: the
+    Groebner basis is {1} in every automorphism component."""
+    fps = [(e.id, alg, fingerprint(alg)) for e, _, alg in first_samples]
+    pairs = [(x, y) for k, x in enumerate(fps) for y in fps[k + 1:]
+             if x[2] == y[2]]
+    assert len(pairs) == 68
+    for (xid, a, _), (yid, b, _) in pairs:
+        v = search_lsa_iso(a, b)
+        assert v.status == "not_isomorphic", (xid, yid, v.reason)
+        assert "Groebner basis {1}" in v.reason
+        assert "unknown" not in v.reason
+
+
+def test_every_entry_against_a_random_basis(first_samples):
+    "Each entry's first sample a against rebase(a, T), T random in [-2, 2]."
+    rng = random.Random(1)
+    for e, _, a in first_samples:
+        t = Mat.zero(3)
+        while t.det() == 0:
+            t = Mat([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+        b = rebase(a, t)
+        v = search_lsa_iso(a, b)
+        assert v.is_isomorphic, (e.id, v.reason)
+        assert verify_lsa_iso(a, b, v.witness)
+
+
+def test_s_pair_bound_gives_unknown(monkeypatch):
+    "H-1/H-2 needs a few hundred S-pairs; under a bound of 5 it is unknown."
+    monkeypatch.setattr(scalars, "GROEBNER_MAX_PAIRS", 5)
+    v = search_lsa_iso(catalog.instantiate("H-1"), catalog.instantiate("H-2"))
+    assert v.status == "unknown"
+    assert "GROEBNER_MAX_PAIRS = 5 S-pairs" in v.reason

@@ -81,6 +81,19 @@ def test_like_denominator_addition():
     assert p == parse_scalar("l^2/m")
 
 
+def test_sums_over_a_shared_denominator_keep_it():
+    "Each entry of M * M^-1 is a sum over det(M), not over a power of it."
+    rng = random.Random(4)
+    s, t = MultiPoly.var("s"), MultiPoly.var("t")
+    m = Mat([[rng.randint(-3, 3) + rng.randint(1, 3) * s ** rng.randint(0, 2) * t
+              for _ in range(4)] for _ in range(4)])
+    prod = m * m.inverse()
+    assert prod == Mat.identity(4)
+    dens = [x.den for row in prod.rows for x in row if isinstance(x, RatFunc)]
+    assert len(dens) == 16
+    assert max(len(d.terms) for d in dens) <= len(m.det().terms)
+
+
 def test_substitute_examples():
     p = parse_scalar("l^2-l")
     assert substitute(p, {"l": 2}) == 2
