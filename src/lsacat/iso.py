@@ -22,8 +22,8 @@ from .errors import LsaError, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
-from .scalars import (ONE, QI, ZERO, MultiPoly, groebner, is_zero, qi_roots,
-                      substitute)
+from .scalars import (ONE, QI, ZERO, MultiPoly, _sub_multiple, _term_dict,
+                      groebner, is_zero, qi_roots, substitute)
 
 
 def verify_lsa_iso(a, b, f):
@@ -56,9 +56,39 @@ def _tag_to_family(cls):
     return None
 
 
-def _hom_equations(a, b, template):
-    "Homomorphism defect polynomials for a parametric witness template."
-    return [x for d in hom_defects(a, b, template) for x in d if not is_zero(x)]
+def _hom_equations(a, b, names, template):
+    """The homomorphism equations of a parametric witness template, then
+    det(F)*z - 1, as term dicts over the variables ("z",) + names.  Read off
+    the structure constants and the template cells: coordinate q of
+    F(e_i e_j) - F(e_i) F(e_j) is sum_p a_ij^p F_pq - sum_kl F_ik F_jl b_kl^q,
+    taken in hom_defects' order with the zero ones left out."""
+    n = a.dim
+    order = ("z",) + names
+    f = [[_term_dict(x, order) for x in row] for row in template.rows]
+    one = (0,) * len(order)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for q in range(n):
+                d = {}
+                for p, x in enumerate(a.c[i][j]):
+                    if not is_zero(x):
+                        _sub_multiple(d, -x, one, f[p][q])
+                for k in range(n):
+                    for l in range(n):
+                        y = b.c[k][l][q]
+                        if not is_zero(y):
+                            for e, c in f[i][k].items():
+                                _sub_multiple(d, y * c, e, f[j][l])
+                if d:
+                    out.append(d)
+    out.append(_term_dict(template.det() * MultiPoly.var("z") - 1, order))
+    return out
+
+
+def _reverse_names(p):
+    'A term dict over ("z",) + names as one over ("z",) + names[::-1].'
+    return {(e[0],) + e[:0:-1]: c for e, c in p.items()}
 
 
 # Values tried, in this order, for a variable the basis leaves free.
@@ -111,8 +141,7 @@ def _solve_component(a, b, comp):
     {1}, or a Q(i) point read off the basis in the template's variable
     order or its reverse."""
     names, template = aut_template(comp)
-    eqs = _hom_equations(a, b, template)
-    eqs.append(template.det() * MultiPoly.var("z") - 1)
+    eqs = _hom_equations(a, b, names, template)
     for order in (names, names[::-1]):
         basis = groebner(eqs, ("z",) + order)
         if basis is None:
@@ -127,6 +156,7 @@ def _solve_component(a, b, comp):
             bind = dict(zip(order[::-1], values))
             return IsoVerdict("isomorphic", witness=Mat(
                 [[substitute(x, bind) for x in row] for row in template.rows]))
+        eqs = [_reverse_names(p) for p in eqs]
     return IsoVerdict("unknown", reason=(
         "isomorphic over C (component %s has a Groebner basis other than "
         "{1}) but no Q(i) point was found" % comp))

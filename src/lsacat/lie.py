@@ -54,25 +54,27 @@ def check_lie_automorphism(g, t):
 FAMILIES = ("abelian", "heisenberg", "N", "Dl", "E", "sl2")
 
 
+# The canonical tables that do not depend on a parameter, built once.
+_CANONICAL = {
+    "abelian": LieAlgebra.from_brackets(3, {}),
+    "heisenberg": LieAlgebra.from_brackets(3, {(0, 1): [(1, 2)]}),
+    "N": LieAlgebra.from_brackets(3, {(2, 1): [(1, 1)]}),
+    "E": LieAlgebra.from_brackets(
+        3, {(2, 0): [(1, 0)], (2, 1): [(1, 0), (1, 1)]}),
+    # [h,e]=2e, [h,f]=-2f, [e,f]=h with basis (h,e,f)
+    "sl2": LieAlgebra.from_brackets(
+        3, {(0, 1): [(2, 1)], (0, 2): [(-2, 2)], (1, 2): [(1, 0)]}),
+}
+
+
 def canonical_lie(family, l=None):
-    if family == "abelian":
-        return LieAlgebra.from_brackets(3, {})
-    if family == "heisenberg":
-        return LieAlgebra.from_brackets(3, {(0, 1): [(1, 2)]})
-    if family == "N":
-        return LieAlgebra.from_brackets(3, {(2, 1): [(1, 1)]})
     if family == "Dl":
         if l is None:
             raise ValueError("Dl needs the parameter l")
         return LieAlgebra.from_brackets(
             3, {(2, 0): [(1, 0)], (2, 1): [(qi(l), 1)]})
-    if family == "E":
-        return LieAlgebra.from_brackets(
-            3, {(2, 0): [(1, 0)], (2, 1): [(1, 0), (1, 1)]})
-    if family == "sl2":
-        # [h,e]=2e, [h,f]=-2f, [e,f]=h with basis (h,e,f)
-        return LieAlgebra.from_brackets(
-            3, {(0, 1): [(2, 1)], (0, 2): [(-2, 2)], (1, 2): [(1, 0)]})
+    if family in _CANONICAL:
+        return _CANONICAL[family]
     raise ValueError("unknown family %r" % (family,))
 
 

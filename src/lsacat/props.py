@@ -4,24 +4,27 @@ fingerprints.
 Ideal search strategy (dimension <= 3, scalars in Q(i), ideals over C): a
 1-dimensional two-sided ideal is a common invariant line of all left and
 right basis multiplications, hence an eigenline of any single one of them,
-M.  We factor the characteristic polynomial of M over Q(i).  A linear
-factor gives an eigenline, or an eigenplane in which the invariant lines
-solve quadratic conditions.  An irreducible factor f of degree d >= 2
-gives d conjugate eigenlines that are all invariant or all not; by Galois
-descent they span the Q(i)-rational W = ker f(M), and they are invariant
-iff every operator maps W into W and commutes with M on W.  Conjugate
-lines are reported once, as the orbit (basis of W, f), so no extension
-field is built.  2-dimensional ideals are found dually via the transposed
-operators acting on covectors.  Predicates and fingerprints read
-associators and basis operators off the structure constants, and trace
-forms tr(XY) from linalg.trace_of_product without forming XY.
-Transitivity is read from polarized traces of the basis right
-multiplications, and the annihilators are common kernels of the basis
-operators.
+M.  We factor the characteristic polynomial of M over Q(i), once per
+algebra.  A linear factor gives an eigenline, or an eigenplane in which
+the invariant lines solve a binary quadratic, solved from the square root
+of its discriminant.  An irreducible factor f of degree d >= 2 gives d
+conjugate eigenlines that are all invariant or all not; by Galois descent
+they span the Q(i)-rational W = ker f(M), and they are invariant iff
+every operator maps W into W and commutes with M on W.  Conjugate lines
+are reported once, as the orbit (basis of W, f), so no extension field
+is built.  2-dimensional ideals are found dually via the transposed
+operators acting on covectors, with M^T, whose characteristic polynomial
+is that of M: planes come from the same factorization as lines.
+Predicates and fingerprints read associators and basis operators off the
+structure constants, and trace forms tr(XY) from linalg.trace_of_product
+without forming XY.  Transitivity is read from polarized traces of the
+basis right multiplications, one trace per cyclic class of orderings, and
+the annihilators are common kernels of the basis operators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations_with_replacement, permutations
@@ -30,12 +33,13 @@ from operator import mul
 from .algebra import (Algebra, basis_associator, check_left_symmetric,
                       commutator_lie, multiplication_operators, multiply,
                       right_matrix)
-from .errors import DimensionMismatch, LsaError, ZeroAlgebra
+from .errors import DimensionMismatch, ZeroAlgebra
 from .lie import classify3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_add, vec_eq,
                      vec_is_zero)
-from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
+from .scalars import (ONE, QI, ZERO, factor_unipoly, gaussian_sqrt,
+                      is_zero)
 
 
 def is_associative(a):
@@ -73,13 +77,24 @@ def is_transitive(a):
     tr(R_x^k) for k = 1..dim identically in x (valid in characteristic 0,
     including parametric tables).  The coefficient of x_i1...x_ik in
     tr(R_x^k) is the polarized trace: tr(R_e_i1 ... R_e_ik) summed over the
-    distinct orderings of the multiset {i1, ..., ik}."""
+    distinct orderings of the multiset {i1, ..., ik}.  The trace is cyclic,
+    so each cyclic class of orderings contributes one trace times its size,
+    the last factor taken by trace_of_product."""
     n = a.dim
     rm = multiplication_operators(a)[n:]
     for k in range(1, n + 1):
         for idx in combinations_with_replacement(range(n), k):
-            total = sum((reduce(mul, [rm[i] for i in order]).trace()
-                         for order in set(permutations(idx))), ZERO)
+            classes = Counter(min(order[s:] + order[:s] for s in range(k))
+                              for order in set(permutations(idx)))
+            total = ZERO
+            for order, size in classes.items():
+                if k == 1:
+                    tr = rm[order[0]].trace()
+                else:
+                    tr = trace_of_product(
+                        reduce(mul, [rm[i] for i in order[:-1]]),
+                        rm[order[-1]])
+                total = total + tr * size
             if not is_zero(total):
                 return False
     return True
@@ -173,6 +188,14 @@ def _orbit_invariant(ops, m, w):
     return True
 
 
+def _chosen_operator(ops):
+    """A non-scalar operator among ops, or None when all are scalar.  Any
+    one is sound; L_e3, R_e3 and L_e1 + R_e2 are tried first because on the
+    catalog their characteristic polynomials split over Q(i)."""
+    candidates = [ops[2], ops[5], ops[0] + ops[4]] if len(ops) >= 6 else []
+    return next((m for m in candidates + ops if not _is_scalar_mat(m)), None)
+
+
 def common_invariant_lines(ops):
     """All lines invariant under every operator (column convention, QI
     entries), found with Q(i)-rational linear algebra only.
@@ -182,15 +205,18 @@ def common_invariant_lines(ops):
     and orbits are (basis of W, f) for the deg f conjugate invariant lines
     spanning W.
     """
-    n = ops[0].nrows
-    # any non-scalar operator is sound; these come first because on the
-    # catalog their characteristic polynomials split over Q(i)
-    candidates = [ops[2], ops[5], ops[0] + ops[4]] if len(ops) >= 6 else []
-    chosen = next((m for m in candidates + ops if not _is_scalar_mat(m)), None)
+    chosen = _chosen_operator(ops)
     if chosen is None:
         return [], [], [], True
     _, factors = factor_unipoly(chosen.charpoly())
+    return _invariant_lines(ops, chosen, factors) + (False,)
 
+
+def _invariant_lines(ops, chosen, factors):
+    """(lines, families, orbits) as common_invariant_lines returns them, read
+    off the eigenspaces of the non-scalar operator chosen among ops, whose
+    characteristic polynomial has the monic irreducible factors given."""
+    n = ops[0].nrows
     lines = []
     families = []
     orbits = []
@@ -215,7 +241,20 @@ def common_invariant_lines(ops):
             lines.extend(ls)
             families.extend(fams)
             orbits.extend(orbs)
-    return _dedupe_lines(lines), families, orbits, False
+    return _dedupe_lines(lines), families, orbits
+
+
+def _quadratic_roots(aa, bb, cc):
+    """The roots in Q(i) of aa*s^2 + bb*s + cc (aa != 0) from the square root
+    of its discriminant: a double root once, two roots r in the order of
+    ((-r).re, (-r).im), or none."""
+    root = gaussian_sqrt(bb * bb - QI(4) * aa * cc)
+    if root is None:
+        return []
+    if root.is_zero():
+        return [-bb / (QI(2) * aa)]
+    rs = [(-bb + x) / (QI(2) * aa) for x in (root, -root)]
+    return sorted(rs, key=lambda r: ((-r).re, (-r).im))
 
 
 def _lines_in_plane(ops, b1, b2):
@@ -245,15 +284,15 @@ def _lines_in_plane(ops, b1, b2):
             # bb*s + cc*t = 0
             candidates.append(_combine(b1, -cc, b2, bb))
     else:
-        _, fs = factor_unipoly((cc, bb, aa))
-        if len(fs[0][0]) == 3:
+        roots = _quadratic_roots(aa, bb, cc)
+        if not roots:
             # the conjugate roots of an irreducible quadratic solve every
             # condition iff each one is a multiple of it
             if all(_proportional(q, quads[0]) for q in quads[1:]):
-                return [], [], [([b1, b2], fs[0][0])]
+                return [], [], [([b1, b2], (cc / aa, bb / aa, ONE))]
             return [], [], []
-        for f, _m in fs:
-            candidates.append(_combine(b1, -f[0], b2, ONE))
+        for r in roots:
+            candidates.append(_combine(b1, r, b2, ONE))
     out = []
     for v in candidates:
         if not vec_is_zero(v) and _line_invariant(ops, v):
@@ -277,19 +316,17 @@ def find_ideals(a):
     if a.dim == 1:  # the one line is the whole algebra
         return report
     ops = multiplication_operators(a)
-    lines, fams, orbits, all_flag = common_invariant_lines(ops)
-    if all_flag:
+    chosen = _chosen_operator(ops)
+    if chosen is None:
         report.all_subspaces = True
         return report
-    report.lines = lines
-    report.line_families = fams
-    report.line_orbits = orbits
-    tops = [m.transpose() for m in ops]
-    covs, cofams, coorbits, all_flag = common_invariant_lines(tops)
-    if all_flag:
-        raise LsaError("transposed operators leave every line invariant, "
-                       "the operators do not")
-    report.plane_orbits = coorbits
+    # M and its transpose share one characteristic polynomial, so one
+    # factorization serves lines (ops) and planes (transposed ops)
+    _, factors = factor_unipoly(chosen.charpoly())
+    report.lines, report.line_families, report.line_orbits = (
+        _invariant_lines(ops, chosen, factors))
+    covs, cofams, report.plane_orbits = _invariant_lines(
+        [m.transpose() for m in ops], chosen.transpose(), factors)
     for phi_vec in covs:
         basis = Mat([phi_vec]).nullspace()
         report.planes.append((phi_vec, basis))

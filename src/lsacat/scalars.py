@@ -618,7 +618,10 @@ GROEBNER_MAX_PAIRS = 2000
 
 
 def _term_dict(p, order):
-    "A QI or MultiPoly as a term dict over the variable order."
+    """A QI or MultiPoly as a term dict over the variable order; a term dict
+    is taken as one over that order already, and copied."""
+    if isinstance(p, dict):
+        return dict(p)
     if isinstance(p, QI):
         return {(0,) * len(order): p} if not p.is_zero() else {}
     pos = [order.index(v) for v in p.vars]
@@ -662,7 +665,8 @@ def _normal_form(f, basis):
 
 def groebner(polys, order):
     """The reduced Gröbner basis over Q(i) of the ideal that the polynomials
-    (QI or MultiPoly) generate, in the lex order order[0] > order[1] > ...
+    (QI, MultiPoly, or term dicts over ``order``) generate, in the lex order
+    order[0] > order[1] > ...
 
     Each element is a monic term dict {exponents: QI}, exponents aligned
     with ``order``, and the list is sorted by leading monomial, so the unit
@@ -737,10 +741,6 @@ def _up_scale(a, c):
     return _up_trim([x * c for x in a])
 
 
-def _up_sub(a, b):
-    return _up_add(a, _up_scale(b, QI(-1)))
-
-
 def _up_mul(a, b):
     if not a or not b:
         return ()
@@ -773,24 +773,23 @@ def _up_divmod(a, b):
     return _up_trim(q), _up_trim(r)
 
 
-def _up_ext_euclid(a, b):
-    "Return (g, s, t) with s*a + t*b = g."
-    r0, r1 = _up_trim(a), _up_trim(b)
-    s0, s1 = (ONE,), ()
-    t0, t1 = (), (ONE,)
-    while r1:
-        q, r = _up_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _up_sub(s0, _up_mul(q, s1))
-        t0, t1 = t1, _up_sub(t0, _up_mul(q, t1))
-    return r0, s0, t0
+def _up_gcd(a, b):
+    "A greatest common divisor of a and b: Euclid's last nonzero remainder."
+    a, b = _up_trim(a), _up_trim(b)
+    while b:
+        a, b = b, _up_divmod(a, b)[1]
+    return a
 
 
-def _up_eval(co, x):
-    out = ZERO
+def _up_deflate(co, r):
+    """(q, co(r)) with co = (t - r)*q + co(r), by synthetic division: Horner's
+    partial sums are the coefficients of q, and the last one is co(r)."""
+    acc, q = ZERO, []
     for c in reversed(co):
-        out = out * x + c
-    return out
+        acc = acc * r + c
+        q.append(acc)
+    rem = q.pop()
+    return tuple(reversed(q)), rem
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +907,7 @@ def qi_roots(co):
     if len(co) <= 1:
         return roots
     sqfree = co
-    gcd = _up_ext_euclid(co, tuple(c * j for j, c in enumerate(co))[1:])[0]
+    gcd = _up_gcd(co, tuple(c * j for j, c in enumerate(co))[1:])
     if len(gcd) > 1:
         sqfree = _up_divmod(co, gcd)[0]
     ints = _clear_to_gaussian_integers(sqfree)
@@ -926,7 +925,7 @@ def qi_roots(co):
     zlead = QI(*lead)
     for x in residues:
         t = QI(*_newton_lift(g, dg, x, p, bound)) / zlead
-        if _up_eval(co, t).is_zero():
+        if _up_deflate(co, t)[1].is_zero():
             roots.append(t)
     keys = _clear_to_gaussian_integers(roots)
     return [z for _, z in sorted(zip(keys, roots), key=lambda kz: kz[0])]
@@ -1000,16 +999,15 @@ def factor_unipoly(co):
     co = tuple(c / unit for c in co)
     factors = []
     for r in qi_roots(co):
-        lin = (-r, ONE)
         mult = 0
         while True:
-            q, rem = _up_divmod(co, lin)
-            if rem:
+            q, rem = _up_deflate(co, r)
+            if not rem.is_zero():
                 break
             co = q
             mult += 1
         if mult:
-            factors.append((lin, mult))
+            factors.append(((-r, ONE), mult))
     deg = _up_deg(co)
     if deg in (2, 3):
         factors.append((co, 1))

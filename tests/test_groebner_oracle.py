@@ -12,7 +12,7 @@ from lsacat import catalog, iso
 from lsacat.algebra import commutator_lie, rebase
 from lsacat.lie import aut_components, aut_template, classify3
 from lsacat.linalg import Mat
-from lsacat.scalars import MultiPoly, groebner
+from lsacat.scalars import groebner
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -58,14 +58,14 @@ def check_components(a, b):
     assert ca.key() == cb.key()
     for comp in aut_components(iso._tag_to_family(ca), ca.param):
         names, template = aut_template(comp)
-        eqs = iso._hom_equations(a2, b2, template)
-        eqs.append(template.det() * MultiPoly.var("z") - 1)
-        for order in (("z",) + names, ("z",) + names[::-1]):
+        eqs = iso._hom_equations(a2, b2, names, template)
+        for order, system in ((("z",) + names, eqs),
+                              (("z",) + names[::-1],
+                               [iso._reverse_names(p) for p in eqs])):
             gens = {v: sympy.Symbol(v) for v in order}
-            ours = groebner(eqs, order)
+            ours = groebner(system, order)
             theirs = sympy.groebner(
-                [expr(p.terms, p.vars, gens) if isinstance(p, MultiPoly)
-                 else coeff(p) for p in eqs],
+                [expr(p, order, gens) for p in system],
                 *[gens[v] for v in order], order="lex", domain=sympy.QQ_I)
             unit = not any(max(ours[0]))
             assert unit == (list(theirs.exprs) == [1]), (comp, order)

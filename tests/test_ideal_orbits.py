@@ -6,15 +6,21 @@ g is a product of monic factors that are irreducible over Q(i) by
 construction: t - r, t^2 - c with c not a square in Q(i), and t^3 - c with
 c not a cube.  So g is squarefree iff no linear factor repeats, and the
 expected verdict needs no extension arithmetic.  Non-linear factors make
-the ideal search report conjugate orbits."""
+the ideal search report conjugate orbits.
+
+The second half checks the one factorization find_ideals shares between
+lines and planes against separate passes and against factor_unipoly."""
+
+from fractions import Fraction
 
 import pytest
 
 from lsacat import scalars
-from lsacat.algebra import Algebra, rebase
+from lsacat.algebra import Algebra, multiplication_operators, rebase
 from lsacat.linalg import Mat, span_rank
-from lsacat.props import find_ideals, ideal_closed, is_semisimple, is_simple
-from lsacat.scalars import QI
+from lsacat.props import (_lines_in_plane, common_invariant_lines,
+                          find_ideals, ideal_closed, is_semisimple, is_simple)
+from lsacat.scalars import QI, factor_unipoly
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -87,3 +93,160 @@ def test_semisimple_iff_squarefree(modulus, cells):
         vectors = [v for part in witness
                    for v in (part[0] if isinstance(part, tuple) else part)]
         assert span_rank(vectors, 3) == 3
+
+
+# ---------------------------------------------------------------------------
+# find_ideals factors the characteristic polynomial of its chosen operator
+# M once and reads lines off M and planes off M^T with that one
+# factorization.  The checks below repeat the plane pass with a factorization
+# of its own and the plane solver with factor_unipoly.
+
+LIN_ROOTS = [QI(0), QI(1), QI(-1), QI(2), QI(0, 1), QI(1, 1)]
+# pools for the cells off the chosen operator: empty, sparse and dense
+FILLS = [[QI(0)], [QI(0)] * 8 + [QI(1), QI(-1), QI(0, 1)],
+         [QI(0), QI(1), QI(-1), QI(2), QI(0, 1)]]
+
+
+@st.composite
+def blocks(draw, n):
+    """Monic polynomials whose degrees add up to n: t - r, (t - r)^k, and
+    irreducible t^2 - c and t^3 - c; equal roots in separate blocks give
+    eigenplanes, in one block a Jordan block."""
+    out = []
+    while sum(len(g) - 1 for g in out) < n:
+        left = n - sum(len(g) - 1 for g in out)
+        deg = draw(st.integers(1, left))
+        kind = draw(st.sampled_from(["power", "irreducible"]))
+        if deg == 1 or kind == "power":
+            r = draw(st.sampled_from(LIN_ROOTS))
+            g = (QI(1),)
+            for _ in range(deg):
+                g = scalars._up_mul(g, (-r, QI(1)))
+        else:
+            c = draw(st.sampled_from(NON_SQUARES if deg == 2 else NON_CUBES))
+            g = (-c,) + (QI(0),) * (deg - 1) + (QI(1),)
+        out.append(g)
+    return out
+
+
+def block_companion(gs, n):
+    "The block-diagonal matrix of the companion matrices of gs."
+    rows = [[QI(0)] * n for _ in range(n)]
+    at = 0
+    for g in gs:
+        d = len(g) - 1
+        for i in range(d):
+            if i:
+                rows[at + i][at + i - 1] = QI(1)
+            rows[at + i][at + d - 1] = -g[i]
+        at += d
+    return Mat(rows)
+
+
+@st.composite
+def tables_with_chosen_operator(draw):
+    """A 2- or 3-dimensional table whose operator L_{e_n} (find_ideals picks
+    it when it is not scalar) is conjugate to a block companion matrix, so
+    its characteristic polynomial has the drawn factors; the other cells
+    are zero, sparse or dense, so that ideals exist in some."""
+    n = draw(st.sampled_from([2, 3]))
+    w = Mat([[draw(entries) for _ in range(n)] for _ in range(n)])
+    assume(not w.det().is_zero())
+    m = w.inverse() * block_companion(draw(blocks(n)), n) * w
+    fill = st.sampled_from(draw(st.sampled_from(FILLS)))
+    table = [[[draw(fill) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    # entry (k, j) of L_{e_i} is c_ij^k
+    i = 2 if n == 3 else 0
+    for j in range(n):
+        table[i][j] = [m[k, j] for k in range(n)]
+    return Algebra(table)
+
+
+@st.composite
+def rebased_quotients(draw):
+    "Q(i)[t]/(g) + C^(3 - deg g) in a random basis: ideals and orbits exist."
+    w = Mat([[draw(entries) for _ in range(3)] for _ in range(3)])
+    assume(not w.det().is_zero())
+    return rebase(quotient_plus_copies(draw(moduli())[0]), w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tables_with_chosen_operator(), rebased_quotients()))
+def test_planes_match_a_separate_pass_on_transposed_operators(alg):
+    report = find_ideals(alg)
+    ops = multiplication_operators(alg)
+    assume(not report.all_subspaces)
+    lines, fams, orbits, all_lines = common_invariant_lines(ops)
+    assert not all_lines
+    assert (report.lines, report.line_families, report.line_orbits) == (
+        lines, fams, orbits)
+    covs, cofams, coorbits, all_lines = common_invariant_lines(
+        [op.transpose() for op in ops])
+    assert not all_lines
+    assert report.planes == [(v, Mat([v]).nullspace()) for v in covs]
+    assert report.plane_families == [Mat([p1, p2]).nullspace()[0]
+                                     for p1, p2 in cofams]
+    assert report.plane_orbits == coorbits
+
+
+def normalized(v):
+    lead = next(x for x in v if not x.is_zero())
+    return [x / lead for x in v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks(2), st.lists(entries, min_size=4, max_size=4))
+def test_plane_lines_match_factor_unipoly(gs, cells):
+    """On one operator M of a plane, the invariant lines s*b1 + t*b2 solve
+    aa*s^2 + bb*s + cc = 0; each root r of the quadratic, as factor_unipoly
+    finds it, gives the line r*b1 + b2, and an irreducible quadratic the
+    orbit of its monic factor."""
+    w = Mat([cells[0:2], cells[2:4]])
+    assume(not w.det().is_zero())
+    m = w.inverse() * block_companion(gs, 2) * w
+    b1, b2 = [QI(1), QI(0)], [QI(0), QI(1)]
+    aa, bb, cc = m[1, 0], m[1, 1] - m[0, 0], -m[0, 1]
+    got = _lines_in_plane([m], b1, b2)
+    if aa.is_zero():
+        return  # (1 : 0) is a root; no quadratic to solve
+    _, factors = factor_unipoly((cc, bb, aa))
+    if len(factors[0][0]) == 3:
+        assert got == ([], [], [([b1, b2], factors[0][0])])
+    else:
+        assert got == ([normalized([-f[0], QI(1)]) for f, _m in factors],
+                       [], [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(LIN_ROOTS), blocks(4))
+def test_factor_unipoly_multiplicities_match_sympy(mult, r, gs):
+    "(t - r)^mult times drawn factors up to degree 4, against sympy."
+    sympy = pytest.importorskip("sympy")
+    co = (QI(1),)
+    for _ in range(mult):
+        co = scalars._up_mul(co, (-r, QI(1)))
+    for g in gs:
+        if len(co) + len(g) - 2 <= 4:
+            co = scalars._up_mul(co, g)
+    t = sympy.Symbol("t")
+
+    def to_sympy(z):
+        return sympy.Rational(z.re) + sympy.I * sympy.Rational(z.im)
+
+    def from_sympy(c):
+        re, im = sympy.re(c), sympy.im(c)
+        return QI(Fraction(int(re.p), int(re.q)),
+                  Fraction(int(im.p), int(im.q)))
+
+    expr = sum(to_sympy(c) * t ** k for k, c in enumerate(co))
+    expected = []
+    for f, m in sympy.factor_list(expr, t, extension=sympy.I)[1]:
+        coeffs = sympy.Poly(f, t, extension=sympy.I).monic().all_coeffs()
+        expected.append((tuple(from_sympy(c) for c in reversed(coeffs)), m))
+
+    def key(fm):
+        return len(fm[0]), [(c.re, c.im) for c in fm[0]], fm[1]
+    unit, factors = factor_unipoly(co)
+    assert unit == QI(1)
+    assert sorted(factors, key=key) == sorted(expected, key=key)

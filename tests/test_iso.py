@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from lsacat import catalog, scalars
-from lsacat.algebra import rebase
+from lsacat import catalog, iso, scalars
+from lsacat.algebra import commutator_lie, hom_defects, rebase
 from lsacat.errors import SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
-from lsacat.lie import random_automorphism
+from lsacat.lie import (aut_components, aut_template, classify3,
+                        random_automorphism)
 from lsacat.linalg import Mat
 from lsacat.props import fingerprint
+from lsacat.scalars import MultiPoly
 
 
 def test_verify_identity():
@@ -156,3 +158,31 @@ def test_s_pair_bound_gives_unknown(monkeypatch):
     v = search_lsa_iso(catalog.instantiate("H-1"), catalog.instantiate("H-2"))
     assert v.status == "unknown"
     assert "GROEBNER_MAX_PAIRS = 5 S-pairs" in v.reason
+
+
+def test_hom_equations_are_the_hom_defects(first_samples):
+    """The term dicts read off the structure constants are the defects
+    F(e_i e_j) - F(e_i) F(e_j) of the parametric template computed with
+    MultiPoly arithmetic, in the same order, then det(F)*z - 1; reversing
+    the names permutes the exponents."""
+    rng = random.Random(5)
+    for entry, _b, a in first_samples:
+        cls = classify3(commutator_lie(a))
+        family = iso._tag_to_family(cls)
+        if family is None or cls.witness is None:
+            continue
+        a2 = rebase(a, cls.witness)
+        b2 = rebase(rebase(a, random_automorphism(family, rng, cls.param)),
+                    cls.witness)
+        for comp in aut_components(family, cls.param):
+            names, template = aut_template(comp)
+            polys = [x for d in hom_defects(a2, b2, template) for x in d
+                     if not scalars.is_zero(x)]
+            polys.append(template.det() * MultiPoly.var("z") - 1)
+            for order in (names, names[::-1]):
+                expected = [scalars._term_dict(p, ("z",) + order)
+                            for p in polys]
+                got = iso._hom_equations(a2, b2, names, template)
+                if order != names:
+                    got = [iso._reverse_names(p) for p in got]
+                assert got == expected, (entry.id, comp, order)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsacat import catalog
+from lsacat import catalog, props
 from lsacat.algebra import Algebra, rebase
 from lsacat.errors import DimensionMismatch, ZeroAlgebra
 from lsacat.linalg import Mat, basis_vec
@@ -13,7 +13,7 @@ from lsacat.props import (closure_span, find_ideals, fingerprint,
                           is_novikov, is_semisimple, is_simple, is_transitive,
                           random_qi_vector,
                           right_nilpotent_at, simplicity_oracle_agrees)
-from lsacat.scalars import QI
+from lsacat.scalars import QI, factor_unipoly
 
 
 def test_associative_examples():
@@ -81,6 +81,25 @@ def test_find_ideals_h5_families():
     assert len(rep.plane_families) == 1
     common = rep.plane_families[0]
     assert common == [QI(0), QI(0), QI(1)]
+
+
+def test_find_ideals_factors_once(monkeypatch, full_catalog):
+    "Lines and planes share one factorization, on every catalog pair."
+    calls = []
+
+    def counted(co):
+        calls.append(co)
+        return factor_unipoly(co)
+    monkeypatch.setattr(props, "factor_unipoly", counted)
+    pairs = 0
+    for e in full_catalog.values():
+        for b in e.sample_bindings():
+            alg = catalog.instantiate(e.id, b)
+            del calls[:]
+            find_ideals(alg)
+            assert len(calls) <= 1, (e.id, b)
+            pairs += 1
+    assert pairs == 258
 
 
 def test_ideals_closed(first_samples):
