@@ -222,9 +222,9 @@ def multiplication_operators(a):
     """L_{e_1}, ..., L_{e_n}, then R_{e_1}, ..., R_{e_n}, read off the
     table: entry (k, j) of L_{e_i} is c_ij^k and of R_{e_i} is c_ji^k."""
     n, c = a.dim, a.c
-    return ([Mat([[c[i][j][k] for j in range(n)] for k in range(n)])
+    return ([Mat._of([[c[i][j][k] for j in range(n)] for k in range(n)])
              for i in range(n)]
-            + [Mat([[c[j][i][k] for j in range(n)] for k in range(n)])
+            + [Mat._of([[c[j][i][k] for j in range(n)] for k in range(n)])
                for i in range(n)])
 
 

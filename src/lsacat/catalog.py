@@ -10,9 +10,9 @@ the LSACAT_DATA environment variable.
 Per-entry checks: left-symmetry at every admissible sample, sub-adjacent
 Lie class recovery (with canonical parameter for the D family), exact
 reconstruction of the printed table from the stored (f, C) cocycle data
-(up to the stored in-display witness for primed forms), expected property
-flags, and any stored witness isomorphisms.  Remark coincidences without
-printed maps are resolved by bounded isomorphism search.
+(up to the stored in-display witness for primed forms) and expected
+property flags.  Remark coincidences are decided exactly by
+iso.search_lsa_iso.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from fractions import Fraction
 
 from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
 from .cocycle import Cocycle, Representation, phi
-from .docs import Body, _const_value, constraint_allows, parse_matrix
+from .docs import Body, _const_value, constraint_allows
 from .errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
                      LsaError, NotBijective, NotCocycle, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
-from .lie import canonical_l, canonical_lie, classify3
+from .lie import LieClass, canonical_l, canonical_lie, classify3
 from .linalg import Mat
 from .props import (find_ideals, is_associative, is_bisymmetric,
                     is_novikov, is_semisimple, is_simple, is_transitive)
-from .scalars import QI, format_scalar, parse_scalar, qi, substitute
+from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
 
 FAMILY_FILES = {
     "H": "h.cat",
@@ -56,7 +56,6 @@ class IsoDecl:
     target: str
     when: dict = field(default_factory=dict)   # param -> QI
     bind: dict = field(default_factory=dict)   # target param -> expr text
-    witness: object = None                     # parametric Mat or None
 
 
 @dataclass
@@ -150,14 +149,20 @@ def _parse_entry_block(block):
         elif key == "flags":
             for item in toks[1:]:
                 fname, _, cond = item.partition("=")
-                e.flags[fname] = _parse_cond(cond)
+                if fname not in FLAG_NAMES:
+                    raise DocSyntaxError("unknown flag %r" % fname, lineno, 1)
+                if fname in e.flags:
+                    raise DocSyntaxError("flag %s is given twice" % fname,
+                                         lineno, 1)
+                e.flags[fname] = _parse_cond(cond, lineno, body.pnames)
         elif key == "samples":
             head, colon, rest = line.partition(":")
             if not colon or len(head.split()) != 2:
                 raise DocSyntaxError(
                     "samples line must read 'samples <param>: <values>'",
                     lineno, 1)
-            e.samples_override[head.split()[1]] = [
+            name = _declared(head.split()[1], lineno, body.pnames)
+            e.samples_override[name] = [
                 _const_value(v.strip()) for v in rest.split(",") if v.strip()]
         else:
             e.isos.append(_parse_iso(line, lineno, body.pnames))
@@ -168,7 +173,14 @@ def _parse_entry_block(block):
     return e
 
 
-def _parse_cond(text):
+def _declared(name, lineno, pnames):
+    "name, if the entry declares a parameter of that name."
+    if name not in pnames:
+        raise DocSyntaxError("undeclared parameter %r" % name, lineno, 1)
+    return name
+
+
+def _parse_cond(text, lineno, pnames):
     if text == "yes":
         return True
     if text == "no":
@@ -176,38 +188,30 @@ def _parse_cond(text):
     conj = []
     for item in text.split("&"):
         name, _, val = item.partition("=")
-        conj.append((name, _const_value(val)))
+        conj.append((_declared(name, lineno, pnames), _const_value(val)))
     return tuple(conj)
 
 
 def _parse_iso(line, lineno, pnames):
+    """iso <target> [when k=v ...] [bind k=expr ...]; a `when` name is a
+    parameter of the entry, and any other clause is an error."""
     toks = line.split()
     if len(toks) < 2:
         raise DocSyntaxError("iso line needs a target entry", lineno, 1)
     decl = IsoDecl(target=toks[1])
-    k = 2
     mode = None
-    while k < len(toks):
-        t = toks[k]
+    for t in toks[2:]:
         if t in ("when", "bind"):
             mode = t
-            k += 1
             continue
-        if t == "T":
-            if k + 1 == len(toks):
-                raise DocSyntaxError("iso witness T has no matrix", lineno, 1)
-            rest = line.split(" T ", 1)[1].strip()
-            decl.witness = parse_matrix(rest, 3, pnames)
-            break
-        name, _, val = t.partition("=")
+        name, eq, val = t.partition("=")
+        if mode is None or not (name and eq and val):
+            raise DocSyntaxError("iso clause %r is not name=value after "
+                                 "when or bind" % t, lineno, 1)
         if mode == "when":
-            decl.when[name] = _const_value(val)
-        elif mode == "bind":
-            decl.bind[name] = val
+            decl.when[_declared(name, lineno, pnames)] = _const_value(val)
         else:
-            raise DocSyntaxError("iso clause before when/bind: %r" % t,
-                                 lineno, 1)
-        k += 1
+            decl.bind[name] = val
     return decl
 
 
@@ -291,15 +295,13 @@ class EntryReport:
     lie_class_ok: bool = False
     cocycle_reconstruction_ok: bool = True
     flags_ok: bool = False
-    witness_isos_ok: bool = True
     computed: dict = None
     messages: list = field(default_factory=list)
 
     @property
     def ok(self):
         return (self.left_symmetric and self.lie_class_ok
-                and self.cocycle_reconstruction_ok and self.flags_ok
-                and self.witness_isos_ok)
+                and self.cocycle_reconstruction_ok and self.flags_ok)
 
     def describe(self):
         b = ",".join("%s=%s" % (k, format_scalar(v))
@@ -311,29 +313,29 @@ class EntryReport:
         return out
 
 
+# The sub-adjacent Lie algebra of each catalog family as its classify3 tag
+# and l; a Dl entry's l is its parameter l.
+_FAMILY_LIE = {
+    "H": ("Heisenberg", None),
+    "N": ("N", None),
+    "E": ("E", None),
+    "D1": ("Dl", ONE),
+    "Dl": ("Dl", None),
+}
+
+
+def _family_tag_l(entry, bindings):
+    tag, l = _FAMILY_LIE[entry.family]
+    return tag, bindings["l"] if entry.family == "Dl" else l
+
+
 def expected_lie_key(entry, bindings):
-    if entry.family == "H":
-        return ("Heisenberg", None)
-    if entry.family == "N":
-        return ("N", None)
-    if entry.family == "E":
-        return ("E", None)
-    if entry.family == "D1":
-        return ("Dl", (Fraction(1), Fraction(0)))
-    l = canonical_l(bindings["l"])
-    return ("Dl", (l.re, l.im))
+    tag, l = _family_tag_l(entry, bindings)
+    return LieClass(tag, None if l is None else canonical_l(l)).key()
 
 
 def family_lie(entry, bindings):
-    if entry.family == "H":
-        return canonical_lie("heisenberg")
-    if entry.family == "N":
-        return canonical_lie("N")
-    if entry.family == "E":
-        return canonical_lie("E")
-    if entry.family == "D1":
-        return canonical_lie("Dl", 1)
-    return canonical_lie("Dl", bindings["l"])
+    return canonical_lie(*_family_tag_l(entry, bindings))
 
 
 def _flag_expected(cond, bindings):
@@ -390,16 +392,6 @@ def verify_entry(entry_id, bindings=None):
             if got[name] != expected[name]:
                 rep.messages.append("flag %s: computed %s, expected %s"
                                     % (name, got[name], expected[name]))
-
-    for decl in e.isos:
-        if decl.witness is None:
-            continue
-        if not _iso_applies(decl, bindings):
-            continue
-        ok, msg = _verify_iso_decl(e, decl, bindings, alg, use_search=False)
-        if not ok:
-            rep.witness_isos_ok = False
-            rep.messages.append(msg)
     return rep
 
 
@@ -442,11 +434,6 @@ def _check_reconstruction(e, bindings, alg, messages):
     return True
 
 
-def _iso_applies(decl, bindings):
-    return all(qi(bindings.get(name)) == val if name in bindings else False
-               for name, val in decl.when.items()) if decl.when else True
-
-
 def _target_bindings(decl, bindings):
     out = {}
     for name, expr in decl.bind.items():
@@ -456,8 +443,10 @@ def _target_bindings(decl, bindings):
 
 
 def _verify_iso_decl(e, decl, bindings, alg, use_search):
-    """(ok, message): ok is True if the declaration holds, None if the
-    search verdict is unknown and False if it fails."""
+    """(ok, message) for one coincidence, decided by search_lsa_iso: ok is
+    True if the declaration holds, None if the verdict is unknown and False
+    if it fails.  use_search changes nothing here; the benchmark's worker
+    (perfbench/worker.py) reads it to tell the coincidence calls apart."""
     tgt_bind = _target_bindings(decl, bindings)
     try:
         target = instantiate(decl.target, tgt_bind, check=False)
@@ -466,13 +455,6 @@ def _verify_iso_decl(e, decl, bindings, alg, use_search):
             e.id, decl.target, exc)
     label = "iso %s%s -> %s%s" % (
         e.id, _fmt_bind(bindings), decl.target, _fmt_bind(tgt_bind))
-    if decl.witness is not None:
-        w = _instantiate_mat(decl.witness, bindings)
-        if verify_lsa_iso(alg, target, w):
-            return True, label + ": ok (stored witness)"
-        return False, label + ": stored witness fails"
-    if not use_search:
-        return True, label + ": deferred to search"
     verdict = search_lsa_iso(alg, target)
     if verdict.is_isomorphic:
         return True, label + ": ok (search)"
@@ -553,9 +535,8 @@ def verify_property_tables(sweep):
 
 def verify_remark_isos(entry_ids=None):
     """Check the stored coincidence declarations of the given entries
-    (default all): explicit witnesses are verified directly, the rest go
-    through bounded isomorphism search.  Returns (confirmed, unconfirmed,
-    failed) message lists."""
+    (default all), each decided exactly by search_lsa_iso.  Returns
+    (confirmed, unconfirmed, failed) message lists."""
     cat = load_catalog()
     confirmed, unconfirmed, failed = [], [], []
     for e in cat.values():

@@ -46,16 +46,6 @@ class IsoVerdict:
         return self.status == "isomorphic"
 
 
-def _tag_to_family(cls):
-    if cls.tag == "Heisenberg":
-        return "heisenberg"
-    if cls.tag in ("N", "E"):
-        return cls.tag
-    if cls.tag == "Dl":
-        return "Dl"
-    return None
-
-
 def _hom_equations(a, b, names, template):
     """The homomorphism equations of a parametric witness template, then
     det(F)*z - 1, as term dicts over the variables ("z",) + names.  Read off
@@ -162,10 +152,10 @@ def _solve_component(a, b, comp):
         "{1}) but no Q(i) point was found" % comp))
 
 
-def _search(a, b, family, l):
-    "The verdict over the components of the stored automorphism group."
+def _search(a, b, comps):
+    "The verdict over the given components of the stored automorphism group."
     reasons = []
-    for comp in aut_components(family, l):
+    for comp in comps:
         v = _solve_component(a, b, comp)
         if v.is_isomorphic:
             return v
@@ -208,8 +198,8 @@ def search_lsa_iso(a, b):
     cb = fb.lie if fb.lie is not None else classify3(commutator_lie(b))
     if ca.key() != cb.key():
         return IsoVerdict("not_isomorphic", reason="lie_class")
-    family = _tag_to_family(ca)
-    if family is None or ca.witness is None or cb.witness is None:
+    comps = aut_components(ca.tag, ca.param)
+    if not comps or ca.witness is None or cb.witness is None:
         return IsoVerdict("unknown", reason="no automorphism group stored "
                                             "for class %s" % ca.tag)
     wa, wb = ca.witness, cb.witness
@@ -217,7 +207,7 @@ def search_lsa_iso(a, b):
     if a2 == b2:
         t = Mat.identity(3)
     else:
-        v = _search(a2, b2, family, ca.param)
+        v = _search(a2, b2, comps)
         if not v.is_isomorphic:
             return v
         t = v.witness

@@ -6,15 +6,16 @@ algebra.multiply, ad_x is algebra.left_matrix and a basis change is
 algebra.rebase.
 
 The five solvable 3-dimensional families appearing in the catalog, with
-their canonical bracket tables (only nonzero brackets shown):
+their canonical bracket tables (only nonzero brackets shown), each named
+by its classify3 tag:
 
-    abelian      --
-    heisenberg   [e1,e2] = e3
+    Abelian      --
+    Heisenberg   [e1,e2] = e3
     N            [e3,e2] = e2
-    D(l)         [e3,e1] = e1, [e3,e2] = l e2   (l != 0)
+    Dl           [e3,e1] = e1, [e3,e2] = l e2   (l != 0)
     E            [e3,e1] = e1, [e3,e2] = e1+e2
 
-plus sl2 for the semisimple case.  D(1) is the algebra the catalog calls
+plus Sl2 for the semisimple case.  D(1) is the algebra the catalog calls
 D1; the classifier reports it as Dl with parameter 1.
 """
 
@@ -27,8 +28,8 @@ from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
 from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_is_zero, vec_scale)
-from .scalars import (ONE, QI, ZERO, MultiPoly, gaussian_sqrt, is_zero,
-                      parse_scalar, qi, substitute)
+from .scalars import (ONE, QI, ZERO, MultiPoly, is_zero, parse_scalar, qi,
+                      quadratic_roots, substitute)
 
 
 def killing_form(g):
@@ -51,18 +52,15 @@ def check_lie_automorphism(g, t):
 # canonical families and their automorphism groups
 
 
-FAMILIES = ("abelian", "heisenberg", "N", "Dl", "E", "sl2")
-
-
 # The canonical tables that do not depend on a parameter, built once.
 _CANONICAL = {
-    "abelian": LieAlgebra.from_brackets(3, {}),
-    "heisenberg": LieAlgebra.from_brackets(3, {(0, 1): [(1, 2)]}),
+    "Abelian": LieAlgebra.from_brackets(3, {}),
+    "Heisenberg": LieAlgebra.from_brackets(3, {(0, 1): [(1, 2)]}),
     "N": LieAlgebra.from_brackets(3, {(2, 1): [(1, 1)]}),
     "E": LieAlgebra.from_brackets(
         3, {(2, 0): [(1, 0)], (2, 1): [(1, 0), (1, 1)]}),
     # [h,e]=2e, [h,f]=-2f, [e,f]=h with basis (h,e,f)
-    "sl2": LieAlgebra.from_brackets(
+    "Sl2": LieAlgebra.from_brackets(
         3, {(0, 1): [(2, 1)], (0, 2): [(-2, 2)], (1, 2): [(1, 0)]}),
 }
 
@@ -83,7 +81,7 @@ def canonical_lie(family, l=None):
 # component's parameters.  Aut(D(1)) is the component D1 and Aut(D(-1))
 # has a second component Dm1_swap, which exchanges e1 and e2 and negates e3.
 _AUT = {
-    "heisenberg": (("a11", "a12", "a13"),
+    "Heisenberg": (("a11", "a12", "a13"),
                    ("a21", "a22", "a23"),
                    ("0", "0", "a11*a22 - a12*a21")),
     "N": (("a11", "0", "0"), ("0", "a22", "0"), ("a31", "a32", "1")),
@@ -106,12 +104,13 @@ def aut_template(comp):
 
 
 def aut_components(family, l=None):
-    "Template names for all components of the family's automorphism group."
+    """Template names for all components of the family's automorphism group,
+    () when no group is stored for it."""
     if family == "Dl" and l is not None and qi(l) == QI(-1):
         return ("Dl", "Dm1_swap")
     if family == "Dl" and l is not None and qi(l) == ONE:
         return ("D1",)
-    return (family,)
+    return (family,) if family in _AUT else ()
 
 
 def instantiate_aut(comp, values):
@@ -242,8 +241,7 @@ def _classify_heisenberg(g, z):
                 c = _coeff_along(g.c[i][j], z)
                 e1 = basis_vec(n, i)
                 e2 = vec_scale(basis_vec(n, j), 1 / c)
-                return _witnessed(g, Mat([e1, e2, z]), "Heisenberg",
-                                  "heisenberg")
+                return _witnessed(g, Mat([e1, e2, z]), "Heisenberg")
     return LieClass("Unrecognized", detail="no nonzero bracket found")
 
 
@@ -282,13 +280,13 @@ def _classify_d2(g, derived):
     det = a2.det()
     if is_zero(det):
         return LieClass("Unrecognized", detail="outside action is singular")
-    disc = tr * tr - QI(4) * det
-    if is_zero(disc):
-        alpha = tr / QI(2)
+    roots = quadratic_roots(ONE, -tr, det)
+    if len(roots) == 1:
+        alpha = roots[0]
         nil = a2 * (1 / alpha) - Mat.identity(2)
         e3 = vec_scale(w0, 1 / alpha)
         if nil.is_zero():
-            return _witnessed(g, Mat([b1, b2, e3]), "Dl", "Dl", ONE)
+            return _witnessed(g, Mat([b1, b2, e3]), "Dl", ONE)
         # Jordan block: E family
         for v in ([ONE, ZERO], [ZERO, ONE]):
             img = nil.apply_row(v)
@@ -297,14 +295,13 @@ def _classify_d2(g, derived):
                 break
         e1 = Mat(derived).apply_row(e1c)
         e2 = Mat(derived).apply_row(e2c)
-        return _witnessed(g, Mat([e1, e2, e3]), "E", "E")
-    root = gaussian_sqrt(disc)
-    if root is None:
+        return _witnessed(g, Mat([e1, e2, e3]), "E")
+    if not roots:
         return LieClass(
             "Dl", param=None, witness=None,
-            detail="eigenvalue ratio outside Q(i); charpoly disc %s" % disc)
-    alpha = (tr + root) / QI(2)
-    beta = (tr - root) / QI(2)
+            detail="eigenvalue ratio outside Q(i); charpoly disc %s"
+            % (tr * tr - QI(4) * det))
+    alpha, beta = roots
     l = canonical_l(beta / alpha)
     if l != beta / alpha:
         alpha, beta = beta, alpha
@@ -314,12 +311,12 @@ def _classify_d2(g, derived):
     e1 = Mat(derived).apply_row(v1)
     e2 = Mat(derived).apply_row(v2)
     e3 = vec_scale(w0, 1 / alpha)
-    return _witnessed(g, Mat([e1, e2, e3]), "Dl", "Dl", l)
+    return _witnessed(g, Mat([e1, e2, e3]), "Dl", l)
 
 
-def _witnessed(g, w, tag, family, l=None):
+def _witnessed(g, w, tag, l=None):
     "LieClass(tag, l, w) once w is confirmed to rebase g onto the canonical table."
-    if rebase(g, w) != canonical_lie(family, l):
+    if rebase(g, w) != canonical_lie(tag, l):
         raise LsaError("classify3 built a wrong %s witness" % tag)
     return LieClass(tag, param=l, witness=w)
 

@@ -296,13 +296,6 @@ def basis_vec(n, k):
     return v
 
 
-def span_rank(vectors, n):
-    "Rank of the span of the given row vectors inside dimension n."
-    if not vectors:
-        return 0
-    return Mat([list(v) + [ZERO] * (n - len(v)) for v in vectors]).rank()
-
-
 def span_basis(vectors, n):
     "RREF basis rows for the span of the given vectors."
     if not vectors:
@@ -313,9 +306,9 @@ def span_basis(vectors, n):
 
 def in_span(v, basis):
     "Is v in the row span of basis?"
-    n = len(v)
-    r0 = span_rank(basis, n)
-    return span_rank(list(basis) + [v], n) == r0
+    if not basis:
+        return vec_is_zero(v)
+    return solve_col(Mat(list(zip(*basis))), v) is not None
 
 
 def solve_col(a, v):

@@ -38,8 +38,7 @@ from .lie import classify3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_add, vec_eq,
                      vec_is_zero)
-from .scalars import (ONE, QI, ZERO, factor_unipoly, gaussian_sqrt,
-                      is_zero)
+from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero, quadratic_roots
 
 
 def is_associative(a):
@@ -196,26 +195,16 @@ def _chosen_operator(ops):
     return next((m for m in candidates + ops if not _is_scalar_mat(m)), None)
 
 
-def common_invariant_lines(ops):
-    """All lines invariant under every operator (column convention, QI
-    entries), found with Q(i)-rational linear algebra only.
-
-    Returns (lines, families, orbits, all_lines_flag); families are (b1, b2)
-    bases of planes in which *every* line is invariant under every operator,
-    and orbits are (basis of W, f) for the deg f conjugate invariant lines
-    spanning W.
-    """
-    chosen = _chosen_operator(ops)
-    if chosen is None:
-        return [], [], [], True
-    _, factors = factor_unipoly(chosen.charpoly())
-    return _invariant_lines(ops, chosen, factors) + (False,)
-
-
 def _invariant_lines(ops, chosen, factors):
-    """(lines, families, orbits) as common_invariant_lines returns them, read
-    off the eigenspaces of the non-scalar operator chosen among ops, whose
-    characteristic polynomial has the monic irreducible factors given."""
+    """All lines invariant under every operator (column convention, QI
+    entries), found with Q(i)-rational linear algebra only and read off the
+    eigenspaces of the non-scalar operator chosen among ops, whose
+    characteristic polynomial has the monic irreducible factors given.
+
+    Returns (lines, families, orbits); families are (b1, b2) bases of
+    planes in which *every* line is invariant under every operator, and
+    orbits are (basis of W, f) for the deg f conjugate invariant lines
+    spanning W."""
     n = ops[0].nrows
     lines = []
     families = []
@@ -244,23 +233,10 @@ def _invariant_lines(ops, chosen, factors):
     return _dedupe_lines(lines), families, orbits
 
 
-def _quadratic_roots(aa, bb, cc):
-    """The roots in Q(i) of aa*s^2 + bb*s + cc (aa != 0) from the square root
-    of its discriminant: a double root once, two roots r in the order of
-    ((-r).re, (-r).im), or none."""
-    root = gaussian_sqrt(bb * bb - QI(4) * aa * cc)
-    if root is None:
-        return []
-    if root.is_zero():
-        return [-bb / (QI(2) * aa)]
-    rs = [(-bb + x) / (QI(2) * aa) for x in (root, -root)]
-    return sorted(rs, key=lambda r: ((-r).re, (-r).im))
-
-
 def _lines_in_plane(ops, b1, b2):
     """Lines v = s b1 + t b2 with every op(v) proportional to v; solves the
     homogeneous quadratic proportionality conditions in (s : t).  Returns
-    (lines, families, orbits) as common_invariant_lines does."""
+    (lines, families, orbits) as _invariant_lines does."""
     quads = []
     n = len(b1)
     for op in ops:
@@ -284,7 +260,7 @@ def _lines_in_plane(ops, b1, b2):
             # bb*s + cc*t = 0
             candidates.append(_combine(b1, -cc, b2, bb))
     else:
-        roots = _quadratic_roots(aa, bb, cc)
+        roots = quadratic_roots(aa, bb, cc)
         if not roots:
             # the conjugate roots of an irreducible quadratic solve every
             # condition iff each one is a multiple of it
@@ -347,10 +323,6 @@ def is_simple(a, report=None):
     return not report.has_proper_ideal()
 
 
-def _line_self_product_nonzero(a, v):
-    return not vec_is_zero(multiply(a, v, v))
-
-
 def _restrict(a, basis):
     "Table of the induced product on an ideal given by basis rows."
     k = len(basis)
@@ -364,13 +336,8 @@ def _restrict(a, basis):
 
 
 def _subalgebra_simple(a, basis):
-    if len(basis) == 1:
-        return _line_self_product_nonzero(a, basis[0])
     sub = _restrict(a, basis)
-    if sub.is_zero_product():
-        return False
-    # no invariant line, family, orbit or all-lines flag
-    return not any(common_invariant_lines(multiplication_operators(sub)))
+    return not sub.is_zero_product() and is_simple(sub)
 
 
 def is_semisimple(a, report=None):
@@ -387,7 +354,8 @@ def is_semisimple(a, report=None):
     lines = list(report.lines)
     for (b1, b2) in report.line_families:
         lines = lines + [b1, b2, vec_add(b1, b2)]
-    good = [v for v in _dedupe_lines(lines) if _line_self_product_nonzero(a, v)]
+    good = [v for v in _dedupe_lines(lines)
+            if not vec_is_zero(multiply(a, v, v))]
     planes = [bas for _n, bas in report.planes]
     # 1 + 2 splittings
     for v in good:
@@ -402,11 +370,6 @@ def is_semisimple(a, report=None):
             for k in range(j + 1, len(good)):
                 if len(span_basis([good[i], good[j], good[k]], n)) == n:
                     return True, [[good[i]], [good[j]], [good[k]]]
-    if n == 2:
-        for i in range(len(good)):
-            for j in range(i + 1, len(good)):
-                if len(span_basis([good[i], good[j]], n)) == n:
-                    return True, [[good[i]], [good[j]]]
     # conjugate lines spanning W meet pairwise in 0, so each is simple iff
     # the products of W span W; then W, or W plus a simple line, is all
     for orbit in report.line_orbits:

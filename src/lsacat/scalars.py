@@ -729,30 +729,6 @@ def _up_deg(co):
     return len(co) - 1
 
 
-def _up_add(a, b):
-    n = max(len(a), len(b))
-    return _up_trim([
-        (a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO)
-        for i in range(n)
-    ])
-
-
-def _up_scale(a, c):
-    return _up_trim([x * c for x in a])
-
-
-def _up_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _up_trim(out)
-
-
 def _up_divmod(a, b):
     a, b = _up_trim(a), _up_trim(b)
     if not b:
@@ -792,6 +768,16 @@ def _up_deflate(co, r):
     return tuple(reversed(q)), rem
 
 
+def _up_shift(co, r):
+    """The coefficients of co(t + r): the remainders of repeated synthetic
+    division by t - r are the coefficients of co in powers of t - r."""
+    out = []
+    while co:
+        co, rem = _up_deflate(co, r)
+        out.append(rem)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # root finding and factorization over Q(i), degree <= 4
 
@@ -821,6 +807,19 @@ def gaussian_sqrt(z):
     if x is None or b % (2 * x):
         return None
     return _reduced(x, b // (2 * x), d)
+
+
+def quadratic_roots(aa, bb, cc):
+    """The roots in Q(i) of aa*s^2 + bb*s + cc (aa != 0) from the square root
+    of its discriminant: a double root once, two roots r in the order of
+    ((-r).re, (-r).im), or none."""
+    root = gaussian_sqrt(bb * bb - QI(4) * aa * cc)
+    if root is None:
+        return []
+    if root.is_zero():
+        return [-bb / (QI(2) * aa)]
+    rs = [(-bb + x) / (QI(2) * aa) for x in (root, -root)]
+    return sorted(rs, key=lambda r: ((-r).re, (-r).im))
 
 
 def _clear_to_gaussian_integers(co):
@@ -934,32 +933,13 @@ def qi_roots(co):
 def _split_quartic(co):
     """Try to split a rootless monic quartic into two monic quadratics over
     Q(i).  Returns (q1, q2) coefficient tuples or None."""
-    a3, a2, a1, a0 = co[3], co[2], co[1], co[0]
-    sh = a3 / QI(4)
-    # depress via t = s - sh: expand sum base_k (s - sh)^k
-    base = (a0, a1, a2, a3, ONE)
-    # p(s) = sum base_k (s - sh)^k
-    dep = ()
-    pw = (ONE,)
-    for k in range(5):
-        dep = _up_add(dep, _up_scale(pw, base[k]))
-        pw = _up_mul(pw, (-sh, ONE))
-    dep = list(dep) + [ZERO] * (5 - len(dep))
-    r0, q0, p0 = dep[0], dep[1], dep[2]
+    sh = co[3] / QI(4)
+    # depress via t = s - sh
+    r0, q0, p0 = _up_shift(co, -sh)[:3]
 
     def recombine(b, a, c):
         "lift (s^2 + a s + b)(s^2 - a s + c) back to t."
-        f1 = (b, a, ONE)
-        f2 = (c, -a, ONE)
-        out = []
-        for f in (f1, f2):
-            g = ()
-            pw = (ONE,)
-            for k in range(3):
-                g = _up_add(g, _up_scale(pw, f[k]))
-                pw = _up_mul(pw, (sh, ONE))
-            out.append(g)
-        return out[0], out[1]
+        return _up_shift((b, a, ONE), sh), _up_shift((c, -a, ONE), sh)
 
     if q0.is_zero():
         rr = qi_roots((r0, p0, ONE))

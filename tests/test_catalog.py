@@ -213,10 +213,18 @@ def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, ne
     ("n.cat", "iso N-9 when lambda=0 bind lambda=0", "iso", 14),
     ("n.cat", "iso N-9 when lambda=0 bind lambda=0", "iso N-9 when lambda=0 T",
      14),
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0",
+     "iso N-9 when lamda=0 bind lambda=0", 14),
+    ("n.cat", "flags associative=lambda=1", "flags associativ=lambda=1", 13),
+    ("n.cat", "flags associative=lambda=1", "flags associative=lamda=1", 13),
+    ("n.cat", "flags associative=lambda=1 transitive=lambda=0",
+     "flags associative=lambda=1 associative=lambda=0", 13),
+    ("dl.cat", "samples lambda: 0, 2, -1", "samples lamda: 0, 2, -1", 9),
 ])
 def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
                                              name, old, new, lineno):
-    "A metadata line without its value is a syntax error at its line; exit 2."
+    """A metadata line without its value, or naming an unknown or repeated
+    flag or an undeclared parameter, is a syntax error at its line; exit 2."""
     directory = corrupted_catalog(tmp_path, old, new, name)
     monkeypatch.setenv("LSACAT_DATA", directory)
     with pytest.raises(DocSyntaxError) as err:

@@ -14,7 +14,7 @@ from lsacat.lie import canonical_lie, random_automorphism
 from lsacat.linalg import Mat
 from lsacat.scalars import QI
 
-H = canonical_lie("heisenberg")
+H = canonical_lie("Heisenberg")
 AI1_MATS = [Mat([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
             Mat([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
             Mat([[0, 0, 0], [0, 0, 0], [1, 0, 0]])]
@@ -64,7 +64,7 @@ def test_check_cocycle_ai1():
 
 
 def test_check_cocycle_abelian_zero_rep():
-    g = canonical_lie("abelian")
+    g = canonical_lie("Abelian")
     rep = Representation(g, [Mat.zero(3)] * 3)
     c = Cocycle(rep, Mat([[1, 2, 3], [0, 1, 0], [5, 0, 1]]))
     assert check_cocycle(c)[0]
@@ -80,11 +80,11 @@ def test_check_cocycle_broken_entry():
 
 def test_is_bijective():
     assert is_bijective(ai1_cocycle())
-    anti = Cocycle(Representation(canonical_lie("abelian"), [Mat.zero(3)] * 3),
+    anti = Cocycle(Representation(canonical_lie("Abelian"), [Mat.zero(3)] * 3),
                    Mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
     assert is_bijective(anti) and anti.C.det() == QI(-1)
     repeated_rows = Cocycle(
-        Representation(canonical_lie("abelian"), [Mat.zero(3)] * 3),
+        Representation(canonical_lie("Abelian"), [Mat.zero(3)] * 3),
         Mat([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
     assert not is_bijective(repeated_rows)
 
@@ -104,7 +104,7 @@ def test_phi_rejects_bad_input():
     with pytest.raises(NotCocycle):
         phi(Cocycle(Representation(H, AI1_MATS),
                     Mat([[0, 0, 1], [0, 1, 0], [0, 0, 1]])))
-    g = canonical_lie("abelian")
+    g = canonical_lie("Abelian")
     singular = Cocycle(Representation(g, [Mat.zero(3)] * 3),
                        Mat([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
     with pytest.raises(NotBijective):
@@ -182,8 +182,8 @@ def test_equivalent_cocycle_roundtrip():
     rng = random.Random(51)
     c1 = ai1_cocycle()
     for _ in range(5):
-        t = random_automorphism("heisenberg", rng)
-        g = random_automorphism("heisenberg", rng)  # any invertible works
+        t = random_automorphism("Heisenberg", rng)
+        g = random_automorphism("Heisenberg", rng)  # any invertible works
         c2 = equivalent_cocycle(c1, g, t)
         assert verify_cocycle_equiv(c1, c2, g, t)
 

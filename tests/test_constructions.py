@@ -60,11 +60,11 @@ def test_derivation_space_members_satisfy_leibniz():
 
 
 def test_cybe_zero_map():
-    assert check_cybe(canonical_lie("heisenberg"), Mat.zero(3))[0]
+    assert check_cybe(canonical_lie("Heisenberg"), Mat.zero(3))[0]
 
 
 def test_cybe_heisenberg_projection():
-    h = canonical_lie("heisenberg")
+    h = canonical_lie("Heisenberg")
     p = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     ok, _ = check_cybe(h, p)
     assert ok
@@ -89,7 +89,7 @@ def test_rmatrix_zero_gives_zero_algebra():
 
 
 def test_o_operator_zero():
-    h = canonical_lie("heisenberg")
+    h = canonical_lie("Heisenberg")
     rep = Representation(h, [Mat.zero(3)] * 3)
     assert check_o_operator(h, rep, Mat.zero(3))[0]
 
@@ -135,7 +135,7 @@ def test_induced_products_rank2():
 
 
 def test_induced_products_zero_map():
-    h = canonical_lie("heisenberg")
+    h = canonical_lie("Heisenberg")
     rep = Representation(h, [Mat.zero(3)] * 3)
     on_v, image, image_table = induced_products(h, rep, Mat.zero(3))
     assert on_v.is_zero_product() and image == []

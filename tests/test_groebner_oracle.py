@@ -31,7 +31,7 @@ def stored_samples():
     for e in catalog.load_catalog().values():
         a = catalog.instantiate(e.id, e.sample_bindings()[0])
         c, _ = canonical(a)
-        if iso._tag_to_family(c) is not None:
+        if aut_components(c.tag, c.param):
             out[e.id] = (a, c.key())
     return out
 
@@ -56,7 +56,7 @@ def check_components(a, b):
     ca, a2 = canonical(a)
     cb, b2 = canonical(b)
     assert ca.key() == cb.key()
-    for comp in aut_components(iso._tag_to_family(ca), ca.param):
+    for comp in aut_components(ca.tag, ca.param):
         names, template = aut_template(comp)
         eqs = iso._hom_equations(a2, b2, names, template)
         for order, system in ((("z",) + names, eqs),

@@ -17,7 +17,7 @@ from lsacat.scalars import QI
 
 
 def test_jacobi_heisenberg():
-    assert canonical_lie("heisenberg").check_jacobi()[0]
+    assert canonical_lie("Heisenberg").check_jacobi()[0]
 
 
 def test_jacobi_e_family():
@@ -56,7 +56,7 @@ def test_lie_algebra_is_the_antisymmetric_algebra():
 
 
 def test_classify_abelian():
-    assert classify3(canonical_lie("abelian")).tag == "Abelian"
+    assert classify3(canonical_lie("Abelian")).tag == "Abelian"
 
 
 def test_classify_h5_commutator_is_heisenberg():
@@ -77,12 +77,12 @@ def test_classify_needs_dim3():
 
 
 def test_classify_sl2():
-    assert classify3(canonical_lie("sl2")).tag == "Sl2"
+    assert classify3(canonical_lie("Sl2")).tag == "Sl2"
 
 
 def test_classify_witnesses_reproduce_canonical_tables():
     cases = [
-        ("heisenberg", None),
+        ("Heisenberg", None),
         ("N", None),
         ("Dl", Fraction(1, 2)),
         ("Dl", -1),
@@ -94,9 +94,7 @@ def test_classify_witnesses_reproduce_canonical_tables():
         g = rebase(canonical_lie(family, l), w)
         cls = classify3(g)
         assert cls.witness is not None
-        target = "Dl" if family == "Dl" else \
-            {"heisenberg": "Heisenberg", "N": "N", "E": "E"}[family]
-        assert cls.tag == target
+        assert cls.tag == family
         canon = canonical_lie(family, cls.param if family == "Dl" else None)
         assert rebase(g, cls.witness) == canon
 
@@ -119,7 +117,7 @@ def test_classify_recovers_canonical_parameter():
 
 def test_classify_conjugation_invariant():
     rng = random.Random(41)
-    cases = [("heisenberg", None), ("N", None), ("Dl", Fraction(1, 2)),
+    cases = [("Heisenberg", None), ("N", None), ("Dl", Fraction(1, 2)),
              ("Dl", -1), ("E", None)]
     for family, l in cases:
         g = canonical_lie(family, l)
@@ -141,20 +139,20 @@ def test_classify_eigenvalues_outside_qi():
 
 
 def test_killing_forms():
-    assert killing_form(canonical_lie("heisenberg"))[1] == 0
-    assert killing_form(canonical_lie("sl2"))[1] == 3
+    assert killing_form(canonical_lie("Heisenberg"))[1] == 0
+    assert killing_form(canonical_lie("Sl2"))[1] == 3
     assert killing_form(canonical_lie("Dl", 1))[1] == 1
 
 
 def test_lie_automorphism_heisenberg_shape():
-    h = canonical_lie("heisenberg")
+    h = canonical_lie("Heisenberg")
     t = Mat([[1, 2, 3], [4, 5, 6], [0, 0, -3]])  # det2 = -3 in slot (3,3)
     assert check_lie_automorphism(h, t)
-    assert aut_shape_member("heisenberg", t)
+    assert aut_shape_member("Heisenberg", t)
 
 
 def test_lie_automorphism_identity():
-    for fam, l in (("heisenberg", None), ("N", None), ("Dl", -1), ("E", None)):
+    for fam, l in (("Heisenberg", None), ("N", None), ("Dl", -1), ("E", None)):
         assert check_lie_automorphism(canonical_lie(fam, l), Mat.identity(3))
 
 
@@ -165,14 +163,14 @@ def test_lie_automorphism_rejects_swap_on_n():
 
 
 def test_lie_automorphism_singular_rejected():
-    h = canonical_lie("heisenberg")
+    h = canonical_lie("Heisenberg")
     assert not check_lie_automorphism(h, Mat.zero(3))
 
 
 def test_aut_shape_cross_check():
     "Bracket preservation agrees with the printed parametric group shapes."
     rng = random.Random(42)
-    for fam, family_key, l in (("heisenberg", "heisenberg", None),
+    for fam, family_key, l in (("Heisenberg", "Heisenberg", None),
                                ("N", "N", None),
                                ("Dl", "Dl", Fraction(1, 2)),
                                ("Dl", "Dl", -1),
@@ -191,7 +189,7 @@ def test_aut_shape_cross_check():
 
 
 @pytest.mark.parametrize("family, l, dim", [
-    ("heisenberg", None, 6), ("N", None, 4), ("Dl", Fraction(1, 2), 4),
+    ("Heisenberg", None, 6), ("N", None, 4), ("Dl", Fraction(1, 2), 4),
     ("Dl", -1, 4), ("Dl", 1, 6), ("E", None, 4)])
 def test_aut_templates_have_the_dimension_of_the_derivations(family, l, dim):
     "Each stored component is as large as Aut, whose Lie algebra is Der."

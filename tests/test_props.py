@@ -157,6 +157,37 @@ def test_one_dimensional_algebra_is_simple():
         is_semisimple(Algebra.zero(1))
 
 
+def test_two_dimensional_semisimplicity():
+    "C + C splits into two lines, Q(i)[t]/(t^2 - 2) into an orbit, C[t]/(t^2) not."
+    def same_line(v, u):
+        return Mat([v, u]).rank() == 1
+
+    rng = random.Random(7)
+    c_plus_c = Algebra.from_products(2, {(0, 0): [(1, 0)], (1, 1): [(1, 1)]})
+    bases = 0
+    while bases < 5:
+        w = Mat([[QI(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)])
+        if w.det().is_zero():
+            continue
+        bases += 1
+        ok, ((v,), (u,)) = is_semisimple(rebase(c_plus_c, w))
+        # the ideals are the lines of e1 and e2, rows of w^-1 in the new basis
+        r1, r2 = w.inverse().rows
+        assert ok
+        assert ((same_line(v, r1) and same_line(u, r2))
+                or (same_line(v, r2) and same_line(u, r1)))
+    # basis 1, t
+    sqrt2 = Algebra.from_products(2, {(0, 0): [(1, 0)], (0, 1): [(1, 1)],
+                                      (1, 0): [(1, 1)], (1, 1): [(2, 0)]})
+    ok, witness = is_semisimple(sqrt2)
+    assert ok and len(witness) == 1
+    orbit_basis, f = witness[0]
+    assert len(orbit_basis) == 2 and len(f) == 3
+    dual = Algebra.from_products(2, {(0, 0): [(1, 0)], (0, 1): [(1, 1)],
+                                     (1, 0): [(1, 1)]})
+    assert is_semisimple(dual) == (False, None)
+
+
 def test_simplicity_oracle(first_samples):
     rng = random.Random(61)
     for entry, bindings, alg in first_samples:
@@ -173,7 +204,7 @@ def test_closure_span():
 
 def test_fingerprint_invariance_under_automorphisms():
     rng = random.Random(62)
-    cases = [("H-2", {}, "heisenberg", None),
+    cases = [("H-2", {}, "Heisenberg", None),
              ("N-30", {}, "N", None),
              ("Dl-10", {"l": Fraction(1, 2)}, "Dl", Fraction(1, 2)),
              ("E-7", {"lambda": 2}, "E", None)]

@@ -14,7 +14,16 @@ from lsacat.linalg import Mat
 from lsacat.scalars import (MultiPoly, QI, RatFunc, factor_low_degree,
                             factor_unipoly, format_scalar,
                             gaussian_sqrt, parse_scalar, qi, qi_roots,
-                            substitute)
+                            quadratic_roots, substitute)
+
+
+def poly_mul(a, b):
+    "Product of two coefficient tuples, low to high."
+    out = [qi(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
 
 
 def rand_qi(rng):
@@ -203,7 +212,7 @@ def test_roots_with_30_digit_parts_and_a_repeat():
            Fraction(-602214076000000000000000000003, 7))
     co = (c,)
     for r in (a, b, a):
-        co = scalars._up_mul(co, (-r, qi(1)))
+        co = poly_mul(co, (-r, qi(1)))
     roots = timed(qi_roots, co)
     assert roots == sorted([a, b], key=lambda z: (z.re, z.im))
 
@@ -221,7 +230,7 @@ def test_factor_quartic_with_30_digit_coefficients(monkeypatch):
 
     monkeypatch.setattr(scalars, "qi_roots", recording)
     f1, f2 = (qi(-p), qi(1), qi(1)), (qi(q), qi(0), qi(1))
-    quartic = scalars._up_mul(f1, f2)
+    quartic = poly_mul(f1, f2)
     unit, factors = timed(factor_unipoly, quartic)
     assert unit == 1
     assert factors == [(f1, 1), (f2, 1)]
@@ -401,6 +410,21 @@ def test_gaussian_sqrt_of_squares_and_non_squares(x):
         # 2 and i are not squares in Q(i)
         assert gaussian_sqrt(z * z * 2) is None
         assert gaussian_sqrt(z * z * QI(0, 1)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(model, st.one_of(model, model.map(lambda m: (0, m[1]))))
+def test_quadratic_roots_come_plus_root_first(x, d):
+    """t^2 - tr*t + det with roots r and r + d has the square discriminant
+    d^2, and its first root is (tr + sqrt(disc))/2, the order in which
+    lie._classify_d2 takes its eigenvalues; d purely imaginary makes the
+    square root purely imaginary."""
+    r1, r2 = QI(*x), QI(*x) + QI(*d)
+    tr, det = r1 + r2, r1 * r2
+    root = gaussian_sqrt(tr * tr - QI(4) * det)
+    roots = quadratic_roots(QI(1), -tr, det)
+    assert roots[0] == (tr + root) / QI(2)
+    assert set(roots) == {r1, r2}
 
 
 def test_qi_errors_and_immutability():
