@@ -45,6 +45,9 @@ class Algebra:
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __reduce__(self):
+        return type(self), (self.c,)
+
     @staticmethod
     def zero(dim):
         return Algebra([[vec_zero(dim) for _ in range(dim)] for _ in range(dim)])

@@ -17,6 +17,7 @@ iso.search_lsa_iso.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +25,9 @@ from fractions import Fraction
 from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
 from .cocycle import Cocycle, Representation, phi
 from .docs import Body, _const_value, constraint_allows
-from .errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
-                     LsaError, NotBijective, NotCocycle, UnknownId)
+from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
+                     DocSyntaxError, LsaError, NotBijective, NotCocycle,
+                     UnboundVariable, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
 from .linalg import Mat
@@ -55,7 +57,8 @@ _SAMPLE_POOLS = {
 class IsoDecl:
     target: str
     when: dict = field(default_factory=dict)   # param -> QI
-    bind: dict = field(default_factory=dict)   # target param -> expr text
+    bind: dict = field(default_factory=dict)   # target param -> scalar
+    lineno: int = 0                            # line in its data file
 
 
 @dataclass
@@ -193,12 +196,13 @@ def _parse_cond(text, lineno, pnames):
 
 
 def _parse_iso(line, lineno, pnames):
-    """iso <target> [when k=v ...] [bind k=expr ...]; a `when` name is a
-    parameter of the entry, and any other clause is an error."""
+    """iso <target> [when k=v ...] [bind k=expr ...]; a `when` name and the
+    names in a `bind` expression are parameters of the entry, and any other
+    clause is an error."""
     toks = line.split()
     if len(toks) < 2:
         raise DocSyntaxError("iso line needs a target entry", lineno, 1)
-    decl = IsoDecl(target=toks[1])
+    decl = IsoDecl(target=toks[1], lineno=lineno)
     mode = None
     for t in toks[2:]:
         if t in ("when", "bind"):
@@ -211,8 +215,35 @@ def _parse_iso(line, lineno, pnames):
         if mode == "when":
             decl.when[_declared(name, lineno, pnames)] = _const_value(val)
         else:
-            decl.bind[name] = val
+            try:
+                decl.bind[name] = parse_scalar(val, pnames)
+            except (UnboundVariable, DivisionByZero) as exc:
+                raise DocSyntaxError("iso clause %r: %s" % (t, exc), lineno, 1)
     return decl
+
+
+def _check_iso_target(decl, entries):
+    """An iso line names a catalog entry and binds exactly its parameters;
+    checked once every data file is loaded."""
+    target = entries.get(decl.target)
+    if target is None:
+        raise DocSyntaxError("iso target %r is not a catalog entry"
+                             % decl.target, decl.lineno, 1)
+    if set(decl.bind) != set(target.params):
+        raise DocSyntaxError(
+            "iso %s binds %s, but its parameters are %s"
+            % (decl.target, ", ".join(sorted(decl.bind)) or "nothing",
+               ", ".join(target.params) or "none"), decl.lineno, 1)
+
+
+@contextlib.contextmanager
+def _in_file(path):
+    "Prefix the data file's name to a document error raised in the block."
+    try:
+        yield
+    except (DocSyntaxError, DocSemanticError) as exc:
+        exc.args = ("%s: %s" % (path, exc),) + exc.args[1:]
+        raise
 
 
 def _load_file(path):
@@ -224,11 +255,8 @@ def _load_file(path):
             if not line.strip():
                 continue
             if line.strip() == "end":
-                try:
+                with _in_file(path):
                     entries.append(_parse_entry_block(block))
-                except (DocSyntaxError, DocSemanticError) as exc:
-                    exc.args = ("%s: %s" % (path, exc),) + exc.args[1:]
-                    raise
                 block = []
                 continue
             block.append((lineno, line.strip()))
@@ -246,13 +274,17 @@ def load_catalog():
     directory = data_dir()
     if directory in _CACHE:
         return _CACHE[directory]
-    out = {}
+    out, isos = {}, []
     for family in ("H", "N", "D1", "Dl", "E"):
         path = os.path.join(directory, FAMILY_FILES[family])
         for e in _load_file(path):
             if e.id in out:
                 raise DocSemanticError("duplicate entry id %s" % e.id)
             out[e.id] = e
+            isos += [(path, decl) for decl in e.isos]
+    for path, decl in isos:
+        with _in_file(path):
+            _check_iso_target(decl, out)
     _CACHE[directory] = out
     return out
 
@@ -434,20 +466,13 @@ def _check_reconstruction(e, bindings, alg, messages):
     return True
 
 
-def _target_bindings(decl, bindings):
-    out = {}
-    for name, expr in decl.bind.items():
-        val = parse_scalar(expr, vars=set(bindings))
-        out[name] = substitute(val, bindings) if not isinstance(val, QI) else val
-    return out
-
-
 def _verify_iso_decl(e, decl, bindings, alg, use_search):
     """(ok, message) for one coincidence, decided by search_lsa_iso: ok is
     True if the declaration holds, None if the verdict is unknown and False
     if it fails.  use_search changes nothing here; the benchmark's worker
     (perfbench/worker.py) reads it to tell the coincidence calls apart."""
-    tgt_bind = _target_bindings(decl, bindings)
+    tgt_bind = {name: substitute(val, bindings)
+                for name, val in decl.bind.items()}
     try:
         target = instantiate(decl.target, tgt_bind, check=False)
     except LsaError as exc:

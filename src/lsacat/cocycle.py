@@ -36,6 +36,9 @@ class Representation:
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
 
+    def __reduce__(self):
+        return Representation, (self.g, self.mats)
+
     def act(self, x):
         "Row matrix of f(x) for a coordinate vector x on g."
         out = Mat.zero(self.g.dim)
@@ -72,6 +75,9 @@ class Cocycle:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cocycle is immutable")
+
+    def __reduce__(self):
+        return Cocycle, (self.rep, self.C)
 
 
 def check_cocycle(c):

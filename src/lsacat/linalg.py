@@ -46,6 +46,9 @@ class Mat:
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
+    def __reduce__(self):
+        return Mat, (self.rows,)
+
     @staticmethod
     def identity(n):
         return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])

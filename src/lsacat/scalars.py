@@ -6,7 +6,8 @@ Three domains arranged in a promotion chain::
 
 Promotion is implicit only upward, through the arithmetic operators: each
 domain lifts the ones below it and leaves any other operand to that
-operand's reflected operator.  Everything is immutable and safe to share.
+operand's reflected operator.  Values are never changed after they are
+built, so they are safe to share; they copy and pickle.
 
 A QI, and so every coefficient above it, is three ints (a, b, d) with
 value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
@@ -36,9 +37,11 @@ def _ratio(x):
 
 class QI:
     """Gaussian rational (a + b*i)/d stored as three ints with d > 0 and
-    gcd(a, b, d) = 1, so that equal values have equal triples.  Each
-    arithmetic operation reduces by at most one gcd; ``re``, ``im`` and
-    ``norm2()`` read the value as Fractions."""
+    gcd(a, b, d) = 1, so that equal values have equal triples.  The private
+    triple is set once, at construction; ``re`` and ``im`` are read-only and
+    read the value as Fractions, as does ``norm2()``.  Each arithmetic
+    operation reduces by at most one gcd; one with a 0 or 1 operand returns
+    an operand (x + 0 is x, x * 0 the 0), and negation needs no gcd."""
 
     __slots__ = ("_a", "_b", "_d")
 
@@ -49,12 +52,7 @@ class QI:
             (p, q), (r, s) = _ratio(re), _ratio(im)
             d = q * s // math.gcd(q, s)
             a, b = p * (d // q), r * (d // s)
-        _SET_A(self, a)
-        _SET_B(self, b)
-        _SET_D(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QI is immutable")
+        self._a, self._b, self._d = a, b, d
 
     @property
     def re(self):
@@ -70,7 +68,9 @@ class QI:
         return not self._a and not self._b
 
     def conj(self):
-        return _reduced(self._a, -self._b, self._d)
+        z = _NEW(QI)
+        z._a, z._b, z._d = self._a, -self._b, self._d
+        return z
 
     def norm2(self):
         "re^2 + im^2 as a Fraction."
@@ -81,6 +81,10 @@ class QI:
             other = _coerce_qi(other)
             if other is NotImplemented:
                 return NotImplemented
+        if not other._a and not other._b:
+            return self
+        if not self._a and not self._b:
+            return other
         return _add(self, other._a, other._b, other._d)
 
     __radd__ = __add__
@@ -90,12 +94,20 @@ class QI:
             other = _coerce_qi(other)
             if other is NotImplemented:
                 return NotImplemented
+        if not other._a and not other._b:
+            return self
+        if not self._a and not self._b:
+            return -other
         return _add(self, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         other = _coerce_qi(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._a and not self._b:
+            return other
+        if not other._a and not other._b:
+            return -self
         return _add(other, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
@@ -105,8 +117,17 @@ class QI:
                 return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         if not b2:
+            # a reduced triple with a = d and b = 0 is 1
+            if not a2 or not b1 and a1 == self._d:      # x * 0 or 1 * y
+                return other
+            if a2 == other._d or not a1 and not b1:     # x * 1 or 0 * y
+                return self
             return _reduced(a1 * a2, b1 * a2, self._d * other._d)
         if not b1:
+            if not a1:                                  # 0 * y
+                return self
+            if a1 == self._d:                           # 1 * y
+                return other
             return _reduced(a1 * a2, a1 * b2, self._d * other._d)
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
                         self._d * other._d)
@@ -127,7 +148,9 @@ class QI:
         return _div(other, self)
 
     def __neg__(self):
-        return _reduced(-self._a, -self._b, self._d)
+        z = _NEW(QI)
+        z._a, z._b, z._d = -self._a, -self._b, self._d
+        return z
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -163,7 +186,6 @@ class QI:
 
 
 _NEW = object.__new__
-_SET_A, _SET_B, _SET_D = QI._a.__set__, QI._b.__set__, QI._d.__set__
 
 
 def _reduced(a, b, d):
@@ -173,9 +195,7 @@ def _reduced(a, b, d):
         if g != 1:
             a, b, d = a // g, b // g, d // g
     z = _NEW(QI)
-    _SET_A(z, a)
-    _SET_B(z, b)
-    _SET_D(z, d)
+    z._a, z._b, z._d = a, b, d
     return z
 
 
@@ -248,6 +268,9 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        return MultiPoly, (self.vars, self.terms)
 
     @staticmethod
     def const(c, vars=()):
@@ -476,6 +499,9 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     def _lift(self, other):
         if isinstance(other, RatFunc):

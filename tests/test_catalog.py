@@ -1,15 +1,19 @@
+import copy
+import dataclasses
 import os
+import pickle
 import shutil
 
 import pytest
 
 from lsacat import catalog, cli
 from lsacat.algebra import multiply
+from lsacat.cocycle import Cocycle, Representation
 from lsacat.errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
                            UnknownId)
 from lsacat.iso import IsoVerdict
 from lsacat.linalg import basis_vec, vec_eq
-from lsacat.scalars import QI
+from lsacat.scalars import QI, MultiPoly, RatFunc, parse_scalar
 
 
 def test_entry_counts(full_catalog):
@@ -188,6 +192,35 @@ def test_source_cocycles_all_valid(full_catalog):
         assert is_bijective(c), e.id
 
 
+def test_values_copy_and_pickle():
+    """Every value type round-trips through copy, deepcopy and pickle to an
+    equal value, so a report holding them converts with asdict."""
+    e = catalog.lookup("N-1")
+    b = {"lambda": QI(2)}
+    rep = Representation(catalog.family_lie(e, b),
+                         [catalog._instantiate_mat(m, b) for m in e.f_mats])
+    coc = Cocycle(rep, catalog._instantiate_mat(e.cmat, b))
+    poly, ratio = parse_scalar("lambda^2 + i"), parse_scalar("1/(lambda + 1)")
+    assert (type(poly), type(ratio)) == (MultiPoly, RatFunc)
+
+    def parts(v):
+        if isinstance(v, Cocycle):
+            return parts(v.rep), v.C
+        if isinstance(v, Representation):
+            return v.g, v.mats
+        return v
+
+    for v in (QI(3, -4) / 7, poly, ratio, e.f_mats[2], e.table,
+              catalog.instantiate("N-1", b), rep.g, rep, coc):
+        for twin in (copy.copy(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert type(twin) is type(v)
+            assert parts(twin) == parts(v)
+    report = dataclasses.asdict(catalog.verify_entry("N-1", {"lambda": 2}))
+    assert report["bindings"] == {"lambda": QI(2)}
+    assert report["computed"]["associative"] is False
+
+
 @pytest.mark.parametrize("old, new", [
     ("table e1 e2 = e2 + e3", "table x1 e2 = e2 + e3"),
     ("table e1 e1 = e1", "table e0 e1 = e1"),
@@ -220,6 +253,14 @@ def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, ne
     ("n.cat", "flags associative=lambda=1 transitive=lambda=0",
      "flags associative=lambda=1 associative=lambda=0", 13),
     ("dl.cat", "samples lambda: 0, 2, -1", "samples lamda: 0, 2, -1", 9),
+    # checked against the target once every file is loaded
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0",
+     "iso N-99 when lambda=0 bind lambda=0", 14),
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0",
+     "iso N-9 when lambda=0 bind lamda=0", 14),
+    ("n.cat", "iso Dl-1 bind l=0 lambda=lambda", "iso Dl-1 bind l=0", 15),
+    ("n.cat", "iso Dl-1 bind l=0 lambda=lambda",
+     "iso Dl-1 bind l=0 lambda=lamda", 15),
 ])
 def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
                                              name, old, new, lineno):

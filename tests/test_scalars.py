@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsacat import scalars
@@ -397,6 +397,34 @@ def test_qi_equality_hash_and_text(x, y):
         assert same == zx
         assert (str(same), repr(same), hash(same)) == (
             str(zx), repr(zx), hash(zx))
+
+
+TRIVIAL_OPERANDS = (QI(0), QI(1), QI(-1), QI(0, 1), 0, 1, Fraction(0),
+                    Fraction(1))
+MODEL_OPS = (
+    (lambda u, v: u + v, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    (lambda u, v: u - v, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    (lambda u, v: u * v, m_mul),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TRIVIAL_OPERANDS), model, st.booleans())
+@example(QI(-1), (Fraction(1, 2), 0), True)   # 1/2: numerator 1, not 1
+def test_trivial_operands_keep_the_canonical_form(t, y, t_first):
+    """A 0 or 1 operand may hand back the other operand itself; the result
+    is still a canonical QI, whatever the type of the operand."""
+    zy = QI(*y)
+    mt = as_pair(t) if isinstance(t, QI) else (Fraction(t), Fraction(0))
+    for op, model_op in MODEL_OPS:
+        got, want = (op(t, zy), model_op(mt, y)) if t_first else (
+            op(zy, t), model_op(y, mt))
+        assert type(got) is QI
+        assert as_pair(got) == want
+        assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1
+        fresh = QI(*want)
+        assert (str(got), repr(got), hash(got)) == (
+            str(fresh), repr(fresh), hash(fresh))
 
 
 @settings(max_examples=200, deadline=None)
