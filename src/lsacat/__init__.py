@@ -25,8 +25,7 @@ from .lie import LieAlgebra, LieClass, canonical_lie, check_lie_automorphism, cl
 from .props import (Fingerprint, find_ideals, fingerprint, is_associative,
                     is_bisymmetric, is_novikov, is_semisimple, is_simple,
                     is_transitive)
-from .scalars import (MultiPoly, QI, RatFunc, factor_low_degree,
-                      parse_scalar, substitute)
+from .scalars import MultiPoly, QI, RatFunc, parse_scalar, substitute
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "Representation", "associator", "canonical_lie", "check_cocycle",
     "check_cybe", "check_left_regular", "check_left_symmetric",
     "check_lie_automorphism", "check_o_operator", "check_representation",
-    "classify3", "commutator_lie", "factor_low_degree",
+    "classify3", "commutator_lie",
     "find_ideals", "fingerprint", "induced_products", "is_associative",
     "is_bijective", "is_bisymmetric", "is_novikov", "is_semisimple",
     "is_simple", "is_transitive", "killing_form", "left_matrix",

@@ -27,8 +27,8 @@ class Algebra:
 
     def __init__(self, table):
         dim = len(table)
-        if not 1 <= dim <= 4:
-            raise DimensionMismatch("supported dimensions are 1..4")
+        if not 1 <= dim <= 3:
+            raise DimensionMismatch("supported dimensions are 1..3")
         c = []
         for row in table:
             if len(row) != dim:

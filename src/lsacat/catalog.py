@@ -166,7 +166,8 @@ def _parse_entry_block(block):
                     lineno, 1)
             name = _declared(head.split()[1], lineno, body.pnames)
             e.samples_override[name] = [
-                _const_value(v.strip()) for v in rest.split(",") if v.strip()]
+                _const_value(v.strip(), lineno)
+                for v in rest.split(",") if v.strip()]
         else:
             e.isos.append(_parse_iso(line, lineno, body.pnames))
     if e.family not in FAMILY_FILES:
@@ -191,7 +192,8 @@ def _parse_cond(text, lineno, pnames):
     conj = []
     for item in text.split("&"):
         name, _, val = item.partition("=")
-        conj.append((_declared(name, lineno, pnames), _const_value(val)))
+        conj.append((_declared(name, lineno, pnames),
+                     _const_value(val, lineno)))
     return tuple(conj)
 
 
@@ -213,7 +215,8 @@ def _parse_iso(line, lineno, pnames):
             raise DocSyntaxError("iso clause %r is not name=value after "
                                  "when or bind" % t, lineno, 1)
         if mode == "when":
-            decl.when[_declared(name, lineno, pnames)] = _const_value(val)
+            name = _declared(name, lineno, pnames)
+            decl.when[name] = _const_value(val, lineno)
         else:
             try:
                 decl.bind[name] = parse_scalar(val, pnames)

@@ -95,6 +95,9 @@ def cmd_catalog_verify(args):
             bindings = {}
             for item in args.param:
                 name, _, val = item.partition("=")
+                if name in bindings:
+                    print("catalog error: --param %s is given twice" % name)
+                    return 2
                 bindings[name] = parse_scalar(val, vars=())
             plan = {args.entry: [bindings]}
         elif args.entry:

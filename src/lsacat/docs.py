@@ -164,21 +164,23 @@ def format_matrix(m):
         ",".join(format_scalar(x) for x in m.row(i)) for i in range(m.nrows))
 
 
-def parse_constraint(tokens):
+def parse_constraint(tokens, lineno):
     if not tokens:
-        raise DocSyntaxError("missing constraint")
+        raise DocSyntaxError("missing constraint", lineno, 1)
     if tokens[0] == "any":
         return ("any",)
     if tokens[0] == "ne":
-        vals = tuple(_const_value(t) for t in tokens[1:])
+        vals = tuple(_const_value(t, lineno) for t in tokens[1:])
         if not vals:
-            raise DocSyntaxError("ne constraint needs at least one value")
+            raise DocSyntaxError("ne constraint needs at least one value",
+                                 lineno, 1)
         return ("ne",) + vals
     if tokens[0] == "eq":
         if len(tokens) != 2:
-            raise DocSyntaxError("eq constraint needs exactly one value")
-        return ("eq", _const_value(tokens[1]))
-    raise DocSyntaxError("unknown constraint %r" % tokens[0])
+            raise DocSyntaxError("eq constraint needs exactly one value",
+                                 lineno, 1)
+        return ("eq", _const_value(tokens[1], lineno))
+    raise DocSyntaxError("unknown constraint %r" % tokens[0], lineno, 1)
 
 
 def format_constraint(c):
@@ -189,12 +191,12 @@ def format_constraint(c):
     return "eq %s" % format_scalar(c[1])
 
 
-def _const_value(text):
-    "A scalar without parameters."
+def _const_value(text, lineno):
+    "A scalar without parameters, read on line `lineno`."
     try:
         return parse_scalar(text, vars=())
     except (UnboundVariable, DivisionByZero):
-        raise DocSemanticError("expected a constant, got %r" % text)
+        raise DocSyntaxError("expected a constant, got %r" % text, lineno, 1)
 
 
 def constraint_allows(c, value):
@@ -224,8 +226,8 @@ def _header(line, lineno):
         dim = int(toks[3])
     except ValueError:
         raise DocSyntaxError("dim must be an integer", lineno, 10)
-    if not 1 <= dim <= 4:
-        raise DocSemanticError("dim must be between 1 and 4")
+    if not 1 <= dim <= 3:
+        raise DocSemanticError("dim must be between 1 and 3")
     return kind, dim, dom
 
 
@@ -310,7 +312,7 @@ def _read_params(lines):
         if name in params:
             raise DocSemanticError("line %d: repeated parameter %s"
                                    % (lineno, name))
-        params[name] = parse_constraint(toks[2:])
+        params[name] = parse_constraint(toks[2:], lineno)
     return params
 
 

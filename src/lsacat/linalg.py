@@ -137,8 +137,7 @@ class Mat:
 
     def inverse(self):
         """Exact inverse as the adjugate over the determinant; SingularWitness
-        if there is none.  Cofactor expansion suits the package's matrices,
-        none of which is larger than 4x4."""
+        if there is none."""
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         d = _det(self.rows)

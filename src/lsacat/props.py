@@ -33,7 +33,7 @@ from operator import mul
 from .algebra import (Algebra, basis_associator, check_left_symmetric,
                       commutator_lie, multiplication_operators, multiply,
                       right_matrix)
-from .errors import DimensionMismatch, ZeroAlgebra
+from .errors import ZeroAlgebra
 from .lie import classify3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_add, vec_eq,
@@ -281,13 +281,10 @@ def _combine(b1, s, b2, t):
 
 
 def find_ideals(a):
-    """All proper nonzero two-sided ideals over C of an algebra of dimension
-    <= 3 over Q(i); infinite families are reported via flags with
-    representative data instead of being enumerated, and ideals not defined
-    over Q(i) as orbits of conjugates."""
-    if a.dim > 3:
-        raise DimensionMismatch("ideals are found in dimension <= 3, not %d"
-                                % a.dim)
+    """All proper nonzero two-sided ideals over C of an algebra over Q(i);
+    infinite families are reported via flags with representative data
+    instead of being enumerated, and ideals not defined over Q(i) as orbits
+    of conjugates."""
     report = IdealReport()
     if a.dim == 1:  # the one line is the whole algebra
         return report

@@ -794,18 +794,8 @@ def _up_deflate(co, r):
     return tuple(reversed(q)), rem
 
 
-def _up_shift(co, r):
-    """The coefficients of co(t + r): the remainders of repeated synthetic
-    division by t - r are the coefficients of co in powers of t - r."""
-    out = []
-    while co:
-        co, rem = _up_deflate(co, r)
-        out.append(rem)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
-# root finding and factorization over Q(i), degree <= 4
+# root finding over Q(i), and factorization of degree <= 3
 
 
 def _exact_isqrt(n):
@@ -956,51 +946,18 @@ def qi_roots(co):
     return [z for _, z in sorted(zip(keys, roots), key=lambda kz: kz[0])]
 
 
-def _split_quartic(co):
-    """Try to split a rootless monic quartic into two monic quadratics over
-    Q(i).  Returns (q1, q2) coefficient tuples or None."""
-    sh = co[3] / QI(4)
-    # depress via t = s - sh
-    r0, q0, p0 = _up_shift(co, -sh)[:3]
-
-    def recombine(b, a, c):
-        "lift (s^2 + a s + b)(s^2 - a s + c) back to t."
-        return _up_shift((b, a, ONE), sh), _up_shift((c, -a, ONE), sh)
-
-    if q0.is_zero():
-        rr = qi_roots((r0, p0, ONE))
-        if not rr:
-            return None
-        y1 = rr[0]
-        y2 = -p0 - y1
-        # s^4 + p0 s^2 + r0 = (s^2 - y1)(s^2 - y2) with y = -b of each factor
-        return recombine(-y1, ZERO, -y2)
-    # resolvent cubic z^3 + 2 p0 z^2 + (p0^2 - 4 r0) z - q0^2, z = a^2
-    res = (-(q0 * q0), p0 * p0 - QI(4) * r0, QI(2) * p0, ONE)
-    for z in qi_roots(res):
-        if z.is_zero():
-            continue
-        a = gaussian_sqrt(z)
-        if a is None:
-            continue
-        s = p0 + z
-        b = (s - q0 / a) / QI(2)
-        c = (s + q0 / a) / QI(2)
-        if (b * c) == r0:
-            return recombine(b, a, c)
-    return None
-
-
 def factor_unipoly(co):
-    """Factor a QI polynomial of degree <= 4 into monic irreducibles.
+    """Factor a QI polynomial of degree <= 3 into monic irreducibles: the
+    roots in Q(i) with their multiplicities, then what is left, which has
+    degree 0, 2 or 3 and no root in Q(i), so it is irreducible.
 
     Returns (unit, [(coeffs, multiplicity), ...]) with unit * prod = input.
     """
     co = _up_trim(co)
     if not co:
         raise DivisionByZero("cannot factor the zero polynomial")
-    if _up_deg(co) > 4:
-        raise DegreeTooHigh("degree %d > 4" % _up_deg(co))
+    if _up_deg(co) > 3:
+        raise DegreeTooHigh("degree %d > 3" % _up_deg(co))
     unit = co[-1]
     co = tuple(c / unit for c in co)
     factors = []
@@ -1014,51 +971,10 @@ def factor_unipoly(co):
             mult += 1
         if mult:
             factors.append(((-r, ONE), mult))
-    deg = _up_deg(co)
-    if deg in (2, 3):
+    if len(co) > 1:
         factors.append((co, 1))
-    elif deg == 4:
-        split = _split_quartic(co)
-        if split is None:
-            factors.append((co, 1))
-        else:
-            for f in split:
-                f = tuple(c / f[-1] for c in f)
-                merged = False
-                for k, (g, m) in enumerate(factors):
-                    if g == f:
-                        factors[k] = (g, m + 1)
-                        merged = True
-                        break
-                if not merged:
-                    factors.append((f, 1))
     factors.sort(key=lambda fm: (len(fm[0]), [(c.re, c.im) for c in fm[0]]))
     return unit, factors
-
-
-def factor_low_degree(p):
-    """Factor a univariate MultiPoly over Q(i), degree <= 4, into monic
-    irreducible MultiPoly factors with multiplicities."""
-    p = as_scalar(p)
-    if isinstance(p, QI):
-        raise DegreeTooHigh("expected a univariate polynomial, got a constant")
-    if not isinstance(p, MultiPoly):
-        raise DomainMismatch("expected a MultiPoly")
-    fv = sorted(p.free_vars())
-    if len(fv) != 1:
-        raise DomainMismatch("polynomial is not univariate: vars %s" % (fv,))
-    name = fv[0]
-    q = p._strip()
-    deg = q.total_degree()
-    co = [ZERO] * (deg + 1)
-    for exps, c in q.terms.items():
-        co[exps[0]] = c
-    _, factors = factor_unipoly(tuple(co))
-    out = []
-    for f, m in factors:
-        poly = MultiPoly((name,), {(k,): c for k, c in enumerate(f)})
-        out.append((poly, m))
-    return out
 
 
 # ---------------------------------------------------------------------------

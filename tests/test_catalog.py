@@ -261,11 +261,18 @@ def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, ne
     ("n.cat", "iso Dl-1 bind l=0 lambda=lambda", "iso Dl-1 bind l=0", 15),
     ("n.cat", "iso Dl-1 bind l=0 lambda=lambda",
      "iso Dl-1 bind l=0 lambda=lamda", 15),
+    # a value that is not a constant
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0",
+     "iso N-9 when lambda=x bind lambda=0", 14),
+    ("n.cat", "flags associative=lambda=1", "flags associative=lambda=x", 13),
+    ("dl.cat", "samples lambda: 0, 2, -1", "samples lambda: 0, x, -1", 9),
+    ("n.cat", "params lambda ne 0", "params lambda ne x", 20),
 ])
 def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
                                              name, old, new, lineno):
-    """A metadata line without its value, or naming an unknown or repeated
-    flag or an undeclared parameter, is a syntax error at its line; exit 2."""
+    """A metadata line without its value, naming an unknown or repeated flag
+    or an undeclared parameter, or giving a non-constant value, is a syntax
+    error at its line; exit 2."""
     directory = corrupted_catalog(tmp_path, old, new, name)
     monkeypatch.setenv("LSACAT_DATA", directory)
     with pytest.raises(DocSyntaxError) as err:

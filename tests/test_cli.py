@@ -100,37 +100,67 @@ def test_large_parameter_verifies_in_polynomial_time():
     assert "entry/sample pairs: 1, failures: 0" in proc.stdout
 
 
-def test_package_has_no_assert_statements():
+def package_trees():
+    "{file name: parsed module} for every module of src/lsacat."
+    pkg = os.path.join(SRC, "lsacat")
+    trees = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), name)
+    return trees
+
+
+def assert_statement(node):
     "Checks must raise, because python -O removes assert statements."
-    pkg = os.path.join(SRC, "lsacat")
-    found = []
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
-    assert found == []
+    return isinstance(node, ast.Assert)
 
 
-def test_package_has_no_broad_exception_handlers():
+def broad_handler(node):
     "A bare except or one of (Base)Exception would also swallow bugs."
-    def broad(node):
-        if node is None:
-            return True
-        names = node.elts if isinstance(node, ast.Tuple) else [node]
-        return any(isinstance(n, ast.Name)
-                   and n.id in ("Exception", "BaseException") for n in names)
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(isinstance(n, ast.Name)
+               and n.id in ("Exception", "BaseException") for n in names)
 
-    pkg = os.path.join(SRC, "lsacat")
-    found = []
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.ExceptHandler)
-                      and broad(node.type)]
+
+def floating_point(node):
+    "All arithmetic is exact: no float or complex literal or conversion."
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "complex"))
+
+
+def imports_test_only_module(node):
+    "sympy and hypothesis are test oracles; numpy and cmath compute in floats."
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m.split(".")[0] in ("sympy", "hypothesis", "numpy", "cmath")
+               for m in modules)
+
+
+# constructs the package must not contain, each as a predicate on AST nodes
+FORBIDDEN = {
+    "assert": assert_statement,
+    "broad_except": broad_handler,
+    "floating_point": floating_point,
+    "test_only_import": imports_test_only_module,
+}
+
+
+@pytest.mark.parametrize("construct", sorted(FORBIDDEN))
+def test_package_has_no_forbidden_construct(construct):
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in package_trees().items()
+             for node in ast.walk(tree) if FORBIDDEN[construct](node)]
     assert found == []
 
 
@@ -377,12 +407,7 @@ def test_catalog_verify_all_output():
 
 def test_package_has_no_dead_private_functions():
     "Every module-level _name function in src/lsacat is used somewhere in it."
-    pkg = os.path.join(SRC, "lsacat")
-    trees = {}
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                trees[name] = ast.parse(fh.read(), name)
+    trees = package_trees()
 
     def references(node):
         for sub in ast.walk(node):
@@ -412,6 +437,7 @@ MALFORMED = {
     "bracket_missing": ("h1_cocycle.coc", "bracket e1 e2", "e1 e2"),
     "source_missing": ("h2prime_to_h2.wit", "source e3 e2", "e3 e2"),
     "product_three_factors": ("h1.alg", "e1 e1 = e1", "e1 e1 e1 = e1"),
+    "dim_above_3": ("h1.alg", "dim 3", "dim 4"),
 }
 COMMANDS = {".coc": ["cocycle-build"], ".wit": ["iso", "--verify"],
             ".alg": ["check"]}
@@ -430,8 +456,12 @@ def test_malformed_document_exits_2(tmp_path, case):
     assert out.startswith("bad document ")
 
 
-def test_catalog_verify_rejects_undeclared_param():
+@pytest.mark.parametrize("extra, name", [("bogus=3", "bogus"),
+                                         ("lambda=3", "lambda")])
+def test_catalog_verify_rejects_undeclared_or_repeated_param(extra, name):
+    "A --param the entry does not declare, or a second one for a name."
     code, out = run(["catalog-verify", "--entry", "N-1", "--param", "lambda=2",
-                     "--param", "bogus=3"])
+                     "--param", extra])
     assert code == 2
-    assert "bogus" in out
+    assert out.startswith("catalog error: ")
+    assert name in out

@@ -62,6 +62,33 @@ def test_search_n2_vs_n3():
     assert verify_lsa_iso(a, b, v.witness)
 
 
+# coincidences between samples of one entry that the catalog declares no
+# remark for: (entry, source bindings, target bindings, witness or None)
+UNDECLARED = [
+    ("N-25", {"lambda": 1}, {"lambda": 3}, [[1, 0, 0], [0, Fraction(1, 3), 0],
+                                            [0, 0, 1]]),
+    ("N-2", {"lambda": 2, "mu": 3},
+     {"lambda": Fraction(1, 2), "mu": Fraction(-3, 2)},
+     [[2, 0, 0], [0, 1, 0], [3, 0, 1]]),
+    ("N-22", {"lambda": 2, "mu": 3},
+     {"lambda": Fraction(1, 2), "mu": Fraction(-3, 2)}, None),
+]
+
+
+@pytest.mark.parametrize("eid, src, tgt, rows", UNDECLARED)
+def test_undeclared_coincidences(eid, src, tgt, rows):
+    a = catalog.instantiate(eid, src)
+    b = catalog.instantiate(eid, tgt)
+    v = search_lsa_iso(a, b)
+    if rows is None:
+        assert v.status == "not_isomorphic"
+        assert v.reason == ("every automorphism component gives the "
+                            "Groebner basis {1}")
+    else:
+        assert v.is_isomorphic and v.witness == Mat(rows)
+        assert verify_lsa_iso(a, b, v.witness)
+
+
 def test_search_h1_vs_h3_not_isomorphic():
     v = search_lsa_iso(catalog.instantiate("H-1"), catalog.instantiate("H-3"))
     assert v.status == "not_isomorphic"

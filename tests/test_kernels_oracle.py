@@ -4,7 +4,7 @@ multiply, basis_associator, left_matrix, right_matrix and trace_of_product
 read the table c[i][j][k] (coordinate k of e_i e_j) directly and skip
 zeros.  The oracles below sum over every index with no skipping, build
 nothing but basis products, and are checked on random tables in
-dimensions 1..4 that need not be left-symmetric, some with MultiPoly
+dimensions 1..3 that need not be left-symmetric, some with MultiPoly
 entries, and on every catalog entry at its first sample.
 
 Mat.charpoly, Mat.inverse and linalg.common_kernel are checked on random
@@ -80,7 +80,7 @@ def scalars(draw, symbolic):
 
 @st.composite
 def tables(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
     symbolic = draw(st.booleans())
     # a third of the tables have c_ij^k = 0 unless k > max(i, j): every
     # R_x is then strictly triangular, so the table is transitive

@@ -128,14 +128,13 @@ def test_simple_and_semisimple_examples():
     assert not is_semisimple(h1)[0]
 
 
-def test_ideal_predicates_reject_dimension_above_3():
-    # S + S for the simple S: e1 e1 = e2, e2 e2 = e1; the summands are
-    # 2-dimensional ideals, which the line/hyperplane search cannot see
-    a = Algebra.from_products(4, {(0, 0): [(1, 1)], (1, 1): [(1, 0)],
-                                  (2, 2): [(1, 3)], (3, 3): [(1, 2)]})
-    for predicate in (find_ideals, is_simple, is_semisimple):
-        with pytest.raises(DimensionMismatch):
-            predicate(a)
+def test_algebra_rejects_dimension_above_3():
+    # S + S for the simple S: e1 e1 = e2, e2 e2 = e1; its 2-dimensional
+    # summands are ideals the line/hyperplane search cannot see, so no
+    # predicate is ever handed a 4-dimensional algebra
+    with pytest.raises(DimensionMismatch):
+        Algebra.from_products(4, {(0, 0): [(1, 1)], (1, 1): [(1, 0)],
+                                      (2, 2): [(1, 3)], (3, 3): [(1, 2)]})
 
 
 def test_zero_algebra_rejected():

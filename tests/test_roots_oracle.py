@@ -1,7 +1,8 @@
 """Roots and factors over Q(i) checked against sympy's factorization over
 Q(i) (factor_list over the algebraic field QQ<I>, as factor_list with
 extension=I computes it), on random polynomials of degree <= 4 built from
-linear factors (some repeated) and random quadratics."""
+linear factors (some repeated) and random quadratics: the roots at every
+degree, the factors at degree <= 3, which is what factor_unipoly takes."""
 
 from fractions import Fraction
 
@@ -93,6 +94,8 @@ def test_roots_and_factors_match_sympy(co):
     got = qi_roots(co)
     assert len(got) == len(set(got))
     assert set(got) == roots
+    if len(co) > 4:
+        return
 
     unit, factors = factor_unipoly(co)
     assert sorted(factors, key=key) == expected

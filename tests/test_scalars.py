@@ -11,8 +11,8 @@ from lsacat import scalars
 from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
                            UnboundVariable)
 from lsacat.linalg import Mat
-from lsacat.scalars import (MultiPoly, QI, RatFunc, factor_low_degree,
-                            factor_unipoly, format_scalar,
+from lsacat.scalars import (MultiPoly, QI, RatFunc, factor_unipoly,
+                            format_scalar,
                             gaussian_sqrt, parse_scalar, qi, qi_roots,
                             quadratic_roots, substitute)
 
@@ -143,47 +143,41 @@ def test_parse_format_roundtrip():
 
 
 def test_factor_quadratic_over_qi():
-    t = MultiPoly.var("t")
-    factors = factor_low_degree(t ** 2 + 1)
-    assert sorted(format_scalar(f) for f, _ in factors) == ["t+i", "t-i"]
+    # t^2 + 1 = (t - i)(t + i)
+    unit, factors = factor_unipoly((qi(1), qi(0), qi(1)))
+    assert unit == 1
+    assert factors == [((QI(0, -1), qi(1)), 1), ((QI(0, 1), qi(1)), 1)]
 
 
 def test_factor_cubic_split():
-    t = MultiPoly.var("t")
-    factors = factor_low_degree(t ** 3 - t)
-    assert sorted(format_scalar(f) for f, _ in factors) == ["t", "t+1", "t-1"]
+    # t^3 - t = (t + 1) t (t - 1)
+    unit, factors = factor_unipoly((qi(0), qi(-1), qi(0), qi(1)))
+    assert unit == 1
+    assert factors == [((qi(-1), qi(1)), 1), ((qi(0), qi(1)), 1),
+                       ((qi(1), qi(1)), 1)]
 
 
 def test_factor_cubic_irreducible():
     # no root p/q with q | 1, p | 2 in Z[i], hence irreducible over Q(i)
-    t = MultiPoly.var("t")
-    factors = factor_low_degree(t ** 3 - 2)
-    assert len(factors) == 1 and factors[0][1] == 1
-    assert factors[0][0] == t ** 3 - 2
-    assert qi_roots((qi(-2), qi(0), qi(0), qi(1))) == []
+    co = (qi(-2), qi(0), qi(0), qi(1))
+    assert factor_unipoly(co) == (1, [(co, 1)])
+    assert qi_roots(co) == []
 
 
 def test_factor_multiplies_back():
     rng = random.Random(17)
-    t = MultiPoly.var("t")
     for _ in range(20):
-        roots = [rand_qi(rng) for _ in range(rng.randint(1, 4))]
-        p = MultiPoly.const(1)
-        for r in roots:
-            p = p * (t - r)
-        lead = MultiPoly.const(rand_qi(rng) + 1)
-        p = p * lead
-        prod = MultiPoly.const(lead.const_value())
-        for f, m in factor_low_degree(p):
-            prod = prod * f ** m
-        assert prod == p
-
-
-def test_factor_quartic_into_quadratics():
-    t = MultiPoly.var("t")
-    p = (t ** 2 - 2) * (t ** 2 + 2)
-    factors = factor_low_degree(p)
-    assert sorted(format_scalar(f) for f, _ in factors) == ["t^2+2", "t^2-2"]
+        lead = rand_qi(rng) + 1
+        co = (lead,)
+        for _ in range(rng.randint(1, 3)):
+            co = poly_mul(co, (-rand_qi(rng), qi(1)))
+        unit, factors = factor_unipoly(co)
+        assert unit == lead
+        prod = (unit,)
+        for f, m in factors:
+            for _ in range(m):
+                prod = poly_mul(prod, f)
+        assert prod == co
 
 
 # Root finding must take time polynomial in the bit length of the
@@ -217,11 +211,11 @@ def test_roots_with_30_digit_parts_and_a_repeat():
     assert roots == sorted([a, b], key=lambda z: (z.re, z.im))
 
 
-def test_factor_quartic_with_30_digit_coefficients(monkeypatch):
-    "(t^2 + t - P)(t^2 + Q) splits through the resolvent cubic."
-    p, q = 10 ** 29 + 13, 10 ** 29 + 19
-    for n in (1 + 4 * p, q):
-        assert math.isqrt(n) ** 2 != n
+def test_factor_cubic_with_30_digit_coefficients(monkeypatch):
+    "(t - r)(t^2 + t - P) with a 30-digit Gaussian integer r: one root search."
+    p = 10 ** 29 + 13
+    assert math.isqrt(1 + 4 * p) ** 2 != 1 + 4 * p
+    r = QI(10 ** 29 + 19, -(10 ** 29 + 7))
     degrees = []
 
     def recording(co):
@@ -229,18 +223,17 @@ def test_factor_quartic_with_30_digit_coefficients(monkeypatch):
         return qi_roots(co)
 
     monkeypatch.setattr(scalars, "qi_roots", recording)
-    f1, f2 = (qi(-p), qi(1), qi(1)), (qi(q), qi(0), qi(1))
-    quartic = poly_mul(f1, f2)
-    unit, factors = timed(factor_unipoly, quartic)
+    f1, f2 = (-r, qi(1)), (qi(-p), qi(1), qi(1))
+    unit, factors = timed(factor_unipoly, poly_mul(f1, f2))
     assert unit == 1
     assert factors == [(f1, 1), (f2, 1)]
-    assert degrees == [4, 3]
+    assert degrees == [3]
 
 
 def test_factor_degree_too_high():
-    t = MultiPoly.var("t")
+    # (t^2 - 2)(t^2 + 2): factor_unipoly serves 3x3 operators only
     with pytest.raises(DegreeTooHigh):
-        factor_low_degree(t ** 5 + 1)
+        factor_unipoly((qi(-4), qi(0), qi(0), qi(0), qi(1)))
 
 
 def test_gaussian_sqrt():
