@@ -95,6 +95,8 @@ def cmd_catalog_verify(args):
             bindings = {}
             for item in args.param:
                 name, _, val = item.partition("=")
+                if not (name.strip() and val.strip()):
+                    raise LsaError("--param expects NAME=VALUE, got %r" % item)
                 if name in bindings:
                     print("catalog error: --param %s is given twice" % name)
                     return 2

@@ -21,6 +21,7 @@ f(e<i>) or matrix line, and any line the document kind does not use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, LieAlgebra
@@ -212,6 +213,11 @@ def constraint_allows(c, value):
 # document parsing
 
 
+def _col(line, k):
+    "1-based column of the k-th (from 0) whitespace-separated token of line."
+    return list(re.finditer(r"\S+", line))[k].start() + 1
+
+
 def _header(line, lineno):
     toks = line.split()
     if len(toks) != 6 or toks[0] != "kind" or toks[2] != "dim" or toks[4] != "domain":
@@ -219,15 +225,16 @@ def _header(line, lineno):
                              lineno, 1)
     kind, dom = toks[1], toks[5]
     if kind not in KINDS:
-        raise DocSyntaxError("unknown kind %r" % kind, lineno, 6)
+        raise DocSyntaxError("unknown kind %r" % kind, lineno, _col(line, 1))
     if dom not in DOMAINS:
-        raise DocSemanticError("unknown domain %r" % dom)
+        raise DocSyntaxError("unknown domain %r" % dom, lineno, _col(line, 5))
     try:
         dim = int(toks[3])
     except ValueError:
-        raise DocSyntaxError("dim must be an integer", lineno, 10)
+        raise DocSyntaxError("dim must be an integer", lineno, _col(line, 3))
     if not 1 <= dim <= 3:
-        raise DocSemanticError("dim must be between 1 and 3")
+        raise DocSyntaxError("dim must be between 1 and 3", lineno,
+                             _col(line, 3))
     return kind, dim, dom
 
 
@@ -308,7 +315,8 @@ def _read_params(lines):
                                  lineno, 1)
         name = toks[1]
         if name == "i" or not name.isidentifier():
-            raise DocSemanticError("bad parameter name %r" % name)
+            raise DocSyntaxError("bad parameter name %r" % name, lineno,
+                                 _col(line, 1))
         if name in params:
             raise DocSemanticError("line %d: repeated parameter %s"
                                    % (lineno, name))

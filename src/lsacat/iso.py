@@ -167,16 +167,34 @@ def _search(a, b, comps):
         "every automorphism component gives the Groebner basis {1}"))
 
 
+def _lie_class(a):
+    """classify3 of a's commutator if a has dim 3 and the commutator meets
+    Jacobi (as every left-symmetric table's does), else None."""
+    g = commutator_lie(a) if a.dim == 3 else None
+    return classify3(g) if g is not None and g.check_jacobi()[0] else None
+
+
+def _rebased(a, b, ca, cb):
+    """(a, b rebased onto the canonical table, components of its stored
+    group) if the keys match and the group and both witnesses exist."""
+    same = ca and cb and ca.key() == cb.key()
+    comps = same and aut_components(ca.tag, ca.param)
+    if comps and ca.witness is not None and cb.witness is not None:
+        return rebase(a, ca.witness), rebase(b, cb.witness), comps
+    return None
+
+
 def search_lsa_iso(a, b):
     """Decide whether two left-symmetric tables are isomorphic; returns an
     IsoVerdict.  Isomorphic witnesses are exactly verified, and each
     NotIsomorphic verdict names what separates the tables: a fingerprint
     field, the Lie class, or a Groebner basis {1} in every component.
 
-    Equal tables, then the fingerprint and the Lie class, come first.  Both
-    tables are then rebased onto the canonical table of their sub-adjacent
-    Lie algebra g; equal rebased tables give the witness from the two basis
-    changes.  Otherwise each component of the stored group Aut(g) is
+    The cheapest sufficient decision runs first: equal tables, then both
+    tables rebased onto the canonical table of their sub-adjacent Lie
+    algebra g, whose equality gives the witness from the two basis
+    changes; then the fingerprints (reusing the Lie classes) and the Lie
+    class.  Otherwise each component of the stored group Aut(g) is
     decided by one reduced lex Groebner basis (Nullstellensatz: the tables
     are isomorphic over C iff some component's basis is not {1}).  That
     verdict assumes the stored components cover Aut(g), as they do for the
@@ -187,23 +205,23 @@ def search_lsa_iso(a, b):
         return IsoVerdict("not_isomorphic", reason="different dimensions")
     if a == b:
         return IsoVerdict("isomorphic", witness=Mat.identity(a.dim))
-    fa, fb = fingerprint(a), fingerprint(b)
-    diff = fa.differing_field(fb)
-    if diff is not None:
-        return IsoVerdict("not_isomorphic", reason=diff)
-    if a.dim != 3:
-        return IsoVerdict("unknown", reason="search implemented for dim 3")
-    # fingerprint classified left-symmetric tables already
-    ca = fa.lie if fa.lie is not None else classify3(commutator_lie(a))
-    cb = fb.lie if fb.lie is not None else classify3(commutator_lie(b))
-    if ca.key() != cb.key():
-        return IsoVerdict("not_isomorphic", reason="lie_class")
-    comps = aut_components(ca.tag, ca.param)
-    if not comps or ca.witness is None or cb.witness is None:
-        return IsoVerdict("unknown", reason="no automorphism group stored "
-                                            "for class %s" % ca.tag)
-    wa, wb = ca.witness, cb.witness
-    a2, b2 = rebase(a, wa), rebase(b, wb)
+    ca, cb = _lie_class(a), _lie_class(b)
+    rebased = _rebased(a, b, ca, cb)
+    if rebased is None or rebased[0] != rebased[1]:
+        diff = fingerprint(a, ca).differing_field(fingerprint(b, cb))
+        if diff is not None:
+            return IsoVerdict("not_isomorphic", reason=diff)
+        if a.dim != 3:
+            return IsoVerdict("unknown", reason="search implemented for dim 3")
+        ca = ca or classify3(commutator_lie(a))  # commutator fails Jacobi
+        cb = cb or classify3(commutator_lie(b))
+        rebased = rebased or _rebased(a, b, ca, cb)
+        if ca.key() != cb.key():
+            return IsoVerdict("not_isomorphic", reason="lie_class")
+        if rebased is None:
+            return IsoVerdict("unknown", reason="no automorphism group "
+                                                "stored for class %s" % ca.tag)
+    a2, b2, comps = rebased
     if a2 == b2:
         t = Mat.identity(3)
     else:
@@ -211,7 +229,7 @@ def search_lsa_iso(a, b):
         if not v.is_isomorphic:
             return v
         t = v.witness
-    full = wa.inverse() * t * wb
+    full = ca.witness.inverse() * t * cb.witness
     if not verify_lsa_iso(a, b, full):
         raise LsaError("search witness fails after the basis change")
     return IsoVerdict("isomorphic", witness=full)

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
-                      multiply, rebase)
+from .algebra import LieAlgebra, multiplication_operators, multiply
 from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_is_zero, vec_scale)
@@ -44,8 +43,16 @@ def check_lie_automorphism(g, t):
     "True iff t is invertible and preserves all basis brackets."
     if not (t.is_square() and t.nrows == g.dim):
         raise DimensionMismatch("automorphism candidate has wrong shape")
-    return (not is_zero(t.det())
-            and all(vec_is_zero(d) for d in hom_defects(g, g, t)))
+    return _is_lie_iso(g, g, t)
+
+
+def _is_lie_iso(src, dst, w):
+    """True iff w is invertible and [w_i, w_j] = sum_k src.c[i][j][k] w_k in
+    dst for i < j (antisymmetry gives the rest): rebase(dst, w) == src."""
+    n = src.dim
+    return not is_zero(w.det()) and all(
+        w.apply_row(src.c[i][j]) == multiply(dst, w.row(i), w.row(j))
+        for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +211,8 @@ def classify3(g):
     derived algebra is central, else N; d=2 via the action of an outside
     element on the derived plane (diagonalizable -> Dl with canonical l,
     non-semisimple -> E); d=3 sl2.  A witness basis change (rows = new
-    basis) is attached whenever the eigen-data lies in Q(i).
-    """
+    basis) is attached whenever the eigen-data lies in Q(i), confirmed by
+    its three brackets against the canonical table, with no table rebased."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
     n = 3
@@ -257,7 +264,7 @@ def _classify_n(g, z):
     # center: x with [x, e_j] = 0 for all j
     for c0 in common_kernel(multiplication_operators(g)[n:]):
         w = Mat([c0, z, e3])
-        if not is_zero(w.det()) and rebase(g, w) == canonical_lie("N"):
+        if _is_lie_iso(canonical_lie("N"), g, w):
             return LieClass("N", witness=w)
     return LieClass("Unrecognized", detail="N-type normalization failed")
 
@@ -316,7 +323,7 @@ def _classify_d2(g, derived):
 
 def _witnessed(g, w, tag, l=None):
     "LieClass(tag, l, w) once w is confirmed to rebase g onto the canonical table."
-    if rebase(g, w) != canonical_lie(tag, l):
+    if not _is_lie_iso(canonical_lie(tag, l), g, w):
         raise LsaError("classify3 built a wrong %s witness" % tag)
     return LieClass(tag, param=l, witness=w)
 

@@ -17,9 +17,10 @@ operators acting on covectors, with M^T, whose characteristic polynomial
 is that of M: planes come from the same factorization as lines.
 Predicates and fingerprints read associators and basis operators off the
 structure constants, and trace forms tr(XY) from linalg.trace_of_product
-without forming XY.  Transitivity is read from polarized traces of the
-basis right multiplications, one trace per cyclic class of orderings, and
-the annihilators are common kernels of the basis operators.
+without forming XY, once per pair where the form is symmetric.
+Transitivity is read from polarized traces of the basis right
+multiplications, one trace per cyclic class of orderings, and annihilator
+dimensions from the rank of the stacked basis operators.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .algebra import (Algebra, basis_associator, check_left_symmetric,
                       right_matrix)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
-                     span_basis, trace_of_product, vec_add, vec_eq,
-                     vec_is_zero)
+from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
+                     trace_of_product, vec_add, vec_eq, vec_is_zero)
 from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero, quadratic_roots
 
 
@@ -480,7 +480,6 @@ class Fingerprint:
     dims: dict
     ranks: dict
     lie_class: tuple
-    lie: object = field(default=None, compare=False, repr=False)  # LieClass
 
     def differing_field(self, other):
         "First component where the two fingerprints disagree, or None."
@@ -501,18 +500,24 @@ class Fingerprint:
         return self.differing_field(other) is None
 
 
-def fingerprint(a):
-    "Isomorphism-invariant summary used to separate non-isomorphic tables."
+def _trace_form(ms):
+    "The symmetric matrix of tr(XY) over ms, one trace per unordered pair."
+    t = [[trace_of_product(x, y) for y in ms[i:]] for i, x in enumerate(ms)]
+    return Mat._of([[t[min(i, j)][abs(i - j)] for j in range(len(ms))]
+                    for i in range(len(ms))])
+
+
+def fingerprint(a, lie=None):
+    """Isomorphism-invariant summary used to separate non-isomorphic tables.
+    lie: the caller's classify3 result, read for left-symmetric dim-3 tables."""
     n = a.dim
     ops = multiplication_operators(a)
     lm, rm = ops[:n], ops[n:]
     prod_span = len(span_basis(
         [list(a.c[i][j]) for i in range(n) for j in range(n)
          if not vec_is_zero(a.c[i][j])], n))
-    al, ar, ab = (len(common_kernel(ms)) for ms in (rm, lm, ops))
-    bil_ll, bil_rr, bil_lr = (
-        Mat([[trace_of_product(x, y) for y in ys] for x in xs])
-        for xs, ys in ((lm, lm), (rm, rm), (lm, rm)))
+    al, ar, ab = (n - Mat._of([r for m in ms for r in m.rows]).rank()
+                  for ms in (rm, lm, ops))
     ls, _ = check_left_symmetric(a)
     flags = {
         "left_symmetric": ls,
@@ -529,12 +534,12 @@ def fingerprint(a):
         "ann_two_sided": ab,
     }
     ranks = {
-        "tr_ll": bil_ll.rank(),
-        "tr_rr": bil_rr.rank(),
-        "tr_lr": bil_lr.rank(),
+        "tr_ll": _trace_form(lm).rank(),
+        "tr_rr": _trace_form(rm).rank(),
+        "tr_lr": Mat._of([[trace_of_product(x, y) for y in rm]
+                          for x in lm]).rank(),
     }
-    lie_class, lie = ("n/a",), None
+    lie_class = ("n/a",)
     if ls and n == 3:
-        lie = classify3(commutator_lie(a))
-        lie_class = lie.key()
-    return Fingerprint(flags, dims, ranks, lie_class, lie)
+        lie_class = (lie or classify3(commutator_lie(a))).key()
+    return Fingerprint(flags, dims, ranks, lie_class)

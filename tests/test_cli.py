@@ -438,7 +438,14 @@ MALFORMED = {
     "source_missing": ("h2prime_to_h2.wit", "source e3 e2", "e3 e2"),
     "product_three_factors": ("h1.alg", "e1 e1 = e1", "e1 e1 e1 = e1"),
     "dim_above_3": ("h1.alg", "dim 3", "dim 4"),
+    "domain_unknown": ("h1.alg", "domain gaussian", "domain floaty"),
+    "param_name": ("h1.alg", "domain gaussian\n",
+                   "domain gaussian\nparams 1x any\n"),
 }
+# cases whose message must give the line and column of the fault
+LOCATED = {"dim_above_3": "line 2, col 18: ",
+           "domain_unknown": "line 2, col 27: ",
+           "param_name": "line 3, col 8: "}
 COMMANDS = {".coc": ["cocycle-build"], ".wit": ["iso", "--verify"],
             ".alg": ["check"]}
 
@@ -454,12 +461,19 @@ def test_malformed_document_exits_2(tmp_path, case):
     code, out = run(COMMANDS[os.path.splitext(name)[1]] + [str(p)])
     assert code == 2
     assert out.startswith("bad document ")
+    assert LOCATED.get(case, "") in out
 
 
-@pytest.mark.parametrize("extra, name", [("bogus=3", "bogus"),
-                                         ("lambda=3", "lambda")])
+@pytest.mark.parametrize("extra, name", [
+    ("bogus=3", "bogus"),
+    ("lambda=3", "lambda"),
+    ("lambda", "--param expects NAME=VALUE, got 'lambda'"),
+    ("lambda=", "--param expects NAME=VALUE, got 'lambda='"),
+    ("=2", "--param expects NAME=VALUE, got '=2'"),
+])
 def test_catalog_verify_rejects_undeclared_or_repeated_param(extra, name):
-    "A --param the entry does not declare, or a second one for a name."
+    """A --param the entry does not declare, a second one for a name, or
+    one without a name or a value."""
     code, out = run(["catalog-verify", "--entry", "N-1", "--param", "lambda=2",
                      "--param", extra])
     assert code == 2

@@ -61,8 +61,9 @@ def test_duplicate_product_rejected():
 
 
 def test_dimension_out_of_range_rejected():
-    with pytest.raises(DocSemanticError):
+    with pytest.raises(DocSyntaxError) as err:
         parse_document("kind algebra dim 7 domain gaussian\n")
+    assert (err.value.line, err.value.col) == (1, 18)
     with pytest.raises(DocSemanticError):
         parse_document("kind algebra dim 3 domain gaussian\ne1 e4 = e1\n")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lsacat import catalog, iso, scalars
+from lsacat import catalog, iso, props, scalars
 from lsacat.algebra import commutator_lie, hom_defects, rebase
 from lsacat.errors import SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
@@ -114,22 +114,49 @@ def test_search_finds_hidden_conjugation():
     ("H-8", {}, [[0, 1, 0], [0, 0, -1], [-1, 0, -2]]),
     ("D1bar-11", {"lambda": 2}, [[1, -1, 0], [0, 0, -1], [-1, 0, 0]]),
 ])
-def test_search_equal_canonical_forms(eid, bind, rows):
+def test_search_equal_canonical_forms(monkeypatch, eid, bind, rows):
     """Both sides rebase onto the same canonical table, but no member of
     the stored group with the free parameters at 1 is invertible: the
-    witness comes from the two basis changes."""
+    witness comes from the two basis changes, before any fingerprint."""
+    calls = count_calls(monkeypatch)
     a = catalog.instantiate(eid, bind)
     b = rebase(a, Mat(rows))
     v = search_lsa_iso(a, b)
     assert v.is_isomorphic
     assert verify_lsa_iso(a, b, v.witness)
+    assert calls == {"fingerprint": 0, "classify3": 2}
+
+
+def count_calls(monkeypatch):
+    "Count the fingerprint and classify3 calls the search makes."
+    calls = {"fingerprint": 0, "classify3": 0}
+    for module, name in ((iso, "fingerprint"), (iso, "classify3"),
+                         (props, "classify3")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_search_groebner_pair_fingerprints_and_classifies_once(monkeypatch):
+    """A pair the Groebner bases decide computes each fingerprint and each
+    Lie class once: the fingerprints reuse the search's classes."""
+    calls = count_calls(monkeypatch)
+    v = search_lsa_iso(catalog.instantiate("H-1"), catalog.instantiate("H-2"))
+    assert v.status == "not_isomorphic"
+    assert v.reason == ("every automorphism component gives the "
+                        "Groebner basis {1}")
+    assert calls == {"fingerprint": 2, "classify3": 2}
 
 
 def test_search_lie_class_mismatch():
+    "Different Lie classes skip the canonical tables; a flag separates them."
     a = catalog.instantiate("H-5")
     b = catalog.instantiate("N-5")
     v = search_lsa_iso(a, b)
     assert v.status == "not_isomorphic"
+    assert v.reason == "flags.associative"
 
 
 def test_isomorphic_tables_share_fingerprint():
