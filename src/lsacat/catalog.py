@@ -430,9 +430,7 @@ def verify_entry(entry_id, bindings=None):
     return rep
 
 
-def _instantiate_mat(m, bindings):
-    return Mat([[substitute(x, bindings) for x in m.row(i)]
-                for i in range(m.nrows)])
+_instantiate_mat = Mat.substitute
 
 
 def _check_reconstruction(e, bindings, alg, messages):

@@ -2,16 +2,18 @@
 cocycles, r-matrices, O-operator data, and isomorphism witnesses.
 
 Header:   kind <kind> dim <n> domain <rational|gaussian|ratfunc>
-Params:   params <name> any | ne <v> [<v> ...] | eq <v>
+Params:   params <name> any | ne <v> [<v> ...] | eq <v>   (name not i, e<k>)
 Bodies:   e<i> e<j> = <term> [+ <term> ...]     (algebra / lie products)
           bracket e<i> e<j> = ...               (lie part of rep-like docs)
           f(e<i>) = [[...],[...],[...]]          (representation matrices)
           C = [[...]] / R = [[...]] / T = [[...]]
           source e<i> e<j> = ... / target ...   (iso_witness payloads)
 
-A term is an optional scalar expression followed by a basis name e<k>;
-plain 0 denotes the zero product.  Emission is canonical: products in row
-order, scalars in the shared literal syntax, so parse(emit(d)) == d.
+A right-hand side is '[+|-] [c] e<k> +|- ...' or 0 alone; a matrix is '['
+rows ']', each row '[' scalars ']', separated by ','.  The scalar lexer
+reads both (scalars.parse_combination, scalars.parse_rows); this module
+checks only the dimension.  Emission is canonical: products in row order,
+scalars in the shared literal syntax, so parse(emit(d)) == d.
 
 `Body` is the one reader of these lines: catalog entry blocks use it too,
 with `table`/`primed` product prefixes and a `primed_witness` matrix.  It
@@ -29,7 +31,7 @@ from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      UnboundVariable)
 from .linalg import Mat, vec_zero
 from .scalars import (QI, format_scalar, format_sum, is_zero,
-                      parse_scalar, qi)
+                      parse_combination, parse_rows, parse_scalar, qi)
 
 # kind -> (product prefixes, has f(e<i>) lines, matrix names), in the
 # order emit_document writes them
@@ -59,105 +61,22 @@ class Document:
 # low-level parsing helpers
 
 
-def split_top_level_terms(text):
-    "Split on +/- at paren depth 0, keeping the sign with each chunk."
-    chunks = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip():
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if cur.strip():
-        chunks.append(cur)
-    return chunks
-
-
 def parse_term_list(text, dim, params):
     "Parse '<scalar> e<k> + ...' (or '0') into a coordinate vector."
-    text = text.strip()
-    v = vec_zero(dim)
-    if text == "0":
-        return v
-    if not text:
-        raise DocSyntaxError("empty right-hand side; the zero product is 0")
-    for chunk in split_top_level_terms(text):
-        chunk = chunk.strip()
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:].strip()
-        if not chunk:
-            raise DocSyntaxError("empty term in %r" % text)
-        # trailing basis name
-        k = None
-        for idx in range(dim, 0, -1):
-            name = "e%d" % idx
-            if chunk == name or chunk.endswith(" %s" % name) \
-                    or chunk.endswith("*%s" % name):
-                k = idx - 1
-                chunk = chunk[: len(chunk) - len(name)].rstrip()
-                if chunk.endswith("*"):
-                    chunk = chunk[:-1].rstrip()
-                break
-        if k is None:
-            raise DocSemanticError("term %r has no basis vector e1..e%d"
-                                   % (chunk, dim))
-        coeff = parse_scalar(chunk, params) if chunk else qi(1)
-        if sign < 0:
-            coeff = qi(-1) * coeff if isinstance(coeff, QI) else -coeff
-        v[k] = v[k] + coeff
-    return v
+    return parse_combination(text, ["e%d" % (k + 1) for k in range(dim)],
+                             params)
 
 
 def parse_matrix(text, dim, params):
-    "Parse a [[...],[...]] row-major matrix of scalar expressions."
-    s = text.strip()
-    if not (s.startswith("[[") and s.endswith("]]")):
-        raise DocSyntaxError("matrix must look like [[...],[...]]: %r" % text)
-    rows = []
-    depth = 0
-    cur = ""
-    row = []
-    for ch in s[1:-1]:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                row = []
-                cur = ""
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                row.append(cur)
-                rows.append(row)
-                cur = ""
-                continue
-        elif ch == "," and depth == 1:
-            row.append(cur)
-            cur = ""
-            continue
-        elif ch == "," and depth == 0:
-            continue
-        cur += ch
-    out = []
+    "Parse a [[...],[...]] row-major dim x dim matrix of scalar expressions."
+    rows = parse_rows(text, params)
     for row in rows:
         if len(row) != dim:
             raise DocSemanticError("matrix row has %d entries, need %d"
                                    % (len(row), dim))
-        if not all(x.strip() for x in row):
-            raise DocSyntaxError("empty matrix entry in %r" % text)
-        out.append([parse_scalar(x, params) for x in row])
-    if len(out) != dim:
-        raise DocSemanticError("matrix has %d rows, need %d" % (len(out), dim))
-    return Mat(out)
+    if len(rows) != dim:
+        raise DocSemanticError("matrix has %d rows, need %d" % (len(rows), dim))
+    return Mat(rows)
 
 
 def format_matrix(m):
@@ -169,6 +88,8 @@ def parse_constraint(tokens, lineno):
     if not tokens:
         raise DocSyntaxError("missing constraint", lineno, 1)
     if tokens[0] == "any":
+        if len(tokens) > 1:
+            raise DocSyntaxError("any takes no value", lineno, 1)
         return ("any",)
     if tokens[0] == "ne":
         vals = tuple(_const_value(t, lineno) for t in tokens[1:])
@@ -249,9 +170,14 @@ def _line_key(line):
     return "f" if toks[0].startswith("f(") else toks[0]
 
 
+def _is_basis_name(name):
+    "Is name e<k> for some decimal k?"
+    return name[:1] == "e" and name[1:].isdecimal()
+
+
 def _basis_index(name, dim, lineno, form):
     "0-based k for the basis name e<k>, 1 <= k <= dim."
-    if not (name[:1] == "e" and name[1:].isdecimal()):
+    if not _is_basis_name(name):
         raise DocSyntaxError("expected %s" % form, lineno, 1)
     k = int(name[1:])
     if not 1 <= k <= dim:
@@ -314,7 +240,7 @@ def _read_params(lines):
             raise DocSyntaxError("params needs a name and a constraint",
                                  lineno, 1)
         name = toks[1]
-        if name == "i" or not name.isidentifier():
+        if name == "i" or not name.isidentifier() or _is_basis_name(name):
             raise DocSyntaxError("bad parameter name %r" % name, lineno,
                                  _col(line, 1))
         if name in params:

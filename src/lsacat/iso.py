@@ -23,7 +23,7 @@ from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
 from .scalars import (ONE, QI, ZERO, MultiPoly, _sub_multiple, _term_dict,
-                      groebner, is_zero, qi_roots, substitute)
+                      groebner, is_zero, qi_roots)
 
 
 def verify_lsa_iso(a, b, f):
@@ -144,8 +144,8 @@ def _solve_component(a, b, comp):
         values = _point(basis, len(order) + 1)
         if values is not None:
             bind = dict(zip(order[::-1], values))
-            return IsoVerdict("isomorphic", witness=Mat(
-                [[substitute(x, bind) for x in row] for row in template.rows]))
+            return IsoVerdict("isomorphic",
+                              witness=template.substitute(bind))
         eqs = [_reverse_names(p) for p in eqs]
     return IsoVerdict("unknown", reason=(
         "isomorphic over C (component %s has a Groebner basis other than "

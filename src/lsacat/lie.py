@@ -28,7 +28,7 @@ from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_is_zero, vec_scale)
 from .scalars import (ONE, QI, ZERO, MultiPoly, is_zero, parse_scalar, qi,
-                      quadratic_roots, substitute)
+                      quadratic_roots)
 
 
 def killing_form(g):
@@ -124,7 +124,7 @@ def instantiate_aut(comp, values):
     "Fill the parametric automorphism matrix with concrete scalars."
     names, m = aut_template(comp)
     bind = {n: qi(values[n]) for n in names}
-    t = Mat([[substitute(x, bind) for x in row] for row in m.rows])
+    t = m.substitute(bind)
     if is_zero(t.det()):
         raise ValueError("automorphism parameters make the matrix singular")
     return t

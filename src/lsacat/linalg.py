@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, LsaError, SingularWitness
-from .scalars import ZERO, ONE, as_scalar, is_zero
+from .scalars import ZERO, ONE, as_scalar, is_zero, substitute
 
 
 class Mat:
@@ -54,9 +54,12 @@ class Mat:
         return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(n, m=None):
-        m = n if m is None else m
-        return Mat([[ZERO] * m for _ in range(n)])
+    def zero(n):
+        return Mat([[ZERO] * n for _ in range(n)])
+
+    def substitute(self, bindings):
+        "The matrix at Gaussian-rational parameter values."
+        return Mat([[substitute(x, bindings) for x in r] for r in self.rows])
 
     def __getitem__(self, ij):
         i, j = ij

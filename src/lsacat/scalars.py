@@ -1061,43 +1061,44 @@ def format_scalar(s):
 
 
 class _Tok:
-    __slots__ = ("kind", "val", "pos")
+    __slots__ = ("kind", "val", "pos", "space")
 
-    def __init__(self, kind, val, pos):
+    def __init__(self, kind, val, pos, space):
         self.kind = kind
         self.val = val
         self.pos = pos
+        self.space = space  # whitespace comes right before the token
 
 
 def _tokenize(text):
+    "The tokens of text, then an 'end' token."
     toks = []
     n = len(text)
     k = 0
+    space = False
     while k < n:
         ch = text[k]
+        j = k + 1
         if ch.isspace():
-            k += 1
-            continue
-        if ch.isdigit():
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[k:j]), k))
+            space = True
             k = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = k
+        if ch.isdecimal():
+            while j < n and text[j].isdecimal():
+                j += 1
+            kind, val = "int", int(text[k:j])
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("name", text[k:j], k))
-            k = j
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Tok(ch, ch, k))
-            k += 1
-            continue
-        raise UnboundVariable("unexpected character %r at %d" % (ch, k))
-    toks.append(_Tok("end", None, n))
+            kind, val = "name", text[k:j]
+        elif ch in "+-*/^()[],":
+            kind = val = ch
+        else:
+            raise UnboundVariable("unexpected character %r at %d" % (ch, k))
+        toks.append(_Tok(kind, val, k, space))
+        space = False
+        k = j
+    toks.append(_Tok("end", None, n, space))
     return toks
 
 
@@ -1190,11 +1191,16 @@ class _Parser:
             out = out + rhs if op == "+" else out - rhs
         return out
 
-    def parse_term(self):
-        out = self.parse_factor()
-        while self.peek().kind in "*/":
+    def parse_term(self, basis=None):
+        """factor (('*' | '/') factor)*.  Given basis names, a coefficient:
+        powers with no sign outside parentheses, ending before a '*' that a
+        basis name follows."""
+        factor = self.parse_factor if basis is None else self.parse_power
+        out = factor()
+        while (self.peek().kind in "*/"
+               and self.toks[self.k + 1].val not in (basis or ())):
             op = self.take().kind
-            rhs = self.parse_factor()
+            rhs = factor()
             _check_operation_size(op, out, rhs)
             out = out * rhs if op == "*" else out / rhs
         return out
@@ -1207,19 +1213,13 @@ class _Parser:
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.peek().kind == "^":
-            self.take()
-            neg = False
-            if self.peek().kind == "-":
-                self.take()
-                neg = True
-            e = self.take("int").val
-            _check_power_size(base, e)
-            out = base ** e
-            if neg:
-                out = ONE / out
-            return out
-        return base
+        if self.peek().kind != "^":
+            return base
+        self.take()
+        neg = self.peek().kind == "-" and self.take()
+        e = self.take("int").val
+        _check_power_size(base, e)
+        return ONE / base ** e if neg else base ** e
 
     def parse_atom(self):
         t = self.peek()
@@ -1240,6 +1240,54 @@ class _Parser:
             return out
         raise UnboundVariable("unexpected token %r at %d" % (t.val, t.pos))
 
+    def parse_combination(self, basis):
+        """term (('+' | '-') term)* with the first term's sign optional, as
+        one coefficient per name of basis.  A term is [coefficient] name,
+        '*' or whitespace between the two."""
+        out = [ZERO] * len(basis)
+        sign = self.take().kind if self.peek().kind in "+-" else "+"
+        while True:
+            coeff = ONE
+            if self.peek().val not in basis:
+                coeff = self.parse_term(basis)
+                if self.peek().kind == "*":
+                    self.take()
+                elif self.peek().val in basis and not self.peek().space:
+                    raise UnboundVariable("expected whitespace or * before %s"
+                                          " at %d" % (self.peek().val,
+                                                      self.peek().pos))
+            t = self.take()
+            if t.val not in basis:
+                raise UnboundVariable("expected one of %s at %d, got %r"
+                                      % (", ".join(basis), t.pos, t.val))
+            k = basis.index(t.val)
+            out[k] = out[k] + (coeff if sign == "+" else -coeff)
+            if self.peek().kind not in "+-":
+                return out
+            sign = self.take().kind
+
+    def parse_rows(self):
+        "'[' row (',' row)* ']', a row being '[' expr (',' expr)* ']'."
+        return self.parse_list(lambda: self.parse_list(self.parse_expr))
+
+    def parse_list(self, item):
+        "'[' item (',' item)* ']' as a list."
+        self.take("[")
+        out = [item()]
+        while self.peek().kind == ",":
+            self.take()
+            out.append(item())
+        self.take("]")
+        return out
+
+
+def _parse(text, vars, rule, *args):
+    "rule(*args) on the tokens of text, which it must read to the end."
+    p = _Parser(_tokenize(text), set(vars) if vars is not None else None)
+    out = rule(p, *args)
+    p.take("end")
+    return out
+
 
 def parse_scalar(text, vars=None):
     """Parse the shared scalar literal syntax.
@@ -1247,7 +1295,22 @@ def parse_scalar(text, vars=None):
     vars: optional collection of allowed parameter names; None allows any
     name.  'i' is always the imaginary unit.
     """
-    p = _Parser(_tokenize(text), set(vars) if vars is not None else None)
-    out = p.parse_expr()
-    p.take("end")
-    return out
+    return _parse(text, vars, _Parser.parse_expr)
+
+
+def parse_combination(text, basis, vars=None):
+    """Coefficients, one per name of basis, of a linear combination
+    '[+|-] [c] e1 + [c] e2 - ...' over those names; the text 0 alone is
+    the zero vector.  A coefficient c is a product or quotient of powers of
+    the scalar syntax, signed only inside parentheses, and '*' or
+    whitespace separates it from its name; a repeated name sums."""
+    if text.strip() == "0":
+        return [ZERO] * len(basis)
+    if not text.strip():
+        raise UnboundVariable("empty linear combination; zero is 0")
+    return _parse(text, vars, _Parser.parse_combination, tuple(basis))
+
+
+def parse_rows(text, vars=None):
+    "The rows of a bracketed matrix '[[x, ...], ...]' as lists of scalars."
+    return _parse(text, vars, _Parser.parse_rows)

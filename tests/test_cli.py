@@ -441,11 +441,43 @@ MALFORMED = {
     "domain_unknown": ("h1.alg", "domain gaussian", "domain floaty"),
     "param_name": ("h1.alg", "domain gaussian\n",
                    "domain gaussian\nparams 1x any\n"),
+    "param_basis_name": ("h1.alg", "domain gaussian\n",
+                         "domain gaussian\nparams e2 any\n"),
+    "param_any_with_value": ("h1.alg", "domain gaussian\n",
+                             "domain gaussian\nparams lambda any junk\n"),
+    "matrix_rows_unseparated": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],",
+                                "C = [[0,0,1] [0,1,0] "),
+    "matrix_row_comma_missing": ("h1_cocycle.coc", "[0,1,0],[1,0,0]]",
+                                 "[0,1,0][1,0,0]]"),
+    "matrix_split_in_two": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0]",
+                            "C = [[0,0,1]],[[0,1,0]"),
+    "matrix_extra_bracket": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                             "C = [[0,0,1],[0,1,0],[1,0,0]]]"),
+    "matrix_trailing_comma": ("h1_cocycle.coc",
+                              "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                              "C = [[0,0,1],[0,1,0],[1,0,0]],]"),
+    "term_coefficient_touches_basis": ("h1.alg", "e1 e1 = e1", "e1 e1 = 2e3"),
+    "term_parenthesis_touches_basis": ("h1.alg", "e1 e1 = e1",
+                                       "e1 e1 = (1+i)e3"),
+    "term_two_signs": ("h1.alg", "e1 e1 = e1", "e1 e1 = e1 - -3 e2"),
+    "term_superscript_digit": ("h1.alg", "e1 e1 = e1", "e1 e1 = \u00b2 e1"),
 }
-# cases whose message must give the line and column of the fault
+# cases whose message must give the line of the fault (and, for a syntax
+# error, its column)
 LOCATED = {"dim_above_3": "line 2, col 18: ",
            "domain_unknown": "line 2, col 27: ",
-           "param_name": "line 3, col 8: "}
+           "param_name": "line 3, col 8: ",
+           "param_basis_name": "line 3, col 8: ",
+           "param_any_with_value": "line 3, col 1: ",
+           "matrix_rows_unseparated": "line 7: ",
+           "matrix_row_comma_missing": "line 7: ",
+           "matrix_split_in_two": "line 7: ",
+           "matrix_extra_bracket": "line 7: ",
+           "matrix_trailing_comma": "line 7: ",
+           "term_coefficient_touches_basis": "line 3: ",
+           "term_parenthesis_touches_basis": "line 3: ",
+           "term_two_signs": "line 3: ",
+           "term_superscript_digit": "line 3: "}
 COMMANDS = {".coc": ["cocycle-build"], ".wit": ["iso", "--verify"],
             ".alg": ["check"]}
 

@@ -7,7 +7,7 @@ from lsacat.cocycle import Cocycle
 from lsacat.docs import Document, emit_document, parse_document
 from lsacat.errors import DocSemanticError, DocSyntaxError
 from lsacat.linalg import Mat, vec_is_zero
-from lsacat.scalars import QI
+from lsacat.scalars import QI, parse_scalar
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "src", "lsacat",
                        "data", "samples")
@@ -181,6 +181,23 @@ MALFORMED = {
     "product_three_factors": ("h1.alg", "e1 e1 = e1", "e1 e1 e1 = e1"),
     "product_empty": ("h1.alg", "e1 e1 = e1", "e1 e1 ="),
     "matrix_empty_entry": ("h1_cocycle.coc", "C = [[0,0,1]", "C = [[0,,1]"),
+    "matrix_rows_unseparated": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],",
+                                "C = [[0,0,1] [0,1,0] "),
+    "matrix_row_comma_missing": ("h1_cocycle.coc", "[0,1,0],[1,0,0]]",
+                                 "[0,1,0][1,0,0]]"),
+    "matrix_split_in_two": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0]",
+                            "C = [[0,0,1]],[[0,1,0]"),
+    "matrix_extra_bracket": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                             "C = [[0,0,1],[0,1,0],[1,0,0]]]"),
+    "matrix_trailing_comma": ("h1_cocycle.coc",
+                              "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                              "C = [[0,0,1],[0,1,0],[1,0,0]],]"),
+    "term_coefficient_touches_basis": ("h1.alg", "e1 e1 = e1", "e1 e1 = 2e3"),
+    "term_parenthesis_touches_basis": ("h1.alg", "e1 e1 = e1",
+                                       "e1 e1 = (1+i)e3"),
+    "term_two_signs": ("h1.alg", "e1 e1 = e1", "e1 e1 = e1 - -3 e2"),
+    "param_any_with_value": ("h1.alg", "domain gaussian\n",
+                             "domain gaussian\nparams lambda any junk 7\n"),
 }
 
 
@@ -195,6 +212,32 @@ def malformed(case):
 def test_malformed_document_rejected(case):
     with pytest.raises((DocSyntaxError, DocSemanticError)):
         parse_document(malformed(case))
+
+
+# right-hand sides the reader accepts, with the vector each reads as
+ACCEPTED = [
+    ("2 e3", ("0", "0", "2")),
+    ("2*e3", ("0", "0", "2")),
+    ("-3 e2", ("0", "-3", "0")),
+    ("e1+e2", ("1", "1", "0")),
+    ("e1 -2 e3", ("1", "0", "-2")),
+    ("2 * 3 e1", ("6", "0", "0")),
+    ("(1+i) e3", ("0", "0", "1+i")),
+    ("- 1/lambda e3", ("0", "0", "-1/lambda")),
+    ("lambda*(lambda-1)/mu e3", ("0", "0", "lambda*(lambda-1)/mu")),
+    ("lambda^-1 e3", ("0", "0", "1/lambda")),
+    ("e2 + 2 e2 - e1", ("-1", "3", "0")),
+    ("0", ("0", "0", "0")),
+]
+
+
+@pytest.mark.parametrize("rhs, want", ACCEPTED)
+def test_right_hand_side_reads_as_vector(rhs, want):
+    doc = parse_document("kind algebra dim 3 domain ratfunc\n"
+                         "params lambda ne 0\nparams mu ne 0\n"
+                         "e1 e2 = %s\n" % rhs)
+    assert doc.payload.c[0][1] == tuple(
+        parse_scalar(x, ("lambda", "mu")) for x in want)
 
 
 def test_unused_line_is_syntax_error_at_its_line():
