@@ -12,12 +12,12 @@ All values are immutable and all operations are pure functions, so
 everything here is safe to use from multiple threads.
 """
 
-from .algebra import (Algebra, associator, check_left_regular,
-                      check_left_symmetric, commutator_lie, left_matrix,
-                      multiply, rebase, right_matrix)
+from .algebra import (Algebra, check_left_regular, check_left_symmetric,
+                      commutator_lie, left_matrix, multiply, rebase,
+                      right_matrix)
 from .cocycle import (Cocycle, Representation, check_cocycle,
-                      check_representation, is_bijective, phi, psi,
-                      verify_cocycle_equiv, verify_cocycle_iso)
+                      check_representation, phi, psi, verify_cocycle_equiv,
+                      verify_cocycle_iso)
 from .constructions import (check_cybe, check_o_operator, induced_products,
                             lsa_from_rmatrix, novikov_from_derivation)
 from .iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
@@ -32,12 +32,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "Cocycle", "Fingerprint", "IsoVerdict", "LieAlgebra",
     "LieClass", "MultiPoly", "QI", "RatFunc",
-    "Representation", "associator", "canonical_lie", "check_cocycle",
+    "Representation", "canonical_lie", "check_cocycle",
     "check_cybe", "check_left_regular", "check_left_symmetric",
     "check_lie_automorphism", "check_o_operator", "check_representation",
     "classify3", "commutator_lie",
     "find_ideals", "fingerprint", "induced_products", "is_associative",
-    "is_bijective", "is_bisymmetric", "is_novikov", "is_semisimple",
+    "is_bisymmetric", "is_novikov", "is_semisimple",
     "is_simple", "is_transitive", "killing_form", "left_matrix",
     "lsa_from_rmatrix", "multiply", "novikov_from_derivation",
     "parse_scalar", "phi", "psi", "rebase", "right_matrix",

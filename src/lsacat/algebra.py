@@ -15,8 +15,8 @@ unchanged.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .linalg import (Mat, basis_vec, vec_add, vec_eq, vec_is_zero, vec_sub,
-                     vec_zero)
+from .linalg import (Mat, basis_vec, combination, vec_add, vec_eq, vec_is_zero,
+                     vec_sub, vec_zero)
 from .scalars import as_scalar, format_sum, is_zero, substitute
 
 
@@ -152,17 +152,14 @@ def multiply(a, x, y):
 
 def hom_defects(a, b, f):
     """F(e_i e_j) - F(e_i) F(e_j) for each basis pair (i, j) in turn, where
-    row i of f is F(e_i); all are zero iff F is a homomorphism a -> b."""
+    row i of f is F(e_i); all are zero iff F is a homomorphism a -> b.
+    Between two LieAlgebras only the pairs i < j are read: both brackets
+    are antisymmetric, which gives the rest."""
+    lie = isinstance(a, LieAlgebra) and isinstance(b, LieAlgebra)
     for i in range(a.dim):
         fi = f.row(i)
-        for j in range(a.dim):
+        for j in range(i + 1 if lie else 0, a.dim):
             yield vec_sub(f.apply_row(a.c[i][j]), multiply(b, fi, f.row(j)))
-
-
-def associator(a, x, y, z):
-    "(x y) z - x (y z)."
-    return vec_sub(multiply(a, multiply(a, x, y), z),
-                   multiply(a, x, multiply(a, y, z)))
 
 
 def basis_associator(a, i, j, k):
@@ -212,13 +209,13 @@ def commutator_lie(a):
 def left_matrix(a, x):
     "Column-convention matrix of L_x: column j holds coords of x * e_j."
     _conform(a, x)
-    return _operator(x, [[row[j] for row in a.c] for j in range(a.dim)])
+    return combination(x, multiplication_operators(a)[:a.dim])
 
 
 def right_matrix(a, x):
     "Column-convention matrix of R_x: column j holds coords of e_j * x."
     _conform(a, x)
-    return _operator(x, a.c)
+    return combination(x, multiplication_operators(a)[a.dim:])
 
 
 def multiplication_operators(a):
@@ -242,10 +239,7 @@ def check_left_regular(a):
         for j in range(i + 1, n):
             bracket_vec = vec_sub(a.product(i, j), a.product(j, i))
             lhs = lmats[i] * lmats[j] - lmats[j] * lmats[i]
-            rhs = Mat.zero(n)
-            for k, ck in enumerate(bracket_vec):
-                rhs = rhs + ck * lmats[k]
-            if lhs != rhs:
+            if lhs != combination(bracket_vec, lmats):
                 return False, (i, j)
     return True, None
 
@@ -280,16 +274,6 @@ def _add_scaled(out, f, v):
     for k, vk in enumerate(v):
         if not is_zero(vk):
             out[k] = out[k] + f * vk
-
-
-def _operator(x, cells):
-    "Column-convention matrix whose column j is sum_i x_i cells[j][i]."
-    cols = [vec_zero(len(x)) for _ in cells]
-    for col, cell in zip(cols, cells):
-        for xi, v in zip(x, cell):
-            if not is_zero(xi):
-                _add_scaled(col, xi, v)
-    return Mat(list(zip(*cols)))
 
 
 def _conform(a, x):

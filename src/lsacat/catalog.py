@@ -30,7 +30,6 @@ from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      UnboundVariable, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
-from .linalg import Mat
 from .props import (find_ideals, is_associative, is_bisymmetric,
                     is_novikov, is_semisimple, is_simple, is_transitive)
 from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
@@ -262,7 +261,7 @@ def _load_file(path):
                     entries.append(_parse_entry_block(block))
                 block = []
                 continue
-            block.append((lineno, line.strip()))
+            block.append((lineno, line))
     if block:
         raise DocSyntaxError("unterminated entry block in %s" % path,
                              block[0][0], 1)
@@ -430,14 +429,11 @@ def verify_entry(entry_id, bindings=None):
     return rep
 
 
-_instantiate_mat = Mat.substitute
-
-
 def _check_reconstruction(e, bindings, alg, messages):
     rep = Representation(family_lie(e, bindings),
-                         [_instantiate_mat(m, bindings) for m in e.f_mats])
+                         [m.substitute(bindings) for m in e.f_mats])
     try:
-        built = phi(Cocycle(rep, _instantiate_mat(e.cmat, bindings)))
+        built = phi(Cocycle(rep, e.cmat.substitute(bindings)))
     except NotCocycle as exc:
         if exc.cert[0] == "representation":
             messages.append("stored f data is not a representation: %r"
@@ -456,7 +452,7 @@ def _check_reconstruction(e, bindings, alg, messages):
         if e.primed_witness is None:
             messages.append("primed table without a stored witness")
             return False
-        w = _instantiate_mat(e.primed_witness, bindings)
+        w = e.primed_witness.substitute(bindings)
         if not verify_lsa_iso(primed, alg, w):
             messages.append("stored primed witness fails")
             return False

@@ -13,11 +13,12 @@ import sys
 from . import catalog
 from .algebra import check_left_symmetric, commutator_lie
 from .cocycle import phi
-from .docs import Document, emit_document, parse_document
+from .docs import Document, emit_document, format_matrix, parse_document
 from .errors import DocSemanticError, DocSyntaxError, LsaError
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import classify3
-from .scalars import parse_scalar
+from .props import fingerprint
+from .scalars import format_scalar, parse_scalar
 
 
 def _read_doc(path, kinds):
@@ -51,24 +52,16 @@ def cmd_check(args):
         i, j, k, _ = cert
         print("  violated at triple (e%d,e%d,e%d)" % (i + 1, j + 1, k + 1))
         return 1
-    cls = classify3(commutator_lie(alg)) if alg.dim == 3 else None
-    if cls is not None:
-        from .scalars import format_scalar
+    if alg.dim == 3:
+        cls = classify3(commutator_lie(alg))
         tag = cls.tag
         if cls.param is not None:
             tag += "(l=%s)" % format_scalar(cls.param)
         print("lie_class: %s" % tag)
-    from .props import (is_associative, is_bisymmetric, is_novikov,
-                        is_transitive)
-    flags = [("associative", is_associative(alg)),
-             ("transitive", is_transitive(alg)),
-             ("novikov", is_novikov(alg)),
-             ("bisymmetric", is_bisymmetric(alg))]
-    if not alg.is_zero_product() and alg.dim == 3:
-        from .props import is_semisimple, is_simple
-        flags.append(("simple", is_simple(alg)))
-        flags.append(("semisimple", is_semisimple(alg)[0]))
-    for name, val in flags:
+    flags = catalog.computed_flags(alg)
+    if alg.is_zero_product() or alg.dim != 3:
+        del flags["simple"], flags["semisimple"]
+    for name, val in flags.items():
         print("%s: %s" % (name, "yes" if val else "no"))
     return 0
 
@@ -154,7 +147,6 @@ def cmd_iso(args):
     v = search_lsa_iso(a, b)
     print("verdict: %s" % v.status)
     if v.status == "isomorphic":
-        from .docs import format_matrix
         print("witness: %s" % format_matrix(v.witness))
         return 0
     if v.status == "not_isomorphic":
@@ -165,7 +157,6 @@ def cmd_iso(args):
 
 def cmd_fingerprint(args):
     doc = _read_doc(args.file, ("algebra",))
-    from .props import fingerprint
     fp = fingerprint(doc.payload)
     for name in sorted(fp.flags):
         print("flag %s: %s" % (name, "yes" if fp.flags[name] else "no"))

@@ -15,8 +15,7 @@ from .algebra import Algebra, check_left_symmetric, commutator_lie
 from .errors import (DimensionMismatch, NotAutomorphism, NotBijective,
                      NotCocycle, NotLeftSymmetric, SingularWitness)
 from .lie import check_lie_automorphism
-from .linalg import Mat, vec_eq
-from .scalars import is_zero
+from .linalg import Mat, combination, vec_eq
 
 
 class Representation:
@@ -41,11 +40,15 @@ class Representation:
 
     def act(self, x):
         "Row matrix of f(x) for a coordinate vector x on g."
-        out = Mat.zero(self.g.dim)
-        for xi, m in zip(x, self.mats):
-            if not is_zero(xi):
-                out = out + xi * m
-        return out
+        return combination(x, self.mats)
+
+
+def left_regular(g, a):
+    """The representation of g on the space of a whose F_i has row j equal
+    to e_i e_j in a's table: the left multiplications of a left-symmetric
+    a over g = commutator_lie(a), and the adjoint representation when a is
+    g itself."""
+    return Representation(g, [Mat(a.c[i]) for i in range(a.dim)])
 
 
 def check_representation(rep):
@@ -97,10 +100,6 @@ def check_cocycle(c):
     return True, None
 
 
-def is_bijective(c):
-    return not is_zero(c.C.det())
-
-
 def phi(c):
     """Left-symmetric product x*y = q^{-1}(f(x) q(y)) as an Algebra.
 
@@ -137,9 +136,7 @@ def psi(a):
     ok, cert = check_left_symmetric(a)
     if not ok:
         raise NotLeftSymmetric("not left-symmetric at %r" % (cert,))
-    g = commutator_lie(a)
-    mats = [Mat([a.product(i, j) for j in range(a.dim)]) for i in range(a.dim)]
-    return Cocycle(Representation(g, mats), Mat.identity(a.dim))
+    return Cocycle(left_regular(commutator_lie(a), a), Mat.identity(a.dim))
 
 
 def verify_cocycle_iso(c1, c2, g):
@@ -164,37 +161,6 @@ def verify_cocycle_equiv(c1, c2, g, t):
 def precompose_rep(rep, t):
     "The representation x -> f(T x) for an automorphism T (row matrix)."
     return Representation(rep.g, [rep.act(t.row(i)) for i in range(t.nrows)])
-
-
-def find_rep_intertwiner(rep1, rep2):
-    """An invertible g with f2 = g f1 g^{-1} (row matrices: F1_i G = G F2_i),
-    found from the linear intertwiner space; None when the representations
-    are not isomorphic or no invertible intertwiner shows up in small
-    combinations of the solution basis."""
-    from itertools import combinations
-
-    from .scalars import ZERO
-
-    n = rep1.g.dim
-    rows = []
-    for a, b in zip(rep1.mats, rep2.mats):
-        for r in range(n):
-            for s in range(n):
-                row = [ZERO] * (n * n)
-                for j in range(n):
-                    row[j * n + s] = row[j * n + s] + a.rows[r][j]
-                    row[r * n + j] = row[r * n + j] - b.rows[j][s]
-                rows.append(row)
-    basis = Mat(rows).nullspace()
-    cands = list(basis)
-    for x, y in combinations(range(len(basis)), 2):
-        cands.append([p + q for p, q in zip(basis[x], basis[y])])
-        cands.append([p - q for p, q in zip(basis[x], basis[y])])
-    for v in cands:
-        g = Mat([v[k * n:(k + 1) * n] for k in range(n)])
-        if not is_zero(g.det()):
-            return g
-    return None
 
 
 def equivalent_cocycle(c1, g, t):

@@ -11,7 +11,7 @@ here, matching the witness matrices elsewhere in the package.
 from __future__ import annotations
 
 from .algebra import Algebra, check_left_symmetric, multiply
-from .cocycle import check_representation
+from .cocycle import check_representation, left_regular
 from .errors import (CybeFails, LsaError, NotCommutativeAssociative,
                      NotDerivation, NotLeftSymmetric, NotOOperator,
                      SingularWitness)
@@ -80,34 +80,19 @@ def derivation_space(base):
 
 def check_cybe(g, r):
     """Operator form of the classical Yang-Baxter equation,
-    [R(x),R(y)] = R([R(x),y] + [x,R(y)]) on basis pairs; (ok, cert)."""
-    n = g.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            rx, ry = r.row(i), r.row(j)
-            lhs = multiply(g, rx, ry)
-            inner = [a + b for a, b in zip(multiply(g, rx, basis_vec(n, j)),
-                                           multiply(g, basis_vec(n, i), ry))]
-            rhs = r.apply_row(inner)
-            if not vec_eq(lhs, rhs):
-                return False, (i, j, vec_sub(lhs, rhs))
-    return True, None
+    [R(x),R(y)] = R([R(x),y] + [x,R(y)]) on basis pairs; (ok, cert).  This
+    is the O-operator identity of the adjoint representation."""
+    return check_o_operator(g, left_regular(g, g), r)
 
 
 def lsa_from_rmatrix(g, r):
     "x*y = [R(x), y]; left-symmetric whenever R solves the CYBE."
     ok, cert = check_cybe(g, r)
     if not ok:
+        if cert[0] == "representation":
+            raise CybeFails("ad is not a representation: %r" % (cert[1],))
         raise CybeFails("CYBE fails at basis pair %r" % (cert[:2],))
-    n = g.dim
-    table = [[multiply(g, r.row(i), basis_vec(n, j)) for j in range(n)]
-             for i in range(n)]
-    out = Algebra(table)
-    ok, cert = check_left_symmetric(out)
-    if not ok:
-        raise NotLeftSymmetric(
-            "r-matrix construction broke left-symmetry: %r" % (cert,))
-    return out
+    return induced_products(g, left_regular(g, g), r)[0]
 
 
 def check_o_operator(g, rho, t):
@@ -121,10 +106,8 @@ def check_o_operator(g, rho, t):
         for s in range(r + 1, n):
             tu, tv = t.row(r), t.row(s)
             lhs = multiply(g, tu, tv)
-            act_u = rho.act(tu)      # row matrix of rho(T(u))
-            act_v = rho.act(tv)
-            inner = vec_sub(act_u.apply_row(basis_vec(n, s)),
-                            act_v.apply_row(basis_vec(n, r)))
+            # rho(T(u)) v - rho(T(v)) u, read off rows of the row matrices
+            inner = vec_sub(rho.act(tu).row(s), rho.act(tv).row(r))
             rhs = t.apply_row(inner)
             if not vec_eq(lhs, rhs):
                 return False, (r, s, vec_sub(lhs, rhs))
@@ -143,15 +126,13 @@ def induced_products(g, rho, t):
     if not ok:
         raise NotOOperator("O-operator identity fails: %r" % (cert,))
     n = g.dim
-    v_table = [[rho.act(t.row(r)).apply_row(basis_vec(n, s)) for s in range(n)]
-               for r in range(n)]
-    on_v = Algebra(v_table)
+    on_v = Algebra([rho.act(t.row(r)).rows for r in range(n)])
     ok, cert = check_left_symmetric(on_v)
     if not ok:
         raise NotLeftSymmetric("V-product is not left-symmetric: %r" % (cert,))
 
     image = span_basis([t.row(r) for r in range(n)
-                        if not vec_is_zero(t.row(r))], n)
+                        if not vec_is_zero(t.row(r))])
     if not image:
         return on_v, [], []
     # preimages of the image basis under T

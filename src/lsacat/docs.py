@@ -1,23 +1,24 @@
-"""Line-oriented text format for algebras, Lie algebras, representations,
-cocycles, r-matrices, O-operator data, and isomorphism witnesses.
+"""Line-oriented text format for algebras, cocycles and isomorphism
+witnesses, the three kinds the command line reads.
 
-Header:   kind <kind> dim <n> domain <rational|gaussian|ratfunc>
+Header:   kind <algebra|cocycle|iso_witness> dim <n> domain <rational|gaussian|ratfunc>
 Params:   params <name> any | ne <v> [<v> ...] | eq <v>   (name not i, e<k>)
-Bodies:   e<i> e<j> = <term> [+ <term> ...]     (algebra / lie products)
-          bracket e<i> e<j> = ...               (lie part of rep-like docs)
+Bodies:   e<i> e<j> = <term> [+ <term> ...]     (algebra products)
+          bracket e<i> e<j> = ...               (Lie part of a cocycle)
           f(e<i>) = [[...],[...],[...]]          (representation matrices)
-          C = [[...]] / R = [[...]] / T = [[...]]
+          C = [[...]] / T = [[...]]             (cocycle / witness matrix)
           source e<i> e<j> = ... / target ...   (iso_witness payloads)
 
 A right-hand side is '[+|-] [c] e<k> +|- ...' or 0 alone; a matrix is '['
 rows ']', each row '[' scalars ']', separated by ','.  The scalar lexer
 reads both (scalars.parse_combination, scalars.parse_rows); this module
-checks only the dimension.  Emission is canonical: products in row order,
+checks only the dimension, and turns the offset of a scalar syntax error
+into the column of its line.  Emission is canonical: products in row order,
 scalars in the shared literal syntax, so parse(emit(d)) == d.
 
 `Body` is the one reader of these lines: catalog entry blocks use it too,
 with `table`/`primed` product prefixes and a `primed_witness` matrix.  It
-rejects a basis index outside 1..dim, a repeated product, parameter,
+rejects a basis name other than e1..e<dim>, a repeated product, parameter,
 f(e<i>) or matrix line, and any line the document kind does not use.
 """
 
@@ -27,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, LieAlgebra
+from .cocycle import Cocycle, Representation
 from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      UnboundVariable)
 from .linalg import Mat, vec_zero
@@ -37,11 +39,7 @@ from .scalars import (QI, format_scalar, format_sum, is_zero,
 # order emit_document writes them
 _LAYOUT = {
     "algebra": (("",), False, ()),
-    "lie": (("",), False, ()),
-    "representation": (("bracket",), True, ()),
     "cocycle": (("bracket",), True, ("C",)),
-    "rmatrix": (("bracket",), False, ("R",)),
-    "ooperator": (("bracket",), True, ("T",)),
     "iso_witness": (("source", "target"), False, ("T",)),
 }
 KINDS = tuple(_LAYOUT)
@@ -176,14 +174,14 @@ def _is_basis_name(name):
 
 
 def _basis_index(name, dim, lineno, form):
-    "0-based k for the basis name e<k>, 1 <= k <= dim."
-    if not _is_basis_name(name):
-        raise DocSyntaxError("expected %s" % form, lineno, 1)
-    k = int(name[1:])
-    if not 1 <= k <= dim:
-        raise DocSemanticError("line %d: basis index %d outside 1..%d"
-                               % (lineno, k, dim))
-    return k - 1
+    "0-based k for the basis name e<k>, exactly one of e1..e<dim>."
+    names = ["e%d" % (k + 1) for k in range(dim)]
+    if name in names:
+        return names.index(name)
+    if _is_basis_name(name):
+        raise DocSemanticError("line %d: basis name %s is not one of e1..e%d"
+                               % (lineno, name, dim))
+    raise DocSyntaxError("expected %s" % form, lineno, 1)
 
 
 def _parse_products(lines, dim, params, prefix=""):
@@ -202,17 +200,22 @@ def _parse_products(lines, dim, params, prefix=""):
             raise DocSemanticError("line %d: duplicate product e%d e%d"
                                    % (lineno, i + 1, j + 1))
         given.add((i, j))
-        table[i][j] = _at_line(lineno, parse_term_list, rhs, dim, params)
+        table[i][j] = _at_line(lineno, len(head) + 2, parse_term_list, rhs,
+                               dim, params)
     return table, given
 
 
-def _at_line(lineno, parse, *args):
-    "parse(*args), with the line number added to any error it raises."
+def _at_line(lineno, col, parse, text, *args):
+    """parse(text, *args) for text that starts at column col of line
+    lineno: a scalar syntax error is raised at its line and column, and
+    any other error with the line number."""
     try:
-        return parse(*args)
-    except DocSyntaxError as e:
-        raise DocSyntaxError(str(e), lineno, 1)
-    except (UnboundVariable, DivisionByZero, DocSemanticError) as e:
+        return parse(text, *args)
+    except UnboundVariable as e:
+        if e.pos is None:
+            raise DocSemanticError("line %d: %s" % (lineno, e))
+        raise DocSyntaxError(str(e), lineno, col + e.pos)
+    except (DivisionByZero, DocSemanticError) as e:
         raise DocSemanticError("line %d: %s" % (lineno, e))
 
 
@@ -279,7 +282,8 @@ class Body:
         if not eq:
             raise DocSyntaxError("expected '%s = [[...]]'" % head.strip(),
                                  lineno, 1)
-        return _at_line(lineno, parse_matrix, rhs, self.dim, self.pnames)
+        return _at_line(lineno, len(head) + 2, parse_matrix, rhs, self.dim,
+                        self.pnames)
 
     def matrix(self, name, required=True):
         "The matrix of the one '<name> = [[...]]' line (None if not required)."
@@ -315,8 +319,8 @@ def parse_document(text):
     lines = []
     header = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
             continue
         if header is None:
             header = _header(line, lineno)
@@ -328,47 +332,31 @@ def parse_document(text):
     prefixes, has_f, names = _LAYOUT[kind]
     body = Body(lines, dim, prefixes + ("f",) * has_f + names,
                 "%s document" % kind)
-    tables = [body.products(p, lie=kind == "lie" or p == "bracket")
-              for p in prefixes]
+    tables = [body.products(p, lie=p == "bracket") for p in prefixes]
     mats = body.f_mats() if has_f else ()
     named = [body.matrix(name) for name in names]
     doc = Document(kind, dim, domain, body.params,
                    _payload(kind, tables, mats, named))
-    if kind in ("algebra", "lie"):
+    if kind == "algebra":
         _check_domain(doc)
     return doc
 
 
 def _payload(kind, tables, mats, named):
-    if kind in ("algebra", "lie"):
+    if kind == "algebra":
         return tables[0]
     if kind == "iso_witness":
         return (tables[0], tables[1], named[0])
-    if kind == "rmatrix":
-        return (tables[0], named[0])
-    from .cocycle import Cocycle, Representation
-    rep = Representation(tables[0], mats)
-    if kind == "representation":
-        return rep
-    if kind == "cocycle":
-        return Cocycle(rep, named[0])
-    return (rep, named[0])
+    return Cocycle(Representation(tables[0], mats), named[0])
 
 
 def _parts(kind, payload):
     "Inverse of _payload: (product tables, f matrices, named matrices)."
-    if kind in ("algebra", "lie"):
+    if kind == "algebra":
         return (payload,), (), ()
     if kind == "iso_witness":
         return payload[:2], (), payload[2:]
-    if kind == "rmatrix":
-        return payload[:1], (), payload[1:]
-    if kind == "representation":
-        return (payload.g,), payload.mats, ()
-    if kind == "cocycle":
-        return (payload.rep.g,), payload.rep.mats, (payload.C,)
-    rep, t = payload
-    return (rep.g,), rep.mats, (t,)
+    return (payload.rep.g,), payload.rep.mats, (payload.C,)
 
 
 def _check_domain(doc):

@@ -14,7 +14,12 @@ class DivisionByZero(LsaError, ZeroDivisionError):
 
 
 class UnboundVariable(LsaError):
-    pass
+    """Scalar text that does not parse or names an unknown parameter; pos,
+    when set, is the offset in the text of the token it stopped at."""
+
+    def __init__(self, message, pos=None):
+        super().__init__(message)
+        self.pos = pos
 
 
 class DenominatorVanishes(LsaError):

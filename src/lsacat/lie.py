@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, multiplication_operators, multiply
+from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
+                      multiply)
 from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, trace_of_product, vec_is_zero, vec_scale)
-from .scalars import (ONE, QI, ZERO, MultiPoly, is_zero, parse_scalar, qi,
+from .scalars import (ONE, QI, ZERO, is_zero, parse_scalar, qi,
                       quadratic_roots)
 
 
@@ -47,12 +48,10 @@ def check_lie_automorphism(g, t):
 
 
 def _is_lie_iso(src, dst, w):
-    """True iff w is invertible and [w_i, w_j] = sum_k src.c[i][j][k] w_k in
-    dst for i < j (antisymmetry gives the rest): rebase(dst, w) == src."""
-    n = src.dim
+    """True iff w is invertible and a homomorphism src -> dst, that is
+    rebase(dst, w) == src."""
     return not is_zero(w.det()) and all(
-        w.apply_row(src.c[i][j]) == multiply(dst, w.row(i), w.row(j))
-        for i in range(n) for j in range(i + 1, n))
+        vec_is_zero(d) for d in hom_defects(src, dst, w))
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +98,23 @@ _AUT = {
 }
 
 
-def aut_template(comp):
-    """Sorted parameter names and parametric matrix of one automorphism-group
-    component (see aut_components), in the row convention."""
-    if comp not in _AUT:
-        raise ValueError("no stored automorphism group for %r" % (comp,))
-    m = Mat([[parse_scalar(x) for x in row] for row in _AUT[comp]])
+def _template(rows):
+    "(sorted parameter names, parametric matrix) of one _AUT component."
+    m = Mat([[parse_scalar(x) for x in row] for row in rows])
     names = sorted({v for row in m.rows for x in row
                     if not isinstance(x, QI) for v in x.free_vars()})
     return tuple(names), m
+
+
+_TEMPLATES = {comp: _template(rows) for comp, rows in _AUT.items()}
+
+
+def aut_template(comp):
+    """Sorted parameter names and parametric matrix of one automorphism-group
+    component (see aut_components), in the row convention."""
+    if comp not in _TEMPLATES:
+        raise ValueError("no stored automorphism group for %r" % (comp,))
+    return _TEMPLATES[comp]
 
 
 def aut_components(family, l=None):
@@ -128,23 +135,6 @@ def instantiate_aut(comp, values):
     if is_zero(t.det()):
         raise ValueError("automorphism parameters make the matrix singular")
     return t
-
-
-def aut_shape_member(family, t, l=None):
-    """Is t an invertible instance of a component of the stored group?  Each
-    parameter is read from the first cell that holds it alone."""
-    for comp in aut_components(family, l):
-        names, m = aut_template(comp)
-        cells = [(x, t[i, j]) for i, row in enumerate(m.rows)
-                 for j, x in enumerate(row)]
-        values = {n: next(v for x, v in cells if x == MultiPoly.var(n))
-                  for n in names}
-        try:
-            if instantiate_aut(comp, values) == t:
-                return True
-        except ValueError:
-            continue
-    return False
 
 
 def random_automorphism(family, rng, l=None):
@@ -217,7 +207,7 @@ def classify3(g):
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
     n = 3
     vecs = [g.c[i][j] for i in range(n) for j in range(i + 1, n)]
-    derived = span_basis([v for v in vecs if not vec_is_zero(v)], n)
+    derived = span_basis([v for v in vecs if not vec_is_zero(v)])
     d = len(derived)
 
     if d == 0:

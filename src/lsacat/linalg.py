@@ -68,9 +68,6 @@ class Mat:
     def row(self, i):
         return list(self.rows[i])
 
-    def col(self, j):
-        return [r[j] for r in self.rows]
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -224,6 +221,18 @@ class Mat:
             "[%s]" % ",".join(format_scalar(x) for x in r) for r in self.rows)
 
 
+def combination(coeffs, mats):
+    """The sum of c * M over the pairs whose coefficient c is nonzero; the
+    zero matrix of the mats' shape when there is none."""
+    out = None
+    for c, m in zip(coeffs, mats):
+        if not is_zero(c):
+            out = c * m if out is None else out + c * m
+    if out is None:
+        return Mat._of([[ZERO] * mats[0].ncols] * mats[0].nrows)
+    return out
+
+
 def trace_of_product(x, y):
     "tr(XY) as the sum of X[p][q] Y[q][p], without forming XY."
     if x.ncols != y.nrows or x.nrows != y.ncols:
@@ -301,7 +310,7 @@ def basis_vec(n, k):
     return v
 
 
-def span_basis(vectors, n):
+def span_basis(vectors):
     "RREF basis rows for the span of the given vectors."
     if not vectors:
         return []

@@ -133,16 +133,7 @@ class IdealReport:
 
 
 def _is_scalar_mat(m):
-    d = m.rows[0][0]
-    n = m.nrows
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if m.rows[i][j] != d:
-                    return False
-            elif not is_zero(m.rows[i][j]):
-                return False
-    return True
+    return m == m[0, 0] * Mat.identity(m.nrows)
 
 
 def _proportional(v, w):
@@ -357,7 +348,7 @@ def is_semisimple(a, report=None):
     # 1 + 2 splittings
     for v in good:
         for bas in planes:
-            if len(span_basis([v] + list(bas), n)) != n:
+            if len(span_basis([v] + list(bas))) != n:
                 continue
             if _subalgebra_simple(a, bas):
                 return True, [[v], bas]
@@ -365,14 +356,14 @@ def is_semisimple(a, report=None):
     for i in range(len(good)):
         for j in range(i + 1, len(good)):
             for k in range(j + 1, len(good)):
-                if len(span_basis([good[i], good[j], good[k]], n)) == n:
+                if len(span_basis([good[i], good[j], good[k]])) == n:
                     return True, [[good[i]], [good[j]], [good[k]]]
     # conjugate lines spanning W meet pairwise in 0, so each is simple iff
     # the products of W span W; then W, or W plus a simple line, is all
     for orbit in report.line_orbits:
         w = orbit[0]
         products = [multiply(a, x, y) for x in w for y in w]
-        if len(span_basis(products, n)) < len(w):
+        if len(span_basis(products)) < len(w):
             continue
         if len(w) == n:
             return True, [orbit]
@@ -396,7 +387,7 @@ def ideal_closed(a, basis):
 
 def closure_span(a, vectors):
     "Smallest subspace containing the vectors closed under multiplication."
-    basis = span_basis(list(vectors), a.dim)
+    basis = span_basis(list(vectors))
     changed = True
     while changed and len(basis) < a.dim:
         changed = False
@@ -405,7 +396,7 @@ def closure_span(a, vectors):
                 e = basis_vec(a.dim, k)
                 for prod in (multiply(a, b, e), multiply(a, e, b)):
                     if not vec_is_zero(prod) and not in_span(prod, basis):
-                        basis = span_basis(basis + [prod], a.dim)
+                        basis = span_basis(basis + [prod])
                         changed = True
     return basis
 
@@ -460,7 +451,7 @@ def simplicity_oracle_agrees(a, rng, tries=40):
         # two representative planes containing the common line
         reps = 0
         for k in range(a.dim):
-            cand = span_basis([common, basis_vec(a.dim, k)], a.dim)
+            cand = span_basis([common, basis_vec(a.dim, k)])
             if len(cand) == 2:
                 if not ideal_closed(a, cand):
                     return False
@@ -515,7 +506,7 @@ def fingerprint(a, lie=None):
     lm, rm = ops[:n], ops[n:]
     prod_span = len(span_basis(
         [list(a.c[i][j]) for i in range(n) for j in range(n)
-         if not vec_is_zero(a.c[i][j])], n))
+         if not vec_is_zero(a.c[i][j])]))
     al, ar, ab = (n - Mat._of([r for m in ms for r in m.rows]).rank()
                   for ms in (rm, lm, ops))
     ls, _ = check_left_symmetric(a)

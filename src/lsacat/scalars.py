@@ -67,11 +67,6 @@ class QI:
     def is_zero(self):
         return not self._a and not self._b
 
-    def conj(self):
-        z = _NEW(QI)
-        z._a, z._b, z._d = self._a, -self._b, self._d
-        return z
-
     def norm2(self):
         "re^2 + im^2 as a Fraction."
         return Fraction(self._a ** 2 + self._b ** 2, self._d ** 2)
@@ -981,29 +976,15 @@ def factor_unipoly(co):
 # printing and parsing of the shared scalar literal syntax
 
 
-def _format_fraction(f):
-    return str(f)
-
-
 def format_qi(z):
     "Canonical text for a QI; parseable by parse_scalar."
     re, im = z.re, z.im
     if im == 0:
-        s = _format_fraction(re)
-    elif re == 0:
-        if im == 1:
-            s = "i"
-        elif im == -1:
-            s = "-i"
-        else:
-            s = "%s*i" % _format_fraction(im)
-    else:
-        ims = "i" if im == 1 else ("-i" if im == -1 else "%s*i" % _format_fraction(im))
-        if im > 0 or ims.startswith("-"):
-            s = "%s%s%s" % (_format_fraction(re), "" if ims.startswith("-") else "+", ims)
-        else:
-            s = "%s+%s" % (_format_fraction(re), ims)
-    return s
+        return str(re)
+    ims = "i" if im == 1 else "-i" if im == -1 else "%s*i" % im
+    if re == 0:
+        return ims
+    return "%s%s%s" % (re, "" if ims.startswith("-") else "+", ims)
 
 
 def _format_monomial(vars, exps):
@@ -1094,7 +1075,7 @@ def _tokenize(text):
         elif ch in "+-*/^()[],":
             kind = val = ch
         else:
-            raise UnboundVariable("unexpected character %r at %d" % (ch, k))
+            raise UnboundVariable("unexpected character %r" % ch, k)
         toks.append(_Tok(kind, val, k, space))
         space = False
         k = j
@@ -1178,7 +1159,7 @@ class _Parser:
     def take(self, kind=None):
         t = self.toks[self.k]
         if kind and t.kind != kind:
-            raise UnboundVariable("expected %s at %d, got %r" % (kind, t.pos, t.val))
+            raise UnboundVariable("expected %s, got %r" % (kind, t.val), t.pos)
         self.k += 1
         return t
 
@@ -1238,7 +1219,7 @@ class _Parser:
             out = self.parse_expr()
             self.take(")")
             return out
-        raise UnboundVariable("unexpected token %r at %d" % (t.val, t.pos))
+        raise UnboundVariable("unexpected token %r" % (t.val,), t.pos)
 
     def parse_combination(self, basis):
         """term (('+' | '-') term)* with the first term's sign optional, as
@@ -1254,12 +1235,11 @@ class _Parser:
                     self.take()
                 elif self.peek().val in basis and not self.peek().space:
                     raise UnboundVariable("expected whitespace or * before %s"
-                                          " at %d" % (self.peek().val,
-                                                      self.peek().pos))
+                                          % self.peek().val, self.peek().pos)
             t = self.take()
             if t.val not in basis:
-                raise UnboundVariable("expected one of %s at %d, got %r"
-                                      % (", ".join(basis), t.pos, t.val))
+                raise UnboundVariable("expected one of %s, got %r"
+                                      % (", ".join(basis), t.val), t.pos)
             k = basis.index(t.val)
             out[k] = out[k] + (coeff if sign == "+" else -coeff)
             if self.peek().kind not in "+-":

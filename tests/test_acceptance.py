@@ -60,9 +60,9 @@ def test_criterion_3_cocycle_reconstruction(catalog_sweep, full_catalog):
                       ("N-1", {"lambda": 2})):
         e = catalog.lookup(eid)
         lie = catalog.family_lie(e, bind)
-        mats = [catalog._instantiate_mat(m, bind) for m in e.f_mats]
+        mats = [m.substitute(bind) for m in e.f_mats]
         c = Cocycle(Representation(lie, mats),
-                    catalog._instantiate_mat(e.cmat, bind))
+                    e.cmat.substitute(bind))
         assert phi(c) == catalog.instantiate(eid, bind)
     report(3, "phi rebuilds every printed table exactly (or up to the "
               "stored display witness) from the stored (f, C) data")

@@ -5,10 +5,10 @@ import pytest
 
 from lsacat import catalog
 from lsacat.algebra import (Algebra, basis_associator, check_left_regular,
-                            check_left_symmetric, commutator_lie, left_matrix,
-                            multiply, rebase, right_matrix)
+                            check_left_symmetric, commutator_lie, hom_defects,
+                            left_matrix, multiply, rebase, right_matrix)
 from lsacat.errors import DimensionMismatch
-from lsacat.lie import classify3
+from lsacat.lie import canonical_lie, classify3
 from lsacat.linalg import Mat, basis_vec, vec_add, vec_eq, vec_is_zero
 from lsacat.scalars import QI
 
@@ -96,9 +96,21 @@ def test_commutator_n1():
 def test_left_matrix_h1():
     m = left_matrix(H1, basis_vec(H1.dim, 0))
     # columns: e1 -> e1, e2 -> e2 + e3, e3 -> e3
-    assert vec_eq(m.col(0), [QI(1), QI(0), QI(0)])
-    assert vec_eq(m.col(1), [QI(0), QI(1), QI(1)])
-    assert vec_eq(m.col(2), [QI(0), QI(0), QI(1)])
+    cols = m.transpose()
+    assert vec_eq(cols.row(0), [QI(1), QI(0), QI(0)])
+    assert vec_eq(cols.row(1), [QI(0), QI(1), QI(1)])
+    assert vec_eq(cols.row(2), [QI(0), QI(0), QI(1)])
+
+
+def test_hom_defects_read_pairs_i_below_j_only_between_lie_tables():
+    g = canonical_lie("Heisenberg")
+    ident = Mat.identity(3)
+    assert len(list(hom_defects(g, g, ident))) == 3
+    assert len(list(hom_defects(Algebra(g.c), g, ident))) == 9
+    # a table whose only product is e2 e1 = e1 fails at the pair (1, 0)
+    a = Algebra.from_products(3, {(1, 0): [(1, 0)]})
+    found = [not vec_is_zero(d) for d in hom_defects(a, Algebra.zero(3), ident)]
+    assert found == [False] * 3 + [True] + [False] * 5
 
 
 def test_right_matrix_h1_is_identity_at_e1():

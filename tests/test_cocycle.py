@@ -1,18 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from lsacat import catalog
 from lsacat.algebra import Algebra, commutator_lie
 from lsacat.cocycle import (Cocycle, Representation, check_cocycle,
-                            check_representation, equivalent_cocycle,
-                            find_rep_intertwiner, is_bijective, phi,
+                            check_representation, equivalent_cocycle, phi,
                             precompose_rep, psi, verify_cocycle_equiv,
                             verify_cocycle_iso)
 from lsacat.errors import NotAutomorphism, NotBijective, NotCocycle, NotLeftSymmetric
 from lsacat.lie import canonical_lie, random_automorphism
 from lsacat.linalg import Mat
-from lsacat.scalars import QI
+from lsacat.scalars import QI, ZERO, is_zero
 
 H = canonical_lie("Heisenberg")
 AI1_MATS = [Mat([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
@@ -75,18 +75,21 @@ def test_check_cocycle_broken_entry():
                    Mat([[0, 0, 1], [0, 1, 0], [0, 0, 0]]))
     ok, _ = check_cocycle(cbad)
     assert not ok
-    assert not is_bijective(cbad)
+    assert is_zero(cbad.C.det())
 
 
-def test_is_bijective():
-    assert is_bijective(ai1_cocycle())
+def test_bijective_cocycles():
+    "A cocycle is bijective iff det C != 0; phi refuses the others."
+    assert not is_zero(ai1_cocycle().C.det())
     anti = Cocycle(Representation(canonical_lie("Abelian"), [Mat.zero(3)] * 3),
                    Mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-    assert is_bijective(anti) and anti.C.det() == QI(-1)
+    assert anti.C.det() == QI(-1)
     repeated_rows = Cocycle(
         Representation(canonical_lie("Abelian"), [Mat.zero(3)] * 3),
         Mat([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
-    assert not is_bijective(repeated_rows)
+    assert is_zero(repeated_rows.C.det())
+    with pytest.raises(NotBijective):
+        phi(repeated_rows)
 
 
 def test_phi_reconstructs_h1():
@@ -191,6 +194,33 @@ def test_equivalent_cocycle_roundtrip():
 def test_commutator_of_phi_matches_lie():
     c = ai1_cocycle()
     assert commutator_lie(phi(c)) == H
+
+
+def find_rep_intertwiner(rep1, rep2):
+    """An invertible g with f2 = g f1 g^{-1} (row matrices: F1_i G = G F2_i),
+    found from the linear intertwiner space; None when the representations
+    are not isomorphic or no invertible intertwiner shows up in small
+    combinations of the solution basis."""
+    n = rep1.g.dim
+    rows = []
+    for a, b in zip(rep1.mats, rep2.mats):
+        for r in range(n):
+            for s in range(n):
+                row = [ZERO] * (n * n)
+                for j in range(n):
+                    row[j * n + s] = row[j * n + s] + a.rows[r][j]
+                    row[r * n + j] = row[r * n + j] - b.rows[j][s]
+                rows.append(row)
+    basis = Mat(rows).nullspace()
+    cands = list(basis)
+    for x, y in combinations(range(len(basis)), 2):
+        cands.append([p + q for p, q in zip(basis[x], basis[y])])
+        cands.append([p - q for p, q in zip(basis[x], basis[y])])
+    for v in cands:
+        g = Mat([v[k * n:(k + 1) * n] for k in range(n)])
+        if not is_zero(g.det()):
+            return g
+    return None
 
 
 def test_rep_intertwiner_d_minus_one_case_merging():

@@ -4,7 +4,7 @@ import pytest
 
 from lsacat import catalog
 from lsacat.algebra import Algebra, check_left_symmetric, left_matrix
-from lsacat.cocycle import Representation, phi, psi
+from lsacat.cocycle import Representation, left_regular, phi, psi
 from lsacat.constructions import (check_cybe, check_derivation,
                                   check_o_operator, derivation_space,
                                   induced_products, lsa_from_rmatrix,
@@ -13,7 +13,7 @@ from lsacat.constructions import (check_cybe, check_derivation,
                                   transported_product)
 from lsacat.errors import (CybeFails, NotCommutativeAssociative,
                            NotDerivation, NotOOperator)
-from lsacat.lie import canonical_lie
+from lsacat.lie import LieAlgebra, canonical_lie
 from lsacat.linalg import Mat
 from lsacat.props import is_novikov
 from lsacat.scalars import QI
@@ -83,6 +83,17 @@ def test_cybe_failure_certificate():
         lsa_from_rmatrix(n, bad)
 
 
+def test_cybe_reports_a_bracket_that_fails_jacobi():
+    "ad of a table that fails Jacobi is not a representation."
+    g = LieAlgebra.from_brackets(
+        3, {(0, 1): [(1, 0)], (1, 2): [(1, 1)], (0, 2): [(1, 2)]})
+    assert not g.check_jacobi()[0]
+    ok, cert = check_cybe(g, Mat.zero(3))
+    assert not ok and cert[0] == "representation"
+    with pytest.raises(CybeFails, match="ad is not a representation"):
+        lsa_from_rmatrix(g, Mat.zero(3))
+
+
 def test_rmatrix_zero_gives_zero_algebra():
     out = lsa_from_rmatrix(canonical_lie("E"), Mat.zero(3))
     assert out.is_zero_product()
@@ -125,6 +136,7 @@ def test_induced_products_rank2():
     rho = Representation(n, [left_matrix(n, [1, 0, 0]).transpose(),
                              left_matrix(n, [0, 1, 0]).transpose(),
                              left_matrix(n, [0, 0, 1]).transpose()])
+    assert left_regular(n, n).mats == rho.mats
     t = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert check_cybe(n, t)[0]
     ok, cert = check_o_operator(n, rho, t)

@@ -4,7 +4,7 @@ import pytest
 
 from lsacat.algebra import Algebra
 from lsacat.cocycle import Cocycle
-from lsacat.docs import Document, emit_document, parse_document
+from lsacat.docs import KINDS, Document, emit_document, parse_document
 from lsacat.errors import DocSemanticError, DocSyntaxError
 from lsacat.linalg import Mat, vec_is_zero
 from lsacat.scalars import QI, parse_scalar
@@ -114,31 +114,6 @@ def test_roundtrip_iso_witness():
     assert s2 == src and t2 == tgt and w2 == t
 
 
-def test_roundtrip_lie_document():
-    text = ("kind lie dim 3 domain gaussian\n"
-            "e1 e2 = e3\n")
-    doc = parse_document(text)
-    g = doc.payload
-    assert g.c[0][1] == (QI(0), QI(0), QI(1))
-    assert g.c[1][0] == (QI(0), QI(0), QI(-1))
-    assert parse_document(emit_document(doc)).payload == g
-
-
-def test_lie_document_rejects_inconsistent_antisymmetry():
-    text = ("kind lie dim 3 domain gaussian\n"
-            "e1 e2 = e3\ne2 e1 = e3\n")
-    with pytest.raises((DocSemanticError, Exception)):
-        parse_document(text)
-
-
-def test_rmatrix_document():
-    text = ("kind rmatrix dim 3 domain gaussian\n"
-            "bracket e1 e2 = e3\n"
-            "R = [[1,0,0],[0,0,0],[0,0,0]]\n")
-    g, r = parse_document(text).payload
-    assert r == Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-
-
 def test_catalog_tables_roundtrip_through_format():
     "Reading a catalog characteristic matrix and re-emitting is stable."
     from lsacat import catalog
@@ -151,17 +126,6 @@ def test_catalog_tables_roundtrip_through_format():
         again = parse_document(emitted)
         assert again.payload == alg
         assert emit_document(again) == emitted
-
-
-def test_ooperator_document():
-    text = ("kind ooperator dim 3 domain gaussian\n"
-            "bracket e1 e2 = e3\n"
-            "f(e1) = [[0,0,0],[0,0,0],[0,0,0]]\n"
-            "f(e2) = [[0,0,0],[0,0,0],[0,0,0]]\n"
-            "f(e3) = [[0,0,0],[0,0,0],[0,0,0]]\n"
-            "T = [[0,0,0],[0,0,0],[0,0,0]]\n")
-    rep, t = parse_document(text).payload
-    assert t.is_zero()
 
 
 # (sample, old text, new text): each edit makes the sample malformed
@@ -196,6 +160,10 @@ MALFORMED = {
     "term_parenthesis_touches_basis": ("h1.alg", "e1 e1 = e1",
                                        "e1 e1 = (1+i)e3"),
     "term_two_signs": ("h1.alg", "e1 e1 = e1", "e1 e1 = e1 - -3 e2"),
+    "product_basis_leading_zero": ("h1.alg", "e1 e1 = e1", "e01 e1 = e1"),
+    "product_basis_non_ascii_digit": ("h1.alg", "e3 e1 = e3",
+                                      "e\u0663 e1 = e3"),
+    "f_index_leading_zero": ("h1_cocycle.coc", "f(e1)", "f(e01)"),
     "param_any_with_value": ("h1.alg", "domain gaussian\n",
                              "domain gaussian\nparams lambda any junk 7\n"),
 }
@@ -240,6 +208,15 @@ def test_right_hand_side_reads_as_vector(rhs, want):
         parse_scalar(x, ("lambda", "mu")) for x in want)
 
 
+def test_scalar_syntax_error_is_at_its_column_of_the_line():
+    "The column counts from the start of the line, indentation included."
+    text = "kind algebra dim 3 domain gaussian\n  e1 e1 =   e1 - -3 e2\n"
+    with pytest.raises(DocSyntaxError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.col) == (2, 18)
+    assert str(err.value) == "line 2, col 18: unexpected token '-'"
+
+
 def test_unused_line_is_syntax_error_at_its_line():
     text = ("kind cocycle dim 3 domain gaussian\n"
             "bracket e1 e2 = e3\n"
@@ -263,11 +240,12 @@ def test_emit_is_canonical_for_every_kind():
     mats = "".join("f(e%d) = [[0,0,0],[0,0,0],[0,0,%d]]\n" % (k, k)
                    for k in (1, 2, 3))
     bodies = {
-        "lie": "e1 e2 = e3\n",
-        "representation": "bracket e1 e2 = e3\n" + mats,
-        "rmatrix": "bracket e3 e1 = -1/2 e2\nR = [[1,0,0],[0,0,0],[0,0,i]]\n",
-        "ooperator": "bracket e1 e2 = e3\n" + mats + "T = [[0,1,0],[0,0,0],[0,0,0]]\n",
+        "algebra": "e3 e1 = -1/2 e2 + i e3\ne1 e1 = e1\n",
+        "cocycle": "bracket e1 e2 = e3\n" + mats + "C = [[0,1,0],[1,0,0],[0,0,i]]\n",
+        "iso_witness": ("source e1 e1 = e1\ntarget e1 e1 = e1\n"
+                        "T = [[1,0,0],[0,2,0],[0,0,1/3]]\n"),
     }
+    assert sorted(bodies) == sorted(KINDS)
     for kind, body in bodies.items():
         emitted = emit_document(parse_document(
             "kind %s dim 3 domain gaussian\n%s" % (kind, body)))

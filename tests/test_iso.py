@@ -31,7 +31,7 @@ def test_verify_n12_primed_witness():
     e = catalog.lookup("N-12")
     primed = catalog.substitute_algebra(e.primed, {})
     canonical = catalog.instantiate("N-12")
-    w = catalog._instantiate_mat(e.primed_witness, {})
+    w = e.primed_witness.substitute({})
     assert verify_lsa_iso(primed, canonical, w)
 
 

@@ -8,12 +8,29 @@ from lsacat.algebra import (Algebra, commutator_lie, left_matrix, multiply,
                             rebase)
 from lsacat.errors import DimensionMismatch, NotDimension3
 from lsacat.constructions import derivation_space
-from lsacat.lie import (LieAlgebra, aut_components, aut_shape_member,
-                        aut_template, canonical_l, canonical_lie,
-                        check_lie_automorphism, classify3, instantiate_aut,
-                        killing_form, random_automorphism)
+from lsacat.lie import (LieAlgebra, aut_components, aut_template,
+                        canonical_l, canonical_lie, check_lie_automorphism,
+                        classify3, instantiate_aut, killing_form,
+                        random_automorphism)
 from lsacat.linalg import Mat
-from lsacat.scalars import QI
+from lsacat.scalars import QI, MultiPoly
+
+
+def aut_shape_member(family, t, l=None):
+    """Is t an invertible instance of a component of the stored group?  Each
+    parameter is read from the first cell that holds it alone."""
+    for comp in aut_components(family, l):
+        names, m = aut_template(comp)
+        cells = [(x, t[i, j]) for i, row in enumerate(m.rows)
+                 for j, x in enumerate(row)]
+        values = {n: next(v for x, v in cells if x == MultiPoly.var(n))
+                  for n in names}
+        try:
+            if instantiate_aut(comp, values) == t:
+                return True
+        except ValueError:
+            continue
+    return False
 
 
 def test_jacobi_heisenberg():

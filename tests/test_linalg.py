@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from lsacat.errors import SingularWitness
-from lsacat.linalg import (Mat, coords_in_span, in_span, solve_col, span_basis,
-                           vec_eq)
+from lsacat.linalg import (Mat, combination, coords_in_span, in_span,
+                           solve_col, span_basis, vec_eq)
 from lsacat.scalars import QI, format_scalar
 
 
@@ -62,7 +62,7 @@ def test_charpoly_matches_eigenvalues():
 
 
 def test_span_helpers():
-    basis = span_basis([[1, 0, 1], [0, 1, 0], [1, 1, 1]], 3)
+    basis = span_basis([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
     assert len(basis) == 2
     assert in_span([2, 3, 2], basis)
     assert not in_span([0, 0, 1], basis)
@@ -84,3 +84,10 @@ def test_apply_row_and_col():
     m = Mat([[1, 2], [3, 4]])
     assert vec_eq(m.apply_row([1, 0]), [QI(1), QI(2)])
     assert vec_eq(m.apply_col([1, 0]), [QI(1), QI(3)])
+
+
+def test_combination_skips_zero_coefficients():
+    a, b = Mat([[1, 2], [3, 4]]), Mat([[0, 1], [1, 0]])
+    assert combination([2, 0], [a, b]) == 2 * a
+    assert combination([1, -1], [a, b]) == a - b
+    assert combination([0, 0], [a, b]) == Mat.zero(2)
