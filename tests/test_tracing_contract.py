@@ -3,43 +3,31 @@
 perfbench/tracing.py wraps lsacat's public functions by replacing module
 attributes, so a call that stops going through one (a module-level name
 bound some other way, or a layer that is skipped) silently drops its
-spans.  One traced cycle of the search and of the catalog workload must
-each report no problem and count calls for every name in that workload's
-tracing.MUST_FIRE entry."""
+spans.  One traced cycle of each workload must report no problem and
+count calls for every name in that workload's tracing.MUST_FIRE entry.
+The same cycle's operation counts must match the cost ledger
+(golden_cost.py) line by line."""
 
-import importlib.util
-import json
-import os
-import subprocess
-import sys
+from pathlib import Path
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-PERFBENCH = os.path.join(ROOT, "perfbench")
+import golden_cost
 
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+LEDGER = Path(__file__).with_name("data") / "cost_golden.txt"
 
 
 def check_traced_cycle(tmp_path, workload):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(ROOT, "src")),
-               PYTHONHASHSEED="0")
-    env.pop("LSACAT_DATA", None)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "worker.py"),
-         "--workload", workload, "--seed", "1", "--traced"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = golden_cost.traced_cycle(workload, tmp_path)
     assert result["problems"] == []
     layers = result["layers"]
-    silent = [name for name in load_tracing().MUST_FIRE[workload]
+    silent = [name for name in golden_cost.load_tracing().MUST_FIRE[workload]
               if layers.get(name, [0])[0] == 0]
     assert silent == []
+    want = [line for line in LEDGER.read_text().splitlines()
+            if line.split()[0] == workload]
+    got = list(golden_cost.ledger(workload, result))
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_traced_search_cycle_fires_every_required_layer(tmp_path):
@@ -48,3 +36,7 @@ def test_traced_search_cycle_fires_every_required_layer(tmp_path):
 
 def test_traced_catalog_cycle_fires_every_required_layer(tmp_path):
     check_traced_cycle(tmp_path, "catalog")
+
+
+def test_traced_height_cycle_fires_every_required_layer(tmp_path):
+    check_traced_cycle(tmp_path, "height")
