@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
 from .cocycle import Cocycle, Representation, phi
-from .docs import Body, _const_value, constraint_allows
+from .docs import Body, _const_value, _words, constraint_allows
 from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      DocSyntaxError, LsaError, NotBijective, NotCocycle,
                      UnboundVariable, UnknownId)
@@ -149,14 +149,15 @@ def _parse_entry_block(block):
                                      lineno, 1)
             setattr(e, key, toks[1])
         elif key == "flags":
-            for item in toks[1:]:
+            for col, item in _words(line)[1:]:
                 fname, _, cond = item.partition("=")
                 if fname not in FLAG_NAMES:
                     raise DocSyntaxError("unknown flag %r" % fname, lineno, 1)
                 if fname in e.flags:
                     raise DocSyntaxError("flag %s is given twice" % fname,
                                          lineno, 1)
-                e.flags[fname] = _parse_cond(cond, lineno, body.pnames)
+                e.flags[fname] = _parse_cond(cond, lineno, body.pnames,
+                                             col + len(fname) + 1)
         elif key == "samples":
             head, colon, rest = line.partition(":")
             if not colon or len(head.split()) != 2:
@@ -164,9 +165,10 @@ def _parse_entry_block(block):
                     "samples line must read 'samples <param>: <values>'",
                     lineno, 1)
             name = _declared(head.split()[1], lineno, body.pnames)
+            # each comma-separated value, without the spaces around it
             e.samples_override[name] = [
-                _const_value(v.strip(), lineno)
-                for v in rest.split(",") if v.strip()]
+                _const_value(v, lineno, len(head) + 1 + col)
+                for col, v in _words(rest, r"[^,\s]+(?:\s+[^,\s]+)*")]
         else:
             e.isos.append(_parse_iso(line, lineno, body.pnames))
     if e.family not in FAMILY_FILES:
@@ -183,7 +185,8 @@ def _declared(name, lineno, pnames):
     return name
 
 
-def _parse_cond(text, lineno, pnames):
+def _parse_cond(text, lineno, pnames, col):
+    "The condition text of a flag, which starts at column col."
     if text == "yes":
         return True
     if text == "no":
@@ -192,7 +195,8 @@ def _parse_cond(text, lineno, pnames):
     for item in text.split("&"):
         name, _, val = item.partition("=")
         conj.append((_declared(name, lineno, pnames),
-                     _const_value(val, lineno)))
+                     _const_value(val, lineno, col + len(name) + 1)))
+        col += len(item) + 1
     return tuple(conj)
 
 
@@ -200,12 +204,12 @@ def _parse_iso(line, lineno, pnames):
     """iso <target> [when k=v ...] [bind k=expr ...]; a `when` name and the
     names in a `bind` expression are parameters of the entry, and any other
     clause is an error."""
-    toks = line.split()
-    if len(toks) < 2:
+    words = _words(line)
+    if len(words) < 2:
         raise DocSyntaxError("iso line needs a target entry", lineno, 1)
-    decl = IsoDecl(target=toks[1], lineno=lineno)
+    decl = IsoDecl(target=words[1][1], lineno=lineno)
     mode = None
-    for t in toks[2:]:
+    for col, t in words[2:]:
         if t in ("when", "bind"):
             mode = t
             continue
@@ -215,7 +219,7 @@ def _parse_iso(line, lineno, pnames):
                                  "when or bind" % t, lineno, 1)
         if mode == "when":
             name = _declared(name, lineno, pnames)
-            decl.when[name] = _const_value(val, lineno)
+            decl.when[name] = _const_value(val, lineno, col + len(name) + 1)
         else:
             try:
                 decl.bind[name] = parse_scalar(val, pnames)

@@ -82,7 +82,9 @@ def format_matrix(m):
         ",".join(format_scalar(x) for x in m.row(i)) for i in range(m.nrows))
 
 
-def parse_constraint(tokens, lineno):
+def parse_constraint(words, lineno):
+    "The constraint of a params line, given as its (column, text) words."
+    tokens = [t for _, t in words]
     if not tokens:
         raise DocSyntaxError("missing constraint", lineno, 1)
     if tokens[0] == "any":
@@ -90,7 +92,7 @@ def parse_constraint(tokens, lineno):
             raise DocSyntaxError("any takes no value", lineno, 1)
         return ("any",)
     if tokens[0] == "ne":
-        vals = tuple(_const_value(t, lineno) for t in tokens[1:])
+        vals = tuple(_const_value(t, lineno, col) for col, t in words[1:])
         if not vals:
             raise DocSyntaxError("ne constraint needs at least one value",
                                  lineno, 1)
@@ -99,7 +101,7 @@ def parse_constraint(tokens, lineno):
         if len(tokens) != 2:
             raise DocSyntaxError("eq constraint needs exactly one value",
                                  lineno, 1)
-        return ("eq", _const_value(tokens[1], lineno))
+        return ("eq", _const_value(tokens[1], lineno, words[1][0]))
     raise DocSyntaxError("unknown constraint %r" % tokens[0], lineno, 1)
 
 
@@ -111,12 +113,12 @@ def format_constraint(c):
     return "eq %s" % format_scalar(c[1])
 
 
-def _const_value(text, lineno):
-    "A scalar without parameters, read on line `lineno`."
+def _const_value(text, lineno, col):
+    "A scalar without parameters, read at column `col` of line `lineno`."
     try:
         return parse_scalar(text, vars=())
     except (UnboundVariable, DivisionByZero):
-        raise DocSyntaxError("expected a constant, got %r" % text, lineno, 1)
+        raise DocSyntaxError("expected a constant, got %r" % text, lineno, col)
 
 
 def constraint_allows(c, value):
@@ -132,28 +134,29 @@ def constraint_allows(c, value):
 # document parsing
 
 
-def _col(line, k):
-    "1-based column of the k-th (from 0) whitespace-separated token of line."
-    return list(re.finditer(r"\S+", line))[k].start() + 1
+def _words(line, pattern=r"\S+"):
+    """(1-based column, text) of each match of pattern in line, by default
+    of each whitespace-separated word."""
+    return [(m.start() + 1, m.group()) for m in re.finditer(pattern, line)]
 
 
 def _header(line, lineno):
-    toks = line.split()
+    cols, toks = zip(*_words(line))  # a header line is not blank
     if len(toks) != 6 or toks[0] != "kind" or toks[2] != "dim" or toks[4] != "domain":
         raise DocSyntaxError("expected 'kind <kind> dim <n> domain <dom>'",
                              lineno, 1)
     kind, dom = toks[1], toks[5]
     if kind not in KINDS:
-        raise DocSyntaxError("unknown kind %r" % kind, lineno, _col(line, 1))
+        raise DocSyntaxError("unknown kind %r" % kind, lineno, cols[1])
     if dom not in DOMAINS:
-        raise DocSyntaxError("unknown domain %r" % dom, lineno, _col(line, 5))
+        raise DocSyntaxError("unknown domain %r" % dom, lineno, cols[5])
     try:
         dim = int(toks[3])
     except ValueError:
-        raise DocSyntaxError("dim must be an integer", lineno, _col(line, 3))
+        raise DocSyntaxError("dim must be an integer", lineno, cols[3])
     if not 1 <= dim <= 3:
         raise DocSyntaxError("dim must be between 1 and 3", lineno,
-                             _col(line, 3))
+                             cols[3])
     return kind, dim, dom
 
 
@@ -238,18 +241,17 @@ def _lie_completion(table, given):
 def _read_params(lines):
     params = {}
     for lineno, line in lines:
-        toks = line.split()
-        if len(toks) < 3:
+        words = _words(line)
+        if len(words) < 3:
             raise DocSyntaxError("params needs a name and a constraint",
                                  lineno, 1)
-        name = toks[1]
+        col, name = words[1]
         if name == "i" or not name.isidentifier() or _is_basis_name(name):
-            raise DocSyntaxError("bad parameter name %r" % name, lineno,
-                                 _col(line, 1))
+            raise DocSyntaxError("bad parameter name %r" % name, lineno, col)
         if name in params:
             raise DocSemanticError("line %d: repeated parameter %s"
                                    % (lineno, name))
-        params[name] = parse_constraint(toks[2:], lineno)
+        params[name] = parse_constraint(words[2:], lineno)
     return params
 
 

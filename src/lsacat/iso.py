@@ -22,7 +22,7 @@ from .errors import LsaError, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
-from .scalars import (ONE, QI, ZERO, MultiPoly, _sub_multiple, _term_dict,
+from .scalars import (ONE, QI, ZERO, MultiPoly, _add_multiple, _term_dict,
                       groebner, is_zero, qi_roots)
 
 
@@ -48,14 +48,14 @@ class IsoVerdict:
 
 def _hom_equations(a, b, names, template):
     """The homomorphism equations of a parametric witness template, then
-    det(F)*z - 1, as term dicts over the variables ("z",) + names.  Read off
-    the structure constants and the template cells: coordinate q of
+    det(F)*z - 1, as MultiPolys over names + ("z",).  Read off the
+    structure constants and the template cells: coordinate q of
     F(e_i e_j) - F(e_i) F(e_j) is sum_p a_ij^p F_pq - sum_kl F_ik F_jl b_kl^q,
     taken in hom_defects' order with the zero ones left out."""
     n = a.dim
-    order = ("z",) + names
-    f = [[_term_dict(x, order) for x in row] for row in template.rows]
-    one = (0,) * len(order)
+    vs = names + ("z",)
+    f = [[_term_dict(x, vs) for x in row] for row in template.rows]
+    one = (0,) * len(vs)
     out = []
     for i in range(n):
         for j in range(n):
@@ -63,22 +63,18 @@ def _hom_equations(a, b, names, template):
                 d = {}
                 for p, x in enumerate(a.c[i][j]):
                     if not is_zero(x):
-                        _sub_multiple(d, -x, one, f[p][q])
+                        _add_multiple(d, x, one, f[p][q])
                 for k in range(n):
                     for l in range(n):
                         y = b.c[k][l][q]
                         if not is_zero(y):
                             for e, c in f[i][k].items():
-                                _sub_multiple(d, y * c, e, f[j][l])
+                                _add_multiple(d, -y * c, e, f[j][l])
                 if d:
-                    out.append(d)
-    out.append(_term_dict(template.det() * MultiPoly.var("z") - 1, order))
+                    out.append(MultiPoly._of(vs, d))
+    det = template.det() * MultiPoly.var("z") - 1
+    out.append(MultiPoly._of(vs, _term_dict(det, vs)))
     return out
-
-
-def _reverse_names(p):
-    'A term dict over ("z",) + names as one over ("z",) + names[::-1].'
-    return {(e[0],) + e[:0:-1]: c for e, c in p.items()}
 
 
 # Values tried, in this order, for a variable the basis leaves free.
@@ -146,7 +142,6 @@ def _solve_component(a, b, comp):
             bind = dict(zip(order[::-1], values))
             return IsoVerdict("isomorphic",
                               witness=template.substitute(bind))
-        eqs = [_reverse_names(p) for p in eqs]
     return IsoVerdict("unknown", reason=(
         "isomorphic over C (component %s has a Groebner basis other than "
         "{1}) but no Q(i) point was found" % comp))

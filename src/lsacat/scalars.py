@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -151,15 +152,8 @@ class QI:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return QI(1) / self ** (-n)
-        out = QI(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return ONE / self ** (-n)
+        return _power(self, n, ONE)
 
     def __eq__(self, other):
         if isinstance(other, QI):
@@ -200,6 +194,18 @@ def _add(x, a, b, d):
     if dx == d:
         return _reduced(x._a + a, x._b + b, d)
     return _reduced(x._a * d + a * dx, x._b * d + b * dx, dx * d)
+
+
+def _power(base, n, one):
+    "base ** n for an int n >= 0, by repeated squaring from one."
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _div(x, y):
@@ -261,6 +267,15 @@ class MultiPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", tm)
 
+    @staticmethod
+    def _of(vs, terms):
+        """A MultiPoly over the sorted variables vs of terms that are already
+        nonzero QIs keyed by exponent tuples aligned with vs."""
+        p = _NEW(MultiPoly)
+        object.__setattr__(p, "vars", vs)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -269,11 +284,8 @@ class MultiPoly:
 
     @staticmethod
     def const(c, vars=()):
-        c = qi(c)
         vs = tuple(sorted(vars))
-        if c.is_zero():
-            return MultiPoly(vs, {})
-        return MultiPoly(vs, {(0,) * len(vs): c})
+        return MultiPoly._of(vs, _term_dict(qi(c), vs))
 
     @staticmethod
     def var(name):
@@ -293,12 +305,7 @@ class MultiPoly:
         return ZERO
 
     def free_vars(self):
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.vars, exps):
-                if e:
-                    used.add(v)
-        return used
+        return {v for exps in self.terms for v, e in zip(self.vars, exps) if e}
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -308,18 +315,7 @@ class MultiPoly:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         vs = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(p):
-            idx = [vs.index(v) for v in p.vars]
-            out = {}
-            for exps, c in p.terms.items():
-                e = [0] * len(vs)
-                for i, v in zip(idx, exps):
-                    e[i] = v
-                out[tuple(e)] = c
-            return out
-
-        return vs, remap(self), remap(other)
+        return vs, _term_dict(self, vs), _term_dict(other, vs)
 
     def _lift(self, other):
         if isinstance(other, MultiPoly):
@@ -335,13 +331,8 @@ class MultiPoly:
             return NotImplemented
         vs, a, b = self._aligned(other)
         out = dict(a)
-        for ic, c in b.items():
-            s = out.get(ic, ZERO) + c
-            if s.is_zero():
-                out.pop(ic, None)
-            else:
-                out[ic] = s
-        return MultiPoly(vs, out)
+        _add_multiple(out, ONE, (0,) * len(vs), b)
+        return MultiPoly._of(vs, out)
 
     __radd__ = __add__
 
@@ -355,7 +346,7 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -363,29 +354,16 @@ class MultiPoly:
             return NotImplemented
         vs, a, b = self._aligned(other)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(vs, out)
+        for e, c in a.items():
+            _add_multiple(out, c, e, b)
+        return MultiPoly._of(vs, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = MultiPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, MultiPoly.const(1, self.vars))
 
     def __truediv__(self, other):
         if isinstance(other, RatFunc):
@@ -397,7 +375,8 @@ class MultiPoly:
             raise DivisionByZero("division by zero polynomial")
         if other.is_const():
             c = other.const_value()
-            return MultiPoly(self.vars, {e: v / c for e, v in self.terms.items()})
+            return MultiPoly._of(self.vars,
+                                 {e: v / c for e, v in self.terms.items()})
         return RatFunc(self, other)
 
     def __rtruediv__(self, other):
@@ -419,10 +398,9 @@ class MultiPoly:
     def __hash__(self):
         if self.is_const():
             return hash(self.const_value())
-        core = tuple(sorted(
-            (e, c.re, c.im)
-            for e, c in self._strip().terms.items()))
-        return hash((self._strip().vars, core))
+        p = self._strip()
+        return hash((p.vars, tuple(sorted((e, c.re, c.im)
+                                          for e, c in p.terms.items()))))
 
     def _strip(self):
         "Drop variables that never occur."
@@ -430,9 +408,7 @@ class MultiPoly:
         if len(used) == len(self.vars):
             return self
         vs = tuple(sorted(used))
-        keep = [self.vars.index(v) for v in vs]
-        return MultiPoly(vs, {tuple(e[i] for i in keep): c
-                              for e, c in self.terms.items()})
+        return MultiPoly._of(vs, _term_dict(self, vs))
 
     def lead(self):
         "(exponents, coefficient) of the lex-leading term."
@@ -443,12 +419,7 @@ class MultiPoly:
 
     def substitute(self, bindings):
         "Full evaluation; every occurring variable must be bound."
-        vals = []
-        for v in self.vars:
-            if v in bindings:
-                vals.append(qi(bindings[v]))
-            else:
-                vals.append(None)
+        vals = [qi(bindings[v]) if v in bindings else None for v in self.vars]
         out = ZERO
         for exps, c in self.terms.items():
             term = c
@@ -629,41 +600,56 @@ def substitute(p, bindings):
 
 
 # ---------------------------------------------------------------------------
-# Gröbner bases over Q(i) in the lex order.  A polynomial here is a term
-# dict {exponents: QI} whose exponent tuples follow one variable order,
-# the largest variable first, so that tuple comparison is the lex order.
+# Sparse polynomial terms.  A term dict {exponents: QI} holds the nonzero
+# coefficients of a polynomial over one variable order, each exponent tuple
+# aligned with it; MultiPoly keeps one over its sorted variables, groebner
+# over its monomial order.
+
+
+def _term_dict(p, vs):
+    """A QI or MultiPoly as a new term dict over the variables vs, which
+    hold every variable that occurs in p."""
+    if isinstance(p, QI):
+        return {(0,) * len(vs): p} if not p.is_zero() else {}
+    if p.vars == vs:
+        return dict(p.terms)
+    # position of each variable of vs in p's exponents; -1 reads the 0
+    # appended for a variable that p lacks
+    pick = [p.vars.index(v) if v in p.vars else -1 for v in vs]
+    out = {}
+    for e, c in p.terms.items():
+        e += (0,)
+        out[tuple([e[i] for i in pick])] = c
+    return out
+
+
+def _add_multiple(f, c, shift, g):
+    "f += c * x^shift * g on term dicts over one order, in place; c != 0."
+    moved = any(shift)
+    for e, x in g.items():
+        if moved:
+            e = tuple(map(operator.add, e, shift))
+        if c is not ONE:
+            x = c * x
+        v = f.get(e)
+        if v is None:
+            f[e] = x
+        else:
+            v = v + x
+            if v.is_zero():
+                del f[e]
+            else:
+                f[e] = v
+
+
+# ---------------------------------------------------------------------------
+# Gröbner bases over Q(i) in the lex order, on term dicts whose variable
+# order puts the largest variable first, so that tuple comparison is the
+# lex order.
 
 # S-pairs one basis may reduce before groebner() gives up; the catalog's
 # isomorphism systems need a few hundred at most.
 GROEBNER_MAX_PAIRS = 2000
-
-
-def _term_dict(p, order):
-    """A QI or MultiPoly as a term dict over the variable order; a term dict
-    is taken as one over that order already, and copied."""
-    if isinstance(p, dict):
-        return dict(p)
-    if isinstance(p, QI):
-        return {(0,) * len(order): p} if not p.is_zero() else {}
-    pos = [order.index(v) for v in p.vars]
-    out = {}
-    for exps, c in p.terms.items():
-        e = [0] * len(order)
-        for i, x in zip(pos, exps):
-            e[i] = x
-        out[tuple(e)] = c
-    return out
-
-
-def _sub_multiple(f, c, shift, g):
-    "f -= c * x^shift * g, in place."
-    for e, x in g.items():
-        key = tuple(a + b for a, b in zip(e, shift))
-        v = f.get(key, ZERO) - c * x
-        if v.is_zero():
-            f.pop(key, None)
-        else:
-            f[key] = v
 
 
 def _divides(m, n):
@@ -677,7 +663,7 @@ def _normal_form(f, basis):
         m = max(f)
         for lm, g in basis:
             if _divides(lm, m):
-                _sub_multiple(f, f[m], tuple(a - b for a, b in zip(m, lm)), g)
+                _add_multiple(f, -f[m], tuple(map(operator.sub, m, lm)), g)
                 break
         else:
             out[m] = f.pop(m)
@@ -686,8 +672,8 @@ def _normal_form(f, basis):
 
 def groebner(polys, order):
     """The reduced Gröbner basis over Q(i) of the ideal that the polynomials
-    (QI, MultiPoly, or term dicts over ``order``) generate, in the lex order
-    order[0] > order[1] > ...
+    (QIs or MultiPolys in the variables of ``order``) generate, in the lex
+    order order[0] > order[1] > ...
 
     Each element is a monic term dict {exponents: QI}, exponents aligned
     with ``order``, and the list is sorted by leading monomial, so the unit
@@ -722,9 +708,9 @@ def groebner(polys, order):
         reduced += 1
         lcm, i, j = heapq.heappop(pairs)
         (li, gi), (lj, gj) = basis[i], basis[j]
-        s = {tuple(a + b - c for a, b, c in zip(e, lcm, li)): x
-             for e, x in gi.items()}
-        _sub_multiple(s, ONE, tuple(a - b for a, b in zip(lcm, lj)), gj)
+        s = {}
+        _add_multiple(s, ONE, tuple(map(operator.sub, lcm, li)), gi)
+        _add_multiple(s, -ONE, tuple(map(operator.sub, lcm, lj)), gj)
         if add(s):
             return unit
     # add() reduced each element by the earlier ones, so an element is
@@ -1050,6 +1036,10 @@ class _Tok:
         self.pos = pos
         self.space = space  # whitespace comes right before the token
 
+    def __str__(self):
+        "The token as an error message names it."
+        return "end of text" if self.kind == "end" else "token %r" % (self.val,)
+
 
 def _tokenize(text):
     "The tokens of text, then an 'end' token."
@@ -1159,7 +1149,8 @@ class _Parser:
     def take(self, kind=None):
         t = self.toks[self.k]
         if kind and t.kind != kind:
-            raise UnboundVariable("expected %s, got %r" % (kind, t.val), t.pos)
+            raise UnboundVariable("expected %s, got %s" % (
+                "end of text" if kind == "end" else kind, t), t.pos)
         self.k += 1
         return t
 
@@ -1219,7 +1210,7 @@ class _Parser:
             out = self.parse_expr()
             self.take(")")
             return out
-        raise UnboundVariable("unexpected token %r" % (t.val,), t.pos)
+        raise UnboundVariable("unexpected %s" % t, t.pos)
 
     def parse_combination(self, basis):
         """term (('+' | '-') term)* with the first term's sign optional, as
@@ -1238,8 +1229,8 @@ class _Parser:
                                           % self.peek().val, self.peek().pos)
             t = self.take()
             if t.val not in basis:
-                raise UnboundVariable("expected one of %s, got %r"
-                                      % (", ".join(basis), t.val), t.pos)
+                raise UnboundVariable("expected one of %s, got %s"
+                                      % (", ".join(basis), t), t.pos)
             k = basis.index(t.val)
             out[k] = out[k] + (coeff if sign == "+" else -coeff)
             if self.peek().kind not in "+-":

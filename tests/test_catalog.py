@@ -291,3 +291,23 @@ def test_load_error_keeps_line_and_column(tmp_path, monkeypatch):
     assert (err.value.line, err.value.col) == (4, 1)
     assert str(err.value).startswith(os.path.join(directory, "h.cat")
                                      + ": line 4, col 1: ")
+
+
+@pytest.mark.parametrize("name, old, new, line, col", [
+    ("n.cat", "iso N-9 when lambda=0 bind lambda=0",
+     "iso N-9 when lambda=x bind lambda=0", 14, 21),
+    ("n.cat", "flags associative=lambda=1", "flags associative=lambda=x", 13, 26),
+    ("n.cat", "novikov=lambda=0", "novikov=lambda=0&lambda=x", 13, 72),
+    ("dl.cat", "samples lambda: 0, 2, -1", "samples lambda: 0,  2 , x", 9, 25),
+    ("n.cat", "params lambda ne 0", "params lambda ne 0 x", 20, 20),
+    ("n.cat", "params lambda ne 0", "params lambda eq x", 20, 18),
+])
+def test_bad_constant_is_located_at_its_column(tmp_path, monkeypatch, name,
+                                               old, new, line, col):
+    "A value that is not a constant is reported at its own column."
+    directory = corrupted_catalog(tmp_path, old, new, name)
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    with pytest.raises(DocSyntaxError) as err:
+        catalog.load_catalog()
+    assert (err.value.line, err.value.col) == (line, col)
+    assert "expected a constant, got 'x'" in str(err.value)

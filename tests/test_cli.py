@@ -481,6 +481,8 @@ MALFORMED = {
                          "domain gaussian\nparams e2 any\n"),
     "param_any_with_value": ("h1.alg", "domain gaussian\n",
                              "domain gaussian\nparams lambda any junk\n"),
+    "param_value_not_constant": ("h1.alg", "domain gaussian\n",
+                                 "domain gaussian\nparams lambda ne x\n"),
     "matrix_rows_unseparated": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],",
                                 "C = [[0,0,1] [0,1,0] "),
     "matrix_row_comma_missing": ("h1_cocycle.coc", "[0,1,0],[1,0,0]]",
@@ -497,6 +499,9 @@ MALFORMED = {
                                        "e1 e1 = (1+i)e3"),
     "term_two_signs": ("h1.alg", "e1 e1 = e1", "e1 e1 = e1 - -3 e2"),
     "term_superscript_digit": ("h1.alg", "e1 e1 = e1", "e1 e1 = \u00b2 e1"),
+    "term_cut_short": ("h1.alg", "e1 e1 = e1", "e1 e1 = e1 +"),
+    "matrix_cut_short": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                         "C = [[0,0,1],[0,1,0],[1,0,0]"),
     "product_basis_leading_zero": ("h1.alg", "e1 e1 = e1", "e01 e1 = e1"),
     "product_basis_non_ascii_digit": ("h1.alg", "e3 e1 = e3",
                                       "e\u0663 e1 = e3"),
@@ -509,6 +514,7 @@ LOCATED = {"dim_above_3": "line 2, col 18: ",
            "param_name": "line 3, col 8: ",
            "param_basis_name": "line 3, col 8: ",
            "param_any_with_value": "line 3, col 1: ",
+           "param_value_not_constant": "line 3, col 18: ",
            "matrix_rows_unseparated": "line 7, col 14: ",
            "matrix_row_comma_missing": "line 7, col 21: ",
            "matrix_split_in_two": "line 7, col 14: ",
@@ -518,6 +524,8 @@ LOCATED = {"dim_above_3": "line 2, col 18: ",
            "term_parenthesis_touches_basis": "line 3, col 14: ",
            "term_two_signs": "line 3, col 14: ",
            "term_superscript_digit": "line 3, col 9: ",
+           "term_cut_short": "line 3, col 13: unexpected end of text",
+           "matrix_cut_short": "line 7, col 29: expected ], got end of text",
            "product_basis_leading_zero": "line 3: ",
            "product_basis_non_ascii_digit": "line 7: ",
            "f_index_leading_zero": "line 4: "}
@@ -537,6 +545,14 @@ def test_malformed_document_exits_2(tmp_path, case):
     assert code == 2
     assert out.startswith("bad document ")
     assert LOCATED.get(case, "") in out
+
+
+def test_catalog_verify_param_cut_short():
+    "A --param value that ends early names the end of the text; exit 2."
+    code, out = run(["catalog-verify", "--entry", "N-1", "--param",
+                     "lambda=1+"])
+    assert code == 2
+    assert out == "catalog error: unexpected end of text\n"
 
 
 @pytest.mark.parametrize("extra, name", [

@@ -24,10 +24,7 @@ def check_traced_cycle(tmp_path, workload):
     assert silent == []
     want = [line for line in LEDGER.read_text().splitlines()
             if line.split()[0] == workload]
-    got = list(golden_cost.ledger(workload, result))
-    assert len(got) == len(want) > 0
-    for g, w in zip(got, want):
-        assert g == w
+    assert want and list(golden_cost.ledger(workload, result)) == want
 
 
 def test_traced_search_cycle_fires_every_required_layer(tmp_path):
