@@ -9,7 +9,9 @@ classification catalog (families H, N, D1, Dl, E) including property
 tables and witness isomorphisms.
 
 All values are immutable and all operations are pure functions, so
-everything here is safe to use from multiple threads.
+everything here is safe to use from multiple threads.  classify3 keeps
+its results by bracket table in a bounded module map; dict reads and
+writes are atomic, so at worst two threads classify one table twice.
 """
 
 from .algebra import (Algebra, check_left_regular, check_left_symmetric,

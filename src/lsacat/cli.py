@@ -93,7 +93,10 @@ def cmd_catalog_verify(args):
                 if name in bindings:
                     print("catalog error: --param %s is given twice" % name)
                     return 2
-                bindings[name] = parse_scalar(val, vars=())
+                try:
+                    bindings[name] = parse_scalar(val, vars=())
+                except LsaError as e:
+                    raise LsaError("--param %s: %s" % (item, e)) from e
             plan = {args.entry: [bindings]}
         elif args.entry:
             plan = {args.entry: catalog.lookup(args.entry).sample_bindings()}

@@ -86,7 +86,7 @@ def _bind_last(p, r):
     out = {}
     for e, c in p.items():
         key = e[:-1]
-        v = out.get(key, ZERO) + c * r ** e[-1]
+        v = out.get(key, ZERO) + (c * r ** e[-1] if e[-1] else c)
         if v.is_zero():
             out.pop(key, None)
         else:

@@ -164,7 +164,7 @@ def random_automorphism(family, rng, l=None):
 # the dimension-3 classifier
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieClass:
     tag: str                 # Abelian | Heisenberg | N | Dl | E | Sl2 | Unrecognized
     param: object = None     # canonical l for Dl, when it lies in Q(i)
@@ -194,6 +194,12 @@ def canonical_l(l):
     return inv
 
 
+# classify3 results by bracket table, so that a table met again is not
+# classified again; cleared whenever it is full.
+_CLASSIFIED = {}
+_CLASSIFIED_MAX = 256
+
+
 def classify3(g):
     """Classify a 3-dimensional complex Lie algebra onto the catalog list.
 
@@ -205,6 +211,16 @@ def classify3(g):
     its three brackets against the canonical table, with no table rebased."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
+    cls = _CLASSIFIED.get(g.c)
+    if cls is None:
+        if len(_CLASSIFIED) >= _CLASSIFIED_MAX:
+            _CLASSIFIED.clear()
+        cls = _CLASSIFIED[g.c] = _classify(g)
+    return cls
+
+
+def _classify(g):
+    "classify3 of a dimension-3 table, computed afresh."
     n = 3
     vecs = [g.c[i][j] for i in range(n) for j in range(i + 1, n)]
     derived = span_basis([v for v in vecs if not vec_is_zero(v)])

@@ -133,7 +133,16 @@ class IdealReport:
 
 
 def _is_scalar_mat(m):
-    return m == m[0, 0] * Mat.identity(m.nrows)
+    "m is c I, c its first diagonal entry."
+    c = m[0, 0]
+    return all(x == c if i == j else is_zero(x)
+               for i, r in enumerate(m.rows) for j, x in enumerate(r))
+
+
+def _plus_scalar(m, c):
+    "m + c I, adding c on the diagonal only."
+    return Mat._of([[x + c if i == j else x for j, x in enumerate(r)]
+                    for i, r in enumerate(m.rows)])
 
 
 def _proportional(v, w):
@@ -206,13 +215,13 @@ def _invariant_lines(ops, chosen, factors):
             # eigenlines for the roots of the irreducible f
             fm = Mat.zero(n)
             for c in reversed(f):
-                fm = fm * chosen + c * Mat.identity(n)
+                fm = _plus_scalar(fm * chosen, c)
             w = fm.nullspace()
             if _orbit_invariant(ops, chosen, w):
                 orbits.append((w, f))
             continue
-        alpha = -f[0]
-        eig = (chosen - alpha * Mat.identity(n)).nullspace()
+        # f = t - alpha, so ker(M - alpha I) = ker(M + f[0] I)
+        eig = _plus_scalar(chosen, f[0]).nullspace()
         if len(eig) == 1:
             if _line_invariant(ops, eig[0]):
                 lines.append(_normalize_line(eig[0]))

@@ -165,7 +165,9 @@ class QI:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im) if self._b else self.re)
+        # hash(a) == hash(Fraction(a)), so an integer needs no Fraction
+        return hash((self.re, self.im) if self._b else
+                    self._a if self._d == 1 else self.re)
 
     def __repr__(self):
         return "QI(%s)" % format_scalar(self)

@@ -338,7 +338,7 @@ def test_oversized_nested_power_parameter_exits_2():
     code, out = run(["catalog-verify", "--entry", "N-3",
                      "--param", "mu=((3+2*i)^300)^300"])
     assert code == 2
-    assert out.startswith("catalog error: power ")
+    assert out.startswith("catalog error: --param mu=((3+2*i)^300)^300: power ")
 
 
 def test_catalog_verify_family_h():
@@ -548,11 +548,12 @@ def test_malformed_document_exits_2(tmp_path, case):
 
 
 def test_catalog_verify_param_cut_short():
-    "A --param value that ends early names the end of the text; exit 2."
+    """A --param value that ends early names the --param item and the end
+    of the text; exit 2."""
     code, out = run(["catalog-verify", "--entry", "N-1", "--param",
                      "lambda=1+"])
     assert code == 2
-    assert out == "catalog error: unexpected end of text\n"
+    assert out == "catalog error: --param lambda=1+: unexpected end of text\n"
 
 
 @pytest.mark.parametrize("extra, name", [

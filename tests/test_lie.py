@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from lsacat import catalog
 from lsacat.algebra import (Algebra, commutator_lie, left_matrix, multiply,
                             rebase)
 from lsacat.errors import DimensionMismatch, NotDimension3
+from lsacat import lie
 from lsacat.constructions import derivation_space
 from lsacat.lie import (LieAlgebra, aut_components, aut_template,
                         canonical_l, canonical_lie, check_lie_automorphism,
@@ -114,6 +116,40 @@ def test_classify_witnesses_reproduce_canonical_tables():
         assert cls.tag == family
         canon = canonical_lie(family, cls.param if family == "Dl" else None)
         assert rebase(g, cls.witness) == canon
+
+
+def catalog_lie_tables():
+    "The Lie table of every catalog entry at its first sample, then rebased."
+    t = Mat([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
+    for eid, entry in catalog.load_catalog().items():
+        g = commutator_lie(catalog.instantiate(eid, entry.sample_bindings()[0]))
+        yield g
+        yield rebase(g, t)
+
+
+def test_classify_map_agrees_with_a_fresh_classification(monkeypatch):
+    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+    for g in catalog_lie_tables():
+        got = classify3(g)
+        fresh = lie._classify(g)
+        assert (got.tag, got.param, got.witness) == (
+            fresh.tag, fresh.param, fresh.witness)
+        assert classify3(g) == got
+
+
+def test_classify_result_is_frozen():
+    cls = classify3(canonical_lie("N"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cls.tag = "Abelian"
+
+
+def test_classify_map_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+    monkeypatch.setattr(lie, "_CLASSIFIED_MAX", 4)
+    for k in range(2, 12):
+        g = canonical_lie("Dl", Fraction(1, k))
+        assert classify3(g).param == QI(Fraction(1, k))
+        assert 0 < len(lie._CLASSIFIED) <= 4
 
 
 def test_canonical_l_normalization():

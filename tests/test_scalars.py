@@ -391,6 +391,20 @@ def test_qi_equality_hash_and_text(x, y):
             str(zx), repr(zx), hash(zx))
 
 
+@pytest.mark.parametrize("n", [0, 1, -1, 7, -7, 2 ** 70 + 3, -(2 ** 70 + 3)])
+def test_integer_qi_hashes_as_the_integer(n):
+    assert hash(QI(n)) == hash(n) == hash(Fraction(n))
+
+
+@pytest.mark.parametrize("re, im", [
+    (Fraction(1, 2), 0), (Fraction(-7, 3), 0), (Fraction(2 ** 70 + 3, 5), 0),
+    (0, 1), (1, -1), (Fraction(1, 3), Fraction(-2 ** 70 - 3, 7))])
+def test_other_qi_hash_as_their_fraction_parts(re, im):
+    expected = (hash((Fraction(re), Fraction(im))) if im
+                else hash(Fraction(re)))
+    assert hash(QI(re, im)) == expected
+
+
 TRIVIAL_OPERANDS = (QI(0), QI(1), QI(-1), QI(0, 1), 0, 1, Fraction(0),
                     Fraction(1))
 MODEL_OPS = (
