@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .linalg import (Mat, basis_vec, combination, vec_add, vec_eq, vec_is_zero,
                      vec_sub, vec_zero)
-from .scalars import QI, as_scalar, format_sum, is_zero, substitute
+from .scalars import as_scalar, format_sum, is_zero, substitute
 
 
 class Algebra:
@@ -168,10 +168,10 @@ def basis_associator(a, i, j, k):
     c = a.c
     out = vec_zero(a.dim)
     for p, x in enumerate(c[i][j]):
-        if (x._a or x._b) if type(x) is QI else not is_zero(x):
+        if not is_zero(x):
             _add_scaled(out, x, c[p][k])
     for p, x in enumerate(c[j][k]):
-        if (x._a or x._b) if type(x) is QI else not is_zero(x):
+        if not is_zero(x):
             _add_scaled(out, -x, c[i][p])
     return out
 
@@ -272,7 +272,7 @@ def substitute_algebra(a, bindings):
 def _add_scaled(out, f, v):
     "out += f v in place, skipping the zero coordinates of v."
     for k, vk in enumerate(v):
-        if (vk._a or vk._b) if type(vk) is QI else not is_zero(vk):
+        if not is_zero(vk):
             out[k] = out[k] + f * vk
 
 

@@ -211,7 +211,10 @@ def classify3(g):
     its three brackets against the canonical table, with no table rebased."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
-    cls = _CLASSIFIED.get(g.c)
+    try:
+        cls = _CLASSIFIED.get(g.c)
+    except TypeError:       # a non-constant RatFunc entry has no hash
+        return _classify(g)
     if cls is None:
         if len(_CLASSIFIED) >= _CLASSIFIED_MAX:
             _CLASSIFIED.clear()

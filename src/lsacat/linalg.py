@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, LsaError, SingularWitness
-from .scalars import QI, ZERO, ONE, as_scalar, is_zero, substitute
+from .scalars import ZERO, ONE, as_scalar, is_zero, substitute
 
 
 class Mat:
@@ -159,8 +159,7 @@ class Mat:
         for col in range(m):
             piv = None
             for k in range(r, n):
-                x = a[k][col]
-                if (x._a or x._b) if type(x) is QI else not is_zero(x):
+                if not is_zero(a[k][col]):
                     piv = k
                     break
             if piv is None:
@@ -169,10 +168,9 @@ class Mat:
             inv = 1 / a[r][col]
             a[r] = [x * inv for x in a[r]]
             for k in range(n):
-                f = a[k][col]
-                if k == r or (not (f._a or f._b) if type(f) is QI
-                              else is_zero(f)):
+                if k == r or is_zero(a[k][col]):
                     continue
+                f = a[k][col]
                 a[k] = [x - f * y for x, y in zip(a[k], a[r])]
             pivots.append(col)
             r += 1
@@ -246,8 +244,7 @@ def _dot(xs, ys):
     "Sum of x*y over the pairs whose factors are both nonzero."
     out = None
     for x, y in zip(xs, ys):
-        if (((x._a or x._b) if type(x) is QI else not is_zero(x))
-                and ((y._a or y._b) if type(y) is QI else not is_zero(y))):
+        if not is_zero(x) and not is_zero(y):
             p = x * y
             out = p if out is None else out + p
     return ZERO if out is None else out
@@ -296,8 +293,7 @@ def vec_scale(x, c):
 
 
 def vec_is_zero(x):
-    return not any((a._a or a._b) if type(a) is QI else not is_zero(a)
-                   for a in x)
+    return all(is_zero(a) for a in x)
 
 
 def vec_eq(x, y):

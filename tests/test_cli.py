@@ -255,6 +255,9 @@ DOCS = {
     "h1": None,  # the shipped sample
     "ratfunc": ("kind algebra dim 3 domain ratfunc\nparams l ne -1\n"
                 "e3 e2 = e2\ne3 e3 = l/(l+1) e3 + l^2 e1\n"),
+    # the commutator bracket l/(l+1) e3 is a non-constant RatFunc
+    "ratfunc_lie": ("kind algebra dim 3 domain ratfunc\nparams l ne -1\n"
+                    "e1 e2 = l/(l+1) e3\n"),
     "dim2": "kind algebra dim 2 domain gaussian\ne2 e1 = e1\ne2 e2 = e2\n",
 }
 FULL_OUTPUT = {
@@ -272,6 +275,13 @@ FULL_OUTPUT = {
         "dim ann_right: 1", "dim ann_two_sided: 1", "dim product_span: 2",
         "rank tr_ll: 1", "rank tr_lr: 1", "rank tr_rr: 1",
         "lie_class: ('N', None)"]),
+    ("fingerprint", "ratfunc_lie"): (0, [
+        "flag associative: yes", "flag bisymmetric: yes",
+        "flag commutative: no", "flag left_symmetric: yes",
+        "flag novikov: yes", "flag transitive: yes", "dim ann_left: 2",
+        "dim ann_right: 2", "dim ann_two_sided: 1", "dim product_span: 1",
+        "rank tr_ll: 0", "rank tr_lr: 0", "rank tr_rr: 0",
+        "lie_class: ('Heisenberg', None)"]),
     ("check", "dim2"): (0, [
         "left_symmetric: yes", "associative: yes", "transitive: no",
         "novikov: no", "bisymmetric: yes"]),
