@@ -48,10 +48,6 @@ class Algebra:
     def __reduce__(self):
         return type(self), (self.c,)
 
-    @staticmethod
-    def zero(dim):
-        return Algebra([[vec_zero(dim) for _ in range(dim)] for _ in range(dim)])
-
     @classmethod
     def from_products(cls, dim, products):
         """Build from a sparse {(i, j): [(coeff, k), ...]} map, 0-indexed."""

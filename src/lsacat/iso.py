@@ -109,7 +109,7 @@ def _point(polys, n, values=()):
         co = [ZERO] * (max(e[k] for e in p) + 1)
         for e, c in p.items():
             co[e[k]] = c
-        cands = [-co[0] / co[1]] if len(co) == 2 else qi_roots(co)
+        cands = qi_roots(co)
     else:
         cands = _FREE_VALUES
     for r in cands:

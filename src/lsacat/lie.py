@@ -27,16 +27,14 @@ from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
                       multiply)
 from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
-                     span_basis, trace_of_product, vec_is_zero, vec_scale)
-from .scalars import (ONE, QI, ZERO, is_zero, parse_scalar, qi,
-                      quadratic_roots)
+                     span_basis, trace_form, vec_is_zero, vec_scale)
+from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
+                      qi)
 
 
 def killing_form(g):
     "Killing form K(x,y) = tr(ad x ad y) on basis pairs; (matrix, rank)."
-    ads = multiplication_operators(g)[:g.dim]
-    k = Mat([[trace_of_product(ads[i], ads[j]) for j in range(g.dim)]
-             for i in range(g.dim)])
+    k = trace_form(multiplication_operators(g)[:g.dim])
     return k, k.rank()
 
 
@@ -292,11 +290,16 @@ def _classify_d2(g, derived):
     r1 = coords_in_span(derived, multiply(g, w0, b1))
     r2 = coords_in_span(derived, multiply(g, w0, b2))
     a2 = Mat([r1, r2])
-    tr = a2.trace()
-    det = a2.det()
-    if is_zero(det):
+    cp = a2.charpoly()
+    if is_zero(cp[0]):
         return LieClass("Unrecognized", detail="outside action is singular")
-    roots = quadratic_roots(ONE, -tr, det)
+    _, factors = factor_unipoly(cp)
+    if len(factors[0][0]) == 3:
+        c0, c1, _ = factors[0][0]
+        return LieClass(
+            "Dl", detail="eigenvalue ratio outside Q(i); charpoly disc %s"
+            % (c1 * c1 - QI(4) * c0))
+    roots = [-f[0] for f, _ in factors]
     if len(roots) == 1:
         alpha = roots[0]
         nil = a2 * (1 / alpha) - Mat.identity(2)
@@ -312,11 +315,6 @@ def _classify_d2(g, derived):
         e1 = Mat(derived).apply_row(e1c)
         e2 = Mat(derived).apply_row(e2c)
         return _witnessed(g, Mat([e1, e2, e3]), "E")
-    if not roots:
-        return LieClass(
-            "Dl", param=None, witness=None,
-            detail="eigenvalue ratio outside Q(i); charpoly disc %s"
-            % (tr * tr - QI(4) * det))
     alpha, beta = roots
     l = canonical_l(beta / alpha)
     if l != beta / alpha:

@@ -240,6 +240,13 @@ def trace_of_product(x, y):
     return sum((_dot(xr, yc) for xr, yc in zip(x.rows, zip(*y.rows))), ZERO)
 
 
+def trace_form(ms):
+    "The symmetric matrix of tr(XY) over ms, one trace per unordered pair."
+    t = [[trace_of_product(x, y) for y in ms[i:]] for i, x in enumerate(ms)]
+    return Mat._of([[t[min(i, j)][abs(i - j)] for j in range(len(ms))]
+                    for i in range(len(ms))])
+
+
 def _dot(xs, ys):
     "Sum of x*y over the pairs whose factors are both nonzero."
     out = None

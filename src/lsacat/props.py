@@ -6,21 +6,22 @@ Ideal search strategy (dimension <= 3, scalars in Q(i), ideals over C): a
 right basis multiplications, hence an eigenline of any single one of them,
 M.  We factor the characteristic polynomial of M over Q(i), once per
 algebra.  A linear factor gives an eigenline, or an eigenplane in which
-the invariant lines solve a binary quadratic, solved from the square root
-of its discriminant.  An irreducible factor f of degree d >= 2 gives d
-conjugate eigenlines that are all invariant or all not; by Galois descent
-they span the Q(i)-rational W = ker f(M), and they are invariant iff
-every operator maps W into W and commutes with M on W.  Conjugate lines
-are reported once, as the orbit (basis of W, f), so no extension field
-is built.  2-dimensional ideals are found dually via the transposed
-operators acting on covectors, with M^T, whose characteristic polynomial
-is that of M: planes come from the same factorization as lines.
+the invariant lines solve a binary quadratic, which factor_unipoly splits
+as it splits the characteristic polynomial.  An irreducible factor f of
+degree d >= 2 gives d conjugate eigenlines that are all invariant or all
+not; by Galois descent they span the Q(i)-rational W = ker f(M), and
+they are invariant iff every operator maps W into W and commutes with M
+on W.  Conjugate lines are reported once, as the orbit (basis of W, f),
+so no extension field is built.  2-dimensional ideals are found dually
+via the transposed operators acting on covectors, with M^T, whose
+characteristic polynomial is that of M: planes come from the same
+factorization as lines.
 Predicates and fingerprints read associators and basis operators off the
 structure constants, and trace forms tr(XY) from linalg.trace_of_product
-without forming XY, once per pair where the form is symmetric.
-Transitivity is read from polarized traces of the basis right
-multiplications, one trace per cyclic class of orderings, and annihilator
-dimensions from the rank of the stacked basis operators.
+without forming XY, once per unordered pair (linalg.trace_form) where the
+form is symmetric.  Transitivity is read from polarized traces of the
+basis right multiplications, one trace per cyclic class of orderings, and
+annihilator dimensions from the rank of the stacked basis operators.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from .algebra import (Algebra, basis_associator, check_left_symmetric,
 from .errors import ZeroAlgebra
 from .lie import classify3
 from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     trace_of_product, vec_add, vec_eq, vec_is_zero)
-from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero, quadratic_roots
+                     trace_form, trace_of_product, vec_add, vec_eq,
+                     vec_is_zero)
+from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
 
 
 def is_associative(a):
@@ -260,15 +262,15 @@ def _lines_in_plane(ops, b1, b2):
             # bb*s + cc*t = 0
             candidates.append(_combine(b1, -cc, b2, bb))
     else:
-        roots = quadratic_roots(aa, bb, cc)
-        if not roots:
+        _, factors = factor_unipoly((cc, bb, aa))
+        if len(factors[0][0]) == 3:
             # the conjugate roots of an irreducible quadratic solve every
             # condition iff each one is a multiple of it
             if all(_proportional(q, quads[0]) for q in quads[1:]):
-                return [], [], [([b1, b2], (cc / aa, bb / aa, ONE))]
+                return [], [], [([b1, b2], factors[0][0])]
             return [], [], []
-        for r in roots:
-            candidates.append(_combine(b1, r, b2, ONE))
+        for f, _ in factors:  # f = s - r
+            candidates.append(_combine(b1, -f[0], b2, ONE))
     out = []
     for v in candidates:
         if not vec_is_zero(v) and _line_invariant(ops, v):
@@ -500,13 +502,6 @@ class Fingerprint:
         return self.differing_field(other) is None
 
 
-def _trace_form(ms):
-    "The symmetric matrix of tr(XY) over ms, one trace per unordered pair."
-    t = [[trace_of_product(x, y) for y in ms[i:]] for i, x in enumerate(ms)]
-    return Mat._of([[t[min(i, j)][abs(i - j)] for j in range(len(ms))]
-                    for i in range(len(ms))])
-
-
 def fingerprint(a, lie=None):
     """Isomorphism-invariant summary used to separate non-isomorphic tables.
     lie: the caller's classify3 result, read for left-symmetric dim-3 tables."""
@@ -534,8 +529,8 @@ def fingerprint(a, lie=None):
         "ann_two_sided": ab,
     }
     ranks = {
-        "tr_ll": _trace_form(lm).rank(),
-        "tr_rr": _trace_form(rm).rank(),
+        "tr_ll": trace_form(lm).rank(),
+        "tr_rr": trace_form(rm).rank(),
         "tr_lr": Mat._of([[trace_of_product(x, y) for y in rm]
                           for x in lm]).rank(),
     }

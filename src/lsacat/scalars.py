@@ -597,7 +597,7 @@ def substitute(p, bindings):
     if isinstance(p, QI):
         return p
     if isinstance(p, (MultiPoly, RatFunc)):
-        return p.substitute({k: qi(v) for k, v in bindings.items()})
+        return p.substitute(bindings)
     raise DomainMismatch("cannot substitute into %r" % (p,))
 
 
@@ -728,39 +728,30 @@ def groebner(polys, order):
 
 
 def _up_trim(co):
-    co = list(co)
-    while co and qi(co[-1]).is_zero():
-        co.pop()
-    return tuple(qi(c) for c in co)
-
-
-def _up_deg(co):
-    return len(co) - 1
+    "The QI coefficients co without their trailing zeros, as a tuple."
+    co = tuple(co)
+    n = len(co)
+    while n and co[n - 1].is_zero():
+        n -= 1
+    return co[:n]
 
 
 def _up_divmod(a, b):
-    a, b = _up_trim(a), _up_trim(b)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    """(q, r) with a = q*b + r and deg r < deg b, by one pass of long
+    division; a and b are trimmed and b is nonzero."""
+    nb, lb = len(b), b[-1]
     r = list(a)
-    db, lb = _up_deg(b), b[-1]
-    while len(r) >= len(b) and _up_trim(r):
-        r = list(_up_trim(r))
-        if len(r) < len(b):
-            break
-        c = r[-1] / lb
-        k = len(r) - len(b)
-        q[k] = c
-        for i in range(len(b)):
+    q = [ZERO] * max(len(a) - nb + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + nb - 1] / lb
+        for i in range(nb - 1):
             r[k + i] = r[k + i] - c * b[i]
-        r.pop()
-    return _up_trim(q), _up_trim(r)
+    return tuple(q), _up_trim(r[:nb - 1])
 
 
 def _up_gcd(a, b):
-    "A greatest common divisor of a and b: Euclid's last nonzero remainder."
-    a, b = _up_trim(a), _up_trim(b)
+    """A greatest common divisor of the trimmed a and b: Euclid's last
+    nonzero remainder."""
     while b:
         a, b = b, _up_divmod(a, b)[1]
     return a
@@ -779,46 +770,6 @@ def _up_deflate(co, r):
 
 # ---------------------------------------------------------------------------
 # root finding over Q(i), and factorization of degree <= 3
-
-
-def _exact_isqrt(n):
-    "The square root of an int n >= 0 if n is a perfect square, else None."
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def gaussian_sqrt(z):
-    """Exact square root of a QI inside Q(i), or None.  The square roots of
-    (a + b*i)/d are those of A + B*i = (a + b*i)*d over d, and a square root
-    of a Gaussian integer in Q(i) is a Gaussian integer x + y*i, with
-    x^2 = (A + |A + B*i|)/2 and 2xy = B when B != 0."""
-    z = qi(z)
-    a, b, d = z._a * z._d, z._b * z._d, z._d
-    if not b:
-        r = _exact_isqrt(abs(a))
-        if r is None:
-            return None
-        return _reduced(r, 0, d) if a >= 0 else _reduced(0, r, d)
-    n = _exact_isqrt(a * a + b * b)
-    if n is None or (a + n) % 2:
-        return None
-    x = _exact_isqrt((a + n) // 2)
-    if x is None or b % (2 * x):
-        return None
-    return _reduced(x, b // (2 * x), d)
-
-
-def quadratic_roots(aa, bb, cc):
-    """The roots in Q(i) of aa*s^2 + bb*s + cc (aa != 0) from the square root
-    of its discriminant: a double root once, two roots r in the order of
-    ((-r).re, (-r).im), or none."""
-    root = gaussian_sqrt(bb * bb - QI(4) * aa * cc)
-    if root is None:
-        return []
-    if root.is_zero():
-        return [-bb / (QI(2) * aa)]
-    rs = [(-bb + x) / (QI(2) * aa) for x in (root, -root)]
-    return sorted(rs, key=lambda r: ((-r).re, (-r).im))
 
 
 def _clear_to_gaussian_integers(co):
@@ -879,10 +830,12 @@ def _newton_lift(g, dg, x, p, bound):
 
 
 def qi_roots(co):
-    """All roots in Q(i) of a univariate QI polynomial of any degree, sorted
-    by (re, im), without multiplicities.
+    """All roots in Q(i) of a univariate polynomial of any degree, given by
+    its int, Fraction or QI coefficients low to high, sorted by (re, im),
+    without multiplicities.
 
-    Loos's p-adic method over Z[i]: after t^k is split off and f is divided
+    A linear c0 + c1*t has the one root -c0/c1.  Above degree 1, Loos's
+    p-adic method over Z[i]: after t^k is split off and f is divided
     by gcd(f, f'), its coefficients are cleared to Gaussian integers c_k and
     s = c_n*t makes it monic with coefficients c_k*c_n^(n-1-k).  Its roots
     in Q(i) are Gaussian integers (Z[i] is integrally closed) of modulus at
@@ -891,7 +844,9 @@ def qi_roots(co):
     p^(2^k) > 2B, read back as t = s/c_n, and kept only if the input
     polynomial vanishes there exactly.  No integer is factored, so the time
     is polynomial in the bit length of the coefficients."""
-    co = _up_trim(co)
+    co = _up_trim(map(qi, co))
+    if len(co) == 2:
+        return [-co[0] / co[1]]
     if len(co) <= 1:
         return []
     roots = []
@@ -930,17 +885,19 @@ def qi_roots(co):
 
 
 def factor_unipoly(co):
-    """Factor a QI polynomial of degree <= 3 into monic irreducibles: the
-    roots in Q(i) with their multiplicities, then what is left, which has
-    degree 0, 2 or 3 and no root in Q(i), so it is irreducible.
+    """Factor a polynomial of degree <= 3, given as for qi_roots, into monic
+    irreducibles: the roots in Q(i) with their multiplicities, then what is
+    left, which has degree 0, 2 or 3 and no root in Q(i), so it is
+    irreducible.
 
     Returns (unit, [(coeffs, multiplicity), ...]) with unit * prod = input.
-    """
-    co = _up_trim(co)
+    The linear factors t - r, as (-r, 1), come first in the order of
+    ((-r).re, (-r).im), then the irreducible one."""
+    co = _up_trim(map(qi, co))
     if not co:
         raise DivisionByZero("cannot factor the zero polynomial")
-    if _up_deg(co) > 3:
-        raise DegreeTooHigh("degree %d > 3" % _up_deg(co))
+    if len(co) > 4:
+        raise DegreeTooHigh("degree %d > 3" % (len(co) - 1))
     unit = co[-1]
     co = tuple(c / unit for c in co)
     factors = []

@@ -16,7 +16,7 @@ def seeded_commutative_bases(rng, count):
                                   (2, 2): [(1, 2)]}),
         Algebra.from_products(3, {(0, 0): [(1, 1)]}),
         Algebra.from_products(3, {(0, 0): [(1, 0)], (1, 1): [(1, 2)]}),
-        Algebra.zero(3),
+        Algebra.from_products(3, {}),
     ]
     out = []
     while len(out) < count:

@@ -259,6 +259,9 @@ DOCS = {
     "ratfunc_lie": ("kind algebra dim 3 domain ratfunc\nparams l ne -1\n"
                     "e1 e2 = l/(l+1) e3\n"),
     "dim2": "kind algebra dim 2 domain gaussian\ne2 e1 = e1\ne2 e2 = e2\n",
+    # classify3 meets the outside action diag(1, l), not over Q(i)
+    "ratfunc_dl": ("kind algebra dim 3 domain ratfunc\nparams l ne 0\n"
+                   "e3 e1 = e1\ne3 e2 = l e2\n"),
 }
 FULL_OUTPUT = {
     ("check", "h1"): (0, [
@@ -282,6 +285,10 @@ FULL_OUTPUT = {
         "dim ann_right: 2", "dim ann_two_sided: 1", "dim product_span: 1",
         "rank tr_ll: 0", "rank tr_lr: 0", "rank tr_rr: 0",
         "lie_class: ('Heisenberg', None)"]),
+    # the root finder takes Q(i) coefficients; the first it reads is the
+    # determinant l of the outside action
+    ("fingerprint", "ratfunc_dl"): (2, [
+        "input error: not a rational value: RatFunc((l^3)/(l^2))"]),
     ("check", "dim2"): (0, [
         "left_symmetric: yes", "associative: yes", "transitive: no",
         "novikov: no", "bisymmetric: yes"]),

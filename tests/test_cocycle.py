@@ -121,7 +121,7 @@ def test_psi_rejects_non_left_symmetric():
 
 
 def test_psi_zero_algebra():
-    c = psi(Algebra.zero(3))
+    c = psi(Algebra.from_products(3, {}))
     assert all(m.is_zero() for m in c.rep.mats)
     assert c.C == Mat.identity(3)
 

@@ -12,9 +12,8 @@ from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
                            UnboundVariable)
 from lsacat.linalg import Mat
 from lsacat.scalars import (MultiPoly, QI, RatFunc, factor_unipoly,
-                            format_scalar,
-                            gaussian_sqrt, parse_scalar, qi, qi_roots,
-                            quadratic_roots, substitute)
+                            format_scalar, parse_scalar, qi, qi_roots,
+                            substitute)
 
 
 def poly_mul(a, b):
@@ -236,13 +235,6 @@ def test_factor_degree_too_high():
         factor_unipoly((qi(-4), qi(0), qi(0), qi(0), qi(1)))
 
 
-def test_gaussian_sqrt():
-    assert gaussian_sqrt(QI(0, 2)) == QI(1, 1)
-    assert gaussian_sqrt(QI(Fraction(1, 4))) == QI(Fraction(1, 2))
-    assert gaussian_sqrt(QI(-4)) == QI(0, 2)
-    assert gaussian_sqrt(QI(2)) is None
-
-
 def test_promotion_is_upward_only():
     # rational -> gaussian -> polynomial -> rational function
     out = Fraction(1, 2) * MultiPoly.var("l")
@@ -434,31 +426,19 @@ def test_trivial_operands_keep_the_canonical_form(t, y, t_first):
 
 
 @settings(max_examples=200, deadline=None)
-@given(model)
-def test_gaussian_sqrt_of_squares_and_non_squares(x):
-    z = QI(*x)
-    w = gaussian_sqrt(z * z)
-    assert w * w == z * z
-    assert w.re > 0 or (w.re == 0 and w.im >= 0)
-    if not z.is_zero():
-        # 2 and i are not squares in Q(i)
-        assert gaussian_sqrt(z * z * 2) is None
-        assert gaussian_sqrt(z * z * QI(0, 1)) is None
-
-
-@settings(max_examples=200, deadline=None)
 @given(model, st.one_of(model, model.map(lambda m: (0, m[1]))))
 def test_quadratic_roots_come_plus_root_first(x, d):
-    """t^2 - tr*t + det with roots r and r + d has the square discriminant
-    d^2, and its first root is (tr + sqrt(disc))/2, the order in which
-    lie._classify_d2 takes its eigenvalues; d purely imaginary makes the
-    square root purely imaginary."""
+    """t^2 - tr*t + det with roots r and r + d splits into factors t - r
+    in the order of ((-r).re, (-r).im), the order in which lie._classify_d2
+    takes its eigenvalues: the larger real part first, then the larger
+    imaginary part, which alone decides when d is purely imaginary."""
     r1, r2 = QI(*x), QI(*x) + QI(*d)
     tr, det = r1 + r2, r1 * r2
-    root = gaussian_sqrt(tr * tr - QI(4) * det)
-    roots = quadratic_roots(QI(1), -tr, det)
-    assert roots[0] == (tr + root) / QI(2)
-    assert set(roots) == {r1, r2}
+    unit, factors = factor_unipoly((det, -tr, QI(1)))
+    assert unit == 1
+    assert [-f[0] for f, _ in factors] == sorted(
+        {r1, r2}, key=lambda r: (-r.re, -r.im))
+    assert [m for _, m in factors] == ([2] if r1 == r2 else [1, 1])
 
 
 def test_qi_errors_and_immutability():
