@@ -163,6 +163,16 @@ def test_factor_cubic_irreducible():
     assert qi_roots(co) == []
 
 
+def test_qi_roots_linear():
+    "A linear c0 + c1*t has the one root -c0/c1; zero top terms are trimmed."
+    assert qi_roots((qi(3), qi(2))) == [QI(Fraction(-3, 2))]
+    # -(1 + i)/i = -1 + i
+    assert qi_roots((QI(1, 1), QI(0, 1), qi(0))) == [QI(-1, 1)]
+    assert qi_roots((qi(0), qi(5))) == [QI(0)]
+    assert factor_unipoly((QI(1, 1), QI(0, 1))) == (
+        QI(0, 1), [((QI(1, -1), qi(1)), 1)])
+
+
 def test_factor_multiplies_back():
     rng = random.Random(17)
     for _ in range(20):
