@@ -9,9 +9,11 @@ classification catalog (families H, N, D1, Dl, E) including property
 tables and witness isomorphisms.
 
 All values are immutable and all operations are pure functions, so
-everything here is safe to use from multiple threads.  classify3 keeps
-its results by bracket table in a bounded module map; dict reads and
-writes are atomic, so at worst two threads classify one table twice.
+everything here is safe to use from multiple threads.  Two bounded module
+maps keep results: classify3 by bracket table, and the scalar parser by
+text (it hands out new lists of the shared scalars).  Dict reads and
+writes are atomic, so at worst two threads classify one table, or parse
+one text, twice.
 """
 
 from .algebra import (Algebra, check_left_regular, check_left_symmetric,

@@ -12,7 +12,8 @@ Bodies:   e<i> e<j> = <term> [+ <term> ...]     (algebra products)
 A right-hand side is '[+|-] [c] e<k> +|- ...' or 0 alone; a matrix is '['
 rows ']', each row '[' scalars ']', separated by ','.  The scalar lexer
 reads both (scalars.parse_combination, scalars.parse_rows); this module
-checks only the dimension, and turns the offset of a scalar syntax error
+checks only the dimension and the header's domain (parameters only in
+ratfunc, no i in rational), and turns the offset of a scalar syntax error
 into the column of its line.  Emission is canonical: products in row order,
 scalars in the shared literal syntax, so parse(emit(d)) == d.
 
@@ -74,7 +75,7 @@ def parse_matrix(text, dim, params):
                                    % (len(row), dim))
     if len(rows) != dim:
         raise DocSemanticError("matrix has %d rows, need %d" % (len(rows), dim))
-    return Mat(rows)
+    return Mat._of(rows)
 
 
 def format_matrix(m):
@@ -187,27 +188,6 @@ def _basis_index(name, dim, lineno, form):
     raise DocSyntaxError("expected %s" % form, lineno, 1)
 
 
-def _parse_products(lines, dim, params, prefix=""):
-    """Collect '<prefix> e<i> e<j> = terms' into a dim^3 table; returns the
-    table and the set of (i, j) cells that were given."""
-    table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
-    given = set()
-    for lineno, line in lines:
-        head, eq, rhs = line.partition("=")
-        toks = head.split()[1 if prefix else 0:]
-        if len(toks) != 2 or not eq:
-            raise DocSyntaxError("malformed product line", lineno, 1)
-        i, j = (_basis_index(t, dim, lineno, "'e<i> e<j> = ...'")
-                for t in toks)
-        if (i, j) in given:
-            raise DocSemanticError("line %d: duplicate product e%d e%d"
-                                   % (lineno, i + 1, j + 1))
-        given.add((i, j))
-        table[i][j] = _at_line(lineno, len(head) + 2, parse_term_list, rhs,
-                               dim, params)
-    return table, given
-
-
 def _at_line(lineno, col, parse, text, *args):
     """parse(text, *args) for text that starts at column col of line
     lineno: a scalar syntax error is raised at its line and column, and
@@ -258,11 +238,13 @@ def _read_params(lines):
 class Body:
     """The content lines of a document or catalog entry, sorted by
     `_line_key` into `lines`, with the parameters already read.  A line
-    whose key is not among `keys` (or 'params') is a DocSyntaxError."""
+    whose key is not among `keys` (or 'params') is a DocSyntaxError, and
+    a scalar outside `domain` a DocSemanticError naming its line."""
 
-    def __init__(self, lines, dim, keys, what):
+    def __init__(self, lines, dim, keys, what, domain="ratfunc"):
         self.dim = dim
         self.what = what
+        self.domain = domain
         self.lines = {k: [] for k in ("params",) + tuple(keys)}
         for lineno, line in lines:
             group = self.lines.get(_line_key(line))
@@ -272,11 +254,42 @@ class Body:
         self.params = _read_params(self.lines["params"])
         self.pnames = set(self.params)
 
+    def _rhs(self, lineno, head, rhs, parse):
+        """parse(rhs, dim, parameters) for the text after 'head=' on line
+        lineno.  Only ratfunc documents hold parameters, and rational ones
+        are real."""
+        out = _at_line(lineno, len(head) + 2, parse, rhs, self.dim,
+                       self.pnames)
+        if self.domain == "ratfunc":
+            return out
+        for row in out.rows if isinstance(out, Mat) else (out,):
+            for x in row:
+                if not isinstance(x, QI):
+                    raise DocSemanticError(
+                        "line %d: parameters need domain ratfunc" % lineno)
+                if self.domain == "rational" and x.im != 0:
+                    raise DocSemanticError("line %d: imaginary scalar in a "
+                                           "rational document" % lineno)
+        return out
+
     def products(self, prefix, lie=False):
         """The Algebra of the '<prefix> e<i> e<j> = ...' lines, or with
         lie=True the LieAlgebra their brackets complete to."""
-        table, given = _parse_products(self.lines[prefix], self.dim,
-                                       self.pnames, prefix)
+        dim = self.dim
+        table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
+        given = set()
+        for lineno, line in self.lines[prefix]:
+            head, eq, rhs = line.partition("=")
+            toks = head.split()[1 if prefix else 0:]
+            if len(toks) != 2 or not eq:
+                raise DocSyntaxError("malformed product line", lineno, 1)
+            i, j = (_basis_index(t, dim, lineno, "'e<i> e<j> = ...'")
+                    for t in toks)
+            if (i, j) in given:
+                raise DocSemanticError("line %d: duplicate product e%d e%d"
+                                       % (lineno, i + 1, j + 1))
+            given.add((i, j))
+            table[i][j] = self._rhs(lineno, head, rhs, parse_term_list)
         return _lie_completion(table, given) if lie else Algebra(table)
 
     def _matrix(self, lineno, line):
@@ -284,8 +297,7 @@ class Body:
         if not eq:
             raise DocSyntaxError("expected '%s = [[...]]'" % head.strip(),
                                  lineno, 1)
-        return _at_line(lineno, len(head) + 2, parse_matrix, rhs, self.dim,
-                        self.pnames)
+        return self._rhs(lineno, head, rhs, parse_matrix)
 
     def matrix(self, name, required=True):
         "The matrix of the one '<name> = [[...]]' line (None if not required)."
@@ -333,15 +345,12 @@ def parse_document(text):
     kind, dim, domain = header
     prefixes, has_f, names = _LAYOUT[kind]
     body = Body(lines, dim, prefixes + ("f",) * has_f + names,
-                "%s document" % kind)
+                "%s document" % kind, domain)
     tables = [body.products(p, lie=p == "bracket") for p in prefixes]
     mats = body.f_mats() if has_f else ()
     named = [body.matrix(name) for name in names]
-    doc = Document(kind, dim, domain, body.params,
-                   _payload(kind, tables, mats, named))
-    if kind == "algebra":
-        _check_domain(doc)
-    return doc
+    return Document(kind, dim, domain, body.params,
+                    _payload(kind, tables, mats, named))
 
 
 def _payload(kind, tables, mats, named):
@@ -359,17 +368,6 @@ def _parts(kind, payload):
     if kind == "iso_witness":
         return payload[:2], (), payload[2:]
     return (payload.rep.g,), payload.rep.mats, (payload.C,)
-
-
-def _check_domain(doc):
-    "Only ratfunc tables hold parameters, and rational ones are real."
-    if doc.domain == "ratfunc":
-        return
-    for x in (x for row in doc.payload.c for cell in row for x in cell):
-        if not isinstance(x, QI):
-            raise DocSemanticError("parameters need domain ratfunc")
-        if doc.domain == "rational" and x.im != 0:
-            raise DocSemanticError("imaginary scalar in a rational document")
 
 
 def _product_lines(alg, prefix):

@@ -7,7 +7,9 @@ Three domains arranged in a promotion chain::
 Promotion is implicit only upward, through the arithmetic operators: each
 domain lifts the ones below it and leaves any other operand to that
 operand's reflected operator.  Values are never changed after they are
-built, so they are safe to share; they copy and pickle.
+built, so they are safe to share; they copy and pickle.  The parser relies
+on it: it keeps the scalars of each text it has read in a bounded map and
+hands them out again in new lists.
 
 A QI, and so every coefficient above it, is three ints (a, b, d) with
 value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
@@ -1101,6 +1103,7 @@ class _Parser:
         self.toks = toks
         self.k = 0
         self.vars = vars
+        self.used = set()   # the names read as parameters
 
     def peek(self):
         return self.toks[self.k]
@@ -1163,6 +1166,7 @@ class _Parser:
                 return I_UNIT
             if self.vars is not None and t.val not in self.vars:
                 raise UnboundVariable("unknown name %r" % t.val)
+            self.used.add(t.val)
             return MultiPoly.var(t.val)
         if t.kind == "(":
             self.take()
@@ -1211,12 +1215,42 @@ class _Parser:
         return out
 
 
+# (result, names it reads as parameters) by (rule, text, args), the lists
+# of the result frozen into tuples.  A hit whose names are not all allowed
+# parses again, to raise; a failed parse is not stored.  Cleared when full;
+# import and load_catalog store 256 keys.
+_PARSED = {}
+_PARSED_MAX = 512
+
+
+def _frozen(x):
+    """A parse result, which is a scalar, a list of scalars or a list of
+    such lists, with tuples for its lists."""
+    if type(x) is not list:
+        return x
+    return tuple(tuple(r) if type(r) is list else r for r in x)
+
+
+def _thawed(x):
+    "The inverse of _frozen, in new lists."
+    if type(x) is not tuple:
+        return x
+    return [list(r) if type(r) is tuple else r for r in x]
+
+
 def _parse(text, vars, rule, *args):
-    "rule(*args) on the tokens of text, which it must read to the end."
-    p = _Parser(_tokenize(text), set(vars) if vars is not None else None)
-    out = rule(p, *args)
-    p.take("end")
-    return out
+    """rule(*args) on the tokens of text, which it must read to the end;
+    the lists of the result are new on every call, the scalars shared."""
+    key = (rule, text, args)
+    hit = _PARSED.get(key)
+    if hit is None or not (vars is None or hit[1].issubset(vars)):
+        p = _Parser(_tokenize(text), set(vars) if vars is not None else None)
+        out = rule(p, *args)
+        p.take("end")
+        if len(_PARSED) >= _PARSED_MAX:
+            _PARSED.clear()
+        hit = _PARSED[key] = (_frozen(out), frozenset(p.used))
+    return _thawed(hit[0])
 
 
 def parse_scalar(text, vars=None):

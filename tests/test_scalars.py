@@ -300,6 +300,79 @@ def test_scalar_literal_keeps_powers_within_bounds():
     assert parse_scalar("(l+1)^64").total_degree() == 64
 
 
+def test_parse_memo_hands_out_new_lists():
+    "Changing a parsed list leaves the next parse of its text as it was."
+    x = MultiPoly.var("x")
+    rows = scalars.parse_rows("[[1, x], [0, 2]]")
+    rows[0][0] = QI(5)
+    rows.append([])
+    assert scalars.parse_rows("[[1, x], [0, 2]]") == [[QI(1), x],
+                                                       [QI(0), QI(2)]]
+    vec = scalars.parse_combination("2 e1 - x e2", ("e1", "e2"))
+    vec[1] = QI(0)
+    assert scalars.parse_combination("2 e1 - x e2", ("e1", "e2")) == [
+        QI(2), -x]
+
+
+@pytest.mark.parametrize("parse, text, pos", [
+    (scalars.parse_rows, "[[1, 2], [3 4]]", 12),
+    (scalars.parse_combination, "2 e1 + 3e2", 8),
+    (parse_scalar, "1 + (2", 6)])
+def test_parse_memo_stores_no_failure(parse, text, pos):
+    "A failing text raises the same message at the same offset each time."
+    args = (("e1", "e2"),) if parse is scalars.parse_combination else ()
+    keys = len(scalars._PARSED)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(UnboundVariable) as info:
+            parse(text, *args)
+        raised.append((str(info.value), info.value.pos))
+    assert raised[0] == raised[1] and raised[0][1] == pos
+    assert len(scalars._PARSED) == keys
+
+
+def test_parse_memo_checks_the_allowed_names(monkeypatch):
+    """A text stored under one set of allowed names serves every set that
+    holds the names it reads, and fails under any other."""
+    monkeypatch.setattr(scalars, "_PARSED", {})
+    value = MultiPoly.var("lambda") + 1
+    assert parse_scalar("lambda + 1", {"lambda"}) == value
+    assert parse_scalar("lambda + 1", ("lambda", "mu")) == value
+    assert parse_scalar("lambda + 1") == value
+    assert len(scalars._PARSED) == 1
+    for names in ((), {"mu"}):
+        with pytest.raises(UnboundVariable, match="unknown name 'lambda'"):
+            parse_scalar("lambda + 1", names)
+    with pytest.raises(UnboundVariable, match="unknown name 'x'"):
+        scalars.parse_combination("x e1", ("e1",), {"lambda"})
+    assert scalars.parse_combination("x e1", ("e1",)) == [MultiPoly.var("x")]
+    with pytest.raises(UnboundVariable, match="unknown name 'x'"):
+        scalars.parse_combination("x e1", ("e1",), ())
+
+
+def test_parse_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(scalars, "_PARSED", {})
+    monkeypatch.setattr(scalars, "_PARSED_MAX", 4)
+    for k in range(10):
+        assert parse_scalar("%d/7" % k) == QI(Fraction(k, 7))
+        assert 0 < len(scalars._PARSED) <= 4
+
+
+def test_catalog_reload_parses_no_new_text(monkeypatch):
+    "A second load of the catalog finds every text it parses stored."
+    from lsacat import catalog
+    monkeypatch.setattr(scalars, "_PARSED", {})
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    first = catalog.load_catalog()
+    keys = set(scalars._PARSED)
+    catalog._CACHE.clear()
+    second = catalog.load_catalog()
+    assert second is not first
+    assert set(scalars._PARSED) == keys
+    assert all(second[k].table == e.table and second[k].cmat == e.cmat
+               for k, e in first.items())
+
+
 # ---------------------------------------------------------------------------
 # QI against an independent model: a pair of Fractions (re, im) and the
 # textbook formulas for Q(i).
