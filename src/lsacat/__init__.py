@@ -11,9 +11,9 @@ tables and witness isomorphisms.
 All values are immutable and all operations are pure functions, so
 everything here is safe to use from multiple threads.  Two bounded module
 maps keep results: classify3 by bracket table, and the scalar parser by
-text (it hands out new lists of the shared scalars).  Dict reads and
-writes are atomic, so at worst two threads classify one table, or parse
-one text, twice.
+text (it hands out the tuples it stores, which nobody can change).  Dict
+reads and writes are atomic, so at worst two threads classify one table,
+or parse one text, twice.
 """
 
 from .algebra import (Algebra, check_left_regular, check_left_symmetric,
@@ -22,7 +22,7 @@ from .algebra import (Algebra, check_left_regular, check_left_symmetric,
 from .cocycle import (Cocycle, Representation, check_cocycle,
                       check_representation, phi, psi, verify_cocycle_equiv,
                       verify_cocycle_iso)
-from .constructions import (check_cybe, check_o_operator, induced_products,
+from .constructions import (check_cybe, check_o_operator, induced_product,
                             lsa_from_rmatrix, novikov_from_derivation)
 from .iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
 from .lie import LieAlgebra, LieClass, canonical_lie, check_lie_automorphism, classify3, killing_form
@@ -40,7 +40,7 @@ __all__ = [
     "check_cybe", "check_left_regular", "check_left_symmetric",
     "check_lie_automorphism", "check_o_operator", "check_representation",
     "classify3", "commutator_lie",
-    "find_ideals", "fingerprint", "induced_products", "is_associative",
+    "find_ideals", "fingerprint", "induced_product", "is_associative",
     "is_bisymmetric", "is_novikov", "is_semisimple",
     "is_simple", "is_transitive", "killing_form", "left_matrix",
     "lsa_from_rmatrix", "multiply", "novikov_from_derivation",

@@ -59,10 +59,6 @@ class Algebra:
             table[i][j] = v
         return cls(table)
 
-    def product(self, i, j):
-        "Coordinates of e_i e_j."
-        return list(self.c[i][j])
-
     def is_zero_product(self):
         return all(vec_is_zero(self.c[i][j])
                    for i in range(self.dim) for j in range(self.dim))
@@ -198,7 +194,7 @@ def commutator_lie(a):
     table = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            table[i][j] = vec_sub(a.product(i, j), a.product(j, i))
+            table[i][j] = vec_sub(a.c[i][j], a.c[j][i])
     return LieAlgebra(table)
 
 
@@ -233,7 +229,7 @@ def check_left_regular(a):
     lmats = multiplication_operators(a)[:n]
     for i in range(n):
         for j in range(i + 1, n):
-            bracket_vec = vec_sub(a.product(i, j), a.product(j, i))
+            bracket_vec = vec_sub(a.c[i][j], a.c[j][i])
             lhs = lmats[i] * lmats[j] - lmats[j] * lmats[i]
             if lhs != combination(bracket_vec, lmats):
                 return False, (i, j)

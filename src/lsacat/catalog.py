@@ -156,7 +156,7 @@ def _parse_entry_block(block):
                 if fname in e.flags:
                     raise DocSyntaxError("flag %s is given twice" % fname,
                                          lineno, 1)
-                e.flags[fname] = _parse_cond(cond, lineno, body.pnames,
+                e.flags[fname] = _parse_cond(cond, lineno, body.params,
                                              col + len(fname) + 1)
         elif key == "samples":
             head, colon, rest = line.partition(":")
@@ -185,8 +185,10 @@ def _declared(name, lineno, pnames):
     return name
 
 
-def _parse_cond(text, lineno, pnames, col):
-    "The condition text of a flag, which starts at column col."
+def _parse_cond(text, lineno, params, col):
+    """The condition text of a flag, which starts at column col; a value
+    the parameter's constraint excludes is an error, since the flag could
+    never hold."""
     if text == "yes":
         return True
     if text == "no":
@@ -194,8 +196,12 @@ def _parse_cond(text, lineno, pnames, col):
     conj = []
     for item in text.split("&"):
         name, _, val = item.partition("=")
-        conj.append((_declared(name, lineno, pnames),
-                     _const_value(val, lineno, col + len(name) + 1)))
+        allowed = params[_declared(name, lineno, params)]
+        value = _const_value(val, lineno, col + len(name) + 1)
+        if not constraint_allows(allowed, value):
+            raise DocSyntaxError("flag condition %s is not admissible" % item,
+                                 lineno, col)
+        conj.append((name, value))
         col += len(item) + 1
     return tuple(conj)
 
@@ -539,23 +545,33 @@ def verify_all(families=None, plan=None):
 def verify_property_tables(sweep):
     """Compare the property flags computed by a verify_all sweep with the
     stored expectations, itemizing every discrepancy per family and flag.
-    Covers exactly the pairs of the sweep."""
+    Covers the pairs of the sweep, then each point of a swept entry's
+    conditional flags (its sample_bindings at the condition's values) that
+    the sweep missed."""
     cat = load_catalog()
+    checked = [(cat[r.entry_id], r.bindings, r.computed)
+               for r in sweep.reports]
+    seen = {(e.id, binding_key(b)) for e, b, _ in checked}
+    for eid in dict.fromkeys(r.entry_id for r in sweep.reports):
+        e = cat[eid]
+        for b in [b for cond in e.flags.values() if isinstance(cond, tuple)
+                  for b in e.sample_bindings(dict(cond))]:
+            if (eid, binding_key(b)) not in seen:
+                seen.add((eid, binding_key(b)))
+                checked.append((e, b, computed_flags(instantiate(eid, b))))
     discrepancies = []
     sets = {}
-    for r in sweep.reports:
-        e = cat[r.entry_id]
-        got = r.computed
+    for e, bindings, got in checked:
         for name in FLAG_NAMES:
-            expected = _flag_expected(e.flags[name], r.bindings)
+            expected = _flag_expected(e.flags[name], bindings)
             if got[name]:
                 sets.setdefault((e.family, name), []).append(
-                    (e.id, binding_key(r.bindings)))
+                    (e.id, binding_key(bindings)))
             if got[name] != expected:
                 discrepancies.append(
                     "%s%s %s: computed %s, table says %s"
-                    % (e.id, _fmt_bind(r.bindings), name, got[name], expected))
-    return {"checked": len(sweep.reports), "sets": sets,
+                    % (e.id, _fmt_bind(bindings), name, got[name], expected))
+    return {"checked": len(checked), "sets": sets,
             "discrepancies": discrepancies}
 
 

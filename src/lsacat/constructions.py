@@ -10,13 +10,11 @@ here, matching the witness matrices elsewhere in the package.
 
 from __future__ import annotations
 
-from .algebra import Algebra, check_left_symmetric, multiply
+from .algebra import Algebra, check_left_symmetric, multiply, rebase
 from .cocycle import check_representation, left_regular
 from .errors import (CybeFails, LsaError, NotCommutativeAssociative,
-                     NotDerivation, NotLeftSymmetric, NotOOperator,
-                     SingularWitness)
-from .linalg import (Mat, basis_vec, coords_in_span, span_basis, vec_eq,
-                     vec_is_zero, vec_sub)
+                     NotDerivation, NotLeftSymmetric, NotOOperator)
+from .linalg import Mat, basis_vec, vec_eq, vec_sub
 from .props import is_associative, is_commutative, is_novikov
 
 
@@ -25,7 +23,7 @@ def check_derivation(base, d):
     n = base.dim
     for i in range(n):
         for j in range(n):
-            lhs = d.apply_row(base.product(i, j))
+            lhs = d.apply_row(base.c[i][j])
             rhs = [x + y for x, y in zip(
                 multiply(base, d.row(i), basis_vec(n, j)),
                 multiply(base, basis_vec(n, i), d.row(j)))]
@@ -92,7 +90,7 @@ def lsa_from_rmatrix(g, r):
         if cert[0] == "representation":
             raise CybeFails("ad is not a representation: %r" % (cert[1],))
         raise CybeFails("CYBE fails at basis pair %r" % (cert[:2],))
-    return induced_products(g, left_regular(g, g), r)[0]
+    return induced_product(g, left_regular(g, g), r)
 
 
 def check_o_operator(g, rho, t):
@@ -114,64 +112,24 @@ def check_o_operator(g, rho, t):
     return True, None
 
 
-def induced_products(g, rho, t):
-    """The two left-symmetric products of an O-operator: u*v = rho(T(u))v
-    on V, and T(u)*T(v) = T(rho(T(u))v) on the image T(V).
-
-    Returns (algebra_on_v, image_basis, image_table) where image_table[i][j]
-    holds coordinates in the image basis.  For rank-deficient T the image
-    product is checked to be independent of preimage choices.
-    """
+def induced_product(g, rho, t):
+    """The left-symmetric product u*v = rho(T(u))v on V of an O-operator T
+    of the representation rho of g."""
     ok, cert = check_o_operator(g, rho, t)
     if not ok:
         raise NotOOperator("O-operator identity fails: %r" % (cert,))
-    n = g.dim
-    on_v = Algebra([rho.act(t.row(r)).rows for r in range(n)])
+    on_v = Algebra([rho.act(t.row(r)).rows for r in range(g.dim)])
     ok, cert = check_left_symmetric(on_v)
     if not ok:
         raise NotLeftSymmetric("V-product is not left-symmetric: %r" % (cert,))
-
-    image = span_basis([t.row(r) for r in range(n)
-                        if not vec_is_zero(t.row(r))])
-    if not image:
-        return on_v, [], []
-    # preimages of the image basis under T
-    pre = [coords_in_span(t.rows, b) for b in image]
-    k = len(image)
-    image_table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            prod = t.apply_row(multiply(on_v, pre[i], pre[j]))
-            row.append(coords_in_span(image, prod))
-        image_table.append(row)
-    # well-definedness across the kernel of T
-    kernel = t.transpose().nullspace()
-    for z in kernel:
-        for j in range(k):
-            if not vec_is_zero(t.apply_row(multiply(on_v, z, pre[j]))):
-                raise NotOOperator("image product depends on preimage choice")
-            if not vec_is_zero(t.apply_row(multiply(on_v, pre[j], z))):
-                raise NotOOperator("image product depends on preimage choice")
-    if k == n:
-        ok, cert = check_left_symmetric(Algebra(image_table))
-        if not ok:
-            raise NotLeftSymmetric(
-                "image product is not left-symmetric: %r" % (cert,))
-    return on_v, image, image_table
+    return on_v
 
 
 def transported_product(g, rho, t):
     """For invertible T, the V-product pushed onto g along T; this must
-    coincide with phi of the cocycle (rho, C = T^{-1})."""
-    on_v, image, image_table = induced_products(g, rho, t)
-    if len(image) != g.dim:
-        raise SingularWitness("T is not invertible")
-    n = g.dim
-    tinv = t.inverse()
-    table = [[t.apply_row(multiply(on_v, tinv.row(i), tinv.row(j)))
-              for j in range(n)] for i in range(n)]
-    return Algebra(table)
+    coincide with phi of the cocycle (rho, C = T^{-1}).  SingularWitness
+    if T is not invertible."""
+    return rebase(induced_product(g, rho, t), t.inverse())
 
 
 def o_operator_from_cocycle(c):

@@ -8,8 +8,8 @@ Promotion is implicit only upward, through the arithmetic operators: each
 domain lifts the ones below it and leaves any other operand to that
 operand's reflected operator.  Values are never changed after they are
 built, so they are safe to share; they copy and pickle.  The parser relies
-on it: it keeps the scalars of each text it has read in a bounded map and
-hands them out again in new lists.
+on it: it keeps the result of each text it has read in a bounded map, its
+sequences as tuples, and hands out the stored value again.
 
 A QI, and so every coefficient above it, is three ints (a, b, d) with
 value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
@@ -1197,7 +1197,7 @@ class _Parser:
             k = basis.index(t.val)
             out[k] = out[k] + (coeff if sign == "+" else -coeff)
             if self.peek().kind not in "+-":
-                return out
+                return tuple(out)
             sign = self.take().kind
 
     def parse_rows(self):
@@ -1205,42 +1205,26 @@ class _Parser:
         return self.parse_list(lambda: self.parse_list(self.parse_expr))
 
     def parse_list(self, item):
-        "'[' item (',' item)* ']' as a list."
+        "'[' item (',' item)* ']' as a tuple."
         self.take("[")
         out = [item()]
         while self.peek().kind == ",":
             self.take()
             out.append(item())
         self.take("]")
-        return out
+        return tuple(out)
 
 
-# (result, names it reads as parameters) by (rule, text, args), the lists
-# of the result frozen into tuples.  A hit whose names are not all allowed
-# parses again, to raise; a failed parse is not stored.  Cleared when full;
-# import and load_catalog store 256 keys.
+# (result, names it reads as parameters) by (rule, text, args).  A hit
+# whose names are not all allowed parses again, to raise; a failed parse is
+# not stored.  Cleared when full; import and load_catalog store 256 keys.
 _PARSED = {}
 _PARSED_MAX = 512
 
 
-def _frozen(x):
-    """A parse result, which is a scalar, a list of scalars or a list of
-    such lists, with tuples for its lists."""
-    if type(x) is not list:
-        return x
-    return tuple(tuple(r) if type(r) is list else r for r in x)
-
-
-def _thawed(x):
-    "The inverse of _frozen, in new lists."
-    if type(x) is not tuple:
-        return x
-    return [list(r) if type(r) is tuple else r for r in x]
-
-
 def _parse(text, vars, rule, *args):
     """rule(*args) on the tokens of text, which it must read to the end;
-    the lists of the result are new on every call, the scalars shared."""
+    a text read before gives the value stored then."""
     key = (rule, text, args)
     hit = _PARSED.get(key)
     if hit is None or not (vars is None or hit[1].issubset(vars)):
@@ -1249,8 +1233,8 @@ def _parse(text, vars, rule, *args):
         p.take("end")
         if len(_PARSED) >= _PARSED_MAX:
             _PARSED.clear()
-        hit = _PARSED[key] = (_frozen(out), frozenset(p.used))
-    return _thawed(hit[0])
+        hit = _PARSED[key] = (out, frozenset(p.used))
+    return hit[0]
 
 
 def parse_scalar(text, vars=None):
@@ -1269,12 +1253,12 @@ def parse_combination(text, basis, vars=None):
     the scalar syntax, signed only inside parentheses, and '*' or
     whitespace separates it from its name; a repeated name sums."""
     if text.strip() == "0":
-        return [ZERO] * len(basis)
+        return (ZERO,) * len(basis)
     if not text.strip():
         raise UnboundVariable("empty linear combination; zero is 0")
     return _parse(text, vars, _Parser.parse_combination, tuple(basis))
 
 
 def parse_rows(text, vars=None):
-    "The rows of a bracketed matrix '[[x, ...], ...]' as lists of scalars."
+    "The rows of a bracketed matrix '[[x, ...], ...]' as tuples of scalars."
     return _parse(text, vars, _Parser.parse_rows)

@@ -266,12 +266,14 @@ def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, ne
     ("n.cat", "flags associative=lambda=1", "flags associative=lambda=x", 13),
     ("dl.cat", "samples lambda: 0, 2, -1", "samples lambda: 0, x, -1", 9),
     ("n.cat", "params lambda ne 0", "params lambda ne x", 20),
+    # a flag condition at a value its parameter's constraint excludes
+    ("n.cat", "flags associative=mu=1", "flags associative=mu=0", 47),
 ])
 def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
                                              name, old, new, lineno):
     """A metadata line without its value, naming an unknown or repeated flag
-    or an undeclared parameter, or giving a non-constant value, is a syntax
-    error at its line; exit 2."""
+    or an undeclared parameter, or giving a non-constant or inadmissible
+    value, is a syntax error at its line; exit 2."""
     directory = corrupted_catalog(tmp_path, old, new, name)
     monkeypatch.setenv("LSACAT_DATA", directory)
     with pytest.raises(DocSyntaxError) as err:
@@ -311,3 +313,79 @@ def test_bad_constant_is_located_at_its_column(tmp_path, monkeypatch, name,
         catalog.load_catalog()
     assert (err.value.line, err.value.col) == (line, col)
     assert "expected a constant, got 'x'" in str(err.value)
+
+
+# (file, old text, new text, argv, stdout): each mutant makes the catalog
+# wrong, and catalog-verify names every check that fails
+FAILING_MUTANTS = {
+    "flag_flipped": ("h.cat", "flags novikov=yes\nend", "flags\nend",
+                     ["--entry", "H-1"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 1",
+        "  H-1 novikov: computed True, table says False",
+        "H-1[]: FAIL",
+        "    flag novikov: computed True, expected False"]),
+    "table_not_left_symmetric": ("h.cat", "table e1 e1 = e1",
+                                 "table e1 e1 = e2", ["--entry", "H-1"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 1",
+        "  H-1 novikov: computed False, table says True",
+        "H-1[]: FAIL",
+        "    left-symmetry fails at triple (0, 1, 0)",
+        "    phi does not reproduce the printed table",
+        "    flag novikov: computed False, expected True"]),
+    "table_other_lie_class": ("h.cat", "table e1 e2 = e2 + e3",
+                              "table e1 e2 = e3", ["--entry", "H-1"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 2",
+        "  H-1 associative: computed True, table says False",
+        "  H-1 bisymmetric: computed True, table says False",
+        "H-1[]: FAIL",
+        "    lie class ('N', None), expected ('Heisenberg', None)",
+        "    phi does not reproduce the printed table",
+        "    flag associative: computed True, expected False",
+        "    flag bisymmetric: computed True, expected False"]),
+    "iso_bind": ("n.cat", "iso Dl-1 bind l=0 lambda=lambda",
+                 "iso Dl-1 bind l=0 lambda=lambda+1", ["--entry", "N-1"], [
+        "N: 1/1 classes verified",
+        "entry/sample pairs: 5, failures: 0",
+        "remark coincidences: 1 confirmed, 0 unconfirmed, 5 failed",
+        "property table discrepancies: 0",
+        "  iso N-1[lambda=0] -> Dl-1[l=0,lambda=1]: not_isomorphic "
+        "(flags.associative)",
+        "  iso N-1[lambda=2] -> Dl-1[l=0,lambda=3]: not_isomorphic "
+        "(every automorphism component gives the Groebner basis {1})",
+        "  iso N-1[lambda=-1] -> Dl-1[l=0,lambda=0]: not_isomorphic "
+        "(flags.novikov)",
+        "  iso N-1[lambda=1/2] -> Dl-1[l=0,lambda=3/2]: not_isomorphic "
+        "(every automorphism component gives the Groebner basis {1})",
+        "  iso N-1[lambda=3] -> Dl-1[l=0,lambda=4]: not_isomorphic "
+        "(every automorphism component gives the Groebner basis {1})"]),
+    # no default sample of N-1 has lambda = 1 or 6: the property pass
+    # checks each condition point on its own
+    "flag_condition_moved": ("n.cat", "flags associative=lambda=1",
+                             "flags associative=lambda=6", ["--entry", "N-1"], [
+        "N: 1/1 classes verified",
+        "entry/sample pairs: 5, failures: 0",
+        "remark coincidences: 6 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 2",
+        "  N-1[lambda=6] associative: computed False, table says True",
+        "  N-1[lambda=1] associative: computed True, table says False"]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(FAILING_MUTANTS))
+def test_catalog_verify_prints_every_failure(tmp_path, monkeypatch, capsys,
+                                             mutant):
+    "A wrong catalog line exits 1, and the whole stdout is pinned."
+    name, old, new, args, expected = FAILING_MUTANTS[mutant]
+    monkeypatch.setenv("LSACAT_DATA", corrupted_catalog(tmp_path, old, new,
+                                                        name))
+    assert cli.main(["catalog-verify", "--all"] + args) == 1
+    assert capsys.readouterr().out.splitlines() == expected

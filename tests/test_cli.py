@@ -164,6 +164,27 @@ def test_package_has_no_forbidden_construct(construct):
     assert found == []
 
 
+# the _names one module imports from another, as {(importing file, module
+# imported from): names}; any other such import reaches into a module's
+# private code
+PRIVATE_IMPORTS = {
+    ("catalog.py", "docs"): {"_const_value", "_words"},
+    ("iso.py", "scalars"): {"_add_multiple", "_term_dict"},
+}
+
+
+def test_package_imports_only_listed_private_names():
+    found = defaultdict(set)
+    for name, tree in package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found[name, node.module] |= {
+                    alias.name for alias in node.names
+                    if alias.name.startswith("_")}
+    assert {key: names for key, names in found.items() if names} == \
+        PRIVATE_IMPORTS
+
+
 def test_uncaught_library_error_exits_2(monkeypatch):
     def broken(a, b):
         raise LsaError("internal failure")
@@ -262,6 +283,8 @@ DOCS = {
     # classify3 meets the outside action diag(1, l), not over Q(i)
     "ratfunc_dl": ("kind algebra dim 3 domain ratfunc\nparams l ne 0\n"
                    "e3 e1 = e1\ne3 e2 = l e2\n"),
+    # the outside action diag(1, 2); l and 1/l name one Lie algebra
+    "dl": "kind algebra dim 3 domain rational\ne3 e1 = e1\ne3 e2 = 2 e2\n",
 }
 FULL_OUTPUT = {
     ("check", "h1"): (0, [
@@ -289,6 +312,10 @@ FULL_OUTPUT = {
     # determinant l of the outside action
     ("fingerprint", "ratfunc_dl"): (2, [
         "input error: not a rational value: RatFunc((l^3)/(l^2))"]),
+    ("check", "dl"): (0, [
+        "left_symmetric: yes", "lie_class: Dl(l=1/2)", "associative: no",
+        "transitive: yes", "novikov: yes", "bisymmetric: no", "simple: no",
+        "semisimple: no"]),
     ("check", "dim2"): (0, [
         "left_symmetric: yes", "associative: yes", "transitive: no",
         "novikov: no", "bisymmetric: yes"]),

@@ -300,18 +300,27 @@ def test_scalar_literal_keeps_powers_within_bounds():
     assert parse_scalar("(l+1)^64").total_degree() == 64
 
 
-def test_parse_memo_hands_out_new_lists():
-    "Changing a parsed list leaves the next parse of its text as it was."
+@pytest.mark.parametrize("text, base", [
+    ("(1/l)^2", "1/l"), ("(l/(l+1))^-2", "(l+1)/l")])
+def test_ratfunc_power_is_the_explicit_product(text, base):
+    "A rational function to a power, read by the parser or raised directly."
+    x = parse_scalar(base)
+    assert isinstance(x, RatFunc)
+    assert parse_scalar(text) == x * x
+    assert x ** 2 == (1 / x) ** -2 == x * x
+
+
+def test_parse_memo_hands_out_the_stored_tuples():
+    """Every sequence of a parse result is a tuple, so nobody can change
+    it, and the next parse of its text returns the stored value itself."""
     x = MultiPoly.var("x")
     rows = scalars.parse_rows("[[1, x], [0, 2]]")
-    rows[0][0] = QI(5)
-    rows.append([])
-    assert scalars.parse_rows("[[1, x], [0, 2]]") == [[QI(1), x],
-                                                       [QI(0), QI(2)]]
+    assert rows == ((QI(1), x), (QI(0), QI(2)))
+    assert scalars.parse_rows("[[1, x], [0, 2]]") is rows
     vec = scalars.parse_combination("2 e1 - x e2", ("e1", "e2"))
-    vec[1] = QI(0)
-    assert scalars.parse_combination("2 e1 - x e2", ("e1", "e2")) == [
-        QI(2), -x]
+    assert vec == (QI(2), -x)
+    assert scalars.parse_combination("2 e1 - x e2", ("e1", "e2")) is vec
+    assert scalars.parse_combination(" 0 ", ("e1", "e2")) == (QI(0), QI(0))
 
 
 @pytest.mark.parametrize("parse, text, pos", [
@@ -345,7 +354,7 @@ def test_parse_memo_checks_the_allowed_names(monkeypatch):
             parse_scalar("lambda + 1", names)
     with pytest.raises(UnboundVariable, match="unknown name 'x'"):
         scalars.parse_combination("x e1", ("e1",), {"lambda"})
-    assert scalars.parse_combination("x e1", ("e1",)) == [MultiPoly.var("x")]
+    assert scalars.parse_combination("x e1", ("e1",)) == (MultiPoly.var("x"),)
     with pytest.raises(UnboundVariable, match="unknown name 'x'"):
         scalars.parse_combination("x e1", ("e1",), ())
 
