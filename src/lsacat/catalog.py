@@ -104,8 +104,12 @@ class CatalogEntry:
         return out
 
 
-def binding_key(bindings):
-    return tuple(sorted((k, format_scalar(v)) for k, v in bindings.items()))
+def point_label(entry_id, bindings):
+    "The name of a catalog point: H-1 without parameters, else N-1[lambda=2]."
+    if not bindings:
+        return entry_id
+    return "%s[%s]" % (entry_id, ",".join(
+        "%s=%s" % (k, format_scalar(v)) for k, v in sorted(bindings.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +139,16 @@ def _parse_entry_block(block):
     body = Body(grammar, 3, _BODY_KEYS, "catalog entry")
     e.params = body.params
     e.table = body.products("table")
-    if body.lines["primed"]:
+    primed, witness = body.lines["primed"], body.lines["primed_witness"]
+    if bool(primed) != bool(witness):
+        raise DocSyntaxError(
+            "entry %s has %s" % (e.id, "a primed table but no primed_witness"
+                                 if primed else
+                                 "a primed_witness but no primed table"),
+            (primed or witness)[0][0], 1)
+    if primed:
         e.primed = body.products("primed")
-    e.primed_witness = body.matrix("primed_witness", required=False)
+        e.primed_witness = body.matrix("primed_witness")
     e.f_mats = body.f_mats()
     e.cmat = body.matrix("C")
     for lineno, line in meta:
@@ -333,8 +344,10 @@ def instantiate(entry_id, bindings=None, check=True):
 
 @dataclass
 class EntryReport:
+    "The one record of a catalog point: its algebra and every check's result."
     entry_id: str
     bindings: dict
+    alg: object = None
     left_symmetric: bool = False
     lie_class_ok: bool = False
     cocycle_reconstruction_ok: bool = True
@@ -348,13 +361,9 @@ class EntryReport:
                 and self.cocycle_reconstruction_ok and self.flags_ok)
 
     def describe(self):
-        b = ",".join("%s=%s" % (k, format_scalar(v))
-                     for k, v in sorted(self.bindings.items()))
-        tag = "ok" if self.ok else "FAIL"
-        out = "%s[%s]: %s" % (self.entry_id, b, tag)
-        for m in self.messages:
-            out += "\n    " + m
-        return out
+        head = "%s: %s" % (point_label(self.entry_id, self.bindings),
+                           "ok" if self.ok else "FAIL")
+        return "\n    ".join([head] + self.messages)
 
 
 # The sub-adjacent Lie algebra of each catalog family as its classify3 tag
@@ -382,10 +391,18 @@ def family_lie(entry, bindings):
     return canonical_lie(*_family_tag_l(entry, bindings))
 
 
-def _flag_expected(cond, bindings):
-    if cond is True or cond is False:
-        return cond
-    return all(qi(bindings[name]) == val for name, val in cond)
+def _flag_mismatches(entry, bindings, got):
+    """'<flag>: computed X, table says Y' for each flag whose computed value
+    got[flag] differs from the entry's table at the point."""
+    out = []
+    for name in FLAG_NAMES:
+        cond = entry.flags[name]
+        said = cond if isinstance(cond, bool) else all(
+            bindings[k] == v for k, v in cond)
+        if got[name] != said:
+            out.append("%s: computed %s, table says %s"
+                       % (name, got[name], said))
+    return out
 
 
 def computed_flags(alg):
@@ -409,8 +426,8 @@ def verify_entry(entry_id, bindings=None):
     "Run every per-entry check at one parameter sample."
     e = lookup(entry_id)
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
-    rep = EntryReport(entry_id, bindings)
     alg = instantiate(entry_id, bindings)
+    rep = EntryReport(entry_id, bindings, alg)
 
     ok, cert = check_left_symmetric(alg)
     rep.left_symmetric = ok
@@ -426,16 +443,10 @@ def verify_entry(entry_id, bindings=None):
     rep.cocycle_reconstruction_ok = _check_reconstruction(
         e, bindings, alg, rep.messages)
 
-    expected = {name: _flag_expected(cond, bindings)
-                for name, cond in e.flags.items()}
-    got = computed_flags(alg)
-    rep.computed = got
-    rep.flags_ok = got == expected
-    if not rep.flags_ok:
-        for name in FLAG_NAMES:
-            if got[name] != expected[name]:
-                rep.messages.append("flag %s: computed %s, expected %s"
-                                    % (name, got[name], expected[name]))
+    rep.computed = computed_flags(alg)
+    wrong = _flag_mismatches(e, bindings, rep.computed)
+    rep.flags_ok = not wrong
+    rep.messages += wrong
     return rep
 
 
@@ -458,9 +469,6 @@ def _check_reconstruction(e, bindings, alg, messages):
         primed = substitute_algebra(e.primed, bindings)
         if built != primed:
             messages.append("phi does not match the primed table")
-            return False
-        if e.primed_witness is None:
-            messages.append("primed table without a stored witness")
             return False
         w = e.primed_witness.substitute(bindings)
         if not verify_lsa_iso(primed, alg, w):
@@ -485,20 +493,13 @@ def _verify_iso_decl(e, decl, bindings, alg, use_search):
     except LsaError as exc:
         return False, "iso %s -> %s: target instantiation failed: %s" % (
             e.id, decl.target, exc)
-    label = "iso %s%s -> %s%s" % (
-        e.id, _fmt_bind(bindings), decl.target, _fmt_bind(tgt_bind))
+    label = "iso %s -> %s" % (point_label(e.id, bindings),
+                              point_label(decl.target, tgt_bind))
     verdict = search_lsa_iso(alg, target)
     if verdict.is_isomorphic:
         return True, label + ": ok (search)"
     return (None if verdict.status == "unknown" else False,
             label + ": %s (%s)" % (verdict.status, verdict.reason))
-
-
-def _fmt_bind(bindings):
-    if not bindings:
-        return ""
-    return "[%s]" % ",".join("%s=%s" % (k, format_scalar(v))
-                             for k, v in sorted(bindings.items()))
 
 
 @dataclass
@@ -544,49 +545,54 @@ def verify_all(families=None, plan=None):
 
 def verify_property_tables(sweep):
     """Compare the property flags computed by a verify_all sweep with the
-    stored expectations, itemizing every discrepancy per family and flag.
-    Covers the pairs of the sweep, then each point of a swept entry's
-    conditional flags (its sample_bindings at the condition's values) that
-    the sweep missed."""
+    stored expectations, per family and flag.  Covers the points of the
+    sweep, then each point of a swept entry's conditional flags (its
+    sample_bindings at the condition's values) that the sweep missed.
+    'discrepancies' lists every mismatch; 'condition_discrepancies' only
+    those at the added points, since a sweep report prints its own."""
     cat = load_catalog()
     checked = [(cat[r.entry_id], r.bindings, r.computed)
                for r in sweep.reports]
-    seen = {(e.id, binding_key(b)) for e, b, _ in checked}
+    swept = len(checked)
+    seen = {point_label(r.entry_id, r.bindings) for r in sweep.reports}
     for eid in dict.fromkeys(r.entry_id for r in sweep.reports):
         e = cat[eid]
         for b in [b for cond in e.flags.values() if isinstance(cond, tuple)
                   for b in e.sample_bindings(dict(cond))]:
-            if (eid, binding_key(b)) not in seen:
-                seen.add((eid, binding_key(b)))
+            label = point_label(eid, b)
+            if label not in seen:
+                seen.add(label)
                 checked.append((e, b, computed_flags(instantiate(eid, b))))
-    discrepancies = []
+    found = ([], [])            # at the sweep's points, at the added ones
     sets = {}
-    for e, bindings, got in checked:
+    for k, (e, bindings, got) in enumerate(checked):
+        label = point_label(e.id, bindings)
         for name in FLAG_NAMES:
-            expected = _flag_expected(e.flags[name], bindings)
             if got[name]:
-                sets.setdefault((e.family, name), []).append(
-                    (e.id, binding_key(bindings)))
-            if got[name] != expected:
-                discrepancies.append(
-                    "%s%s %s: computed %s, table says %s"
-                    % (e.id, _fmt_bind(bindings), name, got[name], expected))
+                sets.setdefault((e.family, name), []).append((e.id, label))
+        found[k >= swept].extend("%s %s" % (label, m)
+                                 for m in _flag_mismatches(e, bindings, got))
     return {"checked": len(checked), "sets": sets,
-            "discrepancies": discrepancies}
+            "discrepancies": found[0] + found[1],
+            "condition_discrepancies": found[1]}
 
 
-def verify_remark_isos(entry_ids=None):
-    """Check the stored coincidence declarations of the given entries
-    (default all), each decided exactly by search_lsa_iso.  Returns
-    (confirmed, unconfirmed, failed) message lists."""
-    cat = load_catalog()
+def verify_remark_isos(sweep):
+    """Check the stored coincidence declarations of the entries a
+    verify_all sweep ran, each decided exactly by search_lsa_iso; a source
+    point the sweep built is not built again.  Returns (confirmed,
+    unconfirmed, failed) message lists."""
+    built = {point_label(r.entry_id, r.bindings): r.alg for r in sweep.reports}
+    swept = {r.entry_id for r in sweep.reports}
     confirmed, unconfirmed, failed = [], [], []
-    for e in cat.values():
-        if entry_ids is not None and e.id not in entry_ids:
+    for e in load_catalog().values():
+        if e.id not in swept:
             continue
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
-                alg = instantiate(e.id, b, check=False)
+                alg = built.get(point_label(e.id, b))
+                if alg is None:
+                    alg = instantiate(e.id, b, check=False)
                 ok, msg = _verify_iso_decl(e, decl, b, alg, use_search=True)
                 if ok:
                     confirmed.append(msg)

@@ -118,13 +118,12 @@ def cmd_catalog_verify(args):
           % (report.total, len(report.failures)))
     extra_bad = False
     if args.all:
-        confirmed, unconfirmed, failed = catalog.verify_remark_isos(
-            {r.entry_id for r in report.reports})
+        confirmed, unconfirmed, failed = catalog.verify_remark_isos(report)
         print("remark coincidences: %d confirmed, %d unconfirmed, %d failed"
               % (len(confirmed), len(unconfirmed), len(failed)))
         tables = catalog.verify_property_tables(report)
         print("property table discrepancies: %d" % len(tables["discrepancies"]))
-        for d in tables["discrepancies"]:
+        for d in tables["condition_discrepancies"]:
             print("  " + d)
         for m in unconfirmed + failed:
             print("  " + m)

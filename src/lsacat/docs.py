@@ -299,15 +299,15 @@ class Body:
                                  lineno, 1)
         return self._rhs(lineno, head, rhs, parse_matrix)
 
-    def matrix(self, name, required=True):
-        "The matrix of the one '<name> = [[...]]' line (None if not required)."
+    def matrix(self, name):
+        "The matrix of the one '<name> = [[...]]' line."
         lines = self.lines[name]
         if len(lines) > 1:
             raise DocSemanticError("line %d: repeated %s matrix"
                                    % (lines[1][0], name))
-        if not lines and required:
+        if not lines:
             raise DocSemanticError("%s needs a %s matrix" % (self.what, name))
-        return self._matrix(*lines[0]) if lines else None
+        return self._matrix(*lines[0])
 
     def f_mats(self):
         "The f(e<i>) matrices, one line for each i in 1..dim."

@@ -248,15 +248,11 @@ def _classify(g):
 
 
 def _classify_heisenberg(g, z):
-    n = 3
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not vec_is_zero(g.c[i][j]):
-                c = _coeff_along(g.c[i][j], z)
-                e1 = basis_vec(n, i)
-                e2 = vec_scale(basis_vec(n, j), 1 / c)
-                return _witnessed(g, Mat([e1, e2, z]), "Heisenberg")
-    return LieClass("Unrecognized", detail="no nonzero bracket found")
+    "z spans the derived line, so some bracket [e_i, e_j], i < j, is nonzero."
+    i, j = next((i, j) for i in range(3) for j in range(i + 1, 3)
+                if not vec_is_zero(g.c[i][j]))
+    e2 = vec_scale(basis_vec(3, j), 1 / _coeff_along(g.c[i][j], z))
+    return _witnessed(g, Mat([basis_vec(3, i), e2, z]), "Heisenberg")
 
 
 def _classify_n(g, z):
@@ -344,8 +340,6 @@ def _left_eigvec(m, ev):
 
 
 def _coeff_along(v, z):
-    "Scalar c with v = c z for collinear vectors."
-    for a, b in zip(v, z):
-        if not is_zero(b):
-            return a / b
-    raise ValueError("zero direction vector")
+    "Scalar c with v = c z for collinear vectors, z nonzero."
+    k = next(k for k, b in enumerate(z) if not is_zero(b))
+    return v[k] / z[k]

@@ -47,8 +47,8 @@ def catalog_sweep():
 
 
 @pytest.fixture(scope="session")
-def remark_isos():
-    return catalog.verify_remark_isos()
+def remark_isos(catalog_sweep):
+    return catalog.verify_remark_isos(catalog_sweep)
 
 
 @pytest.fixture(scope="session")

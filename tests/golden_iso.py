@@ -34,17 +34,18 @@ def lines():
     for e in cat.values():
         for b in e.sample_bindings():
             c = classify3(commutator_lie(catalog.instantiate(e.id, b)))
-            yield "classify3 %s%s %r %r" % (
-                e.id, catalog._fmt_bind(b), c.key(), c.witness)
+            yield "classify3 %s %r %r" % (
+                catalog.point_label(e.id, b), c.key(), c.witness)
     for e in cat.values():
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
                 alg = catalog.instantiate(e.id, b, check=False)
                 tb = {n: substitute(x, b) for n, x in decl.bind.items()}
                 target = catalog.instantiate(decl.target, tb, check=False)
-                yield "remark %s%s %s%s %s" % (
-                    e.id, catalog._fmt_bind(b), decl.target,
-                    catalog._fmt_bind(tb), _verdict(search_lsa_iso(alg, target)))
+                yield "remark %s %s %s" % (
+                    catalog.point_label(e.id, b),
+                    catalog.point_label(decl.target, tb),
+                    _verdict(search_lsa_iso(alg, target)))
     firsts = [(e.id, catalog.instantiate(e.id, e.sample_bindings()[0]))
               for e in cat.values()]
     fps = [(eid, a, fingerprint(a)) for eid, a in firsts]

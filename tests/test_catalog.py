@@ -168,7 +168,8 @@ def test_remark_isos_all_confirmed(remark_isos):
 def test_remark_isos_classified_by_verdict(monkeypatch, verdict, bucket):
     "The verdict's status, not the words of its reason, picks the list."
     monkeypatch.setattr(catalog, "search_lsa_iso", lambda a, b: verdict)
-    lists = catalog.verify_remark_isos(entry_ids={"N-3"})
+    sweep = catalog.verify_all(plan={"N-3": [{"mu": QI(1)}]})
+    lists = catalog.verify_remark_isos(sweep)
     assert [len(l) for l in lists] == [1 if k == bucket else 0
                                        for k in range(3)]
     assert lists[bucket][0].endswith(
@@ -268,12 +269,17 @@ def test_malformed_entry_rejected_on_load(tmp_path, monkeypatch, capsys, old, ne
     ("n.cat", "params lambda ne 0", "params lambda ne x", 20),
     # a flag condition at a value its parameter's constraint excludes
     ("n.cat", "flags associative=mu=1", "flags associative=mu=0", 47),
+    # a primed table needs its witness, and a witness its primed table
+    ("h.cat", "primed_witness = [[1,0,0],[1,-1,0],[0,0,-1]]", "", 26),
+    ("h.cat", "primed e1 e1 = e1 + e2\nprimed e2 e1 = -e3\nprimed e2 e2 = e3",
+     "\n\n", 51),
 ])
 def test_malformed_metadata_rejected_on_load(tmp_path, monkeypatch, capsys,
                                              name, old, new, lineno):
     """A metadata line without its value, naming an unknown or repeated flag
     or an undeclared parameter, or giving a non-constant or inadmissible
-    value, is a syntax error at its line; exit 2."""
+    value, is a syntax error at its line, as is a primed table without its
+    primed_witness or a witness without its table; exit 2."""
     directory = corrupted_catalog(tmp_path, old, new, name)
     monkeypatch.setenv("LSACAT_DATA", directory)
     with pytest.raises(DocSyntaxError) as err:
@@ -324,33 +330,29 @@ FAILING_MUTANTS = {
         "entry/sample pairs: 1, failures: 1",
         "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
         "property table discrepancies: 1",
-        "  H-1 novikov: computed True, table says False",
-        "H-1[]: FAIL",
-        "    flag novikov: computed True, expected False"]),
+        "H-1: FAIL",
+        "    novikov: computed True, table says False"]),
     "table_not_left_symmetric": ("h.cat", "table e1 e1 = e1",
                                  "table e1 e1 = e2", ["--entry", "H-1"], [
         "H: 0/1 classes verified",
         "entry/sample pairs: 1, failures: 1",
         "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
         "property table discrepancies: 1",
-        "  H-1 novikov: computed False, table says True",
-        "H-1[]: FAIL",
+        "H-1: FAIL",
         "    left-symmetry fails at triple (0, 1, 0)",
         "    phi does not reproduce the printed table",
-        "    flag novikov: computed False, expected True"]),
+        "    novikov: computed False, table says True"]),
     "table_other_lie_class": ("h.cat", "table e1 e2 = e2 + e3",
                               "table e1 e2 = e3", ["--entry", "H-1"], [
         "H: 0/1 classes verified",
         "entry/sample pairs: 1, failures: 1",
         "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
         "property table discrepancies: 2",
-        "  H-1 associative: computed True, table says False",
-        "  H-1 bisymmetric: computed True, table says False",
-        "H-1[]: FAIL",
+        "H-1: FAIL",
         "    lie class ('N', None), expected ('Heisenberg', None)",
         "    phi does not reproduce the printed table",
-        "    flag associative: computed True, expected False",
-        "    flag bisymmetric: computed True, expected False"]),
+        "    associative: computed True, table says False",
+        "    bisymmetric: computed True, table says False"]),
     "iso_bind": ("n.cat", "iso Dl-1 bind l=0 lambda=lambda",
                  "iso Dl-1 bind l=0 lambda=lambda+1", ["--entry", "N-1"], [
         "N: 1/1 classes verified",
@@ -377,6 +379,25 @@ FAILING_MUTANTS = {
         "property table discrepancies: 2",
         "  N-1[lambda=6] associative: computed False, table says True",
         "  N-1[lambda=1] associative: computed True, table says False"]),
+    # H-2 is printed in a second basis: its primed table and the witness
+    # that maps it onto the table
+    "primed_table": ("h.cat", "primed e2 e2 = 2 e2 - e1",
+                     "primed e2 e2 = 2 e2 + e1", ["--entry", "H-2"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 0",
+        "H-2: FAIL",
+        "    phi does not match the primed table"]),
+    "primed_witness": ("h.cat", "primed_witness = [[1,0,0],[1,-1,0],[0,0,-1]]",
+                       "primed_witness = [[1,0,0],[1,1,0],[0,0,-1]]",
+                       ["--entry", "H-2"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 0",
+        "H-2: FAIL",
+        "    stored primed witness fails"]),
 }
 
 

@@ -628,18 +628,57 @@ COMMANDS = {".coc": ["cocycle-build"], ".wit": ["iso", "--verify"],
             ".alg": ["check"]}
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_document_exits_2(tmp_path, case):
-    name, old, new = MALFORMED[case]
+def edited_sample(tmp_path, name, old, new):
+    "A copy of the sample in tmp_path with its first `old` replaced by `new`."
     with open(sample(name), encoding="utf-8") as fh:
         text = fh.read()
     assert old in text
     p = tmp_path / name
     p.write_text(text.replace(old, new, 1))
-    code, out = run(COMMANDS[os.path.splitext(name)[1]] + [str(p)])
+    return str(p)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2(tmp_path, case):
+    name, old, new = MALFORMED[case]
+    code, out = run(COMMANDS[os.path.splitext(name)[1]]
+                    + [edited_sample(tmp_path, name, old, new)])
     assert code == 2
     assert out.startswith("bad document ")
     assert LOCATED.get(case, "") in out
+
+
+# (sample, old text, new text, argv before the file, stdout, exit code):
+# a well-formed document whose content a command refuses
+REFUSED = {
+    "cocycle_c_zero": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                       "C = [[0,0,0],[0,0,0],[0,0,0]]", ["cocycle-build"],
+                       "cannot build: det C = 0\n", 1),
+    "witness_singular": ("h2prime_to_h2.wit",
+                         "T = [[1,0,0],[1,-1,0],[0,0,-1]]",
+                         "T = [[1,0,0],[1,0,0],[0,0,-1]]", ["iso", "--verify"],
+                         "verdict: error (isomorphism witness is singular)\n",
+                         2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_document_output(tmp_path, case):
+    name, old, new, argv, stdout, code = REFUSED[case]
+    assert run(argv + [edited_sample(tmp_path, name, old, new)]) == (
+        code, stdout)
+
+
+def test_catalog_verify_param_without_entry():
+    assert run(["catalog-verify", "--param", "lambda=1"]) == (
+        2, "--param requires --entry\n")
+
+
+def test_iso_search_separates_dimensions(tmp_path):
+    a = tmp_path / "dim2.alg"
+    a.write_text("kind algebra dim 2 domain gaussian\ne1 e1 = e1\n")
+    assert run(["iso", "--search", str(a), sample("h1.alg")]) == (
+        0, "verdict: not_isomorphic\nseparated_by: different dimensions\n")
 
 
 def test_catalog_verify_param_cut_short():
