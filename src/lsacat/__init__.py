@@ -25,7 +25,8 @@ from .cocycle import (Cocycle, Representation, check_cocycle,
 from .constructions import (check_cybe, check_o_operator, induced_product,
                             lsa_from_rmatrix, novikov_from_derivation)
 from .iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
-from .lie import LieAlgebra, LieClass, canonical_lie, check_lie_automorphism, classify3, killing_form
+from .lie import (LieAlgebra, LieClass, canonical_lie, check_lie_automorphism,
+                  classify3)
 from .props import (Fingerprint, find_ideals, fingerprint, is_associative,
                     is_bisymmetric, is_novikov, is_semisimple, is_simple,
                     is_transitive)
@@ -42,7 +43,7 @@ __all__ = [
     "classify3", "commutator_lie",
     "find_ideals", "fingerprint", "induced_product", "is_associative",
     "is_bisymmetric", "is_novikov", "is_semisimple",
-    "is_simple", "is_transitive", "killing_form", "left_matrix",
+    "is_simple", "is_transitive", "left_matrix",
     "lsa_from_rmatrix", "multiply", "novikov_from_derivation",
     "parse_scalar", "phi", "psi", "rebase", "right_matrix",
     "search_lsa_iso", "substitute", "verify_cocycle_equiv",

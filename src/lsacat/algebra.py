@@ -7,16 +7,16 @@ Vectors are plain coordinate lists in the algebra's basis.  Associators
 and the operators of basis vectors are read off c with no products of
 basis vectors, and products skip zero coordinates and zero constants.
 
-A LieAlgebra is the same table with an antisymmetric product, the bracket
-c[i][j] = [e_i, e_j]; multiply, rebase and left_matrix (ad) apply to it
-unchanged.
+A LieAlgebra is the same table with a Lie bracket c[i][j] = [e_i, e_j]:
+its constructor checks antisymmetry and the Jacobi identity, so every
+LieAlgebra is a Lie algebra.  multiply, rebase and left_matrix (ad) apply
+to it unchanged.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
-from .linalg import (Mat, basis_vec, combination, vec_add, vec_eq, vec_is_zero,
-                     vec_sub, vec_zero)
+from .errors import DimensionMismatch, NotLieAlgebra
+from .linalg import Mat, combination, vec_eq, vec_is_zero, vec_sub, vec_zero
 from .scalars import as_scalar, format_sum, is_zero, substitute
 
 
@@ -92,18 +92,27 @@ class Algebra:
 
 class LieAlgebra(Algebra):
     """An Algebra whose product is the bracket: c[i][j] = coords of
-    [e_i, e_j], antisymmetric, which is checked once, here."""
+    [e_i, e_j].  Antisymmetry and Jacobi on every basis triple are checked
+    once, here; a table that breaks either is NotLieAlgebra, naming the
+    basis vectors."""
 
     __slots__ = ()
 
     def __init__(self, table):
         super().__init__(table)
-        c = self.c
-        for i in range(self.dim):
-            for j in range(i, self.dim):
+        n, c = self.dim, self.c
+        for i in range(n):
+            for j in range(i, n):
                 if not vec_eq(c[i][j], [-x for x in c[j][i]]):
-                    raise DimensionMismatch(
-                        "bracket table is not antisymmetric at (%d,%d)" % (i, j))
+                    raise NotLieAlgebra("bracket table is not antisymmetric "
+                                        "at (e%d,e%d)" % (i + 1, j + 1))
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    if not vec_is_zero(_jacobi_sum(c, i, j, k)):
+                        raise NotLieAlgebra(
+                            "bracket table breaks Jacobi at (e%d,e%d,e%d)"
+                            % (i + 1, j + 1, k + 1))
 
     @classmethod
     def from_brackets(cls, dim, brackets):
@@ -112,20 +121,6 @@ class LieAlgebra(Algebra):
         for (i, j), terms in brackets.items():
             products[j, i] = [(-as_scalar(coeff), k) for coeff, k in terms]
         return cls.from_products(dim, products)
-
-    def check_jacobi(self):
-        "Jacobi identity on all basis triples; (ok, certificate)."
-        n, c = self.dim, self.c
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = vec_add(
-                        multiply(self, c[i][j], basis_vec(n, k)),
-                        vec_add(multiply(self, c[j][k], basis_vec(n, i)),
-                                multiply(self, c[k][i], basis_vec(n, j))))
-                    if not vec_is_zero(s):
-                        return False, (i, j, k, s)
-        return True, None
 
 
 def multiply(a, x, y):
@@ -152,6 +147,17 @@ def hom_defects(a, b, f):
         fi = f.row(i)
         for j in range(i + 1 if lie else 0, a.dim):
             yield vec_sub(f.apply_row(a.c[i][j]), multiply(b, fi, f.row(j)))
+
+
+def _jacobi_sum(c, i, j, k):
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], read off the
+    bracket constants c as sum_p c_ij^p c_pk + c_jk^p c_pi + c_ki^p c_pj."""
+    out = vec_zero(len(c))
+    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+        for p, x in enumerate(c[a][b]):
+            if not is_zero(x):
+                _add_scaled(out, x, c[p][d])
+    return out
 
 
 def basis_associator(a, i, j, k):
@@ -188,8 +194,8 @@ def check_left_symmetric(a):
 def commutator_lie(a):
     """Sub-adjacent Lie algebra with bracket [x, y] = xy - yx.
 
-    Jacobi holds whenever a is left-symmetric, so it is not re-checked
-    here; LieAlgebra.check_jacobi tests it for any other table."""
+    Jacobi holds whenever a is left-symmetric; for a table that is not
+    Lie-admissible the LieAlgebra constructor raises NotLieAlgebra."""
     n = a.dim
     table = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
     for i in range(n):

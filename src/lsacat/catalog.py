@@ -433,12 +433,12 @@ def verify_entry(entry_id, bindings=None):
     rep.left_symmetric = ok
     if not ok:
         rep.messages.append("left-symmetry fails at triple %s" % (cert[:3],))
-
-    cls = classify3(commutator_lie(alg))
-    rep.lie_class_ok = cls.key() == expected_lie_key(e, bindings)
-    if not rep.lie_class_ok:
-        rep.messages.append("lie class %s, expected %s"
-                            % (cls.key(), expected_lie_key(e, bindings)))
+    else:   # left-symmetric, so the commutator is a Lie algebra
+        cls = classify3(commutator_lie(alg))
+        rep.lie_class_ok = cls.key() == expected_lie_key(e, bindings)
+        if not rep.lie_class_ok:
+            rep.messages.append("lie class %s, expected %s"
+                                % (cls.key(), expected_lie_key(e, bindings)))
 
     rep.cocycle_reconstruction_ok = _check_reconstruction(
         e, bindings, alg, rep.messages)

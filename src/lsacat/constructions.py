@@ -87,8 +87,6 @@ def lsa_from_rmatrix(g, r):
     "x*y = [R(x), y]; left-symmetric whenever R solves the CYBE."
     ok, cert = check_cybe(g, r)
     if not ok:
-        if cert[0] == "representation":
-            raise CybeFails("ad is not a representation: %r" % (cert[1],))
         raise CybeFails("CYBE fails at basis pair %r" % (cert[:2],))
     return induced_product(g, left_regular(g, g), r)
 

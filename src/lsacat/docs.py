@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .algebra import Algebra, LieAlgebra
 from .cocycle import Cocycle, Representation
 from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
-                     UnboundVariable)
+                     NotLieAlgebra, UnboundVariable)
 from .linalg import Mat, vec_zero
 from .scalars import (QI, format_scalar, format_sum, is_zero,
                       parse_combination, parse_rows, parse_scalar, qi)
@@ -84,10 +84,9 @@ def format_matrix(m):
 
 
 def parse_constraint(words, lineno):
-    "The constraint of a params line, given as its (column, text) words."
+    """The constraint of a params line, given as its (column, text) words
+    (at least one: _read_params rejects a line without them)."""
     tokens = [t for _, t in words]
-    if not tokens:
-        raise DocSyntaxError("missing constraint", lineno, 1)
     if tokens[0] == "any":
         if len(tokens) > 1:
             raise DocSyntaxError("any takes no value", lineno, 1)
@@ -203,19 +202,17 @@ def _at_line(lineno, col, parse, text, *args):
 
 
 def _lie_completion(table, given):
-    """The bracket table with [e_j, e_i] = -[e_i, e_j] filled in for every
-    given (i, j); a given pair that breaks antisymmetry (a nonzero [e_i,
-    e_i] included) is a DocSemanticError."""
-    dim = len(table)
-    full = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
+    """The LieAlgebra of the bracket table with [e_j, e_i] = -[e_i, e_j]
+    filled in for each given (i, j) whose (j, i) is not given; a table
+    that breaks antisymmetry (a nonzero [e_i, e_i] included) or Jacobi is
+    a DocSemanticError."""
     for (i, j) in given:
-        full[i][j] = table[i][j]
         if (j, i) not in given:
-            full[j][i] = [-x for x in table[i][j]]
-        elif any(not is_zero(a + b) for a, b in zip(table[i][j], table[j][i])):
-            raise DocSemanticError(
-                "inconsistent brackets for (e%d,e%d)" % (i + 1, j + 1))
-    return LieAlgebra(full)
+            table[j][i] = [-x for x in table[i][j]]
+    try:
+        return LieAlgebra(table)
+    except NotLieAlgebra as e:
+        raise DocSemanticError(str(e))
 
 
 def _read_params(lines):
@@ -295,7 +292,7 @@ class Body:
     def _matrix(self, lineno, line):
         head, eq, rhs = line.partition("=")
         if not eq:
-            raise DocSyntaxError("expected '%s = [[...]]'" % head.strip(),
+            raise DocSyntaxError("expected '%s = [[...]]'" % head.split()[0],
                                  lineno, 1)
         return self._rhs(lineno, head, rhs, parse_matrix)
 

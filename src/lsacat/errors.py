@@ -54,6 +54,10 @@ class NotLeftSymmetric(LsaError):
     pass
 
 
+class NotLieAlgebra(LsaError):
+    """A bracket table that is not antisymmetric or breaks Jacobi."""
+
+
 class SingularWitness(LsaError):
     pass
 

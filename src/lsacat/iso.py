@@ -8,8 +8,10 @@ component of the Lie class's parametric automorphism group
 (lie.aut_template): the homomorphism equations in its parameters, plus
 det(F)*z - 1, have a reduced lex Groebner basis {1} exactly when that
 component holds no isomorphism over C, and a Q(i) witness is read off any
-other basis by back-substitution.  Unknown remains an outcome: no stored
-group, an S-pair bound hit, or a witness over C but none found over Q(i).
+other basis by back-substitution.  Unknown remains an outcome: tables
+that are not 3-dimensional and Lie-admissible (their commutator is no
+LieAlgebra, so there is no Lie class to rebase onto), no stored group, an
+S-pair bound hit, or a witness over C but none found over Q(i).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from . import scalars
 from .algebra import commutator_lie, hom_defects, rebase
-from .errors import LsaError, SingularWitness
+from .errors import LsaError, NotLieAlgebra, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
@@ -163,10 +165,14 @@ def _search(a, b, comps):
 
 
 def _lie_class(a):
-    """classify3 of a's commutator if a has dim 3 and the commutator meets
-    Jacobi (as every left-symmetric table's does), else None."""
-    g = commutator_lie(a) if a.dim == 3 else None
-    return classify3(g) if g is not None and g.check_jacobi()[0] else None
+    """classify3 of a's commutator if a has dim 3 and is Lie-admissible (as
+    every left-symmetric table is), else None."""
+    if a.dim != 3:
+        return None
+    try:
+        return classify3(commutator_lie(a))
+    except NotLieAlgebra:
+        return None
 
 
 def _rebased(a, b, ca, cb):
@@ -189,13 +195,16 @@ def search_lsa_iso(a, b):
     tables rebased onto the canonical table of their sub-adjacent Lie
     algebra g, whose equality gives the witness from the two basis
     changes; then the fingerprints (reusing the Lie classes) and the Lie
-    class.  Otherwise each component of the stored group Aut(g) is
-    decided by one reduced lex Groebner basis (Nullstellensatz: the tables
-    are isomorphic over C iff some component's basis is not {1}).  That
-    verdict assumes the stored components cover Aut(g), as they do for the
-    Heisenberg, N, D(l) (l = 1 and l = -1 apart) and E classes.  Unknown
-    means no group is stored, the S-pair bound was hit, or the tables are
-    isomorphic over C with no Q(i) point found."""
+    class.  A table that is not Lie-admissible has no Lie class, and
+    Lie-admissibility is an isomorphism invariant.  Otherwise each
+    component of the stored group Aut(g) is decided by one reduced lex
+    Groebner basis (Nullstellensatz: the tables are isomorphic over C iff
+    some component's basis is not {1}).  That verdict assumes the stored
+    components cover Aut(g), as they do for the Heisenberg, N, D(l)
+    (l = 1 and l = -1 apart) and E classes.  Unknown
+    means neither table has a Lie class, no group is stored, the S-pair
+    bound was hit, or the tables are isomorphic over C with no Q(i) point
+    found."""
     if a.dim != b.dim:
         return IsoVerdict("not_isomorphic", reason="different dimensions")
     if a == b:
@@ -206,12 +215,10 @@ def search_lsa_iso(a, b):
         diff = fingerprint(a, ca).differing_field(fingerprint(b, cb))
         if diff is not None:
             return IsoVerdict("not_isomorphic", reason=diff)
-        if a.dim != 3:
-            return IsoVerdict("unknown", reason="search implemented for dim 3")
-        ca = ca or classify3(commutator_lie(a))  # commutator fails Jacobi
-        cb = cb or classify3(commutator_lie(b))
-        rebased = rebased or _rebased(a, b, ca, cb)
-        if ca.key() != cb.key():
+        if ca is None and cb is None:
+            return IsoVerdict("unknown", reason="search needs 3-dimensional "
+                                                "Lie-admissible tables")
+        if ca is None or cb is None or ca.key() != cb.key():
             return IsoVerdict("not_isomorphic", reason="lie_class")
         if rebased is None:
             return IsoVerdict("unknown", reason="no automorphism group "

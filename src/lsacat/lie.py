@@ -1,9 +1,10 @@
-"""Lie algebra checks, the dimension-3 classifier, and automorphism groups.
+"""The dimension-3 classifier, canonical tables and automorphism groups.
 
 A Lie algebra is an algebra.LieAlgebra: an Algebra whose table c[i][j]
-holds the antisymmetric bracket [e_i, e_j], so the bracket is
-algebra.multiply, ad_x is algebra.left_matrix and a basis change is
-algebra.rebase.
+holds the bracket [e_i, e_j], so the bracket is algebra.multiply, ad_x is
+algebra.left_matrix and a basis change is algebra.rebase.  Its
+constructor checks antisymmetry and Jacobi, so classify3 never meets a
+table that is not a Lie algebra.
 
 The five solvable 3-dimensional families appearing in the catalog, with
 their canonical bracket tables (only nonzero brackets shown), each named
@@ -15,7 +16,7 @@ by its classify3 tag:
     Dl           [e3,e1] = e1, [e3,e2] = l e2   (l != 0)
     E            [e3,e1] = e1, [e3,e2] = e1+e2
 
-plus Sl2 for the semisimple case.  D(1) is the algebra the catalog calls
+plus Sl2, the only perfect one.  D(1) is the algebra the catalog calls
 D1; the classifier reports it as Dl with parameter 1.
 """
 
@@ -23,19 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (LieAlgebra, hom_defects, multiplication_operators,
-                      multiply)
+from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
 from .errors import DimensionMismatch, LsaError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
-                     span_basis, trace_form, vec_is_zero, vec_scale)
+                     span_basis, vec_is_zero, vec_scale)
 from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
                       qi)
-
-
-def killing_form(g):
-    "Killing form K(x,y) = tr(ad x ad y) on basis pairs; (matrix, rank)."
-    k = trace_form(multiplication_operators(g)[:g.dim])
-    return k, k.rank()
 
 
 def check_lie_automorphism(g, t):
@@ -164,7 +158,7 @@ def random_automorphism(family, rng, l=None):
 
 @dataclass(frozen=True)
 class LieClass:
-    tag: str                 # Abelian | Heisenberg | N | Dl | E | Sl2 | Unrecognized
+    tag: str                 # Abelian | Heisenberg | N | Dl | E | Sl2
     param: object = None     # canonical l for Dl, when it lies in Q(i)
     witness: object = None   # Mat whose rows express the canonical basis
     detail: str = ""
@@ -204,9 +198,10 @@ def classify3(g):
     Decision procedure: d = dim [g,g]; d=0 abelian; d=1 Heisenberg when the
     derived algebra is central, else N; d=2 via the action of an outside
     element on the derived plane (diagonalizable -> Dl with canonical l,
-    non-semisimple -> E); d=3 sl2.  A witness basis change (rows = new
-    basis) is attached whenever the eigen-data lies in Q(i), confirmed by
-    its three brackets against the canonical table, with no table rebased."""
+    non-semisimple -> E); d=3 sl2, the only perfect 3-dimensional complex
+    Lie algebra.  A witness basis change (rows = new basis) is attached
+    whenever the eigen-data lies in Q(i), confirmed by its three brackets
+    against the canonical table, with no table rebased."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
     try:
@@ -240,11 +235,7 @@ def _classify(g):
 
     if d == 2:
         return _classify_d2(g, derived)
-
-    kf, rank = killing_form(g)
-    if rank == 3:
-        return LieClass("Sl2", detail="killing rank 3")
-    return LieClass("Unrecognized", detail="derived dim 3, killing rank %d" % rank)
+    return LieClass("Sl2")
 
 
 def _classify_heisenberg(g, z):
@@ -256,27 +247,24 @@ def _classify_heisenberg(g, z):
 
 
 def _classify_n(g, z):
-    n = 3
-    e3 = None
-    for i in range(n):
-        v = multiply(g, basis_vec(n, i), z)
+    """z spans the derived line and is not central.  [x, y] = B(x, y) z for
+    an alternating form B, whose radical is the centre: a line, and it
+    meets span(z, e3) only in 0 once [e3, z] = z."""
+    for i in range(3):
+        v = multiply(g, basis_vec(3, i), z)
         if not vec_is_zero(v):
-            c = _coeff_along(v, z)
-            e3 = vec_scale(basis_vec(n, i), 1 / c)
             break
-    # center: x with [x, e_j] = 0 for all j
-    for c0 in common_kernel(multiplication_operators(g)[n:]):
-        w = Mat([c0, z, e3])
-        if _is_lie_iso(canonical_lie("N"), g, w):
-            return LieClass("N", witness=w)
-    return LieClass("Unrecognized", detail="N-type normalization failed")
+    e3 = vec_scale(basis_vec(3, i), 1 / _coeff_along(v, z))
+    # the centre: x with [x, e_j] = 0 for all j
+    c0 = common_kernel(multiplication_operators(g)[3:])[0]
+    return _witnessed(g, Mat([c0, z, e3]), "N")
 
 
 def _classify_d2(g, derived):
+    """g is solvable, so its derived plane is nilpotent, hence abelian, and
+    ad w0 of an element outside it is invertible on it: g' = [w0, g']."""
     n = 3
     b1, b2 = derived
-    if not vec_is_zero(multiply(g, b1, b2)):
-        return LieClass("Unrecognized", detail="derived plane not abelian")
     w0 = None
     for i in range(n):
         if not in_span(basis_vec(n, i), derived):
@@ -286,10 +274,7 @@ def _classify_d2(g, derived):
     r1 = coords_in_span(derived, multiply(g, w0, b1))
     r2 = coords_in_span(derived, multiply(g, w0, b2))
     a2 = Mat([r1, r2])
-    cp = a2.charpoly()
-    if is_zero(cp[0]):
-        return LieClass("Unrecognized", detail="outside action is singular")
-    _, factors = factor_unipoly(cp)
+    _, factors = factor_unipoly(a2.charpoly())
     if len(factors[0][0]) == 3:
         c0, c1, _ = factors[0][0]
         return LieClass(
@@ -332,11 +317,8 @@ def _witnessed(g, w, tag, l=None):
 
 
 def _left_eigvec(m, ev):
-    sub = m - ev * Mat.identity(m.nrows)
-    null = sub.transpose().nullspace()
-    if not null:
-        raise LsaError("eigenvalue is not actually an eigenvalue")
-    return null[0]
+    "A left eigenvector of m for ev, an exact root of its charpoly."
+    return (m - ev * Mat.identity(m.nrows)).transpose().nullspace()[0]
 
 
 def _coeff_along(v, z):

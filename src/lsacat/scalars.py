@@ -370,8 +370,6 @@ class MultiPoly:
         return _power(self, n, MultiPoly.const(1, self.vars))
 
     def __truediv__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -390,8 +388,6 @@ class MultiPoly:
         return other / self
 
     def __eq__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
         if isinstance(other, (int, Fraction, QI)):
             return self.is_const() and self.const_value() == qi(other)
         if isinstance(other, MultiPoly):

@@ -342,6 +342,19 @@ FAILING_MUTANTS = {
         "    left-symmetry fails at triple (0, 1, 0)",
         "    phi does not reproduce the printed table",
         "    novikov: computed False, table says True"]),
+    # the commutator breaks Jacobi, so the point is not classified
+    "table_not_lie_admissible": ("h.cat", "table e1 e3 = e3",
+                                 "table e1 e3 = e3 + e1", ["--entry", "H-1"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 3",
+        "H-1: FAIL",
+        "    left-symmetry fails at triple (0, 1, 2)",
+        "    phi does not reproduce the printed table",
+        "    novikov: computed False, table says True",
+        "    simple: computed True, table says False",
+        "    semisimple: computed True, table says False"]),
     "table_other_lie_class": ("h.cat", "table e1 e2 = e2 + e3",
                               "table e1 e2 = e3", ["--entry", "H-1"], [
         "H: 0/1 classes verified",

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from lsacat import catalog, cli
+from lsacat import catalog, cli, lie
 from lsacat.cli import main
 from lsacat.errors import LsaError
 
@@ -192,6 +192,15 @@ def test_uncaught_library_error_exits_2(monkeypatch):
     code, out = run(["iso", "--search", sample("h1.alg"), sample("h1.alg")])
     assert code == 2
     assert "internal failure" in out
+
+
+def test_wrong_classifier_witness_exits_2(monkeypatch):
+    "classify3's check of its own witness fires, and the command exits 2."
+    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+    monkeypatch.setattr(lie, "_is_lie_iso", lambda src, dst, w: False)
+    assert run(["check", sample("h1.alg")]) == (
+        2, "left_symmetric: yes\n"
+           "input error: classify3 built a wrong Heisenberg witness\n")
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -589,6 +598,26 @@ MALFORMED = {
     "witness_imaginary_rational": ("h2prime_to_h2.wit",
                                    "gaussian\nsource e1 e1 = e1",
                                    "rational\nsource e1 e1 = i e1"),
+    "term_basis_above_dim": ("h1.alg", "e1 e1 = e1", "e1 e1 = 2 e4"),
+    "param_constraint_missing": ("h1.alg", "domain gaussian\n",
+                                 "domain gaussian\nparams lambda\n"),
+    "param_ne_without_value": ("h1.alg", "domain gaussian\n",
+                               "domain gaussian\nparams lambda ne\n"),
+    "param_eq_two_values": ("h1.alg", "domain gaussian\n",
+                            "domain gaussian\nparams lambda eq 1 2\n"),
+    "param_constraint_unknown": ("h1.alg", "domain gaussian\n",
+                                 "domain gaussian\nparams lambda foo\n"),
+    "matrix_row_short": ("h1_cocycle.coc", "C = [[0,0,1],", "C = [[0,1],"),
+    "matrix_row_missing": ("h1_cocycle.coc", "C = [[0,0,1],[0,1,0],[1,0,0]]",
+                           "C = [[0,0,1],[0,1,0]]"),
+    "matrix_without_equals": ("h1_cocycle.coc", "C = [[", "C [["),
+    "cocycle_c_missing": ("h1_cocycle.coc",
+                          "C = [[0,0,1],[0,1,0],[1,0,0]]\n", ""),
+    "f_parenthesis_missing": ("h1_cocycle.coc", "f(e1) =", "f(e1 ="),
+    "bracket_three_factors": ("h1_cocycle.coc", "bracket e1 e2 = e3",
+                              "bracket e1 e2 e3 = e3"),
+    "bracket_breaks_jacobi": ("h1_cocycle.coc", "bracket e1 e2 = e3",
+                              "bracket e1 e2 = e3\nbracket e1 e3 = e1"),
 }
 # cases whose message must give the line of the fault (and, for a syntax
 # error, its column)
@@ -623,7 +652,26 @@ LOCATED = {"dim_above_3": "line 2, col 18: ",
            "witness_parameter_not_ratfunc":
                "line 18: parameters need domain ratfunc",
            "witness_imaginary_rational":
-               "line 3: imaginary scalar in a rational document"}
+               "line 3: imaginary scalar in a rational document",
+           "term_basis_above_dim": "line 3, col 11: expected one of e1, "
+                                   "e2, e3, got token 'e4'\n",
+           "param_constraint_missing":
+               "line 3, col 1: params needs a name and a constraint\n",
+           "param_ne_without_value":
+               "line 3, col 1: ne constraint needs at least one value\n",
+           "param_eq_two_values":
+               "line 3, col 1: eq constraint needs exactly one value\n",
+           "param_constraint_unknown":
+               "line 3, col 1: unknown constraint 'foo'\n",
+           "matrix_row_short": "line 7: matrix row has 2 entries, need 3\n",
+           "matrix_row_missing": "line 7: matrix has 2 rows, need 3\n",
+           "matrix_without_equals": "line 7, col 1: expected 'C = [[...]]'\n",
+           "cocycle_c_missing": ": cocycle document needs a C matrix\n",
+           "f_parenthesis_missing":
+               "line 4, col 1: expected 'f(e<i>) = ...'\n",
+           "bracket_three_factors": "line 3, col 1: malformed product line\n",
+           "bracket_breaks_jacobi":
+               ": bracket table breaks Jacobi at (e1,e2,e3)\n"}
 COMMANDS = {".coc": ["cocycle-build"], ".wit": ["iso", "--verify"],
             ".alg": ["check"]}
 
@@ -667,6 +715,12 @@ def test_refused_document_output(tmp_path, case):
     name, old, new, argv, stdout, code = REFUSED[case]
     assert run(argv + [edited_sample(tmp_path, name, old, new)]) == (
         code, stdout)
+
+
+def test_check_refuses_a_cocycle_document():
+    path = sample("h1_cocycle.coc")
+    assert run(["check", path]) == (
+        2, "%s: expected a algebra document, got cocycle\n" % path)
 
 
 def test_catalog_verify_param_without_entry():

@@ -12,7 +12,8 @@ from lsacat.constructions import (check_cybe, check_derivation,
                                   o_operator_from_cocycle,
                                   transported_product)
 from lsacat.errors import (CybeFails, NotCommutativeAssociative,
-                           NotDerivation, NotOOperator, SingularWitness)
+                           NotDerivation, NotLieAlgebra, NotOOperator,
+                           SingularWitness)
 from lsacat.lie import LieAlgebra, canonical_lie
 from lsacat.linalg import Mat
 from lsacat.props import is_novikov
@@ -83,15 +84,23 @@ def test_cybe_failure_certificate():
         lsa_from_rmatrix(n, bad)
 
 
-def test_cybe_reports_a_bracket_that_fails_jacobi():
-    "ad of a table that fails Jacobi is not a representation."
-    g = LieAlgebra.from_brackets(
-        3, {(0, 1): [(1, 0)], (1, 2): [(1, 1)], (0, 2): [(1, 2)]})
-    assert not g.check_jacobi()[0]
-    ok, cert = check_cybe(g, Mat.zero(3))
+def test_bracket_that_fails_jacobi_never_reaches_cybe():
+    """No LieAlgebra holds a bracket that breaks Jacobi, so ad of every
+    table lsa_from_rmatrix meets is a representation."""
+    with pytest.raises(NotLieAlgebra,
+                       match=r"^bracket table breaks Jacobi at \(e1,e2,e3\)$"):
+        LieAlgebra.from_brackets(
+            3, {(0, 1): [(1, 0)], (1, 2): [(1, 1)], (0, 2): [(1, 2)]})
+
+
+def test_o_operator_needs_a_representation():
+    "A rho that is no representation fails before the O-operator identity."
+    n = canonical_lie("N")      # [e3,e2] = e2, but rho([e3,e2]) != 0
+    rho = Representation(n, [Mat.zero(3), Mat.identity(3), Mat.zero(3)])
+    ok, cert = check_o_operator(n, rho, Mat.identity(3))
     assert not ok and cert[0] == "representation"
-    with pytest.raises(CybeFails, match="ad is not a representation"):
-        lsa_from_rmatrix(g, Mat.zero(3))
+    with pytest.raises(NotOOperator, match="representation"):
+        induced_product(n, rho, Mat.identity(3))
 
 
 def test_rmatrix_zero_gives_zero_algebra():

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from lsacat import catalog, iso, props, scalars
-from lsacat.algebra import commutator_lie, hom_defects, rebase
-from lsacat.errors import SingularWitness
+from lsacat.algebra import Algebra, commutator_lie, hom_defects, rebase
+from lsacat.errors import LsaError, SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
-from lsacat.lie import (aut_components, aut_template, classify3,
-                        random_automorphism)
+from lsacat.lie import (aut_components, aut_template, canonical_lie,
+                        classify3, random_automorphism)
 from lsacat.linalg import Mat
 from lsacat.props import fingerprint
 from lsacat.scalars import MultiPoly
@@ -157,6 +157,45 @@ def test_search_lie_class_mismatch():
     v = search_lsa_iso(a, b)
     assert v.status == "not_isomorphic"
     assert v.reason == "flags.associative"
+
+
+def test_search_needs_lie_admissible_tables():
+    """H-1 with e1 e3 = e3 + e1 has a commutator that breaks Jacobi, so it
+    has no Lie class: against a rebase of itself the search says unknown,
+    and why."""
+    c = [[list(v) for v in row] for row in catalog.instantiate("H-1").c]
+    c[0][2] = [1, 0, 1]
+    a = Algebra(c)
+    b = rebase(a, Mat([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
+    v = search_lsa_iso(a, b)
+    assert (v.status, v.reason) == (
+        "unknown", "search needs 3-dimensional Lie-admissible tables")
+    # no Lie class in dimension 2 either
+    a = Algebra.from_products(2, {(0, 0): [(1, 0)], (0, 1): [(1, 1)]})
+    v = search_lsa_iso(a, rebase(a, Mat([[1, 0], [1, 1]])))
+    assert (v.status, v.reason) == (
+        "unknown", "search needs 3-dimensional Lie-admissible tables")
+
+
+def test_search_lie_class_separates_equal_fingerprints():
+    """The brackets of D(2) and D(3), read as products, are not
+    left-symmetric, so their fingerprints hold no Lie class and agree; the
+    classes of their commutators differ."""
+    a = Algebra(canonical_lie("Dl", 2).c)
+    b = Algebra(canonical_lie("Dl", 3).c)
+    assert fingerprint(a) == fingerprint(b)
+    v = search_lsa_iso(a, b)
+    assert (v.status, v.reason) == ("not_isomorphic", "lie_class")
+
+
+def test_search_checks_its_witness(monkeypatch):
+    "The final exact check of a search witness fires when it fails."
+    a = catalog.instantiate("H-1")
+    b = rebase(a, Mat([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
+    monkeypatch.setattr(iso, "verify_lsa_iso", lambda a, b, f: False)
+    with pytest.raises(LsaError,
+                       match="search witness fails after the basis change"):
+        search_lsa_iso(a, b)
 
 
 def test_isomorphic_tables_share_fingerprint():

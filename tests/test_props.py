@@ -74,6 +74,38 @@ def test_find_ideals_simple_entry_empty():
     assert not rep.has_proper_ideal()
 
 
+def test_plane_conditions_without_a_common_quadratic(monkeypatch):
+    """A plane whose line conditions are quadratics irreducible over Q(i)
+    but not multiples of one another holds no invariant line, not even an
+    orbit of conjugates; this algebra has no ideal at all."""
+    c = [[[1, 2, 0], [0, 2, -1], [0, 0, -1]],
+         [[0, 2, 1], [0, 0, 2], [0, 1, 0]],
+         [[1, 0, 0], [1, 0, 2], [0, 0, 1]]]      # c[i][j] = e_{i+1} e_{j+1}
+    a = Algebra(c)
+    seen = []
+    solve = props._lines_in_plane
+
+    def spy(*args):
+        seen.append(solve(*args))
+        return seen[-1]
+    monkeypatch.setattr(props, "_lines_in_plane", spy)
+    assert not find_ideals(a).has_proper_ideal()
+    assert seen and all(out == ([], [], []) for out in seen)
+    assert simplicity_oracle_agrees(a, random.Random(0))
+
+
+def test_oracle_checks_line_and_plane_orbits():
+    """Q(i)[t]/(t^2 - 2) x C: the line e3, and the ideal span(e1, e2) as an
+    orbit of conjugate lines (t = +-sqrt 2) and of conjugate planes."""
+    a = Algebra.from_products(3, {(0, 0): [(1, 0)], (0, 1): [(1, 1)],
+                                  (1, 0): [(1, 1)], (1, 1): [(2, 0)],
+                                  (2, 2): [(1, 2)]})
+    rep = find_ideals(a)
+    assert rep.lines == [[QI(0), QI(0), QI(1)]]
+    assert len(rep.line_orbits) == 1 and len(rep.plane_orbits) == 1
+    assert simplicity_oracle_agrees(a, random.Random(0))
+
+
 def test_find_ideals_h5_families():
     # every plane containing e3 is an ideal of (H-5)
     rep = find_ideals(catalog.instantiate("H-5"))

@@ -256,6 +256,15 @@ def test_promotion_is_upward_only():
         assert p * Mat.identity(2) == Mat([[p, 0], [0, p]])
 
 
+def test_multipoly_divided_by_or_compared_with_ratfunc():
+    "MultiPoly leaves / and == with a RatFunc to the RatFunc's own method."
+    l, m = MultiPoly.var("l"), MultiPoly.var("m")
+    out = l / RatFunc(MultiPoly.const(1), m)
+    assert isinstance(out, RatFunc) and out == l * m
+    assert l == RatFunc(l, MultiPoly.const(1))
+    assert l != RatFunc(l, m)
+
+
 def test_scalar_literal_rejects_malformed():
     with pytest.raises(DivisionByZero):
         parse_scalar("1/0")
