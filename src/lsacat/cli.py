@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (including
-any library error a command does not handle itself).  Output is
-deterministic: fixed ordering, no timestamps.
+any library error a command does not handle itself) or a failed internal
+self-check, printed as "internal error: ...".  Output is deterministic:
+fixed ordering, no timestamps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from . import catalog
 from .algebra import check_left_symmetric, commutator_lie
 from .cocycle import phi
 from .docs import Document, emit_document, format_matrix, parse_document
-from .errors import DocSemanticError, DocSyntaxError, LsaError
+from .errors import (DocSemanticError, DocSyntaxError, InternalError,
+                     LsaError)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import classify3
 from .props import fingerprint
@@ -30,8 +32,9 @@ def _read_doc(path, kinds):
     except (DocSyntaxError, DocSemanticError) as e:
         raise SystemExit(_fail(2, "bad document %s: %s" % (path, e)))
     if doc.kind not in kinds:
-        raise SystemExit(_fail(2, "%s: expected a %s document, got %s"
-                               % (path, "/".join(kinds), doc.kind)))
+        want = "/".join(kinds)
+        raise SystemExit(_fail(2, "%s: expected %s %s document, got %s" % (
+            path, "an" if want[0] in "aeiou" else "a", want, doc.kind)))
     return doc
 
 
@@ -73,7 +76,7 @@ def cmd_cocycle_build(args):
     except LsaError as e:
         print("cannot build: %s" % e)
         return 1
-    out = Document("algebra", alg.dim, doc.domain, {}, alg)
+    out = Document("algebra", alg.dim, doc.domain, doc.params, alg)
     sys.stdout.write(emit_document(out))
     return 0
 
@@ -213,6 +216,9 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    except InternalError as e:
+        print("internal error: %s" % e)
+        return 2
     except LsaError as e:
         print("input error: %s" % e)
         return 2

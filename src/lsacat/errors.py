@@ -94,6 +94,10 @@ class ConstraintViolated(LsaError):
     pass
 
 
+class InternalError(LsaError):
+    """A self-check of the library failed: a bug, not a fault of the input."""
+
+
 class DocSyntaxError(LsaError):
     """Malformed document text; carries line/column."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import scalars
 from .algebra import commutator_lie, hom_defects, rebase
-from .errors import LsaError, NotLieAlgebra, SingularWitness
+from .errors import InternalError, NotLieAlgebra, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
@@ -233,5 +233,5 @@ def search_lsa_iso(a, b):
         t = v.witness
     full = ca.witness.inverse() * t * cb.witness
     if not verify_lsa_iso(a, b, full):
-        raise LsaError("search witness fails after the basis change")
+        raise InternalError("search witness fails after the basis change")
     return IsoVerdict("isomorphic", witness=full)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
-from .errors import DimensionMismatch, LsaError, NotDimension3
+from .errors import DimensionMismatch, InternalError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, vec_is_zero, vec_scale)
 from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
@@ -312,7 +312,7 @@ def _classify_d2(g, derived):
 def _witnessed(g, w, tag, l=None):
     "LieClass(tag, l, w) once w is confirmed to rebase g onto the canonical table."
     if not _is_lie_iso(canonical_lie(tag, l), g, w):
-        raise LsaError("classify3 built a wrong %s witness" % tag)
+        raise InternalError("classify3 built a wrong %s witness" % tag)
     return LieClass(tag, param=l, witness=w)
 
 

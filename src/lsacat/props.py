@@ -15,7 +15,9 @@ on W.  Conjugate lines are reported once, as the orbit (basis of W, f),
 so no extension field is built.  2-dimensional ideals are found dually
 via the transposed operators acting on covectors, with M^T, whose
 characteristic polynomial is that of M: planes come from the same
-factorization as lines.
+factorization as lines.  The zero algebra, all of whose subspaces are
+ideals, is refused there.  Semisimplicity is read off the same report: A
+is a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
 Predicates and fingerprints read associators and basis operators off the
 structure constants, and trace forms tr(XY) from linalg.trace_of_product
 without forming XY, once per unordered pair (linalg.trace_form) where the
@@ -32,14 +34,12 @@ from functools import reduce
 from itertools import combinations_with_replacement, permutations
 from operator import mul
 
-from .algebra import (Algebra, basis_associator, check_left_symmetric,
-                      commutator_lie, multiplication_operators, multiply,
-                      right_matrix)
+from .algebra import (basis_associator, check_left_symmetric, commutator_lie,
+                      multiplication_operators, multiply, right_matrix)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, coords_in_span, in_span, span_basis,
-                     trace_form, trace_of_product, vec_add, vec_eq,
-                     vec_is_zero)
+from .linalg import (Mat, basis_vec, in_span, span_basis, trace_form,
+                     trace_of_product, vec_add, vec_eq, vec_is_zero)
 from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
 
 
@@ -119,8 +119,10 @@ class IdealReport:
     """Ideals found by find_ideals, every vector in Q(i).  An orbit
     (basis of W, f) stands for deg f conjugate ideals defined over the roots
     of the irreducible f: lines spanning W, or planes whose normals span the
-    covector space W."""
-    all_subspaces: bool = False
+    covector space W (in dimension 2, planes are lines).  The minimal ideals
+    are the lines, those of the line orbits and the rational planes holding
+    no ideal line; in dimension 3 conjugate planes P, P' meet in the ideal
+    line P & P'.  A family stands for infinitely many ideals."""
     lines: list = field(default_factory=list)          # coordinate vectors
     line_families: list = field(default_factory=list)  # (b1, b2) plane bases
     planes: list = field(default_factory=list)         # (normal, basis rows)
@@ -129,9 +131,7 @@ class IdealReport:
     plane_orbits: list = field(default_factory=list)   # (normals of W, f)
 
     def has_proper_ideal(self):
-        return self.all_subspaces or any((
-            self.lines, self.line_families, self.planes, self.plane_families,
-            self.line_orbits, self.plane_orbits))
+        return any(vars(self).values())
 
 
 def _is_scalar_mat(m):
@@ -161,10 +161,8 @@ def _line_invariant(ops, v):
 
 
 def _normalize_line(v):
-    for x in v:
-        if not is_zero(x):
-            return [y / x for y in v]
-    return None
+    lead = next(x for x in v if not is_zero(x))
+    return [y / lead for y in v]
 
 
 def _dedupe_lines(lines):
@@ -190,11 +188,12 @@ def _orbit_invariant(ops, m, w):
 
 
 def _chosen_operator(ops):
-    """A non-scalar operator among ops, or None when all are scalar.  Any
-    one is sound; L_e3, R_e3 and L_e1 + R_e2 are tried first because on the
-    catalog their characteristic polynomials split over Q(i)."""
+    """A non-scalar basis operator (any one serves); in dimension >= 2 one
+    exists unless all products vanish, as L_e_i = l_i I, R_e_j = r_j I give
+    l_i e_j = r_j e_i for i != j, so all l_i, r_j are 0.  L_e3, R_e3 and
+    L_e1 + R_e2 come first: on the catalog their charpolys split over Q(i)."""
     candidates = [ops[2], ops[5], ops[0] + ops[4]] if len(ops) >= 6 else []
-    return next((m for m in candidates + ops if not _is_scalar_mat(m)), None)
+    return next(m for m in candidates + ops if not _is_scalar_mat(m))
 
 
 def _invariant_lines(ops, chosen, factors):
@@ -286,15 +285,14 @@ def find_ideals(a):
     """All proper nonzero two-sided ideals over C of an algebra over Q(i);
     infinite families are reported via flags with representative data
     instead of being enumerated, and ideals not defined over Q(i) as orbits
-    of conjugates."""
+    of conjugates.  Raises ZeroAlgebra on the zero algebra."""
+    if a.is_zero_product():
+        raise ZeroAlgebra("the zero-multiplication algebra is excluded")
     report = IdealReport()
     if a.dim == 1:  # the one line is the whole algebra
         return report
     ops = multiplication_operators(a)
     chosen = _chosen_operator(ops)
-    if chosen is None:
-        report.all_subspaces = True
-        return report
     # M and its transpose share one characteristic polynomial, so one
     # factorization serves lines (ops) and planes (transposed ops)
     _, factors = factor_unipoly(chosen.charpoly())
@@ -315,73 +313,37 @@ def find_ideals(a):
 
 def is_simple(a, report=None):
     "No ideals except zero and the whole algebra (zero algebra excluded)."
-    if a.is_zero_product():
-        raise ZeroAlgebra("the zero-multiplication algebra is excluded")
     if report is None:
         report = find_ideals(a)
     return not report.has_proper_ideal()
 
 
-def _restrict(a, basis):
-    "Table of the induced product on an ideal given by basis rows."
-    k = len(basis)
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(coords_in_span(basis, multiply(a, basis[i], basis[j])))
-        table.append(row)
-    return Algebra(table)
-
-
-def _subalgebra_simple(a, basis):
-    sub = _restrict(a, basis)
-    return not sub.is_zero_product() and is_simple(sub)
-
-
 def is_semisimple(a, report=None):
     """Direct sum of simple ideals; returns (bool, witness) where the
     witness lists the components: the basis of each simple ideal, or an
-    orbit (basis of W, f) of deg f conjugate simple line ideals."""
-    if a.is_zero_product():
-        raise ZeroAlgebra("the zero-multiplication algebra is excluded")
-    n = a.dim
+    orbit (basis of W, f) of deg f conjugate simple line ideals.  That
+    holds iff A.A = A and the minimal ideals (see IdealReport) span A; the
+    components are then the minimal ideals, and every ideal is a sum of
+    them, so an algebra with a family of ideals is not semisimple."""
     if report is None:
         report = find_ideals(a)
+    n = a.dim
     if not report.has_proper_ideal():
-        return True, [[basis_vec(a.dim, k) for k in range(n)]]
-    lines = list(report.lines)
-    for (b1, b2) in report.line_families:
-        lines = lines + [b1, b2, vec_add(b1, b2)]
-    good = [v for v in _dedupe_lines(lines)
-            if not vec_is_zero(multiply(a, v, v))]
-    planes = [bas for _n, bas in report.planes]
-    # 1 + 2 splittings
-    for v in good:
-        for bas in planes:
-            if len(span_basis([v] + list(bas))) != n:
-                continue
-            if _subalgebra_simple(a, bas):
-                return True, [[v], bas]
-    # 1 + 1 + 1 splittings
-    for i in range(len(good)):
-        for j in range(i + 1, len(good)):
-            for k in range(j + 1, len(good)):
-                if len(span_basis([good[i], good[j], good[k]])) == n:
-                    return True, [[good[i]], [good[j]], [good[k]]]
-    # conjugate lines spanning W meet pairwise in 0, so each is simple iff
-    # the products of W span W; then W, or W plus a simple line, is all
-    for orbit in report.line_orbits:
-        w = orbit[0]
-        products = [multiply(a, x, y) for x in w for y in w]
-        if len(span_basis(products)) < len(w):
-            continue
-        if len(w) == n:
-            return True, [orbit]
-        for v in good:  # here dim W = 2 and n = 3
-            if not in_span(v, w):
-                return True, [orbit, [v]]
-    return False, None
+        return True, [[basis_vec(n, k) for k in range(n)]]
+    if report.line_families or report.plane_families:
+        return False, None
+    # a rational plane P holds an ideal line iff it holds a vector of one
+    # of them or of an orbit's W: then W & P is a nonzero rational ideal
+    # inside W, which holds all of W's conjugate lines
+    line_vecs = report.lines + [v for w, _f in report.line_orbits for v in w]
+    planes = [bas for normal, bas in report.planes
+              if not any(is_zero(Mat([normal]).apply_col(v)[0])
+                         for v in line_vecs)]
+    if len(span_basis(line_vecs + [v for bas in planes for v in bas])) < n:
+        return False, None
+    if len(span_basis([a.c[i][j] for i in range(n) for j in range(n)])) < n:
+        return False, None
+    return True, report.line_orbits + [[v] for v in report.lines] + planes
 
 
 def ideal_closed(a, basis):
@@ -436,8 +398,6 @@ def simplicity_oracle_agrees(a, rng, tries=40):
             if len(closure_span(a, [v])) < a.dim:
                 return False
         return True
-    if report.all_subspaces:
-        return a.is_zero_product()
     for v in report.lines:
         if not ideal_closed(a, [v]):
             return False

@@ -10,7 +10,10 @@ import pytest
 
 from lsacat import catalog, cli, lie
 from lsacat.cli import main
+from lsacat.cocycle import phi
+from lsacat.docs import parse_document
 from lsacat.errors import LsaError
+from lsacat.scalars import QI
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 SAMPLES = os.path.join(SRC, "lsacat", "data", "samples")
@@ -185,6 +188,26 @@ def test_package_imports_only_listed_private_names():
         PRIVATE_IMPORTS
 
 
+def test_package_imports_only_names_it_uses():
+    "Every name a module of src/lsacat (but __init__) imports is used there."
+    unused = []
+    for name, tree in package_trees().items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = Counter(sub.id for sub in ast.walk(tree)
+                       if isinstance(sub, ast.Name))
+        unused += ["%s:%d %s" % (name, line, bound)
+                   for bound, line in imported.items()
+                   if not used[bound] and bound != "annotations"]
+    assert unused == []
+
+
 def test_uncaught_library_error_exits_2(monkeypatch):
     def broken(a, b):
         raise LsaError("internal failure")
@@ -195,12 +218,13 @@ def test_uncaught_library_error_exits_2(monkeypatch):
 
 
 def test_wrong_classifier_witness_exits_2(monkeypatch):
-    "classify3's check of its own witness fires, and the command exits 2."
+    """classify3's check of its own witness fires; the command reports it
+    as an internal error, not a fault of the document, and exits 2."""
     monkeypatch.setattr(lie, "_CLASSIFIED", {})
     monkeypatch.setattr(lie, "_is_lie_iso", lambda src, dst, w: False)
     assert run(["check", sample("h1.alg")]) == (
         2, "left_symmetric: yes\n"
-           "input error: classify3 built a wrong Heisenberg witness\n")
+           "internal error: classify3 built a wrong Heisenberg witness\n")
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -219,6 +243,24 @@ def test_cocycle_build_emits_h1():
         body = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
     emitted = [l for l in out.splitlines() if l]
     assert emitted == body
+
+
+def test_cocycle_build_keeps_the_parameters(tmp_path):
+    """A parametric cocycle's algebra is emitted with the document's params
+    line, so the output reads back, under the same constraints."""
+    p = tmp_path / "param.coc"
+    with open(sample("h1_cocycle.coc")) as fh:
+        text = fh.read()
+    p.write_text(text.replace("domain gaussian\n",
+                              "domain ratfunc\nparams l ne 0\n")
+                 .replace("C = [[0,0,1],[0,1,0],[1,0,0]]",
+                          "C = [[0,0,l],[0,l,0],[l,0,0]]"))
+    code, out = run(["cocycle-build", str(p)])
+    assert code == 0
+    back = parse_document(out)
+    assert back.params == parse_document(p.read_text()).params
+    assert back.params == {"l": ("ne", QI(0))}
+    assert back.payload == phi(parse_document(p.read_text()).payload)
 
 
 def test_iso_verify_witness():
@@ -720,7 +762,7 @@ def test_refused_document_output(tmp_path, case):
 def test_check_refuses_a_cocycle_document():
     path = sample("h1_cocycle.coc")
     assert run(["check", path]) == (
-        2, "%s: expected a algebra document, got cocycle\n" % path)
+        2, "%s: expected an algebra document, got cocycle\n" % path)
 
 
 def test_catalog_verify_param_without_entry():

@@ -65,8 +65,9 @@ def test_find_ideals_n30():
 
 
 def test_find_ideals_zero_algebra_flag():
-    rep = find_ideals(Algebra.from_products(3, {}))
-    assert rep.all_subspaces
+    "Every subspace of the zero algebra is an ideal; find_ideals refuses it."
+    with pytest.raises(ZeroAlgebra):
+        find_ideals(Algebra.from_products(3, {}))
 
 
 def test_find_ideals_simple_entry_empty():
@@ -220,6 +221,24 @@ def test_two_dimensional_semisimplicity():
     dual = Algebra.from_products(2, {(0, 0): [(1, 0)], (0, 1): [(1, 1)],
                                      (1, 0): [(1, 1)]})
     assert is_semisimple(dual) == (False, None)
+
+
+def test_semisimple_reads_minimal_ideals():
+    """C + 0 has a minimal ideal line besides C, so its minimal ideals span
+    it, but A.A = C: not semisimple.  In Q(i)[t]/(t^2 - 2) + C the rational
+    plane W = span(e1, e2) is an ideal holding the orbit's conjugate lines,
+    so it is no component: the witness is the orbit and the line e3."""
+    c_plus_zero = Algebra.from_products(2, {(0, 0): [(1, 0)]})
+    assert is_semisimple(c_plus_zero) == (False, None)
+    a = Algebra.from_products(3, {(0, 0): [(1, 0)], (0, 1): [(1, 1)],
+                                  (1, 0): [(1, 1)], (1, 1): [(2, 0)],
+                                  (2, 2): [(1, 2)]})
+    rep = find_ideals(a)
+    assert [bas for _n, bas in rep.planes] == [[basis_vec(3, 0),
+                                               basis_vec(3, 1)]]
+    assert is_semisimple(a, rep) == (
+        True, [rep.line_orbits[0], [basis_vec(3, 2)]])
+    assert rep.line_orbits[0][0] == [basis_vec(3, 0), basis_vec(3, 1)]
 
 
 def test_simplicity_oracle(first_samples):
