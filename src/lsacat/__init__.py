@@ -9,11 +9,11 @@ classification catalog (families H, N, D1, Dl, E) including property
 tables and witness isomorphisms.
 
 All values are immutable and all operations are pure functions, so
-everything here is safe to use from multiple threads.  Two bounded module
-maps keep results: classify3 by bracket table, and the scalar parser by
-text (it hands out the tuples it stores, which nobody can change).  Dict
-reads and writes are atomic, so at worst two threads classify one table,
-or parse one text, twice.
+everything here is safe to use from multiple threads.  Three bounded
+module maps keep results: classify3 by bracket table, the scalar parser
+by text (it hands out its stored tuples, which nobody can change) and
+factor_unipoly by coefficients (a fresh list of its stored tuples).  Dict
+reads and writes are atomic, so at worst two threads compute one twice.
 """
 
 from .algebra import (Algebra, check_left_regular, check_left_symmetric,

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
-from .cocycle import Cocycle, Representation, phi
+from .cocycle import Cocycle, Representation, left_regular, phi
 from .docs import Body, _const_value, _words, constraint_allows
 from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      DocSyntaxError, LsaError, NotBijective, NotCocycle,
-                     UnboundVariable, UnknownId)
+                     UnboundVariable, UnknownId, ZeroAlgebra)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
 from .props import (find_ideals, is_associative, is_bisymmetric,
@@ -406,12 +406,11 @@ def _flag_mismatches(entry, bindings, got):
 
 
 def computed_flags(alg):
-    simple = False
-    semi = False
-    if not alg.is_zero_product():
+    try:
         report = find_ideals(alg)
-        simple = is_simple(alg, report)
-        semi, _ = is_semisimple(alg, report)
+        simple, (semi, _) = is_simple(alg, report), is_semisimple(alg, report)
+    except ZeroAlgebra:     # neither simple nor semisimple
+        simple = semi = False
     return {
         "associative": is_associative(alg),
         "transitive": is_transitive(alg),
@@ -431,17 +430,17 @@ def verify_entry(entry_id, bindings=None):
 
     ok, cert = check_left_symmetric(alg)
     rep.left_symmetric = ok
+    h = commutator_lie(alg) if ok else None
     if not ok:
         rep.messages.append("left-symmetry fails at triple %s" % (cert[:3],))
-    else:   # left-symmetric, so the commutator is a Lie algebra
-        cls = classify3(commutator_lie(alg))
+    else:   # left-symmetric, so the commutator h is a Lie algebra
+        cls = classify3(h)
         rep.lie_class_ok = cls.key() == expected_lie_key(e, bindings)
         if not rep.lie_class_ok:
             rep.messages.append("lie class %s, expected %s"
                                 % (cls.key(), expected_lie_key(e, bindings)))
 
-    rep.cocycle_reconstruction_ok = _check_reconstruction(
-        e, bindings, alg, rep.messages)
+    rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h)
 
     rep.computed = computed_flags(alg)
     wrong = _flag_mismatches(e, bindings, rep.computed)
@@ -450,11 +449,27 @@ def verify_entry(entry_id, bindings=None):
     return rep
 
 
-def _check_reconstruction(e, bindings, alg, messages):
-    rep = Representation(family_lie(e, bindings),
-                         [m.substitute(bindings) for m in e.f_mats])
+def _check_reconstruction(e, rep, h):
+    """Whether the stored (f, C) data rebuilds the point's table (a primed
+    entry's via its primed table and witness); a failure's message goes to
+    rep.messages.  h is rep.alg's commutator, or None if it was not built.
+    phi's table is the point's iff A_i C = C F_i for its left multiplications
+    A_i, and given left-symmetry, h = g (the family's bracket) and det C != 0
+    that suffices: F_i = C^{-1} A_i C is a representation of h = g as L is;
+    C_j F_i = (e_i e_j) C turns the cocycle condition g_ij C = C_j F_i -
+    C_i F_j into g_ij C = h_ij C; phi's table is C F_i C^{-1} = A_i.  phi's
+    success gives all four back.  So phi, which names the fault, sees only
+    points refused here and primed ones (the four speak of the table only)."""
+    bindings, alg, messages = rep.bindings, rep.alg, rep.messages
+    g, cm = family_lie(e, bindings), e.cmat.substitute(bindings)
+    fs = [m.substitute(bindings) for m in e.f_mats]
+    if (e.primed is None and rep.left_symmetric and h == g
+            and not cm.det().is_zero()
+            and all(a * cm == cm * f
+                    for a, f in zip(left_regular(h, alg).mats, fs))):
+        return True
     try:
-        built = phi(Cocycle(rep, e.cmat.substitute(bindings)))
+        built = phi(Cocycle(Representation(g, fs), cm))
     except NotCocycle as exc:
         if exc.cert[0] == "representation":
             messages.append("stored f data is not a representation: %r"

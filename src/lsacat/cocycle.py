@@ -103,9 +103,9 @@ def check_cocycle(c):
 def phi(c):
     """Left-symmetric product x*y = q^{-1}(f(x) q(y)) as an Algebra.
 
-    This is the one validator of stored (f, C) data: it raises NotCocycle
-    (whose cert is the check_cocycle certificate) or NotBijective.  On a
-    valid bijective cocycle the result is left-symmetric and its
+    This is the validator naming what is wrong with (f, C) data: it raises
+    NotCocycle (whose cert is the check_cocycle certificate) or NotBijective.
+    On a valid bijective cocycle the result is left-symmetric and its
     commutator Lie algebra equals c.rep.g table-for-table.
     """
     ok, cert = check_cocycle(c)

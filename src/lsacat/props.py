@@ -6,12 +6,13 @@ Ideal search strategy (dimension <= 3, scalars in Q(i), ideals over C): a
 right basis multiplications, hence an eigenline of any single one of them,
 M.  We factor the characteristic polynomial of M over Q(i), once per
 algebra.  A linear factor gives an eigenline, or an eigenplane in which
-the invariant lines solve a binary quadratic, which factor_unipoly splits
-as it splits the characteristic polynomial.  An irreducible factor f of
-degree d >= 2 gives d conjugate eigenlines that are all invariant or all
-not; by Galois descent they span the Q(i)-rational W = ker f(M), and
-they are invariant iff every operator maps W into W and commutes with M
-on W.  Conjugate lines are reported once, as the orbit (basis of W, f),
+the invariant lines solve binary quadratics; the first nonzero one, split
+by factor_unipoly, gives candidates checked against every operator, the
+rest are read only for a family or an irreducible first one.  An
+irreducible factor f of degree d >= 2 gives d conjugate eigenlines, all
+invariant or all not; by Galois descent they span the Q(i)-rational
+W = ker f(M), invariant iff every operator maps W into W and commutes with
+M on W.  Conjugate lines are reported once, as the orbit (basis of W, f),
 so no extension field is built.  2-dimensional ideals are found dually
 via the transposed operators acting on covectors, with M^T, whose
 characteristic polynomial is that of M: planes come from the same
@@ -234,11 +235,8 @@ def _invariant_lines(ops, chosen, factors):
     return _dedupe_lines(lines), families, orbits
 
 
-def _lines_in_plane(ops, b1, b2):
-    """Lines v = s b1 + t b2 with every op(v) proportional to v; solves the
-    homogeneous quadratic proportionality conditions in (s : t).  Returns
-    (lines, families, orbits) as _invariant_lines does."""
-    quads = []
+def _plane_quadratics(ops, b1, b2):
+    "Nonzero quadratics (aa, bb, cc) in (s : t) of op(v) ~ v, v = s b1 + t b2."
     n = len(b1)
     for op in ops:
         u1 = op.apply_col(b1)
@@ -250,10 +248,19 @@ def _lines_in_plane(ops, b1, b2):
                       - b1[l] * u2[k] - b2[l] * u1[k])
                 cc = b2[k] * u2[l] - b2[l] * u2[k]
                 if not (is_zero(aa) and is_zero(bb) and is_zero(cc)):
-                    quads.append((aa, bb, cc))
-    if not quads:
+                    yield aa, bb, cc
+
+
+def _lines_in_plane(ops, b1, b2):
+    """Lines v = s b1 + t b2 with every op(v) proportional to v, from the
+    first quadratic condition; the rest are read for a family, or when the
+    first is irreducible, as its conjugate roots solve all iff each is a
+    multiple of it.  Returns (lines, families, orbits) as _invariant_lines."""
+    quads = _plane_quadratics(ops, b1, b2)
+    first = next(quads, None)
+    if first is None:
         return [], [(b1, b2)], []
-    aa, bb, cc = quads[0]
+    aa, bb, cc = first
     candidates = []
     if is_zero(aa):
         candidates.append(b1)  # (s : t) = (1 : 0)
@@ -263,9 +270,7 @@ def _lines_in_plane(ops, b1, b2):
     else:
         _, factors = factor_unipoly((cc, bb, aa))
         if len(factors[0][0]) == 3:
-            # the conjugate roots of an irreducible quadratic solve every
-            # condition iff each one is a multiple of it
-            if all(_proportional(q, quads[0]) for q in quads[1:]):
+            if all(_proportional(q, first) for q in quads):
                 return [], [], [([b1, b2], factors[0][0])]
             return [], [], []
         for f, _ in factors:  # f = s - r

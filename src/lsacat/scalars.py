@@ -882,6 +882,10 @@ def qi_roots(co):
     return [z for _, z in sorted(zip(keys, roots), key=lambda kz: kz[0])]
 
 
+_FACTORED = {}          # factor_unipoly results by trimmed coefficients,
+_FACTORED_MAX = 256     # cleared whenever full
+
+
 def factor_unipoly(co):
     """Factor a polynomial of degree <= 3, given as for qi_roots, into monic
     irreducibles: the roots in Q(i) with their multiplicities, then what is
@@ -891,7 +895,10 @@ def factor_unipoly(co):
     Returns (unit, [(coeffs, multiplicity), ...]) with unit * prod = input.
     The linear factors t - r, as (-r, 1), come first in the order of
     ((-r).re, (-r).im), then the irreducible one."""
-    co = _up_trim(map(qi, co))
+    key = co = _up_trim(map(qi, co))
+    hit = _FACTORED.get(key)
+    if hit is not None:     # a fresh list of the stored factor tuples
+        return hit[0], list(hit[1])
     if not co:
         raise DivisionByZero("cannot factor the zero polynomial")
     if len(co) > 4:
@@ -912,6 +919,9 @@ def factor_unipoly(co):
     if len(co) > 1:
         factors.append((co, 1))
     factors.sort(key=lambda fm: (len(fm[0]), [(c.re, c.im) for c in fm[0]]))
+    if len(_FACTORED) >= _FACTORED_MAX:
+        _FACTORED.clear()
+    _FACTORED[key] = unit, tuple(factors)
     return unit, factors
 
 

@@ -7,12 +7,13 @@ import shutil
 import pytest
 
 from lsacat import catalog, cli
-from lsacat.algebra import multiply
-from lsacat.cocycle import Cocycle, Representation
+from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
+                            multiply)
+from lsacat.cocycle import Cocycle, Representation, left_regular, phi
 from lsacat.errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
-                           UnknownId)
+                           NotBijective, NotCocycle, UnknownId)
 from lsacat.iso import IsoVerdict
-from lsacat.linalg import basis_vec, vec_eq
+from lsacat.linalg import Mat, basis_vec, vec_eq
 from lsacat.scalars import QI, MultiPoly, RatFunc, parse_scalar
 
 
@@ -131,6 +132,111 @@ def test_corrupted_cocycle_data_detected(tmp_path, monkeypatch, old, new,
     assert not bad.cocycle_reconstruction_ok
     assert len(bad.messages) == 1
     assert bad.messages[0].startswith(message)
+
+
+def stored_data(e, bindings):
+    "The family's bracket table g, and the F_i and C stored, at a point."
+    return (catalog.family_lie(e, bindings),
+            [m.substitute(bindings) for m in e.f_mats],
+            e.cmat.substitute(bindings))
+
+
+def phi_rebuilds(e, bindings, alg):
+    "The oracle: phi of the stored (f, C) data is the point's table."
+    g, fs, cm = stored_data(e, bindings)
+    try:
+        return phi(Cocycle(Representation(g, fs), cm)) == alg
+    except (NotCocycle, NotBijective):
+        return False
+
+
+def reconstruct(monkeypatch, e, bindings, alg, left_symmetric, h):
+    """(verdict, messages, phi calls) of catalog._check_reconstruction at a
+    point, counting the calls it makes to phi."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return phi(c)
+    monkeypatch.setattr(catalog, "phi", counted)
+    rep = catalog.EntryReport(e.id, bindings, alg,
+                              left_symmetric=left_symmetric)
+    ok = catalog._check_reconstruction(e, rep, h)
+    return ok, rep.messages, len(calls)
+
+
+def one_condition_fails(condition):
+    """((entry, bindings, table, left_symmetric, h), message prefix): H-1
+    changed so that exactly the named condition of the A_i C = C F_i
+    acceptance fails, with the message the phi path gives for it."""
+    e = catalog.lookup("H-1")
+    alg = catalog.instantiate("H-1")
+    g, fs, cm = stored_data(e, {})
+    if condition == "left_symmetric":
+        # e2 e2 = e1 keeps the commutator, and F_i = C^-1 A_i C keeps the
+        # identity, but the table is not left-symmetric
+        c = [[list(v) for v in row] for row in alg.c]
+        c[1][1][0] = QI(1)
+        alg = Algebra(c)
+        fs = [cm.inverse() * Mat._of(alg.c[i]) * cm for i in range(3)]
+        return ((dataclasses.replace(e, f_mats=fs), {}, alg, False,
+                 commutator_lie(alg)),
+                "stored f data is not a representation: ")
+    if condition == "identity":     # C with one entry changed
+        return ((dataclasses.replace(
+            e, cmat=Mat([[0, 0, 1], [0, 1, 0], [1, 1, 0]])), {}, alg, True,
+            commutator_lie(alg)), "stored (f, C) is not a cocycle: ")
+    if condition == "det":          # 0 = A_i 0 = 0 F_i
+        return ((dataclasses.replace(e, cmat=Mat.zero(3)), {}, alg, True,
+                 commutator_lie(alg)), "stored C is singular")
+    # F = left-regular with C = I rebuilds N-1's table, whose commutator
+    # is not H-1's Heisenberg bracket
+    alg = catalog.instantiate("N-1", {"lambda": 2})
+    h = commutator_lie(alg)
+    return ((dataclasses.replace(e, f_mats=list(left_regular(h, alg).mats),
+                                 cmat=Mat.identity(3)), {}, alg, True, h),
+            "stored f data is not a representation: ")
+
+
+CONDITIONS = ("left_symmetric", "lie", "det", "identity")
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_reconstruction_refuses_each_failed_condition(monkeypatch, condition):
+    """A point that fails one condition of the identity acceptance alone
+    goes through phi, which refuses it with its own message."""
+    point, message = one_condition_fails(condition)
+    e, _, alg, left_symmetric, h = point
+    g, fs, cm = stored_data(e, {})
+    holds = {"left_symmetric": left_symmetric, "lie": h == g,
+             "det": not cm.det().is_zero(),
+             "identity": all(Mat._of(alg.c[i]) * cm == cm * f
+                             for i, f in enumerate(fs))}
+    assert [k for k, v in holds.items() if not v] == [condition]
+    assert check_left_symmetric(alg)[0] == left_symmetric
+    ok, messages, calls = reconstruct(monkeypatch, *point)
+    assert (ok, calls, len(messages)) == (False, 1, 1)
+    assert messages[0].startswith(message)
+    assert not phi_rebuilds(e, {}, alg)
+
+
+def test_identity_accepts_exactly_when_phi_rebuilds(monkeypatch,
+                                                    catalog_sweep):
+    """On every non-primed sweep point, and on the points that fail one
+    condition, _check_reconstruction accepts without phi exactly when phi
+    rebuilds the table; each primed point goes through phi once."""
+    points = [(catalog.lookup(r.entry_id), r.bindings, r.alg,
+               r.left_symmetric,
+               commutator_lie(r.alg) if r.left_symmetric else None)
+              for r in catalog_sweep.reports]
+    primed = [p for p in points if p[0].primed is not None]
+    plain = [p for p in points if p[0].primed is None]
+    assert (len(primed), len(plain)) == (23, 235)
+    for point in plain + [one_condition_fails(c)[0] for c in CONDITIONS]:
+        ok, _, calls = reconstruct(monkeypatch, *point)
+        assert (ok and not calls) == phi_rebuilds(*point[:3]), point[0].id
+    for point in primed:
+        assert reconstruct(monkeypatch, *point) == (True, [], 1), point[0].id
 
 
 def test_catalog_sweep_clean(catalog_sweep):

@@ -95,6 +95,23 @@ def test_plane_conditions_without_a_common_quadratic(monkeypatch):
     assert simplicity_oracle_agrees(a, random.Random(0))
 
 
+def test_plane_solver_reads_past_the_first_quadratic():
+    """In the plane span(e1, e2), operators that are scalar there give no
+    condition; the lines come from the first operator that does, each
+    checked against every operator, and only a plane on which every
+    operator is scalar is a family."""
+    b1, b2 = basis_vec(3, 0), basis_vec(3, 1)
+    scalar = Mat([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
+    diagonal = Mat([[1, 0, 0], [0, 3, 0], [0, 0, 1]])
+    shear = Mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])      # keeps e1 only
+    assert props._lines_in_plane([scalar, Mat.identity(3)], b1, b2) == (
+        [], [(b1, b2)], [])
+    assert props._lines_in_plane([scalar, scalar, diagonal], b1, b2) == (
+        [b1, b2], [], [])
+    assert props._lines_in_plane([scalar, diagonal, shear], b1, b2) == (
+        [b1], [], [])
+
+
 def test_oracle_checks_line_and_plane_orbits():
     """Q(i)[t]/(t^2 - 2) x C: the line e3, and the ideal span(e1, e2) as an
     orbit of conjugate lines (t = +-sqrt 2) and of conjugate planes."""
