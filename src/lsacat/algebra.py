@@ -3,9 +3,9 @@
 An Algebra stores the full multiplication table c[i][j] = coordinates of
 e_i e_j, which is exactly the characteristic-matrix reading: entry (i, j)
 of the printed table is the product (left factor e_i) * (right factor e_j).
-Vectors are plain coordinate lists in the algebra's basis.  Associators
-and the operators of basis vectors are read off c with no products of
-basis vectors, and products skip zero coordinates and zero constants.
+Vectors are plain coordinate lists in the algebra's basis.  The triple
+products (e_i e_j) e_k, e_i (e_j e_k) and the basis operators are read off
+c with no products of basis vectors, skipping zero coordinates and zeros.
 
 A LieAlgebra is the same table with a Lie bracket c[i][j] = [e_i, e_j]:
 its constructor checks antisymmetry and the Jacobi identity, so every
@@ -16,8 +16,9 @@ to it unchanged.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotLieAlgebra
-from .linalg import Mat, combination, vec_eq, vec_is_zero, vec_sub, vec_zero
-from .scalars import as_scalar, format_sum, is_zero, substitute
+from .linalg import (Mat, combination, vec_add, vec_eq, vec_is_zero, vec_sub,
+                     vec_zero)
+from .scalars import ZERO, as_scalar, format_sum, is_zero, substitute
 
 
 class Algebra:
@@ -160,34 +161,34 @@ def _jacobi_sum(c, i, j, k):
     return out
 
 
-def basis_associator(a, i, j, k):
-    """(e_i e_j) e_k - e_i (e_j e_k), read off the structure constants as
-    sum_p c_ij^p c_pk - sum_p c_jk^p c_ip."""
-    c = a.c
-    out = vec_zero(a.dim)
-    for p, x in enumerate(c[i][j]):
-        if not is_zero(x):
-            _add_scaled(out, x, c[p][k])
-    for p, x in enumerate(c[j][k]):
-        if not is_zero(x):
-            _add_scaled(out, -x, c[i][p])
-    return out
+def triple_products(a):
+    """(T, U) with T[i][j][k] = (e_i e_j) e_k = sum_p c_ij^p c_pk and
+    U[i][j][k] = e_i (e_j e_k) = sum_p c_jk^p c_ip, read off the structure
+    constants once, zero coordinates skipped; the associator is T - U."""
+    rng = range(a.dim)
+    nz = [[[(p, x) for p, x in enumerate(v) if not is_zero(x)] for v in r]
+          for r in a.c]
+    cols = [[r[k] for r in nz] for k in rng]
+    return ([[[_expand(nz[i][j], cols[k]) for k in rng] for j in rng]
+             for i in rng],
+            [[[_expand(nz[j][k], nz[i]) for k in rng] for j in rng]
+             for i in rng])
 
 
-def check_left_symmetric(a):
-    """Left-symmetry of the associator on all basis triples.
-
-    Returns (True, None) or (False, (i, j, k, difference)); the certificate
-    indices are 0-based and the difference is assoc(i,j,k) - assoc(j,i,k).
-    """
+def check_left_symmetric(a, tu=None):
+    """Left-symmetry of the associator on all basis triples, read off the
+    triple_products (T, U) of a, passed in or built here.  Returns (True,
+    None) or (False, (i, j, k, difference)); the certificate indices are
+    0-based and the difference is assoc(i,j,k) - assoc(j,i,k)."""
+    t, u = tu or triple_products(a)
     n = a.dim
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                d = vec_sub(basis_associator(a, i, j, k),
-                            basis_associator(a, j, i, k))
-                if not vec_is_zero(d):
-                    return False, (i, j, k, d)
+                ijk, jik = (t[i][j][k], u[i][j][k]), (t[j][i][k], u[j][i][k])
+                if vec_add(ijk[0], jik[1]) != vec_add(jik[0], ijk[1]):
+                    return False, (i, j, k, vec_sub(vec_sub(*ijk),
+                                                    vec_sub(*jik)))
     return True, None
 
 
@@ -196,12 +197,8 @@ def commutator_lie(a):
 
     Jacobi holds whenever a is left-symmetric; for a table that is not
     Lie-admissible the LieAlgebra constructor raises NotLieAlgebra."""
-    n = a.dim
-    table = [[vec_zero(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = vec_sub(a.c[i][j], a.c[j][i])
-    return LieAlgebra(table)
+    return LieAlgebra([[vec_sub(x, y) for x, y in zip(row, col)]
+                       for row, col in zip(a.c, zip(*a.c))])
 
 
 def left_matrix(a, x):
@@ -247,16 +244,9 @@ def rebase(a, w):
     vectors are the rows of w (expressed in the old basis)."""
     if w.nrows != a.dim or w.ncols != a.dim:
         raise DimensionMismatch("basis-change matrix has wrong shape")
-    winv = w.inverse()
-    n = a.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = multiply(a, w.row(i), w.row(j))
-            row.append(winv.apply_row(prod))
-        table.append(row)
-    return type(a)(table)
+    winv, rows = w.inverse(), [list(r) for r in w.rows]
+    return type(a)([[winv.apply_row(multiply(a, x, y)) for y in rows]
+                    for x in rows])
 
 
 def substitute_algebra(a, bindings):
@@ -265,6 +255,15 @@ def substitute_algebra(a, bindings):
     table = [[[substitute(x, bindings) for x in a.c[i][j]]
               for j in range(n)] for i in range(n)]
     return Algebra(table)
+
+
+def _expand(terms, vecs):
+    "sum x vecs[p] over the (p, x) in terms, each vecs[p] sparse as terms."
+    out = [None] * len(vecs)
+    for p, x in terms:
+        for m, y in vecs[p]:
+            out[m] = x * y if out[m] is None else out[m] + x * y
+    return [ZERO if v is None else v for v in out]
 
 
 def _add_scaled(out, f, v):

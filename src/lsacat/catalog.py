@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
+from .algebra import (check_left_symmetric, commutator_lie, substitute_algebra,
+                      triple_products)
 from .cocycle import Cocycle, Representation, left_regular, phi
 from .docs import Body, _const_value, _words, constraint_allows
 from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
@@ -405,17 +406,18 @@ def _flag_mismatches(entry, bindings, got):
     return out
 
 
-def computed_flags(alg):
+def computed_flags(alg, tu=None):
     try:
         report = find_ideals(alg)
         simple, (semi, _) = is_simple(alg, report), is_semisimple(alg, report)
     except ZeroAlgebra:     # neither simple nor semisimple
         simple = semi = False
+    tu = tu or triple_products(alg)
     return {
-        "associative": is_associative(alg),
-        "transitive": is_transitive(alg),
-        "novikov": is_novikov(alg),
-        "bisymmetric": is_bisymmetric(alg),
+        "associative": is_associative(alg, tu),
+        "transitive": is_transitive(alg, tu),
+        "novikov": is_novikov(alg, tu),
+        "bisymmetric": is_bisymmetric(alg, tu),
         "simple": simple,
         "semisimple": semi,
     }
@@ -428,7 +430,8 @@ def verify_entry(entry_id, bindings=None):
     alg = instantiate(entry_id, bindings)
     rep = EntryReport(entry_id, bindings, alg)
 
-    ok, cert = check_left_symmetric(alg)
+    tu = triple_products(alg)
+    ok, cert = check_left_symmetric(alg, tu)
     rep.left_symmetric = ok
     h = commutator_lie(alg) if ok else None
     if not ok:
@@ -442,7 +445,7 @@ def verify_entry(entry_id, bindings=None):
 
     rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h)
 
-    rep.computed = computed_flags(alg)
+    rep.computed = computed_flags(alg, tu)
     wrong = _flag_mismatches(e, bindings, rep.computed)
     rep.flags_ok = not wrong
     rep.messages += wrong

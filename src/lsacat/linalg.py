@@ -6,8 +6,8 @@ the coefficient of basis vector j in the image of basis vector i, and a row
 vector x maps to x * M.
 
 The determinant, the inverse and the characteristic polynomial come from
-cofactor expansion (_det); rank, nullspaces, spans and solutions come from
-one elimination, rref.
+cofactor expansion (_det); rank counts the pivots of forward elimination,
+and nullspaces, spans and solutions come from one elimination, rref.
 """
 
 from __future__ import annotations
@@ -179,7 +179,17 @@ class Mat:
         return Mat._of(a), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """The pivots of forward elimination: no row is scaled, nothing
+        above a pivot is cleared, and each column is dropped once used."""
+        rows, rank = list(self.rows), 0
+        while rows and rows[0]:
+            piv = next((r for r in rows if not is_zero(r[0])), None)
+            if piv is not None:
+                rows.remove(piv)
+                rank += 1
+            rows = [r[1:] if piv is None or is_zero(r[0]) else
+                    _axpy(-r[0] / piv[0], piv[1:], r[1:]) for r in rows]
+        return rank
 
     def nullspace(self):
         "Basis (as coordinate lists) of the right-nullspace {x : M x = 0}."
@@ -210,10 +220,7 @@ class Mat:
     def trace(self):
         if not self.is_square():
             raise DimensionMismatch("trace of a non-square matrix")
-        out = self.rows[0][0]
-        for k in range(1, self.nrows):
-            out = out + self.rows[k][k]
-        return out
+        return sum((r[k] for k, r in enumerate(self.rows)), ZERO)
 
     def __repr__(self):
         from .scalars import format_scalar
@@ -233,20 +240,6 @@ def combination(coeffs, mats):
     return out
 
 
-def trace_of_product(x, y):
-    "tr(XY) as the sum of X[p][q] Y[q][p], without forming XY."
-    if x.ncols != y.nrows or x.nrows != y.ncols:
-        raise DimensionMismatch("trace of a non-square product")
-    return sum((_dot(xr, yc) for xr, yc in zip(x.rows, zip(*y.rows))), ZERO)
-
-
-def trace_form(ms):
-    "The symmetric matrix of tr(XY) over ms, one trace per unordered pair."
-    t = [[trace_of_product(x, y) for y in ms[i:]] for i, x in enumerate(ms)]
-    return Mat._of([[t[min(i, j)][abs(i - j)] for j in range(len(ms))]
-                    for i in range(len(ms))])
-
-
 def _dot(xs, ys):
     "Sum of x*y over the pairs whose factors are both nonzero."
     out = None
@@ -255,6 +248,11 @@ def _dot(xs, ys):
             p = x * y
             out = p if out is None else out + p
     return ZERO if out is None else out
+
+
+def _axpy(f, xs, ys):
+    "f xs + ys, reading only the nonzero xs."
+    return [y if is_zero(x) else f * x + y for x, y in zip(xs, ys)]
 
 
 def _det(rows):
@@ -288,7 +286,9 @@ def common_kernel(mats):
 
 
 def vec_add(x, y):
-    return [a + b for a, b in zip(x, y)]
+    "x + y, adding only where both coordinates are nonzero."
+    return [b if is_zero(a) else a if is_zero(b) else a + b
+            for a, b in zip(x, y)]
 
 
 def vec_sub(x, y):

@@ -19,87 +19,91 @@ characteristic polynomial is that of M: planes come from the same
 factorization as lines.  The zero algebra, all of whose subspaces are
 ideals, is refused there.  Semisimplicity is read off the same report: A
 is a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
-Predicates and fingerprints read associators and basis operators off the
-structure constants, and trace forms tr(XY) from linalg.trace_of_product
-without forming XY, once per unordered pair (linalg.trace_form) where the
-form is symmetric.  Transitivity is read from polarized traces of the
-basis right multiplications, one trace per cyclic class of orderings, and
-annihilator dimensions from the rank of the stacked basis operators.
+The identity flags, transitivity and the trace forms of the basis
+operators are read off one table of the products (e_i e_j) e_k and
+e_i (e_j e_k) per algebra (algebra.triple_products), and the annihilator
+and product-span dimensions are ranks of n-row matrices of the constants.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import combinations_with_replacement, permutations
-from operator import mul
+from itertools import combinations, product
 
-from .algebra import (basis_associator, check_left_symmetric, commutator_lie,
-                      multiplication_operators, multiply, right_matrix)
+from .algebra import (check_left_symmetric, commutator_lie,
+                      multiplication_operators, multiply, right_matrix,
+                      triple_products)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, in_span, span_basis, trace_form,
-                     trace_of_product, vec_add, vec_eq, vec_is_zero)
+from .linalg import (Mat, basis_vec, in_span, span_basis, vec_add, vec_eq,
+                     vec_is_zero)
 from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
 
 
-def is_associative(a):
-    "Associator vanishes on all basis triples."
-    n = a.dim
-    return all(vec_is_zero(basis_associator(a, i, j, k))
-               for i in range(n) for j in range(n) for k in range(n))
+def is_associative(a, tu=None):
+    "Associator zero on all basis triples: T = U, tu = triple_products(a)."
+    t, u = tu or triple_products(a)
+    return t == u
 
 
 def is_commutative(a):
-    n = a.dim
-    return all(vec_is_zero([x - y for x, y in zip(a.c[i][j], a.c[j][i])])
-               for i in range(n) for j in range(i + 1, n))
+    return all(x == y for row, col in zip(a.c, zip(*a.c))
+               for x, y in zip(row, col))
 
 
-def is_novikov(a):
-    "All right multiplications commute pairwise."
-    n = a.dim
-    rm = multiplication_operators(a)[n:]
-    return all((rm[i] * rm[j]) == (rm[j] * rm[i])
-               for i in range(n) for j in range(i + 1, n))
+def is_novikov(a, tu=None):
+    "All right multiplications commute pairwise: T symmetric in j, k."
+    t, _ = tu or triple_products(a)
+    return all(ti[j][k] == ti[k][j] for ti in t
+               for j, k in combinations(range(a.dim), 2))
 
 
-def is_bisymmetric(a):
-    "Associator also symmetric in its last two arguments."
-    n = a.dim
-    return all(vec_is_zero([x - y for x, y in
-                            zip(basis_associator(a, i, j, k),
-                                basis_associator(a, i, k, j))])
-               for i in range(n) for j in range(n) for k in range(j + 1, n))
+def is_bisymmetric(a, tu=None):
+    "Associator also symmetric in its last two arguments: so is T - U."
+    t, u = tu or triple_products(a)
+    return all(vec_add(ti[j][k], ui[k][j]) == vec_add(ti[k][j], ui[j][k])
+               for ti, ui in zip(t, u)
+               for j, k in combinations(range(a.dim), 2))
 
 
-def is_transitive(a):
-    """Every right multiplication nilpotent, decided by the vanishing of
-    tr(R_x^k) for k = 1..dim identically in x (valid in characteristic 0,
-    including parametric tables).  The coefficient of x_i1...x_ik in
-    tr(R_x^k) is the polarized trace: tr(R_e_i1 ... R_e_ik) summed over the
-    distinct orderings of the multiset {i1, ..., ik}.  The trace is cyclic,
-    so each cyclic class of orderings contributes one trace times its size,
-    the last factor taken by trace_of_product."""
-    n = a.dim
-    rm = multiplication_operators(a)[n:]
-    for k in range(1, n + 1):
-        for idx in combinations_with_replacement(range(n), k):
-            classes = Counter(min(order[s:] + order[:s] for s in range(k))
-                              for order in set(permutations(idx)))
-            total = ZERO
-            for order, size in classes.items():
-                if k == 1:
-                    tr = rm[order[0]].trace()
-                else:
-                    tr = trace_of_product(
-                        reduce(mul, [rm[i] for i in order[:-1]]),
-                        rm[order[-1]])
-                total = total + tr * size
-            if not is_zero(total):
-                return False
+def is_transitive(a, tu=None):
+    """Every right multiplication nilpotent: tr(R_x^k) = 0 identically in x
+    for k <= dim (characteristic 0).  Its x_i1...x_ik coefficient sums
+    tr(R_e_ik ... R_e_i1) over the k-tuples with one sorted form; column p
+    of R_b R_a is T[p][a][b], so tr R_a = sum_p c_pa^p, tr(R_b R_a) =
+    sum_p T[p][a][b]_p and tr(R_c R_b R_a) = sum_p,m T[p][a][b]_m c_mc^p."""
+    t, _ = tu or triple_products(a)
+    c, rng = a.c, range(a.dim)
+    traces = (lambda x: _sum(c[p][x][p] for p in rng),
+              lambda x, y: _sum(t[p][x][y][p] for p in rng),
+              lambda x, y, z: _sum(v * c[m][z][p] for p in rng
+                                   for m, v in enumerate(t[p][x][y])
+                                   if not is_zero(v)))
+    for k in rng:
+        coeffs = {}
+        for idx in product(rng, repeat=k + 1):
+            key = tuple(sorted(idx))
+            coeffs[key] = coeffs.get(key, ZERO) + traces[k](*idx)
+        if not all(map(is_zero, coeffs.values())):
+            return False
     return True
+
+
+def trace_forms(a, tu):
+    """tr(L_a L_b), tr(R_a R_b) and tr(L_a R_b) as matrices over the basis,
+    read off the triple products (T, U): column p of L_a L_b is U[a][b][p],
+    of R_a R_b is T[p][b][a] and of L_a R_b is U[a][p][b]."""
+    t, u = tu
+    rng = range(a.dim)
+    return [Mat._of([[_sum(col(x, y, p)[p] for p in rng) for y in rng]
+                     for x in rng])
+            for col in (lambda x, y, p: u[x][y][p], lambda x, y, p: t[p][y][x],
+                        lambda x, y, p: u[x][p][y])]
+
+
+def _sum(xs):
+    "The sum of the nonzero xs."
+    return sum((x for x in xs if not is_zero(x)), ZERO)
 
 
 def right_nilpotent_at(a, x):
@@ -450,15 +454,11 @@ class Fingerprint:
 
     def differing_field(self, other):
         "First component where the two fingerprints disagree, or None."
-        for name in sorted(self.flags):
-            if self.flags[name] != other.flags.get(name):
-                return "flags.%s" % name
-        for name in sorted(self.dims):
-            if self.dims[name] != other.dims.get(name):
-                return "dims.%s" % name
-        for name in sorted(self.ranks):
-            if self.ranks[name] != other.ranks.get(name):
-                return "ranks.%s" % name
+        for part in ("flags", "dims", "ranks"):
+            mine, theirs = getattr(self, part), getattr(other, part)
+            for name in sorted(mine):
+                if mine[name] != theirs.get(name):
+                    return "%s.%s" % (part, name)
         if self.lie_class != other.lie_class:
             return "lie_class"
         return None
@@ -469,36 +469,34 @@ class Fingerprint:
 
 def fingerprint(a, lie=None):
     """Isomorphism-invariant summary used to separate non-isomorphic tables.
-    lie: the caller's classify3 result, read for left-symmetric dim-3 tables."""
-    n = a.dim
-    ops = multiplication_operators(a)
-    lm, rm = ops[:n], ops[n:]
-    prod_span = len(span_basis(
-        [list(a.c[i][j]) for i in range(n) for j in range(n)
-         if not vec_is_zero(a.c[i][j])]))
-    al, ar, ab = (n - Mat._of([r for m in ms for r in m.rows]).rank()
-                  for ms in (rm, lm, ops))
-    ls, _ = check_left_symmetric(a)
+    lie: the caller's classify3 result, read for left-symmetric dim-3 tables.
+    Row i of left is c[i][0] | ... | c[i][n-1], so x.left lists the x e_j;
+    row i of right is c[0][i] | ... | c[n-1][i], so x.right lists the e_j x;
+    row k of span holds the c_ij^k."""
+    n, c = a.dim, a.c
+    rng = range(n)
+    left = [[x for v in c[i] for x in v] for i in rng]
+    right = [[x for r in c for x in r[i]] for i in rng]
+    span = [[v[k] for r in c for v in r] for k in rng]
+    both = [x + y for x, y in zip(left, right)]
+    tu = triple_products(a)
+    ls, _ = check_left_symmetric(a, tu)
     flags = {
         "left_symmetric": ls,
-        "associative": is_associative(a),
-        "transitive": is_transitive(a),
-        "novikov": is_novikov(a),
-        "bisymmetric": is_bisymmetric(a),
+        "associative": is_associative(a, tu),
+        "transitive": is_transitive(a, tu),
+        "novikov": is_novikov(a, tu),
+        "bisymmetric": is_bisymmetric(a, tu),
         "commutative": is_commutative(a),
     }
     dims = {
-        "product_span": prod_span,
-        "ann_left": al,
-        "ann_right": ar,
-        "ann_two_sided": ab,
+        "product_span": Mat._of(span).rank(),
+        "ann_left": n - Mat._of(left).rank(),
+        "ann_right": n - Mat._of(right).rank(),
+        "ann_two_sided": n - Mat._of(both).rank(),
     }
-    ranks = {
-        "tr_ll": trace_form(lm).rank(),
-        "tr_rr": trace_form(rm).rank(),
-        "tr_lr": Mat._of([[trace_of_product(x, y) for y in rm]
-                          for x in lm]).rank(),
-    }
+    ll, rr, lr = trace_forms(a, tu)
+    ranks = {"tr_ll": ll.rank(), "tr_rr": rr.rank(), "tr_lr": lr.rank()}
     lie_class = ("n/a",)
     if ls and n == 3:
         lie_class = (lie or classify3(commutator_lie(a))).key()

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import (Algebra, basis_associator, check_left_regular,
-                            check_left_symmetric, commutator_lie, hom_defects,
-                            left_matrix, multiply, rebase, right_matrix)
+from lsacat.algebra import (Algebra, check_left_regular, check_left_symmetric,
+                            commutator_lie, hom_defects, left_matrix, multiply,
+                            rebase, right_matrix, triple_products)
 from lsacat.errors import DimensionMismatch
 from lsacat.lie import canonical_lie, classify3
 from lsacat.linalg import Mat, basis_vec, vec_add, vec_eq, vec_is_zero
@@ -41,18 +41,28 @@ def test_multiply_dimension_mismatch():
         multiply(H1, [1, 0], [0, 1, 0])
 
 
+def associator(a, i, j, k):
+    "(e_i e_j) e_k - e_i (e_j e_k) by multiply."
+    e = [basis_vec(a.dim, m) for m in range(a.dim)]
+    return [x - y for x, y in zip(multiply(a, multiply(a, e[i], e[j]), e[k]),
+                                  multiply(a, e[i], multiply(a, e[j], e[k])))]
+
+
 def test_associator_zero_on_associative():
     diag = Algebra.from_products(3, {(0, 0): [(1, 0)], (1, 1): [(1, 1)],
                                      (2, 2): [(1, 2)]})
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert vec_is_zero(basis_associator(diag, i, j, k))
+    t, u = triple_products(diag)
+    assert t == u
+    assert vec_eq(t[1][1][1], [QI(0), QI(1), QI(0)])
 
 
 def test_associator_h1_e2_e1_e2():
     # (e2 e1) e2 - e2 (e1 e2) = e2 e2 - e2 (e2 + e3) = 0
-    assert vec_is_zero(basis_associator(H1, 1, 0, 1))
+    t, u = triple_products(H1)
+    assert vec_is_zero(t[1][0][1]) and vec_is_zero(u[1][0][1])
+    # (e1 e2) e1 = (e2 + e3) e1 = e2 + e3, e1 (e2 e1) = e1 e2 = e2 + e3
+    assert vec_eq(t[0][1][0], [QI(0), QI(1), QI(1)])
+    assert vec_eq(u[0][1][0], [QI(0), QI(1), QI(1)])
 
 
 def test_left_symmetric_catalog_entry():
@@ -70,8 +80,8 @@ def test_left_symmetric_failure_certificate():
     ok, cert = check_left_symmetric(bad)
     assert not ok
     i, j, k, diff = cert
-    d = [a - b for a, b in zip(basis_associator(bad, i, j, k),
-                               basis_associator(bad, j, i, k))]
+    d = [a - b for a, b in zip(associator(bad, i, j, k),
+                               associator(bad, j, i, k))]
     assert vec_eq(d, diff) and not vec_is_zero(diff)
 
 

@@ -1,26 +1,29 @@
 """The structure-constant and small-matrix kernels against definitions.
 
-multiply, basis_associator, left_matrix, right_matrix and trace_of_product
-read the table c[i][j][k] (coordinate k of e_i e_j) directly and skip
-zeros.  The oracles below sum over every index with no skipping, build
+multiply, triple_products, left_matrix and right_matrix read the table
+c[i][j][k] (coordinate k of e_i e_j) directly and skip zeros, and the
+predicates, trace forms and annihilator dimensions read the triple
+products.  The oracles below sum over every index with no skipping, build
 nothing but basis products, and are checked on random tables in
 dimensions 1..3 that need not be left-symmetric, some with MultiPoly
 entries, and on every catalog entry at its first sample.
 
-Mat.charpoly, Mat.inverse and linalg.common_kernel are checked on random
-matrices of size 1..4 with QI or MultiPoly entries: against det(u I - M),
-against the identity, and against ranks read off nonzero minors."""
+Mat.charpoly, Mat.inverse, Mat.rank and linalg.common_kernel are checked
+on random matrices of size 1..4 with QI or MultiPoly entries: against
+det(u I - M), against the identity, and against ranks read off nonzero
+minors."""
 
 from itertools import combinations
 
 import pytest
 
-from lsacat.algebra import (Algebra, basis_associator, check_left_symmetric,
-                            left_matrix, multiply, right_matrix)
+from lsacat.algebra import (Algebra, check_left_symmetric, left_matrix,
+                            multiply, rebase, right_matrix, triple_products)
 from lsacat.errors import SingularWitness
-from lsacat.linalg import Mat, common_kernel, trace_of_product
-from lsacat.props import (is_associative, is_bisymmetric, is_commutative,
-                          is_novikov, is_transitive)
+from lsacat.linalg import Mat, common_kernel
+from lsacat.props import (fingerprint, is_associative, is_bisymmetric,
+                          is_commutative, is_novikov, is_transitive,
+                          trace_forms)
 from lsacat.scalars import ZERO, MultiPoly, QI, is_zero
 
 pytest.importorskip("hypothesis")
@@ -106,27 +109,59 @@ def test_products_and_operators_match_triple_sums(case):
     a = Algebra(c)
     n = a.dim
     assert same(multiply(a, x, y), naive_product(c, x, y))
+    t, u = triple_products(a)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert same(basis_associator(a, i, j, k),
-                            naive_associator(c, i, j, k))
-    lx, rx = left_matrix(a, x), right_matrix(a, x)
-    assert lx == Mat(naive_operator(c, x, True))
-    assert rx == Mat(naive_operator(c, x, False))
-    assert trace_of_product(lx, rx) == (lx * rx).trace()
-    assert trace_of_product(rx, rx) == (rx * rx).trace()
+                ei, ej, ek = basis(n, i), basis(n, j), basis(n, k)
+                assert same(t[i][j][k], naive_product(
+                    c, naive_product(c, ei, ej), ek))
+                assert same(u[i][j][k], naive_product(
+                    c, ei, naive_product(c, ej, ek)))
+    assert left_matrix(a, x) == Mat(naive_operator(c, x, True))
+    assert right_matrix(a, x) == Mat(naive_operator(c, x, False))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_trace_of_product_of_rectangular_matrices(p, q, data):
-    entries = data.draw(st.lists(scalars(True), min_size=2 * p * q,
-                                 max_size=2 * p * q))
-    x = Mat([entries[r * q:(r + 1) * q] for r in range(p)])
-    y = Mat([entries[p * q + r * p:p * q + (r + 1) * p] for r in range(q)])
-    assert trace_of_product(x, y) == (x * y).trace()
-    assert trace_of_product(y, x) == (y * x).trace()
+class StubLie:
+    "Stands in for classify3, which needs numeric tables."
+    def key(self):
+        return ("stub",)
+
+
+def rank_of_map(images):
+    "Rank of the linear map whose value at each basis vector is listed."
+    rows = [[x for v in image for x in v] for image in images]
+    return rank_by_minors(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tables())
+def test_trace_forms_and_dims_match_naive_operators(c):
+    """Every entry of tr(L_a L_b), tr(R_a R_b) and tr(L_a R_b) is the trace
+    of the product of naive operator matrices, and the annihilator and
+    product-span dimensions are those of naive kernels and spans."""
+    a = Algebra(c)
+    n = a.dim
+    e = [basis(n, i) for i in range(n)]
+    lm = [Mat(naive_operator(c, v, True)) for v in e]
+    rm = [Mat(naive_operator(c, v, False)) for v in e]
+    forms = trace_forms(a, triple_products(a))
+    for form, xs, ys in zip(forms, (lm, rm, lm), (lm, rm, rm)):
+        assert form.rows == tuple(tuple((x * y).trace() for y in ys)
+                                  for x in xs)
+    fp = fingerprint(a, StubLie())
+    assert fp.ranks == {"tr_ll": rank_by_minors(forms[0].rows),
+                        "tr_rr": rank_by_minors(forms[1].rows),
+                        "tr_lr": rank_by_minors(forms[2].rows)}
+    left = [[naive_product(c, x, y) for y in e] for x in e]
+    right = [[naive_product(c, y, x) for y in e] for x in e]
+    assert fp.dims == {
+        "ann_left": n - rank_of_map(left),
+        "ann_right": n - rank_of_map(right),
+        "ann_two_sided": n - rank_of_map([ls + rs for ls, rs
+                                          in zip(left, right)]),
+        "product_span": rank_by_minors([v for row in left for v in row]),
+    }
 
 
 def naive_certificate(c):
@@ -190,6 +225,29 @@ def check_against_definitions(c):
 @settings(max_examples=50, deadline=None)
 @given(tables())
 def test_left_symmetry_and_predicates_match_definitions(c):
+    check_against_definitions(c)
+
+
+@st.composite
+def rebased_transitive_tables(draw):
+    """Tables with c_ij^k = 0 unless k > i, so that every R_x is strictly
+    triangular but L_x need not be, in a random basis: transitive, with
+    nonzero products (e_i e_j) e_k that the traces of R_x^2 and R_x^3
+    must cancel."""
+    n = draw(st.integers(2, 3))
+    c = [[[draw(small_qi) if k > i else QI(0) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    w = Mat([[draw(small_qi) for _ in range(n)] for _ in range(n)])
+    if is_zero(w.det()):
+        w = Mat.identity(n)
+    a = rebase(Algebra(c), w)
+    return [[list(a.c[i][j]) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_transitive_tables())
+def test_predicates_match_definitions_on_rebased_transitive_tables(c):
+    assert is_transitive(Algebra(c))
     check_against_definitions(c)
 
 
@@ -265,6 +323,20 @@ def test_inverse_is_two_sided_and_singular_raises(m, data):
             for j in range(n)]
     with pytest.raises(SingularWitness):
         Mat(list(m.rows[:-1]) + [last]).inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_rank_of_rectangular_matrices_is_rank_by_minors(p, q, data):
+    """Forward elimination counts the pivots of p x q matrices, among them
+    zero rows, repeated rows and entries in MultiPoly."""
+    entries = data.draw(st.lists(scalars(True), min_size=p * q,
+                                 max_size=p * q))
+    rows = [entries[r * q:(r + 1) * q] for r in range(p)]
+    if p > 1 and data.draw(st.booleans()):
+        rows[-1] = [2 * x for x in rows[0]]
+    assert Mat(rows).rank() == rank_by_minors(rows)
+    assert Mat(rows).transpose().rank() == rank_by_minors(rows)
 
 
 @settings(max_examples=60, deadline=None)

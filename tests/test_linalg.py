@@ -5,7 +5,7 @@ import pytest
 
 from lsacat.errors import SingularWitness
 from lsacat.linalg import (Mat, combination, coords_in_span, in_span,
-                           solve_col, span_basis, trace_form, vec_eq)
+                           solve_col, span_basis, vec_eq)
 from lsacat.scalars import QI, format_scalar
 
 
@@ -26,20 +26,6 @@ def test_inverse_roundtrip():
         assert m * inv == Mat.identity(3)
         assert inv * m == Mat.identity(3)
         done += 1
-
-
-def test_trace_form_matches_every_trace():
-    """trace_form reads one trace per unordered pair; tr(XY) = tr(YX)
-    fills the rest."""
-    rng = random.Random(23)
-    ms = [rand_mat(rng) for _ in range(4)]
-    ms.append(Mat([[QI(rng.randint(-2, 2), rng.randint(-2, 2))
-                    for _ in range(3)] for _ in range(3)]))
-    t = trace_form(ms)
-    assert (t.nrows, t.ncols) == (5, 5)
-    for i, x in enumerate(ms):
-        for j, y in enumerate(ms):
-            assert t.rows[i][j] == (x * y).trace()
 
 
 def test_singular_inverse_raises():
