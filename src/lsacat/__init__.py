@@ -8,12 +8,14 @@ standard subclass predicates, and mechanically re-verifies the embedded
 classification catalog (families H, N, D1, Dl, E) including property
 tables and witness isomorphisms.
 
-All values are immutable and all operations are pure functions, so
-everything here is safe to use from multiple threads.  Three bounded
-module maps keep results: classify3 by bracket table, the scalar parser
-by text (it hands out its stored tuples, which nobody can change) and
-factor_unipoly by coefficients (a fresh list of its stored tuples).  Dict
-reads and writes are atomic, so at worst two threads compute one twice.
+All values are immutable (QI sets its parts once, every other value type
+is a scalars.Frozen) and all operations are pure functions, so everything
+here is safe to use from multiple threads.  Three bounded module maps,
+each filled through scalars.remember, keep results: classify3 by bracket
+table, the scalar parser by text (it hands out its stored tuples, which
+nobody can change) and factor_unipoly by coefficients (a fresh list of
+its stored tuples).  Dict reads and writes are atomic, so at worst two
+threads compute one twice.
 """
 
 from .algebra import (Algebra, check_left_regular, check_left_symmetric,

@@ -18,13 +18,14 @@ from __future__ import annotations
 from .errors import DimensionMismatch, NotLieAlgebra
 from .linalg import (Mat, combination, vec_add, vec_eq, vec_is_zero, vec_sub,
                      vec_zero)
-from .scalars import ZERO, as_scalar, format_sum, is_zero, substitute
+from .scalars import ZERO, Frozen, as_scalar, format_sum, is_zero, substitute
 
 
-class Algebra:
+class Algebra(Frozen):
     """Finite-dimensional bilinear product given by structure constants."""
 
     __slots__ = ("dim", "c")
+    _ARGS = ("c",)
 
     def __init__(self, table):
         dim = len(table)
@@ -42,12 +43,6 @@ class Algebra:
             c.append(tuple(crow))
         object.__setattr__(self, "c", tuple(c))
         object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __reduce__(self):
-        return type(self), (self.c,)
 
     @classmethod
     def from_products(cls, dim, products):
@@ -71,9 +66,6 @@ class Algebra:
             return False
         return all(vec_eq(self.c[i][j], other.c[i][j])
                    for i in range(self.dim) for j in range(self.dim))
-
-    def __hash__(self):
-        raise TypeError("%s is unhashable" % type(self).__name__)
 
     def table_str(self):
         "Characteristic-matrix rendering, one row per left factor."

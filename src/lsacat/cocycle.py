@@ -16,12 +16,14 @@ from .errors import (DimensionMismatch, NotAutomorphism, NotBijective,
                      NotCocycle, NotLeftSymmetric, SingularWitness)
 from .lie import check_lie_automorphism
 from .linalg import Mat, combination, vec_eq
+from .scalars import Frozen
 
 
-class Representation:
+class Representation(Frozen):
     """A Lie algebra action on a same-dimensional space V."""
 
     __slots__ = ("g", "mats")
+    _ARGS = __slots__
 
     def __init__(self, g, mats):
         if len(mats) != g.dim:
@@ -31,12 +33,6 @@ class Representation:
                 raise DimensionMismatch("representation matrices must be dim x dim")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "mats", tuple(mats))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
-
-    def __reduce__(self):
-        return Representation, (self.g, self.mats)
 
     def act(self, x):
         "Row matrix of f(x) for a coordinate vector x on g."
@@ -65,22 +61,17 @@ def check_representation(rep):
     return True, None
 
 
-class Cocycle:
+class Cocycle(Frozen):
     """A pair (representation, C) with C[i][j] = A_j(e_i)."""
 
     __slots__ = ("rep", "C")
+    _ARGS = __slots__
 
     def __init__(self, rep, c):
         if not (c.is_square() and c.nrows == rep.g.dim):
             raise DimensionMismatch("C must be dim x dim")
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "C", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cocycle is immutable")
-
-    def __reduce__(self):
-        return Cocycle, (self.rep, self.C)
 
 
 def check_cocycle(c):

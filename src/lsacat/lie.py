@@ -29,7 +29,7 @@ from .errors import DimensionMismatch, InternalError, NotDimension3
 from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
                      span_basis, vec_is_zero, vec_scale)
 from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
-                      qi)
+                      qi, remember)
 
 
 def check_lie_automorphism(g, t):
@@ -187,7 +187,7 @@ def canonical_l(l):
 
 
 # classify3 results by bracket table, so that a table met again is not
-# classified again; cleared whenever it is full.
+# classified again; remember clears it when it is full.
 _CLASSIFIED = {}
 _CLASSIFIED_MAX = 256
 
@@ -209,9 +209,7 @@ def classify3(g):
     except TypeError:       # a non-constant RatFunc entry has no hash
         return _classify(g)
     if cls is None:
-        if len(_CLASSIFIED) >= _CLASSIFIED_MAX:
-            _CLASSIFIED.clear()
-        cls = _CLASSIFIED[g.c] = _classify(g)
+        cls = remember(_CLASSIFIED, _CLASSIFIED_MAX, g.c, _classify(g))
     return cls
 
 

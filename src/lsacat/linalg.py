@@ -15,13 +15,14 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, LsaError, SingularWitness
-from .scalars import ZERO, ONE, as_scalar, is_zero, substitute
+from .scalars import ZERO, ONE, Frozen, as_scalar, is_zero, substitute
 
 
-class Mat:
+class Mat(Frozen):
     """Immutable dense matrix with exact scalar entries."""
 
     __slots__ = ("rows", "nrows", "ncols")
+    _ARGS = ("rows",)
 
     def __init__(self, rows):
         rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -42,12 +43,6 @@ class Mat:
         object.__setattr__(m, "nrows", len(rows))
         object.__setattr__(m, "ncols", len(rows[0]))
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
-
-    def __reduce__(self):
-        return Mat, (self.rows,)
 
     @staticmethod
     def identity(n):
@@ -75,9 +70,6 @@ class Mat:
             return False
         return all(a == b for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
-
-    def __hash__(self):
-        raise TypeError("Mat is unhashable")
 
     def __add__(self, other):
         self._same_shape(other)

@@ -5,11 +5,13 @@ Three domains arranged in a promotion chain::
     QI (Gaussian rationals)  -->  MultiPoly  -->  RatFunc
 
 Promotion is implicit only upward, through the arithmetic operators: each
-domain lifts the ones below it and leaves any other operand to that
-operand's reflected operator.  Values are never changed after they are
-built, so they are safe to share; they copy and pickle.  The parser relies
-on it: it keeps the result of each text it has read in a bounded map, its
-sequences as tuples, and hands out the stored value again.
+operator of MultiPoly and RatFunc is ``_lifted`` to lift the domains below
+and leave any other operand to that operand's reflected operator.  Values
+are never changed after they are built (each type above QI is ``Frozen``),
+so they are safe to share; they copy and pickle.  The parser relies on it:
+it keeps the result of each text it has read in a bounded map, its
+sequences as tuples, and hands out the stored value again; ``remember``
+bounds that map and the package's other two.
 
 A QI, and so every coefficient above it, is three ints (a, b, d) with
 value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
@@ -29,6 +31,28 @@ from .errors import (
     DomainMismatch,
     UnboundVariable,
 )
+
+
+class Frozen:
+    """Base of the immutable value types: a subclass sets its slots once, by
+    object.__setattr__, and a later assignment raises AttributeError.  A
+    value copies and pickles as its class called on its _ARGS attributes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, a) for a in self._ARGS)
+
+
+def remember(store, bound, key, value):
+    "store[key] = value, clearing store first if it holds bound keys; value."
+    if len(store) >= bound:
+        store.clear()
+    store[key] = value
+    return value
 
 
 def _ratio(x):
@@ -245,7 +269,18 @@ def qi(x, im=0):
     return QI(x, im)
 
 
-class MultiPoly:
+def _lifted(op):
+    """The binary operator op(self, other) with other lifted by self._lift
+    into self's domain; NotImplemented for an operand it cannot lift."""
+    def lifted(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self, other)
+    return lifted
+
+
+class MultiPoly(Frozen):
     """Sparse polynomial over Q(i) in a sorted tuple of named variables.
 
     terms maps exponent tuples (aligned with ``vars``) to nonzero QI
@@ -254,6 +289,7 @@ class MultiPoly:
     """
 
     __slots__ = ("vars", "terms")
+    _ARGS = __slots__
 
     def __init__(self, vars=(), terms=None):
         vs = tuple(vars)
@@ -279,12 +315,6 @@ class MultiPoly:
         object.__setattr__(p, "vars", vs)
         object.__setattr__(p, "terms", terms)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        return MultiPoly, (self.vars, self.terms)
 
     @staticmethod
     def const(c, vars=()):
@@ -329,10 +359,8 @@ class MultiPoly:
             return NotImplemented
         return MultiPoly.const(c, self.vars)
 
+    @_lifted
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         vs, a, b = self._aligned(other)
         out = dict(a)
         _add_multiple(out, ONE, (0,) * len(vs), b)
@@ -340,10 +368,8 @@ class MultiPoly:
 
     __radd__ = __add__
 
+    @_lifted
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -352,10 +378,8 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
+    @_lifted
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         vs, a, b = self._aligned(other)
         out = {}
         for e, c in a.items():
@@ -369,10 +393,8 @@ class MultiPoly:
             return NotImplemented
         return _power(self, n, MultiPoly.const(1, self.vars))
 
+    @_lifted
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero polynomial")
         if other.is_const():
@@ -381,10 +403,8 @@ class MultiPoly:
                                  {e: v / c for e, v in self.terms.items()})
         return RatFunc(self, other)
 
+    @_lifted
     def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __eq__(self, other):
@@ -440,11 +460,12 @@ class MultiPoly:
         return format_scalar(self)
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Quotient num/den of MultiPolys, den lex-monic; no gcd reduction, but
     a sum over one shared denominator keeps that denominator."""
 
     __slots__ = ("num", "den")
+    _ARGS = __slots__
 
     def __init__(self, num, den):
         if not isinstance(num, MultiPoly):
@@ -463,21 +484,14 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        return RatFunc, (self.num, self.den)
-
     def _lift(self, other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, MultiPoly):
-            return RatFunc(other, MultiPoly.const(1))
-        c = _coerce_qi(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return RatFunc(MultiPoly.const(c), MultiPoly.const(1))
+        if not isinstance(other, MultiPoly):
+            other = _coerce_qi(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return RatFunc(other, ONE)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -488,13 +502,8 @@ class RatFunc:
     def const_value(self):
         return self.num.const_value() / self.den.const_value()
 
-    def free_vars(self):
-        return self.num.free_vars() | self.den.free_vars()
-
+    @_lifted
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
@@ -502,10 +511,8 @@ class RatFunc:
 
     __radd__ = __add__
 
+    @_lifted
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -514,26 +521,20 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
+    @_lifted
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_lifted
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
+    @_lifted
     def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __pow__(self, n):
@@ -543,10 +544,8 @@ class RatFunc:
             return RatFunc(self.den, self.num) ** (-n)
         return RatFunc(self.num ** n, self.den ** n)
 
+    @_lifted
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
@@ -919,9 +918,7 @@ def factor_unipoly(co):
     if len(co) > 1:
         factors.append((co, 1))
     factors.sort(key=lambda fm: (len(fm[0]), [(c.re, c.im) for c in fm[0]]))
-    if len(_FACTORED) >= _FACTORED_MAX:
-        _FACTORED.clear()
-    _FACTORED[key] = unit, tuple(factors)
+    remember(_FACTORED, _FACTORED_MAX, key, (unit, tuple(factors)))
     return unit, factors
 
 
@@ -1237,9 +1234,7 @@ def _parse(text, vars, rule, *args):
         p = _Parser(_tokenize(text), set(vars) if vars is not None else None)
         out = rule(p, *args)
         p.take("end")
-        if len(_PARSED) >= _PARSED_MAX:
-            _PARSED.clear()
-        hit = _PARSED[key] = (out, frozenset(p.used))
+        hit = remember(_PARSED, _PARSED_MAX, key, (out, frozenset(p.used)))
     return hit[0]
 
 

@@ -1,6 +1,7 @@
 import ast
 import io
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -533,7 +534,6 @@ UNCALLED_ALLOWED = {"algebra.py:check_left_regular"}
 # gains a definition must be added here once each is known to be reached
 SHARED_NAMES = {
     "const_value": {"scalars.py:MultiPoly", "scalars.py:RatFunc"},
-    "free_vars": {"scalars.py:MultiPoly", "scalars.py:RatFunc"},
     "is_const": {"scalars.py:MultiPoly", "scalars.py:RatFunc"},
     "is_zero": {"linalg.py:Mat", "scalars.py:QI", "scalars.py:MultiPoly",
                 "scalars.py:RatFunc", "scalars.py"},
@@ -580,6 +580,34 @@ def test_package_has_no_public_api_only_tests_reach():
     assert unreached == UNCALLED_ALLOWED
     assert {fn: where for fn, where in defined.items()
             if len(where) > 1} == SHARED_NAMES
+
+
+# the reasons README gives for a statement that no test runs
+UNTRACED_REASONS = ("input error", "operator fallback", "oracle branch",
+                    "certificate self-check", "repr", "entry point",
+                    "unpinned outcome")
+
+
+def test_untraced_list_matches_the_source():
+    """Each line of tests/data/untraced.txt reads 'src/lsacat/<file>:<n>:
+    <text>  # <reason>', line n of the file still reads <text>, and the
+    reason starts with one of UNTRACED_REASONS; a change that moves the
+    listed lines fails here before tests/untraced.py is rerun."""
+    root = os.path.join(SRC, "..")
+    with open(os.path.join(root, "tests", "data", "untraced.txt"),
+              encoding="utf-8") as fh:
+        entries = fh.read().splitlines()
+    sources = {}
+    for entry in entries:
+        m = re.fullmatch(r"(src/lsacat/\w+\.py):(\d+): (.+)", entry)
+        assert m, entry
+        path, n, rest = m.group(1), int(m.group(2)), m.group(3)
+        if path not in sources:
+            with open(os.path.join(root, path), encoding="utf-8") as fh:
+                sources[path] = fh.read().splitlines()
+        text = sources[path][n - 1].strip()
+        assert rest.startswith(text + "  # "), entry
+        assert rest[len(text) + 4:].startswith(UNTRACED_REASONS), entry
 
 
 # (sample, old text, new text): each edit makes the sample malformed

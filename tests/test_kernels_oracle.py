@@ -228,6 +228,16 @@ def test_left_symmetry_and_predicates_match_definitions(c):
     check_against_definitions(c)
 
 
+def in_random_basis(draw, c):
+    "The table c rebased by a random invertible matrix, or as it is."
+    n = len(c)
+    w = Mat([[draw(small_qi) for _ in range(n)] for _ in range(n)])
+    if is_zero(w.det()):
+        w = Mat.identity(n)
+    a = rebase(Algebra(c), w)
+    return [[list(a.c[i][j]) for j in range(n)] for i in range(n)]
+
+
 @st.composite
 def rebased_transitive_tables(draw):
     """Tables with c_ij^k = 0 unless k > i, so that every R_x is strictly
@@ -237,11 +247,7 @@ def rebased_transitive_tables(draw):
     n = draw(st.integers(2, 3))
     c = [[[draw(small_qi) if k > i else QI(0) for k in range(n)]
           for j in range(n)] for i in range(n)]
-    w = Mat([[draw(small_qi) for _ in range(n)] for _ in range(n)])
-    if is_zero(w.det()):
-        w = Mat.identity(n)
-    a = rebase(Algebra(c), w)
-    return [[list(a.c[i][j]) for j in range(n)] for i in range(n)]
+    return in_random_basis(draw, c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,6 +255,34 @@ def rebased_transitive_tables(draw):
 def test_predicates_match_definitions_on_rebased_transitive_tables(c):
     assert is_transitive(Algebra(c))
     check_against_definitions(c)
+
+
+@st.composite
+def split_trace_tables(draw):
+    """e1 e2 = a e3, e2 e1 = b e3, e3 e1 = c e1, e3 e2 = d e2 with a, b,
+    c != 0.  Then tr R_x = tr R_x^3 = 0 and tr R_x^2 = 2 x1 x2 (ac + bd),
+    so the table is transitive iff ac + bd = 0.  A reader of tr R_x^3 that
+    takes c[z][m][p] for c[m][z][p] calls such a transitive table
+    intransitive.  Returns [(table, True), (table, False)]: d = -ac/b,
+    then d with ac + bd = e != 0, each in a random basis."""
+    nonzero = small_qi.filter(lambda x: not x.is_zero())
+    a, b, c, e = (draw(nonzero) for _ in range(4))
+    z = QI(0)
+    out = []
+    for d, transitive in ((-a * c / b, True), ((e - a * c) / b, False)):
+        t = [[[z, z, z], [z, z, a], [z, z, z]],
+             [[z, z, b], [z, z, z], [z, z, z]],
+             [[c, z, z], [z, d, z], [z, z, z]]]
+        out.append((in_random_basis(draw, t), transitive))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_trace_tables())
+def test_transitivity_read_off_the_cubic_trace(cases):
+    for c, transitive in cases:
+        assert is_transitive(Algebra(c)) is transitive
+        check_against_definitions(c)
 
 
 def test_catalog_tables_match_definitions(first_samples):

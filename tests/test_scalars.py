@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsacat import scalars
+from lsacat.algebra import Algebra, LieAlgebra
+from lsacat.cocycle import Cocycle, Representation
 from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
                            UnboundVariable)
 from lsacat.linalg import Mat
-from lsacat.scalars import (MultiPoly, QI, RatFunc, factor_unipoly,
+from lsacat.scalars import (Frozen, MultiPoly, QI, RatFunc, factor_unipoly,
                             format_scalar, parse_scalar, qi, qi_roots,
                             substitute)
 
@@ -608,3 +611,52 @@ def test_qi_errors_and_immutability():
         with pytest.raises(AttributeError):
             setattr(z, name, 1)
     assert z == QI(Fraction(1, 2), 3)
+
+
+def value_of(kind):
+    "A small value of each value type, by type name."
+    s = MultiPoly.var("s")
+    g = LieAlgebra([[[0, 0], [0, 1]], [[0, -1], [0, 0]]])
+    rep = Representation(g, [Mat.identity(2), Mat.zero(2)])
+    return {"QI": QI(2), "MultiPoly": s + 1, "RatFunc": RatFunc(s, s + 1),
+            "Mat": Mat([[1, 2], [3, 4]]),
+            "Algebra": Algebra([[[1, 0], [0, 1]], [[0, 1], [0, 0]]]),
+            "LieAlgebra": g, "Representation": rep,
+            "Cocycle": Cocycle(rep, Mat.identity(2))}[kind]
+
+
+# an exponent each scalar type refuses
+BAD_EXPONENT = {"QI": QI(2), "MultiPoly": -1, "RatFunc": 0.5}
+
+
+@pytest.mark.parametrize("kind", ["QI", "MultiPoly", "RatFunc", "Mat",
+                                  "Algebra", "LieAlgebra", "Representation",
+                                  "Cocycle"])
+def test_operator_fallbacks_and_frozen_values(kind):
+    """An operand that no operator can read leaves == False and arithmetic
+    a TypeError; every Frozen value refuses attribute assignment, naming its
+    class; a Mat or an Algebra, compared by its entries, has no hash."""
+    v = value_of(kind)
+    assert (v == object()) is False and (object() == v) is False
+    if kind in BAD_EXPONENT:
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            for args in ((v, object()), (object(), v)):
+                with pytest.raises(TypeError):
+                    op(*args)
+        with pytest.raises(TypeError):
+            v ** BAD_EXPONENT[kind]
+    if kind == "Mat":
+        assert v != Mat([[1, 2]]) and v != Mat([[1], [3]])
+        assert (-v).rows == ((-1, -2), (-3, -4))
+    if kind in ("Algebra", "LieAlgebra"):
+        assert v != Algebra([[[1]]])
+    if kind in ("Mat", "Algebra", "LieAlgebra"):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(v)
+    if kind != "QI":
+        assert isinstance(v, Frozen)
+        for name in v._ARGS + ("other",):
+            with pytest.raises(AttributeError, match="^%s is immutable$"
+                               % kind):
+                setattr(v, name, None)
