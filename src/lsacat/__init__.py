@@ -18,9 +18,8 @@ its stored tuples).  Dict reads and writes are atomic, so at worst two
 threads compute one twice.
 """
 
-from .algebra import (Algebra, check_left_regular, check_left_symmetric,
-                      commutator_lie, left_matrix, multiply, rebase,
-                      right_matrix)
+from .algebra import (Algebra, check_left_symmetric, commutator_lie,
+                      left_matrix, multiply, rebase, right_matrix)
 from .cocycle import (Cocycle, Representation, check_cocycle,
                       check_representation, phi, psi, verify_cocycle_equiv,
                       verify_cocycle_iso)
@@ -40,7 +39,7 @@ __all__ = [
     "Algebra", "Cocycle", "Fingerprint", "IsoVerdict", "LieAlgebra",
     "LieClass", "MultiPoly", "QI", "RatFunc",
     "Representation", "canonical_lie", "check_cocycle",
-    "check_cybe", "check_left_regular", "check_left_symmetric",
+    "check_cybe", "check_left_symmetric",
     "check_lie_automorphism", "check_o_operator", "check_representation",
     "classify3", "commutator_lie",
     "find_ideals", "fingerprint", "induced_product", "is_associative",

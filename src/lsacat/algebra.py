@@ -215,22 +215,6 @@ def multiplication_operators(a):
                for i in range(n)])
 
 
-def check_left_regular(a):
-    """[L_x, L_y] = L_{[x,y]} on all basis pairs (column matrices).
-
-    Equivalent to check_left_symmetric; kept as an independent route.
-    """
-    n = a.dim
-    lmats = multiplication_operators(a)[:n]
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket_vec = vec_sub(a.c[i][j], a.c[j][i])
-            lhs = lmats[i] * lmats[j] - lmats[j] * lmats[i]
-            if lhs != combination(bracket_vec, lmats):
-                return False, (i, j)
-    return True, None
-
-
 def rebase(a, w):
     """Structure constants of the same product in the new basis whose
     vectors are the rows of w (expressed in the old basis)."""

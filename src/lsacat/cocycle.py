@@ -15,7 +15,7 @@ from .algebra import Algebra, check_left_symmetric, commutator_lie
 from .errors import (DimensionMismatch, NotAutomorphism, NotBijective,
                      NotCocycle, NotLeftSymmetric, SingularWitness)
 from .lie import check_lie_automorphism
-from .linalg import Mat, combination, vec_eq
+from .linalg import Mat, combination, vec_eq, vec_sub
 from .scalars import Frozen
 
 
@@ -84,10 +84,10 @@ def check_cocycle(c):
     for i in range(n):
         for j in range(i + 1, n):
             lhs = cm.apply_row(g.c[i][j])
-            rhs = [a - b for a, b in zip(mats[i].apply_row(cm.row(j)),
-                                         mats[j].apply_row(cm.row(i)))]
+            rhs = vec_sub(mats[i].apply_row(cm.row(j)),
+                          mats[j].apply_row(cm.row(i)))
             if not vec_eq(lhs, rhs):
-                return False, (i, j, [a - b for a, b in zip(lhs, rhs)])
+                return False, (i, j, vec_sub(lhs, rhs))
     return True, None
 
 

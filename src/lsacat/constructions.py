@@ -14,7 +14,7 @@ from .algebra import Algebra, check_left_symmetric, multiply, rebase
 from .cocycle import check_representation, left_regular
 from .errors import (CybeFails, LsaError, NotCommutativeAssociative,
                      NotDerivation, NotLeftSymmetric, NotOOperator)
-from .linalg import Mat, basis_vec, vec_eq, vec_sub
+from .linalg import Mat, basis_vec, vec_add, vec_eq, vec_sub
 from .props import is_associative, is_commutative, is_novikov
 
 
@@ -24,9 +24,8 @@ def check_derivation(base, d):
     for i in range(n):
         for j in range(n):
             lhs = d.apply_row(base.c[i][j])
-            rhs = [x + y for x, y in zip(
-                multiply(base, d.row(i), basis_vec(n, j)),
-                multiply(base, basis_vec(n, i), d.row(j)))]
+            rhs = vec_add(multiply(base, d.row(i), basis_vec(n, j)),
+                          multiply(base, basis_vec(n, i), d.row(j)))
             if not vec_eq(lhs, rhs):
                 return False
     return True

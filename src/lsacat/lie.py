@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
 from .errors import DimensionMismatch, InternalError, NotDimension3
-from .linalg import (Mat, basis_vec, common_kernel, coords_in_span, in_span,
-                     span_basis, vec_is_zero, vec_scale)
+from .linalg import (Mat, basis_vec, coords_in_span, span_basis, vec_is_zero,
+                     vec_scale)
 from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
                       qi, remember)
 
@@ -254,7 +254,8 @@ def _classify_n(g, z):
             break
     e3 = vec_scale(basis_vec(3, i), 1 / _coeff_along(v, z))
     # the centre: x with [x, e_j] = 0 for all j
-    c0 = common_kernel(multiplication_operators(g)[3:])[0]
+    c0 = Mat._of([r for m in multiplication_operators(g)[3:]
+                  for r in m.rows]).nullspace()[0]
     return _witnessed(g, Mat([c0, z, e3]), "N")
 
 
@@ -265,7 +266,7 @@ def _classify_d2(g, derived):
     b1, b2 = derived
     w0 = None
     for i in range(n):
-        if not in_span(basis_vec(n, i), derived):
+        if coords_in_span(derived, basis_vec(n, i)) is None:
             w0 = basis_vec(n, i)
             break
     # action of ad(w0) on the derived plane, row convention
@@ -281,7 +282,7 @@ def _classify_d2(g, derived):
     roots = [-f[0] for f, _ in factors]
     if len(roots) == 1:
         alpha = roots[0]
-        nil = a2 * (1 / alpha) - Mat.identity(2)
+        nil = (a2 * (1 / alpha)).plus_scalar(-ONE)
         e3 = vec_scale(w0, 1 / alpha)
         if nil.is_zero():
             return _witnessed(g, Mat([b1, b2, e3]), "Dl", ONE)
@@ -316,7 +317,7 @@ def _witnessed(g, w, tag, l=None):
 
 def _left_eigvec(m, ev):
     "A left eigenvector of m for ev, an exact root of its charpoly."
-    return (m - ev * Mat.identity(m.nrows)).transpose().nullspace()[0]
+    return m.plus_scalar(-ev).transpose().nullspace()[0]
 
 
 def _coeff_along(v, z):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import DimensionMismatch, LsaError, SingularWitness
+from .errors import DimensionMismatch, SingularWitness
 from .scalars import ZERO, ONE, Frozen, as_scalar, is_zero, substitute
 
 
@@ -100,6 +100,11 @@ class Mat(Frozen):
     def __rmul__(self, other):
         s = as_scalar(other)
         return Mat._of([[s * a for a in r] for r in self.rows])
+
+    def plus_scalar(self, c):
+        "self + c I, adding c on the diagonal only."
+        return Mat._of([[x + c if i == j else x for j, x in enumerate(r)]
+                        for i, r in enumerate(self.rows)])
 
     def transpose(self):
         return Mat._of(list(zip(*self.rows)))
@@ -272,11 +277,6 @@ def _cofactor(rows, i, j):
     return -m if (i + j) % 2 else m
 
 
-def common_kernel(mats):
-    "Basis of {x : M x = 0 for every M in mats}, the stacked rows' nullspace."
-    return Mat._of([r for m in mats for r in m.rows]).nullspace()
-
-
 def vec_add(x, y):
     "x + y, adding only where both coordinates are nonzero."
     return [b if is_zero(a) else a if is_zero(b) else a + b
@@ -317,30 +317,15 @@ def span_basis(vectors):
     return [red.row(k) for k in range(len(pivots))]
 
 
-def in_span(v, basis):
-    "Is v in the row span of basis?"
-    if not basis:
-        return vec_is_zero(v)
-    return solve_col(Mat(list(zip(*basis))), v) is not None
-
-
-def solve_col(a, v):
-    "One solution x of A x = v, or None if inconsistent."
-    n, m = a.nrows, a.ncols
-    aug = Mat([list(a.row(i)) + [v[i]] for i in range(n)])
-    red, pivots = aug.rref()
+def coords_in_span(basis, v):
+    """Coordinates of v in the span of the basis rows, or None when v is
+    outside it: one rref of the basis columns beside v."""
+    m = len(basis)
+    red, pivots = Mat([list(col) + [x]
+                       for col, x in zip(zip(*basis), v)]).rref()
     if m in pivots:
         return None
     x = vec_zero(m)
     for r, p in enumerate(pivots):
         x[p] = red.rows[r][m]
     return x
-
-
-def coords_in_span(basis, v):
-    "Coordinates of v in the span of the basis rows; raises if v is outside it."
-    m = Mat(list(zip(*[list(b) for b in basis])))
-    sol = solve_col(m, v)
-    if sol is None:
-        raise LsaError("vector is not in the span")
-    return sol

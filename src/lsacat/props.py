@@ -35,8 +35,8 @@ from .algebra import (check_left_symmetric, commutator_lie,
                       triple_products)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, in_span, span_basis, vec_add, vec_eq,
-                     vec_is_zero)
+from .linalg import (Mat, basis_vec, coords_in_span, span_basis, vec_add,
+                     vec_eq, vec_is_zero)
 from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
 
 
@@ -146,12 +146,6 @@ def _is_scalar_mat(m):
                for i, r in enumerate(m.rows) for j, x in enumerate(r))
 
 
-def _plus_scalar(m, c):
-    "m + c I, adding c on the diagonal only."
-    return Mat._of([[x + c if i == j else x for j, x in enumerate(r)]
-                    for i, r in enumerate(m.rows)])
-
-
 def _proportional(v, w):
     n = len(v)
     for i in range(n):
@@ -186,8 +180,9 @@ def _orbit_invariant(ops, m, w):
     for op in ops:
         for v in w:
             u = op.apply_col(v)
-            if not (in_span(u, w) and vec_eq(op.apply_col(m.apply_col(v)),
-                                             m.apply_col(u))):
+            if (coords_in_span(w, u) is None
+                    or not vec_eq(op.apply_col(m.apply_col(v)),
+                                  m.apply_col(u))):
                 return False
     return True
 
@@ -221,13 +216,13 @@ def _invariant_lines(ops, chosen, factors):
             # eigenlines for the roots of the irreducible f
             fm = Mat.zero(n)
             for c in reversed(f):
-                fm = _plus_scalar(fm * chosen, c)
+                fm = (fm * chosen).plus_scalar(c)
             w = fm.nullspace()
             if _orbit_invariant(ops, chosen, w):
                 orbits.append((w, f))
             continue
         # f = t - alpha, so ker(M - alpha I) = ker(M + f[0] I)
-        eig = _plus_scalar(chosen, f[0]).nullspace()
+        eig = chosen.plus_scalar(f[0]).nullspace()
         if len(eig) == 1:
             if _line_invariant(ops, eig[0]):
                 lines.append(_normalize_line(eig[0]))
@@ -360,9 +355,9 @@ def ideal_closed(a, basis):
     for b in basis:
         for k in range(a.dim):
             e = basis_vec(a.dim, k)
-            if not in_span(multiply(a, b, e), basis):
+            if coords_in_span(basis, multiply(a, b, e)) is None:
                 return False
-            if not in_span(multiply(a, e, b), basis):
+            if coords_in_span(basis, multiply(a, e, b)) is None:
                 return False
     return True
 
@@ -377,7 +372,8 @@ def closure_span(a, vectors):
             for k in range(a.dim):
                 e = basis_vec(a.dim, k)
                 for prod in (multiply(a, b, e), multiply(a, e, b)):
-                    if not vec_is_zero(prod) and not in_span(prod, basis):
+                    if (not vec_is_zero(prod)
+                            and coords_in_span(basis, prod) is None):
                         basis = span_basis(basis + [prod])
                         changed = True
     return basis

@@ -593,9 +593,7 @@ def substitute(p, bindings):
     p = as_scalar(p)
     if isinstance(p, QI):
         return p
-    if isinstance(p, (MultiPoly, RatFunc)):
-        return p.substitute(bindings)
-    raise DomainMismatch("cannot substitute into %r" % (p,))
+    return p.substitute(bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -984,11 +982,9 @@ def format_scalar(s):
         return format_qi(s)
     if isinstance(s, MultiPoly):
         return format_multipoly(s)
-    if isinstance(s, RatFunc):
-        if s.den == 1:
-            return format_multipoly(s.num)
-        return "(%s)/(%s)" % (format_multipoly(s.num), format_multipoly(s.den))
-    raise DomainMismatch("cannot format %r" % (s,))
+    if s.den == 1:                  # s is a RatFunc
+        return format_multipoly(s.num)
+    return "(%s)/(%s)" % (format_multipoly(s.num), format_multipoly(s.den))
 
 
 class _Tok:

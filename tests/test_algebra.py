@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import (Algebra, check_left_regular, check_left_symmetric,
-                            commutator_lie, hom_defects, left_matrix, multiply,
-                            rebase, right_matrix, triple_products)
+from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
+                            hom_defects, left_matrix, multiply, rebase,
+                            right_matrix, triple_products)
+from lsacat.cocycle import Cocycle, Representation
 from lsacat.errors import DimensionMismatch
 from lsacat.lie import canonical_lie, classify3
 from lsacat.linalg import Mat, basis_vec, vec_add, vec_eq, vec_is_zero
@@ -39,6 +40,30 @@ def test_multiply_n1_lambda2():
 def test_multiply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         multiply(H1, [1, 0], [0, 1, 0])
+
+
+HEIS = canonical_lie("Heisenberg")
+ZERO_REP = Representation(HEIS, [Mat.zero(3)] * 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Algebra([[[0, 0], [0, 0]], [[0, 0]]]), "table is not dim x dim"),
+    (lambda: Algebra([[[0, 0], [0]], [[0, 0], [0, 0]]]),
+     "product vector has wrong length"),
+    (lambda: Mat([]), "empty matrix"),
+    (lambda: Mat([[1, 2], [3]]), "ragged rows"),
+    (lambda: Representation(HEIS, [Mat.zero(3)] * 2),
+     "need one matrix per basis element"),
+    (lambda: Representation(HEIS, [Mat([[0, 0, 0], [0, 0, 0]])] * 3),
+     "representation matrices must be dim x dim"),
+    (lambda: Cocycle(ZERO_REP, Mat.zero(2)), "C must be dim x dim"),
+], ids=["table_rows", "product_length", "empty_mat", "ragged_mat",
+        "rep_count", "rep_not_square", "cocycle_c"])
+def test_constructor_checks_shape(build, message):
+    "Each value checks its shape once, where it is built."
+    with pytest.raises(DimensionMismatch) as err:
+        build()
+    assert str(err.value) == message
 
 
 def associator(a, i, j, k):
@@ -132,19 +157,6 @@ def test_left_right_matrices_zero_algebra():
     z = Algebra.from_products(3, {})
     assert left_matrix(z, [1, 1, 1]).is_zero()
     assert right_matrix(z, [1, 1, 1]).is_zero()
-
-
-def test_left_regular_equals_left_symmetric():
-    rng = random.Random(31)
-    h2 = catalog.instantiate("H-2")
-    bad = Algebra.from_products(3, {(0, 0): [(1, 1)], (1, 0): [(1, 0)]})
-    for alg in (H1, h2, Algebra.from_products(3, {}), bad):
-        assert check_left_regular(alg)[0] == check_left_symmetric(alg)[0]
-    for _ in range(10):
-        table = [[[QI(rng.randint(-1, 1)) for _ in range(3)]
-                  for _ in range(3)] for _ in range(3)]
-        alg = Algebra(table)
-        assert check_left_regular(alg)[0] == check_left_symmetric(alg)[0]
 
 
 def test_multiply_bilinear():

@@ -407,6 +407,33 @@ def test_load_error_keeps_line_and_column(tmp_path, monkeypatch):
                                      + ": line 4, col 1: ")
 
 
+# (old, new, stdout) in e.cat: each edit breaks the structure of a block
+# or of the catalog, and {} is the copy's directory
+BAD_BLOCKS = {
+    "block_head": ("entry E-2\n", "entries E-2\n",
+                   "catalog error: {}/e.cat: line 18, col 1: entry block "
+                   "must start with 'entry <id>'"),
+    "bad_family": ("family E\n", "family Q\n",
+                   "catalog error: {}/e.cat: entry E-1 has bad family 'Q'"),
+    "unterminated": ("C = [[1,0,0],[1,1,0],[-1,0,1]]\nflags\nend\n",
+                     "C = [[1,0,0],[1,1,0],[-1,0,1]]\nflags\n",
+                     "catalog error: line 124, col 1: unterminated entry "
+                     "block in {}/e.cat"),
+    "duplicate_id": ("entry E-2\n", "entry E-1\n",
+                     "catalog error: duplicate entry id E-1"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_BLOCKS))
+def test_bad_block_rejected_on_load(tmp_path, monkeypatch, capsys, defect):
+    "A block or catalog of the wrong shape exits 2 with one pinned line."
+    old, new, line = BAD_BLOCKS[defect]
+    directory = corrupted_catalog(tmp_path, old, new, "e.cat")
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    assert cli.main(["catalog-verify", "--entry", "E-1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [line.format(directory)]
+
+
 @pytest.mark.parametrize("name, old, new, line, col", [
     ("n.cat", "iso N-9 when lambda=0 bind lambda=0",
      "iso N-9 when lambda=x bind lambda=0", 14, 21),
@@ -529,3 +556,17 @@ def test_catalog_verify_prints_every_failure(tmp_path, monkeypatch, capsys,
                                                         name))
     assert cli.main(["catalog-verify", "--all"] + args) == 1
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_quick_start_runs(capsys):
+    "The README's library quick start runs as printed and its sweep is clean."
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["report"].summary() == (
+        "verified 18 entry/sample pairs, 0 failures")
+    assert capsys.readouterr().out.splitlines()[-1] == scope["report"].summary()

@@ -524,9 +524,8 @@ def test_package_has_no_dead_private_functions():
     assert dead == []
 
 
-# public functions kept although no caller reaches them: the independent
-# oracle for left-symmetry
-UNCALLED_ALLOWED = {"algebra.py:check_left_regular"}
+# public functions kept although no caller reaches them
+UNCALLED_ALLOWED = set()
 
 # public names with more than one definition ("module:Class" for a
 # method, "module" for a function): references are counted by bare name,

@@ -8,10 +8,10 @@ nothing but basis products, and are checked on random tables in
 dimensions 1..3 that need not be left-symmetric, some with MultiPoly
 entries, and on every catalog entry at its first sample.
 
-Mat.charpoly, Mat.inverse, Mat.rank and linalg.common_kernel are checked
-on random matrices of size 1..4 with QI or MultiPoly entries: against
-det(u I - M), against the identity, and against ranks read off nonzero
-minors."""
+Mat.charpoly, Mat.inverse, Mat.rank and the nullspace of stacked
+matrices (the common kernel) are checked on random matrices of size 1..4
+with QI or MultiPoly entries: against det(u I - M), against the identity,
+and against ranks read off nonzero minors."""
 
 from itertools import combinations
 
@@ -20,7 +20,7 @@ import pytest
 from lsacat.algebra import (Algebra, check_left_symmetric, left_matrix,
                             multiply, rebase, right_matrix, triple_products)
 from lsacat.errors import SingularWitness
-from lsacat.linalg import Mat, common_kernel
+from lsacat.linalg import Mat
 from lsacat.props import (fingerprint, is_associative, is_bisymmetric,
                           is_commutative, is_novikov, is_transitive,
                           trace_forms)
@@ -378,7 +378,7 @@ def test_rank_of_rectangular_matrices_is_rank_by_minors(p, q, data):
     lambda n: st.lists(square_mats(n), min_size=1, max_size=3)))
 def test_common_kernel_is_killed_and_has_full_dimension(mats):
     n = mats[0].nrows
-    kernel = common_kernel(mats)
+    kernel = Mat([r for m in mats for r in m.rows]).nullspace()
     for v in kernel:
         for m in mats:
             assert all(is_zero(x) for x in m.apply_col(v))

@@ -12,7 +12,7 @@ from lsacat import scalars
 from lsacat.algebra import Algebra, LieAlgebra
 from lsacat.cocycle import Cocycle, Representation
 from lsacat.errors import (DegreeTooHigh, DenominatorVanishes, DivisionByZero,
-                           UnboundVariable)
+                           DomainMismatch, UnboundVariable)
 from lsacat.linalg import Mat
 from lsacat.scalars import (Frozen, MultiPoly, QI, RatFunc, factor_unipoly,
                             format_scalar, parse_scalar, qi, qi_roots,
@@ -121,6 +121,14 @@ def test_substitute_unbound_and_vanishing():
         substitute(p, {"l": 1})
     with pytest.raises(DenominatorVanishes):
         substitute(p, {"l": 1, "m": 0})
+
+
+@pytest.mark.parametrize("call", [format_scalar,
+                                  lambda x: substitute(x, {})])
+def test_non_scalar_refused_where_coerced(call):
+    "as_scalar, the first step of each, refuses what is not a scalar."
+    with pytest.raises(DomainMismatch, match="cannot interpret"):
+        call(object())
 
 
 def test_substitute_commutes_with_arithmetic():
