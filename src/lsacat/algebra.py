@@ -62,10 +62,7 @@ class Algebra(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(vec_eq(self.c[i][j], other.c[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
+        return self.c == other.c
 
     def table_str(self):
         "Characteristic-matrix rendering, one row per left factor."

@@ -31,8 +31,7 @@ from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      UnboundVariable, UnknownId, ZeroAlgebra)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
-from .props import (find_ideals, is_associative, is_bisymmetric,
-                    is_novikov, is_semisimple, is_simple, is_transitive)
+from .props import find_ideals, identity_flags, is_semisimple, is_simple
 from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
 
 FAMILY_FILES = {
@@ -412,15 +411,8 @@ def computed_flags(alg, tu=None):
         simple, (semi, _) = is_simple(alg, report), is_semisimple(alg, report)
     except ZeroAlgebra:     # neither simple nor semisimple
         simple = semi = False
-    tu = tu or triple_products(alg)
-    return {
-        "associative": is_associative(alg, tu),
-        "transitive": is_transitive(alg, tu),
-        "novikov": is_novikov(alg, tu),
-        "bisymmetric": is_bisymmetric(alg, tu),
-        "simple": simple,
-        "semisimple": semi,
-    }
+    return dict(identity_flags(alg, tu or triple_products(alg)),
+                simple=simple, semisimple=semi)
 
 
 def verify_entry(entry_id, bindings=None):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
 from .errors import DimensionMismatch, InternalError, NotDimension3
-from .linalg import (Mat, basis_vec, coords_in_span, span_basis, vec_is_zero,
-                     vec_scale)
+from .linalg import Mat, basis_vec, span_basis, vec_is_zero, vec_scale
 from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
                       qi, remember)
 
@@ -262,17 +261,13 @@ def _classify_n(g, z):
 def _classify_d2(g, derived):
     """g is solvable, so its derived plane is nilpotent, hence abelian, and
     ad w0 of an element outside it is invertible on it: g' = [w0, g']."""
-    n = 3
-    b1, b2 = derived
-    w0 = None
-    for i in range(n):
-        if coords_in_span(derived, basis_vec(n, i)) is None:
-            w0 = basis_vec(n, i)
-            break
+    # derived holds reduced echelon rows: e_i lies in their span iff it is
+    # one of them, and a vector in it has its coordinates at the pivots
+    w0 = next(e for e in (basis_vec(3, i) for i in range(3))
+              if e not in derived)
+    piv = [next(k for k, x in enumerate(b) if not is_zero(x)) for b in derived]
     # action of ad(w0) on the derived plane, row convention
-    r1 = coords_in_span(derived, multiply(g, w0, b1))
-    r2 = coords_in_span(derived, multiply(g, w0, b2))
-    a2 = Mat([r1, r2])
+    a2 = Mat([[multiply(g, w0, b)[p] for p in piv] for b in derived])
     _, factors = factor_unipoly(a2.charpoly())
     if len(factors[0][0]) == 3:
         c0, c1, _ = factors[0][0]
@@ -285,7 +280,7 @@ def _classify_d2(g, derived):
         nil = (a2 * (1 / alpha)).plus_scalar(-ONE)
         e3 = vec_scale(w0, 1 / alpha)
         if nil.is_zero():
-            return _witnessed(g, Mat([b1, b2, e3]), "Dl", ONE)
+            return _witnessed(g, Mat(derived + [e3]), "Dl", ONE)
         # Jordan block: E family
         for v in ([ONE, ZERO], [ZERO, ONE]):
             img = nil.apply_row(v)

@@ -7,7 +7,7 @@ vector x maps to x * M.
 
 The determinant, the inverse and the characteristic polynomial come from
 cofactor expansion (_det); rank counts the pivots of forward elimination,
-and nullspaces, spans and solutions come from one elimination, rref.
+and nullspaces and span bases come from one elimination, rref.
 """
 
 from __future__ import annotations
@@ -316,16 +316,3 @@ def span_basis(vectors):
     red, pivots = Mat([list(v) for v in vectors]).rref()
     return [red.row(k) for k in range(len(pivots))]
 
-
-def coords_in_span(basis, v):
-    """Coordinates of v in the span of the basis rows, or None when v is
-    outside it: one rref of the basis columns beside v."""
-    m = len(basis)
-    red, pivots = Mat([list(col) + [x]
-                       for col, x in zip(zip(*basis), v)]).rref()
-    if m in pivots:
-        return None
-    x = vec_zero(m)
-    for r, p in enumerate(pivots):
-        x[p] = red.rows[r][m]
-    return x

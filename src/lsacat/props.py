@@ -35,8 +35,7 @@ from .algebra import (check_left_symmetric, commutator_lie,
                       triple_products)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, coords_in_span, span_basis, vec_add,
-                     vec_eq, vec_is_zero)
+from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_is_zero
 from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
 
 
@@ -87,6 +86,16 @@ def is_transitive(a, tu=None):
         if not all(map(is_zero, coeffs.values())):
             return False
     return True
+
+
+def identity_flags(a, tu):
+    "The associative, transitive, Novikov and bisymmetric flags of a."
+    return {
+        "associative": is_associative(a, tu),
+        "transitive": is_transitive(a, tu),
+        "novikov": is_novikov(a, tu),
+        "bisymmetric": is_bisymmetric(a, tu),
+    }
 
 
 def trace_forms(a, tu):
@@ -147,12 +156,8 @@ def _is_scalar_mat(m):
 
 
 def _proportional(v, w):
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not is_zero(v[i] * w[j] - v[j] * w[i]):
-                return False
-    return True
+    return all(is_zero(v[i] * w[j] - v[j] * w[i])
+               for i, j in combinations(range(len(v)), 2))
 
 
 def _line_invariant(ops, v):
@@ -165,11 +170,12 @@ def _normalize_line(v):
 
 
 def _dedupe_lines(lines):
+    """The lines, each kept once: all are normalized to a leading 1, so
+    proportional lines are equal."""
     out = []
     for v in lines:
-        if any(len(v) == len(w) and _proportional(v, w) for w in out):
-            continue
-        out.append(v)
+        if v not in out:
+            out.append(v)
     return out
 
 
@@ -180,11 +186,16 @@ def _orbit_invariant(ops, m, w):
     for op in ops:
         for v in w:
             u = op.apply_col(v)
-            if (coords_in_span(w, u) is None
+            if (_outside(w, u)
                     or not vec_eq(op.apply_col(m.apply_col(v)),
                                   m.apply_col(u))):
                 return False
     return True
+
+
+def _outside(basis, v):
+    "v lies outside the span of the independent basis rows."
+    return Mat._of(basis + [v]).rank() > len(basis)
 
 
 def _chosen_operator(ops):
@@ -355,9 +366,8 @@ def ideal_closed(a, basis):
     for b in basis:
         for k in range(a.dim):
             e = basis_vec(a.dim, k)
-            if coords_in_span(basis, multiply(a, b, e)) is None:
-                return False
-            if coords_in_span(basis, multiply(a, e, b)) is None:
+            if (_outside(basis, multiply(a, b, e))
+                    or _outside(basis, multiply(a, e, b))):
                 return False
     return True
 
@@ -372,8 +382,7 @@ def closure_span(a, vectors):
             for k in range(a.dim):
                 e = basis_vec(a.dim, k)
                 for prod in (multiply(a, b, e), multiply(a, e, b)):
-                    if (not vec_is_zero(prod)
-                            and coords_in_span(basis, prod) is None):
+                    if not vec_is_zero(prod) and _outside(basis, prod):
                         basis = span_basis(basis + [prod])
                         changed = True
     return basis
@@ -477,14 +486,8 @@ def fingerprint(a, lie=None):
     both = [x + y for x, y in zip(left, right)]
     tu = triple_products(a)
     ls, _ = check_left_symmetric(a, tu)
-    flags = {
-        "left_symmetric": ls,
-        "associative": is_associative(a, tu),
-        "transitive": is_transitive(a, tu),
-        "novikov": is_novikov(a, tu),
-        "bisymmetric": is_bisymmetric(a, tu),
-        "commutative": is_commutative(a),
-    }
+    flags = dict(identity_flags(a, tu), left_symmetric=ls,
+                 commutative=is_commutative(a))
     dims = {
         "product_span": Mat._of(span).rank(),
         "ann_left": n - Mat._of(left).rank(),

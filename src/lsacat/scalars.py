@@ -262,11 +262,11 @@ def _coerce_qi(x):
     return NotImplemented
 
 
-def qi(x, im=0):
+def qi(x):
     "Coerce an int/Fraction/QI to QI."
     if type(x) is QI:
         return x
-    return QI(x, im)
+    return QI(x)
 
 
 def _lifted(op):
@@ -407,13 +407,10 @@ class MultiPoly(Frozen):
     def __rtruediv__(self, other):
         return other / self
 
+    @_lifted
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
-            return self.is_const() and self.const_value() == qi(other)
-        if isinstance(other, MultiPoly):
-            _, a, b = self._aligned(other)
-            return a == b
-        return NotImplemented
+        _, a, b = self._aligned(other)
+        return a == b
 
     def __hash__(self):
         if self.is_const():

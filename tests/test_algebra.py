@@ -7,11 +7,15 @@ from lsacat import catalog
 from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
                             hom_defects, left_matrix, multiply, rebase,
                             right_matrix, triple_products)
-from lsacat.cocycle import Cocycle, Representation
-from lsacat.errors import DimensionMismatch
-from lsacat.lie import canonical_lie, classify3
+from lsacat.cocycle import (Cocycle, Representation, psi,
+                            verify_cocycle_equiv)
+from lsacat.errors import (DimensionMismatch, DivisionByZero, DomainMismatch,
+                           SingularWitness)
+from lsacat.iso import verify_lsa_iso
+from lsacat.lie import (aut_template, canonical_l, canonical_lie,
+                        check_lie_automorphism, classify3)
 from lsacat.linalg import Mat, basis_vec, vec_add, vec_eq, vec_is_zero
-from lsacat.scalars import QI
+from lsacat.scalars import QI, MultiPoly, RatFunc, qi_roots
 
 
 H1 = Algebra.from_products(3, {
@@ -64,6 +68,67 @@ def test_constructor_checks_shape(build, message):
     with pytest.raises(DimensionMismatch) as err:
         build()
     assert str(err.value) == message
+
+
+M23 = Mat([[1, 2, 3], [4, 5, 6]])
+L = MultiPoly.var("l")
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: M23 + Mat.zero(2), DimensionMismatch("shape mismatch")),
+    (lambda: M23 * M23, DimensionMismatch("inner dimensions differ")),
+    (lambda: M23.apply_row([1, 2, 3]),
+     DimensionMismatch("vector length mismatch")),
+    (lambda: M23.apply_col([1, 2]),
+     DimensionMismatch("vector length mismatch")),
+    (M23.det, DimensionMismatch("determinant of a non-square matrix")),
+    (M23.inverse, DimensionMismatch("inverse of a non-square matrix")),
+    (M23.charpoly,
+     DimensionMismatch("characteristic polynomial needs square")),
+    (M23.trace, DimensionMismatch("trace of a non-square matrix")),
+    (lambda: rebase(H1, Mat.identity(2)),
+     DimensionMismatch("basis-change matrix has wrong shape")),
+    (lambda: check_lie_automorphism(HEIS, Mat.identity(2)),
+     DimensionMismatch("automorphism candidate has wrong shape")),
+    (lambda: canonical_lie("Dl"), ValueError("Dl needs the parameter l")),
+    (lambda: canonical_lie("X"), ValueError("unknown family 'X'")),
+    (lambda: aut_template("X"),
+     ValueError("no stored automorphism group for 'X'")),
+    (lambda: canonical_l(0), QI(0)),
+    (lambda: verify_lsa_iso(H1, Algebra.from_products(2, {}),
+                            Mat.identity(3)), False),
+    (lambda: MultiPoly(("b", "a")),
+     ValueError("variables must be sorted: ('b', 'a')")),
+    (lambda: MultiPoly(("l",), {(1, 2): 1}),
+     ValueError("exponent arity mismatch")),
+    (L.const_value, DomainMismatch("polynomial l is not constant")),
+    (lambda: L / MultiPoly(), DivisionByZero("division by zero polynomial")),
+    (lambda: RatFunc(L, 1) / RatFunc(MultiPoly(), 1),
+     DivisionByZero("division by zero rational function")),
+    (lambda: RatFunc(L, 0), DivisionByZero("zero denominator")),
+    (MultiPoly().lead, None),
+    (lambda: qi_roots((5,)), []),
+    (lambda: catalog.lookup("H-7").admissible({}), False),
+    (lambda: verify_cocycle_equiv(psi(H1), psi(H1), Mat.zero(3),
+                                  Mat.identity(3)),
+     SingularWitness("cocycle equivalence witness g is singular")),
+    (lambda: verify_cocycle_equiv(psi(H1), psi(Algebra.from_products(3, {})),
+                                  Mat.identity(3), Mat.identity(3)), False),
+], ids=["mat_add", "mat_mul", "apply_row", "apply_col", "det", "inverse",
+        "charpoly", "trace", "rebase", "lie_automorphism", "dl_without_l",
+        "unknown_family", "unknown_aut_group", "canonical_l_of_0",
+        "lsa_iso_dims", "unsorted_vars", "term_arity", "const_value",
+        "poly_div_zero", "ratfunc_div_zero", "ratfunc_zero_den",
+        "lead_of_zero", "roots_of_constant", "missing_binding",
+        "singular_equivalence", "equivalence_across_lie_algebras"])
+def test_operations_check_their_inputs(call, want):
+    "Each operation refuses, or answers plainly, an input it cannot take."
+    if not isinstance(want, Exception):
+        assert call() == want
+        return
+    with pytest.raises(type(want)) as err:
+        call()
+    assert str(err.value) == str(want)
 
 
 def associator(a, i, j, k):

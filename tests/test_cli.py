@@ -363,7 +363,7 @@ FULL_OUTPUT = {
     # the root finder takes Q(i) coefficients; the first it reads is the
     # determinant l of the outside action
     ("fingerprint", "ratfunc_dl"): (2, [
-        "input error: not a rational value: RatFunc((l^3)/(l^2))"]),
+        "input error: not a rational value: RatFunc((l^2)/(l))"]),
     ("check", "dl"): (0, [
         "left_symmetric: yes", "lie_class: Dl(l=1/2)", "associative: no",
         "transitive: yes", "novikov: yes", "bisymmetric: no", "simple: no",

@@ -170,6 +170,17 @@ def test_classify_recovers_canonical_parameter():
     assert rebase(g, cls.witness) == canonical_lie("Dl", Fraction(1, 2))
 
 
+def test_classify_takes_the_first_basis_vector_outside_the_derived_plane():
+    """The derived plane has echelon rows (1,1,0), (0,0,1) with pivots e1
+    and e3 but does not hold e1, so the outside element w0 is e1, not the
+    first non-pivot e2."""
+    g = LieAlgebra.from_brackets(3, {(0, 1): [(1, 0), (1, 1)],
+                                     (0, 2): [(2, 2)], (1, 2): [(-2, 2)]})
+    cls = classify3(g)
+    assert cls.tag == "Dl" and cls.param == QI(Fraction(1, 2))
+    assert cls.witness == Mat([[0, 0, 1], [1, 1, 0], [Fraction(1, 2), 0, 0]])
+
+
 def test_classify_conjugation_invariant():
     rng = random.Random(41)
     cases = [("Heisenberg", None), ("N", None), ("Dl", Fraction(1, 2)),

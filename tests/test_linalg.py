@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lsacat.errors import SingularWitness
-from lsacat.linalg import Mat, combination, coords_in_span, span_basis, vec_eq
+from lsacat.linalg import Mat, combination, span_basis, vec_eq
 from lsacat.scalars import QI, format_scalar
 
 
@@ -63,10 +63,12 @@ def test_charpoly_matches_eigenvalues():
 def test_span_helpers():
     basis = span_basis([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
     assert len(basis) == 2
-    assert coords_in_span(basis, [0, 0, 1]) is None
-    coords = coords_in_span(basis, [2, 3, 2])
+    assert Mat(basis + [[0, 0, 1]]).rank() == 3
+    v = [2, 3, 2]
+    assert Mat(basis + [v]).rank() == 2
+    # the echelon rows have pivots e1 and e2, so v's coordinates are v[0], v[1]
     mixed = [0, 0, 0]
-    for c, b in zip(coords, basis):
+    for c, b in zip(v[:2], basis):
         mixed = [x + c * y for x, y in zip(mixed, b)]
     assert vec_eq(mixed, [QI(2), QI(3), QI(2)])
 
