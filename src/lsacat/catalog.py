@@ -24,15 +24,16 @@ from fractions import Fraction
 
 from .algebra import (check_left_symmetric, commutator_lie, substitute_algebra,
                       triple_products)
-from .cocycle import Cocycle, Representation, left_regular, phi
+from .cocycle import Cocycle, Representation, phi
 from .docs import Body, _const_value, _words, constraint_allows
 from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      DocSyntaxError, LsaError, NotBijective, NotCocycle,
-                     UnboundVariable, UnknownId, ZeroAlgebra)
+                     UnboundVariable, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
-from .props import find_ideals, identity_flags, is_semisimple, is_simple
-from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
+from .props import ideal_flags, identity_flags
+from .scalars import (ONE, QI, ZERO, format_scalar, is_zero, parse_scalar, qi,
+                      substitute)
 
 FAMILY_FILES = {
     "H": "h.cat",
@@ -406,13 +407,8 @@ def _flag_mismatches(entry, bindings, got):
 
 
 def computed_flags(alg, tu=None):
-    try:
-        report = find_ideals(alg)
-        simple, (semi, _) = is_simple(alg, report), is_semisimple(alg, report)
-    except ZeroAlgebra:     # neither simple nor semisimple
-        simple = semi = False
     return dict(identity_flags(alg, tu or triple_products(alg)),
-                simple=simple, semisimple=semi)
+                **ideal_flags(alg))
 
 
 def verify_entry(entry_id, bindings=None):
@@ -449,8 +445,9 @@ def _check_reconstruction(e, rep, h):
     entry's via its primed table and witness); a failure's message goes to
     rep.messages.  h is rep.alg's commutator, or None if it was not built.
     phi's table is the point's iff A_i C = C F_i for its left multiplications
-    A_i, and given left-symmetry, h = g (the family's bracket) and det C != 0
-    that suffices: F_i = C^{-1} A_i C is a representation of h = g as L is;
+    A_i (row j of A_i C is c_ij C, of C F_i is C_j F_i), and given
+    left-symmetry, h = g (the family's bracket) and det C != 0 that
+    suffices: F_i = C^{-1} A_i C is a representation of h = g as L is;
     C_j F_i = (e_i e_j) C turns the cocycle condition g_ij C = C_j F_i -
     C_i F_j into g_ij C = h_ij C; phi's table is C F_i C^{-1} = A_i.  phi's
     success gives all four back.  So phi, which names the fault, sees only
@@ -460,8 +457,8 @@ def _check_reconstruction(e, rep, h):
     fs = [m.substitute(bindings) for m in e.f_mats]
     if (e.primed is None and rep.left_symmetric and h == g
             and not cm.det().is_zero()
-            and all(a * cm == cm * f
-                    for a, f in zip(left_regular(h, alg).mats, fs))):
+            and all(_row_times(alg.c[i][j], cm) == _row_times(cm.rows[j], f)
+                    for i, f in enumerate(fs) for j in range(alg.dim))):
         return True
     try:
         built = phi(Cocycle(Representation(g, fs), cm))
@@ -489,6 +486,17 @@ def _check_reconstruction(e, rep, h):
         messages.append("phi does not reproduce the printed table")
         return False
     return True
+
+
+def _row_times(x, m):
+    "The row vector x times m, summed over the nonzero x_p and entries."
+    out = [ZERO] * m.ncols
+    for xp, row in zip(x, m.rows):
+        if not is_zero(xp):
+            for k, y in enumerate(row):
+                if not is_zero(y):
+                    out[k] = out[k] + xp * y
+    return out
 
 
 def _verify_iso_decl(e, decl, bindings, alg, use_search):

@@ -5,22 +5,24 @@ Ideal search strategy (dimension <= 3, scalars in Q(i), ideals over C): a
 1-dimensional two-sided ideal is a common invariant line of all left and
 right basis multiplications, hence an eigenline of any single one of them,
 M.  We factor the characteristic polynomial of M over Q(i), once per
-algebra.  A linear factor gives an eigenline, or an eigenplane in which
-the invariant lines solve binary quadratics; the first nonzero one, split
-by factor_unipoly, gives candidates checked against every operator, the
-rest are read only for a family or an irreducible first one.  An
-irreducible factor f of degree d >= 2 gives d conjugate eigenlines, all
-invariant or all not; by Galois descent they span the Q(i)-rational
-W = ker f(M), invariant iff every operator maps W into W and commutes with
-M on W.  Conjugate lines are reported once, as the orbit (basis of W, f),
-so no extension field is built.  2-dimensional ideals are found dually
-via the transposed operators acting on covectors, with M^T, whose
-characteristic polynomial is that of M: planes come from the same
+algebra, after splitting off the diagonal entries of M that are roots (all
+of them on a triangular M).  A linear factor gives an eigenline, or an
+eigenplane in which the invariant lines solve binary quadratics; the first
+nonzero one, split by factor_unipoly, gives candidates checked against
+every operator, the rest are read only for a family or an irreducible first
+one.  An irreducible factor f of degree d >= 2 gives d conjugate
+eigenlines, all invariant or all not; by Galois descent they span the
+Q(i)-rational W = ker f(M), invariant iff every operator maps W into W and
+commutes with M on W.  Conjugate lines are reported once, as the orbit
+(basis of W, f), so no extension field is built.  2-dimensional ideals are
+found dually via the transposed operators acting on covectors, with M^T,
+whose characteristic polynomial is that of M: planes come from the same
 factorization as lines.  The zero algebra, all of whose subspaces are
-ideals, is refused there.  Semisimplicity is read off the same report: A
-is a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
-The identity flags, transitivity and the trace forms of the basis
-operators are read off one table of the products (e_i e_j) e_k and
+ideals, is refused there.  Semisimplicity is read off the same report: A is
+a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
+A.A is an ideal, so A.A != A settles both flags with no search
+(ideal_flags).  The identity flags, transitivity and the trace forms of the
+basis operators are read off one table of the products (e_i e_j) e_k and
 e_i (e_j e_k) per algebra (algebra.triple_products), and the annihilator
 and product-span dimensions are ranks of n-row matrices of the constants.
 """
@@ -36,7 +38,7 @@ from .algebra import (check_left_symmetric, commutator_lie,
 from .errors import ZeroAlgebra
 from .lie import classify3
 from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_is_zero
-from .scalars import ONE, QI, ZERO, factor_unipoly, is_zero
+from .scalars import ONE, QI, ZERO, _up_deflate, factor_unipoly, is_zero
 
 
 def is_associative(a, tu=None):
@@ -161,22 +163,27 @@ def _proportional(v, w):
 
 
 def _line_invariant(ops, v):
-    return all(_proportional(v, op.apply_col(v)) for op in ops)
+    """op(v) = op(v)_p v for every op, v normalized to 1 at its leading
+    index p; op(v) is summed over the nonzero v_j and entries only."""
+    nz = [(j, x) for j, x in enumerate(v) if not is_zero(x)]
+    for op in ops:
+        u = []
+        for row in op.rows:
+            s = ZERO
+            for j, x in nz:
+                if not is_zero(row[j]):
+                    s = s + row[j] * x
+            u.append(s)
+        lam = u[nz[0][0]]
+        for x, y in zip(v, u):
+            if not (is_zero(y) if is_zero(x) else y == lam * x):
+                return False
+    return True
 
 
 def _normalize_line(v):
     lead = next(x for x in v if not is_zero(x))
     return [y / lead for y in v]
-
-
-def _dedupe_lines(lines):
-    """The lines, each kept once: all are normalized to a leading 1, so
-    proportional lines are equal."""
-    out = []
-    for v in lines:
-        if v not in out:
-            out.append(v)
-    return out
 
 
 def _orbit_invariant(ops, m, w):
@@ -235,14 +242,15 @@ def _invariant_lines(ops, chosen, factors):
         # f = t - alpha, so ker(M - alpha I) = ker(M + f[0] I)
         eig = chosen.plus_scalar(f[0]).nullspace()
         if len(eig) == 1:
-            if _line_invariant(ops, eig[0]):
-                lines.append(_normalize_line(eig[0]))
+            v = _normalize_line(eig[0])
+            if _line_invariant(ops, v):
+                lines.append(v)
         else:
             ls, fams, orbs = _lines_in_plane(ops, eig[0], eig[1])
             lines.extend(ls)
             families.extend(fams)
             orbits.extend(orbs)
-    return _dedupe_lines(lines), families, orbits
+    return lines, families, orbits
 
 
 def _plane_quadratics(ops, b1, b2):
@@ -274,8 +282,7 @@ def _lines_in_plane(ops, b1, b2):
     candidates = []
     if is_zero(aa):
         candidates.append(b1)  # (s : t) = (1 : 0)
-        if not (is_zero(bb) and is_zero(cc)):
-            # bb*s + cc*t = 0
+        if not is_zero(bb):     # bb*s + cc*t = 0; else (1 : 0) again
             candidates.append(_combine(b1, -cc, b2, bb))
     else:
         _, factors = factor_unipoly((cc, bb, aa))
@@ -285,15 +292,31 @@ def _lines_in_plane(ops, b1, b2):
             return [], [], []
         for f, _ in factors:  # f = s - r
             candidates.append(_combine(b1, -f[0], b2, ONE))
-    out = []
-    for v in candidates:
-        if not vec_is_zero(v) and _line_invariant(ops, v):
-            out.append(_normalize_line(v))
-    return _dedupe_lines(out), [], []
+    lines = [_normalize_line(v) for v in candidates]    # none is zero
+    return [v for v in lines if _line_invariant(ops, v)], [], []
 
 
 def _combine(b1, s, b2, t):
     return [s * x + t * y for x, y in zip(b1, b2)]
+
+
+def _eigen_factors(m):
+    """factor_unipoly(m.charpoly())[1], with each diagonal entry of m split
+    off as often as it divides and only the rest left to factor_unipoly."""
+    co, factors = m.charpoly(), []
+    for r in dict.fromkeys(m.rows[i][i] for i in range(m.nrows)):
+        mult = 0
+        while len(co) > 1:
+            q, rem = _up_deflate(co, r)
+            if not is_zero(rem):
+                break
+            co, mult = q, mult + 1
+        if mult:
+            factors.append(((-r, ONE), mult))
+    if len(co) > 1:
+        factors += factor_unipoly(co)[1]
+    factors.sort(key=lambda fm: (len(fm[0]), [(c.re, c.im) for c in fm[0]]))
+    return factors
 
 
 def find_ideals(a):
@@ -310,7 +333,7 @@ def find_ideals(a):
     chosen = _chosen_operator(ops)
     # M and its transpose share one characteristic polynomial, so one
     # factorization serves lines (ops) and planes (transposed ops)
-    _, factors = factor_unipoly(chosen.charpoly())
+    factors = _eigen_factors(chosen)
     report.lines, report.line_families, report.line_orbits = (
         _invariant_lines(ops, chosen, factors))
     covs, cofams, report.plane_orbits = _invariant_lines(
@@ -356,9 +379,25 @@ def is_semisimple(a, report=None):
                          for v in line_vecs)]
     if len(span_basis(line_vecs + [v for bas in planes for v in bas])) < n:
         return False, None
-    if len(span_basis([a.c[i][j] for i in range(n) for j in range(n)])) < n:
+    if _proper_square(a):
         return False, None
     return True, report.line_orbits + [[v] for v in report.lines] + planes
+
+
+def _proper_square(a):
+    "A.A != A: the n x n^2 matrix of the constants c_ij^k has rank < n."
+    return Mat._of([[v[k] for r in a.c for v in r]
+                    for k in range(a.dim)]).rank() < a.dim
+
+
+def ideal_flags(a):
+    """The simple and semisimple flags of a: A.A is an ideal, so neither
+    holds when A.A != A (the zero algebra too), and no ideal is sought."""
+    if _proper_square(a):
+        return {"simple": False, "semisimple": False}
+    report = find_ideals(a)
+    return {"simple": is_simple(a, report),
+            "semisimple": is_semisimple(a, report)[0]}
 
 
 def ideal_closed(a, basis):

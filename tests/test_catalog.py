@@ -457,6 +457,25 @@ def test_bad_constant_is_located_at_its_column(tmp_path, monkeypatch, name,
 # (file, old text, new text, argv, stdout): each mutant makes the catalog
 # wrong, and catalog-verify names every check that fails
 FAILING_MUTANTS = {
+    # a flag written "no" reads as False, and H-1 is Novikov
+    "flag_written_no": ("h.cat", "flags novikov=yes\nend",
+                        "flags novikov=no\nend", ["--entry", "H-1"], [
+        "H: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 1",
+        "H-1: FAIL",
+        "    novikov: computed True, table says False"]),
+    # H-10's table holds 1/(lambda-1), so it refuses lambda = 1
+    "iso_target_refuses_binding": ("h.cat", "flags novikov=yes\nend",
+                                   "flags novikov=yes\niso H-10 bind lambda=1"
+                                   "\nend", ["--entry", "H-1"], [
+        "H: 1/1 classes verified",
+        "entry/sample pairs: 1, failures: 0",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 1 failed",
+        "property table discrepancies: 0",
+        "  iso H-1 -> H-10: target instantiation failed: denominator "
+        "lambda-1 vanishes at {'lambda': '1'}"]),
     "flag_flipped": ("h.cat", "flags novikov=yes\nend", "flags\nend",
                      ["--entry", "H-1"], [
         "H: 0/1 classes verified",
@@ -556,6 +575,42 @@ def test_catalog_verify_prints_every_failure(tmp_path, monkeypatch, capsys,
                                                         name))
     assert cli.main(["catalog-verify", "--all"] + args) == 1
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_flag_written_no_matches_a_false_flag(tmp_path, monkeypatch, capsys):
+    "'novikov=no' reads as False, which is H-3's computed flag: exit 0."
+    monkeypatch.setenv("LSACAT_DATA", corrupted_catalog(
+        tmp_path, "flags\nend", "flags novikov=no\nend"))
+    assert catalog.lookup("H-3").flags["novikov"] is False
+    assert cli.main(["catalog-verify", "--all", "--entry", "H-3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "H: 1/1 classes verified",
+        "entry/sample pairs: 1, failures: 0",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 0"]
+
+
+def test_reconstruction_falls_back_to_phi_on_a_refused_identity(monkeypatch):
+    """Fault injection: when the row-by-row identity wrongly refuses a good
+    point (one coordinate of its first row is perturbed), phi rebuilds the
+    table and the check still passes, at its final return."""
+    row_times, rows, built = catalog._row_times, [], []
+
+    def perturbed(x, m):
+        out = row_times(x, m)
+        if not rows:
+            out[0] = out[0] + QI(1)
+        rows.append(x)
+        return out
+
+    def counted(c):
+        built.append(c)
+        return phi(c)
+    monkeypatch.setattr(catalog, "_row_times", perturbed)
+    monkeypatch.setattr(catalog, "phi", counted)
+    r = catalog.verify_entry("H-1")
+    assert r.ok and r.cocycle_reconstruction_ok and r.messages == []
+    assert (len(rows), len(built)) == (2, 1)
 
 
 def test_readme_quick_start_runs(capsys):

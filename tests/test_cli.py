@@ -174,6 +174,7 @@ def test_package_has_no_forbidden_construct(construct):
 PRIVATE_IMPORTS = {
     ("catalog.py", "docs"): {"_const_value", "_words"},
     ("iso.py", "scalars"): {"_add_multiple", "_term_dict"},
+    ("props.py", "scalars"): {"_up_deflate"},
 }
 
 

@@ -48,6 +48,14 @@ def test_unknown_kind_rejected():
         parse_document("kind banana dim 3 domain gaussian\n")
 
 
+def test_emit_refuses_an_unknown_kind():
+    "A Document built by hand with a kind no reader makes is refused."
+    doc = Document("banana", 3, "gaussian", {}, Algebra.from_products(3, {}))
+    with pytest.raises(DocSemanticError) as err:
+        emit_document(doc)
+    assert str(err.value) == "unhandled kind 'banana'"
+
+
 def test_unbound_parameter_rejected():
     with pytest.raises(DocSemanticError):
         parse_document("kind algebra dim 3 domain ratfunc\ne1 e1 = q e2\n")

@@ -15,15 +15,18 @@ from fractions import Fraction
 
 import pytest
 
-from lsacat import scalars
+from lsacat import props, scalars
 from lsacat.algebra import Algebra, multiplication_operators, rebase
-from lsacat.linalg import Mat
-from lsacat.props import (_chosen_operator, _invariant_lines, _lines_in_plane,
-                          find_ideals, ideal_closed, is_semisimple, is_simple)
+from lsacat.errors import ZeroAlgebra
+from lsacat.linalg import Mat, span_basis
+from lsacat.props import (_chosen_operator, _eigen_factors, _invariant_lines,
+                          _line_invariant, _lines_in_plane, _proportional,
+                          find_ideals, ideal_closed, ideal_flags,
+                          is_semisimple, is_simple)
 from lsacat.scalars import QI, factor_unipoly
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 # t^2 - c and t^3 - c have no root in Q(i), so they are irreducible there.
@@ -262,3 +265,115 @@ def test_factor_unipoly_multiplicities_match_sympy(mult, r, gs):
     unit, factors = factor_unipoly(co)
     assert unit == QI(1)
     assert sorted(factors, key=key) == sorted(expected, key=key)
+
+
+# ---------------------------------------------------------------------------
+# The readers find_ideals and the catalog flags take their answers from,
+# each against the definition it replaces.
+
+@st.composite
+def eigen_matrices(draw):
+    """A 2x2 or 3x3 matrix: triangular with diagonal entries drawn from a
+    small pool (so they repeat), dense, or a block companion matrix plain
+    (its diagonal entries are seldom roots) or conjugated (irreducible
+    factors)."""
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["triangular", "dense", "companion",
+                                 "conjugate"]))
+    if kind in ("companion", "conjugate"):
+        m = block_companion(draw(blocks(n)), n)
+        if kind == "conjugate":
+            w = Mat([[draw(entries) for _ in range(n)] for _ in range(n)])
+            assume(not w.det().is_zero())
+            m = w.inverse() * m * w
+        return m
+    fill = st.sampled_from(draw(st.sampled_from(FILLS)))
+    rows = [[draw(fill) for _ in range(n)] for _ in range(n)]
+    if kind == "triangular":
+        for i in range(n):
+            rows[i][i] = draw(st.sampled_from(LIN_ROOTS))
+            rows[i][:i] = [QI(0)] * i
+    return Mat(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eigen_matrices())
+@example(Mat([[1, 1], [1, 1]]))         # 1 on the diagonal, roots 0 and 2
+@example(Mat([[2, 1, 0], [0, 2, 0], [0, 0, 2]]))
+def test_eigen_factors_match_factor_unipoly(m):
+    assert _eigen_factors(m) == factor_unipoly(m.charpoly())[1]
+
+
+@st.composite
+def lines_and_operators(draw):
+    """(ops, v): 1, 2 or 6 operators and a line v with 1 to 3 nonzero
+    entries, normalized to a leading 1; each operator keeps v invariant
+    (with a drawn eigenvalue) or is left as drawn."""
+    n = draw(st.sampled_from([2, 3]))
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    v = [draw(entries.filter(lambda x: not x.is_zero())) if k in support
+         else QI(0) for k in range(n)]
+    p = min(support)
+    v = [x / v[p] for x in v]
+    fill = st.sampled_from(draw(st.sampled_from(FILLS)))
+    ops = []
+    for _ in range(draw(st.sampled_from([1, 2, 6]))):
+        rows = [[draw(fill) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            # column p absorbs op(v) - lam v, so that op(v) = lam v
+            lam = draw(st.sampled_from(LIN_ROOTS))
+            u = Mat(rows).apply_col(v)
+            for k in range(n):
+                rows[k][p] = rows[k][p] - (u[k] - lam * v[k])
+        ops.append(Mat(rows))
+    return ops, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines_and_operators())
+def test_line_invariant_matches_the_proportionality_test(ops_v):
+    ops, v = ops_v
+    assert _line_invariant(ops, v) == all(
+        _proportional(v, op.apply_col(v)) for op in ops)
+
+
+@st.composite
+def small_tables(draw):
+    """A table of dimension 1 to 3: random cells, all zero, or with every
+    product in the span of the first n - 1 basis vectors (A.A != A), in a
+    random basis."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "zero", "short"]))
+    fill = st.sampled_from(draw(st.sampled_from(FILLS)))
+    c = [[[QI(0) if kind == "zero" or (kind == "short" and k == n - 1)
+           else draw(fill) for k in range(n)] for _ in range(n)]
+         for _ in range(n)]
+    w = Mat([[draw(entries) for _ in range(n)] for _ in range(n)])
+    assume(not w.det().is_zero())
+    return rebase(Algebra(c), w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tables())
+def test_ideal_flags_match_one_ideal_report(alg):
+    """ideal_flags agrees with is_simple and is_semisimple over one
+    find_ideals report (the zero algebra is neither), and seeks no ideal
+    when the products span less than A."""
+    n = alg.dim
+    short = len(span_basis([alg.c[i][j] for i in range(n)
+                            for j in range(n)])) < n
+    try:
+        report = find_ideals(alg)
+        want = {"simple": is_simple(alg, report),
+                "semisimple": is_semisimple(alg, report)[0]}
+    except ZeroAlgebra:
+        want = {"simple": False, "semisimple": False}
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        return find_ideals(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(props, "find_ideals", spy)
+        assert ideal_flags(alg) == want
+    assert len(calls) == (0 if short else 1)
