@@ -118,39 +118,6 @@ def aut_components(family, l=None):
     return (family,) if family in _AUT else ()
 
 
-def instantiate_aut(comp, values):
-    "Fill the parametric automorphism matrix with concrete scalars."
-    names, m = aut_template(comp)
-    bind = {n: qi(values[n]) for n in names}
-    t = m.substitute(bind)
-    if is_zero(t.det()):
-        raise ValueError("automorphism parameters make the matrix singular")
-    return t
-
-
-def random_automorphism(family, rng, l=None):
-    "Random member of the stored group, exact small Gaussian rationals."
-    from fractions import Fraction
-
-    comps = aut_components(family, l)
-    comp = comps[rng.randrange(len(comps))]
-    names, _ = aut_template(comp)
-    pool_unit = [QI(1), QI(-1), QI(2), QI(Fraction(1, 2)), QI(-2), QI(3),
-                 QI(0, 1), QI(1, 1)]
-    pool_any = pool_unit + [QI(0), QI(0), QI(Fraction(-1, 2)), QI(1, -1)]
-    while True:
-        vals = {}
-        for n in names:
-            # the upper-left 2x2 block draws nonzero values
-            need_unit = n in ("a11", "a22", "a12", "a21")
-            pool = pool_unit if need_unit else pool_any
-            vals[n] = pool[rng.randrange(len(pool))]
-        try:
-            return instantiate_aut(comp, vals)
-        except ValueError:
-            continue
-
-
 # ---------------------------------------------------------------------------
 # the dimension-3 classifier
 

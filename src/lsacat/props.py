@@ -20,11 +20,14 @@ whose characteristic polynomial is that of M: planes come from the same
 factorization as lines.  The zero algebra, all of whose subspaces are
 ideals, is refused there.  Semisimplicity is read off the same report: A is
 a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
-A.A is an ideal, so A.A != A settles both flags with no search
-(ideal_flags).  The identity flags, transitivity and the trace forms of the
-basis operators are read off one table of the products (e_i e_j) e_k and
-e_i (e_j e_k) per algebra (algebra.triple_products), and the annihilator
-and product-span dimensions are ranks of n-row matrices of the constants.
+Every ideal of such a sum is a sum of its simple components, so a nonzero
+ideal J with J.J != J rules out both flags, and ideal_flags seeks no ideal
+when A, the left annihilator N = {x : xA = 0} (N.N = 0) once A.N lies in
+N, or the ideal the commutators generate is such a J.  The identity flags,
+transitivity and the trace forms of the basis operators are read off one
+table of the products (e_i e_j) e_k and e_i (e_j e_k) per algebra
+(algebra.triple_products), and the annihilator and product-span
+dimensions are ranks of n-row matrices of the constants.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .algebra import (check_left_symmetric, commutator_lie,
-                      multiplication_operators, multiply, right_matrix,
-                      triple_products)
+                      multiplication_operators, multiply, triple_products)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_is_zero
-from .scalars import ONE, QI, ZERO, _up_deflate, factor_unipoly, is_zero
+from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_sub
+from .scalars import ONE, ZERO, _up_deflate, factor_unipoly, is_zero
 
 
 def is_associative(a, tu=None):
@@ -115,15 +117,6 @@ def trace_forms(a, tu):
 def _sum(xs):
     "The sum of the nonzero xs."
     return sum((x for x in xs if not is_zero(x)), ZERO)
-
-
-def right_nilpotent_at(a, x):
-    "Direct check R_x^dim = 0 at a concrete x (oracle for is_transitive)."
-    r = right_matrix(a, x)
-    power = r
-    for _ in range(a.dim - 1):
-        power = power * r
-    return power.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -379,110 +372,76 @@ def is_semisimple(a, report=None):
                          for v in line_vecs)]
     if len(span_basis(line_vecs + [v for bas in planes for v in bas])) < n:
         return False, None
-    if _proper_square(a):
+    if _square_short(a):
         return False, None
     return True, report.line_orbits + [[v] for v in report.lines] + planes
 
 
-def _proper_square(a):
-    "A.A != A: the n x n^2 matrix of the constants c_ij^k has rank < n."
-    return Mat._of([[v[k] for r in a.c for v in r]
-                    for k in range(a.dim)]).rank() < a.dim
+def _square_short(a, basis=None):
+    """J.J != J for the ideal J with the independent basis rows, A itself
+    when None: the products of J span less than J (for A the constants
+    c_ij^k, an n^2 x n matrix of rank < n)."""
+    if basis is None:
+        return Mat._of([v for r in a.c for v in r]).rank() < a.dim
+    return Mat._of([multiply(a, x, y) for x in basis
+                    for y in basis]).rank() < len(basis)
 
 
 def ideal_flags(a):
-    """The simple and semisimple flags of a: A.A is an ideal, so neither
-    holds when A.A != A (the zero algebra too), and no ideal is sought."""
-    if _proper_square(a):
+    """The simple and semisimple flags of a.  Neither holds when a nonzero
+    ideal J has J.J != J, and then no ideal is sought; find_ideals runs
+    only when no candidate below is such a J."""
+    if _certified_ideal(a):
         return {"simple": False, "semisimple": False}
     report = find_ideals(a)
     return {"simple": is_simple(a, report),
             "semisimple": is_semisimple(a, report)[0]}
 
 
+def _certified_ideal(a):
+    """Some nonzero ideal J has J.J != J.  The candidates, cheapest first:
+    A (the zero algebra too); the left annihilator N = {x : xA = 0}, with
+    N.N = 0, once A.N lies in N (always on a left-symmetric table, where
+    (yx)z = (x,y,z) = 0 for x in N); the ideal the commutators generate,
+    when proper, as A.A = A by then."""
+    if _square_short(a):
+        return True
+    c, rng = a.c, range(a.dim)
+    # x e_j = 0 for every j: the stacked right operators R_e_j kill x
+    ann = Mat._of([[c[i][j][k] for i in rng]
+                   for j in rng for k in rng]).nullspace()
+    if ann and ideal_closed(a, ann):
+        return True
+    j = closure_span(a, [vec_sub(c[i][k], c[k][i])
+                         for i, k in combinations(rng, 2)])
+    return 0 < len(j) < a.dim and _square_short(a, j)
+
+
+def _products(a, basis):
+    "e_k b and b e_k for each basis row b and basis vector e_k of A."
+    es = [basis_vec(a.dim, k) for k in range(a.dim)]
+    return [p for b in basis for e in es
+            for p in (multiply(a, e, b), multiply(a, b, e))]
+
+
 def ideal_closed(a, basis):
-    "Exact closure check: A*I and I*A stay inside span(basis)."
-    for b in basis:
-        for k in range(a.dim):
-            e = basis_vec(a.dim, k)
-            if (_outside(basis, multiply(a, b, e))
-                    or _outside(basis, multiply(a, e, b))):
-                return False
-    return True
+    """A.J and J.A lie in J = span(basis), basis independent (J = 0 when
+    empty): a rank test."""
+    if not basis:
+        return True
+    return Mat._of(basis + _products(a, basis)).rank() == len(basis)
 
 
 def closure_span(a, vectors):
-    "Smallest subspace containing the vectors closed under multiplication."
+    """The smallest ideal holding the vectors, as RREF basis rows: each
+    round spans the basis and all its products with A."""
     basis = span_basis(list(vectors))
-    changed = True
-    while changed and len(basis) < a.dim:
-        changed = False
-        for b in list(basis):
-            for k in range(a.dim):
-                e = basis_vec(a.dim, k)
-                for prod in (multiply(a, b, e), multiply(a, e, b)):
-                    if not vec_is_zero(prod) and _outside(basis, prod):
-                        basis = span_basis(basis + [prod])
-                        changed = True
+    while 0 < len(basis) < a.dim:
+        grown = span_basis(basis + _products(a, basis))
+        if len(grown) == len(basis):
+            break
+        basis = grown
     return basis
-
-
-def random_qi_vector(rng, n, nonzero=True):
-    from fractions import Fraction
-    pool = [QI(0), QI(1), QI(-1), QI(2), QI(-2), QI(Fraction(1, 2)),
-            QI(3), QI(0, 1), QI(1, 1), QI(Fraction(-1, 2))]
-    while True:
-        v = [pool[rng.randrange(len(pool))] for _ in range(n)]
-        if not nonzero or not vec_is_zero(v):
-            return v
-
-
-def simplicity_oracle_agrees(a, rng, tries=40):
-    """Independent randomized cross-check of the find_ideals verdict.
-
-    Simple verdicts: refinement of random candidate vectors never produces
-    a proper closed subspace.  Non-simple verdicts: an exhibited ideal is
-    closed and proper.
-    """
-    report = find_ideals(a)
-    if not report.has_proper_ideal():
-        for _ in range(tries):
-            v = random_qi_vector(rng, a.dim)
-            if len(closure_span(a, [v])) < a.dim:
-                return False
-        return True
-    for v in report.lines:
-        if not ideal_closed(a, [v]):
-            return False
-        if len(closure_span(a, [v])) >= a.dim:
-            return False
-    for _n, bas in report.planes:
-        if not ideal_closed(a, bas):
-            return False
-    # an orbit's conjugate lines span a Q(i) ideal W, and its conjugate
-    # planes meet in the Q(i) ideal cut out by the normals spanning W
-    for w, _f in report.line_orbits:
-        if not ideal_closed(a, w):
-            return False
-    for w, _f in report.plane_orbits:
-        if not ideal_closed(a, Mat(w).nullspace()):
-            return False
-    for (b1, b2) in report.line_families:
-        for v in (b1, b2, vec_add(b1, b2)):
-            if not ideal_closed(a, [v]):
-                return False
-    for common in report.plane_families:
-        # two representative planes containing the common line
-        reps = 0
-        for k in range(a.dim):
-            cand = span_basis([common, basis_vec(a.dim, k)])
-            if len(cand) == 2:
-                if not ideal_closed(a, cand):
-                    return False
-                reps += 1
-                if reps == 2:
-                    break
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from lsacat.constructions import (check_cybe, check_derivation,
                                   lsa_from_rmatrix, novikov_from_derivation,
                                   o_operator_from_cocycle, transported_product)
 from lsacat.iso import verify_lsa_iso
-from lsacat.lie import canonical_lie, random_automorphism
+from lsacat.lie import canonical_lie
 from lsacat.linalg import Mat
-from lsacat.props import (is_novikov, is_transitive, random_qi_vector,
-                          right_nilpotent_at, simplicity_oracle_agrees)
+from lsacat.props import is_novikov, is_transitive
 from lsacat.scalars import QI
+from oracles import (random_automorphism, random_qi_vector,
+                     right_nilpotent_at, simplicity_oracle_agrees)
 
 
 def report(n, text):

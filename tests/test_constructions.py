@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lsacat import catalog
+from lsacat import catalog, constructions
 from lsacat.algebra import Algebra, check_left_symmetric, left_matrix
 from lsacat.cocycle import Representation, left_regular, phi, psi
 from lsacat.constructions import (check_cybe, check_derivation,
@@ -11,9 +11,9 @@ from lsacat.constructions import (check_cybe, check_derivation,
                                   novikov_from_derivation,
                                   o_operator_from_cocycle,
                                   transported_product)
-from lsacat.errors import (CybeFails, NotCommutativeAssociative,
-                           NotDerivation, NotLieAlgebra, NotOOperator,
-                           SingularWitness)
+from lsacat.errors import (CybeFails, LsaError, NotCommutativeAssociative,
+                           NotDerivation, NotLeftSymmetric, NotLieAlgebra,
+                           NotOOperator, SingularWitness)
 from lsacat.lie import LieAlgebra, canonical_lie
 from lsacat.linalg import Mat
 from lsacat.props import is_novikov
@@ -21,6 +21,8 @@ from lsacat.scalars import QI
 
 TRUNC = Algebra.from_products(3, {(0, 0): [(1, 1)], (0, 1): [(1, 2)],
                                   (1, 0): [(1, 2)]})
+# D(e_k) = k e_k, a derivation of TRUNC, whose e_i e_j = e_{i+j}
+GRADING = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
 
 
 def test_derivation_construction_zero_map():
@@ -47,6 +49,29 @@ def test_derivation_error_paths():
     noncomm = catalog.instantiate("H-1")
     with pytest.raises(NotCommutativeAssociative):
         novikov_from_derivation(noncomm, Mat.zero(3))
+
+
+@pytest.mark.parametrize("name, value, build, error, message", [
+    ("check_left_symmetric", (False, ("cert",)),
+     lambda: novikov_from_derivation(TRUNC, GRADING),
+     NotLeftSymmetric,
+     "derivation construction broke left-symmetry: ('cert',)"),
+    ("is_novikov", False,
+     lambda: novikov_from_derivation(TRUNC, GRADING),
+     LsaError, "derivation construction is not Novikov"),
+    ("check_left_symmetric", (False, ("cert",)),
+     lambda: lsa_from_rmatrix(canonical_lie("Heisenberg"),
+                              Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])),
+     NotLeftSymmetric, "V-product is not left-symmetric: ('cert',)"),
+])
+def test_construction_self_checks_fire(monkeypatch, name, value, build,
+                                       error, message):
+    """Each construction checks its own output: with the check made to
+    fail, it raises that error, not a wrong table."""
+    monkeypatch.setattr(constructions, name, lambda *args: value)
+    with pytest.raises(LsaError) as info:
+        build()
+    assert info.type is error and str(info.value) == message
 
 
 def test_derivation_space_members_satisfy_leibniz():

@@ -9,16 +9,21 @@ expected verdict needs no extension arithmetic.  Non-linear factors make
 the ideal search report conjugate orbits.
 
 The second half checks the one factorization find_ideals shares between
-lines and planes against separate passes and against factor_unipoly."""
+lines and planes against separate passes and against factor_unipoly.  The
+last tests check the ideals J with J.J != J that let ideal_flags skip the
+search against naive products and sympy ranks over Q(i)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from lsacat import props, scalars
-from lsacat.algebra import Algebra, multiplication_operators, rebase
+from lsacat.algebra import (Algebra, check_left_symmetric,
+                            multiplication_operators, rebase)
+from lsacat.constructions import derivation_space, novikov_from_derivation
 from lsacat.errors import ZeroAlgebra
-from lsacat.linalg import Mat, span_basis
+from lsacat.linalg import Mat
 from lsacat.props import (_chosen_operator, _eigen_factors, _invariant_lines,
                           _line_invariant, _lines_in_plane, _proportional,
                           find_ideals, ideal_closed, ideal_flags,
@@ -28,6 +33,7 @@ from lsacat.scalars import QI, factor_unipoly
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_kernels_oracle import naive_product  # noqa: E402
 
 # t^2 - c and t^3 - c have no root in Q(i), so they are irreducible there.
 # A root of t^2 - c for c = 2, 3, 5, -2 would put sqrt(2), sqrt(3) or
@@ -353,15 +359,77 @@ def small_tables(draw):
     return rebase(Algebra(c), w)
 
 
+def sympy_matrix(rows, n):
+    "The QI rows of length n as a sympy matrix over Q(i)."
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    qq, qq_i = sympy.QQ, sympy.QQ_I
+    return DomainMatrix([[qq_i(qq(x.re.numerator, x.re.denominator),
+                               qq(x.im.numerator, x.im.denominator))
+                          for x in r] for r in rows], (len(rows), n), qq_i)
+
+
+def sympy_rank(vectors, n):
+    "The rank over Q(i) of the QI vectors of length n, by sympy."
+    return sympy_matrix(vectors, n).rank() if vectors else 0
+
+
+def naive_certificates(alg):
+    """What ideal_flags reads, recomputed from naive products and sympy
+    ranks: (A.A != A, N = {x : xA = 0} is nonzero and an ideal, the ideal J
+    the commutators generate is proper and nonzero with J.J != J, N is an
+    ideal).  N is the sympy nullspace of x -> (x e_1, .., x e_n)."""
+    n, c = alg.dim, alg.c
+    e = [[QI(int(i == k)) for k in range(n)] for i in range(n)]
+
+    def mul(x, y):
+        return naive_product(c, x, y)
+
+    def with_a(vs):
+        return vs + [p for v in vs for x in e for p in (mul(x, v), mul(v, x))]
+
+    def independent(vs):
+        out = []
+        for v in vs:
+            if sympy_rank(out + [v], n) > len(out):
+                out.append(v)
+        return out
+
+    short = sympy_rank([mul(x, y) for x in e for y in e], n) < n
+    ann = sympy_matrix([[mul(e[i], e[j])[k] for i in range(n)]
+                        for j in range(n) for k in range(n)], n).nullspace()
+    ann = [[QI(Fraction(int(g.x.numerator), int(g.x.denominator)),
+               Fraction(int(g.y.numerator), int(g.y.denominator)))
+            for g in row] for row in ann.to_list()]
+    ann_ideal = sympy_rank(with_a(ann), n) == len(ann)
+    j = independent([[p - q for p, q in zip(mul(x, y), mul(y, x))]
+                     for x in e for y in e])
+    while len(grown := independent(with_a(j))) > len(j):
+        j = grown
+    comm = (0 < len(j) < n
+            and sympy_rank([mul(x, y) for x in j for y in j], n) < len(j))
+    return short, bool(ann) and ann_ideal, comm, ann_ideal
+
+
+def one_report_flags(alg):
+    "The simple and semisimple flags over one find_ideals report."
+    try:
+        report = find_ideals(alg)
+    except ZeroAlgebra:
+        return {"simple": False, "semisimple": False}
+    return {"simple": is_simple(alg, report),
+            "semisimple": is_semisimple(alg, report)[0]}
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_tables())
 def test_ideal_flags_match_one_ideal_report(alg):
     """ideal_flags agrees with is_simple and is_semisimple over one
     find_ideals report (the zero algebra is neither), and seeks no ideal
-    when the products span less than A."""
-    n = alg.dim
-    short = len(span_basis([alg.c[i][j] for i in range(n)
-                            for j in range(n)])) < n
+    when A.A != A, when the left annihilator N is a nonzero ideal, or when
+    the ideal J the commutators generate is proper and nonzero with J.J !=
+    J; otherwise it seeks them once."""
+    short, ann, comm, _ = naive_certificates(alg)
     try:
         report = find_ideals(alg)
         want = {"simple": is_simple(alg, report),
@@ -376,4 +444,39 @@ def test_ideal_flags_match_one_ideal_report(alg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(props, "find_ideals", spy)
         assert ideal_flags(alg) == want
-    assert len(calls) == (0 if short else 1)
+    assert len(calls) == (0 if short or ann or comm else 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.integers(0, 10 ** 6),
+       st.lists(entries, min_size=9, max_size=9))
+def test_left_annihilator_of_a_left_symmetric_table_is_an_ideal(
+        first_samples, commutative_bases, novikov, pick, cells):
+    """On a left-symmetric table N = {x : xA = 0} is an ideal, as (yx)z =
+    (x,y,z) = 0 for x in N, and ideal_flags agrees with one find_ideals
+    report: catalog points in a drawn basis, and Novikov tables x.D(y) on
+    seeded commutative associative bases."""
+    if novikov:
+        rng = random.Random(pick)
+        base = commutative_bases(rng, 1)[0]
+        d = Mat.zero(3)
+        for b in derivation_space(base):
+            d = d + QI(rng.randint(-2, 2)) * b
+        alg = novikov_from_derivation(base, d)
+    else:
+        w = Mat([cells[0:3], cells[3:6], cells[6:9]])
+        assume(not w.det().is_zero())
+        alg = rebase(first_samples[pick % len(first_samples)][2], w)
+    assert check_left_symmetric(alg)[0]
+    assert naive_certificates(alg)[3]
+    assert ideal_flags(alg) == one_report_flags(alg)
+
+
+def test_left_annihilator_that_is_no_ideal_certifies_nothing():
+    """e1.e1 = e1.e2 = 0, e2.e1 = 2e1 - e2, e2.e2 = 2e1: N = span(e1), but
+    e2.e1 is outside N, and the table is simple, hence semisimple."""
+    alg = Algebra.from_products(2, {(1, 0): [(2, 0), (-1, 1)],
+                                    (1, 1): [(2, 0)]})
+    assert not check_left_symmetric(alg)[0]
+    assert naive_certificates(alg) == (False, False, False, False)
+    assert ideal_flags(alg) == {"simple": True, "semisimple": True}

@@ -7,11 +7,11 @@ from lsacat import catalog, iso, props, scalars
 from lsacat.algebra import Algebra, commutator_lie, hom_defects, rebase
 from lsacat.errors import LsaError, SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
-from lsacat.lie import (aut_components, aut_template, canonical_lie,
-                        classify3, random_automorphism)
+from lsacat.lie import aut_components, aut_template, canonical_lie, classify3
 from lsacat.linalg import Mat
 from lsacat.props import fingerprint
 from lsacat.scalars import MultiPoly
+from oracles import random_automorphism
 
 
 def test_verify_identity():

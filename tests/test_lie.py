@@ -12,9 +12,10 @@ from lsacat import lie
 from lsacat.constructions import derivation_space
 from lsacat.lie import (LieAlgebra, aut_components, aut_template,
                         canonical_l, canonical_lie, check_lie_automorphism,
-                        classify3, instantiate_aut, random_automorphism)
+                        classify3)
 from lsacat.linalg import Mat
 from lsacat.scalars import QI, MultiPoly
+from oracles import instantiate_aut, random_automorphism
 
 
 def aut_shape_member(family, t, l=None):

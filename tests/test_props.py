@@ -7,13 +7,12 @@ from lsacat import catalog, props
 from lsacat.algebra import Algebra, rebase
 from lsacat.errors import DimensionMismatch, ZeroAlgebra
 from lsacat.linalg import Mat, basis_vec
-from lsacat.lie import random_automorphism
 from lsacat.props import (closure_span, find_ideals, fingerprint,
                           ideal_closed, is_associative, is_bisymmetric,
-                          is_novikov, is_semisimple, is_simple, is_transitive,
-                          random_qi_vector,
-                          right_nilpotent_at, simplicity_oracle_agrees)
+                          is_novikov, is_semisimple, is_simple, is_transitive)
 from lsacat.scalars import QI, factor_unipoly
+from oracles import (random_automorphism, random_qi_vector,
+                     right_nilpotent_at, simplicity_oracle_agrees)
 
 
 def test_associative_examples():
