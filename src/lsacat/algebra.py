@@ -45,6 +45,15 @@ class Algebra(Frozen):
         object.__setattr__(self, "dim", dim)
 
     @classmethod
+    def _of(cls, c):
+        """An instance of cls with the table c, whose cells are already
+        scalar sequences of the right shape."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "c", tuple(tuple(map(tuple, row)) for row in c))
+        object.__setattr__(a, "dim", len(c))
+        return a
+
+    @classmethod
     def from_products(cls, dim, products):
         """Build from a sparse {(i, j): [(coeff, k), ...]} map, 0-indexed."""
         table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
@@ -96,13 +105,7 @@ class LieAlgebra(Algebra):
                 if not vec_eq(c[i][j], [-x for x in c[j][i]]):
                     raise NotLieAlgebra("bracket table is not antisymmetric "
                                         "at (e%d,e%d)" % (i + 1, j + 1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if not vec_is_zero(_jacobi_sum(c, i, j, k)):
-                        raise NotLieAlgebra(
-                            "bracket table breaks Jacobi at (e%d,e%d,e%d)"
-                            % (i + 1, j + 1, k + 1))
+        _check_jacobi(c)
 
     @classmethod
     def from_brackets(cls, dim, brackets):
@@ -137,6 +140,18 @@ def hom_defects(a, b, f):
         fi = f.row(i)
         for j in range(i + 1 if lie else 0, a.dim):
             yield vec_sub(f.apply_row(a.c[i][j]), multiply(b, fi, f.row(j)))
+
+
+def _check_jacobi(c):
+    "Raise NotLieAlgebra, naming the basis vectors, where c breaks Jacobi."
+    n = len(c)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if not vec_is_zero(_jacobi_sum(c, i, j, k)):
+                    raise NotLieAlgebra(
+                        "bracket table breaks Jacobi at (e%d,e%d,e%d)"
+                        % (i + 1, j + 1, k + 1))
 
 
 def _jacobi_sum(c, i, j, k):
@@ -184,10 +199,13 @@ def check_left_symmetric(a, tu=None):
 def commutator_lie(a):
     """Sub-adjacent Lie algebra with bracket [x, y] = xy - yx.
 
-    Jacobi holds whenever a is left-symmetric; for a table that is not
-    Lie-admissible the LieAlgebra constructor raises NotLieAlgebra."""
-    return LieAlgebra([[vec_sub(x, y) for x, y in zip(row, col)]
-                       for row, col in zip(a.c, zip(*a.c))])
+    The bracket is antisymmetric by construction, so only Jacobi is
+    checked: it holds whenever a is left-symmetric, and a table that is
+    not Lie-admissible raises NotLieAlgebra."""
+    g = LieAlgebra._of([[vec_sub(x, y) for x, y in zip(row, col)]
+                        for row, col in zip(a.c, zip(*a.c))])
+    _check_jacobi(g.c)
+    return g
 
 
 def left_matrix(a, x):
@@ -214,20 +232,21 @@ def multiplication_operators(a):
 
 def rebase(a, w):
     """Structure constants of the same product in the new basis whose
-    vectors are the rows of w (expressed in the old basis)."""
+    vectors are the rows of w (expressed in the old basis); a itself when
+    w is the identity."""
     if w.nrows != a.dim or w.ncols != a.dim:
         raise DimensionMismatch("basis-change matrix has wrong shape")
+    if w.is_identity():
+        return a
     winv, rows = w.inverse(), [list(r) for r in w.rows]
-    return type(a)([[winv.apply_row(multiply(a, x, y)) for y in rows]
-                    for x in rows])
+    return type(a)._of([[winv.apply_row(multiply(a, x, y)) for y in rows]
+                        for x in rows])
 
 
 def substitute_algebra(a, bindings):
     "Instantiate a parametric table at Gaussian-rational parameter values."
-    n = a.dim
-    table = [[[substitute(x, bindings) for x in a.c[i][j]]
-              for j in range(n)] for i in range(n)]
-    return Algebra(table)
+    return Algebra._of([[[substitute(x, bindings) for x in v] for v in row]
+                        for row in a.c])
 
 
 def _expand(terms, vecs):

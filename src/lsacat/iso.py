@@ -16,6 +16,7 @@ S-pair bound hit, or a witness over C but none found over Q(i).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import scalars
@@ -48,34 +49,55 @@ class IsoVerdict:
         return self.status == "isomorphic"
 
 
-def _hom_equations(a, b, names, template):
+def _equation_setup(names, template):
+    """(the template's cells as term dicts, det(F)*z - 1 as a MultiPoly),
+    both over names + ("z",)."""
+    vs = names + ("z",)
+    det = template.det() * MultiPoly.var("z") - 1
+    return ([[_term_dict(x, vs) for x in row] for row in template.rows],
+            MultiPoly._of(vs, _term_dict(det, vs)))
+
+
+@functools.cache
+def _component(comp):
+    "(names, template, _equation_setup) of one component, built once."
+    names, template = aut_template(comp)
+    return names, template, _equation_setup(names, template)
+
+
+def _hom_equations(a, b, names, template, setup=None):
     """The homomorphism equations of a parametric witness template, then
     det(F)*z - 1, as MultiPolys over names + ("z",).  Read off the
     structure constants and the template cells: coordinate q of
     F(e_i e_j) - F(e_i) F(e_j) is sum_p a_ij^p F_pq - sum_kl F_ik F_jl b_kl^q,
-    taken in hom_defects' order with the zero ones left out."""
+    taken in hom_defects' order with the zero ones left out.  Each product
+    F_ik F_jl is formed once and spread over the nonzero b_kl^q; setup is
+    _equation_setup(names, template), built here when not passed."""
     n = a.dim
     vs = names + ("z",)
-    f = [[_term_dict(x, vs) for x in row] for row in template.rows]
+    f, det = setup or _equation_setup(names, template)
     one = (0,) * len(vs)
+    bnz = [[[(q, y) for q, y in enumerate(v) if not is_zero(y)] for v in row]
+           for row in b.c]
     out = []
     for i in range(n):
         for j in range(n):
-            for q in range(n):
-                d = {}
-                for p, x in enumerate(a.c[i][j]):
-                    if not is_zero(x):
-                        _add_multiple(d, x, one, f[p][q])
-                for k in range(n):
-                    for l in range(n):
-                        y = b.c[k][l][q]
-                        if not is_zero(y):
-                            for e, c in f[i][k].items():
-                                _add_multiple(d, -y * c, e, f[j][l])
-                if d:
-                    out.append(MultiPoly._of(vs, d))
-    det = template.det() * MultiPoly.var("z") - 1
-    out.append(MultiPoly._of(vs, _term_dict(det, vs)))
+            ds = [{} for _ in range(n)]
+            for p, x in enumerate(a.c[i][j]):
+                if not is_zero(x):
+                    for q in range(n):
+                        _add_multiple(ds[q], x, one, f[p][q])
+            for k in range(n):
+                for l in range(n):
+                    if not bnz[k][l] or not f[i][k] or not f[j][l]:
+                        continue
+                    prod = {}
+                    for e, c in f[i][k].items():
+                        _add_multiple(prod, c, e, f[j][l])
+                    for q, y in bnz[k][l]:
+                        _add_multiple(ds[q], -y, one, prod)
+            out += [MultiPoly._of(vs, d) for d in ds if d]
+    out.append(det)
     return out
 
 
@@ -128,8 +150,8 @@ def _solve_component(a, b, comp):
     the homomorphism equations plus det*z - 1 have the reduced lex basis
     {1}, or a Q(i) point read off the basis in the template's variable
     order or its reverse."""
-    names, template = aut_template(comp)
-    eqs = _hom_equations(a, b, names, template)
+    names, template, setup = _component(comp)
+    eqs = _hom_equations(a, b, names, template, setup)
     for order in (names, names[::-1]):
         basis = groebner(eqs, ("z",) + order)
         if basis is None:
@@ -224,14 +246,14 @@ def search_lsa_iso(a, b):
             return IsoVerdict("unknown", reason="no automorphism group "
                                                 "stored for class %s" % ca.tag)
     a2, b2, comps = rebased
-    if a2 == b2:
-        t = Mat.identity(3)
-    else:
+    full = cb.witness
+    if a2 != b2:
         v = _search(a2, b2, comps)
         if not v.is_isomorphic:
             return v
-        t = v.witness
-    full = ca.witness.inverse() * t * cb.witness
+        full = v.witness * full
+    if a2 is not a:     # rebase returns a itself for an identity witness
+        full = ca.witness.inverse() * full
     if not verify_lsa_iso(a, b, full):
         raise InternalError("search witness fails after the basis change")
     return IsoVerdict("isomorphic", witness=full)

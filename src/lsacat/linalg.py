@@ -48,6 +48,9 @@ class Mat(Frozen):
     def identity(n):
         return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
+    def is_identity(self):
+        return self == Mat.identity(self.nrows)
+
     @staticmethod
     def zero(n):
         return Mat([[ZERO] * n for _ in range(n)])

@@ -647,7 +647,7 @@ GROEBNER_MAX_PAIRS = 2000
 
 
 def _divides(m, n):
-    return all(a <= b for a, b in zip(m, n))
+    return all(map(operator.le, m, n))
 
 
 def _normal_form(f, basis):
@@ -671,13 +671,17 @@ def groebner(polys, order):
 
     Each element is a monic term dict {exponents: QI}, exponents aligned
     with ``order``, and the list is sorted by leading monomial, so the unit
-    ideal is [{(0, ..., 0): 1}].  Buchberger's algorithm takes the S-pair
-    with the smallest lcm first and skips pairs whose leading monomials are
-    coprime.  Returns None once GROEBNER_MAX_PAIRS S-pairs are reduced and
-    more remain."""
+    ideal is [{(0, ..., 0): 1}].  Buchberger's algorithm drops an input
+    that repeats an earlier one and takes the S-pair with the smallest lcm
+    first.  It never queues a pair whose leading monomials are coprime
+    (Buchberger's first criterion), and it skips a pair (i, j) when another
+    leading monomial lm_k divides its lcm and the pairs (i, k) and (j, k)
+    are treated, that is, not queued (the chain criterion).  Returns None
+    once GROEBNER_MAX_PAIRS S-pairs are reduced and another is due."""
     order = tuple(order)
     one = (0,) * len(order)
-    basis, pairs = [], []   # (lm, monic g); heap of (lcm, i, j)
+    basis, pairs = [], []   # (lm, monic g); heap of (lcm, i, j), i < j
+    queued = set()          # the (i, j) in pairs
 
     def add(f):
         "Reduce f and add it to the basis; True when it is a constant."
@@ -686,26 +690,40 @@ def groebner(polys, order):
             return False
         lm = max(f)
         c = f[lm]
+        k = len(basis)
         for i, (lg, _) in enumerate(basis):
             if any(a and b for a, b in zip(lg, lm)):
-                heapq.heappush(pairs, (tuple(map(max, lg, lm)), i, len(basis)))
+                heapq.heappush(pairs, (tuple(map(max, lg, lm)), i, k))
+                queued.add((i, k))
         basis.append((lm, {e: x / c for e, x in f.items()}))
         return lm == one
 
+    def chained(lcm, i, j):
+        "The chain criterion holds for the pair (i, j) with this lcm."
+        return any(k != i and k != j and _divides(lk, lcm)
+                   and (min(i, k), max(i, k)) not in queued
+                   and (min(j, k), max(j, k)) not in queued
+                   for k, (lk, _) in enumerate(basis))
+
     unit = [{one: ONE}]
-    if any(add(_term_dict(p, order)) for p in polys):
-        return unit
+    seen = set()
+    for p in polys:
+        f = _term_dict(p, order)
+        key = frozenset(f.items())
+        if key not in seen:
+            seen.add(key)
+            if add(f):
+                return unit
     reduced = 0
     while pairs:
+        lcm, i, j = heapq.heappop(pairs)
+        queued.discard((i, j))
+        if chained(lcm, i, j):
+            continue
         if reduced == GROEBNER_MAX_PAIRS:
             return None
         reduced += 1
-        lcm, i, j = heapq.heappop(pairs)
-        (li, gi), (lj, gj) = basis[i], basis[j]
-        s = {}
-        _add_multiple(s, ONE, tuple(map(operator.sub, lcm, li)), gi)
-        _add_multiple(s, -ONE, tuple(map(operator.sub, lcm, lj)), gj)
-        if add(s):
+        if add(_s_polynomial(lcm, basis[i], basis[j])):
             return unit
     # add() reduced each element by the earlier ones, so an element is
     # redundant exactly when a later leading monomial divides its own
@@ -713,6 +731,15 @@ def groebner(polys, order):
                if not any(_divides(l2, lm) for l2, _ in basis[k + 1:])]
     return sorted((_normal_form(dict(g), [h for h in minimal if h[0] != lm])
                    for lm, g in minimal), key=max)
+
+
+def _s_polynomial(lcm, gi, gj):
+    "The S-polynomial of two (lm, monic g) basis elements with this lcm."
+    (li, fi), (lj, fj) = gi, gj
+    s = {}
+    _add_multiple(s, ONE, tuple(map(operator.sub, lcm, li)), fi)
+    _add_multiple(s, -ONE, tuple(map(operator.sub, lcm, lj)), fj)
+    return s
 
 
 # ---------------------------------------------------------------------------

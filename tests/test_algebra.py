@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
-                            hom_defects, left_matrix, multiply, rebase,
-                            right_matrix, triple_products)
+from lsacat.algebra import (Algebra, LieAlgebra, check_left_symmetric,
+                            commutator_lie, hom_defects, left_matrix,
+                            multiply, rebase, right_matrix, triple_products)
 from lsacat.cocycle import (Cocycle, Representation, psi,
                             verify_cocycle_equiv)
 from lsacat.errors import (DimensionMismatch, DivisionByZero, DomainMismatch,
-                           SingularWitness)
+                           NotLieAlgebra, SingularWitness)
 from lsacat.iso import verify_lsa_iso
 from lsacat.lie import (aut_template, canonical_l, canonical_lie,
                         check_lie_automorphism, classify3)
@@ -191,6 +191,26 @@ def test_commutator_n1():
     n1 = catalog.instantiate("N-1", {"lambda": 2})
     g = commutator_lie(n1)
     assert vec_eq(g.c[2][1], [QI(0), QI(1), QI(0)])
+
+
+def test_commutator_is_the_checked_bracket_table(first_samples):
+    """commutator_lie checks only Jacobi: on every first sample it equals
+    the LieAlgebra that the checking constructor builds from the brackets
+    xy - yx, and a table whose commutator breaks Jacobi is refused with
+    the constructor's message."""
+    for e, _, a in first_samples:
+        basis = [basis_vec(3, i) for i in range(3)]
+        want = LieAlgebra([[[p - q for p, q in zip(multiply(a, x, y),
+                                                  multiply(a, y, x))]
+                            for y in basis] for x in basis])
+        got = commutator_lie(a)
+        assert type(got) is LieAlgebra and got.dim == 3, e.id
+        assert got.c == want.c, e.id
+    c = [[list(v) for v in row] for row in H1.c]
+    c[0][2] = [1, 0, 1]
+    with pytest.raises(NotLieAlgebra,
+                       match=r"^bracket table breaks Jacobi at \(e1,e2,e3\)$"):
+        commutator_lie(Algebra(c))
 
 
 def test_left_matrix_h1():

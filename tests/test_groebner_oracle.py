@@ -3,12 +3,17 @@
 search_lsa_iso decides each component of the stored automorphism group
 by whether the homomorphism equations plus det*z - 1 have the reduced lex
 basis {1}.  sympy computes the same reduced basis independently; both are
-run on an entry against a random rebase of itself and on two entries of
-one Lie class, in the template's variable order and its reverse."""
+run on an entry against a random rebase of itself, on two entries of one
+Lie class, in the template's variable order and its reverse, and on every
+system that one search cycle of the benchmark builds."""
+
+import functools
+import importlib.util
+import os
 
 import pytest
 
-from lsacat import catalog, iso
+from lsacat import catalog, iso, scalars
 from lsacat.algebra import commutator_lie, rebase
 from lsacat.lie import aut_components, aut_template, classify3
 from lsacat.linalg import Mat
@@ -52,6 +57,21 @@ def expr(terms, names, gens):
         for exps, c in terms.items()]))
 
 
+def check_system(eqs, order, label):
+    "groebner(eqs, order) is sympy's reduced lex basis; returns it."
+    gens = {v: sympy.Symbol(v) for v in order}
+    ours = groebner(eqs, order)
+    theirs = sympy.groebner(
+        [expr(_term_dict(p, order), order, gens) for p in eqs],
+        *[gens[v] for v in order], order="lex", domain=sympy.QQ_I)
+    unit = not any(max(ours[0]))
+    assert unit == (list(theirs.exprs) == [1]), label
+    # reduced bases are unique, so the elements agree as well
+    assert ({expr(g, order, gens) for g in ours}
+            == {sympy.expand(x) for x in theirs.exprs}), label
+    return ours
+
+
 def check_components(a, b):
     ca, a2 = canonical(a)
     cb, b2 = canonical(b)
@@ -60,16 +80,7 @@ def check_components(a, b):
         names, template = aut_template(comp)
         eqs = iso._hom_equations(a2, b2, names, template)
         for order in (("z",) + names, ("z",) + names[::-1]):
-            gens = {v: sympy.Symbol(v) for v in order}
-            ours = groebner(eqs, order)
-            theirs = sympy.groebner(
-                [expr(_term_dict(p, order), order, gens) for p in eqs],
-                *[gens[v] for v in order], order="lex", domain=sympy.QQ_I)
-            unit = not any(max(ours[0]))
-            assert unit == (list(theirs.exprs) == [1]), (comp, order)
-            # reduced bases are unique, so the elements agree as well
-            assert ({expr(g, order, gens) for g in ours}
-                    == {sympy.expand(x) for x in theirs.exprs}), (comp, order)
+            check_system(eqs, order, (comp, order))
 
 
 small_mats = st.lists(st.integers(-2, 2), min_size=9, max_size=9).map(
@@ -92,3 +103,69 @@ SAME_CLASS = [(x, y) for x in IDS for y in IDS
 @given(st.sampled_from(SAME_CLASS))
 def test_entries_of_one_lie_class_match_sympy(pair):
     check_components(SAMPLES[pair[0]][0], SAMPLES[pair[1]][0])
+
+
+def load_inputs():
+    "perfbench/inputs.py, which draws the benchmark's search pairs."
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def search_cycle_systems():
+    """[(equations, order)] of every groebner call in one cycle of the
+    benchmark's search workload at seed 1: search_lsa_iso(a, rebase(a, T))
+    for each entry's first sample."""
+    cat = catalog.load_catalog()
+    systems = []
+    original = iso.groebner
+    iso.groebner = lambda eqs, order: (systems.append((list(eqs), order))
+                                       or original(eqs, order))
+    try:
+        for eid, rows in load_inputs().search_cases(list(cat), 1):
+            a = catalog.instantiate(eid, cat[eid].sample_bindings()[0])
+            assert iso.search_lsa_iso(a, rebase(a, Mat(rows))).is_isomorphic
+    finally:
+        iso.groebner = original
+    return systems
+
+
+def test_search_cycle_systems_match_sympy():
+    """Each of the 83 systems is sympy's reduced basis, and so is the same
+    system with its inputs reversed and repeated, which groebner drops."""
+    systems = search_cycle_systems()
+    assert len(systems) == 83
+    for k, (eqs, order) in enumerate(systems):
+        ours = check_system(eqs, order, k)
+        assert groebner(eqs[::-1] + eqs, order) == ours, k
+
+
+def test_search_cycle_groebner_work_is_pinned(monkeypatch):
+    """The pairs and reductions groebner spends on the 83 systems, counted
+    with no clock: the repeated inputs and the chain criterion each cut
+    them, so losing either changes a total."""
+    counts = {"inputs": 0, "normal_forms": 0, "zero": 0, "s_pairs": 0}
+    normal_form, s_polynomial = scalars._normal_form, scalars._s_polynomial
+
+    def counted_normal_form(f, basis):
+        counts["normal_forms"] += 1
+        out = normal_form(f, basis)
+        counts["zero"] += not out
+        return out
+
+    def counted_s_polynomial(*args):
+        counts["s_pairs"] += 1
+        return s_polynomial(*args)
+
+    systems = search_cycle_systems()
+    monkeypatch.setattr(scalars, "_normal_form", counted_normal_form)
+    monkeypatch.setattr(scalars, "_s_polynomial", counted_s_polynomial)
+    for eqs, order in systems:
+        counts["inputs"] += len(eqs)
+        groebner(eqs, order)
+    assert counts == {"inputs": 691, "normal_forms": 1255, "zero": 391,
+                      "s_pairs": 420}

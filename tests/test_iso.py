@@ -5,7 +5,7 @@ import pytest
 
 from lsacat import catalog, iso, props, scalars
 from lsacat.algebra import Algebra, commutator_lie, hom_defects, rebase
-from lsacat.errors import LsaError, SingularWitness
+from lsacat.errors import DimensionMismatch, LsaError, SingularWitness
 from lsacat.iso import search_lsa_iso, verify_lsa_iso
 from lsacat.lie import aut_components, aut_template, canonical_lie, classify3
 from lsacat.linalg import Mat
@@ -148,6 +148,53 @@ def test_search_groebner_pair_fingerprints_and_classifies_once(monkeypatch):
     assert v.reason == ("every automorphism component gives the "
                         "Groebner basis {1}")
     assert calls == {"fingerprint": 2, "classify3": 2}
+
+
+@pytest.mark.parametrize("eid, rows", [
+    ("N-30", [[1, 2, 0], [0, 1, 0], [0, 0, 1]]),
+    ("H-8", [[0, 1, 0], [1, 0, 0], [0, 2, 1]]),
+])
+def test_search_applies_no_identity_witness(monkeypatch, first_samples, eid,
+                                            rows):
+    """Every catalog point's commutator is its family's canonical table, so
+    its class witness is the identity.  Against rebase(a, T) the search
+    builds one rebased table, of the other side, and inverts no identity,
+    on the Groebner path (N-30) and on the equal-canonical-tables path
+    (H-8)."""
+    for e, _, a in first_samples:
+        assert classify3(commutator_lie(a)).witness.is_identity(), e.id
+    a = catalog.instantiate(eid)
+    b = rebase(a, Mat(rows))
+    rebased, inverted = [], []
+
+    def counted_rebase(x, w):
+        out = rebase(x, w)
+        if out is not x:
+            rebased.append(x)
+        return out
+
+    monkeypatch.setattr(iso, "rebase", counted_rebase)
+    inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda m: inverted.append(
+        m.is_identity()) or inverse(m))
+    v = search_lsa_iso(a, b)
+    assert v.is_isomorphic and verify_lsa_iso(a, b, v.witness)
+    assert rebased == [b]
+    assert True not in inverted
+    # the other way round, the first table's witness is inverted
+    rebased.clear()
+    v = search_lsa_iso(b, a)
+    assert v.is_isomorphic and verify_lsa_iso(b, a, v.witness)
+    assert rebased == [b]
+    assert True not in inverted
+
+
+def test_rebase_by_the_identity_is_the_table():
+    a = catalog.instantiate("H-1")
+    assert rebase(a, Mat.identity(3)) is a
+    with pytest.raises(DimensionMismatch,
+                       match="^basis-change matrix has wrong shape$"):
+        rebase(a, Mat.identity(2))
 
 
 def test_search_lie_class_mismatch():
