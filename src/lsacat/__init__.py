@@ -10,16 +10,15 @@ tables and witness isomorphisms.
 
 All values are immutable (QI sets its parts once, every other value type
 is a scalars.Frozen) and all operations are pure functions, so everything
-here is safe to use from multiple threads.  Three bounded module maps,
+here is safe to use from multiple threads.  Two bounded module maps,
 each filled through scalars.remember, keep results: classify3 by bracket
-table, the scalar parser by text (it hands out its stored tuples, which
-nobody can change) and factor_unipoly by coefficients (a fresh list of
-its stored tuples).  Dict reads and writes are atomic, so at worst two
-threads compute one twice.
+table and the scalar parser by text (it hands out its stored tuples,
+which nobody can change).  Dict reads and writes are atomic, so at worst
+two threads compute one twice.
 """
 
 from .algebra import (Algebra, check_left_symmetric, commutator_lie,
-                      left_matrix, multiply, rebase, right_matrix)
+                      left_matrix, multiply, rebase)
 from .cocycle import (Cocycle, Representation, check_cocycle,
                       check_representation, phi, psi, verify_cocycle_equiv,
                       verify_cocycle_iso)
@@ -46,7 +45,7 @@ __all__ = [
     "is_bisymmetric", "is_novikov", "is_semisimple",
     "is_simple", "is_transitive", "left_matrix",
     "lsa_from_rmatrix", "multiply", "novikov_from_derivation",
-    "parse_scalar", "phi", "psi", "rebase", "right_matrix",
+    "parse_scalar", "phi", "psi", "rebase",
     "search_lsa_iso", "substitute", "verify_cocycle_equiv",
     "verify_cocycle_iso", "verify_lsa_iso",
 ]

@@ -214,12 +214,6 @@ def left_matrix(a, x):
     return combination(x, multiplication_operators(a)[:a.dim])
 
 
-def right_matrix(a, x):
-    "Column-convention matrix of R_x: column j holds coords of e_j * x."
-    _conform(a, x)
-    return combination(x, multiplication_operators(a)[a.dim:])
-
-
 def multiplication_operators(a):
     """L_{e_1}, ..., L_{e_n}, then R_{e_1}, ..., R_{e_n}, read off the
     table: entry (k, j) of L_{e_i} is c_ij^k and of R_{e_i} is c_ji^k."""

@@ -49,33 +49,27 @@ class IsoVerdict:
         return self.status == "isomorphic"
 
 
-def _equation_setup(names, template):
-    """(the template's cells as term dicts, det(F)*z - 1 as a MultiPoly),
-    both over names + ("z",)."""
+@functools.cache
+def _component(comp):
+    """(names, the template's cells as term dicts, det(F)*z - 1 as a
+    MultiPoly) of one component, over names + ("z",), built once."""
+    names, template = aut_template(comp)
     vs = names + ("z",)
     det = template.det() * MultiPoly.var("z") - 1
-    return ([[_term_dict(x, vs) for x in row] for row in template.rows],
+    return (names, [[_term_dict(x, vs) for x in row] for row in template.rows],
             MultiPoly._of(vs, _term_dict(det, vs)))
 
 
-@functools.cache
-def _component(comp):
-    "(names, template, _equation_setup) of one component, built once."
-    names, template = aut_template(comp)
-    return names, template, _equation_setup(names, template)
-
-
-def _hom_equations(a, b, names, template, setup=None):
-    """The homomorphism equations of a parametric witness template, then
-    det(F)*z - 1, as MultiPolys over names + ("z",).  Read off the
-    structure constants and the template cells: coordinate q of
+def _hom_equations(a, b, comp):
+    """The homomorphism equations of component comp's parametric witness
+    template, then det(F)*z - 1, as MultiPolys over names + ("z",).  Read
+    off the structure constants and the template cells: coordinate q of
     F(e_i e_j) - F(e_i) F(e_j) is sum_p a_ij^p F_pq - sum_kl F_ik F_jl b_kl^q,
     taken in hom_defects' order with the zero ones left out.  Each product
-    F_ik F_jl is formed once and spread over the nonzero b_kl^q; setup is
-    _equation_setup(names, template), built here when not passed."""
+    F_ik F_jl is formed once and spread over the nonzero b_kl^q."""
+    names, f, det = _component(comp)
     n = a.dim
     vs = names + ("z",)
-    f, det = setup or _equation_setup(names, template)
     one = (0,) * len(vs)
     bnz = [[[(q, y) for q, y in enumerate(v) if not is_zero(y)] for v in row]
            for row in b.c]
@@ -150,8 +144,8 @@ def _solve_component(a, b, comp):
     the homomorphism equations plus det*z - 1 have the reduced lex basis
     {1}, or a Q(i) point read off the basis in the template's variable
     order or its reverse."""
-    names, template, setup = _component(comp)
-    eqs = _hom_equations(a, b, names, template, setup)
+    names, template = aut_template(comp)
+    eqs = _hom_equations(a, b, comp)
     for order in (names, names[::-1]):
         basis = groebner(eqs, ("z",) + order)
         if basis is None:

@@ -5,15 +5,14 @@ Ideal search strategy (dimension <= 3, scalars in Q(i), ideals over C): a
 1-dimensional two-sided ideal is a common invariant line of all left and
 right basis multiplications, hence an eigenline of any single one of them,
 M.  We factor the characteristic polynomial of M over Q(i), once per
-algebra, after splitting off the diagonal entries of M that are roots (all
-of them on a triangular M).  A linear factor gives an eigenline, or an
-eigenplane in which the invariant lines solve binary quadratics; the first
-nonzero one, split by factor_unipoly, gives candidates checked against
-every operator, the rest are read only for a family or an irreducible first
-one.  An irreducible factor f of degree d >= 2 gives d conjugate
-eigenlines, all invariant or all not; by Galois descent they span the
-Q(i)-rational W = ker f(M), invariant iff every operator maps W into W and
-commutes with M on W.  Conjugate lines are reported once, as the orbit
+algebra.  A linear factor gives an eigenline, or an eigenplane in which
+the invariant lines solve binary quadratics; the first nonzero one, split
+by factor_unipoly, gives candidates checked against every operator, the
+rest are read only for a family or an irreducible first one.  An
+irreducible factor f of degree d >= 2 gives d conjugate eigenlines, all
+invariant or all not; by Galois descent they span the Q(i)-rational
+W = ker f(M), invariant iff every operator maps W into W and commutes
+with M on W.  Conjugate lines are reported once, as the orbit
 (basis of W, f), so no extension field is built.  2-dimensional ideals are
 found dually via the transposed operators acting on covectors, with M^T,
 whose characteristic polynomial is that of M: planes come from the same
@@ -40,7 +39,7 @@ from .algebra import (check_left_symmetric, commutator_lie,
 from .errors import ZeroAlgebra
 from .lie import classify3
 from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_sub
-from .scalars import ONE, ZERO, _up_deflate, factor_unipoly, is_zero
+from .scalars import ONE, ZERO, factor_unipoly, is_zero
 
 
 def is_associative(a, tu=None):
@@ -156,22 +155,8 @@ def _proportional(v, w):
 
 
 def _line_invariant(ops, v):
-    """op(v) = op(v)_p v for every op, v normalized to 1 at its leading
-    index p; op(v) is summed over the nonzero v_j and entries only."""
-    nz = [(j, x) for j, x in enumerate(v) if not is_zero(x)]
-    for op in ops:
-        u = []
-        for row in op.rows:
-            s = ZERO
-            for j, x in nz:
-                if not is_zero(row[j]):
-                    s = s + row[j] * x
-            u.append(s)
-        lam = u[nz[0][0]]
-        for x, y in zip(v, u):
-            if not (is_zero(y) if is_zero(x) else y == lam * x):
-                return False
-    return True
+    "op(v) is proportional to v for every op."
+    return all(_proportional(v, op.apply_col(v)) for op in ops)
 
 
 def _normalize_line(v):
@@ -293,25 +278,6 @@ def _combine(b1, s, b2, t):
     return [s * x + t * y for x, y in zip(b1, b2)]
 
 
-def _eigen_factors(m):
-    """factor_unipoly(m.charpoly())[1], with each diagonal entry of m split
-    off as often as it divides and only the rest left to factor_unipoly."""
-    co, factors = m.charpoly(), []
-    for r in dict.fromkeys(m.rows[i][i] for i in range(m.nrows)):
-        mult = 0
-        while len(co) > 1:
-            q, rem = _up_deflate(co, r)
-            if not is_zero(rem):
-                break
-            co, mult = q, mult + 1
-        if mult:
-            factors.append(((-r, ONE), mult))
-    if len(co) > 1:
-        factors += factor_unipoly(co)[1]
-    factors.sort(key=lambda fm: (len(fm[0]), [(c.re, c.im) for c in fm[0]]))
-    return factors
-
-
 def find_ideals(a):
     """All proper nonzero two-sided ideals over C of an algebra over Q(i);
     infinite families are reported via flags with representative data
@@ -326,7 +292,7 @@ def find_ideals(a):
     chosen = _chosen_operator(ops)
     # M and its transpose share one characteristic polynomial, so one
     # factorization serves lines (ops) and planes (transposed ops)
-    factors = _eigen_factors(chosen)
+    factors = factor_unipoly(chosen.charpoly())[1]
     report.lines, report.line_families, report.line_orbits = (
         _invariant_lines(ops, chosen, factors))
     covs, cofams, report.plane_orbits = _invariant_lines(

@@ -11,7 +11,7 @@ are never changed after they are built (each type above QI is ``Frozen``),
 so they are safe to share; they copy and pickle.  The parser relies on it:
 it keeps the result of each text it has read in a bounded map, its
 sequences as tuples, and hands out the stored value again; ``remember``
-bounds that map and the package's other two.
+bounds that map and the package's other one.
 
 A QI, and so every coefficient above it, is three ints (a, b, d) with
 value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
@@ -903,10 +903,6 @@ def qi_roots(co):
     return [z for _, z in sorted(zip(keys, roots), key=lambda kz: kz[0])]
 
 
-_FACTORED = {}          # factor_unipoly results by trimmed coefficients,
-_FACTORED_MAX = 256     # cleared whenever full
-
-
 def factor_unipoly(co):
     """Factor a polynomial of degree <= 3, given as for qi_roots, into monic
     irreducibles: the roots in Q(i) with their multiplicities, then what is
@@ -916,10 +912,7 @@ def factor_unipoly(co):
     Returns (unit, [(coeffs, multiplicity), ...]) with unit * prod = input.
     The linear factors t - r, as (-r, 1), come first in the order of
     ((-r).re, (-r).im), then the irreducible one."""
-    key = co = _up_trim(map(qi, co))
-    hit = _FACTORED.get(key)
-    if hit is not None:     # a fresh list of the stored factor tuples
-        return hit[0], list(hit[1])
+    co = _up_trim(map(qi, co))
     if not co:
         raise DivisionByZero("cannot factor the zero polynomial")
     if len(co) > 4:
@@ -940,7 +933,6 @@ def factor_unipoly(co):
     if len(co) > 1:
         factors.append((co, 1))
     factors.sort(key=lambda fm: (len(fm[0]), [(c.re, c.im) for c in fm[0]]))
-    remember(_FACTORED, _FACTORED_MAX, key, (unit, tuple(factors)))
     return unit, factors
 
 

@@ -1,9 +1,10 @@
 """Randomized oracles and seeded generators shared by the tests.
 
 Each oracle checks a verdict of the package by a route of its own:
-right_nilpotent_at powers R_x at a concrete x against is_transitive, and
-simplicity_oracle_agrees tests the ideals that find_ideals reports for
-closure and refines random vectors against a simple verdict.
+right_nilpotent_at powers R_x (right_matrix) at a concrete x against
+is_transitive, and simplicity_oracle_agrees tests the ideals that
+find_ideals reports for closure and refines random vectors against a
+simple verdict.
 random_automorphism draws a member of a stored automorphism group of a
 canonical Lie algebra (lie.aut_template) with small Gaussian-rational
 parameters.
@@ -11,11 +12,17 @@ parameters.
 
 from fractions import Fraction
 
-from lsacat.algebra import right_matrix
+from lsacat.algebra import multiplication_operators
 from lsacat.lie import aut_components, aut_template
-from lsacat.linalg import Mat, basis_vec, span_basis, vec_add, vec_is_zero
+from lsacat.linalg import (Mat, basis_vec, combination, span_basis, vec_add,
+                           vec_is_zero)
 from lsacat.props import closure_span, find_ideals, ideal_closed
 from lsacat.scalars import QI, is_zero, qi
+
+
+def right_matrix(a, x):
+    "Column-convention matrix of R_x: column j holds coords of e_j * x."
+    return combination(x, multiplication_operators(a)[a.dim:])
 
 
 def right_nilpotent_at(a, x):

@@ -6,7 +6,7 @@ import pytest
 from lsacat import catalog
 from lsacat.algebra import (Algebra, LieAlgebra, check_left_symmetric,
                             commutator_lie, hom_defects, left_matrix,
-                            multiply, rebase, right_matrix, triple_products)
+                            multiply, rebase, triple_products)
 from lsacat.cocycle import (Cocycle, Representation, psi,
                             verify_cocycle_equiv)
 from lsacat.errors import (DimensionMismatch, DivisionByZero, DomainMismatch,
@@ -16,6 +16,7 @@ from lsacat.lie import (aut_template, canonical_l, canonical_lie,
                         check_lie_automorphism, classify3)
 from lsacat.linalg import Mat, basis_vec, vec_add, vec_eq, vec_is_zero
 from lsacat.scalars import QI, MultiPoly, RatFunc, qi_roots
+from oracles import right_matrix
 
 
 H1 = Algebra.from_products(3, {

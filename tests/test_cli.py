@@ -174,7 +174,6 @@ def test_package_has_no_forbidden_construct(construct):
 PRIVATE_IMPORTS = {
     ("catalog.py", "docs"): {"_const_value", "_words"},
     ("iso.py", "scalars"): {"_add_multiple", "_term_dict"},
-    ("props.py", "scalars"): {"_up_deflate"},
 }
 
 
@@ -525,10 +524,8 @@ def test_package_has_no_dead_private_functions():
     assert dead == []
 
 
-# public functions kept although no caller reaches them: right_matrix is
-# re-exported API, and the acceptance suite reaches it through
-# tests/oracles.py's right_nilpotent_at
-UNCALLED_ALLOWED = {"algebra.py:right_matrix"}
+# public functions kept although no caller reaches them
+UNCALLED_ALLOWED = set()
 
 # public names with more than one definition ("module:Class" for a
 # method, "module" for a function): references are counted by bare name,

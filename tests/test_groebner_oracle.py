@@ -77,8 +77,8 @@ def check_components(a, b):
     cb, b2 = canonical(b)
     assert ca.key() == cb.key()
     for comp in aut_components(ca.tag, ca.param):
-        names, template = aut_template(comp)
-        eqs = iso._hom_equations(a2, b2, names, template)
+        names = aut_template(comp)[0]
+        eqs = iso._hom_equations(a2, b2, comp)
         for order in (("z",) + names, ("z",) + names[::-1]):
             check_system(eqs, order, (comp, order))
 

@@ -24,8 +24,7 @@ from lsacat.algebra import (Algebra, check_left_symmetric,
 from lsacat.constructions import derivation_space, novikov_from_derivation
 from lsacat.errors import ZeroAlgebra
 from lsacat.linalg import Mat
-from lsacat.props import (_chosen_operator, _eigen_factors, _invariant_lines,
-                          _line_invariant, _lines_in_plane, _proportional,
+from lsacat.props import (_chosen_operator, _invariant_lines, _lines_in_plane,
                           find_ideals, ideal_closed, ideal_flags,
                           is_semisimple, is_simple)
 from lsacat.scalars import QI, factor_unipoly
@@ -274,74 +273,8 @@ def test_factor_unipoly_multiplicities_match_sympy(mult, r, gs):
 
 
 # ---------------------------------------------------------------------------
-# The readers find_ideals and the catalog flags take their answers from,
-# each against the definition it replaces.
-
-@st.composite
-def eigen_matrices(draw):
-    """A 2x2 or 3x3 matrix: triangular with diagonal entries drawn from a
-    small pool (so they repeat), dense, or a block companion matrix plain
-    (its diagonal entries are seldom roots) or conjugated (irreducible
-    factors)."""
-    n = draw(st.sampled_from([2, 3]))
-    kind = draw(st.sampled_from(["triangular", "dense", "companion",
-                                 "conjugate"]))
-    if kind in ("companion", "conjugate"):
-        m = block_companion(draw(blocks(n)), n)
-        if kind == "conjugate":
-            w = Mat([[draw(entries) for _ in range(n)] for _ in range(n)])
-            assume(not w.det().is_zero())
-            m = w.inverse() * m * w
-        return m
-    fill = st.sampled_from(draw(st.sampled_from(FILLS)))
-    rows = [[draw(fill) for _ in range(n)] for _ in range(n)]
-    if kind == "triangular":
-        for i in range(n):
-            rows[i][i] = draw(st.sampled_from(LIN_ROOTS))
-            rows[i][:i] = [QI(0)] * i
-    return Mat(rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(eigen_matrices())
-@example(Mat([[1, 1], [1, 1]]))         # 1 on the diagonal, roots 0 and 2
-@example(Mat([[2, 1, 0], [0, 2, 0], [0, 0, 2]]))
-def test_eigen_factors_match_factor_unipoly(m):
-    assert _eigen_factors(m) == factor_unipoly(m.charpoly())[1]
-
-
-@st.composite
-def lines_and_operators(draw):
-    """(ops, v): 1, 2 or 6 operators and a line v with 1 to 3 nonzero
-    entries, normalized to a leading 1; each operator keeps v invariant
-    (with a drawn eigenvalue) or is left as drawn."""
-    n = draw(st.sampled_from([2, 3]))
-    support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    v = [draw(entries.filter(lambda x: not x.is_zero())) if k in support
-         else QI(0) for k in range(n)]
-    p = min(support)
-    v = [x / v[p] for x in v]
-    fill = st.sampled_from(draw(st.sampled_from(FILLS)))
-    ops = []
-    for _ in range(draw(st.sampled_from([1, 2, 6]))):
-        rows = [[draw(fill) for _ in range(n)] for _ in range(n)]
-        if draw(st.booleans()):
-            # column p absorbs op(v) - lam v, so that op(v) = lam v
-            lam = draw(st.sampled_from(LIN_ROOTS))
-            u = Mat(rows).apply_col(v)
-            for k in range(n):
-                rows[k][p] = rows[k][p] - (u[k] - lam * v[k])
-        ops.append(Mat(rows))
-    return ops, v
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines_and_operators())
-def test_line_invariant_matches_the_proportionality_test(ops_v):
-    ops, v = ops_v
-    assert _line_invariant(ops, v) == all(
-        _proportional(v, op.apply_col(v)) for op in ops)
-
+# The ideals J with J.J != J that the catalog flags take their answers
+# from, against naive products and sympy ranks.
 
 @st.composite
 def small_tables(draw):

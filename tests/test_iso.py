@@ -314,9 +314,9 @@ def test_hom_equations_are_the_hom_defects(first_samples):
         b2 = rebase(rebase(a, random_automorphism(cls.tag, rng, cls.param)),
                     cls.witness)
         for comp in comps:
-            names, template = aut_template(comp)
+            template = aut_template(comp)[1]
             polys = [x for d in hom_defects(a2, b2, template) for x in d
                      if not scalars.is_zero(x)]
             polys.append(template.det() * MultiPoly.var("z") - 1)
-            got = iso._hom_equations(a2, b2, names, template)
+            got = iso._hom_equations(a2, b2, comp)
             assert got == polys, (entry.id, comp)

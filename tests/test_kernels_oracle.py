@@ -1,6 +1,7 @@
 """The structure-constant and small-matrix kernels against definitions.
 
-multiply, triple_products, left_matrix and right_matrix read the table
+multiply, triple_products, left_matrix and right_matrix (tests/oracles.py,
+over multiplication_operators) read the table
 c[i][j][k] (coordinate k of e_i e_j) directly and skip zeros, and the
 predicates, trace forms and annihilator dimensions read the triple
 products.  The oracles below sum over every index with no skipping, build
@@ -18,13 +19,14 @@ from itertools import combinations
 import pytest
 
 from lsacat.algebra import (Algebra, check_left_symmetric, left_matrix,
-                            multiply, rebase, right_matrix, triple_products)
+                            multiply, rebase, triple_products)
 from lsacat.errors import SingularWitness
 from lsacat.linalg import Mat
 from lsacat.props import (fingerprint, is_associative, is_bisymmetric,
                           is_commutative, is_novikov, is_transitive,
                           trace_forms)
 from lsacat.scalars import ZERO, MultiPoly, QI, is_zero
+from oracles import right_matrix
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402

@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from lsacat import catalog
-from lsacat.algebra import (Algebra, commutator_lie, left_matrix, multiply,
-                            rebase)
+from lsacat.algebra import (Algebra, commutator_lie, hom_defects, left_matrix,
+                            multiply, rebase)
 from lsacat.errors import NotDimension3, NotLieAlgebra
 from lsacat import lie
 from lsacat.constructions import derivation_space
@@ -257,6 +258,78 @@ def test_aut_templates_have_the_dimension_of_the_derivations(family, l, dim):
     assert len(derivation_space(canonical_lie(family, l))) == dim
     for comp in aut_components(family, l):
         assert len(aut_template(comp)[0]) == dim
+
+
+def sympy_cell(x, sympy):
+    "A QI or MultiPoly cell as a sympy expression in its variable names."
+    if isinstance(x, QI):
+        return sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im)
+    return sympy.Add(*[
+        sympy_cell(c, sympy) * sympy.Mul(*[sympy.Symbol(v) ** e
+                                           for v, e in zip(x.vars, exps)])
+        for exps, c in x.terms.items()])
+
+
+# (family, l) with l None for a family without parameter and "l" for Dl at
+# every l outside {0, 1, -1}, which l = 0, 1 and -1 complete
+AUT_CASES = [("Heisenberg", None), ("N", None), ("E", None), ("Dl", "l"),
+             ("Dl", 0), ("Dl", 1), ("Dl", -1)]
+
+
+@pytest.mark.parametrize("family, l", AUT_CASES)
+def test_aut_templates_cover_the_automorphism_group(family, l):
+    """The stored components are all of Aut(g).  Name the cells of a
+    generic F a11..a33, as the template parameters are named, and let I be
+    the ideal of [F e_i, F e_j] - F[e_i, e_j] and det(F) z - 1 (and, for
+    the symbolic l, l (l - 1) (l + 1) w - 1).  The zeros of I are the
+    automorphisms, and a component's shape relations are F - template,
+    cell by cell.  With components C_1..C_m, every product r_1 ... r_m of
+    one shape relation of each lies in I, so each automorphism satisfies
+    every relation of some C_k and is the template of C_k at its own
+    cells.  sympy proves the membership by a grevlex basis.  Each template
+    is an automorphism for all parameter values (and l): hom_defects over
+    MultiPoly cells is identically 0 and det is not.  Sl2 and Abelian have
+    no stored group, so a search on them is unknown; no catalog entry has
+    either algebra."""
+    sympy = pytest.importorskip("sympy")
+    if l == "l":
+        g = LieAlgebra.from_brackets(3, {(2, 0): [(1, 0)],
+                                         (2, 1): [(MultiPoly.var("l"), 1)]})
+        comps = aut_components(family)
+    else:
+        g = canonical_lie(family, l)
+        comps = aut_components(family, l)
+    cells = sympy.Matrix(3, 3, lambda i, j: sympy.Symbol("a%d%d" % (i + 1,
+                                                                   j + 1)))
+    c = [[[sympy_cell(x, sympy) for x in v] for v in row] for row in g.c]
+
+    def bracket(u, v):
+        return [sum(u[i] * v[j] * c[i][j][k] for i in range(3)
+                    for j in range(3)) for k in range(3)]
+
+    z, w, sl = sympy.symbols("z w l")
+    eqs = [sum(c[i][j][p] * cells[p, k] for p in range(3))
+           - bracket(cells.row(i), cells.row(j))[k]
+           for i in range(3) for j in range(i + 1, 3) for k in range(3)]
+    eqs.append(cells.det() * z - 1)
+    gens = list(cells) + [z]
+    if l == "l":
+        eqs.append(sl * (sl - 1) * (sl + 1) * w - 1)
+        gens += [sl, w]
+    basis = sympy.groebner([e for e in map(sympy.expand, eqs) if e != 0],
+                           *gens, order="grevlex", domain=sympy.QQ)
+    relations = []
+    for comp in comps:
+        t = aut_template(comp)[1]
+        assert all(x.is_zero() for d in hom_defects(g, g, t) for x in d), comp
+        assert not t.det().is_zero(), comp
+        shape = [cells[i, j] - sympy_cell(x, sympy)
+                 for i, row in enumerate(t.rows) for j, x in enumerate(row)]
+        relations.append([r for r in map(sympy.expand, shape) if r != 0])
+    assert comps
+    for rs in itertools.product(*relations):
+        assert basis.contains(sympy.Mul(*rs)), (comps, rs)
+    assert aut_components("Sl2") == aut_components("Abelian") == ()
 
 
 def test_d_minus_one_swap_component():

@@ -250,65 +250,15 @@ def test_factor_cubic_with_30_digit_coefficients(monkeypatch):
     assert degrees == [3]
 
 
+def test_factor_zero_polynomial():
+    with pytest.raises(DivisionByZero):
+        factor_unipoly((qi(0), qi(0)))
+
+
 def test_factor_degree_too_high():
     # (t^2 - 2)(t^2 + 2): factor_unipoly serves 3x3 operators only
     with pytest.raises(DegreeTooHigh):
         factor_unipoly((qi(-4), qi(0), qi(0), qi(0), qi(1)))
-
-
-def test_factor_map_hands_out_a_fresh_list(monkeypatch):
-    """Changing a returned factor list, the one that filled the map or one
-    read from it, does not change the next result."""
-    monkeypatch.setattr(scalars, "_FACTORED", {})
-    co = (qi(0), qi(-1), qi(0), qi(1))
-    want = (1, [((qi(-1), qi(1)), 1), ((qi(0), qi(1)), 1),
-                ((qi(1), qi(1)), 1)])
-    for _ in range(2):
-        unit, factors = factor_unipoly(co)
-        assert (unit, factors) == want
-        factors.append(((qi(5), qi(1)), 1))
-        factors.reverse()
-    assert factor_unipoly(co) == want
-
-
-@pytest.mark.parametrize("co, error", [
-    ((qi(0), qi(0)), DivisionByZero),
-    ((qi(-4), qi(0), qi(0), qi(0), qi(1)), DegreeTooHigh)])
-def test_factor_map_stores_no_failure(co, error):
-    "A polynomial that cannot be factored raises on every call."
-    keys = dict(scalars._FACTORED)
-    for _ in range(2):
-        with pytest.raises(error):
-            factor_unipoly(co)
-    assert scalars._FACTORED == keys
-
-
-def test_factor_map_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(scalars, "_FACTORED", {})
-    monkeypatch.setattr(scalars, "_FACTORED_MAX", 4)
-    for k in range(1, 11):
-        assert factor_unipoly((qi(-k), qi(1))) == (1, [((qi(-k), qi(1)), 1)])
-        assert 0 < len(scalars._FACTORED) <= 4
-
-
-def test_factor_map_agrees_with_a_fresh_factorization(monkeypatch,
-                                                      catalog_sweep):
-    """At every catalog point, the characteristic polynomial of each basis
-    operator factors as a fresh factorization does, and the map stores
-    that result."""
-    from lsacat.algebra import multiplication_operators
-
-    monkeypatch.setattr(scalars, "_FACTORED", {})
-    for r in catalog_sweep.reports:
-        for m in multiplication_operators(r.alg):
-            co = m.charpoly()
-            got = factor_unipoly(co)
-            stored = scalars._FACTORED[scalars._up_trim(co)]
-            with monkeypatch.context() as fresh_map:
-                fresh_map.setattr(scalars, "_FACTORED", {})
-                fresh = factor_unipoly(co)
-            assert got == fresh
-            assert stored == (fresh[0], tuple(fresh[1]))
 
 
 def test_promotion_is_upward_only():
