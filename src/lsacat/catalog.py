@@ -25,15 +25,15 @@ from fractions import Fraction
 from .algebra import (check_left_symmetric, commutator_lie, substitute_algebra,
                       triple_products)
 from .cocycle import Cocycle, Representation, phi
-from .docs import Body, _const_value, _words, constraint_allows
+from .docs import Body, _const_value, _words, constraint_allows, content_lines
 from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      DocSyntaxError, LsaError, NotBijective, NotCocycle,
                      UnboundVariable, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
+from .linalg import Mat
 from .props import ideal_flags, identity_flags
-from .scalars import (ONE, QI, ZERO, format_scalar, is_zero, parse_scalar, qi,
-                      substitute)
+from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
 
 FAMILY_FILES = {
     "H": "h.cat",
@@ -274,10 +274,7 @@ def _load_file(path):
     entries = []
     block = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
+        for lineno, line in content_lines(fh):
             if line.strip() == "end":
                 with _in_file(path):
                     entries.append(_parse_entry_block(block))
@@ -444,9 +441,9 @@ def _check_reconstruction(e, rep, h):
     """Whether the stored (f, C) data rebuilds the point's table (a primed
     entry's via its primed table and witness); a failure's message goes to
     rep.messages.  h is rep.alg's commutator, or None if it was not built.
-    phi's table is the point's iff A_i C = C F_i for its left multiplications
-    A_i (row j of A_i C is c_ij C, of C F_i is C_j F_i), and given
-    left-symmetry, h = g (the family's bracket) and det C != 0 that
+    phi's table is the point's iff the Mat products A_i C and C F_i agree
+    for the left multiplications A_i = c_i (row j: c_ij C and C_j F_i), and
+    given left-symmetry, h = g (the family's bracket) and det C != 0 that
     suffices: F_i = C^{-1} A_i C is a representation of h = g as L is;
     C_j F_i = (e_i e_j) C turns the cocycle condition g_ij C = C_j F_i -
     C_i F_j into g_ij C = h_ij C; phi's table is C F_i C^{-1} = A_i.  phi's
@@ -457,8 +454,8 @@ def _check_reconstruction(e, rep, h):
     fs = [m.substitute(bindings) for m in e.f_mats]
     if (e.primed is None and rep.left_symmetric and h == g
             and not cm.det().is_zero()
-            and all(_row_times(alg.c[i][j], cm) == _row_times(cm.rows[j], f)
-                    for i, f in enumerate(fs) for j in range(alg.dim))):
+            and all(Mat._of(alg.c[i]) * cm == cm * f
+                    for i, f in enumerate(fs))):
         return True
     try:
         built = phi(Cocycle(Representation(g, fs), cm))
@@ -486,17 +483,6 @@ def _check_reconstruction(e, rep, h):
         messages.append("phi does not reproduce the printed table")
         return False
     return True
-
-
-def _row_times(x, m):
-    "The row vector x times m, summed over the nonzero x_p and entries."
-    out = [ZERO] * m.ncols
-    for xp, row in zip(x, m.rows):
-        if not is_zero(xp):
-            for k, y in enumerate(row):
-                if not is_zero(y):
-                    out[k] = out[k] + xp * y
-    return out
 
 
 def _verify_iso_decl(e, decl, bindings, alg, use_search):

@@ -14,11 +14,12 @@ import sys
 from . import catalog
 from .algebra import check_left_symmetric, commutator_lie
 from .cocycle import phi
-from .docs import Document, emit_document, format_matrix, parse_document
+from .docs import Document, emit_document, parse_document
 from .errors import (DocSemanticError, DocSyntaxError, InternalError,
                      LsaError)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import classify3
+from .linalg import format_matrix
 from .props import fingerprint
 from .scalars import format_scalar, parse_scalar
 

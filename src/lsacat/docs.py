@@ -32,7 +32,7 @@ from .algebra import Algebra, LieAlgebra
 from .cocycle import Cocycle, Representation
 from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      NotLieAlgebra, UnboundVariable)
-from .linalg import Mat, vec_zero
+from .linalg import Mat, format_matrix, vec_zero
 from .scalars import (QI, format_scalar, format_sum, is_zero,
                       parse_combination, parse_rows, parse_scalar, qi)
 
@@ -76,11 +76,6 @@ def parse_matrix(text, dim, params):
     if len(rows) != dim:
         raise DocSemanticError("matrix has %d rows, need %d" % (len(rows), dim))
     return Mat._of(rows)
-
-
-def format_matrix(m):
-    return "[[%s]]" % "],[".join(
-        ",".join(format_scalar(x) for x in m.row(i)) for i in range(m.nrows))
 
 
 def parse_constraint(words, lineno):
@@ -324,24 +319,21 @@ class Body:
         return mats
 
 
+def content_lines(lines):
+    "(number from 1, text) of the lines not blank once a '#' comment is cut."
+    cut = (raw.split("#", 1)[0].rstrip() for raw in lines)
+    return [(lineno, line) for lineno, line in enumerate(cut, start=1) if line]
+
+
 def parse_document(text):
     """Parse a document; DocSyntaxError carries line/column positions and
     semantic problems raise DocSemanticError."""
-    lines = []
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if header is None:
-            header = _header(line, lineno)
-        else:
-            lines.append((lineno, line))
-    if header is None:
+    lines = content_lines(text.splitlines())
+    if not lines:
         raise DocSyntaxError("empty document", 1, 1)
-    kind, dim, domain = header
+    kind, dim, domain = _header(lines[0][1], lines[0][0])
     prefixes, has_f, names = _LAYOUT[kind]
-    body = Body(lines, dim, prefixes + ("f",) * has_f + names,
+    body = Body(lines[1:], dim, prefixes + ("f",) * has_f + names,
                 "%s document" % kind, domain)
     tables = [body.products(p, lie=p == "bracket") for p in prefixes]
     mats = body.f_mats() if has_f else ()

@@ -3,7 +3,8 @@
 Vectors are plain lists of scalars.  Unless an operation says otherwise,
 matrices follow the row convention used throughout the package: M[i][j] is
 the coefficient of basis vector j in the image of basis vector i, and a row
-vector x maps to x * M.
+vector x maps to x * M.  Every product with a matrix goes row by row through
+one sparse kernel, _row_times; format_matrix is the one matrix printer.
 
 The determinant, the inverse and the characteristic polynomial come from
 cofactor expansion (_det); rank counts the pivots of forward elimination,
@@ -15,7 +16,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, SingularWitness
-from .scalars import ZERO, ONE, Frozen, as_scalar, is_zero, substitute
+from .scalars import (ZERO, ONE, Frozen, as_scalar, format_scalar, is_zero,
+                      substitute)
 
 
 class Mat(Frozen):
@@ -69,10 +71,7 @@ class Mat(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(a == b for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        return self.rows == other.rows      # shapes differ: tuples differ
 
     def __add__(self, other):
         self._same_shape(other)
@@ -95,8 +94,7 @@ class Mat(Frozen):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            cols = list(zip(*other.rows))
-            return Mat._of([[_dot(r, c) for c in cols] for r in self.rows])
+            return Mat._of([_row_times(r, other.rows) for r in self.rows])
         s = as_scalar(other)
         return Mat._of([[a * s for a in r] for r in self.rows])
 
@@ -122,13 +120,13 @@ class Mat(Frozen):
         "Row vector x (length nrows) times this matrix."
         if len(x) != self.nrows:
             raise DimensionMismatch("vector length mismatch")
-        return [_dot(x, col) for col in zip(*self.rows)]
+        return _row_times(x, self.rows)
 
     def apply_col(self, x):
         "This matrix times column vector x (length ncols)."
         if len(x) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        return [_dot(r, x) for r in self.rows]
+        return _row_times(x, list(zip(*self.rows)))
 
     def det(self):
         if not self.is_square():
@@ -223,9 +221,13 @@ class Mat(Frozen):
         return sum((r[k] for k, r in enumerate(self.rows)), ZERO)
 
     def __repr__(self):
-        from .scalars import format_scalar
-        return "Mat([%s])" % ",".join(
-            "[%s]" % ",".join(format_scalar(x) for x in r) for r in self.rows)
+        return "Mat(%s)" % format_matrix(self)
+
+
+def format_matrix(m):
+    "[[...],[...]]: the rows of m in the shared scalar literal syntax."
+    return "[[%s]]" % "],[".join(",".join(map(format_scalar, r))
+                                 for r in m.rows)
 
 
 def combination(coeffs, mats):
@@ -240,14 +242,17 @@ def combination(coeffs, mats):
     return out
 
 
-def _dot(xs, ys):
-    "Sum of x*y over the pairs whose factors are both nonzero."
-    out = None
-    for x, y in zip(xs, ys):
-        if not is_zero(x) and not is_zero(y):
-            p = x * y
-            out = p if out is None else out + p
-    return ZERO if out is None else out
+def _row_times(x, rows):
+    """The row vector x times the matrix with these rows, summed over the
+    nonzero x_p and entries; ZERO where no term is."""
+    out = [None] * len(rows[0])
+    for xp, row in zip(x, rows):
+        if not is_zero(xp):
+            for k, y in enumerate(row):
+                if not is_zero(y):
+                    p = xp * y
+                    out[k] = p if out[k] is None else out[k] + p
+    return [ZERO if s is None else s for s in out]
 
 
 def _axpy(f, xs, ys):

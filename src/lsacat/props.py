@@ -142,13 +142,6 @@ class IdealReport:
         return any(vars(self).values())
 
 
-def _is_scalar_mat(m):
-    "m is c I, c its first diagonal entry."
-    c = m[0, 0]
-    return all(x == c if i == j else is_zero(x)
-               for i, r in enumerate(m.rows) for j, x in enumerate(r))
-
-
 def _proportional(v, w):
     return all(is_zero(v[i] * w[j] - v[j] * w[i])
                for i, j in combinations(range(len(v)), 2))
@@ -189,7 +182,8 @@ def _chosen_operator(ops):
     l_i e_j = r_j e_i for i != j, so all l_i, r_j are 0.  L_e3, R_e3 and
     L_e1 + R_e2 come first: on the catalog their charpolys split over Q(i)."""
     candidates = [ops[2], ops[5], ops[0] + ops[4]] if len(ops) >= 6 else []
-    return next(m for m in candidates + ops if not _is_scalar_mat(m))
+    return next(m for m in candidates + ops
+                if not m.plus_scalar(-m[0, 0]).is_zero())
 
 
 def _invariant_lines(ops, chosen, factors):
@@ -261,7 +255,7 @@ def _lines_in_plane(ops, b1, b2):
     if is_zero(aa):
         candidates.append(b1)  # (s : t) = (1 : 0)
         if not is_zero(bb):     # bb*s + cc*t = 0; else (1 : 0) again
-            candidates.append(_combine(b1, -cc, b2, bb))
+            candidates.append(Mat._of([b1, b2]).apply_row([-cc, bb]))
     else:
         _, factors = factor_unipoly((cc, bb, aa))
         if len(factors[0][0]) == 3:
@@ -269,13 +263,9 @@ def _lines_in_plane(ops, b1, b2):
                 return [], [], [([b1, b2], factors[0][0])]
             return [], [], []
         for f, _ in factors:  # f = s - r
-            candidates.append(_combine(b1, -f[0], b2, ONE))
+            candidates.append(Mat._of([b1, b2]).apply_row([-f[0], ONE]))
     lines = [_normalize_line(v) for v in candidates]    # none is zero
     return [v for v in lines if _line_invariant(ops, v)], [], []
-
-
-def _combine(b1, s, b2, t):
-    return [s * x + t * y for x, y in zip(b1, b2)]
 
 
 def find_ideals(a):

@@ -126,11 +126,7 @@ class QI:
         other = _coerce_qi(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._a and not self._b:
-            return other
-        if not other._a and not other._b:
-            return -self
-        return _add(other, -self._a, -self._b, self._d)
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not QI:

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import pickle
 import shutil
+from itertools import combinations
 
 import pytest
 
@@ -12,9 +13,10 @@ from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
 from lsacat.cocycle import Cocycle, Representation, left_regular, phi
 from lsacat.errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
                            NotBijective, NotCocycle, UnknownId)
-from lsacat.iso import IsoVerdict
+from lsacat.iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
 from lsacat.linalg import Mat, basis_vec, vec_eq
-from lsacat.scalars import QI, MultiPoly, RatFunc, parse_scalar
+from lsacat.props import fingerprint
+from lsacat.scalars import QI, MultiPoly, RatFunc, parse_scalar, substitute
 
 
 def test_entry_counts(full_catalog):
@@ -591,26 +593,71 @@ def test_flag_written_no_matches_a_false_flag(tmp_path, monkeypatch, capsys):
 
 
 def test_reconstruction_falls_back_to_phi_on_a_refused_identity(monkeypatch):
-    """Fault injection: when the row-by-row identity wrongly refuses a good
-    point (one coordinate of its first row is perturbed), phi rebuilds the
-    table and the check still passes, at its final return."""
-    row_times, rows, built = catalog._row_times, [], []
+    """Fault injection: when the identity A_i C = C F_i wrongly refuses a
+    good point (the first Mat product it forms, A_1 C, is perturbed on its
+    diagonal), phi rebuilds the table and the check still passes, at its
+    final return."""
+    mul, products, built = Mat.__mul__, [], []
 
-    def perturbed(x, m):
-        out = row_times(x, m)
-        if not rows:
-            out[0] = out[0] + QI(1)
-        rows.append(x)
+    def perturbed(self, other):
+        out = mul(self, other)
+        if not products:
+            out = out.plus_scalar(QI(1))
+        products.append(out)
         return out
 
     def counted(c):
-        built.append(c)
+        built.append(len(products))     # the products formed before phi
         return phi(c)
-    monkeypatch.setattr(catalog, "_row_times", perturbed)
+    monkeypatch.setattr(Mat, "__mul__", perturbed)
     monkeypatch.setattr(catalog, "phi", counted)
     r = catalog.verify_entry("H-1")
     assert r.ok and r.cocycle_reconstruction_ok and r.messages == []
-    assert (len(rows), len(built)) == (2, 1)
+    assert (built[0], len(built)) == (2, 1)
+
+
+# isomorphic sample points of distinct entries that no iso line declares:
+# each pair is one class under l <-> 1/l, met only at l = -1 = 1/l
+UNDECLARED_COINCIDENCES = {
+    frozenset(("Dl-2[l=-1]", "Dl-3[l=-1]")),
+    frozenset(("Dl-9[l=-1]", "Dl-S-2[l=-1]")),
+    frozenset(("Dl-12[l=-1]", "Dl-13[l=-1]")),
+    frozenset(("Dl-14[l=-1]", "Dl-15[l=-1]")),
+}
+
+
+def test_distinct_entries_are_distinct_at_their_samples(full_catalog):
+    """The sample points of every entry, grouped by fingerprint: each pair
+    of points of distinct entries in a group is decided by search_lsa_iso,
+    and each isomorphic pair is declared by an iso line or pinned above by
+    name, with a witness verify_lsa_iso accepts."""
+    groups = {}
+    for e in full_catalog.values():
+        for b in e.sample_bindings():
+            a = catalog.instantiate(e.id, b)
+            fp = fingerprint(a)
+            key = tuple(tuple(sorted(part.items()))
+                        for part in (fp.flags, fp.dims, fp.ranks))
+            groups.setdefault(key + (fp.lie_class,), []).append(
+                (e.id, catalog.point_label(e.id, b), a))
+    declared = set()
+    for e in full_catalog.values():
+        for d in e.isos:
+            for b in e.sample_bindings(d.when):
+                bind = {k: substitute(v, b) for k, v in d.bind.items()}
+                declared.add(frozenset((catalog.point_label(e.id, b),
+                                        catalog.point_label(d.target, bind))))
+    found = set()
+    for group in groups.values():
+        for (id1, p1, a1), (id2, p2, a2) in combinations(group, 2):
+            if id1 == id2:
+                continue
+            v = search_lsa_iso(a1, a2)
+            assert v.status != "unknown", (p1, p2, v.reason)
+            if v.is_isomorphic:
+                assert verify_lsa_iso(a1, a2, v.witness), (p1, p2)
+                found.add(frozenset((p1, p2)))
+    assert found - declared == UNDECLARED_COINCIDENCES
 
 
 def test_readme_quick_start_runs(capsys):

@@ -9,10 +9,12 @@ nothing but basis products, and are checked on random tables in
 dimensions 1..3 that need not be left-symmetric, some with MultiPoly
 entries, and on every catalog entry at its first sample.
 
-Mat.charpoly, Mat.inverse, Mat.rank and the nullspace of stacked
-matrices (the common kernel) are checked on random matrices of size 1..4
-with QI or MultiPoly entries: against det(u I - M), against the identity,
-and against ranks read off nonzero minors."""
+Mat products (matrix times matrix, row vector times matrix, matrix times
+column vector) are checked against index sums on random rectangular
+matrices of size 1..4.  Mat.charpoly, Mat.inverse, Mat.rank and the
+nullspace of stacked matrices (the common kernel) are checked on random
+matrices of size 1..4 with QI or MultiPoly entries: against det(u I - M),
+against the identity, and against ranks read off nonzero minors."""
 
 from itertools import combinations
 
@@ -297,6 +299,35 @@ def test_catalog_tables_match_definitions(first_samples):
         check_against_definitions(c)
         seen |= {name for name, v in flags(alg).items() if v}
     assert seen == {"associative", "novikov", "bisymmetric", "transitive"}
+
+
+# ---------------------------------------------------------------------------
+# products with a matrix on random rectangular matrices
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_products_with_a_matrix_are_the_naive_sums(p, q, r, data):
+    """Mat * Mat, apply_row and apply_col on p x q and q x r matrices whose
+    entries are mostly zero QI, some MultiPoly, against sums over every
+    index with no skipping; Mat equality against that of the row lists."""
+    symbolic = data.draw(st.booleans())
+
+    def draw_rows(rows, cols):
+        return [[data.draw(scalars(symbolic)) for _ in range(cols)]
+                for _ in range(rows)]
+    a, b = draw_rows(p, q), draw_rows(q, r)
+    (x,), (y,) = draw_rows(1, p), draw_rows(1, q)
+    assert (Mat(a) == Mat(b)) == (a == b)
+    ab = Mat(a) * Mat(b)
+    assert (ab.nrows, ab.ncols) == (p, r)
+    assert all(ab[i, k] == sum((a[i][j] * b[j][k] for j in range(q)), ZERO)
+               for i in range(p) for k in range(r))
+    assert same(Mat(a).apply_row(x),
+                [sum((x[i] * a[i][j] for i in range(p)), ZERO)
+                 for j in range(q)])
+    assert same(Mat(a).apply_col(y),
+                [sum((a[i][j] * y[j] for j in range(q)), ZERO)
+                 for i in range(p)])
 
 
 # ---------------------------------------------------------------------------
