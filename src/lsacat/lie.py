@@ -17,7 +17,9 @@ by its classify3 tag:
     E            [e3,e1] = e1, [e3,e2] = e1+e2
 
 plus Sl2, the only perfect one.  D(1) is the algebra the catalog calls
-D1; the classifier reports it as Dl with parameter 1.
+D1; the classifier reports it as Dl with parameter 1.  The catalog's D(l)
+points have the canonical Dl table itself as their commutator, so
+classify3 reads the class of that table off its l and finds no roots.
 """
 
 from __future__ import annotations
@@ -66,8 +68,12 @@ def canonical_lie(family, l=None):
     if family == "Dl":
         if l is None:
             raise ValueError("Dl needs the parameter l")
-        return LieAlgebra.from_brackets(
-            3, {(2, 0): [(1, 0)], (2, 1): [(qi(l), 1)]})
+        # [e3,e1] = e1, [e3,e2] = l e2 is antisymmetric and satisfies
+        # Jacobi for every l, so the table needs no check
+        l, z = qi(l), (ZERO, ZERO, ZERO)
+        return LieAlgebra._of(((z, z, (-ONE, ZERO, ZERO)),
+                               (z, z, (ZERO, -l, ZERO)),
+                               ((ONE, ZERO, ZERO), (ZERO, l, ZERO), z)))
     if family in _CANONICAL:
         return _CANONICAL[family]
     raise ValueError("unknown family %r" % (family,))
@@ -167,7 +173,9 @@ def classify3(g):
     non-semisimple -> E); d=3 sl2, the only perfect 3-dimensional complex
     Lie algebra.  A witness basis change (rows = new basis) is attached
     whenever the eigen-data lies in Q(i), confirmed by its three brackets
-    against the canonical table, with no table rebased."""
+    against the canonical table, with no table rebased.  The canonical
+    table of D(l) itself skips the procedure: its class is D(l) or D(1/l),
+    whichever l is canonical (_canonical_dl)."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
     try:
@@ -175,8 +183,23 @@ def classify3(g):
     except TypeError:       # a non-constant RatFunc entry has no hash
         return _classify(g)
     if cls is None:
-        cls = remember(_CLASSIFIED, _CLASSIFIED_MAX, g.c, _classify(g))
+        cls = remember(_CLASSIFIED, _CLASSIFIED_MAX, g.c,
+                       _canonical_dl(g) or _classify(g))
     return cls
+
+
+def _canonical_dl(g):
+    """classify3 of g when g is the canonical table of D(l), l the e2
+    coordinate of [e3,e2], read off the table with no root finding; None
+    for any other table.  When l is canonical the equality is the witness
+    check; otherwise e2, e1, e3/l rebase g onto D(1/l)."""
+    l = g.c[2][1][1]
+    if type(l) is not QI or l.is_zero() or g != canonical_lie("Dl", l):
+        return None
+    if canonical_l(l) == l:
+        return LieClass("Dl", l, Mat.identity(3))
+    inv = 1 / l
+    return _witnessed(g, Mat([[0, 1, 0], [1, 0, 0], [0, 0, inv]]), "Dl", inv)
 
 
 def _classify(g):

@@ -15,7 +15,7 @@ from lsacat.lie import (LieAlgebra, aut_components, aut_template,
                         canonical_l, canonical_lie, check_lie_automorphism,
                         classify3)
 from lsacat.linalg import Mat
-from lsacat.scalars import QI, MultiPoly
+from lsacat.scalars import QI, MultiPoly, factor_unipoly
 from oracles import instantiate_aut, random_automorphism
 
 
@@ -123,12 +123,17 @@ def test_classify_witnesses_reproduce_canonical_tables():
 
 
 def catalog_lie_tables():
-    "The Lie table of every catalog entry at its first sample, then rebased."
+    """The Lie table of every catalog entry at its first sample, then
+    rebased, and D(l) entries at l outside the canonical range."""
     t = Mat([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
     for eid, entry in catalog.load_catalog().items():
         g = commutator_lie(catalog.instantiate(eid, entry.sample_bindings()[0]))
         yield g
         yield rebase(g, t)
+    for eid in ("Dl-1", "Dl-2"):
+        first = catalog.lookup(eid).sample_bindings()[0]
+        for l in (QI(2), QI(1, 1), QI(0, -1)):
+            yield commutator_lie(catalog.instantiate(eid, dict(first, l=l)))
 
 
 def test_classify_map_agrees_with_a_fresh_classification(monkeypatch):
@@ -139,6 +144,56 @@ def test_classify_map_agrees_with_a_fresh_classification(monkeypatch):
         assert (got.tag, got.param, got.witness) == (
             fresh.tag, fresh.param, fresh.witness)
         assert classify3(g) == got
+
+
+# D(l) parameters on both sides of every case of canonical_l: |l| < 1,
+# |l| = 1 with either sign of im, |l| > 1, re l = 1, and 1, -1, i, -i
+DL_GRID = [QI(Fraction(1, 2)), QI(Fraction(-1, 3), Fraction(1, 4)), QI(2),
+           QI(-3, 2), QI(1), QI(-1), QI(0, 1), QI(0, -1),
+           QI(Fraction(3, 5), Fraction(4, 5)), QI(Fraction(3, 5), Fraction(-4, 5)),
+           QI(Fraction(-3, 5), Fraction(-4, 5)), QI(1, 1), QI(1, -2),
+           QI(1, Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("l", DL_GRID, ids=str)
+def test_canonical_dl_tables_are_read_off_without_root_finding(monkeypatch, l):
+    """classify3 of the canonical D(l) table equals the general classifier's
+    answer and calls no factor_unipoly."""
+    g = canonical_lie("Dl", l)
+    fresh = lie._classify(g)
+    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+
+    def refuse(*args):
+        raise AssertionError("factor_unipoly called")
+
+    monkeypatch.setattr(lie, "factor_unipoly", refuse)
+    got = classify3(g)
+    assert (got.tag, got.param, got.witness, got.detail) == (
+        fresh.tag, fresh.param, fresh.witness, fresh.detail)
+    assert rebase(g, got.witness) == canonical_lie("Dl", got.param)
+
+
+@pytest.mark.parametrize("l", DL_GRID, ids=str)
+def test_canonical_dl_table_is_the_checked_bracket_table(l):
+    "The unchecked build equals the table the Lie checks accept."
+    g = canonical_lie("Dl", l)
+    assert type(g) is LieAlgebra
+    assert g == LieAlgebra.from_brackets(3, {(2, 0): [(1, 0)], (2, 1): [(l, 1)]})
+
+
+def test_rebased_canonical_dl_takes_the_general_path(monkeypatch):
+    g = rebase(canonical_lie("Dl", 2), Mat([[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
+    assert lie._canonical_dl(g) is None
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return factor_unipoly(p)
+
+    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+    monkeypatch.setattr(lie, "factor_unipoly", counted)
+    assert classify3(g).key() == ("Dl", (Fraction(1, 2), 0))
+    assert len(calls) == 1
 
 
 def test_classify_result_is_frozen():
