@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch, NotLieAlgebra
 from .linalg import (Mat, combination, vec_add, vec_eq, vec_is_zero, vec_sub,
                      vec_zero)
-from .scalars import ZERO, Frozen, as_scalar, format_sum, is_zero, substitute
+from .scalars import QI, ZERO, Frozen, as_scalar, format_sum, is_zero
 
 
 class Algebra(Frozen):
@@ -238,9 +238,11 @@ def rebase(a, w):
 
 
 def substitute_algebra(a, bindings):
-    "Instantiate a parametric table at Gaussian-rational parameter values."
-    return Algebra._of([[[substitute(x, bindings) for x in v] for v in row]
-                        for row in a.c])
+    "The table at parameter values; a itself when no cell is parametric."
+    if all(type(x) is QI for row in a.c for v in row for x in v):
+        return a
+    return Algebra._of([[[x if type(x) is QI else x.substitute(bindings)
+                          for x in v] for v in row] for row in a.c])
 
 
 def _expand(terms, vecs):

@@ -31,7 +31,6 @@ from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      UnboundVariable, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
-from .linalg import Mat
 from .props import ideal_flags, identity_flags
 from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
 
@@ -403,9 +402,9 @@ def _flag_mismatches(entry, bindings, got):
     return out
 
 
-def computed_flags(alg, tu=None):
+def computed_flags(alg, tu=None, left_symmetric=False):
     return dict(identity_flags(alg, tu or triple_products(alg)),
-                **ideal_flags(alg))
+                **ideal_flags(alg, left_symmetric))
 
 
 def verify_entry(entry_id, bindings=None):
@@ -430,7 +429,7 @@ def verify_entry(entry_id, bindings=None):
 
     rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h)
 
-    rep.computed = computed_flags(alg, tu)
+    rep.computed = computed_flags(alg, tu, ok)
     wrong = _flag_mismatches(e, bindings, rep.computed)
     rep.flags_ok = not wrong
     rep.messages += wrong
@@ -441,8 +440,8 @@ def _check_reconstruction(e, rep, h):
     """Whether the stored (f, C) data rebuilds the point's table (a primed
     entry's via its primed table and witness); a failure's message goes to
     rep.messages.  h is rep.alg's commutator, or None if it was not built.
-    phi's table is the point's iff the Mat products A_i C and C F_i agree
-    for the left multiplications A_i = c_i (row j: c_ij C and C_j F_i), and
+    phi's table is the point's iff A_i C = C F_i for the left multiplications
+    A_i = c_i, read up to the first row j where c_ij C != C_j F_i; and
     given left-symmetry, h = g (the family's bracket) and det C != 0 that
     suffices: F_i = C^{-1} A_i C is a representation of h = g as L is;
     C_j F_i = (e_i e_j) C turns the cocycle condition g_ij C = C_j F_i -
@@ -454,8 +453,8 @@ def _check_reconstruction(e, rep, h):
     fs = [m.substitute(bindings) for m in e.f_mats]
     if (e.primed is None and rep.left_symmetric and h == g
             and not cm.det().is_zero()
-            and all(Mat._of(alg.c[i]) * cm == cm * f
-                    for i, f in enumerate(fs))):
+            and all(cm.apply_row(alg.c[i][j]) == f.apply_row(cm.rows[j])
+                    for i, f in enumerate(fs) for j in range(alg.dim))):
         return True
     try:
         built = phi(Cocycle(Representation(g, fs), cm))
@@ -549,13 +548,13 @@ def verify_all(families=None, plan=None):
 
 def verify_property_tables(sweep):
     """Compare the property flags computed by a verify_all sweep with the
-    stored expectations, per family and flag.  Covers the points of the
-    sweep, then each point of a swept entry's conditional flags (its
-    sample_bindings at the condition's values) that the sweep missed.
-    'discrepancies' lists every mismatch; 'condition_discrepancies' only
-    those at the added points, since a sweep report prints its own."""
+    stored expectations, per family and flag, at its points and at each
+    point of a swept entry's conditional flags (its sample_bindings at the
+    condition's values) it missed, where failed left-symmetry is a mismatch
+    too.  'discrepancies' lists every mismatch; 'condition_discrepancies'
+    those at the added points, as a sweep report prints its own."""
     cat = load_catalog()
-    checked = [(cat[r.entry_id], r.bindings, r.computed)
+    checked = [(cat[r.entry_id], r.bindings, r.computed, [])
                for r in sweep.reports]
     swept = len(checked)
     seen = {point_label(r.entry_id, r.bindings) for r in sweep.reports}
@@ -566,16 +565,21 @@ def verify_property_tables(sweep):
             label = point_label(eid, b)
             if label not in seen:
                 seen.add(label)
-                checked.append((e, b, computed_flags(instantiate(eid, b))))
+                alg = instantiate(eid, b)
+                tu = triple_products(alg)
+                ok, cert = check_left_symmetric(alg, tu)
+                checked.append((e, b, computed_flags(alg, tu, ok), [] if ok
+                                else ["left-symmetry fails at triple %s"
+                                      % (cert[:3],)]))
     found = ([], [])            # at the sweep's points, at the added ones
     sets = {}
-    for k, (e, bindings, got) in enumerate(checked):
+    for k, (e, bindings, got, wrong) in enumerate(checked):
         label = point_label(e.id, bindings)
         for name in FLAG_NAMES:
             if got[name]:
                 sets.setdefault((e.family, name), []).append((e.id, label))
-        found[k >= swept].extend("%s %s" % (label, m)
-                                 for m in _flag_mismatches(e, bindings, got))
+        wrong += _flag_mismatches(e, bindings, got)
+        found[k >= swept].extend("%s %s" % (label, m) for m in wrong)
     return {"checked": len(checked), "sets": sets,
             "discrepancies": found[0] + found[1],
             "condition_discrepancies": found[1]}

@@ -16,8 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, SingularWitness
-from .scalars import (ZERO, ONE, Frozen, as_scalar, format_scalar, is_zero,
-                      substitute)
+from .scalars import QI, ZERO, ONE, Frozen, as_scalar, format_scalar, is_zero
 
 
 class Mat(Frozen):
@@ -58,8 +57,11 @@ class Mat(Frozen):
         return Mat([[ZERO] * n for _ in range(n)])
 
     def substitute(self, bindings):
-        "The matrix at Gaussian-rational parameter values."
-        return Mat([[substitute(x, bindings) for x in r] for r in self.rows])
+        "The matrix at parameter values; itself when no cell is parametric."
+        if all(type(x) is QI for r in self.rows for x in r):
+            return self
+        return Mat._of([[x if type(x) is QI else x.substitute(bindings)
+                         for x in r] for r in self.rows])
 
     def __getitem__(self, ij):
         i, j = ij

@@ -22,9 +22,10 @@ a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
 Every ideal of such a sum is a sum of its simple components, so a nonzero
 ideal J with J.J != J rules out both flags, and ideal_flags seeks no ideal
 when A, the left annihilator N = {x : xA = 0} (N.N = 0) once A.N lies in
-N, or the ideal the commutators generate is such a J.  The identity flags,
-transitivity and the trace forms of the basis operators are read off one
-table of the products (e_i e_j) e_k and e_i (e_j e_k) per algebra
+N (always on a table known to be left-symmetric, where one rank tells if
+N = 0), or the ideal the commutators generate is such a J.  The identity
+flags, transitivity and the trace forms of the basis operators are read
+off one table of the products (e_i e_j) e_k and e_i (e_j e_k) per algebra
 (algebra.triple_products), and the annihilator and product-span
 dimensions are ranks of n-row matrices of the constants.
 """
@@ -343,29 +344,30 @@ def _square_short(a, basis=None):
                     for y in basis]).rank() < len(basis)
 
 
-def ideal_flags(a):
-    """The simple and semisimple flags of a.  Neither holds when a nonzero
-    ideal J has J.J != J, and then no ideal is sought; find_ideals runs
-    only when no candidate below is such a J."""
-    if _certified_ideal(a):
+def ideal_flags(a, left_symmetric=False):
+    """The simple and semisimple flags of a (left_symmetric: as checked by
+    the caller).  Neither holds when a nonzero ideal J has J.J != J, and no
+    ideal is sought then; find_ideals runs only if no candidate is such a J."""
+    if _certified_ideal(a, left_symmetric):
         return {"simple": False, "semisimple": False}
     report = find_ideals(a)
     return {"simple": is_simple(a, report),
             "semisimple": is_semisimple(a, report)[0]}
 
 
-def _certified_ideal(a):
+def _certified_ideal(a, left_symmetric=False):
     """Some nonzero ideal J has J.J != J.  The candidates, cheapest first:
     A (the zero algebra too); the left annihilator N = {x : xA = 0}, with
-    N.N = 0, once A.N lies in N (always on a left-symmetric table, where
-    (yx)z = (x,y,z) = 0 for x in N); the ideal the commutators generate,
-    when proper, as A.A = A by then."""
+    N.N = 0, once A.N lies in N (known on a left_symmetric table, where
+    (yx)z = (x,y,z) = 0 for x in N, so that N != 0 suffices); the ideal
+    the commutators generate, when proper, as A.A = A by then."""
     if _square_short(a):
         return True
     c, rng = a.c, range(a.dim)
-    # x e_j = 0 for every j: the stacked right operators R_e_j kill x
-    ann = Mat._of([[c[i][j][k] for i in rng]
-                   for j in rng for k in rng]).nullspace()
+    left = Mat._of([[x for v in r for x in v] for r in c])  # x left lists x e_j
+    if left_symmetric and left.rank() < a.dim:
+        return True
+    ann = [] if left_symmetric else left.transpose().nullspace()
     if ann and ideal_closed(a, ann):
         return True
     j = closure_span(a, [vec_sub(c[i][k], c[k][i])

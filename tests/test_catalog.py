@@ -9,10 +9,11 @@ import pytest
 
 from lsacat import catalog, cli
 from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
-                            multiply)
+                            multiply, substitute_algebra)
 from lsacat.cocycle import Cocycle, Representation, left_regular, phi
-from lsacat.errors import (ConstraintViolated, DocSemanticError, DocSyntaxError,
-                           NotBijective, NotCocycle, UnknownId)
+from lsacat.errors import (ConstraintViolated, DenominatorVanishes,
+                           DocSemanticError, DocSyntaxError, NotBijective,
+                           NotCocycle, UnboundVariable, UnknownId)
 from lsacat.iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
 from lsacat.linalg import Mat, basis_vec, vec_eq
 from lsacat.props import fingerprint
@@ -90,6 +91,71 @@ def test_default_sample_plan_honors_constraints(full_catalog):
 def test_sample_plan_includes_zero_for_free_parameters():
     e = catalog.lookup("N-1")
     assert {str(b["lambda"]) for b in e.sample_bindings()} >= {"0", "2"}
+
+
+def stored_objects(e):
+    "The parametric tables and matrices an entry stores."
+    return ([e.table, e.cmat] + list(e.f_mats)
+            + ([e.primed, e.primed_witness] if e.primed is not None else []))
+
+
+def cells(v):
+    "The scalar cells of a Mat or a table."
+    if isinstance(v, Mat):
+        return [x for r in v.rows for x in r]
+    return [x for row in v.c for cell in row for x in cell]
+
+
+def at(v, bindings):
+    "A stored Mat or table at the bindings, as the catalog evaluates it."
+    if isinstance(v, Mat):
+        return v.substitute(bindings)
+    return substitute_algebra(v, bindings)
+
+
+def test_substitution_evaluates_only_parametric_cells(full_catalog,
+                                                      catalog_sweep):
+    """At every default sample, each stored table and matrix equals its
+    cell-wise substitution; one with no parametric cell (422 of 558) is
+    returned itself, one with some is a new object of QI cells.  So is the
+    table of the 47 parameter-free points among the 235 unprimed ones."""
+    seen = {True: set(), False: set()}
+    for e in full_catalog.values():
+        for b in e.sample_bindings():
+            for k, v in enumerate(stored_objects(e)):
+                got, constant = at(v, b), all(type(x) is QI
+                                              for x in cells(v))
+                if isinstance(v, Mat):
+                    assert got == Mat([[substitute(x, b) for x in r]
+                                       for r in v.rows])
+                else:
+                    assert got == Algebra([[[substitute(x, b) for x in c]
+                                            for c in row] for row in v.c])
+                assert (got is v) == constant
+                assert all(type(x) is QI for x in cells(got))
+                seen[constant].add((e.id, k))
+    assert (len(seen[True]), len(seen[False])) == (422, 136)
+    plain = [r for r in catalog_sweep.reports
+             if full_catalog[r.entry_id].primed is None]
+    free = [r for r in plain if not r.bindings]
+    assert (len(plain), len(free)) == (235, 47)
+    assert all(r.alg is full_catalog[r.entry_id].table for r in free)
+
+
+@pytest.mark.parametrize("text, bindings, error", [
+    ("1/(lambda - 1)", {"lambda": QI(1)}, DenominatorVanishes),
+    ("lambda^2 + i", {}, UnboundVariable),
+    ("1/(lambda + 1)", {"mu": QI(1)}, UnboundVariable),
+])
+def test_parametric_cells_still_raise(text, bindings, error):
+    """A parametric cell among constant ones still raises its substitution
+    error, in a Mat and in a table."""
+    x = parse_scalar(text)
+    with pytest.raises(error):
+        Mat([[1, 0], [x, 1]]).substitute(bindings)
+    with pytest.raises(error):
+        substitute_algebra(Algebra([[[1, 0], [0, 0]], [[0, x], [0, 1]]]),
+                           bindings)
 
 
 def corrupted_catalog(tmp_path, old, new, name="h.cat"):
@@ -556,6 +622,22 @@ FAILING_MUTANTS = {
         "property table discrepancies: 0",
         "H-2: FAIL",
         "    phi does not match the primed table"]),
+    # the added term lambda (lambda-2) (lambda+1) (2 lambda-1) (lambda-3)
+    # e1 vanishes at N-9's samples and at the lambda=0 of its iso line, but
+    # not at the point lambda=1 its conditional flags add: only the added
+    # point is not left-symmetric, and that is a discrepancy of its own
+    "condition_point_not_left_symmetric": (
+        "n.cat", "table e3 e1 = lambda e1\ntable e3 e2 = e2\n",
+        "table e3 e1 = lambda e1\ntable e3 e2 = e2 + "
+        "lambda*(lambda-2)*(lambda+1)*(2*lambda-1)*(lambda-3) e1\n",
+        ["--entry", "N-9"], [
+            "N: 1/1 classes verified",
+            "entry/sample pairs: 4, failures: 0",
+            "remark coincidences: 5 confirmed, 0 unconfirmed, 0 failed",
+            "property table discrepancies: 3",
+            "  N-9[lambda=1] left-symmetry fails at triple (1, 2, 2)",
+            "  N-9[lambda=1] associative: computed False, table says True",
+            "  N-9[lambda=1] bisymmetric: computed False, table says True"]),
     "primed_witness": ("h.cat", "primed_witness = [[1,0,0],[1,-1,0],[0,0,-1]]",
                        "primed_witness = [[1,0,0],[1,1,0],[0,0,-1]]",
                        ["--entry", "H-2"], [
@@ -594,26 +676,33 @@ def test_flag_written_no_matches_a_false_flag(tmp_path, monkeypatch, capsys):
 
 def test_reconstruction_falls_back_to_phi_on_a_refused_identity(monkeypatch):
     """Fault injection: when the identity A_i C = C F_i wrongly refuses a
-    good point (the first Mat product it forms, A_1 C, is perturbed on its
-    diagonal), phi rebuilds the table and the check still passes, at its
-    final return."""
-    mul, products, built = Mat.__mul__, [], []
+    good point (the first row product it forms, row 1 of A_1 C, is
+    perturbed in its first coordinate), phi rebuilds the table and the
+    check still passes, at its final return."""
+    apply_row, check = Mat.apply_row, catalog._check_reconstruction
+    inside, products, built = [], [], []
 
-    def perturbed(self, other):
-        out = mul(self, other)
-        if not products:
-            out = out.plus_scalar(QI(1))
-        products.append(out)
+    def perturbed(self, x):
+        out = apply_row(self, x)
+        if inside and not built:        # in the identity, before phi
+            if not products:
+                out = [out[0] + QI(1)] + out[1:]
+            products.append(out)
         return out
 
+    def traced(*args):
+        inside.append(True)
+        return check(*args)
+
     def counted(c):
-        built.append(len(products))     # the products formed before phi
+        built.append(len(products))     # the row products formed before phi
         return phi(c)
-    monkeypatch.setattr(Mat, "__mul__", perturbed)
+    monkeypatch.setattr(Mat, "apply_row", perturbed)
+    monkeypatch.setattr(catalog, "_check_reconstruction", traced)
     monkeypatch.setattr(catalog, "phi", counted)
     r = catalog.verify_entry("H-1")
     assert r.ok and r.cocycle_reconstruction_ok and r.messages == []
-    assert (built[0], len(built)) == (2, 1)
+    assert (built, inside) == ([2], [True])
 
 
 # isomorphic sample points of distinct entries that no iso line declares:

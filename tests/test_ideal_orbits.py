@@ -11,14 +11,16 @@ the ideal search report conjugate orbits.
 The second half checks the one factorization find_ideals shares between
 lines and planes against separate passes and against factor_unipoly.  The
 last tests check the ideals J with J.J != J that let ideal_flags skip the
-search against naive products and sympy ranks over Q(i)."""
+search against naive products and sympy ranks over Q(i), and the one rank
+that stands for the left annihilator's test on a left-symmetric table
+against that test."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from lsacat import props, scalars
+from lsacat import catalog, props, scalars
 from lsacat.algebra import (Algebra, check_left_symmetric,
                             multiplication_operators, rebase)
 from lsacat.constructions import derivation_space, novikov_from_derivation
@@ -402,7 +404,8 @@ def test_left_annihilator_of_a_left_symmetric_table_is_an_ideal(
         alg = rebase(first_samples[pick % len(first_samples)][2], w)
     assert check_left_symmetric(alg)[0]
     assert naive_certificates(alg)[3]
-    assert ideal_flags(alg) == one_report_flags(alg)
+    assert (ideal_flags(alg) == ideal_flags(alg, left_symmetric=True)
+            == one_report_flags(alg))
 
 
 def test_left_annihilator_that_is_no_ideal_certifies_nothing():
@@ -413,3 +416,60 @@ def test_left_annihilator_that_is_no_ideal_certifies_nothing():
     assert not check_left_symmetric(alg)[0]
     assert naive_certificates(alg) == (False, False, False, False)
     assert ideal_flags(alg) == {"simple": True, "semisimple": True}
+
+
+def catalog_points(catalog_sweep):
+    """The catalog's sample points and conditional-flag points, as
+    verify_property_tables reads them: 258 and 4 more."""
+    points = {catalog.point_label(r.entry_id, r.bindings): r.alg
+              for r in catalog_sweep.reports}
+    for e in catalog.load_catalog().values():
+        for cond in e.flags.values():
+            for b in (e.sample_bindings(dict(cond))
+                      if isinstance(cond, tuple) else []):
+                label = catalog.point_label(e.id, b)
+                if label not in points:
+                    points[label] = catalog.instantiate(e.id, b)
+    return points
+
+
+def test_left_symmetric_certificate_equals_the_general_one(catalog_sweep):
+    """At every catalog point, all left-symmetric: the rank test that
+    _certified_ideal runs for the left annihilator N on a table known to be
+    left-symmetric (rank of the n x n^2 rows c_i0 | ... | c_i(n-1) below n)
+    agrees with the general one (N from a nullspace, then ideal_closed),
+    and so does the whole certificate.  112 points are certified by N."""
+    points = catalog_points(catalog_sweep)
+    by_rank = 0
+    for label, alg in points.items():
+        assert check_left_symmetric(alg)[0], label
+        c, n = alg.c, alg.dim
+        ann = Mat([[c[i][j][k] for i in range(n)]
+                   for j in range(n) for k in range(n)]).nullspace()
+        rank_short = Mat([[x for v in r for x in v] for r in c]).rank() < n
+        assert rank_short == bool(ann and ideal_closed(alg, ann)), label
+        assert (props._certified_ideal(alg, True)
+                == props._certified_ideal(alg)), label
+        by_rank += rank_short and not props._square_short(alg)
+    assert (len(points), by_rank) == (262, 112)
+
+
+def test_left_symmetric_certificate_takes_no_nullspace(monkeypatch,
+                                                       catalog_sweep):
+    """Spies on Mat.nullspace and props.ideal_closed: on the left-symmetric
+    path _certified_ideal calls neither at any catalog point, while the
+    general path takes a nullspace at the 207 points that A.A != A leaves
+    and calls ideal_closed at the 112 of them where N is nonzero."""
+    calls = []
+    nullspace, closed = Mat.nullspace, props.ideal_closed
+    monkeypatch.setattr(Mat, "nullspace",
+                        lambda m: calls.append("nullspace") or nullspace(m))
+    monkeypatch.setattr(props, "ideal_closed",
+                        lambda a, b: calls.append("closed") or closed(a, b))
+    points = catalog_points(catalog_sweep).values()
+    for alg in points:
+        props._certified_ideal(alg, left_symmetric=True)
+    assert calls == []
+    for alg in points:
+        props._certified_ideal(alg)
+    assert (calls.count("nullspace"), calls.count("closed")) == (207, 112)
