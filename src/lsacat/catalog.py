@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (check_left_symmetric, commutator_lie, substitute_algebra,
@@ -32,7 +31,8 @@ from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
 from .iso import search_lsa_iso, verify_lsa_iso
 from .lie import LieClass, canonical_l, canonical_lie, classify3
 from .props import ideal_flags, identity_flags
-from .scalars import ONE, QI, format_scalar, parse_scalar, qi, substitute
+from .scalars import (ONE, QI, Record, format_scalar, parse_scalar, qi,
+                      substitute)
 
 FAMILY_FILES = {
     "H": "h.cat",
@@ -52,28 +52,31 @@ _SAMPLE_POOLS = {
 }
 
 
-@dataclass
-class IsoDecl:
-    target: str
-    when: dict = field(default_factory=dict)   # param -> QI
-    bind: dict = field(default_factory=dict)   # target param -> scalar
-    lineno: int = 0                            # line in its data file
+class IsoDecl(Record):
+    def __init__(self, target, when=None, bind=None, lineno=0):
+        self.target = target
+        self.when = {} if when is None else when    # param -> QI
+        self.bind = {} if bind is None else bind    # target param -> scalar
+        self.lineno = lineno                        # line in its data file
 
 
-@dataclass
-class CatalogEntry:
-    id: str
-    family: str
-    params: dict = field(default_factory=dict)      # name -> constraint
-    table: object = None                            # parametric Algebra
-    primed: object = None
-    primed_witness: object = None
-    case: str = ""
-    f_mats: object = None                           # list of parametric Mat
-    cmat: object = None
-    flags: dict = field(default_factory=dict)       # name -> condition
-    isos: list = field(default_factory=list)
-    samples_override: dict = field(default_factory=dict)
+class CatalogEntry(Record):
+    def __init__(self, id, family, params=None, table=None, primed=None,
+                 primed_witness=None, case="", f_mats=None, cmat=None,
+                 flags=None, isos=None, samples_override=None):
+        self.id = id
+        self.family = family
+        self.params = {} if params is None else params  # name -> constraint
+        self.table = table                      # parametric Algebra
+        self.primed = primed
+        self.primed_witness = primed_witness
+        self.case = case
+        self.f_mats = f_mats                    # list of parametric Mat
+        self.cmat = cmat
+        self.flags = {} if flags is None else flags     # name -> condition
+        self.isos = [] if isos is None else isos
+        self.samples_override = ({} if samples_override is None
+                                 else samples_override)
 
     def admissible(self, bindings):
         for name, c in self.params.items():
@@ -339,18 +342,21 @@ def instantiate(entry_id, bindings=None, check=True):
 # verification
 
 
-@dataclass
-class EntryReport:
+class EntryReport(Record):
     "The one record of a catalog point: its algebra and every check's result."
-    entry_id: str
-    bindings: dict
-    alg: object = None
-    left_symmetric: bool = False
-    lie_class_ok: bool = False
-    cocycle_reconstruction_ok: bool = True
-    flags_ok: bool = False
-    computed: dict = None
-    messages: list = field(default_factory=list)
+
+    def __init__(self, entry_id, bindings, alg=None, left_symmetric=False,
+                 lie_class_ok=False, cocycle_reconstruction_ok=True,
+                 flags_ok=False, computed=None, messages=None):
+        self.entry_id = entry_id
+        self.bindings = bindings
+        self.alg = alg
+        self.left_symmetric = left_symmetric
+        self.lie_class_ok = lie_class_ok
+        self.cocycle_reconstruction_ok = cocycle_reconstruction_ok
+        self.flags_ok = flags_ok
+        self.computed = computed
+        self.messages = [] if messages is None else messages
 
     @property
     def ok(self):
@@ -505,11 +511,11 @@ def _verify_iso_decl(e, decl, bindings, alg, use_search):
             label + ": %s (%s)" % (verdict.status, verdict.reason))
 
 
-@dataclass
-class SweepReport:
-    total: int = 0
-    failures: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
+class SweepReport(Record):
+    def __init__(self, total=0, failures=None, reports=None):
+        self.total = total
+        self.failures = [] if failures is None else failures
+        self.reports = [] if reports is None else reports
 
     @property
     def ok(self):

@@ -26,14 +26,13 @@ f(e<i>) or matrix line, and any line the document kind does not use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .algebra import Algebra, LieAlgebra
 from .cocycle import Cocycle, Representation
 from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      NotLieAlgebra, UnboundVariable)
 from .linalg import Mat, format_matrix, vec_zero
-from .scalars import (QI, format_scalar, format_sum, is_zero,
+from .scalars import (QI, Record, format_scalar, format_sum, is_zero,
                       parse_combination, parse_rows, parse_scalar, qi)
 
 # kind -> (product prefixes, has f(e<i>) lines, matrix names), in the
@@ -47,13 +46,13 @@ KINDS = tuple(_LAYOUT)
 DOMAINS = ("rational", "gaussian", "ratfunc")
 
 
-@dataclass
-class Document:
-    kind: str
-    dim: int
-    domain: str
-    params: dict = field(default_factory=dict)  # name -> constraint tuple
-    payload: object = None
+class Document(Record):
+    def __init__(self, kind, dim, domain, params=None, payload=None):
+        self.kind = kind
+        self.dim = dim
+        self.domain = domain
+        self.params = {} if params is None else params  # name -> constraint
+        self.payload = payload
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,8 @@ class Body:
 
     def products(self, prefix, lie=False):
         """The Algebra of the '<prefix> e<i> e<j> = ...' lines, or with
-        lie=True the LieAlgebra their brackets complete to."""
+        lie=True the LieAlgebra their brackets complete to.  The parser
+        gives dim x dim x dim scalar cells, so the Algebra checks none."""
         dim = self.dim
         table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
         given = set()
@@ -282,7 +282,7 @@ class Body:
                                        % (lineno, i + 1, j + 1))
             given.add((i, j))
             table[i][j] = self._rhs(lineno, head, rhs, parse_term_list)
-        return _lie_completion(table, given) if lie else Algebra(table)
+        return _lie_completion(table, given) if lie else Algebra._of(table)
 
     def _matrix(self, lineno, line):
         head, eq, rhs = line.partition("=")

@@ -17,7 +17,6 @@ S-pair bound hit, or a witness over C but none found over Q(i).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import scalars
 from .algebra import commutator_lie, hom_defects, rebase
@@ -25,8 +24,8 @@ from .errors import InternalError, NotLieAlgebra, SingularWitness
 from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
-from .scalars import (ONE, QI, ZERO, MultiPoly, _add_multiple, _term_dict,
-                      groebner, is_zero, qi_roots)
+from .scalars import (ONE, QI, ZERO, MultiPoly, Record, _add_multiple,
+                      _term_dict, groebner, is_zero, qi_roots)
 
 
 def verify_lsa_iso(a, b, f):
@@ -38,11 +37,11 @@ def verify_lsa_iso(a, b, f):
     return all(vec_is_zero(d) for d in hom_defects(a, b, f))
 
 
-@dataclass
-class IsoVerdict:
-    status: str                 # "isomorphic" | "not_isomorphic" | "unknown"
-    witness: object = None      # Mat for isomorphic verdicts
-    reason: str = ""
+class IsoVerdict(Record):
+    def __init__(self, status, witness=None, reason=""):
+        self.status = status    # "isomorphic" | "not_isomorphic" | "unknown"
+        self.witness = witness  # Mat for isomorphic verdicts
+        self.reason = reason
 
     @property
     def is_isomorphic(self):

@@ -24,13 +24,11 @@ classify3 reads the class of that table off its l and finds no roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
 from .errors import DimensionMismatch, InternalError, NotDimension3
 from .linalg import Mat, basis_vec, span_basis, vec_is_zero, vec_scale
-from .scalars import (ONE, QI, ZERO, factor_unipoly, is_zero, parse_scalar,
-                      qi, remember)
+from .scalars import (ONE, QI, ZERO, Frozen, factor_unipoly, is_zero,
+                      parse_scalar, qi, remember)
 
 
 def check_lie_automorphism(g, t):
@@ -128,12 +126,30 @@ def aut_components(family, l=None):
 # the dimension-3 classifier
 
 
-@dataclass(frozen=True)
-class LieClass:
-    tag: str                 # Abelian | Heisenberg | N | Dl | E | Sl2
-    param: object = None     # canonical l for Dl, when it lies in Q(i)
-    witness: object = None   # Mat whose rows express the canonical basis
-    detail: str = ""
+class LieClass(Frozen):
+    """A classify3 result: tag is Abelian | Heisenberg | N | Dl | E | Sl2,
+    param the canonical l of Dl when it lies in Q(i), witness a Mat whose
+    rows express the canonical basis.  Equal and hashed as its __reduce__."""
+
+    __slots__ = _ARGS = ("tag", "param", "witness", "detail")
+
+    def __init__(self, tag, param=None, witness=None, detail=""):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if type(other) is not LieClass:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return "LieClass(%s)" % ", ".join(
+            "%s=%r" % kv for kv in zip(self._ARGS, self.__reduce__()[1]))
 
     def key(self):
         p = self.param

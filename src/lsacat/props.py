@@ -32,7 +32,6 @@ dimensions are ranks of n-row matrices of the constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .algebra import (check_left_symmetric, commutator_lie,
@@ -40,7 +39,7 @@ from .algebra import (check_left_symmetric, commutator_lie,
 from .errors import ZeroAlgebra
 from .lie import classify3
 from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_sub
-from .scalars import ONE, ZERO, factor_unipoly, is_zero
+from .scalars import ONE, ZERO, Record, factor_unipoly, is_zero
 
 
 def is_associative(a, tu=None):
@@ -123,8 +122,7 @@ def _sum(xs):
 # ideal enumeration
 
 
-@dataclass
-class IdealReport:
+class IdealReport(Record):
     """Ideals found by find_ideals, every vector in Q(i).  An orbit
     (basis of W, f) stands for deg f conjugate ideals defined over the roots
     of the irreducible f: lines spanning W, or planes whose normals span the
@@ -132,12 +130,14 @@ class IdealReport:
     are the lines, those of the line orbits and the rational planes holding
     no ideal line; in dimension 3 conjugate planes P, P' meet in the ideal
     line P & P'.  A family stands for infinitely many ideals."""
-    lines: list = field(default_factory=list)          # coordinate vectors
-    line_families: list = field(default_factory=list)  # (b1, b2) plane bases
-    planes: list = field(default_factory=list)         # (normal, basis rows)
-    plane_families: list = field(default_factory=list) # common line vectors
-    line_orbits: list = field(default_factory=list)    # (basis of W, f)
-    plane_orbits: list = field(default_factory=list)   # (normals of W, f)
+
+    def __init__(self):
+        self.lines = []             # coordinate vectors
+        self.line_families = []     # (b1, b2) plane bases
+        self.planes = []            # (normal, basis rows)
+        self.plane_families = []    # common line vectors
+        self.line_orbits = []       # (basis of W, f)
+        self.plane_orbits = []      # (normals of W, f)
 
     def has_proper_ideal(self):
         return any(vars(self).values())
@@ -406,12 +406,12 @@ def closure_span(a, vectors):
 # fingerprints
 
 
-@dataclass
-class Fingerprint:
-    flags: dict
-    dims: dict
-    ranks: dict
-    lie_class: tuple
+class Fingerprint(Record):
+    def __init__(self, flags, dims, ranks, lie_class):
+        self.flags = flags
+        self.dims = dims
+        self.ranks = ranks
+        self.lie_class = lie_class
 
     def differing_field(self, other):
         "First component where the two fingerprints disagree, or None."
@@ -423,9 +423,6 @@ class Fingerprint:
         if self.lie_class != other.lie_class:
             return "lie_class"
         return None
-
-    def __eq__(self, other):
-        return self.differing_field(other) is None
 
 
 def fingerprint(a, lie=None):

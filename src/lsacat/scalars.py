@@ -47,6 +47,22 @@ class Frozen:
         return type(self), tuple(getattr(self, a) for a in self._ARGS)
 
 
+class Record:
+    """Base of the mutable result records, whose __init__ sets each field:
+    equal when of one type with equal fields, shown as fields, unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % kv for kv in vars(self).items()))
+
+
 def remember(store, bound, key, value):
     "store[key] = value, clearing store first if it holds bound keys; value."
     if len(store) >= bound:

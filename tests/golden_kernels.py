@@ -16,7 +16,6 @@ to alter one of these results:
 
 import random
 import sys
-from dataclasses import fields
 
 from lsacat import catalog
 from lsacat.algebra import Algebra, rebase
@@ -40,7 +39,7 @@ def _basis_change(rng):
 
 
 def _report(r):
-    return "; ".join("%s=%r" % (f.name, getattr(r, f.name)) for f in fields(r))
+    return "; ".join("%s=%r" % kv for kv in vars(r).items())
 
 
 def _fingerprint(fp):

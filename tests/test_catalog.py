@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import pickle
 import shutil
@@ -233,6 +232,13 @@ def reconstruct(monkeypatch, e, bindings, alg, left_symmetric, h):
     return ok, rep.messages, len(calls)
 
 
+def replaced(e, **changes):
+    "A copy of the catalog entry e with the given fields changed."
+    twin = copy.copy(e)
+    vars(twin).update(changes)
+    return twin
+
+
 def one_condition_fails(condition):
     """((entry, bindings, table, left_symmetric, h), message prefix): H-1
     changed so that exactly the named condition of the A_i C = C F_i
@@ -247,22 +253,21 @@ def one_condition_fails(condition):
         c[1][1][0] = QI(1)
         alg = Algebra(c)
         fs = [cm.inverse() * Mat._of(alg.c[i]) * cm for i in range(3)]
-        return ((dataclasses.replace(e, f_mats=fs), {}, alg, False,
-                 commutator_lie(alg)),
+        return ((replaced(e, f_mats=fs), {}, alg, False, commutator_lie(alg)),
                 "stored f data is not a representation: ")
     if condition == "identity":     # C with one entry changed
-        return ((dataclasses.replace(
+        return ((replaced(
             e, cmat=Mat([[0, 0, 1], [0, 1, 0], [1, 1, 0]])), {}, alg, True,
             commutator_lie(alg)), "stored (f, C) is not a cocycle: ")
     if condition == "det":          # 0 = A_i 0 = 0 F_i
-        return ((dataclasses.replace(e, cmat=Mat.zero(3)), {}, alg, True,
+        return ((replaced(e, cmat=Mat.zero(3)), {}, alg, True,
                  commutator_lie(alg)), "stored C is singular")
     # F = left-regular with C = I rebuilds N-1's table, whose commutator
     # is not H-1's Heisenberg bracket
     alg = catalog.instantiate("N-1", {"lambda": 2})
     h = commutator_lie(alg)
-    return ((dataclasses.replace(e, f_mats=list(left_regular(h, alg).mats),
-                                 cmat=Mat.identity(3)), {}, alg, True, h),
+    return ((replaced(e, f_mats=list(left_regular(h, alg).mats),
+                      cmat=Mat.identity(3)), {}, alg, True, h),
             "stored f data is not a representation: ")
 
 
@@ -368,7 +373,7 @@ def test_source_cocycles_all_valid(full_catalog):
 
 def test_values_copy_and_pickle():
     """Every value type round-trips through copy, deepcopy and pickle to an
-    equal value, so a report holding them converts with asdict."""
+    equal value, so a report holding them deep-copies through vars."""
     e = catalog.lookup("N-1")
     b = {"lambda": QI(2)}
     rep = Representation(catalog.family_lie(e, b),
@@ -390,7 +395,7 @@ def test_values_copy_and_pickle():
                      pickle.loads(pickle.dumps(v))):
             assert type(twin) is type(v)
             assert parts(twin) == parts(v)
-    report = dataclasses.asdict(catalog.verify_entry("N-1", {"lambda": 2}))
+    report = copy.deepcopy(vars(catalog.verify_entry("N-1", {"lambda": 2})))
     assert report["bindings"] == {"lambda": QI(2)}
     assert report["computed"]["associative"] is False
 

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from lsacat import catalog, cli, lie
+from lsacat import algebra, catalog, cli, lie
 from lsacat.cli import main
 from lsacat.cocycle import phi
 from lsacat.docs import parse_document
@@ -37,6 +37,23 @@ def test_check_h1():
     assert "left_symmetric: yes" in out
     assert "lie_class: Heisenberg" in out
     assert "novikov: yes" in out
+
+
+def test_check_builds_the_triple_products_once(monkeypatch):
+    """check reads left-symmetry and the identity flags off one table of
+    triple products."""
+    calls = []
+    build = algebra.triple_products
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("lsacat")
+                and hasattr(mod, "triple_products")):
+            monkeypatch.setattr(mod, "triple_products", counted)
+    assert run(["check", sample("h1.alg")])[0] == 0
+    assert len(calls) == 1
 
 
 def test_check_zero_algebra_flags():

@@ -6,6 +6,7 @@ import pytest
 from lsacat import catalog, props
 from lsacat.algebra import Algebra, rebase
 from lsacat.errors import DimensionMismatch, ZeroAlgebra
+from lsacat.iso import search_lsa_iso
 from lsacat.linalg import Mat, basis_vec
 from lsacat.props import (closure_span, find_ideals, fingerprint,
                           ideal_closed, is_associative, is_bisymmetric,
@@ -298,6 +299,17 @@ def test_fingerprint_n18_1_vs_n20():
     b = catalog.instantiate("N-20")
     assert fingerprint(a).differing_field(fingerprint(b)) == "flags.novikov"
     assert fingerprint(a).ranks != fingerprint(b).ranks
+
+
+def test_fingerprint_lie_class_decides_last():
+    """H-1 and N-38 at lambda = 2 agree on every flag, dimension and rank,
+    so only the Lie classes of their commutators tell them apart."""
+    a = catalog.instantiate("H-1")
+    b = catalog.instantiate("N-38", {"lambda": 2})
+    fa, fb = fingerprint(a), fingerprint(b)
+    assert (fa.flags, fa.dims, fa.ranks) == (fb.flags, fb.dims, fb.ranks)
+    assert fa.differing_field(fb) == "lie_class" and fa != fb
+    assert search_lsa_iso(a, b).reason == "lie_class"
 
 
 def test_transitive_agrees_with_nilpotency(first_samples):
