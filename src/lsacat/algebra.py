@@ -24,7 +24,7 @@ from .scalars import QI, ZERO, Frozen, as_scalar, format_sum, is_zero
 class Algebra(Frozen):
     """Finite-dimensional bilinear product given by structure constants."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_left_symmetry")
     _ARGS = ("c",)
 
     def __init__(self, table):
@@ -43,6 +43,7 @@ class Algebra(Frozen):
             c.append(tuple(crow))
         object.__setattr__(self, "c", tuple(c))
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_left_symmetry", None)
 
     @classmethod
     def _of(cls, c):
@@ -51,6 +52,7 @@ class Algebra(Frozen):
         a = object.__new__(cls)
         object.__setattr__(a, "c", tuple(tuple(map(tuple, row)) for row in c))
         object.__setattr__(a, "dim", len(c))
+        object.__setattr__(a, "_left_symmetry", None)
         return a
 
     @classmethod
@@ -63,6 +65,10 @@ class Algebra(Frozen):
                 v[k] = v[k] + as_scalar(coeff)
             table[i][j] = v
         return cls(table)
+
+    def known_left_symmetric(self):
+        "Whether check_left_symmetric has found the table left-symmetric."
+        return self._left_symmetry is not None and self._left_symmetry[0]
 
     def is_zero_product(self):
         return all(vec_is_zero(self.c[i][j])
@@ -183,7 +189,16 @@ def check_left_symmetric(a, tu=None):
     """Left-symmetry of the associator on all basis triples, read off the
     triple_products (T, U) of a, passed in or built here.  Returns (True,
     None) or (False, (i, j, k, difference)); the certificate indices are
-    0-based and the difference is assoc(i,j,k) - assoc(j,i,k)."""
+    0-based and the difference is assoc(i,j,k) - assoc(j,i,k).  The first
+    call stores the result on a (its only slot set after it is built), and
+    later calls return it."""
+    if a._left_symmetry is None:
+        object.__setattr__(a, "_left_symmetry", _check_associator(a, tu))
+    return a._left_symmetry
+
+
+def _check_associator(a, tu):
+    "check_left_symmetric's result, computed."
     t, u = tu or triple_products(a)
     n = a.dim
     for i in range(n):
@@ -199,12 +214,13 @@ def check_left_symmetric(a, tu=None):
 def commutator_lie(a):
     """Sub-adjacent Lie algebra with bracket [x, y] = xy - yx.
 
-    The bracket is antisymmetric by construction, so only Jacobi is
-    checked: it holds whenever a is left-symmetric, and a table that is
-    not Lie-admissible raises NotLieAlgebra."""
+    The bracket is antisymmetric by construction.  Jacobi, implied by
+    left-symmetry, is checked only on a table not found left-symmetric
+    before: one that is not Lie-admissible raises NotLieAlgebra."""
     g = LieAlgebra._of([[vec_sub(x, y) for x, y in zip(row, col)]
                         for row, col in zip(a.c, zip(*a.c))])
-    _check_jacobi(g.c)
+    if not a.known_left_symmetric():
+        _check_jacobi(g.c)
     return g
 
 

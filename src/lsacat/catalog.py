@@ -345,13 +345,13 @@ def instantiate(entry_id, bindings=None, check=True):
 class EntryReport(Record):
     "The one record of a catalog point: its algebra and every check's result."
 
-    def __init__(self, entry_id, bindings, alg=None, left_symmetric=False,
-                 lie_class_ok=False, cocycle_reconstruction_ok=True,
-                 flags_ok=False, computed=None, messages=None):
+    def __init__(self, entry_id, bindings, alg=None, lie_class_ok=False,
+                 cocycle_reconstruction_ok=True, flags_ok=False,
+                 computed=None, messages=None):
         self.entry_id = entry_id
         self.bindings = bindings
         self.alg = alg
-        self.left_symmetric = left_symmetric
+        self.left_symmetric = False     # check_left_symmetric's verdict
         self.lie_class_ok = lie_class_ok
         self.cocycle_reconstruction_ok = cocycle_reconstruction_ok
         self.flags_ok = flags_ok
@@ -408,9 +408,9 @@ def _flag_mismatches(entry, bindings, got):
     return out
 
 
-def computed_flags(alg, tu=None, left_symmetric=False):
+def computed_flags(alg, tu=None):
     return dict(identity_flags(alg, tu or triple_products(alg)),
-                **ideal_flags(alg, left_symmetric))
+                **ideal_flags(alg))
 
 
 def verify_entry(entry_id, bindings=None):
@@ -435,7 +435,7 @@ def verify_entry(entry_id, bindings=None):
 
     rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h)
 
-    rep.computed = computed_flags(alg, tu, ok)
+    rep.computed = computed_flags(alg, tu)
     wrong = _flag_mismatches(e, bindings, rep.computed)
     rep.flags_ok = not wrong
     rep.messages += wrong
@@ -574,7 +574,7 @@ def verify_property_tables(sweep):
                 alg = instantiate(eid, b)
                 tu = triple_products(alg)
                 ok, cert = check_left_symmetric(alg, tu)
-                checked.append((e, b, computed_flags(alg, tu, ok), [] if ok
+                checked.append((e, b, computed_flags(alg, tu), [] if ok
                                 else ["left-symmetry fails at triple %s"
                                       % (cert[:3],)]))
     found = ([], [])            # at the sweep's points, at the added ones

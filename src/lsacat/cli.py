@@ -63,7 +63,7 @@ def cmd_check(args):
         if cls.param is not None:
             tag += "(l=%s)" % format_scalar(cls.param)
         print("lie_class: %s" % tag)
-    flags = catalog.computed_flags(alg, tu, left_symmetric=True)
+    flags = catalog.computed_flags(alg, tu)
     if alg.is_zero_product() or alg.dim != 3:
         del flags["simple"], flags["semisimple"]
     for name, val in flags.items():

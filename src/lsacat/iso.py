@@ -181,7 +181,8 @@ def _search(a, b, comps):
 
 def _lie_class(a):
     """classify3 of a's commutator if a has dim 3 and is Lie-admissible (as
-    every left-symmetric table is), else None."""
+    every left-symmetric table is), else None.  a may be any table, so
+    commutator_lie checks Jacobi unless a was already found left-symmetric."""
     if a.dim != 3:
         return None
     try:

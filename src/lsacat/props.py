@@ -21,9 +21,9 @@ ideals, is refused there.  Semisimplicity is read off the same report: A is
 a direct sum of simple ideals iff A.A = A and its minimal ideals span A.
 Every ideal of such a sum is a sum of its simple components, so a nonzero
 ideal J with J.J != J rules out both flags, and ideal_flags seeks no ideal
-when A, the left annihilator N = {x : xA = 0} (N.N = 0) once A.N lies in
-N (always on a table known to be left-symmetric, where one rank tells if
-N = 0), or the ideal the commutators generate is such a J.  The identity
+when A, the left annihilator N = {x : xA = 0} of a table already found
+left-symmetric (an ideal with N.N = 0 there, so one rank tells if N != 0),
+or the ideal the commutators generate is such a J.  The identity
 flags, transitivity and the trace forms of the basis operators are read
 off one table of the products (e_i e_j) e_k and e_i (e_j e_k) per algebra
 (algebra.triple_products), and the annihilator and product-span
@@ -344,31 +344,30 @@ def _square_short(a, basis=None):
                     for y in basis]).rank() < len(basis)
 
 
-def ideal_flags(a, left_symmetric=False):
-    """The simple and semisimple flags of a (left_symmetric: as checked by
-    the caller).  Neither holds when a nonzero ideal J has J.J != J, and no
-    ideal is sought then; find_ideals runs only if no candidate is such a J."""
-    if _certified_ideal(a, left_symmetric):
+def ideal_flags(a):
+    """The simple and semisimple flags of a.  Neither holds when a nonzero
+    ideal J has J.J != J, and no ideal is sought then; find_ideals runs only
+    if no candidate is such a J (a table already found left-symmetric has
+    one candidate more, its left annihilator)."""
+    if _certified_ideal(a):
         return {"simple": False, "semisimple": False}
     report = find_ideals(a)
     return {"simple": is_simple(a, report),
             "semisimple": is_semisimple(a, report)[0]}
 
 
-def _certified_ideal(a, left_symmetric=False):
+def _certified_ideal(a):
     """Some nonzero ideal J has J.J != J.  The candidates, cheapest first:
-    A (the zero algebra too); the left annihilator N = {x : xA = 0}, with
-    N.N = 0, once A.N lies in N (known on a left_symmetric table, where
-    (yx)z = (x,y,z) = 0 for x in N, so that N != 0 suffices); the ideal
-    the commutators generate, when proper, as A.A = A by then."""
+    A (the zero algebra too); on a table already found left-symmetric
+    (check_left_symmetric), the left annihilator N = {x : xA = 0}, with
+    N.N = 0 and A.N in N, as (yx)z = (x,y,z) = 0 for x in N, so that N != 0
+    suffices; the ideal the commutators generate, when proper, as A.A = A
+    by then.  On any other table, N is left to find_ideals."""
     if _square_short(a):
         return True
     c, rng = a.c, range(a.dim)
-    left = Mat._of([[x for v in r for x in v] for r in c])  # x left lists x e_j
-    if left_symmetric and left.rank() < a.dim:
-        return True
-    ann = [] if left_symmetric else left.transpose().nullspace()
-    if ann and ideal_closed(a, ann):
+    left = [[x for v in r for x in v] for r in c]   # x left lists the x e_j
+    if a.known_left_symmetric() and Mat._of(left).rank() < a.dim:
         return True
     j = closure_span(a, [vec_sub(c[i][k], c[k][i])
                          for i, k in combinations(rng, 2)])
@@ -380,14 +379,6 @@ def _products(a, basis):
     es = [basis_vec(a.dim, k) for k in range(a.dim)]
     return [p for b in basis for e in es
             for p in (multiply(a, e, b), multiply(a, b, e))]
-
-
-def ideal_closed(a, basis):
-    """A.J and J.A lie in J = span(basis), basis independent (J = 0 when
-    empty): a rank test."""
-    if not basis:
-        return True
-    return Mat._of(basis + _products(a, basis)).rank() == len(basis)
 
 
 def closure_span(a, vectors):

@@ -1064,8 +1064,10 @@ def _tokenize(text):
 # The parser refuses an operation whose result would outgrow these bounds,
 # so that a short literal such as ((3+2*i)^300)^300, or a product or a sum
 # of fractions of a dozen binomials, cannot take time exponential in its
-# length.  The shipped data use exponents up to 8.
+# length; and text nested deeper than _MAX_DEPTH, before its recursion
+# outgrows Python's stack.  The shipped data use exponents up to 8.
 _MAX_BITS = 4096      # bits of each part of a Gaussian rational
+_MAX_DEPTH = 100      # open parentheses and unary minus signs at once
 _MAX_DEGREE = 64      # total degree of a polynomial
 _MAX_TERMS = 1000     # terms of a polynomial
 _OPERATION = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
@@ -1131,9 +1133,21 @@ class _Parser:
         self.k = 0
         self.vars = vars
         self.used = set()   # the names read as parameters
+        self.depth = 0      # '(' and unary '-' entered and not yet left
 
     def peek(self):
         return self.toks[self.k]
+
+    def nested(self, parse):
+        "parse() after a '(' or a unary '-', at most _MAX_DEPTH levels deep."
+        t = self.take()
+        if self.depth == _MAX_DEPTH:
+            raise UnboundVariable("nested deeper than %d parentheses or signs"
+                                  % _MAX_DEPTH, t.pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def take(self, kind=None):
         t = self.toks[self.k]
@@ -1168,8 +1182,7 @@ class _Parser:
 
     def parse_factor(self):
         if self.peek().kind == "-":
-            self.take()
-            return -self.parse_factor()
+            return -self.nested(self.parse_factor)
         return self.parse_power()
 
     def parse_power(self):
@@ -1196,8 +1209,7 @@ class _Parser:
             self.used.add(t.val)
             return MultiPoly.var(t.val)
         if t.kind == "(":
-            self.take()
-            out = self.parse_expr()
+            out = self.nested(self.parse_expr)
             self.take(")")
             return out
         raise UnboundVariable("unexpected %s" % t, t.pos)

@@ -3,8 +3,8 @@
 Each oracle checks a verdict of the package by a route of its own:
 right_nilpotent_at powers R_x (right_matrix) at a concrete x against
 is_transitive, and simplicity_oracle_agrees tests the ideals that
-find_ideals reports for closure and refines random vectors against a
-simple verdict.
+find_ideals reports for closure (ideal_closed, a rank test) and refines
+random vectors against a simple verdict.
 random_automorphism draws a member of a stored automorphism group of a
 canonical Lie algebra (lie.aut_template) with small Gaussian-rational
 parameters.
@@ -16,7 +16,7 @@ from lsacat.algebra import multiplication_operators
 from lsacat.lie import aut_components, aut_template
 from lsacat.linalg import (Mat, basis_vec, combination, span_basis, vec_add,
                            vec_is_zero)
-from lsacat.props import closure_span, find_ideals, ideal_closed
+from lsacat.props import _products, closure_span, find_ideals
 from lsacat.scalars import QI, is_zero, qi
 
 
@@ -32,6 +32,14 @@ def right_nilpotent_at(a, x):
     for _ in range(a.dim - 1):
         power = power * r
     return power.is_zero()
+
+
+def ideal_closed(a, basis):
+    """A.J and J.A lie in J = span(basis), basis independent (J = 0 when
+    empty): a rank test."""
+    if not basis:
+        return True
+    return Mat._of(basis + _products(a, basis)).rank() == len(basis)
 
 
 def random_qi_vector(rng, n, nonzero=True):

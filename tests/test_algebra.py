@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from lsacat import catalog
+from lsacat import algebra, catalog
 from lsacat.algebra import (Algebra, LieAlgebra, check_left_symmetric,
                             commutator_lie, hom_defects, left_matrix,
                             multiply, rebase, triple_products)
@@ -212,6 +214,47 @@ def test_commutator_is_the_checked_bracket_table(first_samples):
     with pytest.raises(NotLieAlgebra,
                        match=r"^bracket table breaks Jacobi at \(e1,e2,e3\)$"):
         commutator_lie(Algebra(c))
+
+
+def test_left_symmetry_verdict_is_stored_once(monkeypatch):
+    """check_left_symmetric stores its verdict on the table, and later calls
+    and commutator_lie read it: no Jacobi check runs on a table found
+    left-symmetric.  A table that breaks Jacobi is refused, checked or not;
+    a copy or a pickle is an equal table with no verdict; assigning to a
+    table raises."""
+    want = commutator_lie(Algebra(H1.c))
+    counted = {"_check_associator": 0, "_check_jacobi": 0}
+    for name in counted:
+        def spy(*args, _name=name, _fn=getattr(algebra, name)):
+            counted[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(algebra, name, spy)
+    a = Algebra(H1.c)
+    assert not a.known_left_symmetric()
+    assert check_left_symmetric(a) == check_left_symmetric(a) == (True, None)
+    assert a.known_left_symmetric()
+    assert commutator_lie(a) == want
+    assert counted == {"_check_associator": 1, "_check_jacobi": 0}
+
+    c = [[list(v) for v in row] for row in H1.c]
+    c[0][2] = [1, 0, 1]
+    fresh, checked = Algebra(c), Algebra(c)
+    assert not check_left_symmetric(checked)[0]
+    for bad in (fresh, checked):
+        with pytest.raises(NotLieAlgebra, match="breaks Jacobi"):
+            commutator_lie(bad)
+    assert counted == {"_check_associator": 2, "_check_jacobi": 2}
+
+    for twin in (copy.copy(a), copy.deepcopy(a),
+                 pickle.loads(pickle.dumps(a))):
+        assert type(twin) is Algebra and twin == a and twin is not a
+        assert twin._left_symmetry is None
+    commutator_lie(copy.copy(a))
+    assert counted["_check_jacobi"] == 3
+    for name, value in (("c", H1.c), ("_left_symmetry", (False, None))):
+        with pytest.raises(AttributeError, match="^Algebra is immutable$"):
+            setattr(a, name, value)
+    assert a._left_symmetry == (True, None)
 
 
 def test_left_matrix_h1():

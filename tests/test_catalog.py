@@ -226,8 +226,8 @@ def reconstruct(monkeypatch, e, bindings, alg, left_symmetric, h):
         calls.append(c)
         return phi(c)
     monkeypatch.setattr(catalog, "phi", counted)
-    rep = catalog.EntryReport(e.id, bindings, alg,
-                              left_symmetric=left_symmetric)
+    rep = catalog.EntryReport(e.id, bindings, alg)
+    rep.left_symmetric = left_symmetric
     ok = catalog._check_reconstruction(e, rep, h)
     return ok, rep.messages, len(calls)
 

@@ -206,6 +206,26 @@ def test_package_imports_only_listed_private_names():
         PRIVATE_IMPORTS
 
 
+def parameter_names(node):
+    "The names of the parameters of a function or lambda node."
+    a = node.args
+    return [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+            + [a.vararg, a.kwarg] if x is not None]
+
+
+def test_no_function_takes_a_left_symmetry_verdict():
+    """A table keeps the verdict check_left_symmetric found for it, so no
+    function of src/lsacat has a parameter named left_symmetric through
+    which a caller could restate (or misstate) it."""
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             and "left_symmetric" in parameter_names(node)]
+    assert found == []
+
+
 def test_package_imports_only_names_it_uses():
     "Every name a module of src/lsacat (but __init__) imports is used there."
     unused = []
@@ -452,6 +472,46 @@ def test_oversized_nested_power_parameter_exits_2():
                      "--param", "mu=((3+2*i)^300)^300"])
     assert code == 2
     assert out.startswith("catalog error: --param mu=((3+2*i)^300)^300: power ")
+
+
+NESTED = 10000
+
+
+def nested_inputs(tmp_path):
+    """(argv, line) pairs for the five commands that read scalar text, each
+    given a scalar nested NESTED deep: parentheses, or unary minus signs in
+    the witness T; line is the document line that holds it (None for
+    --param)."""
+    deep = "(" * NESTED + "1" + ")" * NESTED
+    alg = tmp_path / "deep.alg"
+    alg.write_text("kind algebra dim 1 domain gaussian\n"
+                   "e1 e1 = %s e1\n" % deep)
+    coc = tmp_path / "deep.coc"
+    with open(sample("h1_cocycle.coc"), encoding="utf-8") as fh:
+        coc.write_text(fh.read().replace("C = [[0,", "C = [[%s," % deep))
+    wit = tmp_path / "deep.wit"
+    with open(sample("h2prime_to_h2.wit"), encoding="utf-8") as fh:
+        wit.write_text(fh.read().replace("T = [[1,",
+                                         "T = [[%s1," % ("-" * NESTED)))
+    return [(["check", str(alg)], 2), (["fingerprint", str(alg)], 2),
+            (["cocycle-build", str(coc)], 7),
+            (["iso", "--verify", str(wit)], 17),
+            (["catalog-verify", "--entry", "N-3",
+              "--param", "mu=" + deep.replace("1", "7")], None)]
+
+
+def test_deeply_nested_scalar_exits_2(tmp_path):
+    """A scalar nested 10,000 deep is an input error that names the
+    parser's bound, not a RecursionError, in every command."""
+    for argv, line in nested_inputs(tmp_path):
+        code, out = run(argv)
+        assert code == 2, argv[0]
+        assert "nested deeper than 100 parentheses or signs" in out, argv[0]
+        if line is None:
+            assert out.startswith("catalog error: --param mu=(((")
+        else:
+            assert out.startswith("bad document %s: line %d, col "
+                                  % (argv[-1], line)), argv[0]
 
 
 def test_catalog_verify_family_h():

@@ -11,10 +11,10 @@ the ideal search report conjugate orbits.
 The second half checks the one factorization find_ideals shares between
 lines and planes against separate passes and against factor_unipoly.  The
 last tests check the ideals J with J.J != J that let ideal_flags skip the
-search against naive products and sympy ranks over Q(i), and the one rank
-that stands for the left annihilator's test on a left-symmetric table
-against that test."""
+search against naive products and sympy ranks over Q(i), among them the one
+rank that tests the left annihilator of a table found left-symmetric."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -27,9 +27,9 @@ from lsacat.constructions import derivation_space, novikov_from_derivation
 from lsacat.errors import ZeroAlgebra
 from lsacat.linalg import Mat
 from lsacat.props import (_chosen_operator, _invariant_lines, _lines_in_plane,
-                          find_ideals, ideal_closed, ideal_flags,
-                          is_semisimple, is_simple)
+                          find_ideals, ideal_flags, is_semisimple, is_simple)
 from lsacat.scalars import QI, factor_unipoly
+from oracles import ideal_closed
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -361,9 +361,10 @@ def one_report_flags(alg):
 def test_ideal_flags_match_one_ideal_report(alg):
     """ideal_flags agrees with is_simple and is_semisimple over one
     find_ideals report (the zero algebra is neither), and seeks no ideal
-    when A.A != A, when the left annihilator N is a nonzero ideal, or when
-    the ideal J the commutators generate is proper and nonzero with J.J !=
-    J; otherwise it seeks them once."""
+    when A.A != A, when the table is known to be left-symmetric and its left
+    annihilator N is nonzero, or when the ideal J the commutators generate
+    is proper and nonzero with J.J != J; otherwise it seeks them once.
+    Each table is read before and after check_left_symmetric."""
     short, ann, comm, _ = naive_certificates(alg)
     try:
         report = find_ideals(alg)
@@ -379,7 +380,12 @@ def test_ideal_flags_match_one_ideal_report(alg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(props, "find_ideals", spy)
         assert ideal_flags(alg) == want
-    assert len(calls) == (0 if short or ann or comm else 1)
+        assert len(calls) == (0 if short or comm else 1)
+        left_symmetric = check_left_symmetric(alg)[0]
+        calls.clear()
+        assert ideal_flags(alg) == want
+    assert len(calls) == (0 if short or (left_symmetric and ann) or comm
+                          else 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,7 +395,8 @@ def test_left_annihilator_of_a_left_symmetric_table_is_an_ideal(
         first_samples, commutative_bases, novikov, pick, cells):
     """On a left-symmetric table N = {x : xA = 0} is an ideal, as (yx)z =
     (x,y,z) = 0 for x in N, and ideal_flags agrees with one find_ideals
-    report: catalog points in a drawn basis, and Novikov tables x.D(y) on
+    report, whether or not the table is known to be left-symmetric (a copy
+    is not): catalog points in a drawn basis, and Novikov tables x.D(y) on
     seeded commutative associative bases."""
     if novikov:
         rng = random.Random(pick)
@@ -404,7 +411,7 @@ def test_left_annihilator_of_a_left_symmetric_table_is_an_ideal(
         alg = rebase(first_samples[pick % len(first_samples)][2], w)
     assert check_left_symmetric(alg)[0]
     assert naive_certificates(alg)[3]
-    assert (ideal_flags(alg) == ideal_flags(alg, left_symmetric=True)
+    assert (ideal_flags(alg) == ideal_flags(copy.copy(alg))
             == one_report_flags(alg))
 
 
@@ -434,42 +441,36 @@ def catalog_points(catalog_sweep):
 
 
 def test_left_symmetric_certificate_equals_the_general_one(catalog_sweep):
-    """At every catalog point, all left-symmetric: the rank test that
-    _certified_ideal runs for the left annihilator N on a table known to be
-    left-symmetric (rank of the n x n^2 rows c_i0 | ... | c_i(n-1) below n)
-    agrees with the general one (N from a nullspace, then ideal_closed),
-    and so does the whole certificate.  112 points are certified by N."""
+    """At every catalog point, all left-symmetric: _certified_ideal agrees
+    with naive_certificates, and so does the rank test it runs for the left
+    annihilator N (rank of the n x n^2 rows c_i0 | ... | c_i(n-1) below n)
+    with N being a nonzero ideal.  112 points are certified by N."""
     points = catalog_points(catalog_sweep)
     by_rank = 0
     for label, alg in points.items():
         assert check_left_symmetric(alg)[0], label
-        c, n = alg.c, alg.dim
-        ann = Mat([[c[i][j][k] for i in range(n)]
-                   for j in range(n) for k in range(n)]).nullspace()
-        rank_short = Mat([[x for v in r for x in v] for r in c]).rank() < n
-        assert rank_short == bool(ann and ideal_closed(alg, ann)), label
-        assert (props._certified_ideal(alg, True)
-                == props._certified_ideal(alg)), label
-        by_rank += rank_short and not props._square_short(alg)
+        short, ann, comm, _ = naive_certificates(alg)
+        rank_short = Mat([[x for v in r for x in v]
+                          for r in alg.c]).rank() < alg.dim
+        assert rank_short == ann, label
+        assert props._certified_ideal(alg) == (short or ann or comm), label
+        by_rank += rank_short and not short
     assert (len(points), by_rank) == (262, 112)
 
 
 def test_left_symmetric_certificate_takes_no_nullspace(monkeypatch,
                                                        catalog_sweep):
-    """Spies on Mat.nullspace and props.ideal_closed: on the left-symmetric
-    path _certified_ideal calls neither at any catalog point, while the
-    general path takes a nullspace at the 207 points that A.A != A leaves
-    and calls ideal_closed at the 112 of them where N is nonzero."""
-    calls = []
-    nullspace, closed = Mat.nullspace, props.ideal_closed
-    monkeypatch.setattr(Mat, "nullspace",
-                        lambda m: calls.append("nullspace") or nullspace(m))
-    monkeypatch.setattr(props, "ideal_closed",
-                        lambda a, b: calls.append("closed") or closed(a, b))
+    """Spies on Mat.nullspace: _certified_ideal takes none at any catalog
+    point, whether the table is known to be left-symmetric or is a copy
+    that is not."""
     points = catalog_points(catalog_sweep).values()
     for alg in points:
-        props._certified_ideal(alg, left_symmetric=True)
-    assert calls == []
+        assert check_left_symmetric(alg)[0]
+    calls = []
+    nullspace = Mat.nullspace
+    monkeypatch.setattr(Mat, "nullspace",
+                        lambda m: calls.append(m) or nullspace(m))
     for alg in points:
         props._certified_ideal(alg)
-    assert (calls.count("nullspace"), calls.count("closed")) == (207, 112)
+        props._certified_ideal(copy.copy(alg))
+    assert calls == []

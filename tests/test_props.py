@@ -9,10 +9,10 @@ from lsacat.errors import DimensionMismatch, ZeroAlgebra
 from lsacat.iso import search_lsa_iso
 from lsacat.linalg import Mat, basis_vec
 from lsacat.props import (closure_span, find_ideals, fingerprint,
-                          ideal_closed, is_associative, is_bisymmetric,
-                          is_novikov, is_semisimple, is_simple, is_transitive)
+                          is_associative, is_bisymmetric, is_novikov,
+                          is_semisimple, is_simple, is_transitive)
 from lsacat.scalars import QI, factor_unipoly
-from oracles import (random_automorphism, random_qi_vector,
+from oracles import (ideal_closed, random_automorphism, random_qi_vector,
                      right_nilpotent_at, simplicity_oracle_agrees)
 
 

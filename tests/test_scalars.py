@@ -316,6 +316,25 @@ def test_scalar_literal_bounds_products_and_sums():
             parse_scalar(text)
 
 
+def test_scalar_literal_bounds_nesting():
+    """At most _MAX_DEPTH = 100 open parentheses and unary minus signs at
+    once, counted together; one more is refused at the token that goes
+    deeper.  Levels that close again do not add up."""
+    assert scalars._MAX_DEPTH == 100
+    for ok, text in (("(" * 100 + "7" + ")" * 100,
+                      "(" * 101 + "7" + ")" * 101),
+                     ("-" * 100 + "7", "-" * 101 + "7"),
+                     ("(-" * 50 + "7" + ")" * 50,
+                      "-(" * 50 + "-7" + ")" * 50)):
+        assert parse_scalar(ok) == QI(7)
+        with pytest.raises(UnboundVariable,
+                           match="^nested deeper than 100 parentheses or "
+                                 "signs$") as err:
+            parse_scalar(text)
+        assert err.value.pos == 100
+    assert parse_scalar("+".join(["-(1)"] * 300)) == QI(-300)
+
+
 def test_scalar_literal_keeps_powers_within_bounds():
     assert parse_scalar("10^30") == QI(10 ** 30)
     assert parse_scalar("(1+i)^8192") == QI(2 ** 4096)  # (2i)^4096
