@@ -12,10 +12,11 @@ All values are immutable (QI sets its parts once, every other value type
 is a scalars.Frozen) and all operations are pure functions, so everything
 here is safe to use from multiple threads.  An Algebra keeps the verdict
 of its first check_left_symmetric, which a race computes twice at worst.
-Two bounded module maps, each filled through scalars.remember, keep
-results: classify3 by bracket table and the scalar parser by text (it
-hands out its stored tuples, which nobody can change).  Dict reads and
-writes are atomic, so at worst two threads compute one twice.
+Three bounded module maps, each filled through scalars.remember, keep
+results: classify3 by bracket table, the scalar parser by text (handing
+out stored tuples nobody can change) and triple_products for the table
+read last (never another table's).  Dict reads and writes are atomic, so
+at worst two threads compute one twice.
 """
 
 from .algebra import (Algebra, check_left_symmetric, commutator_lie,

@@ -18,7 +18,8 @@ from __future__ import annotations
 from .errors import DimensionMismatch, NotLieAlgebra
 from .linalg import (Mat, combination, vec_add, vec_eq, vec_is_zero, vec_sub,
                      vec_zero)
-from .scalars import QI, ZERO, Frozen, as_scalar, format_sum, is_zero
+from .scalars import (QI, ZERO, Frozen, as_scalar, format_sum, is_zero,
+                      remember)
 
 
 class Algebra(Frozen):
@@ -171,35 +172,43 @@ def _jacobi_sum(c, i, j, k):
     return out
 
 
+_TRIPLES = {}
+
+
 def triple_products(a):
     """(T, U) with T[i][j][k] = (e_i e_j) e_k = sum_p c_ij^p c_pk and
     U[i][j][k] = e_i (e_j e_k) = sum_p c_jk^p c_ip, read off the structure
-    constants once, zero coordinates skipped; the associator is T - U."""
+    constants, zero coordinates skipped; the associator is T - U.  The (T, U)
+    of the table read last stay in _TRIPLES, shared and never changed, keyed
+    by id(a) and held beside a itself, so no other table can take that id."""
+    hit = _TRIPLES.get(id(a), (None,))
+    if hit[0] is a:
+        return hit[1]
     rng = range(a.dim)
     nz = [[[(p, x) for p, x in enumerate(v) if not is_zero(x)] for v in r]
           for r in a.c]
     cols = [[r[k] for r in nz] for k in rng]
-    return ([[[_expand(nz[i][j], cols[k]) for k in rng] for j in rng]
-             for i in rng],
-            [[[_expand(nz[j][k], nz[i]) for k in rng] for j in rng]
-             for i in rng])
+    tu = ([[[_expand(nz[i][j], cols[k]) for k in rng] for j in rng]
+           for i in rng],
+          [[[_expand(nz[j][k], nz[i]) for k in rng] for j in rng]
+           for i in rng])
+    return remember(_TRIPLES, 1, id(a), (a, tu))[1]
 
 
-def check_left_symmetric(a, tu=None):
+def check_left_symmetric(a):
     """Left-symmetry of the associator on all basis triples, read off the
-    triple_products (T, U) of a, passed in or built here.  Returns (True,
-    None) or (False, (i, j, k, difference)); the certificate indices are
-    0-based and the difference is assoc(i,j,k) - assoc(j,i,k).  The first
-    call stores the result on a (its only slot set after it is built), and
-    later calls return it."""
+    triple_products (T, U) of a.  Returns (True, None) or (False, (i, j, k,
+    difference)); the certificate indices are 0-based and the difference is
+    assoc(i,j,k) - assoc(j,i,k).  The first call stores the result on a
+    (its only slot set after it is built), and later calls return it."""
     if a._left_symmetry is None:
-        object.__setattr__(a, "_left_symmetry", _check_associator(a, tu))
+        object.__setattr__(a, "_left_symmetry", _check_associator(a))
     return a._left_symmetry
 
 
-def _check_associator(a, tu):
+def _check_associator(a):
     "check_left_symmetric's result, computed."
-    t, u = tu or triple_products(a)
+    t, u = triple_products(a)
     n = a.dim
     for i in range(n):
         for j in range(i + 1, n):

@@ -21,8 +21,7 @@ import contextlib
 import os
 from fractions import Fraction
 
-from .algebra import (check_left_symmetric, commutator_lie, substitute_algebra,
-                      triple_products)
+from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
 from .cocycle import Cocycle, Representation, phi
 from .docs import Body, _const_value, _words, constraint_allows, content_lines
 from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
@@ -408,9 +407,8 @@ def _flag_mismatches(entry, bindings, got):
     return out
 
 
-def computed_flags(alg, tu=None):
-    return dict(identity_flags(alg, tu or triple_products(alg)),
-                **ideal_flags(alg))
+def computed_flags(alg):
+    return dict(identity_flags(alg), **ideal_flags(alg))
 
 
 def verify_entry(entry_id, bindings=None):
@@ -420,8 +418,7 @@ def verify_entry(entry_id, bindings=None):
     alg = instantiate(entry_id, bindings)
     rep = EntryReport(entry_id, bindings, alg)
 
-    tu = triple_products(alg)
-    ok, cert = check_left_symmetric(alg, tu)
+    ok, cert = check_left_symmetric(alg)
     rep.left_symmetric = ok
     h = commutator_lie(alg) if ok else None
     if not ok:
@@ -435,7 +432,7 @@ def verify_entry(entry_id, bindings=None):
 
     rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h)
 
-    rep.computed = computed_flags(alg, tu)
+    rep.computed = computed_flags(alg)
     wrong = _flag_mismatches(e, bindings, rep.computed)
     rep.flags_ok = not wrong
     rep.messages += wrong
@@ -572,9 +569,8 @@ def verify_property_tables(sweep):
             if label not in seen:
                 seen.add(label)
                 alg = instantiate(eid, b)
-                tu = triple_products(alg)
-                ok, cert = check_left_symmetric(alg, tu)
-                checked.append((e, b, computed_flags(alg, tu), [] if ok
+                ok, cert = check_left_symmetric(alg)
+                checked.append((e, b, computed_flags(alg), [] if ok
                                 else ["left-symmetry fails at triple %s"
                                       % (cert[:3],)]))
     found = ([], [])            # at the sweep's points, at the added ones

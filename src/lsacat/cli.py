@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import catalog
-from .algebra import check_left_symmetric, commutator_lie, triple_products
+from .algebra import check_left_symmetric, commutator_lie
 from .cocycle import phi
 from .docs import Document, emit_document, parse_document
 from .errors import (DocSemanticError, DocSyntaxError, InternalError,
@@ -50,8 +50,7 @@ def cmd_check(args):
     if doc.params:
         print("parametric table: instantiate before checking")
         return 2
-    tu = triple_products(alg)
-    ok, cert = check_left_symmetric(alg, tu)
+    ok, cert = check_left_symmetric(alg)
     print("left_symmetric: %s" % ("yes" if ok else "no"))
     if not ok:
         i, j, k, _ = cert
@@ -63,7 +62,7 @@ def cmd_check(args):
         if cls.param is not None:
             tag += "(l=%s)" % format_scalar(cls.param)
         print("lie_class: %s" % tag)
-    flags = catalog.computed_flags(alg, tu)
+    flags = catalog.computed_flags(alg)
     if alg.is_zero_product() or alg.dim != 3:
         del flags["simple"], flags["semisimple"]
     for name, val in flags.items():

@@ -42,9 +42,9 @@ from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_sub
 from .scalars import ONE, ZERO, Record, factor_unipoly, is_zero
 
 
-def is_associative(a, tu=None):
-    "Associator zero on all basis triples: T = U, tu = triple_products(a)."
-    t, u = tu or triple_products(a)
+def is_associative(a):
+    "Associator zero on all basis triples: T = U, (T, U) = triple_products(a)."
+    t, u = triple_products(a)
     return t == u
 
 
@@ -53,28 +53,28 @@ def is_commutative(a):
                for x, y in zip(row, col))
 
 
-def is_novikov(a, tu=None):
+def is_novikov(a):
     "All right multiplications commute pairwise: T symmetric in j, k."
-    t, _ = tu or triple_products(a)
+    t, _ = triple_products(a)
     return all(ti[j][k] == ti[k][j] for ti in t
                for j, k in combinations(range(a.dim), 2))
 
 
-def is_bisymmetric(a, tu=None):
+def is_bisymmetric(a):
     "Associator also symmetric in its last two arguments: so is T - U."
-    t, u = tu or triple_products(a)
+    t, u = triple_products(a)
     return all(vec_add(ti[j][k], ui[k][j]) == vec_add(ti[k][j], ui[j][k])
                for ti, ui in zip(t, u)
                for j, k in combinations(range(a.dim), 2))
 
 
-def is_transitive(a, tu=None):
+def is_transitive(a):
     """Every right multiplication nilpotent: tr(R_x^k) = 0 identically in x
     for k <= dim (characteristic 0).  Its x_i1...x_ik coefficient sums
     tr(R_e_ik ... R_e_i1) over the k-tuples with one sorted form; column p
     of R_b R_a is T[p][a][b], so tr R_a = sum_p c_pa^p, tr(R_b R_a) =
     sum_p T[p][a][b]_p and tr(R_c R_b R_a) = sum_p,m T[p][a][b]_m c_mc^p."""
-    t, _ = tu or triple_products(a)
+    t, _ = triple_products(a)
     c, rng = a.c, range(a.dim)
     traces = (lambda x: _sum(c[p][x][p] for p in rng),
               lambda x, y: _sum(t[p][x][y][p] for p in rng),
@@ -91,21 +91,17 @@ def is_transitive(a, tu=None):
     return True
 
 
-def identity_flags(a, tu):
+def identity_flags(a):
     "The associative, transitive, Novikov and bisymmetric flags of a."
-    return {
-        "associative": is_associative(a, tu),
-        "transitive": is_transitive(a, tu),
-        "novikov": is_novikov(a, tu),
-        "bisymmetric": is_bisymmetric(a, tu),
-    }
+    return {"associative": is_associative(a), "transitive": is_transitive(a),
+            "novikov": is_novikov(a), "bisymmetric": is_bisymmetric(a)}
 
 
-def trace_forms(a, tu):
+def trace_forms(a):
     """tr(L_a L_b), tr(R_a R_b) and tr(L_a R_b) as matrices over the basis,
     read off the triple products (T, U): column p of L_a L_b is U[a][b][p],
     of R_a R_b is T[p][b][a] and of L_a R_b is U[a][p][b]."""
-    t, u = tu
+    t, u = triple_products(a)
     rng = range(a.dim)
     return [Mat._of([[_sum(col(x, y, p)[p] for p in rng) for y in rng]
                      for x in rng])
@@ -428,9 +424,8 @@ def fingerprint(a, lie=None):
     right = [[x for r in c for x in r[i]] for i in rng]
     span = [[v[k] for r in c for v in r] for k in rng]
     both = [x + y for x, y in zip(left, right)]
-    tu = triple_products(a)
-    ls, _ = check_left_symmetric(a, tu)
-    flags = dict(identity_flags(a, tu), left_symmetric=ls,
+    ls, _ = check_left_symmetric(a)
+    flags = dict(identity_flags(a), left_symmetric=ls,
                  commutative=is_commutative(a))
     dims = {
         "product_span": Mat._of(span).rank(),
@@ -438,7 +433,7 @@ def fingerprint(a, lie=None):
         "ann_right": n - Mat._of(right).rank(),
         "ann_two_sided": n - Mat._of(both).rank(),
     }
-    ll, rr, lr = trace_forms(a, tu)
+    ll, rr, lr = trace_forms(a)
     ranks = {"tr_ll": ll.rank(), "tr_rr": rr.rank(), "tr_lr": lr.rank()}
     lie_class = ("n/a",)
     if ls and n == 3:

@@ -149,6 +149,15 @@ def test_associator_zero_on_associative():
     assert vec_eq(t[1][1][1], [QI(0), QI(1), QI(0)])
 
 
+def test_a_new_table_gets_its_own_triple_products():
+    """triple_products holds the table it remembers, so a table built after
+    the caller dropped that one cannot take its id and read its products."""
+    for k in range(1, 300):
+        a = Algebra([[[k]]])        # e1 e1 = k e1, so (e1 e1) e1 = k^2 e1
+        assert triple_products(a) == ([[[[QI(k * k)]]]], [[[[QI(k * k)]]]])
+        del a
+
+
 def test_associator_h1_e2_e1_e2():
     # (e2 e1) e2 - e2 (e1 e2) = e2 e2 - e2 (e2 + e3) = 0
     t, u = triple_products(H1)

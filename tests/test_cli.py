@@ -10,10 +10,12 @@ from contextlib import redirect_stdout
 import pytest
 
 from lsacat import algebra, catalog, cli, lie
+from lsacat.algebra import Algebra
 from lsacat.cli import main
 from lsacat.cocycle import phi
 from lsacat.docs import parse_document
 from lsacat.errors import LsaError
+from lsacat.props import fingerprint
 from lsacat.scalars import QI
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -39,21 +41,56 @@ def test_check_h1():
     assert "novikov: yes" in out
 
 
-def test_check_builds_the_triple_products_once(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The tables whose triple products are built, not read back from the
+    one table algebra.triple_products remembers, in build order."""
+    tables = []
+    keep = algebra.remember
+
+    def counted(store, bound, key, value):
+        if store is algebra._TRIPLES:
+            tables.append(value[0])
+        return keep(store, bound, key, value)
+    monkeypatch.setattr(algebra, "remember", counted)
+    algebra._TRIPLES.clear()
+    return tables
+
+
+def test_check_builds_the_triple_products_once(built):
     """check reads left-symmetry and the identity flags off one table of
     triple products."""
-    calls = []
-    build = algebra.triple_products
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("lsacat")
-                and hasattr(mod, "triple_products")):
-            monkeypatch.setattr(mod, "triple_products", counted)
     assert run(["check", sample("h1.alg")])[0] == 0
-    assert len(calls) == 1
+    assert len(built) == 1
+
+
+def test_verify_entry_builds_the_triple_products_once_per_point(built):
+    """Each point verify_entry checks, a primed entry's too, has its triple
+    products built once, though phi and the primed witness check run on
+    other tables between its left-symmetry check and its flags."""
+    points = 0
+    for e in catalog.load_catalog().values():
+        for b in e.sample_bindings()[:1]:
+            del built[:]
+            rep = catalog.verify_entry(e.id, b)
+            assert rep.ok, (e.id, rep.messages)
+            assert len(built) == 1 and built[0] is rep.alg, e.id
+            points += 1
+    assert points == len(catalog.load_catalog())
+
+
+def test_fingerprint_builds_the_triple_products_once_per_table(built):
+    """fingerprint reads left-symmetry, the identity flags and the trace
+    forms off one table of triple products, read back for a table seen
+    last and built again once another table came between."""
+    tables = [catalog.instantiate(eid) for eid in ("H-1", "H-5", "E-5")]
+    tables.append(Algebra([[[1, 0], [0, 1]], [[0, 0], [1, 0]]]))
+    for a in tables:
+        fingerprint(a)
+    assert built == tables
+    fingerprint(tables[-1])
+    fingerprint(tables[0])
+    assert built == tables + tables[:1]
 
 
 def test_check_zero_algebra_flags():
@@ -213,17 +250,28 @@ def parameter_names(node):
             + [a.vararg, a.kwarg] if x is not None]
 
 
-def test_no_function_takes_a_left_symmetry_verdict():
-    """A table keeps the verdict check_left_symmetric found for it, so no
-    function of src/lsacat has a parameter named left_symmetric through
-    which a caller could restate (or misstate) it."""
+@pytest.mark.parametrize("param", ["left_symmetric", "tu"])
+def test_no_function_takes_a_left_symmetry_verdict(param):
+    """A table keeps the verdict check_left_symmetric found for it, and
+    algebra.triple_products remembers the table it read last, so no function
+    of src/lsacat has a parameter (left_symmetric, or tu for the triple
+    products) through which a caller could restate (or misstate) either."""
     found = ["%s:%d" % (name, node.lineno)
              for name, tree in package_trees().items()
              for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda))
-             and "left_symmetric" in parameter_names(node)]
+             and param in parameter_names(node)]
     assert found == []
+
+
+def test_only_algebra_and_props_import_the_triple_products():
+    "Every other module reads the triple products through their readers."
+    found = sorted(name for name, tree in package_trees().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and "triple_products" in [x.name for x in node.names])
+    assert found == ["props.py"]
 
 
 def test_package_imports_only_names_it_uses():

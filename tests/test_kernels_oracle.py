@@ -126,6 +126,30 @@ def test_products_and_operators_match_triple_sums(case):
     assert right_matrix(a, x) == Mat(naive_operator(c, x, False))
 
 
+def naive_triples(c):
+    """(T, U) of the table c, each flattened in (i, j, k) order, from basis
+    products summed over every index."""
+    e = [basis(len(c), i) for i in range(len(c))]
+    return ([naive_product(c, naive_product(c, x, y), z)
+             for x in e for y in e for z in e],
+            [naive_product(c, x, naive_product(c, y, z))
+             for x in e for y in e for z in e])
+
+
+@settings(max_examples=50, deadline=None)
+@given(tables(), tables())
+def test_triple_products_read_back_are_the_tables_own(c, d):
+    """triple_products remembers the table it read last: the (T, U) of a,
+    read again after those of b, and read twice in a row, are a's own."""
+    a, b = Algebra(c), Algebra(d)
+    for x, cx in ((a, c), (b, d), (a, c), (a, c)):
+        got, want = triple_products(x), naive_triples(cx)
+        for g, w in zip(got, want):
+            flat = [v for gi in g for gij in gi for v in gij]
+            assert len(flat) == len(w)
+            assert all(same(v, wv) for v, wv in zip(flat, w))
+
+
 class StubLie:
     "Stands in for classify3, which needs numeric tables."
     def key(self):
@@ -149,7 +173,7 @@ def test_trace_forms_and_dims_match_naive_operators(c):
     e = [basis(n, i) for i in range(n)]
     lm = [Mat(naive_operator(c, v, True)) for v in e]
     rm = [Mat(naive_operator(c, v, False)) for v in e]
-    forms = trace_forms(a, triple_products(a))
+    forms = trace_forms(a)
     for form, xs, ys in zip(forms, (lm, rm, lm), (lm, rm, rm)):
         assert form.rows == tuple(tuple((x * y).trace() for y in ys)
                                   for x in xs)
