@@ -250,19 +250,28 @@ def parameter_names(node):
             + [a.vararg, a.kwarg] if x is not None]
 
 
-@pytest.mark.parametrize("param", ["left_symmetric", "tu"])
-def test_no_function_takes_a_left_symmetry_verdict(param):
-    """A table keeps the verdict check_left_symmetric found for it, and
-    algebra.triple_products remembers the table it read last, so no function
-    of src/lsacat has a parameter (left_symmetric, or tu for the triple
-    products) through which a caller could restate (or misstate) either."""
-    found = ["%s:%d" % (name, node.lineno)
-             for name, tree in package_trees().items()
-             for node in ast.walk(tree)
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda))
-             and param in parameter_names(node)]
-    assert found == []
+def functions_with_parameter(param):
+    "Where a function or lambda of src/lsacat has a parameter named param."
+    return ["%s:%d" % (name, node.lineno)
+            for name, tree in package_trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda))
+            and param in parameter_names(node)]
+
+
+def test_no_function_takes_a_left_symmetry_verdict():
+    """A table keeps the verdict check_left_symmetric found for it, so no
+    function of src/lsacat has a parameter named left_symmetric through
+    which a caller could restate (or misstate) it."""
+    assert functions_with_parameter("left_symmetric") == []
+
+
+def test_no_function_takes_the_triple_products():
+    """algebra.triple_products remembers the table it read last, so no
+    function of src/lsacat has a parameter named tu through which a caller
+    could pass (or mispass) the triple products of a table."""
+    assert functions_with_parameter("tu") == []
 
 
 def test_only_algebra_and_props_import_the_triple_products():
