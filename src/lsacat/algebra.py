@@ -178,20 +178,21 @@ _TRIPLES = {}
 def triple_products(a):
     """(T, U) with T[i][j][k] = (e_i e_j) e_k = sum_p c_ij^p c_pk and
     U[i][j][k] = e_i (e_j e_k) = sum_p c_jk^p c_ip, read off the structure
-    constants, zero coordinates skipped; the associator is T - U.  The (T, U)
-    of the table read last stay in _TRIPLES, shared and never changed, keyed
-    by id(a) and held beside a itself, so no other table can take that id."""
+    constants, zero coordinates and empty cells skipped; the associator is
+    T - U.  The (T, U) of the table read last stay in _TRIPLES, shared and
+    never changed, keyed by id(a) and held beside a itself, so no other
+    table can take that id."""
     hit = _TRIPLES.get(id(a), (None,))
     if hit[0] is a:
         return hit[1]
-    rng = range(a.dim)
+    n, rng = a.dim, range(a.dim)
     nz = [[[(p, x) for p, x in enumerate(v) if not is_zero(x)] for v in r]
           for r in a.c]
     cols = [[r[k] for r in nz] for k in rng]
-    tu = ([[[_expand(nz[i][j], cols[k]) for k in rng] for j in rng]
-           for i in rng],
-          [[[_expand(nz[j][k], nz[i]) for k in rng] for j in rng]
-           for i in rng])
+    tu = ([[[_expand(nz[i][j], cols[k], n) if nz[i][j] else [ZERO] * n
+              for k in rng] for j in rng] for i in rng],
+          [[[_expand(nz[j][k], nz[i], n) if nz[j][k] else [ZERO] * n
+             for k in rng] for j in rng] for i in rng])
     return remember(_TRIPLES, 1, id(a), (a, tu))[1]
 
 
@@ -270,13 +271,14 @@ def substitute_algebra(a, bindings):
                           for x in v] for v in row] for row in a.c])
 
 
-def _expand(terms, vecs):
-    "sum x vecs[p] over the (p, x) in terms, each vecs[p] sparse as terms."
-    out = [None] * len(vecs)
+def _expand(terms, vecs, n):
+    """sum x vecs[p] over the (p, x) in terms, each vecs[p] sparse as terms,
+    in one pass: a coordinate's first term is assigned, not added to ZERO."""
+    out = [ZERO] * n
     for p, x in terms:
         for m, y in vecs[p]:
-            out[m] = x * y if out[m] is None else out[m] + x * y
-    return [ZERO if v is None else v for v in out]
+            out[m] = x * y if out[m] is ZERO else out[m] + x * y
+    return out
 
 
 def _add_scaled(out, f, v):

@@ -24,7 +24,8 @@ from .props import fingerprint
 from .scalars import format_scalar, parse_scalar
 
 
-def _read_doc(path, kinds):
+def _read_doc(path, kinds, action=None):
+    "The document at path, of one of the kinds; with no parameters for action."
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = parse_document(fh.read())
@@ -36,6 +37,9 @@ def _read_doc(path, kinds):
         want = "/".join(kinds)
         raise SystemExit(_fail(2, "%s: expected %s %s document, got %s" % (
             path, "an" if want[0] in "aeiou" else "a", want, doc.kind)))
+    if action and doc.params:
+        raise SystemExit(_fail(2, "parametric table: instantiate before "
+                                  + action))
     return doc
 
 
@@ -45,11 +49,7 @@ def _fail(code, msg):
 
 
 def cmd_check(args):
-    doc = _read_doc(args.file, ("algebra",))
-    alg = doc.payload
-    if doc.params:
-        print("parametric table: instantiate before checking")
-        return 2
+    alg = _read_doc(args.file, ("algebra",), "checking").payload
     ok, cert = check_left_symmetric(alg)
     print("left_symmetric: %s" % ("yes" if ok else "no"))
     if not ok:
@@ -148,8 +148,8 @@ def cmd_iso(args):
             return 2
         print("verdict: %s" % ("isomorphic" if ok else "witness fails"))
         return 0 if ok else 1
-    a = _read_doc(args.search[0], ("algebra",)).payload
-    b = _read_doc(args.search[1], ("algebra",)).payload
+    a, b = (_read_doc(f, ("algebra",), "searching").payload
+            for f in args.search)
     v = search_lsa_iso(a, b)
     print("verdict: %s" % v.status)
     if v.status == "isomorphic":

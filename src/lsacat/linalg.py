@@ -7,8 +7,8 @@ vector x maps to x * M.  Every product with a matrix goes row by row through
 one sparse kernel, _row_times; format_matrix is the one matrix printer.
 
 The determinant, the inverse and the characteristic polynomial come from
-cofactor expansion (_det); rank counts the pivots of forward elimination,
-and nullspaces and span bases come from one elimination, rref.
+cofactor expansion (_det); rank, rref, nullspaces and span bases reduce
+one row at a time against an echelon basis (reduce_row).
 """
 
 from __future__ import annotations
@@ -151,57 +151,36 @@ class Mat(Frozen):
                         for i in range(n)])
 
     def rref(self):
-        "Reduced row echelon form; returns (Mat, pivot column list)."
-        a = [list(r) for r in self.rows]
-        n, m = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for col in range(m):
-            piv = None
-            for k in range(r, n):
-                if not is_zero(a[k][col]):
-                    piv = k
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][col]
-            a[r] = [x * inv for x in a[r]]
-            for k in range(n):
-                if k == r or is_zero(a[k][col]):
-                    continue
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-            pivots.append(col)
-            r += 1
-            if r == n:
-                break
-        return Mat._of(a), pivots
+        """Reduced row echelon form: (its nonzero rows, their pivots), the
+        echelon rows reduced again from the last pivot up, scaled to 1."""
+        echelon, done = self._echelon(), {}
+        for col in sorted(echelon, reverse=True):
+            inv = 1 / echelon[col][col]
+            reduce_row(done, [x * inv for x in echelon[col]])
+        pivots = sorted(done)
+        return [done[col] for col in pivots], pivots
 
     def rank(self):
-        """The pivots of forward elimination: no row is scaled, nothing
-        above a pivot is cleared, and each column is dropped once used."""
-        rows, rank = list(self.rows), 0
-        while rows and rows[0]:
-            piv = next((r for r in rows if not is_zero(r[0])), None)
-            if piv is not None:
-                rows.remove(piv)
-                rank += 1
-            rows = [r[1:] if piv is None or is_zero(r[0]) else
-                    _axpy(-r[0] / piv[0], piv[1:], r[1:]) for r in rows]
-        return rank
+        return len(self._echelon())
+
+    def _echelon(self):
+        "{pivot column: row} of the rows that grow an echelon basis, in order."
+        echelon = {}
+        for r in self.rows:
+            if reduce_row(echelon, r) and len(echelon) == self.ncols:
+                break
+        return echelon
 
     def nullspace(self):
         "Basis (as coordinate lists) of the right-nullspace {x : M x = 0}."
         red, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
         basis = []
-        for f in free:
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for r, p in enumerate(pivots):
-                v[p] = -red.rows[r][f]
-            basis.append(v)
+        for f in range(self.ncols):
+            if f not in pivots:
+                v = basis_vec(self.ncols, f)
+                for r, p in zip(red, pivots):
+                    v[p] = -r[f]
+                basis.append(v)
         return basis
 
     def charpoly(self):
@@ -255,11 +234,6 @@ def _row_times(x, rows):
                     p = xp * y
                     out[k] = p if out[k] is None else out[k] + p
     return [ZERO if s is None else s for s in out]
-
-
-def _axpy(f, xs, ys):
-    "f xs + ys, reading only the nonzero xs."
-    return [y if is_zero(x) else f * x + y for x, y in zip(xs, ys)]
 
 
 def _det(rows):
@@ -319,10 +293,24 @@ def basis_vec(n, k):
     return v
 
 
+def reduce_row(echelon, v):
+    """Reduce the row v against echelon, a dict {pivot column: row} that
+    earlier calls filled, each row zero before its pivot and at the pivots
+    kept before it; keep a nonzero remainder.  Whether echelon grew."""
+    for col, p in echelon.items():
+        x = v[col]
+        if not is_zero(x):
+            f = -x / p[col]
+            v = [ZERO if k == col else y if is_zero(z) else f * z + y
+                 for k, (z, y) in enumerate(zip(p, v))]
+    for col, x in enumerate(v):
+        if not is_zero(x):
+            echelon[col] = v
+            return True
+    return False
+
+
 def span_basis(vectors):
     "RREF basis rows for the span of the given vectors."
-    if not vectors:
-        return []
-    red, pivots = Mat([list(v) for v in vectors]).rref()
-    return [red.row(k) for k in range(len(pivots))]
+    return Mat(vectors).rref()[0] if vectors else []
 

@@ -32,13 +32,14 @@ dimensions are ranks of n-row matrices of the constants.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 
 from .algebra import (check_left_symmetric, commutator_lie,
                       multiplication_operators, multiply, triple_products)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import Mat, basis_vec, span_basis, vec_add, vec_eq, vec_sub
+from .linalg import (Mat, basis_vec, reduce_row, span_basis, vec_add, vec_eq,
+                     vec_sub)
 from .scalars import ONE, ZERO, Record, factor_unipoly, is_zero
 
 
@@ -70,23 +71,25 @@ def is_bisymmetric(a):
 
 def is_transitive(a):
     """Every right multiplication nilpotent: tr(R_x^k) = 0 identically in x
-    for k <= dim (characteristic 0).  Its x_i1...x_ik coefficient sums
-    tr(R_e_ik ... R_e_i1) over the k-tuples with one sorted form; column p
-    of R_b R_a is T[p][a][b], so tr R_a = sum_p c_pa^p, tr(R_b R_a) =
-    sum_p T[p][a][b]_p and tr(R_c R_b R_a) = sum_p,m T[p][a][b]_m c_mc^p."""
+    for k <= 3 (characteristic 0).  Its coefficient at x_i1...x_ik sums
+    tr(R_e_ik ... R_e_i1) over the orderings of i1 <= ... <= ik: a nonzero
+    multiple of the trace at one (of the sum at two for three distinct
+    indices), as traces agree on rotations.  Column p of R_b R_a is
+    T[p][a][b]: tr R_a = sum_p c_pa^p, tr(R_b R_a) = sum_p T[p][a][b]_p,
+    tr(R_c R_b R_a) = sum_p,m T[p][a][b]_m c_mc^p."""
     t, _ = triple_products(a)
     c, rng = a.c, range(a.dim)
-    traces = (lambda x: _sum(c[p][x][p] for p in rng),
-              lambda x, y: _sum(t[p][x][y][p] for p in rng),
-              lambda x, y, z: _sum(v * c[m][z][p] for p in rng
-                                   for m, v in enumerate(t[p][x][y])
-                                   if not is_zero(v)))
-    for k in rng:
-        coeffs = {}
-        for idx in product(rng, repeat=k + 1):
-            key = tuple(sorted(idx))
-            coeffs[key] = coeffs.get(key, ZERO) + traces[k](*idx)
-        if not all(map(is_zero, coeffs.values())):
+    if not (all(is_zero(_nonzero_sum([c[p][x][p] for p in rng]))
+                for x in rng)
+            and all(is_zero(_nonzero_sum([t[p][x][y][p] for p in rng]))
+                    for x, y in combinations_with_replacement(rng, 2))):
+        return False
+    for x, y, z in combinations_with_replacement(rng, 3):
+        orders = ((x, y, z), (x, z, y)) if x < y < z else ((x, y, z),)
+        if not is_zero(_nonzero_sum([
+                v * c[m][k][p] for i, j, k in orders for p in rng
+                for m, v in enumerate(t[p][i][j])
+                if not (is_zero(v) or is_zero(c[m][k][p]))])):
             return False
     return True
 
@@ -103,15 +106,21 @@ def trace_forms(a):
     of R_a R_b is T[p][b][a] and of L_a R_b is U[a][p][b]."""
     t, u = triple_products(a)
     rng = range(a.dim)
-    return [Mat._of([[_sum(col(x, y, p)[p] for p in rng) for y in rng]
-                     for x in rng])
-            for col in (lambda x, y, p: u[x][y][p], lambda x, y, p: t[p][y][x],
-                        lambda x, y, p: u[x][p][y])]
+    return [Mat._of([[_nonzero_sum([u[x][y][p][p] for p in rng])
+                      for y in rng] for x in rng]),
+            Mat._of([[_nonzero_sum([t[p][y][x][p] for p in rng])
+                      for y in rng] for x in rng]),
+            Mat._of([[_nonzero_sum([u[x][p][y][p] for p in rng])
+                      for y in rng] for x in rng])]
 
 
-def _sum(xs):
-    "The sum of the nonzero xs."
-    return sum((x for x in xs if not is_zero(x)), ZERO)
+def _nonzero_sum(xs):
+    "The sum of the nonzero xs; the first is assigned, not added to ZERO."
+    out = ZERO
+    for x in xs:
+        if not is_zero(x):
+            out = x if out is ZERO else out + x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +379,24 @@ def _certified_ideal(a):
     return 0 < len(j) < a.dim and _square_short(a, j)
 
 
-def _products(a, basis):
-    "e_k b and b e_k for each basis row b and basis vector e_k of A."
-    es = [basis_vec(a.dim, k) for k in range(a.dim)]
-    return [p for b in basis for e in es
-            for p in (multiply(a, e, b), multiply(a, b, e))]
+def _products(a, v):
+    "e_k v and v e_k for each basis vector e_k: sums of v_j c_kj and v_j c_jk."
+    c, rng = a.c, range(a.dim)
+    terms = [(j, x) for j, x in enumerate(v) if not is_zero(x)]
+    return [[_nonzero_sum([x * cells[j][m] for j, x in terms
+                           if not is_zero(cells[j][m])]) for m in rng]
+            for k in rng for cells in (c[k], [r[k] for r in c])]
 
 
 def closure_span(a, vectors):
-    """The smallest ideal holding the vectors, as RREF basis rows: each
-    round spans the basis and all its products with A."""
-    basis = span_basis(list(vectors))
-    while 0 < len(basis) < a.dim:
-        grown = span_basis(basis + _products(a, basis))
-        if len(grown) == len(basis):
-            break
-        basis = grown
-    return basis
+    """The smallest ideal holding the vectors, as RREF basis rows.  A queued
+    vector that grows an echelon basis (reduce_row) queues its products
+    with A, until the queue is spent or the basis spans A."""
+    basis, queue = {}, list(vectors)
+    for v in queue:     # the queue grows while it is read
+        if len(basis) < a.dim and reduce_row(basis, v):
+            queue += _products(a, v)
+    return span_basis(list(basis.values()))
 
 
 # ---------------------------------------------------------------------------

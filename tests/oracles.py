@@ -4,7 +4,8 @@ Each oracle checks a verdict of the package by a route of its own:
 right_nilpotent_at powers R_x (right_matrix) at a concrete x against
 is_transitive, and simplicity_oracle_agrees tests the ideals that
 find_ideals reports for closure (ideal_closed, a rank test) and refines
-random vectors against a simple verdict.
+random vectors against a simple verdict.  closure_by_rounds spans a basis
+with all its products, round by round, against props.closure_span.
 random_automorphism draws a member of a stored automorphism group of a
 canonical Lie algebra (lie.aut_template) with small Gaussian-rational
 parameters.
@@ -12,11 +13,11 @@ parameters.
 
 from fractions import Fraction
 
-from lsacat.algebra import multiplication_operators
+from lsacat.algebra import multiplication_operators, multiply
 from lsacat.lie import aut_components, aut_template
 from lsacat.linalg import (Mat, basis_vec, combination, span_basis, vec_add,
                            vec_is_zero)
-from lsacat.props import _products, closure_span, find_ideals
+from lsacat.props import find_ideals
 from lsacat.scalars import QI, is_zero, qi
 
 
@@ -34,12 +35,32 @@ def right_nilpotent_at(a, x):
     return power.is_zero()
 
 
+def products(a, basis):
+    "e_k b and b e_k for each basis row b and basis vector e_k of A."
+    es = [basis_vec(a.dim, k) for k in range(a.dim)]
+    return [p for b in basis for e in es
+            for p in (multiply(a, e, b), multiply(a, b, e))]
+
+
+def closure_by_rounds(a, vectors):
+    """The smallest ideal holding the vectors, as RREF basis rows: each
+    round spans the basis and all its products with A (oracle for
+    props.closure_span)."""
+    basis = span_basis(list(vectors))
+    while 0 < len(basis) < a.dim:
+        grown = span_basis(basis + products(a, basis))
+        if len(grown) == len(basis):
+            break
+        basis = grown
+    return basis
+
+
 def ideal_closed(a, basis):
     """A.J and J.A lie in J = span(basis), basis independent (J = 0 when
     empty): a rank test."""
     if not basis:
         return True
-    return Mat._of(basis + _products(a, basis)).rank() == len(basis)
+    return Mat._of(basis + products(a, basis)).rank() == len(basis)
 
 
 def random_qi_vector(rng, n, nonzero=True):
@@ -62,13 +83,13 @@ def simplicity_oracle_agrees(a, rng, tries=40):
     if not report.has_proper_ideal():
         for _ in range(tries):
             v = random_qi_vector(rng, a.dim)
-            if len(closure_span(a, [v])) < a.dim:
+            if len(closure_by_rounds(a, [v])) < a.dim:
                 return False
         return True
     for v in report.lines:
         if not ideal_closed(a, [v]):
             return False
-        if len(closure_span(a, [v])) >= a.dim:
+        if len(closure_by_rounds(a, [v])) >= a.dim:
             return False
     for _n, bas in report.planes:
         if not ideal_closed(a, bas):

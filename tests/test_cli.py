@@ -487,6 +487,26 @@ def test_full_output(tmp_path, command, doc):
     assert out.endswith("\n")
 
 
+def test_iso_search_refuses_a_parametric_table(tmp_path):
+    """A ratfunc table is refused before the search, as check refuses it.
+    The search reached the Groebner step on this pair, N-2 at lambda = 1/2,
+    mu = 1 against the parametric table of N-2, and let a TypeError
+    escape: a non-constant RatFunc coefficient has no hash."""
+    a, b = tmp_path / "point.alg", tmp_path / "family.alg"
+    a.write_text("kind algebra dim 3 domain gaussian\n"
+                 "e1 e1 = e1 + (-1/4) e3\ne1 e3 = (1/2) e3\n"
+                 "e3 e1 = (1/2) e3\ne3 e2 = e2\ne3 e3 = e3\n")
+    b.write_text("kind algebra dim 3 domain ratfunc\n"
+                 "params lambda ne 0\nparams mu ne 0\n"
+                 "e1 e1 = e1 + ((lambda^2-lambda)/(mu)) e3\n"
+                 "e1 e3 = lambda e3\ne3 e1 = lambda e3\n"
+                 "e3 e2 = e2\ne3 e3 = mu e3\n")
+    for pair in ([a, b], [b, a], [b, b]):
+        code, out = run(["iso", "--search"] + [str(p) for p in pair])
+        assert (code, out) == (
+            2, "parametric table: instantiate before searching\n")
+
+
 def test_iso_search_witness_line(tmp_path):
     """H-1 against a signed permutation times a shear of itself: no cheap
     candidate fits, so the witness comes from the automorphism search."""

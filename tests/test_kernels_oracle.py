@@ -416,16 +416,35 @@ def test_inverse_is_two_sided_and_singular_raises(m, data):
         Mat(list(m.rows[:-1]) + [last]).inverse()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_rank_of_rectangular_matrices_is_rank_by_minors(p, q, data):
-    """Forward elimination counts the pivots of p x q matrices, among them
-    zero rows, repeated rows and entries in MultiPoly."""
-    entries = data.draw(st.lists(scalars(True), min_size=p * q,
+# the shapes the kernels reduce: the constants c_ij^k as a 9 x 3 matrix
+# (A.A) and its 3 x 9 transpose (product span), the 3 x 18 rows of both
+# annihilators, and up to 14 x 3 for an ideal basis with its products
+KERNEL_SHAPES = [(3, 9), (9, 3), (3, 18), (14, 3), (6, 3), (12, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                 st.sampled_from(KERNEL_SHAPES)), st.data())
+def test_rank_of_rectangular_matrices_is_rank_by_minors(shape, data):
+    """Row-by-row reduction counts the rows that grow an echelon basis of
+    p x q matrices, among them zero rows, repeated rows and entries in
+    MultiPoly (up to 4 x 4), and tall matrices whose leading rows already
+    reach full rank, where the reduction stops before the last row."""
+    p, q = shape
+    symbolic = p <= 4 and q <= 4
+    entries = data.draw(st.lists(scalars(symbolic), min_size=p * q,
                                  max_size=p * q))
     rows = [entries[r * q:(r + 1) * q] for r in range(p)]
     if p > 1 and data.draw(st.booleans()):
         rows[-1] = [2 * x for x in rows[0]]
+    if p > q and data.draw(st.booleans()):
+        # unit upper triangular leading rows under a random column order
+        # are independent: full rank q is reached at row q
+        cols = data.draw(st.permutations(range(q)))
+        for r in range(q):
+            rows[r] = [QI(1) if cols[k] == r else
+                       QI(0) if cols[k] < r else rows[r][k]
+                       for k in range(q)]
     assert Mat(rows).rank() == rank_by_minors(rows)
     assert Mat(rows).transpose().rank() == rank_by_minors(rows)
 

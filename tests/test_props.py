@@ -12,8 +12,9 @@ from lsacat.props import (closure_span, find_ideals, fingerprint,
                           is_associative, is_bisymmetric, is_novikov,
                           is_semisimple, is_simple, is_transitive)
 from lsacat.scalars import QI, factor_unipoly
-from oracles import (ideal_closed, random_automorphism, random_qi_vector,
-                     right_nilpotent_at, simplicity_oracle_agrees)
+from oracles import (closure_by_rounds, ideal_closed, random_automorphism,
+                     random_qi_vector, right_nilpotent_at,
+                     simplicity_oracle_agrees)
 
 
 def test_associative_examples():
@@ -270,6 +271,28 @@ def test_closure_span():
     h1 = catalog.instantiate("H-1")
     assert len(closure_span(h1, [basis_vec(h1.dim, 0)])) == 3
     assert len(closure_span(h1, [basis_vec(h1.dim, 2)])) == 1
+
+
+def test_closure_span_matches_the_closure_by_rounds(full_catalog):
+    """The queued closure (one echelon basis, products queued only for the
+    vectors that grow it) gives the RREF basis of the round-based oracle:
+    on the commutator vectors of every catalog point, which
+    ideal_flags closes, and on seeded random vectors at each point."""
+    rng = random.Random(63)
+    points = 0
+    for e in full_catalog.values():
+        for b in e.sample_bindings():
+            a = catalog.instantiate(e.id, b)
+            c = a.c
+            commutators = [[x - y for x, y in zip(c[i][k], c[k][i])]
+                           for i in range(3) for k in range(i + 1, 3)]
+            draws = [[random_qi_vector(rng, 3, nonzero=False)
+                      for _ in range(rng.randint(1, 3))] for _ in range(2)]
+            for vectors in [commutators] + draws:
+                assert (closure_span(a, vectors)
+                        == closure_by_rounds(a, vectors)), (e.id, vectors)
+            points += 1
+    assert points == 258
 
 
 def test_fingerprint_invariance_under_automorphisms():
