@@ -14,9 +14,10 @@ here is safe to use from multiple threads.  An Algebra keeps the verdict
 of its first check_left_symmetric, which a race computes twice at worst.
 Three bounded module maps, each filled through scalars.remember, keep
 results: classify3 by bracket table, the scalar parser by text (handing
-out stored tuples nobody can change) and triple_products for the table
-read last (never another table's).  Dict reads and writes are atomic, so
-at worst two threads compute one twice.
+out stored tuples nobody can change) and triple_products (the dicts of
+the nonzero coordinates of T, U and A = T - U) for the table read last
+(never another table's).  Dict reads and writes are atomic, so at worst
+two threads compute one twice.
 """
 
 from .algebra import (Algebra, check_left_symmetric, commutator_lie,

@@ -4,8 +4,8 @@ An Algebra stores the full multiplication table c[i][j] = coordinates of
 e_i e_j, which is exactly the characteristic-matrix reading: entry (i, j)
 of the printed table is the product (left factor e_i) * (right factor e_j).
 Vectors are plain coordinate lists in the algebra's basis.  The triple
-products (e_i e_j) e_k, e_i (e_j e_k) and the basis operators are read off
-c with no products of basis vectors, skipping zero coordinates and zeros.
+products (e_i e_j) e_k, e_i (e_j e_k), their difference and the basis
+operators are read off the nonzero constants of c, with no basis products.
 
 A LieAlgebra is the same table with a Lie bracket c[i][j] = [e_i, e_j]:
 its constructor checks antisymmetry and the Jacobi identity, so every
@@ -15,11 +15,13 @@ to it unchanged.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import DimensionMismatch, NotLieAlgebra
-from .linalg import (Mat, combination, vec_add, vec_eq, vec_is_zero, vec_sub,
-                     vec_zero)
-from .scalars import (QI, ZERO, Frozen, as_scalar, format_sum, is_zero,
-                      remember)
+from .linalg import (Mat, basis_vec, combination, vec_eq, vec_is_zero,
+                     vec_sub, vec_zero)
+from .scalars import (QI, Frozen, as_scalar, format_sum, is_zero,
+                      nonzero_sums, remember)
 
 
 class Algebra(Frozen):
@@ -132,8 +134,12 @@ def multiply(a, x, y):
         if is_zero(xi):
             continue
         for j, yj in enumerate(y):
-            if not is_zero(yj):
-                _add_scaled(out, xi * yj, a.c[i][j])
+            if is_zero(yj):
+                continue
+            f = xi * yj
+            for k, v in enumerate(a.c[i][j]):
+                if not is_zero(v):
+                    out[k] = out[k] + f * v
     return out
 
 
@@ -150,57 +156,54 @@ def hom_defects(a, b, f):
 
 
 def _check_jacobi(c):
-    "Raise NotLieAlgebra, naming the basis vectors, where c breaks Jacobi."
-    n = len(c)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if not vec_is_zero(_jacobi_sum(c, i, j, k)):
-                    raise NotLieAlgebra(
-                        "bracket table breaks Jacobi at (e%d,e%d,e%d)"
-                        % (i + 1, j + 1, k + 1))
-
-
-def _jacobi_sum(c, i, j, k):
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], read off the
-    bracket constants c as sum_p c_ij^p c_pk + c_jk^p c_pi + c_ki^p c_pj."""
-    out = vec_zero(len(c))
-    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-        for p, x in enumerate(c[a][b]):
-            if not is_zero(x):
-                _add_scaled(out, x, c[p][d])
-    return out
+    """Raise NotLieAlgebra, naming the basis vectors, where c breaks Jacobi:
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is the row vector
+    c_ij | c_jk | c_ki times the matrix of the rows c_pk, c_pi and c_pj."""
+    for i, j, k in combinations(range(len(c)), 3):
+        rows = Mat._of([r[d] for d in (k, i, j) for r in c])
+        if not vec_is_zero(rows.apply_row(c[i][j] + c[j][k] + c[k][i])):
+            raise NotLieAlgebra("bracket table breaks Jacobi at "
+                                "(e%d,e%d,e%d)" % (i + 1, j + 1, k + 1))
 
 
 _TRIPLES = {}
 
 
 def triple_products(a):
-    """(T, U) with T[i][j][k] = (e_i e_j) e_k = sum_p c_ij^p c_pk and
-    U[i][j][k] = e_i (e_j e_k) = sum_p c_jk^p c_ip, read off the structure
-    constants, zero coordinates and empty cells skipped; the associator is
-    T - U.  The (T, U) of the table read last stay in _TRIPLES, shared and
-    never changed, keyed by id(a) and held beside a itself, so no other
-    table can take that id."""
+    """(T, U, A): T[i, j, k, m] is coordinate m of (e_i e_j) e_k = sum_p
+    c_ij^p c_pk^m, U[i, j, k, m] that of e_i (e_j e_k) = sum_p c_jk^p c_ip^m
+    and A = T - U is the associator, each a dict of the nonzero coordinates
+    only.  Each nonzero c_ij^p is paired with the nonzero constants of row
+    p (the c_pk^m, for T) and of column p (the c_hp^m, for U[h, i, j, m]),
+    so each product of two nonzero constants is formed once.  The triple of
+    the table read last stays in _TRIPLES, shared and never changed, keyed
+    by id(a) and held beside a itself, so no other table can take that id."""
     hit = _TRIPLES.get(id(a), (None,))
     if hit[0] is a:
         return hit[1]
-    n, rng = a.dim, range(a.dim)
-    nz = [[[(p, x) for p, x in enumerate(v) if not is_zero(x)] for v in r]
-          for r in a.c]
-    cols = [[r[k] for r in nz] for k in rng]
-    tu = ([[[_expand(nz[i][j], cols[k], n) if nz[i][j] else [ZERO] * n
-              for k in rng] for j in rng] for i in rng],
-          [[[_expand(nz[j][k], nz[i], n) if nz[j][k] else [ZERO] * n
-             for k in rng] for j in rng] for i in rng])
-    return remember(_TRIPLES, 1, id(a), (a, tu))[1]
+    nz = [(i, j, p, x) for i, row in enumerate(a.c) for j, v in enumerate(row)
+          for p, x in enumerate(v) if not is_zero(x)]
+    rows = [[(k, m, y) for q, k, m, y in nz if q == p] for p in range(a.dim)]
+    cols = [[(h, m, y) for h, q, m, y in nz if q == p] for p in range(a.dim)]
+    t = nonzero_sums(((i, j, k, m), x * y)
+                     for i, j, p, x in nz for k, m, y in rows[p])
+    u = nonzero_sums(((h, i, j, m), x * y)
+                     for i, j, p, x in nz for h, m, y in cols[p])
+    s = dict(t)
+    for key, v in u.items():
+        w = s.pop(key, None)
+        if w is None:
+            s[key] = -v
+        elif w != v:
+            s[key] = w - v
+    return remember(_TRIPLES, 1, id(a), (a, (t, u, s)))[1]
 
 
 def check_left_symmetric(a):
-    """Left-symmetry of the associator on all basis triples, read off the
-    triple_products (T, U) of a.  Returns (True, None) or (False, (i, j, k,
-    difference)); the certificate indices are 0-based and the difference is
-    assoc(i,j,k) - assoc(j,i,k).  The first call stores the result on a
+    """Left-symmetry of the associator A of triple_products(a) on all basis
+    triples.  Returns (True, None) or (False, (i, j, k, difference)) for the
+    first i < j, then k, with A(i, j, k) != A(j, i, k), 0-based; difference
+    is assoc(i,j,k) - assoc(j,i,k).  The first call stores the result on a
     (its only slot set after it is built), and later calls return it."""
     if a._left_symmetry is None:
         object.__setattr__(a, "_left_symmetry", _check_associator(a))
@@ -208,17 +211,19 @@ def check_left_symmetric(a):
 
 
 def _check_associator(a):
-    "check_left_symmetric's result, computed."
-    t, u = triple_products(a)
-    n = a.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                ijk, jik = (t[i][j][k], u[i][j][k]), (t[j][i][k], u[j][i][k])
-                if vec_add(ijk[0], jik[1]) != vec_add(jik[0], ijk[1]):
-                    return False, (i, j, k, vec_sub(vec_sub(*ijk),
-                                                    vec_sub(*jik)))
-    return True, None
+    """check_left_symmetric's result.  The difference is summed by multiply
+    from ZERO, so a coordinate is a QI unless a polynomial constant enters."""
+    s = triple_products(a)[2]
+    bad = [(min(i, j), max(i, j), k) for (i, j, k, m), v in s.items()
+           if i != j and s.get((j, i, k, m)) != v]
+    if not bad:
+        return True, None
+    i, j, k = min(bad)
+
+    def assoc(x, y):
+        return vec_sub(multiply(a, a.c[x][y], basis_vec(a.dim, k)),
+                       multiply(a, basis_vec(a.dim, x), a.c[y][k]))
+    return False, (i, j, k, vec_sub(assoc(i, j), assoc(j, i)))
 
 
 def commutator_lie(a):
@@ -269,23 +274,6 @@ def substitute_algebra(a, bindings):
         return a
     return Algebra._of([[[x if type(x) is QI else x.substitute(bindings)
                           for x in v] for v in row] for row in a.c])
-
-
-def _expand(terms, vecs, n):
-    """sum x vecs[p] over the (p, x) in terms, each vecs[p] sparse as terms,
-    in one pass: a coordinate's first term is assigned, not added to ZERO."""
-    out = [ZERO] * n
-    for p, x in terms:
-        for m, y in vecs[p]:
-            out[m] = x * y if out[m] is ZERO else out[m] + x * y
-    return out
-
-
-def _add_scaled(out, f, v):
-    "out += f v in place, skipping the zero coordinates of v."
-    for k, vk in enumerate(v):
-        if not is_zero(vk):
-            out[k] = out[k] + f * vk
 
 
 def _conform(a, x):

@@ -318,22 +318,22 @@ def lookup(entry_id):
     return cat[entry_id]
 
 
-def instantiate(entry_id, bindings=None, check=True):
-    "Exact Algebra over Q(i) for an entry at given parameter values."
-    e = lookup(entry_id)
+def instantiate(entry, bindings=None, check=True):
+    "Exact Algebra over Q(i) for an entry or its id at parameter values."
+    e = entry if isinstance(entry, CatalogEntry) else lookup(entry)
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
     unknown = sorted(p for p in bindings if p not in e.params)
     if unknown:
         raise ConstraintViolated("%s has no parameter(s) %s"
-                                 % (entry_id, ", ".join(unknown)))
+                                 % (e.id, ", ".join(unknown)))
     missing = [p for p in e.params if p not in bindings]
     if missing:
         raise ConstraintViolated("missing binding(s) %s for %s"
-                                 % (", ".join(missing), entry_id))
+                                 % (", ".join(missing), e.id))
     if check and not e.admissible(bindings):
         raise ConstraintViolated(
             "bindings %s violate the constraints of %s"
-            % ({k: format_scalar(v) for k, v in bindings.items()}, entry_id))
+            % ({k: format_scalar(v) for k, v in bindings.items()}, e.id))
     return substitute_algebra(e.table, bindings)
 
 
@@ -411,12 +411,12 @@ def computed_flags(alg):
     return dict(identity_flags(alg), **ideal_flags(alg))
 
 
-def verify_entry(entry_id, bindings=None):
-    "Run every per-entry check at one parameter sample."
-    e = lookup(entry_id)
+def verify_entry(entry, bindings=None):
+    "Run every per-entry check of an entry (or its id) at one sample."
+    e = entry if isinstance(entry, CatalogEntry) else lookup(entry)
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
-    alg = instantiate(entry_id, bindings)
-    rep = EntryReport(entry_id, bindings, alg)
+    alg = instantiate(e, bindings)
+    rep = EntryReport(e.id, bindings, alg)
 
     ok, cert = check_left_symmetric(alg)
     rep.left_symmetric = ok
@@ -487,25 +487,48 @@ def _check_reconstruction(e, rep, h):
     return True
 
 
-def _verify_iso_decl(e, decl, bindings, alg, use_search):
-    """(ok, message) for one coincidence, decided by search_lsa_iso: ok is
-    True if the declaration holds, None if the verdict is unknown and False
-    if it fails.  use_search changes nothing here; the benchmark's worker
-    (perfbench/worker.py) reads it to tell the coincidence calls apart."""
-    tgt_bind = {name: substitute(val, bindings)
-                for name, val in decl.bind.items()}
-    try:
-        target = instantiate(decl.target, tgt_bind, check=False)
-    except LsaError as exc:
-        return False, "iso %s -> %s: target instantiation failed: %s" % (
-            e.id, decl.target, exc)
-    label = "iso %s -> %s" % (point_label(e.id, bindings),
-                              point_label(decl.target, tgt_bind))
-    verdict = search_lsa_iso(alg, target)
+def _verify_iso_decl(src, tgt, use_search):
+    """(ok, message) for the coincidence of the _Point src with the _Point
+    tgt, built here if need be, by search_lsa_iso: ok is True if it holds,
+    None if the verdict is unknown, else False.  use_search changes nothing
+    here; perfbench/worker.py reads it to tell the coincidence calls apart."""
+    if tgt.alg is None:
+        try:
+            tgt.alg = instantiate(tgt.entry, tgt.bindings, check=False)
+        except LsaError as exc:
+            return False, "iso %s -> %s: target instantiation failed: %s" % (
+                src.entry.id, tgt.entry.id, exc)
+    label = "iso %s -> %s" % (src.label(), tgt.label())
+    verdict = search_lsa_iso(src.alg, tgt.alg)
     if verdict.is_isomorphic:
         return True, label + ": ok (search)"
     return (None if verdict.status == "unknown" else False,
             label + ": %s (%s)" % (verdict.status, verdict.reason))
+
+
+class _Point:
+    """A catalog point met by one pass, which builds its table and makes its
+    label (on first use) at most once."""
+
+    def __init__(self, entry, bindings, alg):
+        self.entry, self.bindings, self.alg = entry, bindings, alg
+        self._label = None
+
+    def label(self):
+        if self._label is None:
+            self._label = point_label(self.entry.id, self.bindings)
+        return self._label
+
+
+def _point(points, entry, bindings, alg=None):
+    """The _Point of entry at bindings in points, {entry id: [_Point]},
+    added with the table alg if it is not there."""
+    known = points.setdefault(entry.id, [])
+    for p in known:
+        if p.bindings == bindings:
+            return p
+    known.append(_Point(entry, bindings, alg))
+    return known[-1]
 
 
 class SweepReport(Record):
@@ -534,14 +557,15 @@ def verify_all(families=None, plan=None):
     Otherwise every entry of the given families (default all) runs at its
     default sample plan, in catalog order.
     """
+    cat = load_catalog()
     if plan is None:
-        plan = {e.id: e.sample_bindings()
-                for e in load_catalog().values()
+        plan = {e.id: e.sample_bindings() for e in cat.values()
                 if not families or e.family in families}
     out = SweepReport()
     for entry_id, samples in plan.items():
+        e = cat.get(entry_id, entry_id)     # verify_entry refuses a bad id
         for b in samples:
-            r = verify_entry(entry_id, b)
+            r = verify_entry(e, b)
             out.total += 1
             out.reports.append(r)
             if not r.ok:
@@ -556,31 +580,29 @@ def verify_property_tables(sweep):
     condition's values) it missed, where failed left-symmetry is a mismatch
     too.  'discrepancies' lists every mismatch; 'condition_discrepancies'
     those at the added points, as a sweep report prints its own."""
-    cat = load_catalog()
-    checked = [(cat[r.entry_id], r.bindings, r.computed, [])
-               for r in sweep.reports]
+    cat, points = load_catalog(), {}
+    checked = [(_point(points, cat[r.entry_id], r.bindings, r.alg),
+                r.computed, []) for r in sweep.reports]
     swept = len(checked)
-    seen = {point_label(r.entry_id, r.bindings) for r in sweep.reports}
-    for eid in dict.fromkeys(r.entry_id for r in sweep.reports):
+    for eid in list(points):
         e = cat[eid]
         for b in [b for cond in e.flags.values() if isinstance(cond, tuple)
                   for b in e.sample_bindings(dict(cond))]:
-            label = point_label(eid, b)
-            if label not in seen:
-                seen.add(label)
-                alg = instantiate(eid, b)
-                ok, cert = check_left_symmetric(alg)
-                checked.append((e, b, computed_flags(alg), [] if ok
+            p = _point(points, e, b)
+            if p.alg is None:
+                p.alg = instantiate(e, b)
+                ok, cert = check_left_symmetric(p.alg)
+                checked.append((p, computed_flags(p.alg), [] if ok
                                 else ["left-symmetry fails at triple %s"
                                       % (cert[:3],)]))
     found = ([], [])            # at the sweep's points, at the added ones
     sets = {}
-    for k, (e, bindings, got, wrong) in enumerate(checked):
-        label = point_label(e.id, bindings)
+    for k, (p, got, wrong) in enumerate(checked):
+        e, label = p.entry, p.label()
         for name in FLAG_NAMES:
             if got[name]:
                 sets.setdefault((e.family, name), []).append((e.id, label))
-        wrong += _flag_mismatches(e, bindings, got)
+        wrong += _flag_mismatches(e, p.bindings, got)
         found[k >= swept].extend("%s %s" % (label, m) for m in wrong)
     return {"checked": len(checked), "sets": sets,
             "discrepancies": found[0] + found[1],
@@ -589,21 +611,26 @@ def verify_property_tables(sweep):
 
 def verify_remark_isos(sweep):
     """Check the stored coincidence declarations of the entries a
-    verify_all sweep ran, each decided exactly by search_lsa_iso; a source
-    point the sweep built is not built again.  Returns (confirmed,
-    unconfirmed, failed) message lists."""
-    built = {point_label(r.entry_id, r.bindings): r.alg for r in sweep.reports}
-    swept = {r.entry_id for r in sweep.reports}
+    verify_all sweep ran, each decided exactly by search_lsa_iso; a point
+    the sweep built is not built again, and no point is built or labeled
+    twice.  Returns (confirmed, unconfirmed, failed) message lists."""
+    cat, points = load_catalog(), {}
+    for r in sweep.reports:
+        _point(points, cat[r.entry_id], r.bindings, r.alg)
+    swept = set(points)
     confirmed, unconfirmed, failed = [], [], []
-    for e in load_catalog().values():
+    for e in cat.values():
         if e.id not in swept:
             continue
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
-                alg = built.get(point_label(e.id, b))
-                if alg is None:
-                    alg = instantiate(e.id, b, check=False)
-                ok, msg = _verify_iso_decl(e, decl, b, alg, use_search=True)
+                src = _point(points, e, b)
+                if src.alg is None:
+                    src.alg = instantiate(e, b, check=False)
+                tgt = _point(points, cat[decl.target],
+                             {name: substitute(val, b)
+                              for name, val in decl.bind.items()})
+                ok, msg = _verify_iso_decl(src, tgt, use_search=True)
                 if ok:
                     confirmed.append(msg)
                 elif ok is None:

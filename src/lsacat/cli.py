@@ -109,15 +109,12 @@ def cmd_catalog_verify(args):
     except LsaError as e:
         print("catalog error: %s" % e)
         return 2
-    by_family = {}
+    cat, by_family = catalog.load_catalog(), {}
     for r in report.reports:
-        fam = catalog.lookup(r.entry_id).family
-        by_family.setdefault(fam, set()).add(r.entry_id)
-    for fam in sorted(by_family):
-        n = len(by_family[fam])
-        bad = {r.entry_id for r in report.failures
-               if catalog.lookup(r.entry_id).family == fam}
-        print("%s: %d/%d classes verified" % (fam, n - len(bad), n))
+        by_family.setdefault(cat[r.entry_id].family, set()).add(r.entry_id)
+    bad = {r.entry_id for r in report.failures}
+    for fam, ids in sorted(by_family.items()):
+        print("%s: %d/%d classes verified" % (fam, len(ids - bad), len(ids)))
     print("entry/sample pairs: %d, failures: %d"
           % (report.total, len(report.failures)))
     extra_bad = False

@@ -25,7 +25,7 @@ from .lie import aut_components, aut_template, classify3
 from .linalg import Mat, vec_is_zero
 from .props import fingerprint
 from .scalars import (ONE, QI, ZERO, MultiPoly, Record, _add_multiple,
-                      _term_dict, groebner, is_zero, qi_roots)
+                      _term_dict, groebner, is_zero, nonzero_sums, qi_roots)
 
 
 def verify_lsa_iso(a, b, f):
@@ -100,15 +100,8 @@ _FREE_VALUES = (ONE, -ONE, QI(2), QI(-2), ZERO)
 
 def _bind_last(p, r):
     "The term dict p with its last variable set to r."
-    out = {}
-    for e, c in p.items():
-        key = e[:-1]
-        v = out.get(key, ZERO) + (c * r ** e[-1] if e[-1] else c)
-        if v.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return out
+    return nonzero_sums((e[:-1], c * r ** e[-1] if e[-1] else c)
+                        for e, c in p.items())
 
 
 def _point(polys, n, values=()):

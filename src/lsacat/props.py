@@ -25,28 +25,28 @@ when A, the left annihilator N = {x : xA = 0} of a table already found
 left-symmetric (an ideal with N.N = 0 there, so one rank tells if N != 0),
 or the ideal the commutators generate is such a J.  The identity
 flags, transitivity and the trace forms of the basis operators are read
-off one table of the products (e_i e_j) e_k and e_i (e_j e_k) per algebra
-(algebra.triple_products), and the annihilator and product-span
-dimensions are ranks of n-row matrices of the constants.
+off algebra.triple_products, the dicts T, U and A = T - U of the nonzero
+coordinates (i, j, k, m) of (e_i e_j) e_k, e_i (e_j e_k) and the
+associator; annihilator and product-span dimensions are ranks of n-row
+matrices of the constants.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .algebra import (check_left_symmetric, commutator_lie,
                       multiplication_operators, multiply, triple_products)
 from .errors import ZeroAlgebra
 from .lie import classify3
-from .linalg import (Mat, basis_vec, reduce_row, span_basis, vec_add, vec_eq,
-                     vec_sub)
-from .scalars import ONE, ZERO, Record, factor_unipoly, is_zero
+from .linalg import Mat, basis_vec, reduce_row, span_basis, vec_eq, vec_sub
+from .scalars import (ONE, ZERO, Record, factor_unipoly, is_zero,
+                      nonzero_sums)
 
 
 def is_associative(a):
-    "Associator zero on all basis triples: T = U, (T, U) = triple_products(a)."
-    t, u = triple_products(a)
-    return t == u
+    "Associator zero on all basis triples: A of triple_products(a) is empty."
+    return not triple_products(a)[2]
 
 
 def is_commutative(a):
@@ -56,17 +56,18 @@ def is_commutative(a):
 
 def is_novikov(a):
     "All right multiplications commute pairwise: T symmetric in j, k."
-    t, _ = triple_products(a)
-    return all(ti[j][k] == ti[k][j] for ti in t
-               for j, k in combinations(range(a.dim), 2))
+    return _symmetric(triple_products(a)[0])
 
 
 def is_bisymmetric(a):
-    "Associator also symmetric in its last two arguments: so is T - U."
-    t, u = triple_products(a)
-    return all(vec_add(ti[j][k], ui[k][j]) == vec_add(ti[k][j], ui[j][k])
-               for ti, ui in zip(t, u)
-               for j, k in combinations(range(a.dim), 2))
+    "Associator also symmetric in its last two arguments: so is A."
+    return _symmetric(triple_products(a)[2])
+
+
+def _symmetric(d):
+    "Whether d[i, j, k, m] = d[i, k, j, m] for each key, a missing one zero."
+    return all(j == k or d.get((i, k, j, m)) == v
+               for (i, j, k, m), v in d.items())
 
 
 def is_transitive(a):
@@ -75,23 +76,18 @@ def is_transitive(a):
     tr(R_e_ik ... R_e_i1) over the orderings of i1 <= ... <= ik: a nonzero
     multiple of the trace at one (of the sum at two for three distinct
     indices), as traces agree on rotations.  Column p of R_b R_a is
-    T[p][a][b]: tr R_a = sum_p c_pa^p, tr(R_b R_a) = sum_p T[p][a][b]_p,
-    tr(R_c R_b R_a) = sum_p,m T[p][a][b]_m c_mc^p."""
-    t, _ = triple_products(a)
-    c, rng = a.c, range(a.dim)
-    if not (all(is_zero(_nonzero_sum([c[p][x][p] for p in rng]))
-                for x in rng)
-            and all(is_zero(_nonzero_sum([t[p][x][y][p] for p in rng]))
-                    for x, y in combinations_with_replacement(rng, 2))):
-        return False
-    for x, y, z in combinations_with_replacement(rng, 3):
-        orders = ((x, y, z), (x, z, y)) if x < y < z else ((x, y, z),)
-        if not is_zero(_nonzero_sum([
-                v * c[m][k][p] for i, j, k in orders for p in rng
-                for m, v in enumerate(t[p][i][j])
-                if not (is_zero(v) or is_zero(c[m][k][p]))])):
-            return False
-    return True
+    T[p, a, b]: tr R_a = sum_p c_pa^p, tr(R_b R_a) = sum_p T[p, a, b, p],
+    tr(R_c R_b R_a) = sum_p,m T[p, a, b, m] c_mc^p, both summed over the
+    keys of T, for a <= b, and for a <= b <= c or a < c < b."""
+    t, c, rng = triple_products(a)[0], a.c, range(a.dim)
+    return not (nonzero_sums((x, c[p][x][p]) for x in rng for p in rng
+                             if not is_zero(c[p][x][p]))
+                or nonzero_sums(((x, y), v) for (p, x, y, m), v in t.items()
+                                if p == m and x <= y)
+                or nonzero_sums(((x, min(y, z), max(y, z)), v * c[m][z][p])
+                                for (p, x, y, m), v in t.items() for z in rng
+                                if (x <= y <= z or x < z < y)
+                                and not is_zero(c[m][z][p])))
 
 
 def identity_flags(a):
@@ -102,25 +98,16 @@ def identity_flags(a):
 
 def trace_forms(a):
     """tr(L_a L_b), tr(R_a R_b) and tr(L_a R_b) as matrices over the basis,
-    read off the triple products (T, U): column p of L_a L_b is U[a][b][p],
-    of R_a R_b is T[p][b][a] and of L_a R_b is U[a][p][b]."""
-    t, u = triple_products(a)
+    read off the triple products T and U: column p of L_a L_b is U[a, b, p],
+    of R_a R_b is T[p, b, a] and of L_a R_b is U[a, p, b], so each trace
+    sums the values at the keys whose coordinate is the column's p."""
+    t, u, _ = triple_products(a)
     rng = range(a.dim)
-    return [Mat._of([[_nonzero_sum([u[x][y][p][p] for p in rng])
-                      for y in rng] for x in rng]),
-            Mat._of([[_nonzero_sum([t[p][y][x][p] for p in rng])
-                      for y in rng] for x in rng]),
-            Mat._of([[_nonzero_sum([u[x][p][y][p] for p in rng])
-                      for y in rng] for x in rng])]
-
-
-def _nonzero_sum(xs):
-    "The sum of the nonzero xs; the first is assigned, not added to ZERO."
-    out = ZERO
-    for x in xs:
-        if not is_zero(x):
-            out = x if out is ZERO else out + x
-    return out
+    forms = [nonzero_sums(((k[x], k[y]), v) for k, v in d.items()
+                          if k[p] == k[3])
+             for d, x, y, p in ((u, 0, 1, 2), (t, 2, 1, 0), (u, 0, 2, 1))]
+    return [Mat._of([[f.get((x, y), ZERO) for y in rng] for x in rng])
+            for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +366,17 @@ def _certified_ideal(a):
     return 0 < len(j) < a.dim and _square_short(a, j)
 
 
-def _products(a, v):
-    "e_k v and v e_k for each basis vector e_k: sums of v_j c_kj and v_j c_jk."
-    c, rng = a.c, range(a.dim)
-    terms = [(j, x) for j, x in enumerate(v) if not is_zero(x)]
-    return [[_nonzero_sum([x * cells[j][m] for j, x in terms
-                           if not is_zero(cells[j][m])]) for m in rng]
-            for k in rng for cells in (c[k], [r[k] for r in c])]
-
-
 def closure_span(a, vectors):
     """The smallest ideal holding the vectors, as RREF basis rows.  A queued
-    vector that grows an echelon basis (reduce_row) queues its products
-    with A, until the queue is spent or the basis spans A."""
+    vector v that grows an echelon basis (reduce_row) queues its products
+    e_k v and v e_k with each basis vector, row v times the matrices of the
+    c_kj and of the c_jk, until the queue is spent or the basis spans A."""
+    c, rng = a.c, range(a.dim)
+    ops = [Mat._of(cells) for k in rng for cells in (c[k], [r[k] for r in c])]
     basis, queue = {}, list(vectors)
     for v in queue:     # the queue grows while it is read
         if len(basis) < a.dim and reduce_row(basis, v):
-            queue += _products(a, v)
+            queue += [m.apply_row(v) for m in ops]
     return span_basis(list(basis.values()))
 
 

@@ -71,6 +71,16 @@ def remember(store, bound, key, value):
     return value
 
 
+def nonzero_sums(pairs):
+    """{key: the sum of the values paired with it} over (key, value) pairs,
+    zero sums left out; a key's first value is assigned, not added to 0."""
+    out = {}
+    for key, v in pairs:
+        w = out.get(key)
+        out[key] = v if w is None else w + v
+    return {key: v for key, v in out.items() if not is_zero(v)}
+
+
 def _ratio(x):
     "(numerator, denominator) of an int or Fraction."
     if isinstance(x, (int, Fraction)):

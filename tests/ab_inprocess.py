@@ -2,11 +2,14 @@
 
 Loads the package of each tree under its own name (lsacat_a from the
 first src/ directory, lsacat_b from the second) into this one process,
-then times three pieces of work on each in turn, alternating which tree
+then times four pieces of work on each in turn, alternating which tree
 goes first from round to round:
 
     verify  catalog.verify_all on the shipped catalog (258 points), then
             verify_property_tables on its sweep
+    catalog cli.main(["catalog-verify", "--all"]): the sweep, the remark
+            coincidences and the property pass, its stdout captured; the
+            run stops if the two trees print different text
     height  verify_all over the benchmark's height plans: the d=1 plan of
             perfbench/inputs.height_plans at --seed and the N-3 ladder
     search  search_lsa_iso(a, rebase(a, T)) over perfbench/inputs'
@@ -23,14 +26,16 @@ measures one piece of a change against another; the benchmark
 (perfbench/run.py) stays the judge of end-to-end metrics.
 
     python3 tests/ab_inprocess.py PARENT/src src [--rounds 9] [--seed 1]
-        [--pieces verify,height,search]
+        [--pieces verify,height,search,catalog]
 
 pytest does not collect this file.
 """
 
 import argparse
+import contextlib
 import gc
 import importlib.util
+import io
 import os
 import statistics
 import sys
@@ -40,7 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import inputs  # noqa: E402  (perfbench/inputs.py: seeded plain data)
 
-PIECES = ("verify", "height", "search")
+PIECES = ("verify", "height", "search", "catalog")
 
 
 def load_tree(name, src):
@@ -52,7 +57,8 @@ def load_tree(name, src):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("algebra", "catalog", "iso", "lie", "linalg", "scalars"):
+    for sub in ("algebra", "catalog", "cli", "iso", "lie", "linalg",
+                "scalars"):
         importlib.import_module("%s.%s" % (name, sub))
     return module
 
@@ -69,6 +75,7 @@ class Tree:
             lambda e, v: e.admissible(self._bindings(e, v)))]
         self.height += [self._plan({"N-3": [{"mu": mu}]})
                         for _, mu in inputs.n3_ladder()]
+        self.stdout = None          # of the last catalog piece
         self.search = []
         for eid, rows in inputs.search_cases(list(self.cat), seed):
             a = catalog.instantiate(eid, self.cat[eid].sample_bindings()[0])
@@ -91,7 +98,12 @@ class Tree:
         """Run one piece; exit if a verdict is wrong (a search may say
         unknown, as the benchmark's search workload allows)."""
         catalog = self.pkg.catalog
-        if piece == "verify":
+        if piece == "catalog":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                bad = self.pkg.cli.main(["catalog-verify", "--all"])
+            self.stdout = out.getvalue()
+        elif piece == "verify":
             sweep = catalog.verify_all()
             tables = catalog.verify_property_tables(sweep)
             bad = len(sweep.failures) + len(tables["discrepancies"])
@@ -115,6 +127,13 @@ class Tree:
         return time.process_time() - t0
 
 
+def same_stdout(trees):
+    "Exit unless the trees' last catalog pieces printed the same text."
+    if len({tree.stdout for tree in trees}) > 1:
+        raise SystemExit("catalog-verify --all prints differently on %s"
+                         % " and ".join(tree.pkg.__name__ for tree in trees))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("a_src")
@@ -132,11 +151,13 @@ def main(argv=None):
     for tree in trees:              # warm-up, untimed
         for piece in pieces:
             tree.run(piece)
+    same_stdout(trees)
     times = {(piece, side): [] for piece in pieces for side in (0, 1)}
     for r in range(args.rounds):
         for piece in pieces:
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 times[piece, side].append(trees[side].timed(piece))
+        same_stdout(trees)
     print("piece    A median s  B median s  B/A min  B/A median  rounds")
     for piece in pieces:
         a, b = times[piece, 0], times[piece, 1]

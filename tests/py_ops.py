@@ -6,14 +6,15 @@ Python frames execute, with sys.settrace and frame.f_trace_opcodes, over
 one warm run of each piece:
 
     catalog  cli.main(["catalog-verify", "--all"]) on the shipped catalog,
-             its stdout discarded
+             its stdout captured
     height   verify_all over the benchmark's height plans at --seed
     search   search_lsa_iso(a, rebase(a, T)) over perfbench/inputs'
              search cases at --seed
 
 Each piece runs once untraced first, so the catalog is loaded and parsed
 before the count; the lie classification cache is emptied before the
-counted run, as in a fresh process.  Work done in C (big-integer
+counted run, as in a fresh process.  The count stops if two trees print
+different catalog-verify --all text.  Work done in C (big-integer
 arithmetic, sorted, dict and tuple comparison) is not counted.  The count
 does not depend on the host's speed, and it is the same between runs and
 hash seeds as long as the work is.  One line per tree and piece:
@@ -25,14 +26,11 @@ pytest does not collect this file.
 """
 
 import argparse
-import contextlib
-import importlib
-import io
 import os
 import sys
 import threading
 
-from ab_inprocess import Tree
+from ab_inprocess import Tree, same_stdout
 
 PIECES = ("catalog", "height", "search")
 
@@ -60,19 +58,6 @@ def counted(fn):
     return count[0]
 
 
-def work(tree, piece):
-    "A function that runs the piece once on the loaded tree."
-    if piece == "catalog":
-        def run():
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = tree.pkg.cli.main(["catalog-verify", "--all"])
-            if code != 0:
-                raise SystemExit("%s: catalog-verify --all exited %d"
-                                 % (tree.pkg.__name__, code))
-        return run
-    return lambda: tree.run(piece)
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("srcs", nargs="+", metavar="SRC")
@@ -84,14 +69,16 @@ def main(argv=None):
         p.error("pieces are %s" % ", ".join(PIECES))
     os.environ.pop("LSACAT_DATA", None)
     print("tree  piece    py_ops")
+    trees = []
     for k, src in enumerate(args.srcs):
         tree = Tree("lsacat_%d" % k, src, args.seed)
-        importlib.import_module(tree.pkg.__name__ + ".cli")
+        trees.append(tree)
         for piece in pieces:
-            run = work(tree, piece)
-            run()                       # warm-up, uncounted
+            tree.run(piece)             # warm-up, uncounted
             getattr(tree.pkg.lie, "_CLASSIFIED", {}).clear()
-            print("%-5d %-8s %d" % (k, piece, counted(run)))
+            print("%-5d %-8s %d"
+                  % (k, piece, counted(lambda: tree.run(piece))))
+    same_stdout(trees)
     return 0
 
 

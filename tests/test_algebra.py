@@ -144,9 +144,10 @@ def associator(a, i, j, k):
 def test_associator_zero_on_associative():
     diag = Algebra.from_products(3, {(0, 0): [(1, 0)], (1, 1): [(1, 1)],
                                      (2, 2): [(1, 2)]})
-    t, u = triple_products(diag)
-    assert t == u
-    assert vec_eq(t[1][1][1], [QI(0), QI(1), QI(0)])
+    t, u, s = triple_products(diag)
+    # (e_m e_m) e_m = e_m (e_m e_m) = e_m, and every other triple is zero
+    assert t == u == {(m, m, m, m): QI(1) for m in range(3)}
+    assert s == {}
 
 
 def test_a_new_table_gets_its_own_triple_products():
@@ -154,17 +155,26 @@ def test_a_new_table_gets_its_own_triple_products():
     the caller dropped that one cannot take its id and read its products."""
     for k in range(1, 300):
         a = Algebra([[[k]]])        # e1 e1 = k e1, so (e1 e1) e1 = k^2 e1
-        assert triple_products(a) == ([[[[QI(k * k)]]]], [[[[QI(k * k)]]]])
+        assert triple_products(a) == ({(0, 0, 0, 0): QI(k * k)},
+                                      {(0, 0, 0, 0): QI(k * k)}, {})
         del a
 
 
+def coordinates(d, i, j, k):
+    "The coordinates of the triple (i, j, k) that the dict d holds."
+    return {m: v for (x, y, z, m), v in d.items() if (x, y, z) == (i, j, k)}
+
+
 def test_associator_h1_e2_e1_e2():
-    # (e2 e1) e2 - e2 (e1 e2) = e2 e2 - e2 (e2 + e3) = 0
-    t, u = triple_products(H1)
-    assert vec_is_zero(t[1][0][1]) and vec_is_zero(u[1][0][1])
+    # (e2 e1) e2 - e2 (e1 e2) = e2 e2 - e2 (e2 + e3) = 0: all three are
+    # zero, so none of T, U and A holds a coordinate of (e2, e1, e2)
+    for d in triple_products(H1):
+        assert coordinates(d, 1, 0, 1) == {}
     # (e1 e2) e1 = (e2 + e3) e1 = e2 + e3, e1 (e2 e1) = e1 e2 = e2 + e3
-    assert vec_eq(t[0][1][0], [QI(0), QI(1), QI(1)])
-    assert vec_eq(u[0][1][0], [QI(0), QI(1), QI(1)])
+    t, u, s = triple_products(H1)
+    assert coordinates(t, 0, 1, 0) == coordinates(u, 0, 1, 0) == {
+        1: QI(1), 2: QI(1)}
+    assert coordinates(s, 0, 1, 0) == {}
 
 
 def test_left_symmetric_catalog_entry():

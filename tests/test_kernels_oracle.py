@@ -16,7 +16,7 @@ nullspace of stacked matrices (the common kernel) are checked on random
 matrices of size 1..4 with QI or MultiPoly entries: against det(u I - M),
 against the identity, and against ranks read off nonzero minors."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -31,7 +31,7 @@ from lsacat.scalars import ZERO, MultiPoly, QI, is_zero
 from oracles import right_matrix
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -106,48 +106,100 @@ def table_and_vectors(draw):
     return c, draw(vec), draw(vec)
 
 
+def naive_triples(c):
+    """(T, U, A) of the table c as dicts of their nonzero coordinates, keyed
+    (i, j, k, m), from basis products summed over every index."""
+    n = len(c)
+    e = [basis(n, i) for i in range(n)]
+    out = ({}, {}, {})
+    for i, j, k in product(range(n), repeat=3):
+        t = naive_product(c, naive_product(c, e[i], e[j]), e[k])
+        u = naive_product(c, e[i], naive_product(c, e[j], e[k]))
+        for m in range(n):
+            for d, x in zip(out, (t[m], u[m], t[m] - u[m])):
+                if not is_zero(x):
+                    d[i, j, k, m] = x
+    return out
+
+
+def check_triples(got, c):
+    """Each of got = (T, U, A) stores nonzero coordinates only, and exactly
+    the nonzero coordinates of the oracle's, with their values; A = T - U."""
+    t, u, s = got
+    for g, w in zip(got, naive_triples(c)):
+        assert not any(is_zero(v) for v in g.values())
+        assert g.keys() == w.keys()
+        assert all(g[key] == w[key] for key in w)
+    for key in set(t) | set(u) | set(s):
+        assert s.get(key, ZERO) == t.get(key, ZERO) - u.get(key, ZERO)
+
+
 @settings(max_examples=50, deadline=None)
 @given(table_and_vectors())
 def test_products_and_operators_match_triple_sums(case):
     c, x, y = case
     a = Algebra(c)
-    n = a.dim
     assert same(multiply(a, x, y), naive_product(c, x, y))
-    t, u = triple_products(a)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = basis(n, i), basis(n, j), basis(n, k)
-                assert same(t[i][j][k], naive_product(
-                    c, naive_product(c, ei, ej), ek))
-                assert same(u[i][j][k], naive_product(
-                    c, ei, naive_product(c, ej, ek)))
+    check_triples(triple_products(a), c)
     assert left_matrix(a, x) == Mat(naive_operator(c, x, True))
     assert right_matrix(a, x) == Mat(naive_operator(c, x, False))
-
-
-def naive_triples(c):
-    """(T, U) of the table c, each flattened in (i, j, k) order, from basis
-    products summed over every index."""
-    e = [basis(len(c), i) for i in range(len(c))]
-    return ([naive_product(c, naive_product(c, x, y), z)
-             for x in e for y in e for z in e],
-            [naive_product(c, x, naive_product(c, y, z))
-             for x in e for y in e for z in e])
 
 
 @settings(max_examples=50, deadline=None)
 @given(tables(), tables())
 def test_triple_products_read_back_are_the_tables_own(c, d):
-    """triple_products remembers the table it read last: the (T, U) of a,
-    read again after those of b, and read twice in a row, are a's own."""
+    """triple_products remembers the table it read last: the (T, U, A) of
+    a, read again after those of b, and read twice in a row, are a's own."""
     a, b = Algebra(c), Algebra(d)
     for x, cx in ((a, c), (b, d), (a, c), (a, c)):
-        got, want = triple_products(x), naive_triples(cx)
-        for g, w in zip(got, want):
-            flat = [v for gi in g for gij in gi for v in gij]
-            assert len(flat) == len(w)
-            assert all(same(v, wv) for v, wv in zip(flat, w))
+        check_triples(triple_products(x), cx)
+
+
+def dense_certificate(a):
+    """check_left_symmetric's certificate as the dense triple products gave
+    it: T[i][j][k] and U[i][j][k] as lists of dim coordinates, each summed
+    over the nonzero constants with its first term assigned, then the first
+    i < j, then k, where assoc(i,j,k) != assoc(j,i,k), and the difference
+    (T[i][j][k] - U[i][j][k]) - (T[j][i][k] - U[j][i][k])."""
+    c, rng = a.c, range(a.dim)
+
+    def cell(pairs):
+        out = [ZERO] * a.dim
+        for x, vec in pairs:
+            for m, y in enumerate(vec):
+                if not (is_zero(x) or is_zero(y)):
+                    out[m] = x * y if out[m] is ZERO else out[m] + x * y
+        return out
+    t = {(i, j, k): cell((c[i][j][p], c[p][k]) for p in rng)
+         for i, j, k in product(rng, repeat=3)}
+    u = {(i, j, k): cell((c[j][k][p], c[i][p]) for p in rng)
+         for i, j, k in product(rng, repeat=3)}
+    for i, j in combinations(rng, 2):
+        for k in rng:
+            d = [(w - x) - (y - z) for w, x, y, z in zip(
+                t[i, j, k], u[i, j, k], t[j, i, k], u[j, i, k])]
+            if not all(is_zero(x) for x in d):
+                return i, j, k, d
+    return None
+
+
+# e1 e2 = -e1, e2 e1 = t e1: assoc(e2, e1, e2) = -t e1 + t e1 cancels, yet
+# the dense sums kept it a MultiPoly, so the certificate's difference at e1
+# is MultiPoly(1), not QI(1)
+CANCELLING = [[[QI(0), QI(0)], [QI(-1), QI(0)]],
+              [[MultiPoly.var("t"), QI(0)], [QI(0), QI(0)]]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables())
+@example(CANCELLING)
+def test_certificate_is_the_dense_one(c):
+    """On a table that is not left-symmetric, the certificate, QI or
+    MultiPoly coordinates alike, prints as the dense sums printed it."""
+    a = Algebra(c)
+    ok, cert = check_left_symmetric(a)
+    assume(not ok)
+    assert repr(cert) == repr(dense_certificate(a))
 
 
 class StubLie:
@@ -311,6 +363,31 @@ def test_transitivity_read_off_the_cubic_trace(cases):
     for c, transitive in cases:
         assert is_transitive(Algebra(c)) is transitive
         check_against_definitions(c)
+
+
+def test_transitivity_needs_the_cubic_trace():
+    """Three tables pin is_transitive's reader of tr(R_x^3) without the
+    catalog.  R_e1 the companion matrix of t^3 - 1 (e1 e1 = e2, e2 e1 = e3,
+    e3 e1 = e1, R_e2 = R_e3 = 0): tr R_x = tr R_x^2 = 0 but tr R_x^3 =
+    3 x1^3, so it is not transitive.  Right multiplications strictly
+    triangular (e_i e_j in the span of the e_k, k > i): transitive.  The
+    split trace table e1 e2 = e2 e1 = e3, e3 e1 = e1, e3 e2 = -e2:
+    transitive, though tr(L_x R_x^2) = 2 x1 x2 x3, so a reader that
+    takes c[z][m][p] for c[m][z][p] calls it intransitive."""
+    o, l = QI(0), QI(1)
+    companion = [[[o, l, o], [o, o, o], [o, o, o]],
+                 [[o, o, l], [o, o, o], [o, o, o]],
+                 [[l, o, o], [o, o, o], [o, o, o]]]
+    triangular = [[[o, l, o], [o, o, l], [o, l, l]],
+                  [[o, o, l], [o, o, -l], [o, o, o]],
+                  [[o, o, o], [o, o, o], [o, o, o]]]
+    split = [[[o, o, o], [o, o, l], [o, o, o]],
+             [[o, o, l], [o, o, o], [o, o, o]],
+             [[l, o, o], [o, -l, o], [o, o, o]]]
+    for c, transitive in ((companion, False), (triangular, True),
+                          (split, True)):
+        assert is_transitive(Algebra(c)) is transitive
+        assert naive_flags(c)["transitive"] is transitive
 
 
 def test_catalog_tables_match_definitions(first_samples):
