@@ -52,30 +52,27 @@ _SAMPLE_POOLS = {
 
 
 class IsoDecl(Record):
-    def __init__(self, target, when=None, bind=None, lineno=0):
+    def __init__(self, target, lineno=0):
         self.target = target
-        self.when = {} if when is None else when    # param -> QI
-        self.bind = {} if bind is None else bind    # target param -> scalar
-        self.lineno = lineno                        # line in its data file
+        self.when = {}              # param -> QI
+        self.bind = {}              # target param -> scalar
+        self.lineno = lineno        # line in its data file
 
 
 class CatalogEntry(Record):
-    def __init__(self, id, family, params=None, table=None, primed=None,
-                 primed_witness=None, case="", f_mats=None, cmat=None,
-                 flags=None, isos=None, samples_override=None):
+    def __init__(self, id, family):
         self.id = id
         self.family = family
-        self.params = {} if params is None else params  # name -> constraint
-        self.table = table                      # parametric Algebra
-        self.primed = primed
-        self.primed_witness = primed_witness
-        self.case = case
-        self.f_mats = f_mats                    # list of parametric Mat
-        self.cmat = cmat
-        self.flags = {} if flags is None else flags     # name -> condition
-        self.isos = [] if isos is None else isos
-        self.samples_override = ({} if samples_override is None
-                                 else samples_override)
+        self.params = {}            # name -> constraint
+        self.table = None           # parametric Algebra
+        self.primed = None
+        self.primed_witness = None
+        self.case = ""
+        self.f_mats = None          # list of parametric Mat
+        self.cmat = None
+        self.flags = {}             # name -> condition
+        self.isos = []
+        self.samples_override = {}
 
     def admissible(self, bindings):
         for name, c in self.params.items():
@@ -297,8 +294,8 @@ def load_catalog():
     if directory in _CACHE:
         return _CACHE[directory]
     out, isos = {}, []
-    for family in ("H", "N", "D1", "Dl", "E"):
-        path = os.path.join(directory, FAMILY_FILES[family])
+    for name in FAMILY_FILES.values():
+        path = os.path.join(directory, name)
         for e in _load_file(path):
             if e.id in out:
                 raise DocSemanticError("duplicate entry id %s" % e.id)
@@ -344,18 +341,16 @@ def instantiate(entry, bindings=None, check=True):
 class EntryReport(Record):
     "The one record of a catalog point: its algebra and every check's result."
 
-    def __init__(self, entry_id, bindings, alg=None, lie_class_ok=False,
-                 cocycle_reconstruction_ok=True, flags_ok=False,
-                 computed=None, messages=None):
+    def __init__(self, entry_id, bindings, alg=None):
         self.entry_id = entry_id
         self.bindings = bindings
         self.alg = alg
         self.left_symmetric = False     # check_left_symmetric's verdict
-        self.lie_class_ok = lie_class_ok
-        self.cocycle_reconstruction_ok = cocycle_reconstruction_ok
-        self.flags_ok = flags_ok
-        self.computed = computed
-        self.messages = [] if messages is None else messages
+        self.lie_class_ok = False
+        self.cocycle_reconstruction_ok = True
+        self.flags_ok = False
+        self.computed = None
+        self.messages = []
 
     @property
     def ok(self):
@@ -489,15 +484,18 @@ def _check_reconstruction(e, rep, h):
 
 def _verify_iso_decl(src, tgt, use_search):
     """(ok, message) for the coincidence of the _Point src with the _Point
-    tgt, built here if need be, by search_lsa_iso: ok is True if it holds,
-    None if the verdict is unknown, else False.  use_search changes nothing
-    here; perfbench/worker.py reads it to tell the coincidence calls apart."""
-    if tgt.alg is None:
-        try:
-            tgt.alg = instantiate(tgt.entry, tgt.bindings, check=False)
-        except LsaError as exc:
-            return False, "iso %s -> %s: target instantiation failed: %s" % (
-                src.entry.id, tgt.entry.id, exc)
+    tgt, each built here if need be, by search_lsa_iso: ok is True if it
+    holds, None if the verdict is unknown, else False; an end that cannot
+    be built (a remark may pin a value outside the entry's domain) fails
+    the coincidence.  use_search changes nothing here; perfbench/worker.py
+    reads it to tell the coincidence calls apart."""
+    for end, p in (("source", src), ("target", tgt)):
+        if p.alg is None:
+            try:
+                p.alg = instantiate(p.entry, p.bindings, check=False)
+            except LsaError as exc:
+                return False, "iso %s -> %s: %s instantiation failed: %s" % (
+                    src.entry.id, tgt.entry.id, end, exc)
     label = "iso %s -> %s" % (src.label(), tgt.label())
     verdict = search_lsa_iso(src.alg, tgt.alg)
     if verdict.is_isomorphic:
@@ -532,10 +530,10 @@ def _point(points, entry, bindings, alg=None):
 
 
 class SweepReport(Record):
-    def __init__(self, total=0, failures=None, reports=None):
-        self.total = total
-        self.failures = [] if failures is None else failures
-        self.reports = [] if reports is None else reports
+    def __init__(self):
+        self.total = 0
+        self.failures = []
+        self.reports = []
 
     @property
     def ok(self):
@@ -625,8 +623,6 @@ def verify_remark_isos(sweep):
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
                 src = _point(points, e, b)
-                if src.alg is None:
-                    src.alg = instantiate(e, b, check=False)
                 tgt = _point(points, cat[decl.target],
                              {name: substitute(val, b)
                               for name, val in decl.bind.items()})

@@ -95,8 +95,7 @@ def cmd_catalog_verify(args):
                 if not (name.strip() and val.strip()):
                     raise LsaError("--param expects NAME=VALUE, got %r" % item)
                 if name in bindings:
-                    print("catalog error: --param %s is given twice" % name)
-                    return 2
+                    raise LsaError("--param %s is given twice" % name)
                 try:
                     bindings[name] = parse_scalar(val, vars=())
                 except LsaError as e:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
 from .errors import DimensionMismatch, InternalError, NotDimension3
 from .linalg import Mat, basis_vec, span_basis, vec_is_zero, vec_scale
-from .scalars import (ONE, QI, ZERO, Frozen, factor_unipoly, is_zero,
-                      parse_scalar, qi, remember)
+from .scalars import (ONE, QI, ZERO, Frozen, as_scalar, factor_unipoly,
+                      is_zero, parse_scalar, qi, remember)
 
 
 def check_lie_automorphism(g, t):
@@ -67,8 +67,8 @@ def canonical_lie(family, l=None):
         if l is None:
             raise ValueError("Dl needs the parameter l")
         # [e3,e1] = e1, [e3,e2] = l e2 is antisymmetric and satisfies
-        # Jacobi for every l, so the table needs no check
-        l, z = qi(l), (ZERO, ZERO, ZERO)
+        # Jacobi for every l, so the table needs no check; l may be symbolic
+        l, z = as_scalar(l), (ZERO, ZERO, ZERO)
         return LieAlgebra._of(((z, z, (-ONE, ZERO, ZERO)),
                                (z, z, (ZERO, -l, ZERO)),
                                ((ONE, ZERO, ZERO), (ZERO, l, ZERO), z)))

@@ -95,6 +95,8 @@ L = MultiPoly.var("l")
      DimensionMismatch("automorphism candidate has wrong shape")),
     (lambda: canonical_lie("Dl"), ValueError("Dl needs the parameter l")),
     (lambda: canonical_lie("X"), ValueError("unknown family 'X'")),
+    (lambda: canonical_lie("Dl", "l"),
+     DomainMismatch("cannot interpret 'l' as a scalar")),
     (lambda: aut_template("X"),
      ValueError("no stored automorphism group for 'X'")),
     (lambda: canonical_l(0), QI(0)),
@@ -119,7 +121,7 @@ L = MultiPoly.var("l")
                                   Mat.identity(3), Mat.identity(3)), False),
 ], ids=["mat_add", "mat_mul", "apply_row", "apply_col", "det", "inverse",
         "charpoly", "trace", "rebase", "lie_automorphism", "dl_without_l",
-        "unknown_family", "unknown_aut_group", "canonical_l_of_0",
+        "unknown_family", "dl_with_text_l", "unknown_aut_group", "canonical_l_of_0",
         "lsa_iso_dims", "unsorted_vars", "term_arity", "const_value",
         "poly_div_zero", "ratfunc_div_zero", "ratfunc_zero_den",
         "lead_of_zero", "roots_of_constant", "missing_binding",

@@ -549,6 +549,20 @@ FAILING_MUTANTS = {
         "property table discrepancies: 0",
         "  iso H-1 -> H-10: target instantiation failed: denominator "
         "lambda-1 vanishes at {'lambda': '1'}"]),
+    # N-2's table holds lambda*(lambda-1)/mu, so its source points at the
+    # pin mu = 0 cannot be built: each is one failed coincidence, and the
+    # other iso line and the property pass still report
+    "iso_source_refuses_binding": (
+        "n.cat", "iso N-3 when lambda=0 bind mu=mu\n",
+        "iso N-3 when lambda=0 bind mu=mu\niso N-3 when mu=0 bind mu=1\n",
+        ["--entry", "N-2"], [
+            "N: 1/1 classes verified",
+            "entry/sample pairs: 12, failures: 0",
+            "remark coincidences: 3 confirmed, 0 unconfirmed, 4 failed",
+            "property table discrepancies: 0"] + [
+            "  iso N-2 -> N-3: source instantiation failed: denominator mu "
+            "vanishes at {'lambda': '%s', 'mu': '0'}" % v
+            for v in ("2", "-1", "1/2", "3")]),
     "flag_flipped": ("h.cat", "flags novikov=yes\nend", "flags\nend",
                      ["--entry", "H-1"], [
         "H: 0/1 classes verified",
@@ -766,3 +780,121 @@ def test_readme_quick_start_runs(capsys):
     assert scope["report"].summary() == (
         "verified 18 entry/sample pairs, 0 failures")
     assert capsys.readouterr().out.splitlines()[-1] == scope["report"].summary()
+
+
+# FOUND: `params l ne 0 1` admits l = 2, which the header of dl.cat (0 <
+# |l| < 1 or l on the upper unit circle) excludes, and three entries fail
+# there: det C = +-(l - 2) on Dl-9 and Dl-21, and the transitive and
+# Novikov flags change.  Pinned as the data reads until the range of l is
+# decided; at l = 1/2 all three verify.
+FAILS_AT_L_2 = {
+    "Dl-9": ["stored C is singular",
+             "transitive: computed True, table says False",
+             "novikov: computed True, table says False"],
+    "Dl-15": ["novikov: computed True, table says False"],
+    "Dl-21": ["stored C is singular",
+              "transitive: computed True, table says False",
+              "novikov: computed True, table says False"],
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(FAILS_AT_L_2))
+def test_dl_entry_fails_at_l_2(capsys, entry_id):
+    argv = ["catalog-verify", "--entry", entry_id, "--param"]
+    assert cli.main(argv + ["l=2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "Dl: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "%s[l=2]: FAIL" % entry_id] + [
+        "    " + m for m in FAILS_AT_L_2[entry_id]]
+    assert cli.main(argv + ["l=1/2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Dl: 1/1 classes verified", "entry/sample pairs: 1, failures: 0"]
+
+
+def pinned(x, values):
+    """The scalar x with each parameter replaced by values[name], a QI or
+    a MultiPoly (MultiPoly.substitute only evaluates fully)."""
+    if type(x) is QI:
+        return x
+    if isinstance(x, RatFunc):
+        return pinned(x.num, values) / pinned(x.den, values)
+    out = QI(0)
+    for exps, c in x.terms.items():
+        for name, k in zip(x.vars, exps):
+            c = c * values[name] ** k
+        out = out + c
+    return out
+
+
+def parametric_faults(e):
+    """The per-point identities that fail on the entry e over its
+    parameters, by name: left-symmetry and h = g on every entry, det C != 0
+    and A_i C = C F_i on a non-primed one, and on a primed one phi's table
+    against the primed table and the primed witness.  A parameter pinned by
+    `eq` takes its value; every other one stays a MultiPoly variable."""
+    values = {name: c[1] if c[0] == "eq" else MultiPoly.var(name)
+              for name, c in e.params.items()}
+
+    def algebra(a):
+        return Algebra._of([[[pinned(x, values) for x in v] for v in row]
+                            for row in a.c])
+
+    def mat(m):
+        return Mat._of([[pinned(x, values) for x in r] for r in m.rows])
+
+    table, cm, fs = algebra(e.table), mat(e.cmat), [mat(f) for f in e.f_mats]
+    if not check_left_symmetric(table)[0]:
+        return ["left-symmetry"]
+    g = catalog.family_lie(e, values)
+    faults = [] if commutator_lie(table) == g else ["h = g"]
+    if e.primed is None:
+        if cm.det().is_zero():
+            faults.append("det C")
+        if any(Mat._of(table.c[i]) * cm != cm * f for i, f in enumerate(fs)):
+            faults.append("A_i C = C F_i")
+        return faults
+    primed = algebra(e.primed)
+    if phi(Cocycle(Representation(g, fs), cm)) != primed:
+        faults.append("phi")
+    if not verify_lsa_iso(primed, table, mat(e.primed_witness)):
+        faults.append("primed witness")
+    return faults
+
+
+def test_point_identities_hold_over_the_parameters(full_catalog):
+    """Every identity verify_entry checks point by point, proved over the
+    parameters of each entry that has a free one: the 258 samples stay
+    the oracle, and a table term that vanishes at every sample fails here."""
+    free = [e for e in full_catalog.values()
+            if any(c[0] != "eq" for c in e.params.values())]
+    assert len(free) == 49
+    assert [e.id for e in free if e.primed is not None] == [
+        "N-13", "N-14", "N-37", "N-43"]
+    assert [e.id for e in free if "eq" in {c[0] for c in e.params.values()}
+            ] == ["Dhalf-S-1", "Dhalf-S-5"]
+    assert {e.id: parametric_faults(e) for e in free} == {
+        e.id: [] for e in free}
+
+
+def sample_vanishing_mutant(e):
+    """e with P(lambda) e1 added to its product e1 e1, where P is the
+    product of lambda - v over each lambda v of e's sample plan."""
+    lam, p = MultiPoly.var("lambda"), QI(1)
+    for v in {b["lambda"] for b in e.sample_bindings()}:
+        p = p * (lam - v)
+    c = [[list(v) for v in row] for row in e.table.c]
+    c[0][0][0] = c[0][0][0] + p
+    return replaced(e, table=Algebra._of(c))
+
+
+@pytest.mark.parametrize("entry_id", ["N-38", "N-24", "D1bar-1",
+                                      "Dhalf-S-5"])
+def test_sample_vanishing_mutant_fails_over_the_parameters(entry_id):
+    "The mutant passes verify_entry at every sample, and not the proof."
+    e = catalog.lookup(entry_id)
+    mutant = sample_vanishing_mutant(e)
+    assert mutant.table != e.table
+    for b in e.sample_bindings():
+        assert catalog.verify_entry(mutant, b).ok, b
+    assert parametric_faults(mutant) != []

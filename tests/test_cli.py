@@ -698,12 +698,10 @@ SHARED_NAMES = {
 }
 
 
-def test_package_has_no_public_api_only_tests_reach():
-    """Every public function and method in src/lsacat is referenced from
-    src/ (re-exports in __init__ not counted), perfbench/ or the acceptance
-    tests, apart from UNCALLED_ALLOWED; a name defined more than once is
-    one of SHARED_NAMES."""
-    trees = package_trees()
+def user_trees(trees):
+    """The parsed modules that count as users of the package: those of
+    src/lsacat in trees but __init__ (its re-exports), perfbench/ and the
+    acceptance tests."""
     root = os.path.join(SRC, "..")
     paths = [os.path.join(root, "tests", "test_acceptance.py")]
     bench = os.path.join(root, "perfbench")
@@ -713,7 +711,16 @@ def test_package_has_no_public_api_only_tests_reach():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             users.append(ast.parse(fh.read(), path))
-    total = Counter(r for tree in users for r in references(tree))
+    return users
+
+
+def test_package_has_no_public_api_only_tests_reach():
+    """Every public function and method in src/lsacat is referenced from
+    src/ (re-exports in __init__ not counted), perfbench/ or the acceptance
+    tests, apart from UNCALLED_ALLOWED; a name defined more than once is
+    one of SHARED_NAMES."""
+    trees = package_trees()
+    total = Counter(r for tree in user_trees(trees) for r in references(tree))
 
     def public(tree, name):
         "(where, function) of each public function and method of tree."
@@ -733,6 +740,35 @@ def test_package_has_no_public_api_only_tests_reach():
     assert unreached == UNCALLED_ALLOWED
     assert {fn: where for fn, where in defined.items()
             if len(where) > 1} == SHARED_NAMES
+
+
+def test_record_constructors_take_only_what_callers_pass():
+    """Every __init__ parameter of a scalars.Record subclass in src/lsacat
+    is passed, by position or by keyword, at some construction in src/,
+    perfbench/ or the acceptance tests; a field no caller sets is assigned
+    its default in the body instead."""
+    trees = package_trees()
+    params = {node.name: parameter_names(fn)[1:]
+              for tree in trees.values() for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and "Record" in [getattr(b, "id", "") for b in node.bases]
+              for fn in node.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"}
+    assert {"CatalogEntry", "Document", "IsoVerdict"} <= set(params)
+    passed = defaultdict(set)
+    for tree in user_trees(trees):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name not in params:
+                continue
+            passed[name].update(params[name][:len(call.args)])
+            passed[name].update(k.arg for k in call.keywords)
+    unpassed = ["%s.%s" % (cls, p) for cls, names in sorted(params.items())
+                for p in names if p not in passed[cls]]
+    assert unpassed == []
 
 
 # the reasons README gives for a statement that no test runs
@@ -982,3 +1018,5 @@ def test_catalog_verify_rejects_undeclared_or_repeated_param(extra, name):
     assert code == 2
     assert out.startswith("catalog error: ")
     assert name in out
+    if extra == "lambda=3":     # raised into the one catalog error handler
+        assert out == "catalog error: --param lambda is given twice\n"
