@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from fractions import Fraction
 
 from .algebra import check_left_symmetric, commutator_lie, substitute_algebra
@@ -75,12 +76,8 @@ class CatalogEntry(Record):
         self.samples_override = {}
 
     def admissible(self, bindings):
-        for name, c in self.params.items():
-            if name not in bindings:
-                return False
-            if not constraint_allows(c, bindings[name]):
-                return False
-        return True
+        return all(name in bindings and constraint_allows(c, bindings[name])
+                   for name, c in self.params.items())
 
     def sample_bindings(self, when=None):
         """Default parameter sample plan, filtered by the constraints; the
@@ -121,20 +118,17 @@ def data_dir():
 
 
 # keys of the lines an entry block reads itself, and of its docs.Body lines
-_META = ("family", "case", "flags", "samples", "iso")
+_META = frozenset(("family", "case", "flags", "samples", "iso"))
 _BODY_KEYS = ("table", "primed", "primed_witness", "f", "C")
 
 
-def _parse_entry_block(block):
-    lineno, first = block[0]
-    head = first.split()
-    if head[0] != "entry" or len(head) != 2:
+def _parse_entry_block(head, meta, grammar):
+    "The entry of a block from its first, metadata and docs.Body lines."
+    words = head[1].split()
+    if words[0] != "entry" or len(words) != 2:
         raise DocSyntaxError("entry block must start with 'entry <id>'",
-                             lineno, 1)
-    e = CatalogEntry(id=head[1], family="")
-    meta, grammar = [], []
-    for item in block[1:]:
-        (meta if item[1].split(None, 1)[0] in _META else grammar).append(item)
+                             head[0], 1)
+    e = CatalogEntry(id=words[1], family="")
     body = Body(grammar, 3, _BODY_KEYS, "catalog entry")
     e.params = body.params
     e.table = body.products("table")
@@ -177,8 +171,8 @@ def _parse_entry_block(block):
             name = _declared(head.split()[1], lineno, body.pnames)
             # each comma-separated value, without the spaces around it
             e.samples_override[name] = [
-                _const_value(v, lineno, len(head) + 1 + col)
-                for col, v in _words(rest, r"[^,\s]+(?:\s+[^,\s]+)*")]
+                _const_value(m.group(), lineno, len(head) + 2 + m.start())
+                for m in re.finditer(r"[^,\s]+(?:\s+[^,\s]+)*", rest)]
         else:
             e.isos.append(_parse_iso(line, lineno, body.pnames))
     if e.family not in FAMILY_FILES:
@@ -269,19 +263,23 @@ def _in_file(path):
 
 
 def _load_file(path):
+    "The entries of a data file, each block's lines sorted as they are read."
     entries = []
-    block = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in content_lines(fh):
-            if line.strip() == "end":
-                with _in_file(path):
-                    entries.append(_parse_entry_block(block))
-                block = []
-                continue
-            block.append((lineno, line))
-    if block:
+    head, meta, grammar = None, [], []
+    with open(path, "r", encoding="utf-8") as fh, _in_file(path):
+        for item in content_lines(fh):
+            first = item[1].split(None, 1)
+            if first[0] == "end" and len(first) == 1:
+                # an 'end' alone is a block that lacks its 'entry <id>'
+                entries.append(_parse_entry_block(head or item, meta, grammar))
+                head, meta, grammar = None, [], []
+            elif head is None:
+                head = item
+            else:
+                (meta if first[0] in _META else grammar).append(item)
+    if head is not None:
         raise DocSyntaxError("unterminated entry block in %s" % path,
-                             block[0][0], 1)
+                             head[0], 1)
     return entries
 
 
@@ -293,17 +291,19 @@ def load_catalog():
     directory = data_dir()
     if directory in _CACHE:
         return _CACHE[directory]
-    out, isos = {}, []
+    out, files = {}, []
     for name in FAMILY_FILES.values():
         path = os.path.join(directory, name)
-        for e in _load_file(path):
+        entries = _load_file(path)
+        for e in entries:
             if e.id in out:
                 raise DocSemanticError("duplicate entry id %s" % e.id)
             out[e.id] = e
-            isos += [(path, decl) for decl in e.isos]
-    for path, decl in isos:
+        files.append((path, entries))
+    for path, entries in files:
         with _in_file(path):
-            _check_iso_target(decl, out)
+            for decl in [d for e in entries for d in e.isos]:
+                _check_iso_target(decl, out)
     _CACHE[directory] = out
     return out
 
@@ -482,20 +482,25 @@ def _check_reconstruction(e, rep, h):
     return True
 
 
-def _verify_iso_decl(src, tgt, use_search):
-    """(ok, message) for the coincidence of the _Point src with the _Point
-    tgt, each built here if need be, by search_lsa_iso: ok is True if it
-    holds, None if the verdict is unknown, else False; an end that cannot
-    be built (a remark may pin a value outside the entry's domain) fails
-    the coincidence.  use_search changes nothing here; perfbench/worker.py
+def _verify_iso_decl(points, src, target, bind, use_search):
+    """(ok, message) for the coincidence of the _Point src with the point
+    of the entry target at bind's values at src (in points), by
+    search_lsa_iso: ok is True if it holds, None if the verdict is unknown,
+    else False.  A bind that cannot be evaluated or an end that cannot be
+    built (a remark may pin a value outside the entry's domain) fails the
+    coincidence.  use_search changes nothing here; perfbench/worker.py
     reads it to tell the coincidence calls apart."""
-    for end, p in (("source", src), ("target", tgt)):
-        if p.alg is None:
-            try:
+    stage = "bind"
+    try:
+        tgt = _point(points, target, {name: substitute(val, src.bindings)
+                                      for name, val in bind.items()})
+        for stage, p in (("source instantiation", src),
+                         ("target instantiation", tgt)):
+            if p.alg is None:
                 p.alg = instantiate(p.entry, p.bindings, check=False)
-            except LsaError as exc:
-                return False, "iso %s -> %s: %s instantiation failed: %s" % (
-                    src.entry.id, tgt.entry.id, end, exc)
+    except LsaError as exc:
+        return False, "iso %s -> %s: %s failed: %s" % (
+            src.entry.id, target.id, stage, exc)
     label = "iso %s -> %s" % (src.label(), tgt.label())
     verdict = search_lsa_iso(src.alg, tgt.alg)
     if verdict.is_isomorphic:
@@ -622,11 +627,9 @@ def verify_remark_isos(sweep):
             continue
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
-                src = _point(points, e, b)
-                tgt = _point(points, cat[decl.target],
-                             {name: substitute(val, b)
-                              for name, val in decl.bind.items()})
-                ok, msg = _verify_iso_decl(src, tgt, use_search=True)
+                ok, msg = _verify_iso_decl(points, _point(points, e, b),
+                                           cat[decl.target], decl.bind,
+                                           use_search=True)
                 if ok:
                     confirmed.append(msg)
                 elif ok is None:

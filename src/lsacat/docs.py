@@ -25,14 +25,12 @@ f(e<i>) or matrix line, and any line the document kind does not use.
 
 from __future__ import annotations
 
-import re
-
 from .algebra import Algebra, LieAlgebra
 from .cocycle import Cocycle, Representation
 from .errors import (DocSemanticError, DocSyntaxError, DivisionByZero,
                      NotLieAlgebra, UnboundVariable)
-from .linalg import Mat, format_matrix, vec_zero
-from .scalars import (QI, Record, format_scalar, format_sum, is_zero,
+from .linalg import Mat, format_matrix
+from .scalars import (QI, ZERO, Record, format_scalar, format_sum, is_zero,
                       parse_combination, parse_rows, parse_scalar, qi)
 
 # kind -> (product prefixes, has f(e<i>) lines, matrix names), in the
@@ -59,10 +57,13 @@ class Document(Record):
 # low-level parsing helpers
 
 
+_BASIS = ("e1", "e2", "e3")  # the basis names of a document (dim <= 3)
+_INDEX = {name: k for k, name in enumerate(_BASIS)}
+
+
 def parse_term_list(text, dim, params):
     "Parse '<scalar> e<k> + ...' (or '0') into a coordinate vector."
-    return parse_combination(text, ["e%d" % (k + 1) for k in range(dim)],
-                             params)
+    return parse_combination(text, _BASIS[:dim], params)
 
 
 def parse_matrix(text, dim, params):
@@ -128,10 +129,15 @@ def constraint_allows(c, value):
 # document parsing
 
 
-def _words(line, pattern=r"\S+"):
-    """(1-based column, text) of each match of pattern in line, by default
-    of each whitespace-separated word."""
-    return [(m.start() + 1, m.group()) for m in re.finditer(pattern, line)]
+def _words(line):
+    "(1-based column, text) of each whitespace-separated word of line."
+    out = []
+    end = 0
+    for word in line.split():
+        start = line.index(word, end)
+        out.append((start + 1, word))
+        end = start + len(word)
+    return out
 
 
 def _header(line, lineno):
@@ -154,17 +160,6 @@ def _header(line, lineno):
     return kind, dim, dom
 
 
-def _line_key(line):
-    """Which reader takes a line: "" for a plain product 'e<i> e<j> = ...',
-    "f" for 'f(e<i>) = ...', otherwise the first token (a product prefix,
-    a matrix name or 'params')."""
-    head, eq, _ = line.partition("=")
-    toks = head.split()
-    if not toks or (eq and len(toks) == 2):
-        return ""
-    return "f" if toks[0].startswith("f(") else toks[0]
-
-
 def _is_basis_name(name):
     "Is name e<k> for some decimal k?"
     return name[:1] == "e" and name[1:].isdecimal()
@@ -172,27 +167,13 @@ def _is_basis_name(name):
 
 def _basis_index(name, dim, lineno, form):
     "0-based k for the basis name e<k>, exactly one of e1..e<dim>."
-    names = ["e%d" % (k + 1) for k in range(dim)]
-    if name in names:
-        return names.index(name)
+    k = _INDEX.get(name, dim)
+    if k < dim:
+        return k
     if _is_basis_name(name):
         raise DocSemanticError("line %d: basis name %s is not one of e1..e%d"
                                % (lineno, name, dim))
     raise DocSyntaxError("expected %s" % form, lineno, 1)
-
-
-def _at_line(lineno, col, parse, text, *args):
-    """parse(text, *args) for text that starts at column col of line
-    lineno: a scalar syntax error is raised at its line and column, and
-    any other error with the line number."""
-    try:
-        return parse(text, *args)
-    except UnboundVariable as e:
-        if e.pos is None:
-            raise DocSemanticError("line %d: %s" % (lineno, e))
-        raise DocSyntaxError(str(e), lineno, col + e.pos)
-    except (DivisionByZero, DocSemanticError) as e:
-        raise DocSemanticError("line %d: %s" % (lineno, e))
 
 
 def _lie_completion(table, given):
@@ -211,8 +192,8 @@ def _lie_completion(table, given):
 
 def _read_params(lines):
     params = {}
-    for lineno, line in lines:
-        words = _words(line)
+    for lineno, head, eq, rhs, _ in lines:
+        words = _words(head + eq + rhs)
         if len(words) < 3:
             raise DocSyntaxError("params needs a name and a constraint",
                                  lineno, 1)
@@ -227,30 +208,42 @@ def _read_params(lines):
 
 
 class Body:
-    """The content lines of a document or catalog entry, sorted by
-    `_line_key` into `lines`, with the parameters already read.  A line
-    whose key is not among `keys` (or 'params') is a DocSyntaxError, and
-    a scalar outside `domain` a DocSemanticError naming its line."""
+    """The content lines of a document or catalog entry as (number, head,
+    '=' or '', text after, words of head), sorted into `lines`: "" for a
+    product 'e<i> e<j> = ...', "f" for 'f(e<i>) = ...', else the first
+    word.  A line whose key is not among `keys` (or 'params') is a
+    DocSyntaxError, and a scalar outside `domain` a DocSemanticError."""
 
     def __init__(self, lines, dim, keys, what, domain="ratfunc"):
         self.dim = dim
         self.what = what
         self.domain = domain
-        self.lines = {k: [] for k in ("params",) + tuple(keys)}
+        self.lines = groups = {k: [] for k in ("params",) + tuple(keys)}
         for lineno, line in lines:
-            group = self.lines.get(_line_key(line))
+            head, eq, rhs = line.partition("=")
+            words = head.split()
+            group = groups.get(
+                "" if not words or (eq and len(words) == 2) else
+                "f" if words[0].startswith("f(") else words[0])
             if group is None:
                 raise DocSyntaxError("not a line of a %s" % what, lineno, 1)
-            group.append((lineno, line))
-        self.params = _read_params(self.lines["params"])
+            group.append((lineno, head, eq, rhs, words))
+        self.params = _read_params(groups["params"])
         self.pnames = set(self.params)
 
     def _rhs(self, lineno, head, rhs, parse):
         """parse(rhs, dim, parameters) for the text after 'head=' on line
-        lineno.  Only ratfunc documents hold parameters, and rational ones
-        are real."""
-        out = _at_line(lineno, len(head) + 2, parse, rhs, self.dim,
-                       self.pnames)
+        lineno: a scalar syntax error is raised at its line and column, and
+        any other error with the line number.  Only ratfunc documents hold
+        parameters, and rational ones are real."""
+        try:
+            out = parse(rhs, self.dim, self.pnames)
+        except UnboundVariable as e:
+            if e.pos is None:
+                raise DocSemanticError("line %d: %s" % (lineno, e))
+            raise DocSyntaxError(str(e), lineno, len(head) + 2 + e.pos)
+        except (DivisionByZero, DocSemanticError) as e:
+            raise DocSemanticError("line %d: %s" % (lineno, e))
         if self.domain == "ratfunc":
             return out
         for row in out.rows if isinstance(out, Mat) else (out,):
@@ -268,15 +261,16 @@ class Body:
         lie=True the LieAlgebra their brackets complete to.  The parser
         gives dim x dim x dim scalar cells, so the Algebra checks none."""
         dim = self.dim
-        table = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
+        table = [[(ZERO,) * dim] * dim for _ in range(dim)]
         given = set()
-        for lineno, line in self.lines[prefix]:
-            head, eq, rhs = line.partition("=")
-            toks = head.split()[1 if prefix else 0:]
+        for lineno, head, eq, rhs, words in self.lines[prefix]:
+            toks = words[1:] if prefix else words
             if len(toks) != 2 or not eq:
                 raise DocSyntaxError("malformed product line", lineno, 1)
-            i, j = (_basis_index(t, dim, lineno, "'e<i> e<j> = ...'")
-                    for t in toks)
+            i, j = _INDEX.get(toks[0], dim), _INDEX.get(toks[1], dim)
+            if i >= dim or j >= dim:    # name the first bad one
+                i, j = (_basis_index(t, dim, lineno, "'e<i> e<j> = ...'")
+                        for t in toks)
             if (i, j) in given:
                 raise DocSemanticError("line %d: duplicate product e%d e%d"
                                        % (lineno, i + 1, j + 1))
@@ -284,10 +278,9 @@ class Body:
             table[i][j] = self._rhs(lineno, head, rhs, parse_term_list)
         return _lie_completion(table, given) if lie else Algebra._of(table)
 
-    def _matrix(self, lineno, line):
-        head, eq, rhs = line.partition("=")
+    def _matrix(self, lineno, head, eq, rhs, words):
         if not eq:
-            raise DocSyntaxError("expected '%s = [[...]]'" % head.split()[0],
+            raise DocSyntaxError("expected '%s = [[...]]'" % words[0],
                                  lineno, 1)
         return self._rhs(lineno, head, rhs, parse_matrix)
 
@@ -304,15 +297,15 @@ class Body:
     def f_mats(self):
         "The f(e<i>) matrices, one line for each i in 1..dim."
         mats = [None] * self.dim
-        for lineno, line in self.lines["f"]:
-            head = line.partition("=")[0].strip()
-            if not head.endswith(")"):
+        for line in self.lines["f"]:
+            lineno, name = line[0], line[1].strip()
+            if not name.endswith(")"):
                 raise DocSyntaxError("expected 'f(e<i>) = ...'", lineno, 1)
-            k = _basis_index(head[2:-1], self.dim, lineno, "'f(e<i>) = ...'")
+            k = _basis_index(name[2:-1], self.dim, lineno, "'f(e<i>) = ...'")
             if mats[k] is not None:
                 raise DocSemanticError("line %d: repeated f(e%d)"
                                        % (lineno, k + 1))
-            mats[k] = self._matrix(lineno, line)
+            mats[k] = self._matrix(*line)
         missing = [k + 1 for k, m in enumerate(mats) if m is None]
         if missing:
             raise DocSemanticError("missing f(e%d) line" % missing[0])
@@ -321,8 +314,8 @@ class Body:
 
 def content_lines(lines):
     "(number from 1, text) of the lines not blank once a '#' comment is cut."
-    cut = (raw.split("#", 1)[0].rstrip() for raw in lines)
-    return [(lineno, line) for lineno, line in enumerate(cut, start=1) if line]
+    return [(lineno, line) for lineno, raw in enumerate(lines, start=1)
+            if (line := raw.partition("#")[0].rstrip())]
 
 
 def parse_document(text):

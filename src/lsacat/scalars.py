@@ -345,7 +345,7 @@ class MultiPoly(Frozen):
 
     @staticmethod
     def var(name):
-        return MultiPoly((name,), {(1,): ONE})
+        return MultiPoly._of((name,), {(1,): ONE})
 
     def is_zero(self):
         return not self.terms
@@ -364,7 +364,7 @@ class MultiPoly(Frozen):
         return {v for exps in self.terms for v, e in zip(self.vars, exps) if e}
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def _aligned(self, other):
         "Rewrite self and other over the union of their variables."
@@ -1025,50 +1025,40 @@ def format_scalar(s):
     return "(%s)/(%s)" % (format_multipoly(s.num), format_multipoly(s.den))
 
 
-class _Tok:
-    __slots__ = ("kind", "val", "pos", "space")
-
-    def __init__(self, kind, val, pos, space):
-        self.kind = kind
-        self.val = val
-        self.pos = pos
-        self.space = space  # whitespace comes right before the token
-
-    def __str__(self):
-        "The token as an error message names it."
-        return "end of text" if self.kind == "end" else "token %r" % (self.val,)
-
-
 def _tokenize(text):
-    "The tokens of text, then an 'end' token."
+    """The (kind, value, offset, whitespace before) tokens of text, then an
+    'end' one; kind is 'int', 'name' or the operator or bracket itself."""
     toks = []
-    n = len(text)
-    k = 0
-    space = False
+    n, k, space = len(text), 0, False
     while k < n:
         ch = text[k]
         j = k + 1
-        if ch.isspace():
+        if ch in "+-*/^()[],":
+            tok = (ch, ch, k, space)
+        elif ch.isspace():
             space = True
             k = j
             continue
-        if ch.isdecimal():
+        elif ch.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
-            kind, val = "int", int(text[k:j])
+            tok = ("int", int(text[k:j]), k, space)
         elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            kind, val = "name", text[k:j]
-        elif ch in "+-*/^()[],":
-            kind = val = ch
+            tok = ("name", text[k:j], k, space)
         else:
             raise UnboundVariable("unexpected character %r" % ch, k)
-        toks.append(_Tok(kind, val, k, space))
+        toks.append(tok)
         space = False
         k = j
-    toks.append(_Tok("end", None, n, space))
+    toks.append(("end", None, n, space))
     return toks
+
+
+def _described(t):
+    "A token as an error message names it."
+    return "end of text" if t[0] == "end" else "token %r" % (t[1],)
 
 
 # The parser refuses an operation whose result would outgrow these bounds,
@@ -1082,6 +1072,8 @@ _MAX_DEGREE = 64      # total degree of a polynomial
 _MAX_TERMS = 1000     # terms of a polynomial
 _OPERATION = {"+": "sum", "-": "difference", "*": "product", "/": "quotient"}
 _UNIT_SIZE = (0, 1, 0)  # the _size of the constant 1
+# the parsed digits, shared (not ONE, which _add_multiple tests for)
+_DIGITS = tuple(QI(k) for k in range(10))
 
 
 def _growth(c):
@@ -1138,6 +1130,8 @@ def _check_operation_size(op, x, y):
 
 
 class _Parser:
+    "Recursive descent over the tokens of _tokenize, from index k on."
+
     def __init__(self, toks, vars):
         self.toks = toks
         self.k = 0
@@ -1145,32 +1139,34 @@ class _Parser:
         self.used = set()   # the names read as parameters
         self.depth = 0      # '(' and unary '-' entered and not yet left
 
-    def peek(self):
-        return self.toks[self.k]
-
     def nested(self, parse):
-        "parse() after a '(' or a unary '-', at most _MAX_DEPTH levels deep."
-        t = self.take()
+        "parse() past a '(' or a unary '-', at most _MAX_DEPTH levels deep."
         if self.depth == _MAX_DEPTH:
             raise UnboundVariable("nested deeper than %d parentheses or signs"
-                                  % _MAX_DEPTH, t.pos)
+                                  % _MAX_DEPTH, self.toks[self.k - 1][2])
         self.depth += 1
         out = parse()
         self.depth -= 1
         return out
 
-    def take(self, kind=None):
+    def take(self, kind):
+        "The next token, stepped over; it must be of the given kind."
         t = self.toks[self.k]
-        if kind and t.kind != kind:
+        if t[0] != kind:
             raise UnboundVariable("expected %s, got %s" % (
-                "end of text" if kind == "end" else kind, t), t.pos)
+                "end of text" if kind == "end" else kind, _described(t)), t[2])
         self.k += 1
         return t
 
     def parse_expr(self):
+        toks = self.toks
+        t = toks[self.k]
+        if t[0] == "int" and toks[self.k + 1][0] in (",", "]", ")", "end"):
+            self.k += 1         # a lone integer, as most matrix entries are
+            return _DIGITS[t[1]] if t[1] < 10 else QI(t[1])
         out = self.parse_term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
+        while (op := toks[self.k][0]) in "+-":
+            self.k += 1
             rhs = self.parse_term()
             _check_operation_size(op, out, rhs)
             out = out + rhs if op == "+" else out - rhs
@@ -1180,74 +1176,80 @@ class _Parser:
         """factor (('*' | '/') factor)*.  Given basis names, a coefficient:
         powers with no sign outside parentheses, ending before a '*' that a
         basis name follows."""
+        toks = self.toks
         factor = self.parse_factor if basis is None else self.parse_power
         out = factor()
-        while (self.peek().kind in "*/"
-               and self.toks[self.k + 1].val not in (basis or ())):
-            op = self.take().kind
+        while ((op := toks[self.k][0]) in "*/"
+               and toks[self.k + 1][1] not in (basis or ())):
+            self.k += 1
             rhs = factor()
             _check_operation_size(op, out, rhs)
             out = out * rhs if op == "*" else out / rhs
         return out
 
     def parse_factor(self):
-        if self.peek().kind == "-":
-            return -self.nested(self.parse_factor)
-        return self.parse_power()
+        if self.toks[self.k][0] != "-":
+            return self.parse_power()
+        self.k += 1
+        return -self.nested(self.parse_factor)
 
     def parse_power(self):
-        base = self.parse_atom()
-        if self.peek().kind != "^":
+        "atom ['^' ['-'] int], an atom being an int, a name or '(' expr ')'."
+        toks = self.toks
+        t = toks[self.k]
+        self.k += 1
+        if t[0] == "int":
+            base = _DIGITS[t[1]] if t[1] < 10 else QI(t[1])
+        elif t[1] == "i":
+            base = I_UNIT
+        elif t[0] == "name":
+            if self.vars is not None and t[1] not in self.vars:
+                raise UnboundVariable("unknown name %r" % t[1])
+            self.used.add(t[1])
+            base = MultiPoly.var(t[1])
+        elif t[0] == "(":
+            base = self.nested(self.parse_expr)
+            self.take(")")
+        else:
+            raise UnboundVariable("unexpected %s" % _described(t), t[2])
+        if toks[self.k][0] != "^":
             return base
-        self.take()
-        neg = self.peek().kind == "-" and self.take()
-        e = self.take("int").val
+        neg = toks[self.k + 1][0] == "-"
+        self.k += 1 + neg
+        e = self.take("int")[1]
         _check_power_size(base, e)
         return ONE / base ** e if neg else base ** e
 
-    def parse_atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.take()
-            return QI(t.val)
-        if t.kind == "name":
-            self.take()
-            if t.val == "i":
-                return I_UNIT
-            if self.vars is not None and t.val not in self.vars:
-                raise UnboundVariable("unknown name %r" % t.val)
-            self.used.add(t.val)
-            return MultiPoly.var(t.val)
-        if t.kind == "(":
-            out = self.nested(self.parse_expr)
-            self.take(")")
-            return out
-        raise UnboundVariable("unexpected %s" % t, t.pos)
-
     def parse_combination(self, basis):
         """term (('+' | '-') term)* with the first term's sign optional, as
-        one coefficient per name of basis.  A term is [coefficient] name,
-        '*' or whitespace between the two."""
+        one coefficient per name of basis: its first term as read, and the
+        sum if the name repeats.  A term is [coefficient] name, '*' or
+        whitespace between the two."""
+        toks = self.toks
         out = [ZERO] * len(basis)
-        sign = self.take().kind if self.peek().kind in "+-" else "+"
+        sign = toks[self.k][0]
         while True:
+            self.k += sign in "+-"      # step over a sign
             coeff = ONE
-            if self.peek().val not in basis:
+            if toks[self.k][1] not in basis:
                 coeff = self.parse_term(basis)
-                if self.peek().kind == "*":
-                    self.take()
-                elif self.peek().val in basis and not self.peek().space:
+                t = toks[self.k]
+                if t[0] == "*":
+                    self.k += 1
+                elif t[1] in basis and not t[3]:
                     raise UnboundVariable("expected whitespace or * before %s"
-                                          % self.peek().val, self.peek().pos)
-            t = self.take()
-            if t.val not in basis:
-                raise UnboundVariable("expected one of %s, got %s"
-                                      % (", ".join(basis), t), t.pos)
-            k = basis.index(t.val)
-            out[k] = out[k] + (coeff if sign == "+" else -coeff)
-            if self.peek().kind not in "+-":
+                                          % t[1], t[2])
+            t = toks[self.k]
+            self.k += 1
+            if t[1] not in basis:
+                raise UnboundVariable("expected one of %s, got %s" % (
+                    ", ".join(basis), _described(t)), t[2])
+            k = basis.index(t[1])
+            term = -coeff if sign == "-" else coeff
+            out[k] = term if out[k] is ZERO else out[k] + term
+            sign = toks[self.k][0]
+            if sign not in "+-":
                 return tuple(out)
-            sign = self.take().kind
 
     def parse_rows(self):
         "'[' row (',' row)* ']', a row being '[' expr (',' expr)* ']'."
@@ -1257,8 +1259,8 @@ class _Parser:
         "'[' item (',' item)* ']' as a tuple."
         self.take("[")
         out = [item()]
-        while self.peek().kind == ",":
-            self.take()
+        while self.toks[self.k][0] == ",":
+            self.k += 1
             out.append(item())
         self.take("]")
         return tuple(out)

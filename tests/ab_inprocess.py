@@ -2,7 +2,7 @@
 
 Loads the package of each tree under its own name (lsacat_a from the
 first src/ directory, lsacat_b from the second) into this one process,
-then times four pieces of work on each in turn, alternating which tree
+then times five pieces of work on each in turn, alternating which tree
 goes first from round to round:
 
     verify  catalog.verify_all on the shipped catalog (258 points), then
@@ -14,10 +14,13 @@ goes first from round to round:
             perfbench/inputs.height_plans at --seed and the N-3 ladder
     search  search_lsa_iso(a, rebase(a, T)) over perfbench/inputs'
             search cases at --seed (the pairs are built before timing)
+    load    catalog.load_catalog() with the catalog cache and the scalar
+            parse memo emptied first, as a fresh process starts
 
 Every timing is the CPU time of one piece on one tree; the lie
 classification cache is emptied before each, as a fresh process starts
-with it empty, and the loaded catalog is kept, as setup.  Both trees run
+with it empty, and the loaded catalog is kept, as setup (but for the
+load piece, which loads it again).  Both trees run
 under the same load at nearly the same moment, so the ratio B/A of a
 round survives the slow drift of a shared host that moves whole
 benchmark runs; the min and the median of the ratios over the rounds are
@@ -26,7 +29,7 @@ measures one piece of a change against another; the benchmark
 (perfbench/run.py) stays the judge of end-to-end metrics.
 
     python3 tests/ab_inprocess.py PARENT/src src [--rounds 9] [--seed 1]
-        [--pieces verify,height,search,catalog]
+        [--pieces verify,height,search,catalog,load]
 
 pytest does not collect this file.
 """
@@ -45,7 +48,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import inputs  # noqa: E402  (perfbench/inputs.py: seeded plain data)
 
-PIECES = ("verify", "height", "search", "catalog")
+PIECES = ("verify", "height", "search", "catalog", "load")
 
 
 def load_tree(name, src):
@@ -107,6 +110,10 @@ class Tree:
             sweep = catalog.verify_all()
             tables = catalog.verify_property_tables(sweep)
             bad = len(sweep.failures) + len(tables["discrepancies"])
+        elif piece == "load":
+            catalog._CACHE.clear()
+            self.pkg.scalars._PARSED.clear()
+            bad = len(catalog.load_catalog()) != len(self.cat)
         elif piece == "height":
             bad = sum(len(catalog.verify_all(plan=plan).failures)
                       for plan in self.height)

@@ -10,9 +10,11 @@ one warm run of each piece:
     height   verify_all over the benchmark's height plans at --seed
     search   search_lsa_iso(a, rebase(a, T)) over perfbench/inputs'
              search cases at --seed
+    load     catalog.load_catalog() with the catalog cache and the scalar
+             parse memo emptied first, as a fresh process starts
 
 Each piece runs once untraced first, so the catalog is loaded and parsed
-before the count; the lie classification cache is emptied before the
+before the count (the load piece loads and parses it again); the lie classification cache is emptied before the
 counted run, as in a fresh process.  The count stops if two trees print
 different catalog-verify --all text.  Work done in C (big-integer
 arithmetic, sorted, dict and tuple comparison) is not counted.  The count
@@ -20,7 +22,7 @@ does not depend on the host's speed, and it is the same between runs and
 hash seeds as long as the work is.  One line per tree and piece:
 
     python3 tests/py_ops.py PARENT/src src [--seed 1]
-        [--pieces catalog,height,search]
+        [--pieces catalog,height,search,load]
 
 pytest does not collect this file.
 """
@@ -32,7 +34,7 @@ import threading
 
 from ab_inprocess import Tree, same_stdout
 
-PIECES = ("catalog", "height", "search")
+PIECES = ("catalog", "height", "search", "load")
 
 
 def counted(fn):

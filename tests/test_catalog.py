@@ -480,6 +480,270 @@ def test_load_error_keeps_line_and_column(tmp_path, monkeypatch):
                                      + ": line 4, col 1: ")
 
 
+# (file, old text, new text, "<error type>: <message>"): each edit of a
+# copy of the data fails the load with that one message, {} standing for
+# the copy's directory.  H-1's lines 5-16 of h.cat are the usual target:
+# its products on lines 5-9, f(e1..e3) on 11-13 and C on 14.
+H1_E1E2 = "table e1 e2 = e2 + e3"
+H1_F2 = "f(e2) = [[0,0,0],[0,0,0],[0,1,0]]"
+H1_C = "C = [[0,0,1],[0,1,0],[1,0,0]]"
+N1_ISO = "iso N-9 when lambda=0 bind lambda=0"
+N1_BIND = "iso Dl-1 bind l=0 lambda=lambda"
+H2_WITNESS = "primed_witness = [[1,0,0],[1,-1,0],[0,0,-1]]"
+LOAD_ERRORS = {
+    # the shape of a block
+    "unterminated": (
+        "e.cat", "[-1,0,1]]\nflags\nend\n", "[-1,0,1]]\nflags\n",
+        "DocSyntaxError: line 124, col 1: unterminated entry block in "
+        "{}/e.cat"),
+    "entry_head_two_ids": (
+        "h.cat", "entry H-2\n", "entry H-2 H-3\n",
+        "DocSyntaxError: {}/h.cat: line 18, col 1: entry block must start "
+        "with 'entry <id>'"),
+    "not_an_entry_line": (
+        "h.cat", "case AI-1", "cases AI-1",
+        "DocSyntaxError: {}/h.cat: line 10, col 1: not a line of a catalog "
+        "entry"),
+    # metadata lines
+    "family_without_value": (
+        "h.cat", "family H\n", "family\n",
+        "DocSyntaxError: {}/h.cat: line 4, col 1: 'family' needs exactly one "
+        "value"),
+    "case_two_values": (
+        "h.cat", "case AI-1", "case AI 1",
+        "DocSyntaxError: {}/h.cat: line 10, col 1: 'case' needs exactly one "
+        "value"),
+    "samples_without_colon": (
+        "dl.cat", "samples lambda: 0, 2, -1", "samples lambda 0, 2, -1",
+        "DocSyntaxError: {}/dl.cat: line 9, col 1: samples line must read "
+        "'samples <param>: <values>'"),
+    "samples_undeclared": (
+        "dl.cat", "samples lambda: 0, 2, -1", "samples lamda: 0, 2, -1",
+        "DocSyntaxError: {}/dl.cat: line 9, col 1: undeclared parameter "
+        "'lamda'"),
+    "samples_not_constant": (
+        "dl.cat", "samples lambda: 0, 2, -1", "samples lambda: 0,  2 , x",
+        "DocSyntaxError: {}/dl.cat: line 9, col 25: expected a constant, got "
+        "'x'"),
+    "unknown_flag": (
+        "n.cat", "flags associative=lambda=1", "flags associativ=lambda=1",
+        "DocSyntaxError: {}/n.cat: line 13, col 1: unknown flag "
+        "'associativ'"),
+    "flag_twice": (
+        "n.cat", "associative=lambda=1 transitive=lambda=0",
+        "associative=lambda=1 associative=lambda=0",
+        "DocSyntaxError: {}/n.cat: line 13, col 1: flag associative is given "
+        "twice"),
+    "flag_undeclared": (
+        "n.cat", "flags associative=lambda=1", "flags associative=lamda=1",
+        "DocSyntaxError: {}/n.cat: line 13, col 1: undeclared parameter "
+        "'lamda'"),
+    "flag_not_constant": (
+        "n.cat", "novikov=lambda=0", "novikov=lambda=0&lambda=x",
+        "DocSyntaxError: {}/n.cat: line 13, col 72: expected a constant, got "
+        "'x'"),
+    "flag_not_admissible": (
+        "n.cat", "flags associative=mu=1", "flags associative=mu=0",
+        "DocSyntaxError: {}/n.cat: line 47, col 19: flag condition mu=0 is "
+        "not admissible"),
+    "iso_without_target": (
+        "n.cat", N1_ISO, "iso",
+        "DocSyntaxError: {}/n.cat: line 14, col 1: iso line needs a target "
+        "entry"),
+    "iso_clause": (
+        "n.cat", N1_ISO, "iso N-9 when lambda=0 T",
+        "DocSyntaxError: {}/n.cat: line 14, col 1: iso clause 'T' is not "
+        "name=value after when or bind"),
+    "iso_when_undeclared": (
+        "n.cat", N1_ISO, "iso N-9 when lamda=0 bind lambda=0",
+        "DocSyntaxError: {}/n.cat: line 14, col 1: undeclared parameter "
+        "'lamda'"),
+    "iso_when_not_constant": (
+        "n.cat", N1_ISO, "iso N-9 when lambda=x bind lambda=0",
+        "DocSyntaxError: {}/n.cat: line 14, col 21: expected a constant, got "
+        "'x'"),
+    "iso_bind_unknown_name": (
+        "n.cat", N1_BIND, "iso Dl-1 bind l=0 lambda=lamda",
+        "DocSyntaxError: {}/n.cat: line 15, col 1: iso clause "
+        "'lambda=lamda': unknown name 'lamda'"),
+    "iso_bind_division_by_zero": (
+        "n.cat", N1_BIND, "iso Dl-1 bind l=0 lambda=1/0",
+        "DocSyntaxError: {}/n.cat: line 15, col 1: iso clause 'lambda=1/0': "
+        "division by zero Gaussian rational"),
+    "iso_not_an_entry": (
+        "n.cat", N1_ISO, "iso N-99 when lambda=0 bind lambda=0",
+        "DocSyntaxError: {}/n.cat: line 14, col 1: iso target 'N-99' is not "
+        "a catalog entry"),
+    "iso_binds_too_little": (
+        "n.cat", N1_BIND, "iso Dl-1 bind l=0",
+        "DocSyntaxError: {}/n.cat: line 15, col 1: iso Dl-1 binds l, but its "
+        "parameters are l, lambda"),
+    # params lines
+    "params_without_constraint": (
+        "n.cat", "params lambda ne 0", "params lambda",
+        "DocSyntaxError: {}/n.cat: line 20, col 1: params needs a name and a "
+        "constraint"),
+    "params_basis_name": (
+        "n.cat", "params lambda ne 0", "params e2 ne 0",
+        "DocSyntaxError: {}/n.cat: line 20, col 8: bad parameter name 'e2'"),
+    "params_repeated": (
+        "n.cat", "params lambda ne 0\nparams mu ne 0",
+        "params lambda ne 0\nparams lambda ne 0",
+        "DocSemanticError: {}/n.cat: line 21: repeated parameter lambda"),
+    "params_unknown_constraint": (
+        "n.cat", "params lambda ne 0", "params lambda gt 0",
+        "DocSyntaxError: {}/n.cat: line 20, col 1: unknown constraint 'gt'"),
+    "params_any_with_value": (
+        "n.cat", "params lambda any", "params lambda any 1",
+        "DocSyntaxError: {}/n.cat: line 5, col 1: any takes no value"),
+    # primed tables and their witness
+    "primed_without_witness": (
+        "h.cat", H2_WITNESS, "",
+        "DocSyntaxError: {}/h.cat: line 26, col 1: entry H-2 has a primed "
+        "table but no primed_witness"),
+    "witness_without_primed": (
+        "h.cat", "primed e1 e1 = e1 + e2\nprimed e2 e1 = -e3\n"
+        "primed e2 e2 = e3", "\n\n",
+        "DocSyntaxError: {}/h.cat: line 51, col 1: entry H-3 has a "
+        "primed_witness but no primed table"),
+    "repeated_witness": (
+        "h.cat", H2_WITNESS, H2_WITNESS + "\n" + H2_WITNESS,
+        "DocSemanticError: {}/h.cat: line 35: repeated primed_witness "
+        "matrix"),
+    # product lines
+    "duplicate_product": (
+        "h.cat", "table e3 e1 = e3\ncase AI-1", "table e1 e3 = e3\ncase AI-1",
+        "DocSemanticError: {}/h.cat: line 9: duplicate product e1 e3"),
+    "duplicate_primed_product": (
+        "h.cat", "primed e2 e3 = e3", "primed e2 e2 = e3",
+        "DocSemanticError: {}/h.cat: line 31: duplicate product e2 e2"),
+    "basis_name_e4": (
+        "h.cat", "table e1 e3 = e3\n", "table e1 e4 = e3\n",
+        "DocSemanticError: {}/h.cat: line 7: basis name e4 is not one of "
+        "e1..e3"),
+    "basis_name_e0": (
+        "h.cat", "table e1 e1 = e1\n", "table e0 e1 = e1\n",
+        "DocSemanticError: {}/h.cat: line 5: basis name e0 is not one of "
+        "e1..e3"),
+    "basis_name_e01": (
+        "h.cat", "table e1 e1 = e1\n", "table e01 e1 = e1\n",
+        "DocSemanticError: {}/h.cat: line 5: basis name e01 is not one of "
+        "e1..e3"),
+    "not_a_basis_name": (
+        "h.cat", H1_E1E2, "table x1 e2 = e2 + e3",
+        "DocSyntaxError: {}/h.cat: line 6, col 1: expected 'e<i> e<j> = "
+        "...'"),
+    "three_factors": (
+        "h.cat", H1_E1E2, "table e1 e2 e3 = e2 + e3",
+        "DocSyntaxError: {}/h.cat: line 6, col 1: malformed product line"),
+    "whitespace_or_star": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + 2e3",
+        "DocSyntaxError: {}/h.cat: line 6, col 21: expected whitespace or * "
+        "before e3"),
+    "unexpected_character": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + $e3",
+        "DocSyntaxError: {}/h.cat: line 6, col 20: unexpected character "
+        "'$'"),
+    "sum_names_e4": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + 2 e4",
+        "DocSyntaxError: {}/h.cat: line 6, col 22: expected one of e1, e2, "
+        "e3, got token 'e4'"),
+    "sum_trailing_name": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + e3 e1",
+        "DocSyntaxError: {}/h.cat: line 6, col 23: expected end of text, got "
+        "token 'e1'"),
+    "sum_empty": (
+        "h.cat", H1_E1E2, "table e1 e2 =",
+        "DocSemanticError: {}/h.cat: line 6: empty linear combination; zero "
+        "is 0"),
+    "sum_unknown_name": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + x e3",
+        "DocSemanticError: {}/h.cat: line 6: unknown name 'x'"),
+    "sum_division_by_zero": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + 1/0 e3",
+        "DocSemanticError: {}/h.cat: line 6: division by zero Gaussian "
+        "rational"),
+    "sum_open_parenthesis": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + (1 e3",
+        "DocSyntaxError: {}/h.cat: line 6, col 23: expected ), got token "
+        "'e3'"),
+    "sum_power_of_a_name": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + 2^x e3",
+        "DocSyntaxError: {}/h.cat: line 6, col 22: expected int, got token "
+        "'x'"),
+    "sum_nested_too_deep": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + %s1%s e3" % ("(" * 101,
+                                                         ")" * 101),
+        "DocSyntaxError: {}/h.cat: line 6, col 120: nested deeper than 100 "
+        "parentheses or signs"),
+    "sum_power_too_large": (
+        "h.cat", H1_E1E2, "table e1 e2 = e2 + (2+3*i)^9000 e3",
+        "DocSemanticError: {}/h.cat: line 6: power ^9000 exceeds 4096 bits"),
+    # f(e<i>) and C lines
+    "repeated_f": (
+        "h.cat", H1_F2, "f(e1) = [[0,0,0],[0,0,0],[0,1,0]]",
+        "DocSemanticError: {}/h.cat: line 12: repeated f(e1)"),
+    "missing_f": (
+        "h.cat", H1_F2 + "\n", "",
+        "DocSemanticError: {}/h.cat: missing f(e2) line"),
+    "f_without_parenthesis": (
+        "h.cat", H1_F2, "f(e2 = [[0,0,0],[0,0,0],[0,1,0]]",
+        "DocSyntaxError: {}/h.cat: line 12, col 1: expected 'f(e<i>) = ...'"),
+    "f_without_equals": (
+        "h.cat", H1_F2, "f(e2) [[0,0,0],[0,0,0],[0,1,0]]",
+        "DocSyntaxError: {}/h.cat: line 12, col 1: expected 'f(e<i>) = ...'"),
+    "f_basis_name_e4": (
+        "h.cat", H1_F2, "f(e4) = [[0,0,0],[0,0,0],[0,1,0]]",
+        "DocSemanticError: {}/h.cat: line 12: basis name e4 is not one of "
+        "e1..e3"),
+    "repeated_C": (
+        "h.cat", H1_C, H1_C + "\n" + H1_C,
+        "DocSemanticError: {}/h.cat: line 15: repeated C matrix"),
+    "missing_C": (
+        "h.cat", H1_C + "\n", "",
+        "DocSemanticError: {}/h.cat: catalog entry needs a C matrix"),
+    "C_without_equals": (
+        "h.cat", H1_C, "C [[0,0,1],[0,1,0],[1,0,0]]",
+        "DocSyntaxError: {}/h.cat: line 14, col 1: expected 'C = [[...]]'"),
+    "matrix_short_row": (
+        "h.cat", H1_C, "C = [[0,0,1],[0,1,0],[1,0]]",
+        "DocSemanticError: {}/h.cat: line 14: matrix row has 2 entries, need "
+        "3"),
+    "matrix_two_rows": (
+        "h.cat", H1_C, "C = [[0,0,1],[0,1,0]]",
+        "DocSemanticError: {}/h.cat: line 14: matrix has 2 rows, need 3"),
+    "matrix_unclosed": (
+        "h.cat", H1_C, "C = [[0,0,1],[0,1,0],[1,0,0]",
+        "DocSyntaxError: {}/h.cat: line 14, col 29: expected ], got end of "
+        "text"),
+    "matrix_empty_entry": (
+        "h.cat", H1_C, "C = [[0,0,1],[0,,0],[1,0,0]]",
+        "DocSyntaxError: {}/h.cat: line 14, col 17: unexpected token ','"),
+    "matrix_trailing_text": (
+        "h.cat", H1_C, "C = [[0,0,1],[0,1,0],[1,0,0]] 1",
+        "DocSyntaxError: {}/h.cat: line 14, col 31: expected end of text, got "
+        "token 1"),
+    "matrix_undeclared_name": (
+        "n.cat", "C = [[0,1,0],[1,0,0],[0,0,1]]",
+        "C = [[0,1,0],[1,0,0],[0,0,mu]]",
+        "DocSemanticError: {}/n.cat: line 12: unknown name 'mu'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(LOAD_ERRORS))
+def test_catalog_reader_error_paths(tmp_path, monkeypatch, defect):
+    """Each reader error of an entry block, its metadata, products,
+    matrices and scalars: the exact message with its file, line and
+    column."""
+    name, old, new, message = LOAD_ERRORS[defect]
+    directory = corrupted_catalog(tmp_path, old, new, name)
+    monkeypatch.setenv("LSACAT_DATA", directory)
+    with pytest.raises((DocSyntaxError, DocSemanticError)) as err:
+        catalog.load_catalog()
+    assert ("%s: %s" % (type(err.value).__name__, err.value)
+            == message.format(directory))
+
+
 # (old, new, stdout) in e.cat: each edit breaks the structure of a block
 # or of the catalog, and {} is the copy's directory
 BAD_BLOCKS = {
@@ -494,6 +758,10 @@ BAD_BLOCKS = {
                      "block in {}/e.cat"),
     "duplicate_id": ("entry E-2\n", "entry E-1\n",
                      "catalog error: duplicate entry id E-1"),
+    # an 'end' with no block before it is a block without its head
+    "end_twice": ("end\n\nentry E-2\n", "end\nend\n\nentry E-2\n",
+                  "catalog error: {}/e.cat: line 17, col 1: entry block "
+                  "must start with 'entry <id>'"),
 }
 
 
@@ -563,6 +831,20 @@ FAILING_MUTANTS = {
             "  iso N-2 -> N-3: source instantiation failed: denominator mu "
             "vanishes at {'lambda': '%s', 'mu': '0'}" % v
             for v in ("2", "-1", "1/2", "3")]),
+    # a bind whose denominator vanishes at a sample (lambda = 0) fails
+    # that one coincidence, and the other samples and lines still report
+    "iso_bind_denominator_vanishes": (
+        "n.cat", "iso Dl-1 bind l=0 lambda=lambda\n",
+        "iso Dl-1 bind l=0 lambda=1/lambda\n", ["--entry", "N-1"], [
+            "N: 1/1 classes verified",
+            "entry/sample pairs: 5, failures: 0",
+            "remark coincidences: 2 confirmed, 0 unconfirmed, 4 failed",
+            "property table discrepancies: 0",
+            "  iso N-1 -> Dl-1: bind failed: denominator lambda vanishes at "
+            "{'lambda': '0'}"] + [
+            "  iso N-1[lambda=%s] -> Dl-1[l=0,lambda=%s]: not_isomorphic "
+            "(every automorphism component gives the Groebner basis {1})"
+            % pair for pair in (("2", "1/2"), ("1/2", "2"), ("3", "1/3"))]),
     "flag_flipped": ("h.cat", "flags novikov=yes\nend", "flags\nend",
                      ["--entry", "H-1"], [
         "H: 0/1 classes verified",
