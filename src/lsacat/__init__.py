@@ -12,12 +12,13 @@ All values are immutable (QI sets its parts once, every other value type
 is a scalars.Frozen) and all operations are pure functions, so everything
 here is safe to use from multiple threads.  An Algebra keeps the verdict
 of its first check_left_symmetric, which a race computes twice at worst.
-Three bounded module maps, each filled through scalars.remember, keep
-results: classify3 by bracket table, the scalar parser by text (handing
-out stored tuples nobody can change) and triple_products (the dicts of
-the nonzero coordinates of T, U and A = T - U) for the table read last
-(never another table's).  Dict reads and writes are atomic, so at worst
-two threads compute one twice.
+Four stores keep results, each paid for by the traffic: the scalar
+parser's by text (a catalog load parses 247 texts in 1,151 calls; it
+hands out stored tuples nobody can change), triple_products for the
+table read last, never another table's (a point's checks read one
+build), the loaded catalog (one parse per command) and iso._component (a
+search cycle solves 83 times in 6 components).  Dict reads and writes
+are atomic, so at worst two threads compute one twice.
 """
 
 from .algebra import (Algebra, check_left_symmetric, commutator_lie,

@@ -501,7 +501,8 @@ def _verify_iso_decl(points, src, target, bind, use_search):
     except LsaError as exc:
         return False, "iso %s -> %s: %s failed: %s" % (
             src.entry.id, target.id, stage, exc)
-    label = "iso %s -> %s" % (src.label(), tgt.label())
+    label = "iso %s -> %s" % (point_label(src.entry.id, src.bindings),
+                              point_label(target.id, tgt.bindings))
     verdict = search_lsa_iso(src.alg, tgt.alg)
     if verdict.is_isomorphic:
         return True, label + ": ok (search)"
@@ -510,17 +511,10 @@ def _verify_iso_decl(points, src, target, bind, use_search):
 
 
 class _Point:
-    """A catalog point met by one pass, which builds its table and makes its
-    label (on first use) at most once."""
+    "A catalog point met by one pass, which builds its table at most once."
 
     def __init__(self, entry, bindings, alg):
         self.entry, self.bindings, self.alg = entry, bindings, alg
-        self._label = None
-
-    def label(self):
-        if self._label is None:
-            self._label = point_label(self.entry.id, self.bindings)
-        return self._label
 
 
 def _point(points, entry, bindings, alg=None):
@@ -601,7 +595,7 @@ def verify_property_tables(sweep):
     found = ([], [])            # at the sweep's points, at the added ones
     sets = {}
     for k, (p, got, wrong) in enumerate(checked):
-        e, label = p.entry, p.label()
+        e, label = p.entry, point_label(p.entry.id, p.bindings)
         for name in FLAG_NAMES:
             if got[name]:
                 sets.setdefault((e.family, name), []).append((e.id, label))
@@ -615,8 +609,8 @@ def verify_property_tables(sweep):
 def verify_remark_isos(sweep):
     """Check the stored coincidence declarations of the entries a
     verify_all sweep ran, each decided exactly by search_lsa_iso; a point
-    the sweep built is not built again, and no point is built or labeled
-    twice.  Returns (confirmed, unconfirmed, failed) message lists."""
+    the sweep built is not built again, and no point is built twice.
+    Returns (confirmed, unconfirmed, failed) message lists."""
     cat, points = load_catalog(), {}
     for r in sweep.reports:
         _point(points, cat[r.entry_id], r.bindings, r.alg)

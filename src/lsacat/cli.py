@@ -187,8 +187,9 @@ def main(argv=None):
     c.set_defaults(func=cmd_cocycle_build)
 
     c = sub.add_parser("catalog-verify", help="verify the embedded catalog")
-    c.add_argument("--family", choices=sorted(catalog.FAMILY_FILES))
-    c.add_argument("--entry")
+    g = c.add_mutually_exclusive_group()
+    g.add_argument("--family", choices=sorted(catalog.FAMILY_FILES))
+    g.add_argument("--entry")
     c.add_argument("--param", action="append",
                    help="name=value (repeatable, with --entry)")
     c.add_argument("--all", action="store_true",

@@ -50,12 +50,14 @@ class IsoVerdict(Record):
 
 @functools.cache
 def _component(comp):
-    """(names, the template's cells as term dicts, det(F)*z - 1 as a
-    MultiPoly) of one component, over names + ("z",), built once."""
+    """(names, template, the template's cells as term dicts, det(F)*z - 1
+    as a MultiPoly) of one component, over names + ("z",), built once: the
+    one store of template data, which only a search reads."""
     names, template = aut_template(comp)
     vs = names + ("z",)
     det = template.det() * MultiPoly.var("z") - 1
-    return (names, [[_term_dict(x, vs) for x in row] for row in template.rows],
+    return (names, template,
+            [[_term_dict(x, vs) for x in row] for row in template.rows],
             MultiPoly._of(vs, _term_dict(det, vs)))
 
 
@@ -66,7 +68,7 @@ def _hom_equations(a, b, comp):
     F(e_i e_j) - F(e_i) F(e_j) is sum_p a_ij^p F_pq - sum_kl F_ik F_jl b_kl^q,
     taken in hom_defects' order with the zero ones left out.  Each product
     F_ik F_jl is formed once and spread over the nonzero b_kl^q."""
-    names, f, det = _component(comp)
+    names, _, f, det = _component(comp)
     n = a.dim
     vs = names + ("z",)
     one = (0,) * len(vs)
@@ -136,7 +138,7 @@ def _solve_component(a, b, comp):
     the homomorphism equations plus det*z - 1 have the reduced lex basis
     {1}, or a Q(i) point read off the basis in the template's variable
     order or its reverse."""
-    names, template = aut_template(comp)
+    names, template = _component(comp)[:2]
     eqs = _hom_equations(a, b, comp)
     for order in (names, names[::-1]):
         basis = groebner(eqs, ("z",) + order)

@@ -17,9 +17,10 @@ by its classify3 tag:
     E            [e3,e1] = e1, [e3,e2] = e1+e2
 
 plus Sl2, the only perfect one.  D(1) is the algebra the catalog calls
-D1; the classifier reports it as Dl with parameter 1.  The catalog's D(l)
-points have the canonical Dl table itself as their commutator, so
-classify3 reads the class of that table off its l and finds no roots.
+D1; the classifier reports it as Dl with parameter 1.  The commutator of
+every catalog point is one of these canonical tables or D(0), so
+classify3 reads the class of such a table off the table and finds no
+roots.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .algebra import LieAlgebra, hom_defects, multiplication_operators, multiply
 from .errors import DimensionMismatch, InternalError, NotDimension3
 from .linalg import Mat, basis_vec, span_basis, vec_is_zero, vec_scale
 from .scalars import (ONE, QI, ZERO, Frozen, as_scalar, factor_unipoly,
-                      is_zero, parse_scalar, qi, remember)
+                      is_zero, parse_scalar, qi)
 
 
 def check_lie_automorphism(g, t):
@@ -66,15 +67,19 @@ def canonical_lie(family, l=None):
     if family == "Dl":
         if l is None:
             raise ValueError("Dl needs the parameter l")
-        # [e3,e1] = e1, [e3,e2] = l e2 is antisymmetric and satisfies
-        # Jacobi for every l, so the table needs no check; l may be symbolic
-        l, z = as_scalar(l), (ZERO, ZERO, ZERO)
-        return LieAlgebra._of(((z, z, (-ONE, ZERO, ZERO)),
-                               (z, z, (ZERO, -l, ZERO)),
-                               ((ONE, ZERO, ZERO), (ZERO, l, ZERO), z)))
+        return LieAlgebra._of(_dl_cells(as_scalar(l)))
     if family in _CANONICAL:
         return _CANONICAL[family]
     raise ValueError("unknown family %r" % (family,))
+
+
+def _dl_cells(l):
+    """The cells of the D(l) table, [e3,e1] = e1, [e3,e2] = l e2, which is
+    antisymmetric and satisfies Jacobi for every l, so the table needs no
+    check; l may be symbolic."""
+    z = (ZERO, ZERO, ZERO)
+    return ((z, z, (-ONE, ZERO, ZERO)), (z, z, (ZERO, -l, ZERO)),
+            ((ONE, ZERO, ZERO), (ZERO, l, ZERO), z))
 
 
 # Each component of the stored automorphism groups, as the rows of its
@@ -93,23 +98,16 @@ _AUT = {
 }
 
 
-def _template(rows):
-    "(sorted parameter names, parametric matrix) of one _AUT component."
-    m = Mat([[parse_scalar(x) for x in row] for row in rows])
+def aut_template(comp):
+    """Sorted parameter names and parametric matrix of one automorphism-group
+    component (see aut_components), in the row convention, parsed from
+    _AUT when asked for: only a search reads one, through iso._component."""
+    if comp not in _AUT:
+        raise ValueError("no stored automorphism group for %r" % (comp,))
+    m = Mat([[parse_scalar(x) for x in row] for row in _AUT[comp]])
     names = sorted({v for row in m.rows for x in row
                     if not isinstance(x, QI) for v in x.free_vars()})
     return tuple(names), m
-
-
-_TEMPLATES = {comp: _template(rows) for comp, rows in _AUT.items()}
-
-
-def aut_template(comp):
-    """Sorted parameter names and parametric matrix of one automorphism-group
-    component (see aut_components), in the row convention."""
-    if comp not in _TEMPLATES:
-        raise ValueError("no stored automorphism group for %r" % (comp,))
-    return _TEMPLATES[comp]
 
 
 def aut_components(family, l=None):
@@ -160,24 +158,11 @@ def canonical_l(l):
     """Pick the representative of {l, 1/l}: |l| <= 1, ties broken by
     nonnegative imaginary part (and then nonnegative real part)."""
     l = qi(l)
-    if l.is_zero():
+    # |1/l|^2 = 1/|l|^2; at |l| = 1, 1/l is the conjugate of l
+    n = l.norm2()
+    if n < 1 or n == 1 and l.im >= 0:
         return l
-    inv = QI(1) / l
-    n1, n2 = l.norm2(), inv.norm2()
-    if n1 < n2:
-        return l
-    if n2 < n1:
-        return inv
-    # |l| = 1, so inv is the conjugate of l; prefer im >= 0
-    if l.im >= 0:
-        return l
-    return inv
-
-
-# classify3 results by bracket table, so that a table met again is not
-# classified again; remember clears it when it is full.
-_CLASSIFIED = {}
-_CLASSIFIED_MAX = 256
+    return 1 / l
 
 
 def classify3(g):
@@ -189,33 +174,36 @@ def classify3(g):
     non-semisimple -> E); d=3 sl2, the only perfect 3-dimensional complex
     Lie algebra.  A witness basis change (rows = new basis) is attached
     whenever the eigen-data lies in Q(i), confirmed by its three brackets
-    against the canonical table, with no table rebased.  The canonical
-    table of D(l) itself skips the procedure: its class is D(l) or D(1/l),
-    whichever l is canonical (_canonical_dl)."""
+    against the canonical table, with no table rebased.
+
+    A canonical table skips the procedure, and its class is read off it
+    (_canonical): the commutator of every catalog point is one.  Nothing is
+    remembered between calls, so classify3 is a pure function of g."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
-    try:
-        cls = _CLASSIFIED.get(g.c)
-    except TypeError:       # a non-constant RatFunc entry has no hash
-        return _classify(g)
-    if cls is None:
-        cls = remember(_CLASSIFIED, _CLASSIFIED_MAX, g.c,
-                       _canonical_dl(g) or _classify(g))
-    return cls
+    return _canonical(g) or _classify(g)
 
 
-def _canonical_dl(g):
-    """classify3 of g when g is the canonical table of D(l), l the e2
-    coordinate of [e3,e2], read off the table with no root finding; None
-    for any other table.  When l is canonical the equality is the witness
-    check; otherwise e2, e1, e3/l rebase g onto D(1/l)."""
+def _canonical(g):
+    """classify3 of g when g is a canonical table, read off it with no root
+    finding; None for any other table.  l, the e2 coordinate of [e3,e2],
+    names the only D(l) table g can be.  D(0) is N in the basis e2, e1, e3;
+    for l != 0, when l is canonical the equality is the witness check, and
+    otherwise e2, e1, e3/l rebase g onto D(1/l).  The five fixed tables
+    are written in their canonical bases."""
     l = g.c[2][1][1]
-    if type(l) is not QI or l.is_zero() or g != canonical_lie("Dl", l):
-        return None
-    if canonical_l(l) == l:
-        return LieClass("Dl", l, Mat.identity(3))
-    inv = 1 / l
-    return _witnessed(g, Mat([[0, 1, 0], [1, 0, 0], [0, 0, inv]]), "Dl", inv)
+    if type(l) is QI and g.c == _dl_cells(l):
+        if l.is_zero():
+            return _D0
+        if canonical_l(l) == l:
+            return LieClass("Dl", l, _I3)
+        inv = 1 / l
+        return _witnessed(g, Mat([[0, 1, 0], [1, 0, 0], [0, 0, inv]]), "Dl",
+                          inv)
+    for h, cls in _FIXED:
+        if g == h:
+            return cls
+    return None
 
 
 def _classify(g):
@@ -314,6 +302,17 @@ def _witnessed(g, w, tag, l=None):
     if not _is_lie_iso(canonical_lie(tag, l), g, w):
         raise InternalError("classify3 built a wrong %s witness" % tag)
     return LieClass(tag, param=l, witness=w)
+
+
+# The classes _canonical reads off: D(0) = N with centre e2, derived line
+# e1 and [e3, e1] = e1, its witness checked once, here; then the five
+# fixed tables, each its own canonical basis (Sl2 has no witness), in the
+# order of the catalog's traffic.
+_D0 = _witnessed(canonical_lie("Dl", ZERO), Mat([[0, 1, 0], [1, 0, 0],
+                                                 [0, 0, 1]]), "N")
+_I3 = Mat.identity(3)
+_FIXED = [(_CANONICAL[t], LieClass(t, witness=None if t == "Sl2" else _I3))
+          for t in ("N", "E", "Heisenberg", "Abelian", "Sl2")]
 
 
 def _left_eigvec(m, ev):

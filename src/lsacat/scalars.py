@@ -1268,7 +1268,7 @@ class _Parser:
 
 # (result, names it reads as parameters) by (rule, text, args).  A hit
 # whose names are not all allowed parses again, to raise; a failed parse is
-# not stored.  Cleared when full; import and load_catalog store 256 keys.
+# not stored.  Cleared when full; import stores none and load_catalog 247.
 _PARSED = {}
 _PARSED_MAX = 512
 

@@ -18,8 +18,9 @@ goes first from round to round:
             parse memo emptied first, as a fresh process starts
 
 Every timing is the CPU time of one piece on one tree; the lie
-classification cache is emptied before each, as a fresh process starts
-with it empty, and the loaded catalog is kept, as setup (but for the
+classification cache of a tree that keeps one (lie._CLASSIFIED) is
+emptied before each, as a fresh process starts with it empty, and the
+loaded catalog is kept, as setup (but for the
 load piece, which loads it again).  Both trees run
 under the same load at nearly the same moment, so the ratio B/A of a
 round survives the slow drift of a shared host that moves whole

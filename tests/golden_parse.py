@@ -15,7 +15,7 @@ change that means to alter what the shipped texts parse to:
 
 import sys
 
-import lsacat  # noqa: F401  (its import parses texts of its own)
+import lsacat  # noqa: F401  (its import parses no text)
 from lsacat import catalog, scalars
 
 

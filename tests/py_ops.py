@@ -14,8 +14,9 @@ one warm run of each piece:
              parse memo emptied first, as a fresh process starts
 
 Each piece runs once untraced first, so the catalog is loaded and parsed
-before the count (the load piece loads and parses it again); the lie classification cache is emptied before the
-counted run, as in a fresh process.  The count stops if two trees print
+before the count (the load piece loads and parses it again); the lie classification cache of a tree that keeps one
+(lie._CLASSIFIED) is emptied before the counted run, as in a fresh
+process.  The count stops if two trees print
 different catalog-verify --all text.  Work done in C (big-integer
 arithmetic, sorted, dict and tuple comparison) is not counted.  The count
 does not depend on the host's speed, and it is the same between runs and

@@ -16,7 +16,8 @@ from lsacat.errors import (ConstraintViolated, DenominatorVanishes,
 from lsacat.iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
 from lsacat.linalg import Mat, basis_vec, vec_eq
 from lsacat.props import fingerprint
-from lsacat.scalars import QI, MultiPoly, RatFunc, parse_scalar, substitute
+from lsacat.scalars import (QI, MultiPoly, RatFunc, parse_scalar,
+                            qi_roots, substitute)
 
 
 def test_entry_counts(full_catalog):
@@ -1092,6 +1093,62 @@ def test_dl_entry_fails_at_l_2(capsys, entry_id):
     assert cli.main(argv + ["l=1/2"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "Dl: 1/1 classes verified", "entry/sample pairs: 1, failures: 0"]
+
+
+def univariate_coefficients(p, name):
+    """The coefficients, low to high, of p, a QI or a MultiPoly in the one
+    variable name."""
+    if type(p) is QI:
+        return [p]
+    k = p.vars.index(name)
+    co = [QI(0)] * (max(e[k] for e in p.terms) + 1)
+    for e, c in p.terms.items():
+        co[e[k]] = c
+    return co
+
+
+def exceptional_values(e):
+    """{Q(i) root: causes} of det C (its numerator) and of each denominator
+    of the table, f(e_i) and C cells of e, an entry with one free
+    parameter, after its `eq` pins are substituted."""
+    [name] = [n for n, c in e.params.items() if c[0] != "eq"]
+    values = {n: c[1] if c[0] == "eq" else MultiPoly.var(n)
+              for n, c in e.params.items()}
+    polys = []
+    for where, x in ([("table", x) for row in e.table.c for v in row
+                          for x in v]
+                         + [("f(e%d)" % (i + 1), x) for i, f in
+                            enumerate(e.f_mats) for r in f.rows for x in r]
+                         + [("C", x) for r in e.cmat.rows for x in r]):
+        if isinstance(x, RatFunc):
+            polys.append((where + " denominator", pinned(x.den, values)))
+    det = Mat._of([[pinned(x, values) for x in r]
+                   for r in e.cmat.rows]).det()
+    polys.append(("det C", det.num if isinstance(det, RatFunc) else det))
+    found = {}
+    for cause, p in polys:
+        for r in qi_roots(univariate_coefficients(p, name)):
+            found.setdefault(r, set()).add(cause)
+    return name, found
+
+
+def test_one_parameter_entries_fail_only_at_excluded_values(full_catalog):
+    """ROADMAP item 32's first scan: every Q(i) root of det C and of each
+    denominator of a one-parameter entry's table, f(e_i) and C cells is a
+    value its `params` line excludes with `ne`, but for the pinned FOUND
+    at l = 2 (FAILS_AT_L_2), where det C = +-(l - 2) on Dl-9 and Dl-21."""
+    one = [e for e in full_catalog.values()
+           if sum(c[0] != "eq" for c in e.params.values()) == 1]
+    assert len(one) == 43
+    admitted = {}
+    for e in one:
+        name, found = exceptional_values(e)
+        c = e.params[name]
+        for r, causes in found.items():
+            if not (c[0] == "ne" and r in c[1:]):
+                admitted[e.id, name, r] = causes
+    assert admitted == {("Dl-9", "l", QI(2)): {"det C"},
+                        ("Dl-21", "l", QI(2)): {"det C"}}
 
 
 def pinned(x, values):

@@ -283,6 +283,54 @@ def test_only_algebra_and_props_import_the_triple_products():
     assert found == ["props.py"]
 
 
+def empty_container(node):
+    "{}, [], set(), dict() or list(): a value that only later calls fill."
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (getattr(node, "keys", None) or getattr(node, "elts", None))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args
+            and not node.keywords)
+
+
+def memoizing(decorator):
+    "functools.cache or functools.lru_cache, called or not, by any name."
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "attr", getattr(decorator, "id", ""))
+    return name in ("cache", "lru_cache")
+
+
+# The stores of computed results the package keeps, each with the traffic
+# that pays for it: the parser's memo by text (1,151 parse calls on 247
+# texts per catalog load), the triple products of the table read last (the
+# left-symmetry check and the four identity flags of a point read one
+# build), the loaded catalog (one parse for the four load_catalog calls of
+# a command) and the automorphism components a search solves in (83
+# component solves on 6 components per search cycle).  A new store joins
+# only with its measured reason.
+STORES = {"scalars._PARSED", "algebra._TRIPLES", "catalog._CACHE",
+          "iso._component"}
+
+
+def test_package_keeps_only_the_listed_stores():
+    """A store is a module-level name bound to an empty dict, list or set,
+    or a function under functools.cache or lru_cache; src/lsacat keeps
+    exactly STORES."""
+    found = set()
+    for name, tree in package_trees().items():
+        module = name[:-len(".py")]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    node.value is not None and empty_container(node.value):
+                targets = getattr(node, "targets", None) or [node.target]
+                found |= {"%s.%s" % (module, t.id) for t in targets
+                          if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.FunctionDef) and any(
+                    map(memoizing, node.decorator_list)):
+                found.add("%s.%s" % (module, node.name))
+    assert found == STORES
+
+
 def test_package_imports_only_names_it_uses():
     "Every name a module of src/lsacat (but __init__) imports is used there."
     unused = []
@@ -312,12 +360,15 @@ def test_uncaught_library_error_exits_2(monkeypatch):
     assert "internal failure" in out
 
 
-def test_wrong_classifier_witness_exits_2(monkeypatch):
+def test_wrong_classifier_witness_exits_2(monkeypatch, tmp_path):
     """classify3's check of its own witness fires; the command reports it
-    as an internal error, not a fault of the document, and exits 2."""
-    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+    as an internal error, not a fault of the document, and exits 2.  The
+    commutator, [e1,e2] = -e3, is no canonical table, so it is classified
+    and its witness checked."""
+    p = tmp_path / "h.alg"
+    p.write_text("kind algebra dim 3 domain gaussian\ne2 e1 = e3\n")
     monkeypatch.setattr(lie, "_is_lie_iso", lambda src, dst, w: False)
-    assert run(["check", sample("h1.alg")]) == (
+    assert run(["check", str(p)]) == (
         2, "left_symmetric: yes\n"
            "internal error: classify3 built a wrong Heisenberg witness\n")
 
@@ -985,6 +1036,19 @@ def test_check_refuses_a_cocycle_document():
 def test_catalog_verify_param_without_entry():
     assert run(["catalog-verify", "--param", "lambda=1"]) == (
         2, "--param requires --entry\n")
+
+
+def test_catalog_verify_family_with_entry_exits_2(monkeypatch, capsys):
+    """--family and --entry exclude each other: the pair is refused while
+    the arguments are read, before anything is verified, and exits 2."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_all called")
+    monkeypatch.setattr(catalog, "verify_all", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog-verify", "--family", "Dl", "--entry", "N-1"])
+    assert exc.value.code == 2
+    assert "argument --entry: not allowed with argument --family" in \
+        capsys.readouterr().err
 
 
 def test_iso_search_separates_dimensions(tmp_path):

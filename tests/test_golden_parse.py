@@ -17,6 +17,6 @@ def test_parse_memo_matches_the_golden_file():
                           timeout=120, check=True)
     want = GOLDEN.read_text().splitlines()
     got = proc.stdout.splitlines()
-    assert len(got) == len(want) == 256
+    assert len(got) == len(want) == 247
     for n, (g, w) in enumerate(zip(got, want), 1):
         assert g == w, "line %d" % n

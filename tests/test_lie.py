@@ -135,14 +135,65 @@ def catalog_lie_tables():
             yield commutator_lie(catalog.instantiate(eid, dict(first, l=l)))
 
 
-def test_classify_map_agrees_with_a_fresh_classification(monkeypatch):
-    monkeypatch.setattr(lie, "_CLASSIFIED", {})
+def test_classify3_agrees_with_a_fresh_classification():
     for g in catalog_lie_tables():
         got = classify3(g)
         fresh = lie._classify(g)
         assert (got.tag, got.param, got.witness) == (
             fresh.tag, fresh.param, fresh.witness)
         assert classify3(g) == got
+
+
+def refuse_root_finding(monkeypatch):
+    "Make any factor_unipoly call of lie fail the test."
+    def refuse(*args):
+        raise AssertionError("factor_unipoly called")
+
+    monkeypatch.setattr(lie, "factor_unipoly", refuse)
+
+
+@pytest.mark.parametrize("tag", sorted(lie._CANONICAL) + ["D(0)"])
+def test_fixed_canonical_tables_are_read_off(monkeypatch, tag):
+    """classify3 of each fixed canonical table, and of D(0), the Dl table at
+    l = 0, is read off the table and equals the general classifier's answer."""
+    g = canonical_lie("Dl", 0) if tag == "D(0)" else canonical_lie(tag)
+    fresh = lie._classify(g)
+    refuse_root_finding(monkeypatch)
+    assert lie._canonical(g) is not None
+    assert classify3(g) == fresh
+    assert fresh.tag == ("N" if tag == "D(0)" else tag)
+
+
+def catalog_dl_values():
+    "Each value of l at which the catalog's samples build a Dl point."
+    values = []
+    for entry in catalog.load_catalog().values():
+        if entry.family == "Dl":
+            values += [b["l"] for b in entry.sample_bindings()
+                       if b["l"] not in values]
+    return values
+
+
+def drawn_dl_values(n=20, seed=53):
+    "n nonzero Gaussian rationals with small parts, drawn from a fixed seed."
+    rng, values = random.Random(seed), []
+    while len(values) < n:
+        l = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if not l.is_zero() and l not in values:
+            values.append(l)
+    return values
+
+
+def test_dl_tables_are_read_off_at_the_samples_and_drawn_values(monkeypatch):
+    """At each catalog sample of l and at 20 drawn values, classify3 of the
+    D(l) table is read off it and equals the general classifier's answer."""
+    values = catalog_dl_values()
+    assert len(values) >= 3
+    tables = [canonical_lie("Dl", l) for l in values + drawn_dl_values()]
+    fresh = [lie._classify(g) for g in tables]
+    refuse_root_finding(monkeypatch)
+    assert [classify3(g) for g in tables] == fresh
 
 
 # D(l) parameters on both sides of every case of canonical_l: |l| < 1,
@@ -160,12 +211,7 @@ def test_canonical_dl_tables_are_read_off_without_root_finding(monkeypatch, l):
     answer and calls no factor_unipoly."""
     g = canonical_lie("Dl", l)
     fresh = lie._classify(g)
-    monkeypatch.setattr(lie, "_CLASSIFIED", {})
-
-    def refuse(*args):
-        raise AssertionError("factor_unipoly called")
-
-    monkeypatch.setattr(lie, "factor_unipoly", refuse)
+    refuse_root_finding(monkeypatch)
     got = classify3(g)
     assert (got.tag, got.param, got.witness, got.detail) == (
         fresh.tag, fresh.param, fresh.witness, fresh.detail)
@@ -182,14 +228,13 @@ def test_canonical_dl_table_is_the_checked_bracket_table(l):
 
 def test_rebased_canonical_dl_takes_the_general_path(monkeypatch):
     g = rebase(canonical_lie("Dl", 2), Mat([[1, 2, 0], [0, 1, 1], [1, 0, 3]]))
-    assert lie._canonical_dl(g) is None
+    assert lie._canonical(g) is None
     calls = []
 
     def counted(p):
         calls.append(p)
         return factor_unipoly(p)
 
-    monkeypatch.setattr(lie, "_CLASSIFIED", {})
     monkeypatch.setattr(lie, "factor_unipoly", counted)
     assert classify3(g).key() == ("Dl", (Fraction(1, 2), 0))
     assert len(calls) == 1
@@ -199,15 +244,6 @@ def test_classify_result_is_frozen():
     cls = classify3(canonical_lie("N"))
     with pytest.raises(AttributeError, match="immutable"):
         cls.tag = "Abelian"
-
-
-def test_classify_map_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(lie, "_CLASSIFIED", {})
-    monkeypatch.setattr(lie, "_CLASSIFIED_MAX", 4)
-    for k in range(2, 12):
-        g = canonical_lie("Dl", Fraction(1, k))
-        assert classify3(g).param == QI(Fraction(1, k))
-        assert 0 < len(lie._CLASSIFIED) <= 4
 
 
 def test_canonical_l_normalization():

@@ -533,6 +533,17 @@ def test_other_qi_hash_as_their_fraction_parts(re, im):
     assert hash(QI(re, im)) == expected
 
 
+def test_ratfunc_hashes_as_its_constant_value_or_not_at_all():
+    """A constant RatFunc equals its value and hashes as it; a non-constant
+    one has no hash, since no hash could agree with its equality."""
+    l = MultiPoly.var("l")
+    half = RatFunc(MultiPoly.const(1), MultiPoly.const(2))
+    assert half == QI(Fraction(1, 2))
+    assert hash(half) == hash(QI(Fraction(1, 2))) == hash(Fraction(1, 2))
+    with pytest.raises(TypeError, match="non-constant RatFunc is unhashable"):
+        hash(RatFunc(l, l + 1))
+
+
 TRIVIAL_OPERANDS = (QI(0), QI(1), QI(-1), QI(0, 1), 0, 1, Fraction(0),
                     Fraction(1))
 MODEL_OPS = (
