@@ -29,7 +29,7 @@ from .errors import (ConstraintViolated, DivisionByZero, DocSemanticError,
                      DocSyntaxError, LsaError, NotBijective, NotCocycle,
                      UnboundVariable, UnknownId)
 from .iso import search_lsa_iso, verify_lsa_iso
-from .lie import LieClass, canonical_l, canonical_lie, classify3
+from .lie import canonical_lie, classify3
 from .props import ideal_flags, identity_flags
 from .scalars import (ONE, QI, Record, format_scalar, parse_scalar, qi,
                       substitute)
@@ -363,29 +363,17 @@ class EntryReport(Record):
         return "\n    ".join([head] + self.messages)
 
 
-# The sub-adjacent Lie algebra of each catalog family as its classify3 tag
-# and l; a Dl entry's l is its parameter l.
-_FAMILY_LIE = {
-    "H": ("Heisenberg", None),
-    "N": ("N", None),
-    "E": ("E", None),
-    "D1": ("Dl", ONE),
-    "Dl": ("Dl", None),
-}
-
-
-def _family_tag_l(entry, bindings):
-    tag, l = _FAMILY_LIE[entry.family]
-    return tag, bindings["l"] if entry.family == "Dl" else l
-
-
-def expected_lie_key(entry, bindings):
-    tag, l = _family_tag_l(entry, bindings)
-    return LieClass(tag, None if l is None else canonical_l(l)).key()
+# The sub-adjacent Lie algebra of each catalog family as a canonical_lie
+# family: D1 is D(1), a Dl entry's l is its parameter l, and the other
+# families take no l.
+_FAMILY_LIE = {"H": "Heisenberg", "N": "N", "E": "E", "D1": "Dl", "Dl": "Dl"}
 
 
 def family_lie(entry, bindings):
-    return canonical_lie(*_family_tag_l(entry, bindings))
+    """The family's bracket table g at a point: the point is a left-symmetric
+    algebra on g, so its expected Lie class is classify3(g)."""
+    return canonical_lie(_FAMILY_LIE[entry.family],
+                         bindings["l"] if entry.family == "Dl" else ONE)
 
 
 def _flag_mismatches(entry, bindings, got):
@@ -412,6 +400,7 @@ def verify_entry(entry, bindings=None):
     bindings = {k: qi(v) for k, v in (bindings or {}).items()}
     alg = instantiate(e, bindings)
     rep = EntryReport(e.id, bindings, alg)
+    g = family_lie(e, bindings)
 
     ok, cert = check_left_symmetric(alg)
     rep.left_symmetric = ok
@@ -419,13 +408,13 @@ def verify_entry(entry, bindings=None):
     if not ok:
         rep.messages.append("left-symmetry fails at triple %s" % (cert[:3],))
     else:   # left-symmetric, so the commutator h is a Lie algebra
-        cls = classify3(h)
-        rep.lie_class_ok = cls.key() == expected_lie_key(e, bindings)
+        key = classify3(h).key()
+        rep.lie_class_ok = h == g or key == classify3(g).key()
         if not rep.lie_class_ok:
             rep.messages.append("lie class %s, expected %s"
-                                % (cls.key(), expected_lie_key(e, bindings)))
+                                % (key, classify3(g).key()))
 
-    rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h)
+    rep.cocycle_reconstruction_ok = _check_reconstruction(e, rep, h, g)
 
     rep.computed = computed_flags(alg)
     wrong = _flag_mismatches(e, bindings, rep.computed)
@@ -434,10 +423,11 @@ def verify_entry(entry, bindings=None):
     return rep
 
 
-def _check_reconstruction(e, rep, h):
+def _check_reconstruction(e, rep, h, g):
     """Whether the stored (f, C) data rebuilds the point's table (a primed
     entry's via its primed table and witness); a failure's message goes to
-    rep.messages.  h is rep.alg's commutator, or None if it was not built.
+    rep.messages.  h is rep.alg's commutator, or None if it was not built,
+    and g the family's bracket table at the point (family_lie).
     phi's table is the point's iff A_i C = C F_i for the left multiplications
     A_i = c_i, read up to the first row j where c_ij C != C_j F_i; and
     given left-symmetry, h = g (the family's bracket) and det C != 0 that
@@ -447,7 +437,7 @@ def _check_reconstruction(e, rep, h):
     success gives all four back.  So phi, which names the fault, sees only
     points refused here and primed ones (the four speak of the table only)."""
     bindings, alg, messages = rep.bindings, rep.alg, rep.messages
-    g, cm = family_lie(e, bindings), e.cmat.substitute(bindings)
+    cm = e.cmat.substitute(bindings)
     fs = [m.substitute(bindings) for m in e.f_mats]
     if (e.primed is None and rep.left_symmetric and h == g
             and not cm.det().is_zero()
@@ -482,9 +472,29 @@ def _check_reconstruction(e, rep, h):
     return True
 
 
-def _verify_iso_decl(points, src, target, bind, use_search):
-    """(ok, message) for the coincidence of the _Point src with the point
-    of the entry target at bind's values at src (in points), by
+def _point_key(entry_id, bindings):
+    "The key of a catalog point in a pass's table of built points."
+    return entry_id, tuple(sorted(bindings.items()))
+
+
+def _swept_points(sweep):
+    "A pass's {_point_key: table}, seeded with a verify_all sweep's points."
+    return {_point_key(r.entry_id, r.bindings): r.alg for r in sweep.reports}
+
+
+def _built(points, entry, bindings):
+    """entry's table at bindings, from points or built into it, unchecked:
+    the load proved that an iso bind names its target's parameters, and
+    _parse_cond and the sample pools admit each flag condition's point."""
+    key = _point_key(entry.id, bindings)
+    if key not in points:
+        points[key] = instantiate(entry, bindings, check=False)
+    return points[key]
+
+
+def _verify_iso_decl(points, entry, bindings, target, bind, use_search):
+    """(ok, message) for the coincidence of entry's point at bindings with
+    target's at bind's values there, each table _built into points, by
     search_lsa_iso: ok is True if it holds, None if the verdict is unknown,
     else False.  A bind that cannot be evaluated or an end that cannot be
     built (a remark may pin a value outside the entry's domain) fails the
@@ -492,40 +502,21 @@ def _verify_iso_decl(points, src, target, bind, use_search):
     reads it to tell the coincidence calls apart."""
     stage = "bind"
     try:
-        tgt = _point(points, target, {name: substitute(val, src.bindings)
-                                      for name, val in bind.items()})
-        for stage, p in (("source instantiation", src),
-                         ("target instantiation", tgt)):
-            if p.alg is None:
-                p.alg = instantiate(p.entry, p.bindings, check=False)
+        at = {name: substitute(val, bindings) for name, val in bind.items()}
+        stage = "source instantiation"
+        a = _built(points, entry, bindings)
+        stage = "target instantiation"
+        b = _built(points, target, at)
     except LsaError as exc:
         return False, "iso %s -> %s: %s failed: %s" % (
-            src.entry.id, target.id, stage, exc)
-    label = "iso %s -> %s" % (point_label(src.entry.id, src.bindings),
-                              point_label(target.id, tgt.bindings))
-    verdict = search_lsa_iso(src.alg, tgt.alg)
+            entry.id, target.id, stage, exc)
+    label = "iso %s -> %s" % (point_label(entry.id, bindings),
+                              point_label(target.id, at))
+    verdict = search_lsa_iso(a, b)
     if verdict.is_isomorphic:
         return True, label + ": ok (search)"
     return (None if verdict.status == "unknown" else False,
             label + ": %s (%s)" % (verdict.status, verdict.reason))
-
-
-class _Point:
-    "A catalog point met by one pass, which builds its table at most once."
-
-    def __init__(self, entry, bindings, alg):
-        self.entry, self.bindings, self.alg = entry, bindings, alg
-
-
-def _point(points, entry, bindings, alg=None):
-    """The _Point of entry at bindings in points, {entry id: [_Point]},
-    added with the table alg if it is not there."""
-    known = points.setdefault(entry.id, [])
-    for p in known:
-        if p.bindings == bindings:
-            return p
-    known.append(_Point(entry, bindings, alg))
-    return known[-1]
 
 
 class SweepReport(Record):
@@ -577,29 +568,27 @@ def verify_property_tables(sweep):
     condition's values) it missed, where failed left-symmetry is a mismatch
     too.  'discrepancies' lists every mismatch; 'condition_discrepancies'
     those at the added points, as a sweep report prints its own."""
-    cat, points = load_catalog(), {}
-    checked = [(_point(points, cat[r.entry_id], r.bindings, r.alg),
-                r.computed, []) for r in sweep.reports]
+    cat, points = load_catalog(), _swept_points(sweep)
+    checked = [(cat[r.entry_id], r.bindings, r.computed, [])
+               for r in sweep.reports]
     swept = len(checked)
-    for eid in list(points):
-        e = cat[eid]
+    for e in [cat[eid] for eid in dict.fromkeys(k[0] for k in points)]:
         for b in [b for cond in e.flags.values() if isinstance(cond, tuple)
                   for b in e.sample_bindings(dict(cond))]:
-            p = _point(points, e, b)
-            if p.alg is None:
-                p.alg = instantiate(e, b)
-                ok, cert = check_left_symmetric(p.alg)
-                checked.append((p, computed_flags(p.alg), [] if ok
+            if _point_key(e.id, b) not in points:
+                alg = _built(points, e, b)
+                ok, cert = check_left_symmetric(alg)
+                checked.append((e, b, computed_flags(alg), [] if ok
                                 else ["left-symmetry fails at triple %s"
                                       % (cert[:3],)]))
     found = ([], [])            # at the sweep's points, at the added ones
     sets = {}
-    for k, (p, got, wrong) in enumerate(checked):
-        e, label = p.entry, point_label(p.entry.id, p.bindings)
+    for k, (e, bindings, got, wrong) in enumerate(checked):
+        label = point_label(e.id, bindings)
         for name in FLAG_NAMES:
             if got[name]:
                 sets.setdefault((e.family, name), []).append((e.id, label))
-        wrong += _flag_mismatches(e, p.bindings, got)
+        wrong += _flag_mismatches(e, bindings, got)
         found[k >= swept].extend("%s %s" % (label, m) for m in wrong)
     return {"checked": len(checked), "sets": sets,
             "discrepancies": found[0] + found[1],
@@ -611,19 +600,16 @@ def verify_remark_isos(sweep):
     verify_all sweep ran, each decided exactly by search_lsa_iso; a point
     the sweep built is not built again, and no point is built twice.
     Returns (confirmed, unconfirmed, failed) message lists."""
-    cat, points = load_catalog(), {}
-    for r in sweep.reports:
-        _point(points, cat[r.entry_id], r.bindings, r.alg)
-    swept = set(points)
+    cat, points = load_catalog(), _swept_points(sweep)
+    swept = {r.entry_id for r in sweep.reports}
     confirmed, unconfirmed, failed = [], [], []
     for e in cat.values():
         if e.id not in swept:
             continue
         for decl in e.isos:
             for b in e.sample_bindings(decl.when):
-                ok, msg = _verify_iso_decl(points, _point(points, e, b),
-                                           cat[decl.target], decl.bind,
-                                           use_search=True)
+                ok, msg = _verify_iso_decl(points, e, b, cat[decl.target],
+                                           decl.bind, use_search=True)
                 if ok:
                     confirmed.append(msg)
                 elif ok is None:

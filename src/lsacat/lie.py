@@ -177,8 +177,9 @@ def classify3(g):
     against the canonical table, with no table rebased.
 
     A canonical table skips the procedure, and its class is read off it
-    (_canonical): the commutator of every catalog point is one.  Nothing is
-    remembered between calls, so classify3 is a pure function of g."""
+    (_canonical), its witness proved once by the tests: the commutator of
+    every catalog point is one.  Nothing is remembered between calls, so
+    classify3 is a pure function of g."""
     if g.dim != 3:
         raise NotDimension3("classify3 needs dim 3, got %d" % g.dim)
     return _canonical(g) or _classify(g)
@@ -187,10 +188,11 @@ def classify3(g):
 def _canonical(g):
     """classify3 of g when g is a canonical table, read off it with no root
     finding; None for any other table.  l, the e2 coordinate of [e3,e2],
-    names the only D(l) table g can be.  D(0) is N in the basis e2, e1, e3;
-    for l != 0, when l is canonical the equality is the witness check, and
-    otherwise e2, e1, e3/l rebase g onto D(1/l).  The five fixed tables
-    are written in their canonical bases."""
+    names the only D(l) table g can be.  D(0) is N in the basis _swap(1);
+    for l != 0, when l is canonical the equality is the witness, and
+    otherwise _swap(1/l) rebases g onto D(1/l).  The five fixed tables are
+    written in their canonical bases.  No witness is checked here:
+    tests/test_lie.py proves each once, D(l)'s for a symbolic l."""
     l = g.c[2][1][1]
     if type(l) is QI and g.c == _dl_cells(l):
         if l.is_zero():
@@ -198,8 +200,7 @@ def _canonical(g):
         if canonical_l(l) == l:
             return LieClass("Dl", l, _I3)
         inv = 1 / l
-        return _witnessed(g, Mat([[0, 1, 0], [1, 0, 0], [0, 0, inv]]), "Dl",
-                          inv)
+        return LieClass("Dl", inv, _swap(inv))
     for h, cls in _FIXED:
         if g == h:
             return cls
@@ -304,12 +305,15 @@ def _witnessed(g, w, tag, l=None):
     return LieClass(tag, param=l, witness=w)
 
 
+def _swap(s):
+    "Rows e2, e1, s e3: s = 1/l rebases D(l) onto D(1/l), s = 1 D(0) onto N."
+    return Mat([[0, 1, 0], [1, 0, 0], [0, 0, s]])
+
+
 # The classes _canonical reads off: D(0) = N with centre e2, derived line
-# e1 and [e3, e1] = e1, its witness checked once, here; then the five
-# fixed tables, each its own canonical basis (Sl2 has no witness), in the
-# order of the catalog's traffic.
-_D0 = _witnessed(canonical_lie("Dl", ZERO), Mat([[0, 1, 0], [1, 0, 0],
-                                                 [0, 0, 1]]), "N")
+# e1 and [e3, e1] = e1; then the five fixed tables, each its own canonical
+# basis (Sl2 has no witness), in the order of the catalog's traffic.
+_D0 = LieClass("N", witness=_swap(1))
 _I3 = Mat.identity(3)
 _FIXED = [(_CANONICAL[t], LieClass(t, witness=None if t == "Sl2" else _I3))
           for t in ("N", "E", "Heisenberg", "Abelian", "Sl2")]

@@ -8,13 +8,18 @@ random vectors against a simple verdict.  closure_by_rounds spans a basis
 with all its products, round by round, against props.closure_span.
 random_automorphism draws a member of a stored automorphism group of a
 canonical Lie algebra (lie.aut_template) with small Gaussian-rational
-parameters.
+parameters.  expected_lie_key spells out the expected Lie class of a
+catalog point from its family's tag and canonical l, against classify3 of
+the family's table (catalog.family_lie).  load_inputs and height_points
+read the benchmark's seeded inputs (perfbench/inputs.py).
 """
 
+import importlib.util
+import os
 from fractions import Fraction
 
 from lsacat.algebra import multiplication_operators, multiply
-from lsacat.lie import aut_components, aut_template
+from lsacat.lie import LieClass, aut_components, aut_template, canonical_l
 from lsacat.linalg import (Mat, basis_vec, combination, span_basis, vec_add,
                            vec_is_zero)
 from lsacat.props import find_ideals
@@ -149,3 +154,39 @@ def random_automorphism(family, rng, l=None):
             return instantiate_aut(comp, vals)
         except ValueError:
             continue
+
+
+# the classify3 tag of each catalog family's sub-adjacent Lie algebra
+FAMILY_TAGS = {"H": "Heisenberg", "N": "N", "E": "E", "D1": "Dl", "Dl": "Dl"}
+
+
+def expected_lie_key(entry, bindings):
+    """The Lie class key a catalog point must have, by the family's tag and
+    the canonical l (lie.canonical_l) of D1's l = 1 or of a Dl entry's
+    parameter l."""
+    l = {"D1": QI(1), "Dl": bindings.get("l")}.get(entry.family)
+    return LieClass(FAMILY_TAGS[entry.family],
+                    None if l is None else canonical_l(l)).key()
+
+
+def load_inputs():
+    "perfbench/inputs.py, which draws the benchmark's seeded inputs."
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def height_points(cat, seed):
+    """[(entry, bindings)] of the benchmark's height plans at seed: each
+    drawn (re, im) value as a QI, with the entry's `eq` pins."""
+    def bindings(entry, values):
+        b = {n: c[1] for n, c in entry.params.items() if c[0] == "eq"}
+        b.update({n: QI(*v) for n, v in values.items()})
+        return b
+    plans = load_inputs().height_plans(
+        cat.values(), seed, lambda e, v: e.admissible(bindings(e, v)))
+    return [(cat[eid], bindings(cat[eid], v)) for _, plan in plans
+            for eid, values in plan.items() for v in values]

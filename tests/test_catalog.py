@@ -1,23 +1,28 @@
 import copy
 import os
 import pickle
+import random
 import shutil
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from lsacat import catalog, cli
 from lsacat.algebra import (Algebra, check_left_symmetric, commutator_lie,
-                            multiply, substitute_algebra)
+                            multiply, substitute_algebra, triple_products)
 from lsacat.cocycle import Cocycle, Representation, left_regular, phi
+from lsacat.docs import constraint_allows
 from lsacat.errors import (ConstraintViolated, DenominatorVanishes,
                            DocSemanticError, DocSyntaxError, NotBijective,
                            NotCocycle, UnboundVariable, UnknownId)
 from lsacat.iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
+from lsacat.lie import classify3
 from lsacat.linalg import Mat, basis_vec, vec_eq
 from lsacat.props import fingerprint
-from lsacat.scalars import (QI, MultiPoly, RatFunc, parse_scalar,
+from lsacat.scalars import (QI, MultiPoly, RatFunc, is_zero, parse_scalar,
                             qi_roots, substitute)
+from oracles import expected_lie_key, height_points
 
 
 def test_entry_counts(full_catalog):
@@ -220,7 +225,8 @@ def phi_rebuilds(e, bindings, alg):
 
 def reconstruct(monkeypatch, e, bindings, alg, left_symmetric, h):
     """(verdict, messages, phi calls) of catalog._check_reconstruction at a
-    point, counting the calls it makes to phi."""
+    point, given the family's table as verify_entry gives it, counting the
+    calls it makes to phi."""
     calls = []
 
     def counted(c):
@@ -229,7 +235,8 @@ def reconstruct(monkeypatch, e, bindings, alg, left_symmetric, h):
     monkeypatch.setattr(catalog, "phi", counted)
     rep = catalog.EntryReport(e.id, bindings, alg)
     rep.left_symmetric = left_symmetric
-    ok = catalog._check_reconstruction(e, rep, h)
+    ok = catalog._check_reconstruction(e, rep, h,
+                                       catalog.family_lie(e, bindings))
     return ok, rep.messages, len(calls)
 
 
@@ -311,6 +318,85 @@ def test_identity_accepts_exactly_when_phi_rebuilds(monkeypatch,
         assert (ok and not calls) == phi_rebuilds(*point[:3]), point[0].id
     for point in primed:
         assert reconstruct(monkeypatch, *point) == (True, [], 1), point[0].id
+
+
+def drawn_l_values(seed=54):
+    """20 values of l, drawn from a fixed seed: 7 with |l| > 1, 7 on the
+    unit circle with im l < 0 (whose canonical l is the conjugate) and 6
+    non-real ones inside it."""
+    rng, out = random.Random(seed), []
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    while len(out) < 7:
+        l = QI(part(), part())
+        if l.norm2() > 1:
+            out.append(l)
+    while len(out) < 14:        # (1 - t^2 + 2t i) / (1 + t^2), t < 0
+        t = -Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        out.append(QI(1 - t * t, 2 * t) / (1 + t * t))
+    while len(out) < 20:
+        l = QI(part() / 9, part() / 9)
+        if l.im != 0 and l.norm2() < 1:
+            out.append(l)
+    return out
+
+
+def test_expected_lie_class_is_classify3_of_the_family_table(
+        full_catalog, catalog_sweep):
+    """The expected Lie class verify_entry reads off the family's table g,
+    classify3(g), is the one the family's tag and canonical l give
+    (oracles.expected_lie_key): at the 258 samples, at the benchmark's
+    height points of seeds 1-3 and at 20 drawn values of l on a Dl entry."""
+    points = [(full_catalog[r.entry_id], r.bindings)
+              for r in catalog_sweep.reports]
+    assert len(points) == 258
+    for seed in (1, 2, 3):
+        points += height_points(full_catalog, seed)
+    drawn = drawn_l_values()
+    assert sum(l.norm2() > 1 for l in drawn) == 7
+    assert sum(l.norm2() == 1 and l.im < 0 for l in drawn) == 7
+    assert sum(l.im != 0 for l in drawn) >= 13
+    points += [(full_catalog["Dl-1"], {"l": l, "lambda": QI(0)})
+               for l in drawn]
+    for e, b in points:
+        assert (classify3(catalog.family_lie(e, b)).key()
+                == expected_lie_key(e, b)), (e.id, b)
+
+
+def test_each_pass_builds_a_point_at_most_once(monkeypatch, capsys):
+    """During one catalog-verify --all, count the catalog.instantiate calls
+    per pass and point: the remark and property passes build no point the
+    sweep built, and each other point at most once."""
+    builds, current = [], [None]
+    instantiate = catalog.instantiate
+
+    def counted(entry, bindings=None, check=True):
+        eid = entry if isinstance(entry, str) else entry.id
+        builds.append((current[0], eid, tuple(sorted(bindings.items()))))
+        return instantiate(entry, bindings, check)
+
+    def in_pass(name, fn):
+        def run(*args, **kwargs):
+            current[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                current[0] = None
+        return run
+    monkeypatch.setattr(catalog, "instantiate", counted)
+    for name in ("verify_remark_isos", "verify_property_tables"):
+        monkeypatch.setattr(catalog, name, in_pass(name,
+                                                   getattr(catalog, name)))
+    assert cli.main(["catalog-verify", "--all"]) == 0
+    capsys.readouterr()
+    swept = {b[1:] for b in builds if b[0] is None}
+    passes = [b for b in builds if b[0] is not None]
+    assert len(swept) == 258
+    assert not [b for b in passes if b[1:] in swept]
+    assert len(set(passes)) == len(passes)
+    assert {b[0] for b in passes} == {"verify_remark_isos",
+                                      "verify_property_tables"}
 
 
 def test_catalog_sweep_clean(catalog_sweep):
@@ -888,6 +974,19 @@ FAILING_MUTANTS = {
         "    phi does not reproduce the printed table",
         "    associative: computed True, table says False",
         "    bisymmetric: computed True, table says False"]),
+    # Dl-2's bracket [e3,e2] doubled: at l = 2 the commutator is D(4),
+    # and the expected class is D(2)'s, read at its canonical l = 1/2
+    "table_other_dl_class": ("dl.cat", "table e3 e2 = l e2\ntable e3 e3 = l e3",
+                             "table e3 e2 = (2*l) e2\ntable e3 e3 = l e3",
+                             ["--entry", "Dl-2", "--param", "l=2"], [
+        "Dl: 0/1 classes verified",
+        "entry/sample pairs: 1, failures: 1",
+        "remark coincidences: 0 confirmed, 0 unconfirmed, 0 failed",
+        "property table discrepancies: 0",
+        "Dl-2[l=2]: FAIL",
+        "    lie class ('Dl', (Fraction(1, 4), Fraction(0, 1))), expected "
+        "('Dl', (Fraction(1, 2), Fraction(0, 1)))",
+        "    phi does not reproduce the printed table"]),
     "iso_bind": ("n.cat", "iso Dl-1 bind l=0 lambda=lambda",
                  "iso Dl-1 bind l=0 lambda=lambda+1", ["--entry", "N-1"], [
         "N: 1/1 classes verified",
@@ -1149,6 +1248,95 @@ def test_one_parameter_entries_fail_only_at_excluded_values(full_catalog):
                 admitted[e.id, name, r] = causes
     assert admitted == {("Dl-9", "l", QI(2)): {"det C"},
                         ("Dl-21", "l", QI(2)): {"det C"}}
+
+
+def polys_in(x, name):
+    """The numerator of x, a QI, MultiPoly or RatFunc, as polynomials in the
+    variable name, coefficients low to high: one for each monomial in its
+    other variables."""
+    if isinstance(x, RatFunc):
+        x = x.num
+    if type(x) is QI:
+        return [[x]]
+    k = x.vars.index(name) if name in x.vars else None
+    groups = {}
+    for e, c in x.terms.items():
+        rest = e if k is None else e[:k] + e[k + 1:]
+        groups.setdefault(rest, {})[0 if k is None else e[k]] = c
+    return [[co.get(d, QI(0)) for d in range(max(co) + 1)]
+            for co in groups.values()]
+
+
+def flag_defects(table):
+    """{identity flag: scalars that all vanish where it holds} of a table
+    whose cells may be parametric: the values of the associator A
+    (associative), the j, k asymmetry of T (novikov) and of A
+    (bisymmetric), and tr R_x^k for k <= 3 with x symbolic (transitive:
+    every R_x nilpotent)."""
+    t, _, a = triple_products(table)
+
+    def asymmetry(d):
+        return [v - d.get((i, k, j, m), QI(0))
+                for (i, j, k, m), v in d.items() if j != k]
+    x = [MultiPoly.var("x%d" % i) for i in (1, 2, 3)]
+    c, rng = table.c, range(3)
+    r = Mat._of([[sum((x[q] * c[j][q][m] for q in rng), QI(0)) for j in rng]
+                 for m in rng])      # column j holds e_j x
+    power, traces = r, []
+    for _ in rng:
+        traces.append(sum((power.rows[i][i] for i in rng), QI(0)))
+        power = power * r
+    return {"associative": list(a.values()), "novikov": asymmetry(t),
+            "bisymmetric": asymmetry(a), "transitive": traces}
+
+
+def stored_holds(cond, name, values):
+    """Where a stored flag condition says the flag holds, as the scan
+    computes it: True for everywhere, else the set of values of the free
+    parameter name (values holds each parameter's pin or variable)."""
+    if not isinstance(cond, tuple):
+        return cond or set()
+    if any(n != name and values[n] != v for n, v in cond):
+        return set()
+    return {v for n, v in cond if n == name} or True
+
+
+def test_one_parameter_flags_hold_where_the_table_says(full_catalog):
+    """ROADMAP item 32's flag scan: on each one-parameter entry, `eq` pins
+    substituted, an identity flag holds everywhere when all its defects
+    (flag_defects) vanish identically, and otherwise exactly at the common
+    Q(i) roots of their numerators that the `params` line admits.  That
+    set equals the stored condition's on every entry and flag but at the
+    pinned FOUND at l = 2 (FAILS_AT_L_2): Dl-9 and Dl-21 are transitive
+    and Novikov there, and Dl-15 is Novikov.  Not covered yet: a flag that
+    holds at the irrational common roots of the defects (a gcd of degree
+    2 or more over Q(i)), the 6 entries with two free parameters, and the
+    simple and semisimple flags, which no identity decides."""
+    one = [e for e in full_catalog.values()
+           if sum(c[0] != "eq" for c in e.params.values()) == 1]
+    assert len(one) == 43
+    disagree = {}
+    for e in one:
+        [name] = [n for n, c in e.params.items() if c[0] != "eq"]
+        values = {n: c[1] if c[0] == "eq" else MultiPoly.var(n)
+                  for n, c in e.params.items()}
+        table = Algebra._of([[[pinned(x, values) for x in v] for v in row]
+                             for row in e.table.c])
+        for flag, defects in flag_defects(table).items():
+            polys = [co for d in defects if not is_zero(d)
+                     for co in polys_in(d, name)]
+            holds = set() if polys else True
+            if polys:
+                holds = set.intersection(*[set(qi_roots(co)) for co in polys])
+                holds = {r for r in holds
+                         if constraint_allows(e.params[name], r)}
+            if holds != stored_holds(e.flags[flag], name, values):
+                disagree[e.id, flag] = holds
+    assert disagree == {("Dl-9", "transitive"): {QI(2)},
+                        ("Dl-9", "novikov"): {QI(2)},
+                        ("Dl-21", "transitive"): {QI(2)},
+                        ("Dl-21", "novikov"): {QI(2)},
+                        ("Dl-15", "novikov"): {QI(2)}}
 
 
 def pinned(x, values):

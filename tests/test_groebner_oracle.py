@@ -8,8 +8,6 @@ Lie class, in the template's variable order and its reverse, and on every
 system that one search cycle of the benchmark builds."""
 
 import functools
-import importlib.util
-import os
 
 import pytest
 
@@ -18,6 +16,7 @@ from lsacat.algebra import commutator_lie, rebase
 from lsacat.lie import aut_components, aut_template, classify3
 from lsacat.linalg import Mat
 from lsacat.scalars import _term_dict, groebner
+from oracles import load_inputs
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -103,16 +102,6 @@ SAME_CLASS = [(x, y) for x in IDS for y in IDS
 @given(st.sampled_from(SAME_CLASS))
 def test_entries_of_one_lie_class_match_sympy(pair):
     check_components(SAMPLES[pair[0]][0], SAMPLES[pair[1]][0])
-
-
-def load_inputs():
-    "perfbench/inputs.py, which draws the benchmark's search pairs."
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                        "perfbench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from lsacat.lie import (LieAlgebra, aut_components, aut_template,
                         classify3)
 from lsacat.linalg import Mat
 from lsacat.scalars import QI, MultiPoly, factor_unipoly
-from oracles import instantiate_aut, random_automorphism
+from oracles import height_points, instantiate_aut, random_automorphism
 
 
 def aut_shape_member(family, t, l=None):
@@ -162,6 +162,44 @@ def test_fixed_canonical_tables_are_read_off(monkeypatch, tag):
     assert lie._canonical(g) is not None
     assert classify3(g) == fresh
     assert fresh.tag == ("N" if tag == "D(0)" else tag)
+
+
+def test_read_off_witnesses_hold_for_every_table_of_their_kind():
+    """_canonical attaches its witnesses with no check; each is proved here
+    once, as _witnessed would check it.  For a symbolic l, _swap(1/l)
+    rebases D(l) onto D(1/l) (and _swap(l) does not); _canonical's D(0)
+    witness rebases D(0) onto N; each fixed table's witness is the
+    identity onto itself, and Sl2 has none."""
+    l = MultiPoly.var("l")
+    dl, dinv = canonical_lie("Dl", l), canonical_lie("Dl", 1 / l)
+    assert lie._is_lie_iso(dinv, dl, lie._swap(1 / l))
+    assert not lie._is_lie_iso(dinv, dl, lie._swap(l))
+    d0 = canonical_lie("Dl", 0)
+    cls = lie._canonical(d0)
+    assert cls.tag == "N" and lie._is_lie_iso(canonical_lie("N"), d0,
+                                              cls.witness)
+    for tag in lie._CANONICAL:
+        g = canonical_lie(tag)
+        cls = lie._canonical(g)
+        assert cls.tag == tag
+        assert (cls.witness is None if tag == "Sl2"
+                else lie._is_lie_iso(g, g, cls.witness))
+
+
+def test_catalog_commutators_are_classified_with_no_witness_check(
+        monkeypatch, full_catalog, catalog_sweep):
+    """classify3 checks no witness on the commutator of any of the 258
+    sample points or of the benchmark's seed-1 height points: each is a
+    canonical table, read off."""
+    tables = [commutator_lie(r.alg) for r in catalog_sweep.reports]
+    tables += [commutator_lie(catalog.instantiate(e, b))
+               for e, b in height_points(full_catalog, 1)]
+    assert len(tables) == 258 + 98
+
+    def refuse(*args):
+        raise AssertionError("_is_lie_iso called")
+    monkeypatch.setattr(lie, "_is_lie_iso", refuse)
+    assert all(classify3(h).tag for h in tables)
 
 
 def catalog_dl_values():
