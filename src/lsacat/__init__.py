@@ -8,10 +8,11 @@ standard subclass predicates, and mechanically re-verifies the embedded
 classification catalog (families H, N, D1, Dl, E) including property
 tables and witness isomorphisms.
 
-All values are immutable (QI sets its parts once, every other value type
-is a scalars.Frozen) and all operations are pure functions, so everything
-here is safe to use from multiple threads.  An Algebra keeps the verdict
-of its first check_left_symmetric, which a race computes twice at worst.
+All values are immutable (QI sets its parts once and alone hashes; every
+other value type is a scalars.Frozen, equal as its fields) and all
+operations are pure functions, so everything here is safe to use from
+multiple threads.  An Algebra keeps the verdict of its first
+check_left_symmetric, which a race computes twice at worst.
 Four stores keep results, each paid for by the traffic: the scalar
 parser's by text (a catalog load parses 247 texts in 1,151 calls; it
 hands out stored tuples nobody can change), triple_products for the

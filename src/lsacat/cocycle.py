@@ -138,7 +138,7 @@ def verify_cocycle_equiv(c1, c2, g, t):
     except SingularWitness:
         raise SingularWitness(
             "cocycle equivalence witness g is singular") from None
-    return c.rep.mats == c2.rep.mats and c.C == c2.C
+    return c == c2
 
 
 def precompose_rep(rep, t):

@@ -127,7 +127,7 @@ def aut_components(family, l=None):
 class LieClass(Frozen):
     """A classify3 result: tag is Abelian | Heisenberg | N | Dl | E | Sl2,
     param the canonical l of Dl when it lies in Q(i), witness a Mat whose
-    rows express the canonical basis.  Equal and hashed as its __reduce__."""
+    rows express the canonical basis.  Frozen: equal as its fields, no hash."""
 
     __slots__ = _ARGS = ("tag", "param", "witness", "detail")
 
@@ -136,18 +136,6 @@ class LieClass(Frozen):
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if type(other) is not LieClass:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__())
-
-    def __repr__(self):
-        return "LieClass(%s)" % ", ".join(
-            "%s=%r" % kv for kv in zip(self._ARGS, self.__reduce__()[1]))
 
     def key(self):
         p = self.param

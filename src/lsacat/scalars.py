@@ -33,10 +33,17 @@ from .errors import (
 )
 
 
+def _shown(value, fields):
+    "Type(name=value, ...) of value and its (name, value) fields."
+    return "%s(%s)" % (type(value).__name__,
+                       ", ".join("%s=%r" % kv for kv in fields))
+
+
 class Frozen:
     """Base of the immutable value types: a subclass sets its slots once, by
-    object.__setattr__, and a later assignment raises AttributeError.  A
-    value copies and pickles as its class called on its _ARGS attributes."""
+    object.__setattr__, and a later assignment raises AttributeError.  A value
+    is its _ARGS fields: it copies and pickles as its class called on them,
+    equals one of its type with equal fields, shows as them and has no hash."""
 
     __slots__ = ()
 
@@ -46,12 +53,18 @@ class Frozen:
     def __reduce__(self):
         return type(self), tuple(getattr(self, a) for a in self._ARGS)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __repr__(self):
+        return _shown(self, ((a, getattr(self, a)) for a in self._ARGS))
+
 
 class Record:
     """Base of the mutable result records, whose __init__ sets each field:
-    equal when of one type with equal fields, shown as fields, unhashable."""
-
-    __hash__ = None
+    like a Frozen value, equal and shown as its fields, and unhashable."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -59,8 +72,7 @@ class Record:
         return vars(self) == vars(other)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % kv for kv in vars(self).items()))
+        return _shown(self, vars(self).items())
 
 
 def remember(store, bound, key, value):
@@ -434,21 +446,6 @@ class MultiPoly(Frozen):
         _, a, b = self._aligned(other)
         return a == b
 
-    def __hash__(self):
-        if self.is_const():
-            return hash(self.const_value())
-        p = self._strip()
-        return hash((p.vars, tuple(sorted((e, c.re, c.im)
-                                          for e, c in p.terms.items()))))
-
-    def _strip(self):
-        "Drop variables that never occur."
-        used = self.free_vars()
-        if len(used) == len(self.vars):
-            return self
-        vs = tuple(sorted(used))
-        return MultiPoly._of(vs, _term_dict(self, vs))
-
     def lead(self):
         "(exponents, coefficient) of the lex-leading term."
         if self.is_zero():
@@ -515,12 +512,6 @@ class RatFunc(Frozen):
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_const(self):
-        return self.num.is_const() and self.den.is_const()
-
-    def const_value(self):
-        return self.num.const_value() / self.den.const_value()
-
     @_lifted
     def __add__(self, other):
         if self.den == other.den:
@@ -566,11 +557,6 @@ class RatFunc(Frozen):
     @_lifted
     def __eq__(self, other):
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        if self.is_const():
-            return hash(self.const_value())
-        raise TypeError("non-constant RatFunc is unhashable")
 
     def substitute(self, bindings):
         d = self.den.substitute(bindings)

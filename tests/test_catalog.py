@@ -1206,13 +1206,21 @@ def univariate_coefficients(p, name):
     return co
 
 
-def exceptional_values(e):
+def slice_of(e, fixed=None):
+    """(name, values) of a one-parameter slice of the entry e: values maps
+    each parameter to its value in fixed, else its `eq` pin, else, for the
+    one parameter name left free, its MultiPoly variable."""
+    fixed = fixed or {}
+    values = {n: fixed[n] if n in fixed else c[1] if c[0] == "eq"
+              else MultiPoly.var(n) for n, c in e.params.items()}
+    [name] = [n for n, v in values.items() if isinstance(v, MultiPoly)]
+    return name, values
+
+
+def admitted_roots(e, name, values):
     """{Q(i) root: causes} of det C (its numerator) and of each denominator
-    of the table, f(e_i) and C cells of e, an entry with one free
-    parameter, after its `eq` pins are substituted."""
-    [name] = [n for n, c in e.params.items() if c[0] != "eq"]
-    values = {n: c[1] if c[0] == "eq" else MultiPoly.var(n)
-              for n, c in e.params.items()}
+    of the table, f(e_i) and C cells of e, on the slice (name, values) of
+    slice_of, for each root that the `ne` of name does not exclude."""
     polys = []
     for where, x in ([("table", x) for row in e.table.c for v in row
                           for x in v]
@@ -1224,11 +1232,12 @@ def exceptional_values(e):
     det = Mat._of([[pinned(x, values) for x in r]
                    for r in e.cmat.rows]).det()
     polys.append(("det C", det.num if isinstance(det, RatFunc) else det))
-    found = {}
+    c, found = e.params[name], {}
     for cause, p in polys:
         for r in qi_roots(univariate_coefficients(p, name)):
-            found.setdefault(r, set()).add(cause)
-    return name, found
+            if not (c[0] == "ne" and r in c[1:]):
+                found.setdefault(r, set()).add(cause)
+    return found
 
 
 def test_one_parameter_entries_fail_only_at_excluded_values(full_catalog):
@@ -1241,11 +1250,9 @@ def test_one_parameter_entries_fail_only_at_excluded_values(full_catalog):
     assert len(one) == 43
     admitted = {}
     for e in one:
-        name, found = exceptional_values(e)
-        c = e.params[name]
-        for r, causes in found.items():
-            if not (c[0] == "ne" and r in c[1:]):
-                admitted[e.id, name, r] = causes
+        name, values = slice_of(e)
+        for r, causes in admitted_roots(e, name, values).items():
+            admitted[e.id, name, r] = causes
     assert admitted == {("Dl-9", "l", QI(2)): {"det C"},
                         ("Dl-21", "l", QI(2)): {"det C"}}
 
@@ -1301,42 +1308,85 @@ def stored_holds(cond, name, values):
     return {v for n, v in cond if n == name} or True
 
 
+def flag_disagreements(e, name, values):
+    """{identity flag: where it holds} of each flag of e whose stored
+    condition disagrees on the slice (name, values) of slice_of.  A flag
+    holds everywhere when all its defects (flag_defects) vanish
+    identically, and otherwise exactly at the common Q(i) roots of their
+    numerators that the `params` line of name admits."""
+    table = Algebra._of([[[pinned(x, values) for x in v] for v in row]
+                         for row in e.table.c])
+    out = {}
+    for flag, defects in flag_defects(table).items():
+        polys = [co for d in defects if not is_zero(d)
+                 for co in polys_in(d, name)]
+        holds = set() if polys else True
+        if polys:
+            holds = set.intersection(*[set(qi_roots(co)) for co in polys])
+            holds = {r for r in holds if constraint_allows(e.params[name], r)}
+        if holds != stored_holds(e.flags[flag], name, values):
+            out[flag] = holds
+    return out
+
+
 def test_one_parameter_flags_hold_where_the_table_says(full_catalog):
     """ROADMAP item 32's flag scan: on each one-parameter entry, `eq` pins
-    substituted, an identity flag holds everywhere when all its defects
-    (flag_defects) vanish identically, and otherwise exactly at the common
-    Q(i) roots of their numerators that the `params` line admits.  That
-    set equals the stored condition's on every entry and flag but at the
+    substituted, where each identity flag holds (flag_disagreements)
+    equals the stored condition's set on every entry and flag but at the
     pinned FOUND at l = 2 (FAILS_AT_L_2): Dl-9 and Dl-21 are transitive
     and Novikov there, and Dl-15 is Novikov.  Not covered yet: a flag that
     holds at the irrational common roots of the defects (a gcd of degree
-    2 or more over Q(i)), the 6 entries with two free parameters, and the
-    simple and semisimple flags, which no identity decides."""
+    2 or more over Q(i)), and the simple and semisimple flags, which no
+    identity decides.  The two-parameter entries are scanned by slices."""
     one = [e for e in full_catalog.values()
            if sum(c[0] != "eq" for c in e.params.values()) == 1]
     assert len(one) == 43
     disagree = {}
     for e in one:
-        [name] = [n for n, c in e.params.items() if c[0] != "eq"]
-        values = {n: c[1] if c[0] == "eq" else MultiPoly.var(n)
-                  for n, c in e.params.items()}
-        table = Algebra._of([[[pinned(x, values) for x in v] for v in row]
-                             for row in e.table.c])
-        for flag, defects in flag_defects(table).items():
-            polys = [co for d in defects if not is_zero(d)
-                     for co in polys_in(d, name)]
-            holds = set() if polys else True
-            if polys:
-                holds = set.intersection(*[set(qi_roots(co)) for co in polys])
-                holds = {r for r in holds
-                         if constraint_allows(e.params[name], r)}
-            if holds != stored_holds(e.flags[flag], name, values):
-                disagree[e.id, flag] = holds
+        for flag, holds in flag_disagreements(e, *slice_of(e)).items():
+            disagree[e.id, flag] = holds
     assert disagree == {("Dl-9", "transitive"): {QI(2)},
                         ("Dl-9", "novikov"): {QI(2)},
                         ("Dl-21", "transitive"): {QI(2)},
                         ("Dl-21", "novikov"): {QI(2)},
                         ("Dl-15", "novikov"): {QI(2)}}
+
+
+def slice_pins(e):
+    """The (parameter, value) pins of the slices of e: each free parameter
+    at each of its sample values and at each value a flag condition names
+    for it, sorted by name and then by text."""
+    pins = {(n, b[n]) for b in e.sample_bindings() for n in b}
+    pins |= {pin for cond in e.flags.values() if isinstance(cond, tuple)
+             for pin in cond}
+    return sorted(pins, key=lambda pin: (pin[0], str(pin[1])))
+
+
+def test_two_parameter_entries_hold_on_each_slice(full_catalog):
+    """ROADMAP item 32's scans on the 6 entries with two free parameters,
+    by slices: one parameter fixed at each pin of slice_pins, an admitted
+    value, and the other scanned.  On each of the 36 slices every Q(i)
+    root of det C and of each denominator of the table, f(e_i) and C cells
+    is a value `ne` excludes, and each identity flag holds exactly where
+    its stored condition says.  Irrational common roots of the defects (a
+    gcd of degree 2 or more) are not covered."""
+    two = [e for e in full_catalog.values()
+           if sum(c[0] != "eq" for c in e.params.values()) == 2]
+    assert [e.id for e in two] == ["N-2", "N-22", "Dl-1", "Dl-4", "Dl-11",
+                                   "Dl-16"]
+    slices, admitted, disagree = 0, {}, {}
+    for e in two:
+        for fix, v in slice_pins(e):
+            assert constraint_allows(e.params[fix], v)
+            name, values = slice_of(e, {fix: v})
+            for r, causes in admitted_roots(e, name, values).items():
+                admitted[e.id, fix, v, r] = causes
+            for flag, holds in flag_disagreements(e, name, values).items():
+                disagree[e.id, fix, v, flag] = holds
+            slices += 1
+    assert admitted == {}
+    assert disagree == {}
+    assert slices == 36
 
 
 def pinned(x, values):

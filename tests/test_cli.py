@@ -737,8 +737,6 @@ UNCALLED_ALLOWED = set()
 # so a use of one definition counts for all of them, and a name that
 # gains a definition must be added here once each is known to be reached
 SHARED_NAMES = {
-    "const_value": {"scalars.py:MultiPoly", "scalars.py:RatFunc"},
-    "is_const": {"scalars.py:MultiPoly", "scalars.py:RatFunc"},
     "is_zero": {"linalg.py:Mat", "scalars.py:QI", "scalars.py:MultiPoly",
                 "scalars.py:RatFunc", "scalars.py"},
     "ok": {"catalog.py:EntryReport", "catalog.py:SweepReport"},
@@ -820,6 +818,26 @@ def test_record_constructors_take_only_what_callers_pass():
     unpassed = ["%s.%s" % (cls, p) for cls, names in sorted(params.items())
                 for p in names if p not in passed[cls]]
     assert unpassed == []
+
+
+def bound_names(stmt):
+    "The names a statement of a class body binds, by def or assignment."
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return {stmt.name}
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return {n.id for t in targets if t is not None for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def test_only_qi_binds_a_hash():
+    """QI is the one class in src/lsacat whose body binds __hash__: a
+    Frozen value or Record compares as its fields and has no hash, and a
+    class that defines __eq__ alone has none already."""
+    found = ["%s:%s" % (name, node.name)
+             for name, tree in package_trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for stmt in node.body if "__hash__" in bound_names(stmt)]
+    assert found == ["scalars.py:QI"]
 
 
 # the reasons README gives for a statement that no test runs

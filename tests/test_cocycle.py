@@ -153,6 +153,17 @@ def test_cocycle_iso_different_parameters_fails():
     assert not verify_cocycle_iso(c1, c2, Mat.identity(3))
 
 
+def test_cocycles_are_equal_as_their_parts():
+    "Cocycles built apart from equal parts are equal; another C parts them."
+    c = ai1_cocycle()
+    twin = Cocycle(Representation(canonical_lie("Heisenberg"),
+                                  [Mat(m.rows) for m in AI1_MATS]),
+                   Mat(AI1_C.rows))
+    assert twin is not c and twin == c and not twin != c
+    other = Cocycle(twin.rep, Mat.identity(3))
+    assert other.rep == c.rep and other != c and not other == c
+
+
 def test_cocycle_equiv_trivial():
     c = ai1_cocycle()
     assert verify_cocycle_equiv(c, c, Mat.identity(3), Mat.identity(3))

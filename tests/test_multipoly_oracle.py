@@ -1,10 +1,10 @@
 """MultiPoly arithmetic against sympy.
 
-The sum, difference, product, power, equality and hash of MultiPolys are
-checked against sympy.expand on the same polynomials.  The operands range
-over the variable sets (), {l}, {m} and {l, m}, and a polynomial may carry a
+The sum, difference, product, power and equality of MultiPolys are checked
+against sympy.expand on the same polynomials.  The operands range over the
+variable sets (), {l}, {m} and {l, m}, and a polynomial may carry a
 variable whose exponent is always 0, so that realignment onto the union of
-the variables and the dropping of unused ones (_strip) are both exercised."""
+the variables is exercised.  A MultiPoly, a Frozen value, has no hash."""
 
 from fractions import Fraction
 
@@ -73,10 +73,9 @@ def test_power_matches_sympy(p, n):
 def test_equality_and_hash_match_sympy(p, q):
     equal = sympy.expand(expr(p) - expr(q)) == 0
     assert (p == q) == equal
-    if equal:
-        assert hash(p) == hash(q)
-    # the same value over the other variables is equal and hashes alike
-    r = p + q - q
-    assert r == p and hash(r) == hash(p)
+    # the same value over the other variables is equal
+    assert p + q - q == p
     if p.is_const():
-        assert p == p.const_value() and hash(p) == hash(p.const_value())
+        assert p == p.const_value()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
