@@ -6,12 +6,14 @@ Three domains arranged in a promotion chain::
 
 Promotion is implicit only upward, through the arithmetic operators: each
 operator of MultiPoly and RatFunc is ``_lifted`` to lift the domains below
-and leave any other operand to that operand's reflected operator.  Values
-are never changed after they are built (each type above QI is ``Frozen``),
-so they are safe to share; they copy and pickle.  The parser relies on it:
-it keeps the result of each text it has read in a bounded map, its
-sequences as tuples, and hands out the stored value again; ``remember``
-bounds that map and the package's other one.
+and leave any other operand to that operand's reflected operator; one base
+derives their -, reflected - and reflected /.  Each type prints itself in
+the text that ``parse_scalar`` reads.  Values are never changed after they
+are built (each type above QI is ``Frozen``), so they are safe to share;
+they copy and pickle.  The parser relies on it: it keeps the result of
+each text it has read in a bounded map, its sequences as tuples, and hands
+out the stored value again; ``remember`` bounds that map and the package's
+other one.
 
 A QI, and so every coefficient above it, is three ints (a, b, d) with
 value (a + b*i)/d; only ``re``, ``im`` and ``norm2()`` build Fractions.
@@ -230,10 +232,16 @@ class QI:
                     self._a if self._d == 1 else self.re)
 
     def __repr__(self):
-        return "QI(%s)" % format_scalar(self)
+        return "QI(%s)" % self
 
     def __str__(self):
-        return format_scalar(self)
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        ims = "i" if im == 1 else "-i" if im == -1 else "%s*i" % im
+        if re == 0:
+            return ims
+        return "%s%s%s" % (re, "" if ims.startswith("-") else "+", ims)
 
 
 _NEW = object.__new__
@@ -314,7 +322,28 @@ def _lifted(op):
     return lifted
 
 
-class MultiPoly(Frozen):
+class _Parametric(Frozen):
+    """Base of MultiPoly and RatFunc: -, reflected - and reflected / from
+    the type's own +, negation and /, and the repr Type(text)."""
+
+    __slots__ = ()
+
+    @_lifted
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    @_lifted
+    def __rtruediv__(self, other):
+        return other / self
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class MultiPoly(_Parametric):
     """Sparse polynomial over Q(i) in a sorted tuple of named variables.
 
     terms maps exponent tuples (aligned with ``vars``) to nonzero QI
@@ -402,13 +431,6 @@ class MultiPoly(Frozen):
 
     __radd__ = __add__
 
-    @_lifted
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return MultiPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
@@ -438,20 +460,9 @@ class MultiPoly(Frozen):
         return RatFunc(self, other)
 
     @_lifted
-    def __rtruediv__(self, other):
-        return other / self
-
-    @_lifted
     def __eq__(self, other):
         _, a, b = self._aligned(other)
         return a == b
-
-    def lead(self):
-        "(exponents, coefficient) of the lex-leading term."
-        if self.is_zero():
-            return None
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def substitute(self, bindings):
         "Full evaluation; every occurring variable must be bound."
@@ -469,14 +480,13 @@ class MultiPoly(Frozen):
             out = out + term
         return out
 
-    def __repr__(self):
-        return "MultiPoly(%s)" % format_scalar(self)
-
     def __str__(self):
-        return format_scalar(self)
+        items = sorted(self.terms.items(), reverse=True)
+        return format_sum([(c, _format_monomial(self.vars, exps))
+                           for exps, c in items])
 
 
-class RatFunc(Frozen):
+class RatFunc(_Parametric):
     """Quotient num/den of MultiPolys, den lex-monic; no gcd reduction, but
     a sum over one shared denominator keeps that denominator."""
 
@@ -493,7 +503,7 @@ class RatFunc(Frozen):
         if num.is_zero():
             den = MultiPoly.const(1)
         else:
-            _, lead = den.lead()
+            lead = den.terms[max(den.terms)]
             if lead != ONE:
                 num = num / lead
                 den = den / lead
@@ -521,13 +531,6 @@ class RatFunc(Frozen):
 
     __radd__ = __add__
 
-    @_lifted
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
@@ -542,10 +545,6 @@ class RatFunc(Frozen):
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    @_lifted
-    def __rtruediv__(self, other):
-        return other / self
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -566,11 +565,10 @@ class RatFunc(Frozen):
                 % (self.den, {k: str(qi(v)) for k, v in bindings.items()}))
         return self.num.substitute(bindings) / d
 
-    def __repr__(self):
-        return "RatFunc(%s)" % format_scalar(self)
-
     def __str__(self):
-        return format_scalar(self)
+        if self.den == 1:
+            return str(self.num)
+        return "(%s)/(%s)" % (self.num, self.den)
 
 
 Scalar = (QI, MultiPoly, RatFunc)
@@ -948,17 +946,6 @@ def factor_unipoly(co):
 # printing and parsing of the shared scalar literal syntax
 
 
-def format_qi(z):
-    "Canonical text for a QI; parseable by parse_scalar."
-    re, im = z.re, z.im
-    if im == 0:
-        return str(re)
-    ims = "i" if im == 1 else "-i" if im == -1 else "%s*i" % im
-    if re == 0:
-        return ims
-    return "%s%s%s" % (re, "" if ims.startswith("-") else "+", ims)
-
-
 def _format_monomial(vars, exps):
     parts = []
     for v, e in zip(vars, exps):
@@ -967,11 +954,6 @@ def _format_monomial(vars, exps):
         elif e > 1:
             parts.append("%s^%d" % (v, e))
     return "*".join(parts)
-
-
-def format_multipoly(p):
-    items = sorted(p.terms.items(), key=lambda t: t[0], reverse=True)
-    return format_sum([(c, _format_monomial(p.vars, exps)) for exps, c in items])
 
 
 def format_sum(terms, spaced=False):
@@ -1001,14 +983,8 @@ def format_sum(terms, spaced=False):
 
 
 def format_scalar(s):
-    s = as_scalar(s)
-    if isinstance(s, QI):
-        return format_qi(s)
-    if isinstance(s, MultiPoly):
-        return format_multipoly(s)
-    if s.den == 1:                  # s is a RatFunc
-        return format_multipoly(s.num)
-    return "(%s)/(%s)" % (format_multipoly(s.num), format_multipoly(s.den))
+    "The canonical text of a scalar, an int or a Fraction printed as its QI."
+    return str(as_scalar(s))
 
 
 def _tokenize(text):

@@ -17,17 +17,14 @@ goes first from round to round:
     load    catalog.load_catalog() with the catalog cache and the scalar
             parse memo emptied first, as a fresh process starts
 
-Every timing is the CPU time of one piece on one tree; the lie
-classification cache of a tree that keeps one (lie._CLASSIFIED) is
-emptied before each, as a fresh process starts with it empty, and the
-loaded catalog is kept, as setup (but for the
-load piece, which loads it again).  Both trees run
-under the same load at nearly the same moment, so the ratio B/A of a
-round survives the slow drift of a shared host that moves whole
-benchmark runs; the min and the median of the ratios over the rounds are
-printed per piece, with the median CPU seconds of each side.  This
-measures one piece of a change against another; the benchmark
-(perfbench/run.py) stays the judge of end-to-end metrics.
+Every timing is the CPU time of one piece on one tree; the loaded
+catalog is kept, as setup (but for the load piece, which loads it
+again).  Both trees run under the same load at nearly the same moment,
+so the ratio B/A of a round survives the slow drift of a shared host
+that moves whole benchmark runs; the min and the median of the ratios
+over the rounds are printed per piece, with the median CPU seconds of
+each side.  This measures one piece of a change against another; the
+benchmark (perfbench/run.py) stays the judge of end-to-end metrics.
 
     python3 tests/ab_inprocess.py PARENT/src src [--rounds 9] [--seed 1]
         [--pieces verify,height,search,catalog,load]
@@ -127,8 +124,7 @@ class Tree:
                              % (self.pkg.__name__, piece, bad))
 
     def timed(self, piece):
-        "CPU seconds of one run of the piece, from an empty lie cache."
-        getattr(self.pkg.lie, "_CLASSIFIED", {}).clear()
+        "CPU seconds of one run of the piece."
         gc.collect()
         t0 = time.process_time()
         self.run(piece)

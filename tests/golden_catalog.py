@@ -3,7 +3,7 @@
 One line per catalog entry: its params, table, primed table, f(e_i), C,
 primed_witness, flags and iso declarations, each in the canonical emitted
 syntax; then one line per shipped sample document, its emitted form.
-test_golden_catalog.py compares a fresh run with the stored file line by
+test_golden.py compares a fresh run with the stored file line by
 line, so a change to the reader that claims the same parse shows it there.
 Regenerate the file only for a change that means to alter what the shipped
 data read as:

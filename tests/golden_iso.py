@@ -4,7 +4,7 @@ One line per verdict: the classify3 key and witness of every catalog
 sample, then the status, reason and witness of search_lsa_iso on the
 remark coincidences, on the pairs of distinct entries whose first samples
 share a fingerprint, and on each first sample against a seeded random
-rebase of itself.  test_golden_iso.py compares a fresh run with the
+rebase of itself.  test_golden.py compares a fresh run with the
 stored file line by line, so a change that claims identical output shows
 it there.  Regenerate the file only for a change that means to alter a
 verdict:

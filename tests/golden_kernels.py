@@ -6,7 +6,7 @@ and on D(l) for a few l, each rebased by several T; then, on one rebase
 of each catalog entry's first sample, find_ideals (every report field),
 is_simple, is_semisimple, fingerprint and phi of the cocycle
 equivalent_cocycle(psi(x), T, I); then find_ideals and fingerprint on
-seeded sparse random tables.  test_golden_kernels.py compares a fresh run
+seeded sparse random tables.  test_golden.py compares a fresh run
 with the stored file line by line, so a change that claims the same
 output shows it there.  Regenerate the file only for a change that means
 to alter one of these results:

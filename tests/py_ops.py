@@ -14,13 +14,12 @@ one warm run of each piece:
              parse memo emptied first, as a fresh process starts
 
 Each piece runs once untraced first, so the catalog is loaded and parsed
-before the count (the load piece loads and parses it again); the lie classification cache of a tree that keeps one
-(lie._CLASSIFIED) is emptied before the counted run, as in a fresh
-process.  The count stops if two trees print
-different catalog-verify --all text.  Work done in C (big-integer
-arithmetic, sorted, dict and tuple comparison) is not counted.  The count
-does not depend on the host's speed, and it is the same between runs and
-hash seeds as long as the work is.  One line per tree and piece:
+before the count (the load piece loads and parses it again).  The count
+stops if two trees print different catalog-verify --all text.  Work done
+in C (big-integer arithmetic, sorted, dict and tuple comparison) is not
+counted.  The count does not depend on the host's speed, and it is the
+same between runs and hash seeds as long as the work is.  One line per
+tree and piece:
 
     python3 tests/py_ops.py PARENT/src src [--seed 1]
         [--pieces catalog,height,search,load]
@@ -78,7 +77,6 @@ def main(argv=None):
         trees.append(tree)
         for piece in pieces:
             tree.run(piece)             # warm-up, uncounted
-            getattr(tree.pkg.lie, "_CLASSIFIED", {}).clear()
             print("%-5d %-8s %d"
                   % (k, piece, counted(lambda: tree.run(piece))))
     same_stdout(trees)

@@ -111,7 +111,6 @@ L = MultiPoly.var("l")
     (lambda: RatFunc(L, 1) / RatFunc(MultiPoly(), 1),
      DivisionByZero("division by zero rational function")),
     (lambda: RatFunc(L, 0), DivisionByZero("zero denominator")),
-    (MultiPoly().lead, None),
     (lambda: qi_roots((5,)), []),
     (lambda: catalog.lookup("H-7").admissible({}), False),
     (lambda: verify_cocycle_equiv(psi(H1), psi(H1), Mat.zero(3),
@@ -124,7 +123,7 @@ L = MultiPoly.var("l")
         "unknown_family", "dl_with_text_l", "unknown_aut_group", "canonical_l_of_0",
         "lsa_iso_dims", "unsorted_vars", "term_arity", "const_value",
         "poly_div_zero", "ratfunc_div_zero", "ratfunc_zero_den",
-        "lead_of_zero", "roots_of_constant", "missing_binding",
+        "roots_of_constant", "missing_binding",
         "singular_equivalence", "equivalence_across_lie_algebras"])
 def test_operations_check_their_inputs(call, want):
     "Each operation refuses, or answers plainly, an input it cannot take."

@@ -1,4 +1,5 @@
 import copy
+import functools
 import os
 import pickle
 import random
@@ -20,8 +21,9 @@ from lsacat.iso import IsoVerdict, search_lsa_iso, verify_lsa_iso
 from lsacat.lie import classify3
 from lsacat.linalg import Mat, basis_vec, vec_eq
 from lsacat.props import fingerprint
-from lsacat.scalars import (QI, MultiPoly, RatFunc, is_zero, parse_scalar,
-                            qi_roots, substitute)
+from lsacat.scalars import (QI, MultiPoly, RatFunc, _up_deflate, _up_gcd,
+                            _up_trim, is_zero, parse_scalar, qi_roots,
+                            substitute)
 from oracles import expected_lie_key, height_points
 
 
@@ -1206,6 +1208,25 @@ def univariate_coefficients(p, name):
     return co
 
 
+def qi_part(co, name):
+    """(roots, rest) of the polynomial co in the variable name, coefficients
+    low to high: its Q(i) roots, and the text of the monic factor left once
+    each root is divided out as often as it divides, or None if that factor
+    is a constant.  A rest has degree 2 or more and no Q(i) root, so `ne`
+    cannot exclude its roots and a flag condition cannot name them."""
+    co = _up_trim(co)
+    roots = qi_roots(co)
+    for r in roots:
+        q, rem = _up_deflate(co, r)
+        while rem.is_zero():
+            co = q
+            q, rem = _up_deflate(co, r)
+    if len(co) <= 1:
+        return roots, None
+    return roots, str(MultiPoly((name,), {(k,): c / co[-1]
+                                          for k, c in enumerate(co)}))
+
+
 def slice_of(e, fixed=None):
     """(name, values) of a one-parameter slice of the entry e: values maps
     each parameter to its value in fixed, else its `eq` pin, else, for the
@@ -1220,7 +1241,9 @@ def slice_of(e, fixed=None):
 def admitted_roots(e, name, values):
     """{Q(i) root: causes} of det C (its numerator) and of each denominator
     of the table, f(e_i) and C cells of e, on the slice (name, values) of
-    slice_of, for each root that the `ne` of name does not exclude."""
+    slice_of, for each root that the `ne` of name does not exclude; and
+    {text: causes} for each of those polynomials whose factor with no Q(i)
+    root (the rest of qi_part) is not a constant."""
     polys = []
     for where, x in ([("table", x) for row in e.table.c for v in row
                           for x in v]
@@ -1234,9 +1257,12 @@ def admitted_roots(e, name, values):
     polys.append(("det C", det.num if isinstance(det, RatFunc) else det))
     c, found = e.params[name], {}
     for cause, p in polys:
-        for r in qi_roots(univariate_coefficients(p, name)):
+        roots, rest = qi_part(univariate_coefficients(p, name), name)
+        for r in roots:
             if not (c[0] == "ne" and r in c[1:]):
                 found.setdefault(r, set()).add(cause)
+        if rest:
+            found.setdefault(rest, set()).add(cause)
     return found
 
 
@@ -1244,7 +1270,8 @@ def test_one_parameter_entries_fail_only_at_excluded_values(full_catalog):
     """ROADMAP item 32's first scan: every Q(i) root of det C and of each
     denominator of a one-parameter entry's table, f(e_i) and C cells is a
     value its `params` line excludes with `ne`, but for the pinned FOUND
-    at l = 2 (FAILS_AT_L_2), where det C = +-(l - 2) on Dl-9 and Dl-21."""
+    at l = 2 (FAILS_AT_L_2), where det C = +-(l - 2) on Dl-9 and Dl-21;
+    and none of those polynomials has a factor with no Q(i) root."""
     one = [e for e in full_catalog.values()
            if sum(c[0] != "eq" for c in e.params.values()) == 1]
     assert len(one) == 43
@@ -1312,8 +1339,10 @@ def flag_disagreements(e, name, values):
     """{identity flag: where it holds} of each flag of e whose stored
     condition disagrees on the slice (name, values) of slice_of.  A flag
     holds everywhere when all its defects (flag_defects) vanish
-    identically, and otherwise exactly at the common Q(i) roots of their
-    numerators that the `params` line of name admits."""
+    identically, and otherwise exactly at the roots of the gcd of their
+    numerators: at its Q(i) roots that the `params` line of name admits,
+    and at the roots of its factor with no Q(i) root (the rest of
+    qi_part), given as that factor's text."""
     table = Algebra._of([[[pinned(x, values) for x in v] for v in row]
                          for row in e.table.c])
     out = {}
@@ -1322,8 +1351,11 @@ def flag_disagreements(e, name, values):
                  for co in polys_in(d, name)]
         holds = set() if polys else True
         if polys:
-            holds = set.intersection(*[set(qi_roots(co)) for co in polys])
-            holds = {r for r in holds if constraint_allows(e.params[name], r)}
+            roots, rest = qi_part(
+                functools.reduce(_up_gcd, map(_up_trim, polys)), name)
+            holds = {r for r in roots if constraint_allows(e.params[name], r)}
+            if rest:
+                holds.add(rest)
         if holds != stored_holds(e.flags[flag], name, values):
             out[flag] = holds
     return out
@@ -1334,10 +1366,10 @@ def test_one_parameter_flags_hold_where_the_table_says(full_catalog):
     substituted, where each identity flag holds (flag_disagreements)
     equals the stored condition's set on every entry and flag but at the
     pinned FOUND at l = 2 (FAILS_AT_L_2): Dl-9 and Dl-21 are transitive
-    and Novikov there, and Dl-15 is Novikov.  Not covered yet: a flag that
-    holds at the irrational common roots of the defects (a gcd of degree
-    2 or more over Q(i)), and the simple and semisimple flags, which no
-    identity decides.  The two-parameter entries are scanned by slices."""
+    and Novikov there, and Dl-15 is Novikov.  No flag holds at the roots
+    of a factor with no Q(i) root.  Not covered: the simple and semisimple
+    flags, which no identity decides.  The two-parameter entries are
+    scanned by slices."""
     one = [e for e in full_catalog.values()
            if sum(c[0] != "eq" for c in e.params.values()) == 1]
     assert len(one) == 43
@@ -1368,8 +1400,8 @@ def test_two_parameter_entries_hold_on_each_slice(full_catalog):
     value, and the other scanned.  On each of the 36 slices every Q(i)
     root of det C and of each denominator of the table, f(e_i) and C cells
     is a value `ne` excludes, and each identity flag holds exactly where
-    its stored condition says.  Irrational common roots of the defects (a
-    gcd of degree 2 or more) are not covered."""
+    its stored condition says; no polynomial of either scan has a factor
+    with no Q(i) root."""
     two = [e for e in full_catalog.values()
            if sum(c[0] != "eq" for c in e.params.values()) == 2]
     assert [e.id for e in two] == ["N-2", "N-22", "Dl-1", "Dl-4", "Dl-11",

@@ -152,6 +152,25 @@ def test_parse_format_roundtrip():
         assert parse_scalar(format_scalar(p)) == p
 
 
+L = MultiPoly.var("l")
+
+
+@pytest.mark.parametrize("x", [
+    QI(Fraction(-3, 2), 5), (L - 2) * MultiPoly.var("m") ** 2 + QI(0, 1),
+    RatFunc(L * L + 1, L - QI(1, 1)), RatFunc(L, 1), 7, Fraction(-2, 3)],
+    ids=["qi", "multipoly", "ratfunc", "ratfunc_over_1", "int", "fraction"])
+def test_each_scalar_prints_its_own_text(x):
+    """format_scalar is the scalar's own str, an int or a Fraction printed
+    as its QI; a scalar type shows as Type(text), which parse_scalar reads
+    back to an equal value."""
+    assert format_scalar(x) == str(x)
+    if isinstance(x, (int, Fraction)):
+        assert str(x) == str(QI(x))
+        return
+    assert repr(x) == "%s(%s)" % (type(x).__name__, x)
+    assert parse_scalar(str(x)) == x
+
+
 def test_factor_quadratic_over_qi():
     # t^2 + 1 = (t - i)(t + i)
     unit, factors = factor_unipoly((qi(1), qi(0), qi(1)))
